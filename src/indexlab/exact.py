@@ -27,6 +27,19 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def _floor(a: int, b: int, c: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/c) for c > 0 and, when b != 0, non-square D.
+
+    b*sqrt(D) is then irrational, so its floor is isqrt(b^2 D) for b > 0 and
+    -isqrt(b^2 D) - 1 for b < 0; with N that integer and 0 < f < 1 its
+    fractional part, floor((a + N + f)/c) = (a + N) // c exactly.
+    """
+    if b == 0:
+        return a // c
+    t = math.isqrt(b * b * D)
+    return (a + (t if b > 0 else -t - 1)) // c
+
+
 @total_ordering
 class ExactReal:
     """(a + b*sqrt(D))/c in canonical form.
@@ -206,19 +219,7 @@ class ExactReal:
 
     def floor(self) -> int:
         """Exact floor.  Never ambiguous: irrational values miss the grid."""
-        a, b, c, D = self.a, self.b, self.c, self.D
-        if b == 0:
-            return a // c
-        # floor(b*sqrt(D)) via isqrt of b^2 D; D non-square so never exact.
-        t = math.isqrt(b * b * D)
-        fb = t if b > 0 else -t - 1
-        q = (a + fb) // c
-        # a + fb <= numerator < a + fb + 2, so q can be off by at most one.
-        while (self - (q + 1)).sign() >= 0:
-            q += 1
-        while (self - q).sign() < 0:
-            q -= 1
-        return q
+        return _floor(self.a, self.b, self.c, self.D)
 
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.D)) / self.c
@@ -265,7 +266,7 @@ def floor_scaled(x: ExactReal, m: int) -> int:
     """floor(m * x), exact.  For irrational x, m*x is never an integer."""
     if m <= 0:
         raise ValueError("m must be positive")
-    return (x * m).floor()
+    return _floor(x.a * m, x.b * m, x.c, x.D)
 
 
 def fractional_part(x: ExactReal) -> ExactReal:

@@ -122,12 +122,8 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
         raise NonTerminatingSumError(
             "mean index must be positive for a finite Morse sum"
         )
-    bound = horizon + g.n - 1
-    # smallest m with m * ihat > bound, minus one
-    m = (ExactReal(bound) / ihat).floor() + 1
-    while ((ihat * m) - bound).sign() <= 0:
-        m += 1
-    return m - 1
+    # the largest m with m * ihat <= horizon + n - 1
+    return (ExactReal(horizon + g.n - 1) / ihat).floor()
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,7 @@ class Violation:
     rhs: int
 
     def __str__(self):
-        rel = ">=" if self.kind == "pointwise" else ">="
-        return f"q={self.q} {self.kind}: {self.lhs} {rel} {self.rhs} fails"
+        return f"q={self.q} {self.kind}: {self.lhs} >= {self.rhs} fails"
 
 
 def check_morse_inequalities(

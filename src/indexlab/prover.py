@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,48 +136,26 @@ def floor_sum_range(m: int, terms: int, total: Fraction) -> set[int]:
         )
     lo = total - terms  # exclusive
     hi = total  # exclusive
-    first = max(0, _strict_ceil(lo))
-    last = _strict_floor(hi)
+    first = max(0, math.floor(lo) + 1)
+    last = math.ceil(hi) - 1
     return set(range(first, last + 1))
-
-
-def _strict_ceil(q: Fraction) -> int:
-    """Smallest integer strictly greater than q."""
-    from math import floor
-
-    return floor(q) + 1
-
-
-def _strict_floor(q: Fraction) -> int:
-    """Largest integer strictly smaller than q."""
-    from math import ceil
-
-    return ceil(q) - 1
 
 
 # -- lemma checks: each derives a fact by exhibiting Morse violations ------
 
-def _pointwise_violation_at(M: list[int], n: int, q: int) -> Violation:
+def _violation_at(M: list[int], n: int, q: int, kind: str) -> Violation:
     b = BettiTable(n, len(M) - 1)
     for v in check_morse_inequalities(M, b, len(M) - 1):
-        if v.kind == "pointwise" and v.q == q:
+        if v.kind == kind and v.q == q:
             return v
-    raise TraceError(f"expected pointwise violation at q={q} not found")
-
-
-def _alternating_violation_at(M: list[int], n: int, q: int) -> Violation:
-    b = BettiTable(n, len(M) - 1)
-    for v in check_morse_inequalities(M, b, len(M) - 1):
-        if v.kind == "alternating" and v.q == q:
-            return v
-    raise TraceError(f"expected alternating violation at q={q} not found")
+    raise TraceError(f"expected {kind} violation at q={q} not found")
 
 
 def check_lemma_6_1(n: int) -> SymbolicFact:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
     M = [0] * n  # degrees 0..n-1 under the zero-mean-index hypothesis
-    v = _pointwise_violation_at(M, n, n - 1)
+    v = _violation_at(M, n, n - 1, "pointwise")
     return SymbolicFact(
         FactKind.MeanIndexEquals,
         f"mean index > 0 (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
@@ -189,7 +168,7 @@ def check_lemma_6_2(n: int) -> SymbolicFact:
     """i(c) <= n-1 is forced: a larger initial index empties every degree
     up to n-1, again contradicting b_{n-1} = 1."""
     M = [0] * n  # degrees 0..n-1 under the i(c) > n-1 hypothesis
-    v = _pointwise_violation_at(M, n, n - 1)
+    v = _violation_at(M, n, n - 1, "pointwise")
     return SymbolicFact(
         FactKind.IndexRange,
         f"i(c) <= {n - 1} (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
@@ -228,7 +207,7 @@ def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
     for i0 in hypotheticals:
         M = [0] * (i0 + 2)
         M[i0] = 1
-        v = _alternating_violation_at(M, n, i0 + 1)
+        v = _violation_at(M, n, i0 + 1, "alternating")
         refuted.append({"i_c": i0, "evidence": v, "hypothetical_M": M})
     return SymbolicFact(
         FactKind.IndexRange,
@@ -267,7 +246,7 @@ def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFac
             if q == n - 1:
                 M = [0] * (n + 1)
                 M[n - 1] = 2
-                v = _alternating_violation_at(M, n, n)
+                v = _violation_at(M, n, n, "alternating")
                 return SymbolicFact(
                     FactKind.Contradiction,
                     f"two iterates {hits[:2]} share i = {q}: "
@@ -280,7 +259,7 @@ def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFac
             for t2 in range((kappa - (n - 1)) // 2):
                 M[n - 1 + 2 * t2] = 1
             M[kappa] = 2
-            v = _alternating_violation_at(M, n, kappa + 1)
+            v = _violation_at(M, n, kappa + 1, "alternating")
             return SymbolicFact(
                 FactKind.Contradiction,
                 f"two iterates {hits[:2]} share i = {kappa}: "

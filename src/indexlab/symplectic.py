@@ -30,9 +30,6 @@ def _check_rho(rho: ExactReal, what: str) -> None:
         raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho}")
     if not (compare(rho, ExactReal(0)) > 0 and compare(rho, ExactReal(1)) < 0):
         raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho}")
-    # irrationality already excludes 1/2, but keep the check explicit
-    if compare(rho, ExactReal(1, 0, 2)) == 0:
-        raise BlockInvariantError(f"{what} rotation number must differ from 1/2")
 
 
 @dataclass(frozen=True)

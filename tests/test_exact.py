@@ -14,7 +14,7 @@ from indexlab.exact import (
     make,
 )
 
-from conftest import approx
+from conftest import NONSQUARE_D, approx
 
 SQRT2_M1 = make(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -99,6 +99,18 @@ class TestFloorScaled:
             assert got == a.numerator // a.denominator
 
 
+def _sign_plus_sqrt(u: int, v: int, D: int) -> int:
+    """Sign of u + v*sqrt(D) for v != 0 and non-square D, in integers only."""
+    if u >= 0 and v > 0:
+        return 1
+    if u <= 0 and v < 0:
+        return -1
+    # opposite signs: compare |u| with |v|*sqrt(D) by squaring
+    if u > 0:
+        return 1 if u * u > v * v * D else -1
+    return 1 if v * v * D > u * u else -1
+
+
 exact_reals = st.builds(
     make,
     st.integers(-50, 50),
@@ -114,6 +126,22 @@ class TestProperties:
         f = floor_scaled(x, m)
         mx = x * m
         assert ExactReal(f) <= mx < ExactReal(f + 1)
+
+    @given(
+        st.integers(-10 ** 6, 10 ** 6),
+        st.integers(-10 ** 6, 10 ** 6).filter(bool),
+        st.integers(1, 10 ** 6),
+        st.sampled_from(NONSQUARE_D + [2 ** 61 - 1]),
+        st.integers(1, 10 ** 7),
+    )
+    def test_floor_against_integer_oracle(self, a, b, c, D, m):
+        x = make(a, b, c, D)
+        f = floor_scaled(x, m)
+        a, b, c = x.a, x.b, x.c
+        # f*c <= a*m + b*m*sqrt(D) < (f+1)*c, with signs decided by squaring
+        assert _sign_plus_sqrt(a * m - f * c, b * m, D) > 0
+        assert _sign_plus_sqrt(a * m - (f + 1) * c, b * m, D) < 0
+        assert x.floor() == floor_scaled(x, 1)
 
     @given(exact_reals, exact_reals, exact_reals)
     def test_total_order(self, x, y, z):

@@ -111,6 +111,9 @@ class TestMorseNumbers:
 
             for m in range(mmax + 1, mmax + 10):
                 assert index_of_iterate(g, m)[0] > horizon
+            # and the cutoff is the smallest such bound: no extra iterates
+            ihat = mean_index(g)
+            assert mmax * ihat <= horizon + g.n - 1 < (mmax + 1) * ihat
 
 
 class TestMorseInequalities:
