@@ -176,21 +176,18 @@ def check_morse_inequalities(
     Checks the alternating partial sums M_q - M_{q-1} + ... >= b_q - b_{q-1} + ...
     and the pointwise M_q >= b_q; an empty report means consistency.
     """
-    def mv(q):
-        return M[q] if q >= 0 else 0
-
-    def bv(q):
-        return b[q] if q >= 0 else 0
-
+    if isinstance(b, BettiTable):
+        b = [betti(b.n, q) for q in range(horizon + 1)]
     violations: list[Violation] = []
     alt_m = alt_b = 0
     for q in range(horizon + 1):
-        alt_m = mv(q) - alt_m
-        alt_b = bv(q) - alt_b
+        m_q, b_q = M[q], b[q]
+        alt_m = m_q - alt_m
+        alt_b = b_q - alt_b
         if alt_m < alt_b:
             violations.append(Violation(q, "alternating", alt_m, alt_b))
-        if mv(q) < bv(q):
-            violations.append(Violation(q, "pointwise", mv(q), bv(q)))
+        if m_q < b_q:
+            violations.append(Violation(q, "pointwise", m_q, b_q))
     return violations
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .iteration import Case
-from .morse import BettiTable, MorseTable, Violation, betti, check_morse_inequalities, euler_limit
+from .morse import BettiTable, Violation, check_morse_inequalities, euler_limit
 
 
 class FactKind(enum.Enum):
@@ -50,13 +50,15 @@ class SymbolicFact:
 
 
 def _jsonable(obj):
+    if type(obj) in (int, str):
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
+        return [v if type(v) is int else _jsonable(v) for v in items]
     if isinstance(obj, Violation):
         return {"q": obj.q, "kind": obj.kind, "lhs": obj.lhs, "rhs": obj.rhs}
     return obj
@@ -403,12 +405,8 @@ def _replay_ncg1(n: int) -> ProofTrace:
                 {"m": m, "terms": terms, "total": total, "set": sorted(admissible)},
             )
         )
-        # uniqueness (already certified for smaller m) forces the top value
+        # uniqueness of the lower degrees forces the top value
         index_values[m] = n - 1 + 2 * (m - 1)
-        unique = check_lemma_6_5(n, index_values, m - 1)
-        if unique.kind is FactKind.Contradiction:
-            steps.append(unique)
-            return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
         steps.append(
             SymbolicFact(
                 FactKind.IndexEquals,
@@ -417,6 +415,11 @@ def _replay_ncg1(n: int) -> ProofTrace:
                 {"m": m, "i": index_values[m]},
             )
         )
+    # a failure in any prefix of the table is also one in the full table
+    unique = check_lemma_6_5(n, index_values, m1 - 1)
+    if unique.kind is FactKind.Contradiction:
+        steps.append(unique)
+        return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
 
     # pigeonhole iterate: the exact rotation sum is an integer there
     total = m_star * rho_sum
@@ -610,10 +613,8 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
 def _verify_violation(n: int, v: Violation, M: list[int] | None) -> None:
     if v.lhs >= v.rhs:
         raise TraceError(f"cited violation is not a violation: {v}")
-    if M is not None:
-        found = check_morse_inequalities(list(M), BettiTable(n, len(M) - 1), len(M) - 1)
-        if not any(w.q == v.q and w.kind == v.kind and w.lhs == v.lhs and w.rhs == v.rhs for w in found):
-            raise TraceError(f"cited violation not reproduced from its table: {v}")
+    if M is not None and v not in check_morse_inequalities(M, BettiTable(n, len(M) - 1), len(M) - 1):
+        raise TraceError(f"cited violation not reproduced from its table: {v}")
 
 
 def _verify_contradiction(n: int, fact: SymbolicFact) -> None:

@@ -183,6 +183,53 @@ class TestProve:
         assert out1 == out2
 
 
+MODEL_FLAG = {"iterate": "--model", "morse-check": "--models", "identity": "--models"}
+BAD_BLOCK = '{"n": 2, "p": 0, "dec": {"blocks": [1]}}'
+
+
+class TestInputFaults:
+    """Every input fault exits 2 with one error line and no output."""
+
+    def check_fault(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [("iterate", "[1]"), ("morse-check", "[1]"), ("identity", "[1]"),
+         ("iterate", BAD_BLOCK), ("morse-check", f"[{BAD_BLOCK}]")],
+    )
+    def test_non_object_model_entry(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        self.check_fault(capsys, [command, MODEL_FLAG[command], str(path)], "model")
+
+    def test_morse_check_rejects_an_empty_model_list(self, capsys, tmp_path):
+        path = write_models(tmp_path, [])
+        self.check_fault(capsys, ["morse-check", "--models", path], "non-empty")
+
+    def test_morse_check_rejects_mixed_dimensions(self, capsys, tmp_path):
+        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
+        path = write_models(tmp_path, [g2, g3])
+        self.check_fault(capsys, ["morse-check", "--models", path], "dimension")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["iterate", "--model", "MODEL", "--mmax", "-1"],
+         ["betti", "--n", "3", "--qmax", "-1"],
+         ["morse-check", "--models", "MODELS", "--horizon", "-1"]],
+        ids=["mmax", "qmax", "horizon"],
+    )
+    def test_negative_bound(self, capsys, tmp_path, ncg1_model, argv):
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        files = {"MODEL": ncg1_model, "MODELS": write_models(tmp_path, [g])}
+        argv = [files.get(a, a) for a in argv]
+        self.check_fault(capsys, argv, f"{argv[-2]} must be >= 0")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2

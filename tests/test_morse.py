@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexlab import (
     BettiTable,
@@ -19,7 +21,7 @@ from indexlab import (
     poincare_series_truncated,
 )
 from indexlab.exact import ExactReal
-from indexlab.morse import MorseTable, NonTerminatingSumError, iterate_cutoff
+from indexlab.morse import MorseTable, NonTerminatingSumError, Violation, iterate_cutoff
 
 from conftest import random_model
 
@@ -140,6 +142,28 @@ class TestMorseInequalities:
         violations = check_morse_inequalities(M, BettiTable(3, 3), 3)
         for v in violations:
             assert isinstance(v.lhs, int) and isinstance(v.rhs, int)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_explicit_partial_sums(self, data):
+        # reference: every partial sum written out, Betti numbers read off the
+        # Poincare series; the table's own horizon may differ from the check's
+        n = data.draw(st.integers(2, 12))
+        horizon = data.draw(st.integers(0, 40))
+        values = data.draw(st.lists(st.integers(0, 3), min_size=horizon + 1, max_size=horizon + 1))
+        b_horizon = max(0, horizon + data.draw(st.integers(-3, 3)))
+        b = poincare_series_truncated(n, horizon).coefficients
+        expected = []
+        for q in range(horizon + 1):
+            alt_m = sum((-1) ** (q - j) * values[j] for j in range(q + 1))
+            alt_b = sum((-1) ** (q - j) * b[j] for j in range(q + 1))
+            if alt_m < alt_b:
+                expected.append(Violation(q, "alternating", alt_m, alt_b))
+            if values[q] < b[q]:
+                expected.append(Violation(q, "pointwise", values[q], b[q]))
+        for M in (values, MorseTable(tuple(values))):
+            for table in (BettiTable(n, b_horizon), list(b)):
+                assert check_morse_inequalities(M, table, horizon) == expected
 
 
 class TestEulerLimit:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -211,6 +213,18 @@ class TestVerifier:
         with pytest.raises(TraceError):
             verify_trace(bad)
 
+    @pytest.mark.parametrize("change", [{"q": 0}, {"lhs": -1}, {"rhs": 2}])
+    def test_tampered_evidence_is_caught(self, change):
+        # still a cited failure (lhs < rhs), but not one its table produces
+        [t] = [x for x in replay(6) if x.case is Case.NCG1]
+        fact = t.steps[0]
+        evidence = dataclasses.replace(fact.payload["evidence"], **change)
+        bad_steps = (SymbolicFact(fact.kind, fact.statement, fact.rule,
+                                  {**fact.payload, "evidence": evidence}),) + t.steps[1:]
+        bad = type(t)(t.n, t.case, t.subcase, bad_steps, t.verdict, t.detail)
+        with pytest.raises(TraceError, match="not reproduced"):
+            verify_trace(bad)
+
     def test_open_trace_rejected(self):
         [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
         open_trace = type(t)(t.n, t.case, t.subcase, t.steps[:-1], t.verdict, t.detail)
@@ -218,7 +232,25 @@ class TestVerifier:
             verify_trace(open_trace)
 
 
+# sha256 of certificate_json(n), pinned so that any change to the certificate
+# bytes is deliberate; a schema change updates these and says so in CHANGES.md
+GOLDEN_SHA256 = {
+    2: "9ec8bd890086320d8a5b79f7eaca7872db8bd28ed0ca81f2248140eceeae760f",
+    3: "f17ab20a0e131ae36bfa939e92eedce8f4a4a0ec71866357412d90811471c8f9",
+    4: "d2c94890b74be9d5577a32363dccb3e27f7b41961e9db04281f70491b8c7f4c7",
+    5: "a32537d1822155e06119ac2eeb5f6ab3fcf66531c6cc20c9ecbd482a9c5ae658",
+    12: "bee0b289066dc28201fedd60e09a94520bc78abe376aec3333299dca6eb99d68",
+    81: "0dafbbdbf063264cd526895e0f4a93e747becc106d1fdc4374e5cbb3f3b8edad",
+    120: "ef56f1addb886c997ff75f3349321abe1be9ef312629947cc8f9e19b48d2e205",
+    200: "9a4a701765ab8ea3fcc7fbf8812d2f1e94d3cd888872875c63b8f1f9ce9d5e87",
+}
+
+
 class TestCertificate:
+    @pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
+    def test_golden_digest(self, n):
+        assert hashlib.sha256(certificate_json(n).encode()).hexdigest() == GOLDEN_SHA256[n]
+
     def test_deterministic_json(self):
         assert certificate_json(5) == certificate_json(5)
 
