@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from fractions import Fraction
 
 from . import iteration, morse, prover
 from .exact import ExactReal
@@ -100,10 +98,7 @@ def cmd_series(args) -> int:
 
 def cmd_morse_check(args) -> int:
     models = _load_models(args.models)
-    try:
-        M = morse.morse_numbers(models, args.horizon)
-    except morse.NonTerminatingSumError as exc:
-        return _fail(str(exc))
+    M = morse.morse_numbers(models, args.horizon)
     b = morse.BettiTable(models[0].n, args.horizon)
     violations = morse.check_morse_inequalities(M, b, args.horizon)
     out = {
@@ -121,10 +116,7 @@ def cmd_morse_check(args) -> int:
 def cmd_identity(args) -> int:
     models = _load_models(args.models)
     n = models[0].n
-    try:
-        lhs = morse.mean_index_identity_lhs(models)
-    except morse.NonTerminatingSumError as exc:
-        return _fail(str(exc))
+    lhs = morse.mean_index_identity_lhs(models)
     rhs = morse.euler_limit(n)
     holds = lhs == ExactReal.from_fraction(rhs)
     _emit(
@@ -140,12 +132,14 @@ def cmd_identity(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    traces = prover.replay(args.n)
     if args.case:
-        wanted = args.case.upper()
-        traces = [t for t in traces if t.case.value == wanted]
-        if not traces:
+        try:
+            case = iteration.Case(args.case.upper())
+        except ValueError:
             return _fail(f"unknown case filter: {args.case}")
+        traces = prover._replay_case(args.n, case)
+    else:
+        traces = prover.replay(args.n)
     for t in traces:
         prover.verify_trace(t)
     _emit(prover.certificate(args.n, traces), args.json)

@@ -74,6 +74,10 @@ class ExactReal:
     def __setattr__(self, name, value):
         raise AttributeError("ExactReal is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked __setattr__
+        return (ExactReal, (self.a, self.b, self.c, self.D))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import ExactReal, floor_scaled
 from .symplectic import (
@@ -63,23 +61,40 @@ def classify(n: int, dec: NormalFormDecomposition) -> Case:
 
 @dataclass(frozen=True)
 class GeodesicModel:
-    """One hypothetical prime closed geodesic: blocks + homotopy parameter p."""
+    """One hypothetical prime closed geodesic: blocks + homotopy parameter p.
+
+    Every case shape iterates as i(c^m) = slope*m + 2*sum floor(m*rho_j) + const
+    over its rotation numbers rho_j; the model fixes (slope, const) when built.
+    """
 
     n: int
     dec: NormalFormDecomposition
     p: int
     case: Case = field(init=False)
+    k: int = field(init=False, repr=False, compare=False)
+    r: int = field(init=False, repr=False, compare=False)
+    rotation_numbers: tuple[ExactReal, ...] = field(init=False, repr=False, compare=False)
+    slope: int = field(init=False, repr=False, compare=False)
+    const: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
-    _lock: threading.Lock = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ModelInvariantError("sphere dimension n must be >= 2")
-        case = classify(self.n, self.dec)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_lock", threading.Lock())
-        k, r = self.k, self.r
+        n, p = self.n, self.p
+        case = classify(n, self.dec)
+        k, r = self.dec.count(Rot), self.dec.count(NBlock)
+        slope, const = {
+            Case.NCG1: (2 * p, n - 2 * r - 1),
+            Case.NCG2: (p - k, k),
+            Case.NCG3: (p - k, k),
+            Case.NCG4: (p - 1, 1),
+            Case.NCG5: (p, 0),
+        }[case]
+        for name, value in (("case", case), ("k", k), ("r", r),
+                            ("rotation_numbers", tuple(b.rho for b in self.dec.rotations)),
+                            ("slope", slope), ("const", const), ("_memo", {})):
+            object.__setattr__(self, name, value)
         if case is Case.NCG1:
             if self.initial_index < 0:
                 raise ModelInvariantError(
@@ -94,82 +109,45 @@ class GeodesicModel:
             raise ModelInvariantError(f"NCG3 needs odd k with 3 <= k <= n-2r-2, got k={k}")
 
     @property
-    def r(self) -> int:
-        return self.dec.count(NBlock)
-
-    @property
-    def k(self) -> int:
-        return self.dec.count(Rot)
-
-    @property
-    def rotation_numbers(self) -> tuple[ExactReal, ...]:
-        return tuple(b.rho for b in self.dec.rotations)
-
-    @property
     def initial_index(self) -> int:
-        """i(c) = i(c^1)."""
-        if self.case is Case.NCG1:
-            return 2 * self.p + (self.n - 2 * self.r - 1)
-        return self.p
+        """i(c) = i(c^1) = slope + const: the floors vanish at m = 1, as 0 < rho < 1."""
+        return self.slope + self.const
 
     def __hash__(self):
         return hash((self.n, self.dec, self.p))
 
 
 def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
-    """(i(c^m), nu(c^m)); nu is identically 0.
+    """(i(c^m), nu(c^m)) = (slope*m + 2*sum floor(m*rho_j) + const, 0).
 
+    The floors vanish at m = 1, as 0 < rho_j < 1, so i(c^1) = initial_index.
     Results are memoized per model: Morse tables re-query heavily.
     """
     if m < 1:
         raise ValueError("iterate m must be positive")
-    with g._lock:
-        cached = g._memo.get(m)
+    cached = g._memo.get(m)
     if cached is not None:
         return cached
-    rhos = g.rotation_numbers
-    n, p, k = g.n, g.p, g.k
-    if g.case is Case.NCG1:
-        i = 2 * m * p + 2 * sum(floor_scaled(rho, m) for rho in rhos) + (n - 2 * g.r - 1)
-    elif g.case in (Case.NCG2, Case.NCG3):
-        i = m * (p - k) + 2 * sum(floor_scaled(rho, m) for rho in rhos) + k
-    elif g.case is Case.NCG4:
-        i = m * (p - 1) + 2 * floor_scaled(rhos[0], m) + 1
-    else:  # NCG5
-        i = m * p
-    result = (i, 0)
-    with g._lock:
-        g._memo[m] = result
+    i = g.slope * m + 2 * sum(floor_scaled(rho, m) for rho in g.rotation_numbers) + g.const
+    result = g._memo[m] = (i, 0)
     return result
 
 
 def mean_index(g: GeodesicModel) -> ExactReal:
-    """Exact mean index: the per-iterate slope of i(c^m)."""
-    two = ExactReal(2)
+    """Exact mean index slope + 2*sum rho_j: the per-iterate slope of i(c^m)."""
     rho_sum = ExactReal(0)
     for rho in g.rotation_numbers:
         rho_sum = rho_sum + rho
-    if g.case is Case.NCG1:
-        return ExactReal(2 * g.p) + two * rho_sum
-    if g.case in (Case.NCG2, Case.NCG3):
-        return ExactReal(g.p - g.k) + two * rho_sum
-    if g.case is Case.NCG4:
-        return ExactReal(g.p - 1) + two * rho_sum
-    return ExactReal(g.p)
+    return ExactReal(g.slope) + ExactReal(2) * rho_sum
 
 
 def analytic_period(g: GeodesicModel) -> int:
     """Minimal period N of the critical-type sequence (always 1 or 2).
 
-    N = 1 iff i(c^m) - i(c) is even for every m; the parity increment per
-    iterate is p - k, p - 1, or p depending on the case.
+    N = 1 iff i(c^m) - i(c) is even for every m; 2*floor(m*rho) is even and
+    the floors vanish at m = 1, so that difference has the parity of slope*(m - 1).
     """
-    if g.case is Case.NCG1:
-        return 1
-    if g.case in (Case.NCG2, Case.NCG5):
-        return 1 if g.p % 2 == 0 else 2
-    # NCG3 (k odd) and NCG4 (one rotation): increment p - k resp. p - 1
-    return 2 if g.p % 2 == 0 else 1
+    return 1 if g.slope % 2 == 0 else 2
 
 
 def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:

@@ -552,18 +552,17 @@ def replay(n: int) -> list[ProofTrace]:
     """All case/parity traces for dimension n, each ending in a verdict."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    traces: list[ProofTrace] = []
-    for case in Case:
-        reason = _shape_vacuity(n, case)
-        if reason is not None:
-            traces.append(ProofTrace(n, case, "", (), Verdict.VACUOUS, reason))
-            continue
-        if case is Case.NCG1:
-            traces.append(_replay_ncg1(n))
-        else:
-            for p_parity in (0, 1):
-                traces.append(_replay_subcase(n, case, p_parity))
-    return traces
+    return [t for case in Case for t in _replay_case(n, case)]
+
+
+def _replay_case(n: int, case: Case) -> list[ProofTrace]:
+    """The traces of one case shape: one per parity subcase, or one verdict."""
+    reason = _shape_vacuity(n, case)
+    if reason is not None:
+        return [ProofTrace(n, case, "", (), Verdict.VACUOUS, reason)]
+    if case is Case.NCG1:
+        return [_replay_ncg1(n)]
+    return [_replay_subcase(n, case, p_parity) for p_parity in (0, 1)]
 
 
 # -- independent trace checker ---------------------------------------------

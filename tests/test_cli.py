@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from indexlab import GeodesicModel, Hyp, NormalFormDecomposition, Rot, make
+from indexlab import GeodesicModel, Hyp, NormalFormDecomposition, Rot, make, prover
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
 
@@ -150,6 +150,13 @@ class TestIdentity:
         assert code == 2
         assert "dimension" in err
 
+    def test_zero_mean_index_is_input_error(self, capsys, tmp_path):
+        g = GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 0)
+        path = write_models(tmp_path, [g])
+        code, _, err = run(capsys, "identity", "--models", path)
+        assert code == 2
+        assert err.startswith("error: ") and "mean index" in err
+
 
 class TestProve:
     @pytest.mark.parametrize("n", ["2", "3", "4", "7", "12"])
@@ -169,6 +176,18 @@ class TestProve:
         code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")
         assert code == 2
         assert "unknown case" in err
+
+    def test_case_filter_replays_only_that_case(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the NCG1 replay ran for a filtered run")
+
+        monkeypatch.setattr(prover, "_replay_ncg1", refuse)
+        code, out, _ = run(capsys, "prove", "--n", "300", "--case", "ncg4")
+        assert code == 0
+        assert {t["case"] for t in json.loads(out)["traces"]} == {"NCG4"}
+        code, _, err = run(capsys, "prove", "--n", "300", "--case", "ncg9")
+        assert code == 2
+        assert "unknown case filter" in err
 
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -205,6 +224,10 @@ class TestInputFaults:
         path = tmp_path / "bad.json"
         path.write_text(text)
         self.check_fault(capsys, [command, MODEL_FLAG[command], str(path)], "model")
+
+    @pytest.mark.parametrize("command", ["morse-check", "identity"])
+    def test_single_model_object_is_refused(self, capsys, tmp_path, ncg1_model, command):
+        self.check_fault(capsys, [command, "--models", ncg1_model], "non-empty list")
 
     def test_morse_check_rejects_an_empty_model_list(self, capsys, tmp_path):
         path = write_models(tmp_path, [])

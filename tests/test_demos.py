@@ -1,0 +1,21 @@
+"""Every script under demos/ runs to a clean exit."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_demos_are_collected():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    assert capsys.readouterr().out

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,13 @@ class TestProperties:
     @given(exact_reals)
     def test_serialization_round_trip(self, x):
         assert ExactReal.parse(x.serialize()) == x
+
+    @given(exact_reals)
+    def test_pickle_and_deepcopy_round_trip(self, x):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x)
+            assert (y.a, y.b, y.c, y.D) == (x.a, x.b, x.c, x.D)
+            assert floor_scaled(y, 10) == floor_scaled(x, 10)
 
     @given(exact_reals)
     def test_inverse(self, x):

@@ -1,4 +1,8 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -196,3 +200,95 @@ class TestJson:
         obj["case"] = "NCG5"
         with pytest.raises(ModelInvariantError):
             model_from_json(obj)
+
+    def test_pickle_and_deepcopy_round_trip(self, rng):
+        for _ in range(40):
+            g = random_model(rng)
+            for g2 in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+                assert g2 == g and hash(g2) == hash(g)
+                assert index_of_iterate(g2, 10) == index_of_iterate(g, 10)
+
+
+# -- independent reference for the five iteration formulas ------------------
+
+def ref_floor(a: int, b: int, c: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/c) for c > 0, non-square D, from integer squares only."""
+
+    def at_most(N: int) -> bool:  # N <= (a + b*sqrt(D))/c, i.e. N*c - a <= b*sqrt(D)
+        lhs = N * c - a
+        if b >= 0:
+            return lhs <= 0 or lhs * lhs < b * b * D
+        return lhs < 0 and lhs * lhs > b * b * D
+
+    N = (a + (isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D))) // c
+    while at_most(N + 1):
+        N += 1
+    while not at_most(N):
+        N -= 1
+    return N
+
+
+def ref_case(g) -> str:
+    k = sum(isinstance(b, Rot) for b in g.dec.blocks)
+    h = sum(isinstance(b, Hyp) for b in g.dec.blocks)
+    if h == 0:
+        return "NCG1" if k else "NCG5"
+    return {0: "NCG5", 1: "NCG4"}.get(k, "NCG2" if k % 2 == 0 else "NCG3")
+
+
+def ref_index(g, m: int) -> int:
+    """i(c^m) by the case formulas of Long's iteration theory, spelled out."""
+    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
+    k, n, p = len(rhos), g.n, g.p
+    floors = sum(ref_floor(m * x.a, m * x.b, x.c, x.D) for x in rhos)
+    case = ref_case(g)
+    if case == "NCG1":
+        return 2 * m * p + 2 * floors + n - 2 * r - 1
+    if case in ("NCG2", "NCG3"):
+        return m * (p - k) + 2 * floors + k
+    if case == "NCG4":
+        return m * (p - 1) + 2 * floors + 1
+    return m * p
+
+
+def ref_period(g) -> int:
+    case = ref_case(g)
+    if case == "NCG1":
+        return 1
+    if case in ("NCG2", "NCG5"):
+        return 1 if g.p % 2 == 0 else 2
+    return 2 if g.p % 2 == 0 else 1
+
+
+def ref_mean_index(g) -> tuple[Fraction, Fraction]:
+    """(rational part, sqrt(D) coefficient) of the mean index, per case."""
+    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    k, p = len(rhos), g.p
+    slope = {"NCG1": 2 * p, "NCG2": p - k, "NCG3": p - k, "NCG4": p - 1, "NCG5": p}[ref_case(g)]
+    return (slope + 2 * sum(Fraction(x.a, x.c) for x in rhos),
+            2 * sum(Fraction(x.b, x.c) for x in rhos))
+
+
+class TestAgainstReference:
+    def test_ref_floor_brackets(self):
+        # floor(m*(sqrt(2) - 1)) against known values
+        assert [ref_floor(-m, m, 1, 2) for m in (1, 2, 3, 10, 100)] == [0, 0, 1, 4, 41]
+
+    def test_all_formulas_on_random_models(self):
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(300):
+            g = random_model(rng)
+            seen.add(ref_case(g))
+            assert g.case.value == ref_case(g)
+            assert [index_of_iterate(g, m)[0] for m in range(1, 61)] == [
+                ref_index(g, m) for m in range(1, 61)
+            ]
+            assert g.initial_index == ref_index(g, 1)
+            assert analytic_period(g) == ref_period(g)
+            ihat = mean_index(g)
+            rational, coefficient = ref_mean_index(g)
+            assert Fraction(ihat.a, ihat.c) == rational
+            assert Fraction(ihat.b, ihat.c) == coefficient
+        assert seen == {c.value for c in Case}
