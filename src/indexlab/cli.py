@@ -17,10 +17,13 @@ from .exact import ExactReal
 
 
 def _emit(obj: dict, json_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=prover.json_default)
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(_fail(f"cannot write {json_path}: {exc}"))
     else:
         sys.stdout.write(text + "\n")
 
@@ -99,12 +102,12 @@ def cmd_series(args) -> int:
 def cmd_morse_check(args) -> int:
     models = _load_models(args.models)
     M = morse.morse_numbers(models, args.horizon)
-    b = morse.BettiTable(models[0].n, args.horizon)
+    b = morse.betti_values(models[0].n, args.horizon)
     violations = morse.check_morse_inequalities(M, b, args.horizon)
     out = {
         "horizon": args.horizon,
         "M": list(M.values),
-        "b": b.values(),
+        "b": b,
         "violations": [
             {"q": v.q, "kind": v.kind, "lhs": v.lhs, "rhs": v.rhs} for v in violations
         ],

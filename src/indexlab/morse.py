@@ -50,6 +50,17 @@ def betti(n: int, q: int) -> int:
     return 0
 
 
+def betti_values(n: int, horizon: int) -> list[int]:
+    """[betti(n, q) for q in range(horizon + 1)], laid out by slices."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    b = [0] * (horizon + 1)
+    b[n - 1::2] = [1] * len(b[n - 1::2])
+    first, step = (3 * (n - 1), 2 * (n - 1)) if n % 2 == 0 else (2 * (n - 1), n - 1)
+    b[first::step] = [2] * len(b[first::step])  # the doubling set K
+    return b
+
+
 @dataclass(frozen=True)
 class BettiTable:
     n: int
@@ -59,7 +70,7 @@ class BettiTable:
         return betti(self.n, q)
 
     def values(self) -> list[int]:
-        return [betti(self.n, q) for q in range(self.horizon + 1)]
+        return betti_values(self.n, self.horizon)
 
 
 # -- formal power series ---------------------------------------------------
@@ -177,7 +188,7 @@ def check_morse_inequalities(
     and the pointwise M_q >= b_q; an empty report means consistency.
     """
     if isinstance(b, BettiTable):
-        b = [betti(b.n, q) for q in range(horizon + 1)]
+        b = betti_values(b.n, horizon)
     violations: list[Violation] = []
     alt_m = alt_b = 0
     for q in range(horizon + 1):
@@ -189,6 +200,15 @@ def check_morse_inequalities(
         if m_q < b_q:
             violations.append(Violation(q, "pointwise", m_q, b_q))
     return violations
+
+
+def inequality_at(M: list[int], b: list[int], q: int, kind: str) -> tuple[int, int]:
+    """(lhs, rhs) of one check_morse_inequalities comparison, at 0 <= q < len(M), len(b)."""
+    if kind == "pointwise":
+        return M[q], b[q]
+    if kind == "alternating":  # x_q - x_{q-1} + x_{q-2} - ...
+        return tuple(sum(x[q::-2]) - sum(x[:q][::-2]) for x in (M, b))
+    raise ValueError(f"unknown Morse inequality kind {kind!r}")
 
 
 # -- averaged Euler value --------------------------------------------------

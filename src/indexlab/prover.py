@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .iteration import Case
-from .morse import BettiTable, Violation, check_morse_inequalities, euler_limit
+from .morse import Violation, betti_values, euler_limit, inequality_at
 
 
 class FactKind(enum.Enum):
@@ -45,23 +44,19 @@ class SymbolicFact:
             "rule": self.rule,
             "kind": self.kind.value,
             "statement": self.statement,
-            "values": _jsonable(self.payload),
+            "values": self.payload,
         }
 
 
-def _jsonable(obj):
-    if type(obj) in (int, str):
-        return obj
+def json_default(obj):
+    """`default=` hook of json.dumps for the payload values JSON has no type for."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [v if type(v) is int else _jsonable(v) for v in items]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     if isinstance(obj, Violation):
         return {"q": obj.q, "kind": obj.kind, "lhs": obj.lhs, "rhs": obj.rhs}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class Verdict(enum.Enum):
@@ -136,21 +131,21 @@ def floor_sum_range(m: int, terms: int, total: Fraction) -> set[int]:
         raise ValueError(
             f"inconsistent constraint: total {total} outside (0, {m * terms})"
         )
-    lo = total - terms  # exclusive
-    hi = total  # exclusive
-    first = max(0, math.floor(lo) + 1)
-    last = math.ceil(hi) - 1
+    num, den = total.numerator, total.denominator
+    first = max(0, num // den - terms + 1)  # floor(total - terms) + 1
+    last = -(-num // den) - 1  # ceil(total) - 1
     return set(range(first, last + 1))
 
 
 # -- lemma checks: each derives a fact by exhibiting Morse violations ------
 
 def _violation_at(M: list[int], n: int, q: int, kind: str) -> Violation:
-    b = BettiTable(n, len(M) - 1)
-    for v in check_morse_inequalities(M, b, len(M) - 1):
-        if v.kind == kind and v.q == q:
-            return v
-    raise TraceError(f"expected {kind} violation at q={q} not found")
+    """The failure of table M's `kind` Morse inequality at degree q."""
+    if 0 <= q < len(M) and kind in ("pointwise", "alternating"):
+        lhs, rhs = inequality_at(M, betti_values(n, q), q, kind)
+        if lhs < rhs:
+            return Violation(q, kind, lhs, rhs)
+    raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
 
 
 def check_lemma_6_1(n: int) -> SymbolicFact:
@@ -396,13 +391,13 @@ def _replay_ncg1(n: int) -> ProofTrace:
     index_values = {1: n - 1}
     for m in range(2, m1 + 1):
         total = m * rho_sum
-        admissible = floor_sum_range(m, terms, total)
+        admissible = sorted(floor_sum_range(m, terms, total))
         steps.append(
             SymbolicFact(
                 FactKind.FloorSumRange,
-                f"floor sum at m = {m} lies in {sorted(admissible)}",
+                f"floor sum at m = {m} lies in {admissible}",
                 "Eq(6.11)" if n % 2 == 0 else "Eq(6.23)",
-                {"m": m, "terms": terms, "total": total, "set": sorted(admissible)},
+                {"m": m, "terms": terms, "total": total, "set": admissible},
             )
         )
         # uniqueness of the lower degrees forces the top value
@@ -424,13 +419,13 @@ def _replay_ncg1(n: int) -> ProofTrace:
     # pigeonhole iterate: the exact rotation sum is an integer there
     total = m_star * rho_sum
     label = f"m = {m_star}" if n % 2 == 0 else f"m2 = {m_star}"
-    admissible = floor_sum_range(m_star, terms, total)
+    admissible = sorted(floor_sum_range(m_star, terms, total))
     steps.append(
         SymbolicFact(
             FactKind.FloorSumRange,
-            f"floor sum at {label} lies in {sorted(admissible)} (exact total {total})",
+            f"floor sum at {label} lies in {admissible} (exact total {total})",
             "Eq(6.14)" if n % 2 == 0 else "Eq(6.27)",
-            {"m": m_star, "terms": terms, "total": total, "set": sorted(admissible)},
+            {"m": m_star, "terms": terms, "total": total, "set": admissible},
         )
     )
     taken = {n - 1 + 2 * (m - 1): m for m in range(1, m1 + 1)}
@@ -612,7 +607,7 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
 def _verify_violation(n: int, v: Violation, M: list[int] | None) -> None:
     if v.lhs >= v.rhs:
         raise TraceError(f"cited violation is not a violation: {v}")
-    if M is not None and v not in check_morse_inequalities(M, BettiTable(n, len(M) - 1), len(M) - 1):
+    if M is not None and _violation_at(M, n, v.q, v.kind) != v:
         raise TraceError(f"cited violation not reproduced from its table: {v}")
 
 
@@ -629,17 +624,19 @@ def _verify_contradiction(n: int, fact: SymbolicFact) -> None:
     elif kind == "integrality":
         ihat = Fraction(p["ihat"])
         if "p_half" in p:
-            if not (Fraction(p["p_half"]) < 1):
-                raise TraceError("p/2 contradiction needs p/2 < 1")
+            if Fraction(p["p_half"]) != ihat / 2 or not ihat / 2 < 1:
+                raise TraceError("p/2 contradiction needs p/2 = ihat/2 < 1")
         elif ihat.denominator == 1:
             raise TraceError("integrality contradiction cites an integer value")
     elif kind == "rotation-count":
-        if not p["k_lower"] > p["k_upper"]:
-            raise TraceError("rotation-count contradiction bounds do not clash")
+        if (p["k_lower"], p["k_upper"]) != (n - 1, n - 2):
+            raise TraceError("rotation-count bounds must be k >= n-1 and k <= n-2")
     elif kind == "pigeonhole":
         if "collisions" in p:
-            if not p["collisions"]:
-                raise TraceError("pigeonhole contradiction cites no collision")
+            c = p["collisions"]  # each candidate degree q = i(c^r) of an earlier iterate r
+            if not c or set(c) != set(p["candidates"]) or any(
+                    q != n - 1 + 2 * (r - 1) or not 1 <= r < p["m"] for q, r in c.items()):
+                raise TraceError("pigeonhole collisions must map each candidate to its iterate")
         else:
             expected = floor_sum_range(p["m"], n - 1, Fraction(p["total"]))
             if expected:
@@ -659,4 +656,4 @@ def certificate(n: int, traces: list[ProofTrace] | None = None) -> dict:
 
 
 def certificate_json(n: int) -> str:
-    return json.dumps(certificate(n), sort_keys=True, separators=(",", ":"))
+    return json.dumps(certificate(n), sort_keys=True, separators=(",", ":"), default=json_default)

@@ -177,6 +177,11 @@ class TestProve:
         assert code == 2
         assert "unknown case" in err
 
+    @pytest.mark.parametrize("n", [2, 3, 81, 200])
+    def test_stdout_is_the_certificate(self, capsys, n):
+        code, out, _ = run(capsys, "prove", "--n", str(n))
+        assert (code, out) == (0, prover.certificate_json(n) + "\n")
+
     def test_case_filter_replays_only_that_case(self, capsys, monkeypatch):
         def refuse(n):
             raise AssertionError("the NCG1 replay ran for a filtered run")
@@ -238,6 +243,16 @@ class TestInputFaults:
         g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
         path = write_models(tmp_path, [g2, g3])
         self.check_fault(capsys, ["morse-check", "--models", path], "dimension")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["betti", "--n", "2", "--json", "MISSING/x"], ["prove", "--n", "2", "--json", "DIR"]],
+        ids=["betti-missing-dir", "prove-into-directory"],
+    )
+    def test_unwritable_json_path(self, capsys, tmp_path, argv):
+        paths = {"MISSING/x": str(tmp_path / "missing" / "x"), "DIR": str(tmp_path)}
+        argv = [paths.get(a, a) for a in argv]
+        self.check_fault(capsys, argv, f"cannot write {argv[-1]}")
 
     @pytest.mark.parametrize(
         "argv",

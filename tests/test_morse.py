@@ -21,7 +21,7 @@ from indexlab import (
     poincare_series_truncated,
 )
 from indexlab.exact import ExactReal
-from indexlab.morse import MorseTable, NonTerminatingSumError, Violation, iterate_cutoff
+from indexlab.morse import MorseTable, NonTerminatingSumError, Violation, betti_values, iterate_cutoff
 
 from conftest import random_model
 
@@ -164,6 +164,17 @@ class TestMorseInequalities:
         for M in (values, MorseTable(tuple(values))):
             for table in (BettiTable(n, b_horizon), list(b)):
                 assert check_morse_inequalities(M, table, horizon) == expected
+
+
+class TestBettiValues:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_betti_and_the_series(self, n):
+        # horizons from 0 through n - 1 (before the ray starts) up to 300
+        reference = [betti(n, q) for q in range(301)]
+        for h in range(301):
+            values = betti_values(n, h)
+            assert values == reference[: h + 1]
+            assert values == list(poincare_series_truncated(n, h).coefficients)
 
 
 class TestEulerLimit:

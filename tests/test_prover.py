@@ -1,16 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexlab import Case, Verdict, replay, theta_set, verify_trace
+from indexlab.morse import BettiTable, Violation, check_morse_inequalities
 from indexlab.prover import (
     FactKind,
     PreconditionError,
     SymbolicFact,
     TraceError,
+    _verify_violation,
+    _violation_at,
     certificate,
     certificate_json,
     check_lemma_6_1,
@@ -46,6 +52,17 @@ class TestFloorSumRange:
     def test_empty_range_possible(self):
         # one irrational in (0, 1) cannot have 2*rho = 1
         assert floor_sum_range(2, 1, Fraction(1)) == set()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(2, 10**4), st.data())
+    def test_matches_the_fraction_formula(self, m, terms, den, data):
+        # den >= 2 keeps the draw non-empty; even numerators still give integers
+        total = Fraction(data.draw(st.integers(1, m * terms * den - 1)), den)
+        # the floor sum lies strictly inside (total - terms, total) and is >= 0
+        first = max(0, math.floor(total - terms) + 1)
+        last = math.ceil(total) - 1
+        got = floor_sum_range(m, terms, total)
+        assert type(got) is set and got == set(range(first, last + 1))
 
     def test_inconsistent_total_rejected(self):
         with pytest.raises(ValueError):
@@ -225,11 +242,85 @@ class TestVerifier:
         with pytest.raises(TraceError, match="not reproduced"):
             verify_trace(bad)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_cited_violation_matches_the_full_scan(self, data):
+        M = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+        n = data.draw(st.integers(2, 12))
+        q = data.draw(st.integers(-1, len(M)))
+        kind = data.draw(st.sampled_from(["alternating", "pointwise"]) | st.text(max_size=12))
+        scan = check_morse_inequalities(M, BettiTable(n, len(M) - 1), len(M) - 1)
+        [found] = [v for v in scan if (v.q, v.kind) == (q, kind)] or [None]
+        if found is None:
+            with pytest.raises(TraceError):
+                _violation_at(M, n, q, kind)
+        else:
+            assert _violation_at(M, n, q, kind) == found
+        lhs, rhs = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+        if found is not None and data.draw(st.booleans()):
+            lhs, rhs = found.lhs, found.rhs
+        cited = Violation(q, kind, lhs, rhs)
+        if cited in scan:
+            _verify_violation(n, cited, M)
+        else:
+            with pytest.raises(TraceError):
+                _verify_violation(n, cited, M)
+
     def test_open_trace_rejected(self):
         [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
         open_trace = type(t)(t.n, t.case, t.subcase, t.steps[:-1], t.verdict, t.detail)
         with pytest.raises(TraceError):
             verify_trace(open_trace)
+
+
+def _tampered(trace, index, **changes):
+    fact = trace.steps[index]
+    steps = list(trace.steps)
+    steps[index] = SymbolicFact(fact.kind, fact.statement, fact.rule, {**fact.payload, **changes})
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def _self_collision(p):
+    # iterate m at its own degree: the degree formula holds, but m is not earlier
+    q, r = next(iter(p["collisions"].items()))
+    q_m = q + 2 * (p["m"] - r)
+    return {"candidates": [q_m], "collisions": {q_m: p["m"]}}
+
+
+# payload values the checker recomputes from n and the fact itself
+TAMPERINGS = [
+    ("p_half", lambda p: {"p_half": Fraction(0)}),
+    ("k_lower", lambda p: {"k_lower": 50, "k_upper": 3}),
+    ("collisions", lambda p: {"collisions": {1: 1}}),
+    ("collisions", lambda p: {"collisions": {q: r + 1 for q, r in p["collisions"].items()}}),
+    # a true collision, but not every candidate degree
+    ("collisions", lambda p: {"collisions": dict(list(p["collisions"].items())[:1])}),
+    # right degrees, iterates in range, but each paired with the wrong degree
+    ("collisions", lambda p: {"collisions": dict(zip(p["collisions"], reversed(p["collisions"].values())))}),
+    ("collisions", _self_collision),
+]
+
+
+class TestMutations:
+    def test_recomputed_payload_values_are_checked(self):
+        applied = [0] * len(TAMPERINGS)
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    for j, (key, change) in enumerate(TAMPERINGS):
+                        if key not in fact.payload:
+                            continue
+                        changes = change(fact.payload)
+                        if {**fact.payload, **changes} != fact.payload:
+                            applied[j] += 1
+                            with pytest.raises(TraceError):
+                                verify_trace(_tampered(t, i, **changes))
+        assert all(applied), applied
+
+    def test_untampered_traces_verify(self):
+        for n in range(2, 61):
+            for t in replay(n):
+                assert verify_trace(t)
 
 
 # sha256 of certificate_json(n), pinned so that any change to the certificate
