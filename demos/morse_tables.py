@@ -19,20 +19,20 @@ from indexlab import (
     poincare_series_truncated,
 )
 from indexlab.exact import ExactReal
-from indexlab.morse import BettiTable
+from indexlab.morse import betti_values
 
 HORIZON = 13
 
-print("Betti numbers of the loop-space pair (n = 2):", BettiTable(2, HORIZON).values())
+print("Betti numbers of the loop-space pair (n = 2):", betti_values(2, HORIZON))
 series = poincare_series_truncated(2, HORIZON)
-assert list(series.coefficients) == BettiTable(2, HORIZON).values()
+assert list(series.coefficients) == betti_values(2, HORIZON)
 print("series coefficients agree;  P^1000(-1)/1000 =", averaged_alternating_sum(poincare_series_truncated(2, 1000), 1000), "-> limit", euler_limit(2))
 
 # one geodesic alone: the table under-fills and over-fills at once
 solo = GeodesicModel(2, NormalFormDecomposition([Rot(make(-1, 1, 1, 2))]), 0)
 M = morse_numbers([solo], HORIZON)
 print("\nsolo geodesic Morse table:", list(M.values))
-for v in check_morse_inequalities(M, BettiTable(2, HORIZON), HORIZON):
+for v in check_morse_inequalities(M, betti_values(2, HORIZON), HORIZON):
     print("  violation:", v)
 
 # a two-geodesic configuration with 1/(2 rho1) + 1/(2 (1 + rho2)) = 1
@@ -41,7 +41,7 @@ g2 = GeodesicModel(2, NormalFormDecomposition([Rot(make(-1, 1, 4, 5))]), 1)
 pair = [g1, g2]
 M2 = morse_numbers(pair, HORIZON)
 print("\npair Morse table:        ", list(M2.values))
-print("violations:", check_morse_inequalities(M2, BettiTable(2, HORIZON), HORIZON))
+print("violations:", check_morse_inequalities(M2, betti_values(2, HORIZON), HORIZON))
 lhs = mean_index_identity_lhs(pair)
 print("identity: sum of -1/ihat =", lhs.serialize(), "= averaged Euler value", euler_limit(2))
 assert lhs == ExactReal.from_fraction(euler_limit(2))

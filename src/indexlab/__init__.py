@@ -7,16 +7,7 @@ mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
 from .exact import ExactReal, FieldMismatchError, compare, floor_scaled, is_irrational, make
-from .symplectic import (
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    OmegaSignature,
-    Rot,
-    diamond_sum,
-    omega_signature,
-    same_omega_component_data,
-)
+from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot
 from .iteration import (
     Case,
     GeodesicModel,
@@ -28,7 +19,6 @@ from .iteration import (
     mean_index,
 )
 from .morse import (
-    BettiTable,
     MorseTable,
     SeriesPolynomial,
     averaged_alternating_sum,
@@ -54,10 +44,6 @@ __all__ = [
     "NBlock",
     "Hyp",
     "NormalFormDecomposition",
-    "OmegaSignature",
-    "diamond_sum",
-    "omega_signature",
-    "same_omega_component_data",
     "Case",
     "GeodesicModel",
     "classify",
@@ -66,7 +52,6 @@ __all__ = [
     "analytic_period",
     "critical_type",
     "critical_module_dim",
-    "BettiTable",
     "MorseTable",
     "SeriesPolynomial",
     "betti",

@@ -23,7 +23,7 @@ def _emit(obj: dict, json_path: str | None) -> None:
             with open(json_path, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise SystemExit(_fail(f"cannot write {json_path}: {exc}"))
+            raise ValueError(f"cannot write {json_path}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -32,20 +32,15 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc}"))
-
-
-def _fail(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return 2
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_model(obj, label: str) -> iteration.GeodesicModel:
     try:
         return iteration.model_from_json(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(_fail(f"{label}: {exc}"))
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from exc
 
 
 def _load_models(path: str) -> list[iteration.GeodesicModel]:
@@ -53,10 +48,10 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
     payload = _load_json(path)
     entries = payload.get("models") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
-        raise SystemExit(_fail(f"{path}: expected a non-empty list of models"))
+        raise ValueError(f"{path}: expected a non-empty list of models")
     models = [_parse_model(obj, f"model #{idx}") for idx, obj in enumerate(entries)]
     if any(g.n != models[0].n for g in models):
-        raise SystemExit(_fail("all models must share the sphere dimension n"))
+        raise ValueError("all models must share the sphere dimension n")
     return models
 
 
@@ -83,7 +78,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    out = {"n": args.n, "b": [morse.betti(args.n, q) for q in range(args.qmax + 1)]}
+    out = {"n": args.n, "b": morse.betti_values(args.n, args.qmax)}
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["q", "b_q"])
@@ -139,7 +134,7 @@ def cmd_prove(args) -> int:
         try:
             case = iteration.Case(args.case.upper())
         except ValueError:
-            return _fail(f"unknown case filter: {args.case}")
+            raise ValueError(f"unknown case filter: {args.case}") from None
         traces = prover._replay_case(args.n, case)
     else:
         traces = prover.replay(args.n)
@@ -152,8 +147,13 @@ def cmd_prove(args) -> int:
     return 0 if closed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="indexlab")
+    parser = _Parser(prog="indexlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iterate", help="index table of the iterates of one model")
@@ -198,18 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; every input error ends here as one `error:` line and exit 2."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         for name, least in (("n", 2), ("mmax", 0), ("qmax", 0), ("horizon", 0)):
             if getattr(args, name, least) < least:
-                return _fail(f"--{name} must be >= {least}")
+                raise ValueError(f"--{name} must be >= {least}")
         return args.func(args)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValueError, KeyError) as exc:
-        return _fail(str(exc))
+        sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

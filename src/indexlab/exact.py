@@ -85,24 +85,11 @@ class ExactReal:
         q = Fraction(q)
         return cls(q.numerator, 0, q.denominator, 0)
 
-    @classmethod
-    def sqrt_of(cls, D: int) -> "ExactReal":
-        return cls(0, 1, 1, D)
-
     # -- predicates --------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     @property
     def is_irrational(self) -> bool:
         return self.b != 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
 
     # -- field compatibility ----------------------------------------------
 
@@ -224,9 +211,6 @@ class ExactReal:
     def floor(self) -> int:
         """Exact floor.  Never ambiguous: irrational values miss the grid."""
         return _floor(self.a, self.b, self.c, self.D)
-
-    def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(self.D)) / self.c
 
     # -- serialization: "(a+b*sqrt(D))/c" ---------------------------------
 

@@ -71,8 +71,6 @@ class GeodesicModel:
     dec: NormalFormDecomposition
     p: int
     case: Case = field(init=False)
-    k: int = field(init=False, repr=False, compare=False)
-    r: int = field(init=False, repr=False, compare=False)
     rotation_numbers: tuple[ExactReal, ...] = field(init=False, repr=False, compare=False)
     slope: int = field(init=False, repr=False, compare=False)
     const: int = field(init=False, repr=False, compare=False)
@@ -91,7 +89,7 @@ class GeodesicModel:
             Case.NCG4: (p - 1, 1),
             Case.NCG5: (p, 0),
         }[case]
-        for name, value in (("case", case), ("k", k), ("r", r),
+        for name, value in (("case", case),
                             ("rotation_numbers", tuple(b.rho for b in self.dec.rotations)),
                             ("slope", slope), ("const", const), ("_memo", {})):
             object.__setattr__(self, name, value)

@@ -61,18 +61,6 @@ def betti_values(n: int, horizon: int) -> list[int]:
     return b
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    n: int
-    horizon: int
-
-    def __getitem__(self, q: int) -> int:
-        return betti(self.n, q)
-
-    def values(self) -> list[int]:
-        return betti_values(self.n, self.horizon)
-
-
 # -- formal power series ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -140,7 +128,6 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
 @dataclass(frozen=True)
 class MorseTable:
     values: tuple[int, ...]
-    models: tuple[GeodesicModel, ...] = ()
 
     @property
     def horizon(self) -> int:
@@ -165,7 +152,7 @@ def morse_numbers(
             i_m, _ = index_of_iterate(g, m)
             if 0 <= i_m <= horizon:
                 values[i_m] += critical_module_dim(g, m, i_m)
-    return MorseTable(tuple(values), tuple(models))
+    return MorseTable(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -180,15 +167,13 @@ class Violation:
 
 
 def check_morse_inequalities(
-    M: MorseTable | list[int], b: BettiTable | list[int], horizon: int
+    M: MorseTable | list[int], b: list[int], horizon: int
 ) -> list[Violation]:
     """All failures of the Morse inequalities up to the horizon.
 
     Checks the alternating partial sums M_q - M_{q-1} + ... >= b_q - b_{q-1} + ...
     and the pointwise M_q >= b_q; an empty report means consistency.
     """
-    if isinstance(b, BettiTable):
-        b = betti_values(b.n, horizon)
     violations: list[Violation] = []
     alt_m = alt_b = 0
     for q in range(horizon + 1):

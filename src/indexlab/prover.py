@@ -97,22 +97,13 @@ class PreconditionError(ValueError):
     """A named hypothesis of a lemma check does not hold."""
 
 
-@dataclass(frozen=True)
-class ThetaSet:
-    """Degrees available before the Betti numbers first reach 2."""
-
-    n: int
-    members: frozenset[int]
-
-
-def theta_set(n: int) -> ThetaSet:
+def theta_set(n: int) -> frozenset[int]:
+    """Theta(n): the degrees available before the Betti numbers first reach 2."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n % 2 == 0:
-        members = frozenset(j for j in range(n - 1, 3 * n - 4) if j % 2 == 1)
-    else:
-        members = frozenset(j for j in range(n - 1, 2 * n - 3) if j % 2 == 0)
-    return ThetaSet(n, members)
+        return frozenset(j for j in range(n - 1, 3 * n - 4) if j % 2 == 1)
+    return frozenset(j for j in range(n - 1, 2 * n - 3) if j % 2 == 0)
 
 
 def floor_sum_range(m: int, terms: int, total: Fraction) -> set[int]:
@@ -235,40 +226,27 @@ def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFac
         assignments.setdefault(i_m, []).append(m)
     for t in range(0, k + 1):
         q = n - 1 + 2 * t
-        if q not in theta.members:
+        if q not in theta:
             continue
         hits = assignments.get(q, [])
         if len(hits) > 1:
             # reproduce the exact contradiction for a duplicated degree
-            if q == n - 1:
-                M = [0] * (n + 1)
-                M[n - 1] = 2
-                v = _violation_at(M, n, n, "alternating")
-                return SymbolicFact(
-                    FactKind.Contradiction,
-                    f"two iterates {hits[:2]} share i = {q}: "
-                    f"{v.lhs} >= {v.rhs} fails at q = {n}",
-                    "L6.5",
-                    {"degree": q, "iterates": hits, "evidence": v, "hypothetical_M": M},
-                )
-            kappa = q
-            M = [0] * (kappa + 2)
-            for t2 in range((kappa - (n - 1)) // 2):
+            M = [0] * (q + 2)
+            for t2 in range(t):
                 M[n - 1 + 2 * t2] = 1
-            M[kappa] = 2
-            v = _violation_at(M, n, kappa + 1, "alternating")
+            M[q] = 2
+            v = _violation_at(M, n, q + 1, "alternating")
             return SymbolicFact(
                 FactKind.Contradiction,
-                f"two iterates {hits[:2]} share i = {kappa}: "
-                f"{v.lhs} >= {v.rhs} fails at q = {kappa + 1}",
+                f"two iterates {hits[:2]} share i = {q}: {v.lhs} >= {v.rhs} fails at q = {q + 1}",
                 "L6.5",
-                {"degree": kappa, "iterates": hits, "evidence": v, "hypothetical_M": M},
+                {"degree": q, "iterates": hits, "evidence": v, "hypothetical_M": M},
             )
     return SymbolicFact(
         FactKind.IndexEquals,
         f"each degree of Theta({n}) up to n-1+2*{k} is hit by exactly one iterate",
         "L6.5",
-        {"unique": True, "degrees": sorted(q for q in theta.members if q <= n - 1 + 2 * k)},
+        {"unique": True, "degrees": sorted(q for q in theta if q <= n - 1 + 2 * k)},
     )
 
 
@@ -578,8 +556,16 @@ def verify_trace(trace: ProofTrace) -> bool:
         return True
     if not trace.steps or trace.steps[-1].kind is not FactKind.Contradiction:
         raise TraceError("contradiction trace must end in a Contradiction fact")
+    pinned = None  # the ihat this trace's own Eq(5.5) step pins
     for fact in trace.steps:
         _verify_fact(n, fact)
+        p = fact.payload
+        if fact.kind is FactKind.MeanIndexEquals and "s" in p:
+            if (p["N"], p["s"]) != _period_and_sign(trace.case, int(trace.subcase == "p odd"), n):
+                raise TraceError(f"(N, s) of the identity do not fit the case: {fact.statement}")
+            pinned = p["value"]
+        elif "ihat" in p and p["ihat"] != pinned:
+            raise TraceError(f"ihat = {p['ihat']} is not the pinned mean index {pinned}")
     return True
 
 
@@ -605,9 +591,7 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
 
 
 def _verify_violation(n: int, v: Violation, M: list[int] | None) -> None:
-    if v.lhs >= v.rhs:
-        raise TraceError(f"cited violation is not a violation: {v}")
-    if M is not None and _violation_at(M, n, v.q, v.kind) != v:
+    if not isinstance(M, list) or _violation_at(M, n, v.q, v.kind) != v:
         raise TraceError(f"cited violation not reproduced from its table: {v}")
 
 
@@ -641,7 +625,7 @@ def _verify_contradiction(n: int, fact: SymbolicFact) -> None:
             expected = floor_sum_range(p["m"], n - 1, Fraction(p["total"]))
             if expected:
                 raise TraceError("empty-range pigeonhole re-check found admissible values")
-    elif fact.rule == "L6.5":
+    elif fact.rule == "L6.5" and "evidence" in p:
         pass  # evidence already re-validated via the violation table
     else:
         raise TraceError(f"unknown contradiction kind: {kind!r}")

@@ -1,4 +1,4 @@
-"""Symplectic normal-form blocks and their diamond-sum composition.
+"""Symplectic normal-form blocks and their ordered diamond sum.
 
 A linearized return map is represented by its factored normal form only:
 an ordered list of rotation blocks R(theta), twisted 4-dimensional blocks
@@ -17,8 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .exact import ExactReal, compare
-
-Rational = Union[int, Fraction]
 
 
 class BlockInvariantError(ValueError):
@@ -113,72 +111,10 @@ class NormalFormDecomposition:
         return len(self.blocks)
 
 
-def diamond_sum(
-    d1: NormalFormDecomposition, d2: NormalFormDecomposition
-) -> NormalFormDecomposition:
-    """Concatenate block lists; dimensions add."""
-    return NormalFormDecomposition(d1.blocks + d2.blocks)
-
-
-@dataclass(frozen=True, init=False)
-class OmegaSignature:
-    """Unit-circle spectral data: rotation number -> geometric multiplicity.
-
-    Each key rho stands for the conjugate eigenvalue pair e^{+-2*pi*i*rho};
-    the multiplicity applies to each member of the pair.
-    """
-
-    nu: tuple[tuple[ExactReal, int], ...]
-
-    def __init__(self, nu: dict[ExactReal, int] | Iterable[tuple[ExactReal, int]] = ()):
-        items = nu.items() if isinstance(nu, dict) else nu
-        canon = tuple(sorted(items, key=lambda kv: (kv[0].a, kv[0].b, kv[0].c, kv[0].D)))
-        object.__setattr__(self, "nu", canon)
-
-    def as_dict(self) -> dict[ExactReal, int]:
-        return dict(self.nu)
-
-    @property
-    def gamma(self) -> frozenset[ExactReal]:
-        return frozenset(rho for rho, _ in self.nu)
-
-
-def omega_signature(d: NormalFormDecomposition) -> OmegaSignature:
-    """Unit-circle spectrum of the decomposition.
-
-    R(rho) and N(rho, B) each contribute the eigenvalue pair e^{+-2*pi*i*rho}
-    with geometric multiplicity 1 per block (for N-blocks this multiplicity
-    is structural in the normal form, not recomputed by linear algebra).
-    Hyperbolic blocks contribute nothing.  Coincident rotation numbers
-    accumulate.
-    """
-    nu: dict[ExactReal, int] = {}
-    for b in d.blocks:
-        if isinstance(b, (Rot, NBlock)):
-            nu[b.rho] = nu.get(b.rho, 0) + 1
-    return OmegaSignature(nu)
-
-
-def same_omega_component_data(
-    d1: NormalFormDecomposition, d2: NormalFormDecomposition
-) -> bool:
-    """Equality of unit-circle spectral data.
-
-    This is the necessary data for two maps to share a homotopy set Omega;
-    path-connectivity of the component is a topological question outside
-    this library's scope.
-    """
-    return omega_signature(d1) == omega_signature(d2)
-
-
 # -- JSON serialization ----------------------------------------------------
 
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def block_to_json(b: Block) -> dict:
@@ -198,9 +134,9 @@ def block_from_json(obj: dict) -> Block:
     if kind == "rot":
         return Rot(ExactReal.parse(obj["rho"]))
     if kind == "hyp":
-        return Hyp(_parse_frac(obj["d"]))
+        return Hyp(Fraction(obj["d"]))
     if kind == "n":
-        B = tuple(tuple(_parse_frac(x) for x in row) for row in obj.get("B", [[0, 0], [0, 0]]))
+        B = tuple(tuple(Fraction(x) for x in row) for row in obj.get("B", [[0, 0], [0, 0]]))
         return NBlock(ExactReal.parse(obj["rho"]), B)
     raise ValueError(f"unknown block type: {kind!r}")
 

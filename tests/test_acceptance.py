@@ -25,7 +25,7 @@ from indexlab import (
 )
 from indexlab.cli import main
 from indexlab.exact import ExactReal
-from indexlab.morse import BettiTable
+from indexlab.morse import betti_values
 from indexlab.prover import check_lemma_6_1, check_lemma_6_2, check_lemma_6_3, pinned_mean_index
 
 from conftest import random_model
@@ -167,5 +167,5 @@ def test_tables_remain_consistent_with_betti_on_stable_sets():
     while mean_index(g).sign() <= 0:
         g = random_model(rng, 3)
     M = morse_numbers([g], 12)
-    for v in check_morse_inequalities(M, BettiTable(3, 12), 12):
+    for v in check_morse_inequalities(M, betti_values(3, 12), 12):
         assert isinstance(v.lhs, int) and isinstance(v.rhs, int)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from indexlab import GeodesicModel, Hyp, NormalFormDecomposition, Rot, make, prover
+from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, make, prover
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
 
@@ -267,6 +271,19 @@ class TestInputFaults:
         argv = [files.get(a, a) for a in argv]
         self.check_fault(capsys, argv, f"{argv[-2]} must be >= 0")
 
+    def test_infinite_dimension(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"n": 1e400, "p": 0, "dec": {"blocks": []}}')
+        self.check_fault(capsys, ["iterate", "--model", str(path)], "model")
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.check_fault(capsys, ["morse-check", "--models", str(path)], "cannot read")
+
+    def test_usage_error_is_one_line(self, capsys):
+        self.check_fault(capsys, ["betti", "--n", "x"], "invalid int value")
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -274,3 +291,83 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+# -- fuzz: any argv and any document exit 0, 1 or 2, never with a traceback --
+
+RHOS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(5))/4", "(1+1*sqrt(5))/4",
+        "(1+1*sqrt(2))/1", "(1+1*sqrt(2))/0"]
+ODD = [None, True, -1, 0, 1, 3, 2.5, float("inf"), float("nan"), 10**40, "2", "1/0", "x\ny", [], {}]
+VALID = [model_to_json(GeodesicModel(n, NormalFormDecomposition(b), p)) for n, b, p in [
+    (2, [Rot(RHO)], 0),
+    (3, [Rot(RHO), Hyp(Fraction(2))], 2),
+    (3, [Hyp(Fraction(2)), Hyp(Fraction(-3))], 1),
+    (5, [Rot(RHO), Rot(make(7, -4, 8, 2)), Hyp(Fraction(2)), Hyp(Fraction(3))], 3),
+    (3, [NBlock(RHO)], 0),
+]]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+blocks = st.one_of(
+    st.builds(lambda rho: {"type": "rot", "rho": rho}, st.sampled_from(RHOS)),
+    st.builds(lambda d: {"type": "hyp", "d": d}, st.sampled_from(["2", "-3/7", "1"] + ODD)),
+    st.builds(lambda rho, B: {"type": "n", "rho": rho, "B": B}, st.sampled_from(RHOS),
+              st.sampled_from([[[0, 0], [0, 0]], [[1]], [["1/0", 0], [0, 0]]])),
+    json_values,
+)
+models = st.one_of(
+    st.sampled_from(VALID),
+    # a valid model with one field spoiled
+    st.builds(lambda m, key, value: {**m, key: value}, st.sampled_from(VALID),
+              st.sampled_from(["n", "p", "case", "dec"]), st.sampled_from(ODD)),
+    st.fixed_dictionaries({
+        "n": st.sampled_from([2, 3, 4] + ODD),
+        "p": st.sampled_from([0, 1] + ODD),
+        "dec": st.fixed_dictionaries({"blocks": st.lists(blocks, max_size=4)}),
+    }),
+)
+documents = st.one_of(models, st.lists(models, max_size=3),
+                      st.builds(lambda m: {"models": m}, st.lists(models, max_size=3)), json_values)
+# bounds stay at most 500, so no case allocates or replays at scale
+bounds = st.one_of(*[st.integers(2, 500).map(str)] * 4,
+                   st.sampled_from(["-1", "0", "1", "x", "", "1e3", "\n"]))
+FLAGS = {  # the required flag first
+    "iterate": ["--model", "--mmax", "--csv"],
+    "betti": ["--n", "--qmax", "--csv"],
+    "series": ["--n", "--degree"],
+    "morse-check": ["--models", "--horizon"],
+    "identity": ["--models"],
+    "prove": ["--n", "--case"],
+    "frobnicate": ["--n"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_runs_exit_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data.draw(documents)))
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    required, *optional = FLAGS[command]
+    flags = data.draw(st.sampled_from([[required]] * 4 + [[]]))
+    flags += data.draw(st.lists(st.sampled_from(optional or [required]), max_size=3))
+    argv = [command]
+    for flag in data.draw(st.permutations(flags)):
+        if flag in ("--model", "--models"):
+            value = data.draw(st.sampled_from([str(path)] * 4 + [str(path) + ".missing"]))
+        elif flag == "--case":
+            value = data.draw(st.sampled_from(["ncg1", "NCG4", "ncg9", "a\nb"]))
+        else:
+            value = data.draw(bounds)
+        argv += [flag] if flag == "--csv" else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

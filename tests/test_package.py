@@ -1,0 +1,44 @@
+"""The library's two promises, read off its source: pure standard library,
+and no floating point."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "indexlab").glob("*.py"))
+
+
+def nodes(path):
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    for node in nodes(path):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_uses_no_floating_point(path):
+    for node in nodes(path):
+        where = (path.name, getattr(node, "lineno", None))
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))), where
+        assert not (isinstance(node, ast.Name) and node.id == "float"), where
+        assert not (isinstance(node, ast.Attribute) and node.attr == "sqrt"
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"), where
+        assert not (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name == "sqrt" for alias in node.names)), where
+
+
+def test_sees_every_module():
+    assert {p.name for p in MODULES} >= {"exact.py", "symplectic.py", "iteration.py",
+                                         "morse.py", "prover.py", "cli.py"}

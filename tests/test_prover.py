@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexlab import Case, Verdict, replay, theta_set, verify_trace
-from indexlab.morse import BettiTable, Violation, check_morse_inequalities
+from indexlab import Case, ProofTrace, Verdict, replay, theta_set, verify_trace
+from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import (
     FactKind,
     PreconditionError,
@@ -31,7 +31,7 @@ from indexlab.prover import (
 class TestThetaSet:
     @pytest.mark.parametrize("n,expected", [(4, {3, 5, 7}), (5, {4, 6}), (2, {1}), (3, {2}), (6, {5, 7, 9, 11, 13})])
     def test_members(self, n, expected):
-        assert theta_set(n).members == frozenset(expected)
+        assert theta_set(n) == frozenset(expected)
 
 
 class TestFloorSumRange:
@@ -249,7 +249,7 @@ class TestVerifier:
         n = data.draw(st.integers(2, 12))
         q = data.draw(st.integers(-1, len(M)))
         kind = data.draw(st.sampled_from(["alternating", "pointwise"]) | st.text(max_size=12))
-        scan = check_morse_inequalities(M, BettiTable(n, len(M) - 1), len(M) - 1)
+        scan = check_morse_inequalities(M, betti_values(n, len(M) - 1), len(M) - 1)
         [found] = [v for v in scan if (v.q, v.kind) == (q, kind)] or [None]
         if found is None:
             with pytest.raises(TraceError):
@@ -273,11 +273,19 @@ class TestVerifier:
             verify_trace(open_trace)
 
 
-def _tampered(trace, index, **changes):
+def _replaced(trace, index, payload):
     fact = trace.steps[index]
     steps = list(trace.steps)
-    steps[index] = SymbolicFact(fact.kind, fact.statement, fact.rule, {**fact.payload, **changes})
+    steps[index] = SymbolicFact(fact.kind, fact.statement, fact.rule, payload)
     return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def _tampered(trace, index, **changes):
+    return _replaced(trace, index, {**trace.steps[index].payload, **changes})
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
 
 
 def _self_collision(p):
@@ -316,6 +324,75 @@ class TestMutations:
                             with pytest.raises(TraceError):
                                 verify_trace(_tampered(t, i, **changes))
         assert all(applied), applied
+
+    def test_evidence_without_its_table_is_rejected(self):
+        mutants = 0
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    p = fact.payload
+                    payloads = [_without(p, "hypothetical_M")] if "evidence" in p else []
+                    for j, entry in enumerate(p.get("refuted", [])):
+                        refuted = list(p["refuted"])
+                        refuted[j] = _without(entry, "hypothetical_M")
+                        payloads.append({**p, "refuted": refuted})
+                    for payload in payloads:
+                        mutants += 1
+                        with pytest.raises(TraceError, match="not reproduced"):
+                            verify_trace(_replaced(t, i, payload))
+        assert mutants > 0
+
+    def test_forged_evidence_needs_a_list_table(self):
+        [t] = [x for x in replay(6) if x.case is Case.NCG1]
+        p = t.steps[0].payload
+        forged = {**_without(p, "hypothetical_M"), "evidence": Violation(0, "pointwise", -7, 5)}
+        with pytest.raises(TraceError):
+            verify_trace(_replaced(t, 0, forged))
+        with pytest.raises(TraceError):
+            verify_trace(_tampered(t, 0, hypothetical_M=tuple(p["hypothetical_M"])))
+
+    def test_lemma_6_5_contradiction_needs_its_evidence(self):
+        fact = check_lemma_6_5(4, {1: 3, 2: 3}, 0)
+        trace = ProofTrace(4, Case.NCG1, "", (fact,), Verdict.CONTRADICTION, "pigeonhole")
+        assert verify_trace(trace)
+        for key in ("evidence", "hypothetical_M"):
+            with pytest.raises(TraceError):
+                verify_trace(_replaced(trace, 0, _without(fact.payload, key)))
+
+    def test_every_ihat_is_the_pinned_value(self):
+        applied = set()
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    if fact.payload.get("ihat", Fraction(9, 2)) != Fraction(9, 2):
+                        applied.add((t.case, t.subcase, t.detail))
+                        with pytest.raises(TraceError):
+                            verify_trace(_tampered(t, i, ihat=Fraction(9, 2)))
+        for case in (Case.NCG2, Case.NCG3):
+            assert (case, "p odd", "rotation-count") in applied
+        assert (Case.NCG4, "p odd", "irrationality") in applied
+
+    @pytest.mark.parametrize("key", ["N", "s"])
+    def test_the_pin_fits_the_case(self, key):
+        # another period or sign, with the identity re-solved and every ihat
+        # following it: consistent in itself, but not the pin of this case
+        mutants = 0
+        for n in range(2, 41):
+            for t in replay(n):
+                if t.verdict is not Verdict.CONTRADICTION:
+                    continue
+                [i] = [i for i, f in enumerate(t.steps) if f.rule == "Eq(5.5)" and "s" in f.payload]
+                p = t.steps[i].payload
+                N, s = (3 - p["N"], p["s"]) if key == "N" else (p["N"], -p["s"])
+                ihat = Fraction(s) / (N * euler_limit(n))
+                bad = _tampered(t, i, N=N, s=s, value=ihat)
+                for j, fact in enumerate(bad.steps):
+                    if "ihat" in fact.payload:
+                        bad = _tampered(bad, j, ihat=ihat)
+                mutants += 1
+                with pytest.raises(TraceError, match="do not fit the case"):
+                    verify_trace(bad)
+        assert mutants > 0
 
     def test_untampered_traces_verify(self):
         for n in range(2, 61):

@@ -3,16 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from indexlab import (
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    Rot,
-    diamond_sum,
-    make,
-    omega_signature,
-    same_omega_component_data,
-)
+from indexlab import Hyp, NBlock, NormalFormDecomposition, Rot, make
 from indexlab.symplectic import (
     BlockInvariantError,
     decomposition_from_json,
@@ -53,58 +44,9 @@ class TestBlockInvariants:
 
 
 class TestDiamondSum:
-    def test_dimension_additivity(self):
-        d = diamond_sum(
-            NormalFormDecomposition([Hyp(Fraction(2))]),
-            NormalFormDecomposition([Rot(RHO)]),
-        )
-        assert d.total_dim == 4
-
-    def test_identity(self):
-        d = NormalFormDecomposition([Rot(RHO)])
-        assert diamond_sum(NormalFormDecomposition(), d).blocks == d.blocks
-
-    def test_associativity(self):
-        a = NormalFormDecomposition([Rot(RHO)])
-        b = NormalFormDecomposition([Hyp(Fraction(2))])
-        c = NormalFormDecomposition([NBlock(RHO)])
-        left = diamond_sum(diamond_sum(a, b), c)
-        right = diamond_sum(a, diamond_sum(b, c))
-        assert left.blocks == right.blocks
-
     def test_dim_census(self):
         d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(2)), NBlock(RHO)])
         assert d.total_dim == 2 * (d.count(Rot) + d.count(Hyp)) + 4 * d.count(NBlock)
-
-
-class TestOmegaSignature:
-    def test_hyperbolic_only_is_empty(self):
-        sig = omega_signature(
-            NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(-3))])
-        )
-        assert sig.gamma == frozenset()
-
-    def test_single_rotation(self):
-        sig = omega_signature(NormalFormDecomposition([Rot(RHO)]))
-        assert sig.as_dict() == {RHO: 1}
-
-    def test_multiplicity_accumulation(self):
-        sig = omega_signature(NormalFormDecomposition([Rot(RHO), Rot(RHO)]))
-        assert sig.as_dict() == {RHO: 2}
-
-    def test_nblock_contributes_one(self):
-        sig = omega_signature(NormalFormDecomposition([NBlock(RHO), Rot(RHO)]))
-        assert sig.as_dict() == {RHO: 2}
-
-    def test_signature_of_diamond_is_union(self, rng):
-        for _ in range(50):
-            d1 = _random_dec(rng)
-            d2 = _random_dec(rng)
-            merged = omega_signature(diamond_sum(d1, d2)).as_dict()
-            expected = omega_signature(d1).as_dict()
-            for rho, mult in omega_signature(d2).as_dict().items():
-                expected[rho] = expected.get(rho, 0) + mult
-            assert merged == expected
 
 
 def _random_dec(rng: random.Random) -> NormalFormDecomposition:
@@ -118,23 +60,6 @@ def _random_dec(rng: random.Random) -> NormalFormDecomposition:
         else:
             blocks.append(NBlock(random_rho(rng, 5)))
     return NormalFormDecomposition(blocks)
-
-
-class TestComponentData:
-    def test_self(self):
-        d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(2))])
-        assert same_omega_component_data(d, d)
-
-    def test_distinct_spectra(self):
-        assert not same_omega_component_data(
-            NormalFormDecomposition([Rot(RHO)]),
-            NormalFormDecomposition([Hyp(Fraction(2))]),
-        )
-
-    def test_hyperbolic_parameter_invisible(self):
-        d1 = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(2))])
-        d2 = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(5))])
-        assert same_omega_component_data(d1, d2)
 
 
 class TestJson:
