@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -152,7 +153,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    `main` reuses it on every call, so callers share it: parse with it, but
+    never mutate it (no add_argument, set_defaults or changed prog).
+    """
     parser = _Parser(prog="indexlab")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -179,8 +179,16 @@ def model_to_json(g: GeodesicModel) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # bool, float and str are refused, never truncated
+        raise ModelInvariantError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_json(obj: dict) -> GeodesicModel:
-    g = GeodesicModel(n=int(obj["n"]), dec=decomposition_from_json(obj["dec"]), p=int(obj["p"]))
+    g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj["dec"]),
+                      p=_int_field(obj, "p"))
     declared = obj.get("case")
     if declared is not None and declared != g.case.value:
         raise ModelInvariantError(

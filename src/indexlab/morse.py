@@ -175,9 +175,11 @@ def check_morse_inequalities(
     and the pointwise M_q >= b_q; an empty report means consistency.
     """
     violations: list[Violation] = []
+    m = list((M.values if isinstance(M, MorseTable) else M)[:horizon + 1])
+    m += [0] * (horizon + 1 - len(m))  # a MorseTable reads 0 past its horizon
     alt_m = alt_b = 0
-    for q in range(horizon + 1):
-        m_q, b_q = M[q], b[q]
+    for q, m_q in enumerate(m):
+        b_q = b[q]
         alt_m = m_q - alt_m
         alt_b = b_q - alt_b
         if alt_m < alt_b:

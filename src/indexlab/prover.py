@@ -139,11 +139,30 @@ def _violation_at(M: list[int], n: int, q: int, kind: str) -> Violation:
     raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
 
 
+def _lemma_6_1_failure(n: int) -> tuple[list[int], Violation]:
+    """The table [0]*n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
+    M = [0] * n
+    return M, _violation_at(M, n, n - 1, "pointwise")
+
+
+def _lemma_6_3_refutations(n: int) -> list[dict]:
+    """One refutation per hypothetical i(c) < n-1 of the parity of n-1, in order.
+
+    The table puts 1 at degree i(c); its alternating sum fails at i(c) + 1.
+    """
+    refuted = []
+    for i0 in range(1 + n % 2, n - 2, 2):
+        M = [0] * (i0 + 2)
+        M[i0] = 1
+        refuted.append({"i_c": i0, "evidence": _violation_at(M, n, i0 + 1, "alternating"),
+                        "hypothetical_M": M})
+    return refuted
+
+
 def check_lemma_6_1(n: int) -> SymbolicFact:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
-    M = [0] * n  # degrees 0..n-1 under the zero-mean-index hypothesis
-    v = _violation_at(M, n, n - 1, "pointwise")
+    M, v = _lemma_6_1_failure(n)
     return SymbolicFact(
         FactKind.MeanIndexEquals,
         f"mean index > 0 (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
@@ -155,8 +174,7 @@ def check_lemma_6_1(n: int) -> SymbolicFact:
 def check_lemma_6_2(n: int) -> SymbolicFact:
     """i(c) <= n-1 is forced: a larger initial index empties every degree
     up to n-1, again contradicting b_{n-1} = 1."""
-    M = [0] * n  # degrees 0..n-1 under the i(c) > n-1 hypothesis
-    v = _violation_at(M, n, n - 1, "pointwise")
+    M, v = _lemma_6_1_failure(n)
     return SymbolicFact(
         FactKind.IndexRange,
         f"i(c) <= {n - 1} (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
@@ -172,36 +190,18 @@ def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
     "odd-n": n odd, i(c) even, all odd-degree M vanish.  Every admissible
     hypothetical i(c) < n-1 is refuted by an exact alternating-sum failure.
     """
-    if parity_config == "even-n":
-        if n % 2 != 0:
-            raise PreconditionError("config 'even-n' requires even n")
-        hypotheticals = [i0 for i0 in range(1, n - 2) if i0 % 2 == 1]
-    elif parity_config == "odd-n":
-        if n % 2 != 1:
-            raise PreconditionError("config 'odd-n' requires odd n")
-        hypotheticals = [i0 for i0 in range(2, n - 2) if i0 % 2 == 0]
-    else:
+    if parity_config not in ("even-n", "odd-n"):
         raise PreconditionError(f"unknown parity config {parity_config!r}")
-
-    if not hypotheticals:
-        return SymbolicFact(
-            FactKind.IndexRange,
-            f"i(c) >= {n - 1} (hypothesis range below n-1 is empty)",
-            "L6.3",
-            {"min": n - 1, "vacuous_hypothesis": True, "refuted": []},
-        )
-
-    refuted = []
-    for i0 in hypotheticals:
-        M = [0] * (i0 + 2)
-        M[i0] = 1
-        v = _violation_at(M, n, i0 + 1, "alternating")
-        refuted.append({"i_c": i0, "evidence": v, "hypothetical_M": M})
+    if parity_config != ("even-n" if n % 2 == 0 else "odd-n"):
+        raise PreconditionError(f"config {parity_config!r} requires {parity_config[:-2]} n")
+    refuted = _lemma_6_3_refutations(n)
+    reason = ("each hypothetical below fails the alternating sum: -1 >= 0" if refuted
+              else "hypothesis range below n-1 is empty")
     return SymbolicFact(
         FactKind.IndexRange,
-        f"i(c) >= {n - 1} (each hypothetical below fails the alternating sum: -1 >= 0)",
+        f"i(c) >= {n - 1} ({reason})",
         "L6.3",
-        {"min": n - 1, "vacuous_hypothesis": False, "refuted": refuted},
+        {"min": n - 1, "vacuous_hypothesis": not refuted, "refuted": refuted},
     )
 
 
@@ -579,10 +579,18 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
         expected = floor_sum_range(p["m"], p["terms"], Fraction(p["total"]))
         if set(p["set"]) != expected:
             raise TraceError(f"floor-sum range re-check failed: {fact.statement}")
-    if "evidence" in p:
+    if fact.rule == "L6.2" or (fact.rule == "L6.1" and fact.kind is not FactKind.Contradiction):
+        # the evidence is required, and it is the one failure of the table [0]*n
+        M, v = _lemma_6_1_failure(n)
+        if p.get("hypothetical_M") != M or p.get("evidence") != v:
+            raise TraceError(f"{fact.rule} evidence not reproduced: expected {v} of [0]*{n}")
+    elif "evidence" in p:
         _verify_violation(n, p["evidence"], p.get("hypothetical_M"))
-    for entry in p.get("refuted", []):
-        _verify_violation(n, entry["evidence"], entry.get("hypothetical_M"))
+    if fact.rule == "L6.3":
+        refuted = _lemma_6_3_refutations(n)
+        if p.get("refuted") != refuted or p.get("vacuous_hypothesis") is not (not refuted):
+            raise TraceError("L6.3 refutations not reproduced: each i(c) < n-1 of the "
+                             "parity of n-1 needs its table and failure, in order")
     if fact.kind is FactKind.IndexEquals and "i" in p:
         if (p["i"] - (n - 1)) % 2 != 0 or not (0 <= (p["i"] - (n - 1)) // 2 <= p["m"] - 1):
             raise TraceError(f"iterate index re-check failed: {fact.statement}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact import ExactReal, compare
+from .exact import ExactReal
 
 
 class BlockInvariantError(ValueError):
@@ -26,7 +26,7 @@ class BlockInvariantError(ValueError):
 def _check_rho(rho: ExactReal, what: str) -> None:
     if not rho.is_irrational:
         raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho}")
-    if not (compare(rho, ExactReal(0)) > 0 and compare(rho, ExactReal(1)) < 0):
+    if rho.floor() != 0:  # rho is irrational, so it is never 0 or 1
         raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho}")
 
 

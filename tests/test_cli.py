@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, make, prover
+from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, make, prover
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
 
@@ -276,6 +276,17 @@ class TestInputFaults:
         path.write_text('{"n": 1e400, "p": 0, "dec": {"blocks": []}}')
         self.check_fault(capsys, ["iterate", "--model", str(path)], "model")
 
+    @pytest.mark.parametrize("key,value", [("n", 2.9), ("n", 2.0), ("n", True), ("n", "2"),
+                                           ("p", True), ("p", 0.0), ("p", "0"), ("p", None)])
+    def test_non_integer_model_field(self, capsys, tmp_path, key, value):
+        # a float, bool or string is refused, never truncated to an int
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**model_to_json(g), key: value}))
+        self.check_fault(capsys, ["iterate", "--model", str(path)], f"{key} must be an integer")
+        path.write_text(json.dumps([{**model_to_json(g), key: value}]))
+        self.check_fault(capsys, ["morse-check", "--models", str(path)], f"{key} must be an integer")
+
     def test_deeply_nested_document(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -283,6 +294,40 @@ class TestInputFaults:
 
     def test_usage_error_is_one_line(self, capsys):
         self.check_fault(capsys, ["betti", "--n", "x"], "invalid int value")
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call leaks into the next."""
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch, ncg1_model):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in (["betti", "--n", "3"], ["iterate", "--model", ncg1_model], ["prove", "--n", "4"],
+                     ["betti", "--n", "x"], ["--help"]) * 3:
+            main(argv)
+        capsys.readouterr()
+        assert built.count("indexlab") == 1  # one parser; the rest are its subcommands
+
+    @pytest.mark.parametrize("first,then", [
+        (["iterate", "--model", "MODEL", "--csv"], ["iterate", "--model", "MODEL"]),
+        (["prove", "--n", "12", "--case", "ncg4"], ["prove", "--n", "12"]),
+        (["betti", "--n", "x"], ["betti", "--n", "5", "--qmax", "12"]),
+        (["--help"], ["betti", "--n", "5"]),
+    ], ids=["csv", "case", "usage-error", "help"])
+    def test_a_call_leaves_nothing_to_the_next(self, capsys, ncg1_model, first, then):
+        first, then = ([ncg1_model if a == "MODEL" else a for a in argv] for argv in (first, then))
+        cli.build_parser.cache_clear()
+        expected = run(capsys, *then)  # the first call of a fresh parser
+        cli.build_parser.cache_clear()
+        run(capsys, *first)
+        assert run(capsys, *then) == expected
 
 
 class TestUsage:

@@ -342,6 +342,34 @@ class TestMutations:
                             verify_trace(_replaced(t, i, payload))
         assert mutants > 0
 
+    def test_lemma_6_1_to_6_3_evidence_is_required(self):
+        kinds = set()
+        for n in range(2, 41):
+            cfg = "even-n" if n % 2 == 0 else "odd-n"
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    p = fact.payload
+                    mutants = {}
+                    if fact.rule in ("L6.1", "L6.2") and fact.kind is not FactKind.Contradiction:
+                        mutants["no evidence"] = _without(p, "evidence")
+                        mutants["no evidence, no table"] = _without(_without(p, "evidence"),
+                                                                    "hypothetical_M")
+                    if fact.rule == "L6.3":
+                        refuted = p["refuted"]
+                        if refuted:
+                            mutants["first refutation dropped"] = {**p, "refuted": refuted[1:]}
+                            mutants["last refutation dropped"] = {**p, "refuted": refuted[:-1]}
+                            mutants["emptied, flag set"] = {**p, "refuted": [], "vacuous_hypothesis": True}
+                        # a genuine refutation of a larger n: its i(c) is not below n-1 here
+                        extra = check_lemma_6_3(n + 2, cfg).payload["refuted"][-1]
+                        mutants["refutation added"] = {**p, "refuted": refuted + [extra]}
+                        mutants["flag flipped"] = {**p, "vacuous_hypothesis": not p["vacuous_hypothesis"]}
+                    for kind, payload in mutants.items():
+                        kinds.add((fact.rule, kind))
+                        with pytest.raises(TraceError, match="not reproduced"):
+                            verify_trace(_replaced(t, i, payload))
+        assert len(kinds) == 2 * 2 + 5, sorted(kinds)
+
     def test_forged_evidence_needs_a_list_table(self):
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
         p = t.steps[0].payload

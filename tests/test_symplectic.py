@@ -1,7 +1,11 @@
 import random
+import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from indexlab import Hyp, NBlock, NormalFormDecomposition, Rot, make
 from indexlab.symplectic import (
@@ -25,6 +29,28 @@ class TestBlockInvariants:
     def test_rotation_outside_unit_interval_rejected(self):
         with pytest.raises(BlockInvariantError):
             Rot(make(1, 1, 1, 2))  # 1 + sqrt(2) > 1
+
+    @given(st.integers(-60, 60), st.integers(-12, 12),
+           st.integers(-40, 40).filter(bool), st.integers(0, 50))
+    def test_rotation_range_against_integer_squares(self, a, b, c, D):
+        def exceeds(t: int) -> bool:  # a + b*sqrt(D) > t, with b != 0 and D not a square
+            s = t - a  # compare b*sqrt(D) with s by the signs and the squares b^2 D, s^2
+            if b > 0:
+                return s < 0 or b * b * D > s * s
+            return s < 0 and b * b * D < s * s
+
+        lo, hi = min(0, c), max(0, c)  # 0 < (a + b*sqrt(D))/c < 1 iff lo < a + b*sqrt(D) < hi
+        if b == 0 or isqrt(D) ** 2 == D:
+            needle = "irrational"
+        elif exceeds(lo) and not exceeds(hi):
+            needle = None
+        else:
+            needle = "(0, 1)"
+        if needle is None:
+            Rot(make(a, b, c, D))
+        else:
+            with pytest.raises(BlockInvariantError, match=re.escape(needle)):
+                Rot(make(a, b, c, D))
 
     def test_hyperbolic_forbidden_parameters(self):
         for d in (0, 1, -1):
