@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_identity)
 
-    p = sub.add_parser("prove", help="replay the single-geodesic case analysis; O(n^2) in "
-                       "time and in certificate size (about 0.63 MB at n = 300)")
+    p = sub.add_parser("prove", help="replay the single-geodesic case analysis and emit "
+                       "its verified certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--case", help="restrict to one case tag, e.g. ncg3")
     p.add_argument("--json")

@@ -189,13 +189,21 @@ def check_morse_inequalities(
     return violations
 
 
-def inequality_at(M: list[int], b: list[int], q: int, kind: str) -> tuple[int, int]:
-    """(lhs, rhs) of one check_morse_inequalities comparison, at 0 <= q < len(M), len(b)."""
-    if kind == "pointwise":
-        return M[q], b[q]
-    if kind == "alternating":  # x_q - x_{q-1} + x_{q-2} - ...
-        return tuple(sum(x[q::-2]) - sum(x[:q][::-2]) for x in (M, b))
-    raise ValueError(f"unknown Morse inequality kind {kind!r}")
+def alternating_betti_sum(n: int, q: int) -> int:
+    """b_q - b_{q-1} + b_{q-2} - ... - (+-)b_0, in closed form.
+
+    Every nonzero b_j has the parity of n-1 (the ray n-1 + 2N_0 holds the
+    doubling set K), so each enters with the sign (-1)^(q-n+1), and the
+    sum is that sign times (#ray points <= q + #K points <= q).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if q < n - 1:
+        return 0
+    ray = (q - (n - 1)) // 2 + 1
+    k_max = q // (n - 1)  # the multiples k(n-1) <= q
+    doubled = (k_max - 1) // 2 if n % 2 == 0 else k_max - 1  # odd k >= 3, resp. k >= 2
+    return (ray + doubled) * (1 if (q - n + 1) % 2 == 0 else -1)
 
 
 # -- averaged Euler value --------------------------------------------------

@@ -14,13 +14,14 @@ sum of irrationals, which no concrete choice could exhibit.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .iteration import Case
-from .morse import Violation, betti_values, euler_limit, inequality_at
+from .morse import Violation, alternating_betti_sum, betti, euler_limit
 
 
 class FactKind(enum.Enum):
@@ -38,6 +39,7 @@ class SymbolicFact:
     statement: str
     rule: str
     payload: dict = field(default_factory=dict)
+    premises: tuple[int, ...] = ()  # indices of the earlier steps whose values it reads
 
     def to_json(self) -> dict:
         return {
@@ -45,6 +47,7 @@ class SymbolicFact:
             "kind": self.kind.value,
             "statement": self.statement,
             "values": self.payload,
+            "premises": self.premises,
         }
 
 
@@ -52,8 +55,6 @@ def json_default(obj):
     """`default=` hook of json.dumps for the payload values JSON has no type for."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     if isinstance(obj, Violation):
         return {"q": obj.q, "kind": obj.kind, "lhs": obj.lhs, "rhs": obj.rhs}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -106,42 +107,77 @@ def theta_set(n: int) -> frozenset[int]:
     return frozenset(j for j in range(n - 1, 2 * n - 3) if j % 2 == 0)
 
 
-def floor_sum_range(m: int, terms: int, total: Fraction) -> set[int]:
+def floor_sum_range(m: int, terms: int, total: Fraction) -> range:
     """Possible values of a sum of `terms` floors of m*rho_i.
 
     Each rho_i is irrational in (0, 1) and the exact values m*rho_i sum to
     `total`.  Each fractional part lies strictly in (0, 1), so the floor sum
     lies strictly inside (total - terms, total); floors of positive numbers
     are also >= 0.  This is the sharpest derivable set and is contained in
-    the looser sets quoted in the source derivations.
+    the looser sets quoted in the source derivations.  The set is a range of
+    consecutive integers, possibly empty.
     """
     if m < 1 or terms < 1:
         raise ValueError("m and terms must be positive")
-    total = Fraction(total)
-    if total <= 0 or total >= m * terms:
+    num, den = total.as_integer_ratio()
+    if num <= 0 or num >= m * terms * den:
         raise ValueError(
             f"inconsistent constraint: total {total} outside (0, {m * terms})"
         )
-    num, den = total.numerator, total.denominator
     first = max(0, num // den - terms + 1)  # floor(total - terms) + 1
     last = -(-num // den) - 1  # ceil(total) - 1
-    return set(range(first, last + 1))
+    return range(first, last + 1)
+
+
+def _ends(r: range) -> list[int]:
+    """A range as a certificate carries it: [first, last], or [] when empty."""
+    return [r[0], r[-1]] if r else []
 
 
 # -- lemma checks: each derives a fact by exhibiting Morse violations ------
 
-def _violation_at(M: list[int], n: int, q: int, kind: str) -> Violation:
-    """The failure of table M's `kind` Morse inequality at degree q."""
-    if 0 <= q < len(M) and kind in ("pointwise", "alternating"):
-        lhs, rhs = inequality_at(M, betti_values(n, q), q, kind)
+def _table_fault(M) -> str | None:
+    """Why M is not a hypothetical Morse table {"length": L, "entries": [[q, v], ...]}, or None.
+
+    The table stands for M_0..M_{L-1}: the entries list the nonzero values by
+    strictly increasing degree q in 0..L-1, and every other M_q is 0.
+    """
+    if not (isinstance(M, dict) and M.keys() == {"length", "entries"}):
+        return "not a {length, entries} dict"
+    length, entries = M["length"], M["entries"]
+    if type(length) is not int or length < 1:
+        return f"length {length!r} is not an int >= 1"
+    if type(entries) is not list:
+        return "entries are not a list"
+    prev = -1
+    for e in entries:
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                and prev < e[0] < length and e[1] != 0):
+            return f"entry {e!r} is not a nonzero [q, M_q] with q increasing in 0..{length - 1}"
+        prev = e[0]
+    return None
+
+
+def _violation_at(M: dict, n: int, q: int, kind: str) -> Violation:
+    """The failure of sparse table M's `kind` Morse inequality at degree q."""
+    fault = _table_fault(M)
+    if (fault is None and type(q) is int and 0 <= q < M["length"]
+            and kind in ("pointwise", "alternating")):
+        entries = M["entries"]
+        if kind == "pointwise":
+            lhs, rhs = dict(entries).get(q, 0), betti(n, q)
+        else:  # M_q - M_{q-1} + M_{q-2} - ..., over the nonzero entries
+            lhs = sum(v if (q - j) % 2 == 0 else -v for j, v in entries if j <= q)
+            rhs = alternating_betti_sum(n, q)
         if lhs < rhs:
             return Violation(q, kind, lhs, rhs)
-    raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
+    raise TraceError(f"{kind} violation at q={q} not reproduced from its table"
+                     + (f": table {fault}" if fault else ""))
 
 
-def _lemma_6_1_failure(n: int) -> tuple[list[int], Violation]:
-    """The table [0]*n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
-    M = [0] * n
+def _lemma_6_1_failure(n: int) -> tuple[dict, Violation]:
+    """The zero table of length n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
+    M = {"length": n, "entries": []}
     return M, _violation_at(M, n, n - 1, "pointwise")
 
 
@@ -152,8 +188,7 @@ def _lemma_6_3_refutations(n: int) -> list[dict]:
     """
     refuted = []
     for i0 in range(1 + n % 2, n - 2, 2):
-        M = [0] * (i0 + 2)
-        M[i0] = 1
+        M = {"length": i0 + 2, "entries": [[i0, 1]]}
         refuted.append({"i_c": i0, "evidence": _violation_at(M, n, i0 + 1, "alternating"),
                         "hypothetical_M": M})
     return refuted
@@ -231,10 +266,7 @@ def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFac
         hits = assignments.get(q, [])
         if len(hits) > 1:
             # reproduce the exact contradiction for a duplicated degree
-            M = [0] * (q + 2)
-            for t2 in range(t):
-                M[n - 1 + 2 * t2] = 1
-            M[q] = 2
+            M = {"length": q + 2, "entries": [[n - 1 + 2 * t2, 1] for t2 in range(t)] + [[q, 2]]}
             v = _violation_at(M, n, q + 1, "alternating")
             return SymbolicFact(
                 FactKind.Contradiction,
@@ -284,6 +316,15 @@ def pinned_mean_index(n: int, case: Case = Case.NCG1, p_parity: int = 0) -> Frac
 
 # -- the replay engine -----------------------------------------------------
 
+# the odd-n numbers of the equations that even n cites as the keys
+_ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
+             "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
+
+
+def _rule(n: int, even_rule: str) -> str:
+    return even_rule if n % 2 == 0 else _ODD_RULE.get(even_rule, even_rule)
+
+
 def _shape_vacuity(n: int, case: Case) -> str | None:
     """Reason the case shape is unsatisfiable at this n, or None."""
     if case is Case.NCG2 and n < 4:
@@ -318,39 +359,45 @@ def _morse_parity_fact(n: int, i1_parity: int) -> SymbolicFact:
     )
 
 
-def _corollary_6_4(n: int) -> list[SymbolicFact]:
+def _corollary_6_4(n: int, parity_step: int) -> list[SymbolicFact]:
+    """The L6.2, L6.3 and Cor6.4 steps, to follow the Prop2.1 step at index parity_step."""
     cfg = "even-n" if n % 2 == 0 else "odd-n"
     upper = check_lemma_6_2(n)
-    lower = check_lemma_6_3(n, cfg)
+    lower = dataclasses.replace(check_lemma_6_3(n, cfg), premises=(parity_step,))
     pin = SymbolicFact(
         FactKind.IndexEquals,
         f"i(c) = {n - 1}",
         "Cor6.4",
         {"i_c": n - 1},
+        (parity_step + 1, parity_step + 2),
     )
     return [upper, lower, pin]
 
 
-def _contradiction(statement: str, kind: str, rule: str, payload: dict) -> SymbolicFact:
+def _contradiction(statement: str, kind: str, rule: str, payload: dict,
+                   premises: tuple[int, ...]) -> SymbolicFact:
     payload = dict(payload)
     payload["contradiction_kind"] = kind
-    return SymbolicFact(FactKind.Contradiction, statement, rule, payload)
+    return SymbolicFact(FactKind.Contradiction, statement, rule, payload, premises)
 
 
 def _replay_ncg1(n: int) -> ProofTrace:
     steps: list[SymbolicFact] = [check_lemma_6_1(n)]
     pin_fact, ihat = _fact_identity_pin(n, Case.NCG1, 0)
     steps.append(pin_fact)
+    pin = len(steps) - 1
     steps.append(_morse_parity_fact(n, (n - 1) % 2))
-    steps.extend(_corollary_6_4(n))
+    steps.extend(_corollary_6_4(n, len(steps) - 1))
+    cor = len(steps) - 1
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
     # least one rotation contributing strictly positive angle forces p = 0.
     steps.append(
         SymbolicFact(
             FactKind.IndexEquals,
             f"2p + (n-2r-1) = {n - 1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
-            "Eq(6.7)" if n % 2 == 0 else "Eq(6.19)",
+            _rule(n, "Eq(6.7)"),
             {"p": 0, "r": 0, "ihat": ihat},
+            (pin, cor),
         )
     )
     terms = n - 1
@@ -359,23 +406,27 @@ def _replay_ncg1(n: int) -> ProofTrace:
         SymbolicFact(
             FactKind.MeanIndexEquals,
             f"sum of the {terms} rotation numbers = ihat/2 = {rho_sum}, a rational",
-            "Eq(6.9)" if n % 2 == 0 else "Eq(6.21)",
+            _rule(n, "Eq(6.9)"),
             {"relation": "=", "value": rho_sum, "terms": terms},
+            (len(steps) - 1,),
         )
     )
+    rho_step = len(steps) - 1
 
     m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
     m_star = n if n % 2 == 0 else (n + 1) // 2
     index_values = {1: n - 1}
+    previous = cor  # the step that fixes i(c^(m-1))
     for m in range(2, m1 + 1):
         total = m * rho_sum
-        admissible = sorted(floor_sum_range(m, terms, total))
+        ends = _ends(floor_sum_range(m, terms, total))
         steps.append(
             SymbolicFact(
                 FactKind.FloorSumRange,
-                f"floor sum at m = {m} lies in {admissible}",
-                "Eq(6.11)" if n % 2 == 0 else "Eq(6.23)",
-                {"m": m, "terms": terms, "total": total, "set": admissible},
+                f"floor sum at m = {m} lies in {ends}",
+                _rule(n, "Eq(6.11)"),
+                {"m": m, "terms": terms, "total": total, "set": ends},
+                (rho_step,),
             )
         )
         # uniqueness of the lower degrees forces the top value
@@ -386,49 +437,56 @@ def _replay_ncg1(n: int) -> ProofTrace:
                 f"i(c^{m}) = {index_values[m]} (lower values collide with earlier iterates)",
                 "Claim1",
                 {"m": m, "i": index_values[m]},
+                (len(steps) - 1, previous),
             )
         )
+        previous = len(steps) - 1
     # a failure in any prefix of the table is also one in the full table
     unique = check_lemma_6_5(n, index_values, m1 - 1)
     if unique.kind is FactKind.Contradiction:
-        steps.append(unique)
+        steps.append(dataclasses.replace(unique, premises=(cor, previous)))
         return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
 
     # pigeonhole iterate: the exact rotation sum is an integer there
     total = m_star * rho_sum
     label = f"m = {m_star}" if n % 2 == 0 else f"m2 = {m_star}"
-    admissible = sorted(floor_sum_range(m_star, terms, total))
+    admissible = floor_sum_range(m_star, terms, total)
+    ends = _ends(admissible)
     steps.append(
         SymbolicFact(
             FactKind.FloorSumRange,
-            f"floor sum at {label} lies in {admissible} (exact total {total})",
-            "Eq(6.14)" if n % 2 == 0 else "Eq(6.27)",
-            {"m": m_star, "terms": terms, "total": total, "set": admissible},
+            f"floor sum at {label} lies in {ends} (exact total {total})",
+            _rule(n, "Eq(6.14)"),
+            {"m": m_star, "terms": terms, "total": total, "set": ends},
+            (rho_step,),
         )
     )
-    taken = {n - 1 + 2 * (m - 1): m for m in range(1, m1 + 1)}
-    candidates = {n - 1 + 2 * s for s in admissible}
+    floor_step = len(steps) - 1
     if not admissible:
         steps.append(
             _contradiction(
                 f"pigeonhole at {label}: no admissible floor sum exists, yet the "
                 f"irrational rotation numbers must realize the exact total {total}",
                 "pigeonhole",
-                "Eq(6.14)" if n % 2 == 0 else "Eq(6.27)",
+                _rule(n, "Eq(6.14)"),
                 {"m": m_star, "total": total, "set": []},
+                (pin, floor_step),
             )
         )
         return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
-    if not candidates <= set(taken):
+    taken = {n - 1 + 2 * (m - 1): m for m in range(1, m1 + 1)}
+    candidates = [n - 1 + 2 * s for s in admissible]
+    if not set(candidates) <= taken.keys():
         raise TraceError("pigeonhole range escaped the occupied degrees")
-    collisions = {q: taken[q] for q in sorted(candidates)}
+    collisions = {q: taken[q] for q in candidates}
     steps.append(
         _contradiction(
             f"pigeonhole at {label}: i(c^{m_star}) must equal i(c^r) for some "
             f"r in {sorted(collisions.values())}, contradicting uniqueness",
             "pigeonhole",
             "L6.5",
-            {"m": m_star, "candidates": sorted(candidates), "collisions": collisions},
+            {"m": m_star, "candidates": candidates, "collisions": collisions},
+            (pin, floor_step),
         )
     )
     return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
@@ -448,6 +506,7 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                 "sign",
                 "L6.1",
                 {"ihat": ihat},
+                (0, 1),
             )
         )
         return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "sign")
@@ -460,6 +519,7 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                 "irrationality",
                 "Eq(5.5)",
                 {"ihat": ihat},
+                (0,),
             )
         )
         return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "irrationality")
@@ -473,6 +533,7 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                     "integrality",
                     "Step2-Subcase5.1",
                     {"ihat": ihat, "p_half": ihat / 2},
+                    (0,),
                 )
             )
             return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "integrality")
@@ -484,6 +545,7 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                     "integrality",
                     "Eq(5.5)",
                     {"ihat": ihat},
+                    (0,),
                 )
             )
             return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "integrality")
@@ -491,7 +553,8 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
 
     # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
     steps.append(_morse_parity_fact(n, p_parity))
-    steps.extend(_corollary_6_4(n))
+    steps.extend(_corollary_6_4(n, len(steps) - 1))
+    cor = len(steps) - 1
     k_parity = 0 if case is Case.NCG2 else 1
     delta_even = (p_parity - k_parity) % 2 == 0
     if delta_even:
@@ -502,8 +565,9 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                 f"p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, so "
                 f"n-1 = p <= k contradicts k <= n-2r-2 <= {n - 2}",
                 "rotation-count",
-                "Eq(6.18)" if n % 2 == 0 else "Eq(6.29)",
+                _rule(n, "Eq(6.18)"),
                 {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2},
+                (0, cor),
             )
         )
     else:
@@ -514,8 +578,9 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
                 f"p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
                 f"contradicts k <= n-2r-2 <= {n - 2}",
                 "rotation-count",
-                "Eq(6.17)" if n % 2 == 0 else "Eq(6.31)",
+                _rule(n, "Eq(6.17)"),
                 {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2},
+                (0, cor),
             )
         )
     return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "rotation-count")
@@ -540,12 +605,46 @@ def _replay_case(n: int, case: Case) -> list[ProofTrace]:
 
 # -- independent trace checker ---------------------------------------------
 
+# Every rule a trace may cite, keyed by (rule, contradiction kind), with the
+# rules of the earlier steps whose values it reads, in premise order; "a|b"
+# admits a step of either rule.  Even-n names; _PREMISES[n % 2] is the table.
+_PREMISE_RULES = {
+    ("L6.1", None): (),
+    ("Eq(5.5)", None): (),
+    ("Prop2.1", None): (),
+    ("L6.2", None): (),
+    ("L6.3", None): ("Prop2.1",),
+    ("Cor6.4", None): ("L6.2", "L6.3"),
+    ("Eq(6.7)", None): ("Eq(5.5)", "Cor6.4"),
+    ("Eq(6.9)", None): ("Eq(6.7)",),
+    ("Eq(6.11)", None): ("Eq(6.9)",),
+    ("Claim1", None): ("Eq(6.11)", "Claim1|Cor6.4"),  # its floor sum, the iterate before
+    ("Eq(6.14)", None): ("Eq(6.9)",),
+    ("L6.5", None): ("Cor6.4", "Claim1"),
+    ("L6.5", "pigeonhole"): ("Eq(5.5)", "Eq(6.14)"),
+    ("Eq(6.14)", "pigeonhole"): ("Eq(5.5)", "Eq(6.14)"),
+    ("L6.1", "sign"): ("Eq(5.5)", "L6.1"),
+    ("Eq(5.5)", "irrationality"): ("Eq(5.5)",),
+    ("Eq(5.5)", "integrality"): ("Eq(5.5)",),
+    ("Step2-Subcase5.1", "integrality"): ("Eq(5.5)",),
+    ("Eq(6.17)", "rotation-count"): ("Eq(5.5)", "Cor6.4"),
+    ("Eq(6.18)", "rotation-count"): ("Eq(5.5)", "Cor6.4"),
+}
+_PREMISES = tuple(
+    {(_rule(parity, rule), kind): tuple(tuple(_rule(parity, r) for r in slot.split("|"))
+                                        for slot in slots)
+     for (rule, kind), slots in _PREMISE_RULES.items()}
+    for parity in (0, 1)
+)
+
+
 def verify_trace(trace: ProofTrace) -> bool:
     """Re-validate every numeric claim of a trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check; returns True otherwise.
     The checker recomputes each quantity from the payload inputs rather
-    than trusting the recorded statement strings.
+    than trusting the recorded statement strings, and requires each step's
+    premises to be earlier steps of the rules its own rule reads.
     """
     n = trace.n
     if trace.verdict is Verdict.VACUOUS:
@@ -557,7 +656,8 @@ def verify_trace(trace: ProofTrace) -> bool:
     if not trace.steps or trace.steps[-1].kind is not FactKind.Contradiction:
         raise TraceError("contradiction trace must end in a Contradiction fact")
     pinned = None  # the ihat this trace's own Eq(5.5) step pins
-    for fact in trace.steps:
+    for i, fact in enumerate(trace.steps):
+        _verify_premises(n, trace.steps, i)
         _verify_fact(n, fact)
         p = fact.payload
         if fact.kind is FactKind.MeanIndexEquals and "s" in p:
@@ -569,6 +669,23 @@ def verify_trace(trace: ProofTrace) -> bool:
     return True
 
 
+def _verify_premises(n: int, steps: tuple[SymbolicFact, ...], i: int) -> None:
+    fact = steps[i]
+    slots = _PREMISES[n % 2].get((fact.rule, fact.payload.get("contradiction_kind")))
+    if slots is None:
+        raise TraceError(f"rule {fact.rule!r} is not a step of the derivation at n = {n}")
+    premises = fact.premises
+    if not (isinstance(premises, tuple) and len(premises) == len(slots) and all(
+            type(j) is int and 0 <= j < i and steps[j].rule in slot
+            for j, slot in zip(premises, slots))):
+        raise TraceError(f"premises {premises!r} of step {i} ({fact.rule}) are not earlier "
+                         f"steps of the rules {[' or '.join(s) for s in slots]}")
+    if fact.rule == "Claim1":  # its own floor sum, and the iterate just before it
+        m = fact.payload["m"]
+        if [steps[j].payload.get("m") for j in premises] != [m, m - 1 if m > 2 else None]:
+            raise TraceError(f"Claim1 at m = {m} must rest on its floor sum and on i(c^{m - 1})")
+
+
 def _verify_fact(n: int, fact: SymbolicFact) -> None:
     p = fact.payload
     if fact.kind is FactKind.MeanIndexEquals and "s" in p:
@@ -577,13 +694,13 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
             raise TraceError(f"identity re-check failed: {fact.statement}")
     if fact.kind is FactKind.FloorSumRange:
         expected = floor_sum_range(p["m"], p["terms"], Fraction(p["total"]))
-        if set(p["set"]) != expected:
+        if p["set"] != _ends(expected):
             raise TraceError(f"floor-sum range re-check failed: {fact.statement}")
     if fact.rule == "L6.2" or (fact.rule == "L6.1" and fact.kind is not FactKind.Contradiction):
-        # the evidence is required, and it is the one failure of the table [0]*n
+        # the evidence is required, and it is the one failure of the zero table
         M, v = _lemma_6_1_failure(n)
         if p.get("hypothetical_M") != M or p.get("evidence") != v:
-            raise TraceError(f"{fact.rule} evidence not reproduced: expected {v} of [0]*{n}")
+            raise TraceError(f"{fact.rule} evidence not reproduced: expected {v} of {M}")
     elif "evidence" in p:
         _verify_violation(n, p["evidence"], p.get("hypothetical_M"))
     if fact.rule == "L6.3":
@@ -598,8 +715,8 @@ def _verify_fact(n: int, fact: SymbolicFact) -> None:
         _verify_contradiction(n, fact)
 
 
-def _verify_violation(n: int, v: Violation, M: list[int] | None) -> None:
-    if not isinstance(M, list) or _violation_at(M, n, v.q, v.kind) != v:
+def _verify_violation(n: int, v: Violation, M: dict | None) -> None:
+    if not isinstance(v, Violation) or _violation_at(M, n, v.q, v.kind) != v:
         raise TraceError(f"cited violation not reproduced from its table: {v}")
 
 
@@ -641,10 +758,18 @@ def _verify_contradiction(n: int, fact: SymbolicFact) -> None:
 
 # -- certificate serialization ---------------------------------------------
 
+CERTIFICATE_SCHEMA = 2
+
+
 def certificate(n: int, traces: list[ProofTrace] | None = None) -> dict:
+    """The certificate of these traces (by default all of them); one that
+    leaves a case shape out is marked partial."""
     if traces is None:
         traces = replay(n)
-    return {"n": n, "traces": [t.to_json() for t in traces]}
+    doc = {"schema": CERTIFICATE_SCHEMA, "n": n, "traces": [t.to_json() for t in traces]}
+    if {t.case for t in traces} != set(Case):
+        doc["partial"] = True
+    return doc
 
 
 def certificate_json(n: int) -> str:

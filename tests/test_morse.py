@@ -20,7 +20,14 @@ from indexlab import (
     poincare_series_truncated,
 )
 from indexlab.exact import ExactReal
-from indexlab.morse import MorseTable, NonTerminatingSumError, Violation, betti_values, iterate_cutoff
+from indexlab.morse import (
+    MorseTable,
+    NonTerminatingSumError,
+    Violation,
+    alternating_betti_sum,
+    betti_values,
+    iterate_cutoff,
+)
 
 from conftest import random_model
 
@@ -174,6 +181,22 @@ class TestBettiValues:
             values = betti_values(n, h)
             assert values == reference[: h + 1]
             assert values == list(poincare_series_truncated(n, h).coefficients)
+
+
+class TestAlternatingBettiSum:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_the_series_partial_sums(self, n):
+        # b_q - b_{q-1} + ... read off the generating function, q up to 8n
+        coefficients = poincare_series_truncated(n, 8 * n).coefficients
+        alt = 0
+        for q, b_q in enumerate(coefficients):
+            alt = b_q - alt
+            assert alternating_betti_sum(n, q) == alt, q
+        assert alternating_betti_sum(n, -1) == 0
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError):
+            alternating_betti_sum(1, 3)
 
 
 class TestEulerLimit:

@@ -28,6 +28,22 @@ from indexlab.prover import (
 )
 
 
+def _sparse(dense):
+    return {"length": len(dense), "entries": [[q, v] for q, v in enumerate(dense) if v]}
+
+
+def _dense(sparse):
+    dense = [0] * sparse["length"]
+    for q, v in sparse["entries"]:
+        dense[q] = v
+    return dense
+
+
+def _expanded(ends):
+    """The integers a certificate's [first, last] (or []) stands for."""
+    return list(range(ends[0], ends[1] + 1)) if ends else []
+
+
 class TestThetaSet:
     @pytest.mark.parametrize("n,expected", [(4, {3, 5, 7}), (5, {4, 6}), (2, {1}), (3, {2}), (6, {5, 7, 9, 11, 13})])
     def test_members(self, n, expected):
@@ -37,21 +53,21 @@ class TestThetaSet:
 class TestFloorSumRange:
     def test_integer_total_pigeonhole(self):
         # n = 5 situation: m = 5 floors of irrationals summing exactly to 4
-        assert floor_sum_range(5, 4, Fraction(4)) == {1, 2, 3}
+        assert floor_sum_range(5, 4, Fraction(4)) == range(1, 4)
 
     def test_generic_total_stays_below_m(self):
         for m in range(1, 30):
             n = 6
             total = Fraction(m * (n - 1), n)
             got = floor_sum_range(m, n - 1, total)
-            assert got <= set(range(0, m))
+            assert set(got) <= set(range(0, m))
 
     def test_single_term(self):
-        assert floor_sum_range(1, 1, Fraction(1, 2)) == {0}
+        assert floor_sum_range(1, 1, Fraction(1, 2)) == range(0, 1)
 
     def test_empty_range_possible(self):
         # one irrational in (0, 1) cannot have 2*rho = 1
-        assert floor_sum_range(2, 1, Fraction(1)) == set()
+        assert not floor_sum_range(2, 1, Fraction(1))
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(2, 10**4), st.data())
@@ -62,7 +78,7 @@ class TestFloorSumRange:
         first = max(0, math.floor(total - terms) + 1)
         last = math.ceil(total) - 1
         got = floor_sum_range(m, terms, total)
-        assert type(got) is set and got == set(range(first, last + 1))
+        assert type(got) is range and got == range(first, last + 1)
 
     def test_inconsistent_total_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +216,7 @@ class TestReplay:
             for fact in ncg1.steps:
                 if fact.kind is FactKind.FloorSumRange:
                     m = fact.payload["m"]
-                    assert set(fact.payload["set"]) <= set(range(0, m))
+                    assert set(_expanded(fact.payload["set"])) <= set(range(0, m))
 
 
 class TestVerifier:
@@ -221,10 +237,9 @@ class TestVerifier:
         bad_steps = list(t.steps)
         for i, fact in enumerate(bad_steps):
             if fact.kind is FactKind.FloorSumRange:
-                bad_steps[i] = SymbolicFact(
-                    fact.kind, fact.statement, fact.rule,
-                    {**fact.payload, "set": sorted(set(fact.payload["set"]) | {99})},
-                )
+                # the range widened to reach 99
+                bad_steps[i] = dataclasses.replace(
+                    fact, payload={**fact.payload, "set": [fact.payload["set"][0], 99]})
                 break
         bad = type(t)(t.n, t.case, t.subcase, tuple(bad_steps), t.verdict, t.detail)
         with pytest.raises(TraceError):
@@ -236,8 +251,8 @@ class TestVerifier:
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
         fact = t.steps[0]
         evidence = dataclasses.replace(fact.payload["evidence"], **change)
-        bad_steps = (SymbolicFact(fact.kind, fact.statement, fact.rule,
-                                  {**fact.payload, "evidence": evidence}),) + t.steps[1:]
+        bad_steps = (dataclasses.replace(fact, payload={**fact.payload, "evidence": evidence}),
+                     ) + t.steps[1:]
         bad = type(t)(t.n, t.case, t.subcase, bad_steps, t.verdict, t.detail)
         with pytest.raises(TraceError, match="not reproduced"):
             verify_trace(bad)
@@ -245,7 +260,9 @@ class TestVerifier:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_cited_violation_matches_the_full_scan(self, data):
+        # a dense table, cited in its sparse form, against the full scan of the dense one
         M = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+        sparse = _sparse(M)
         n = data.draw(st.integers(2, 12))
         q = data.draw(st.integers(-1, len(M)))
         kind = data.draw(st.sampled_from(["alternating", "pointwise"]) | st.text(max_size=12))
@@ -253,18 +270,81 @@ class TestVerifier:
         [found] = [v for v in scan if (v.q, v.kind) == (q, kind)] or [None]
         if found is None:
             with pytest.raises(TraceError):
-                _violation_at(M, n, q, kind)
+                _violation_at(sparse, n, q, kind)
         else:
-            assert _violation_at(M, n, q, kind) == found
+            assert _violation_at(sparse, n, q, kind) == found
         lhs, rhs = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
         if found is not None and data.draw(st.booleans()):
             lhs, rhs = found.lhs, found.rhs
         cited = Violation(q, kind, lhs, rhs)
         if cited in scan:
-            _verify_violation(n, cited, M)
+            _verify_violation(n, cited, sparse)
         else:
             with pytest.raises(TraceError):
-                _verify_violation(n, cited, M)
+                _verify_violation(n, cited, sparse)
+
+    def test_malformed_evidence_of_the_lemma_6_5_failure(self):
+        fact = check_lemma_6_5(4, {1: 3, 2: 3}, 0)
+        p = fact.payload
+        table = p["hypothetical_M"]
+        for evidence, M in ((None, table), (p["evidence"], {**table, "entries": [[3, "x"]]})):
+            with pytest.raises(TraceError):
+                _verify_violation(4, evidence, M)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_malformed_evidence_raises_trace_error(self, data):
+        # a genuine cited failure, the L6.5 duplicate-degree table, then one
+        # defect in its evidence or its table
+        n = data.draw(st.integers(2, 12))
+        # from n = 4 on, the duplicate sits one degree up and the table has two entries
+        fact = (check_lemma_6_5(n, {1: n - 1, 2: n - 1}, 0) if n < 4
+                else check_lemma_6_5(n, {1: n - 1, 2: n + 1, 3: n + 1}, 1))
+        v, M = fact.payload["evidence"], fact.payload["hypothetical_M"]
+        _verify_violation(n, v, M)
+        length, entries = M["length"], M["entries"]
+        not_int = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+        q_free = st.integers(0, length - 1).filter(lambda q: q not in dict(entries))
+        defect = data.draw(st.sampled_from([
+            "evidence", "violation field", "table", "keys", "length", "length < 1",
+            "entries", "pair", "order", "range", "zero"]))
+        if defect == "evidence":
+            v = data.draw(not_int | st.integers() | st.just((v.q, v.kind, v.lhs, v.rhs))
+                          | st.just({"q": v.q, "kind": v.kind, "lhs": v.lhs, "rhs": v.rhs}))
+        elif defect == "violation field":
+            v = dataclasses.replace(v, q=data.draw(not_int | st.integers(length, length + 5)
+                                                   | st.integers(-5, -1)))
+        elif defect == "table":
+            M = data.draw(not_int | st.just(_dense(M)) | st.just(list(M.items())))
+        elif defect == "keys":
+            M = data.draw(st.sampled_from([{"length": length}, {"entries": entries},
+                                           {**M, "extra": 0}]))
+        elif defect == "length":
+            M = {**M, "length": data.draw(not_int | st.just(float(length)))}
+        elif defect == "length < 1":
+            M = {**M, "length": data.draw(st.integers(-5, 0))}
+        elif defect == "entries":
+            M = {**M, "entries": data.draw(st.just(tuple(entries)) | st.just(dict(entries))
+                                           | not_int)}
+        elif defect == "pair":
+            k = data.draw(st.integers(0, len(entries) - 1))
+            q, value = entries[k]
+            bad = data.draw(st.sampled_from([[q], [q, value, 0], (q, value), [q, str(value)],
+                                             [float(q), value], [q, float(value)], [q, True],
+                                             [True, value]]))
+            M = {**M, "entries": entries[:k] + [bad] + entries[k + 1:]}
+        elif defect == "order":
+            k = data.draw(st.integers(0, len(entries) - 1))
+            M = {**M, "entries": entries[:k + 1] + [entries[k]] + entries[k + 1:]}  # repeated q
+            if len(entries) > 1 and data.draw(st.booleans()):
+                M = {**M, "entries": entries[::-1]}  # decreasing q, the same sums
+        elif defect == "range":
+            q = data.draw(st.integers(length, length + 5) | st.integers(-5, -1))
+            M = {**M, "entries": sorted(entries + [[q, 1]])}
+        else:
+            M = {**M, "entries": sorted(entries + [[data.draw(q_free), 0]])}
+        with pytest.raises(TraceError):
+            _verify_violation(n, v, M)
 
     def test_open_trace_rejected(self):
         [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
@@ -273,10 +353,12 @@ class TestVerifier:
             verify_trace(open_trace)
 
 
-def _replaced(trace, index, payload):
+def _replaced(trace, index, payload=None, **changes):
+    """The trace with step `index` given this payload and these other field values."""
     fact = trace.steps[index]
     steps = list(trace.steps)
-    steps[index] = SymbolicFact(fact.kind, fact.statement, fact.rule, payload)
+    steps[index] = dataclasses.replace(fact, payload=fact.payload if payload is None else payload,
+                                       **changes)
     return dataclasses.replace(trace, steps=tuple(steps))
 
 
@@ -370,22 +452,29 @@ class TestMutations:
                             verify_trace(_replaced(t, i, payload))
         assert len(kinds) == 2 * 2 + 5, sorted(kinds)
 
-    def test_forged_evidence_needs_a_list_table(self):
+    def test_forged_evidence_needs_a_sparse_table(self):
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
         p = t.steps[0].payload
         forged = {**_without(p, "hypothetical_M"), "evidence": Violation(0, "pointwise", -7, 5)}
         with pytest.raises(TraceError):
             verify_trace(_replaced(t, 0, forged))
-        with pytest.raises(TraceError):
-            verify_trace(_tampered(t, 0, hypothetical_M=tuple(p["hypothetical_M"])))
+        for table in (_dense(p["hypothetical_M"]), {**p["hypothetical_M"], "entries": ()}):
+            with pytest.raises(TraceError):
+                verify_trace(_tampered(t, 0, hypothetical_M=table))
 
     def test_lemma_6_5_contradiction_needs_its_evidence(self):
-        fact = check_lemma_6_5(4, {1: 3, 2: 3}, 0)
-        trace = ProofTrace(4, Case.NCG1, "", (fact,), Verdict.CONTRADICTION, "pigeonhole")
+        # the NCG1 trace of n = 4, closed by the duplicate-degree failure
+        # instead, which rests on Cor6.4 and the last Claim1
+        [t] = [x for x in replay(4) if x.case is Case.NCG1]
+        rules = [f.rule for f in t.steps]
+        premises = (rules.index("Cor6.4"), len(rules) - 1 - rules[::-1].index("Claim1"))
+        fact = dataclasses.replace(check_lemma_6_5(4, {1: 3, 2: 3}, 0), premises=premises)
+        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,))
         assert verify_trace(trace)
+        last = len(trace.steps) - 1
         for key in ("evidence", "hypothetical_M"):
             with pytest.raises(TraceError):
-                verify_trace(_replaced(trace, 0, _without(fact.payload, key)))
+                verify_trace(_replaced(trace, last, _without(fact.payload, key)))
 
     def test_every_ihat_is_the_pinned_value(self):
         applied = set()
@@ -422,6 +511,47 @@ class TestMutations:
                     verify_trace(bad)
         assert mutants > 0
 
+    def test_premises_are_checked(self):
+        applied = dict.fromkeys(["dropped", "forward", "other rule", "relabelled L6.3"], 0)
+        for n in range(2, 41):
+            for t in replay(n):
+                latest = {}  # rule -> its latest step before step i
+                for i, fact in enumerate(t.steps):
+                    mutants = []
+                    for k, j in enumerate(fact.premises):
+                        def swap(x):
+                            return fact.premises[:k] + (x,) + fact.premises[k + 1:]
+                        mutants.append(("dropped", fact.premises[:k] + fact.premises[k + 1:]))
+                        mutants += [("forward", swap(i)), ("forward", swap(i + 1))]
+                        others = [x for rule, x in latest.items() if rule != t.steps[j].rule]
+                        # every other rule up to n = 12, where each rule of both parities
+                        # already occurs; past it the latest step of another rule
+                        mutants += [("other rule", swap(x))
+                                    for x in (others[-1:] if n > 12 else others)]
+                    latest[fact.rule] = i
+                    for kind, premises in mutants:
+                        applied[kind] += 1
+                        with pytest.raises(TraceError):
+                            verify_trace(_replaced(t, i, premises=premises))
+                    if fact.rule == "L6.3":
+                        applied["relabelled L6.3"] += 1
+                        with pytest.raises(TraceError):
+                            verify_trace(_replaced(t, i, {**fact.payload, "refuted": []},
+                                                   rule="L6.4"))
+        assert all(applied.values()), applied
+
+    def test_claim1_rests_on_its_own_floor_sum_and_the_iterate_before(self):
+        # right rules, wrong steps: the checker also matches the iterates m
+        [t] = [x for x in replay(9) if x.case is Case.NCG1]
+        rules = [f.rule for f in t.steps]
+        claims = [i for i, r in enumerate(rules) if r == "Claim1"]  # m = 2, 3, 4
+        i = claims[-1]
+        own_sum, before = t.steps[i].premises
+        cor = rules.index("Cor6.4")
+        for premises in ((own_sum - 2, before), (own_sum, claims[0]), (own_sum, cor)):
+            with pytest.raises(TraceError, match="Claim1 at m = 4"):
+                verify_trace(_replaced(t, i, premises=premises))
+
     def test_untampered_traces_verify(self):
         for n in range(2, 61):
             for t in replay(n):
@@ -431,14 +561,14 @@ class TestMutations:
 # sha256 of certificate_json(n), pinned so that any change to the certificate
 # bytes is deliberate; a schema change updates these and says so in CHANGES.md
 GOLDEN_SHA256 = {
-    2: "9ec8bd890086320d8a5b79f7eaca7872db8bd28ed0ca81f2248140eceeae760f",
-    3: "f17ab20a0e131ae36bfa939e92eedce8f4a4a0ec71866357412d90811471c8f9",
-    4: "d2c94890b74be9d5577a32363dccb3e27f7b41961e9db04281f70491b8c7f4c7",
-    5: "a32537d1822155e06119ac2eeb5f6ab3fcf66531c6cc20c9ecbd482a9c5ae658",
-    12: "bee0b289066dc28201fedd60e09a94520bc78abe376aec3333299dca6eb99d68",
-    81: "0dafbbdbf063264cd526895e0f4a93e747becc106d1fdc4374e5cbb3f3b8edad",
-    120: "ef56f1addb886c997ff75f3349321abe1be9ef312629947cc8f9e19b48d2e205",
-    200: "9a4a701765ab8ea3fcc7fbf8812d2f1e94d3cd888872875c63b8f1f9ce9d5e87",
+    2: "6f4f8fd566d793d3219049e340972657ffacd98206b3e7f5810a45e41ecc4b92",
+    3: "e3466483229013f7f7969bd1aa42e62223137bf1dadaceaae7fefc5fc2c22ed2",
+    4: "0d472fb3ffdf76abedce50a038b9a111e07523a94511e20d7e76b777180efcdd",
+    5: "82f7e4f019734f0381cf4a80cc6e0a207e9f6d5b8355a5030f89d99cc43f71d7",
+    12: "9d373dabce38c1b397cb4b9c6af0127ea0339de015bca8b35ab56a8055ad87a1",
+    81: "196d44209a559873537b62c4ed125febc1da66b205a71d4c846068550c83f162",
+    120: "82df4b8609b0fd4ae9ccba8a4d05b105fe7aea81beabaa0402c0f3daae85d056",
+    200: "23c61dad67c67ad214416599b18d0d02d00df41c2660ab5001d0d769bd45fd83",
 }
 
 
@@ -452,11 +582,54 @@ class TestCertificate:
 
     def test_schema(self):
         doc = json.loads(certificate_json(4))
-        assert doc["n"] == 4
+        assert (doc["schema"], doc["n"]) == (2, 4)
+        assert set(doc) == {"schema", "n", "traces"}  # a full certificate is not partial
         for trace in doc["traces"]:
             assert trace["verdict"] in ("contradiction", "vacuous")
+            for i, step in enumerate(trace["steps"]):
+                assert set(step) == {"rule", "kind", "statement", "values", "premises"}
+                assert len(step["premises"]) <= 2 and all(0 <= j < i for j in step["premises"])
+
+    def test_one_case_is_partial(self):
+        for case in Case:
+            doc = certificate(7, [t for t in replay(7) if t.case is case])
+            assert (doc["schema"], doc["partial"]) == (2, True)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_decoded_content_matches_the_dense_definitions(self, n):
+        # every range and sparse table of the certificate, expanded back to
+        # dense form, against references built here from the definitions
+        doc = json.loads(certificate_json(n))
+        ranges = tables = 0
+        for trace in doc["traces"]:
             for step in trace["steps"]:
-                assert set(step) == {"rule", "kind", "statement", "values"}
+                p = step["values"]
+                if step["kind"] == "FloorSumRange":
+                    total, terms = Fraction(p["total"]), p["terms"]
+                    # the floor sum lies strictly between total - terms and total, and is >= 0
+                    reference = [s for s in range(math.ceil(total)) if s > total - terms]
+                    assert _expanded(p["set"]) == reference
+                    ranges += 1
+                cited = [p] if "hypothetical_M" in p else []
+                if step["rule"] == "L6.3":
+                    # one table per hypothetical i(c) < n-1 of the parity of n-1, i(c) >= 1
+                    hypotheticals = [i for i in range(1, n - 1) if (i - n + 1) % 2 == 0]
+                    assert [e["i_c"] for e in p["refuted"]] == hypotheticals
+                    for e in p["refuted"]:
+                        assert _dense(e["hypothetical_M"]) == [0] * e["i_c"] + [1, 0]
+                    cited += p["refuted"]
+                elif cited:  # L6.1 and L6.2 suppose M_q = 0 below degree n
+                    assert _dense(p["hypothetical_M"]) == [0] * n
+                for c in cited:
+                    M = _dense(c["hypothetical_M"])
+                    scan = check_morse_inequalities(M, betti_values(n, len(M) - 1), len(M) - 1)
+                    assert Violation(**c["evidence"]) in scan
+                    tables += 1
+        assert ranges == (n - 1 if n % 2 == 0 else (n - 1) // 2) and tables > 0
+
+    def test_bytes_grow_linearly_in_n(self):
+        per_n = [len(certificate_json(n)) / n for n in (1000, 2000, 4000)]
+        assert max(per_n) < 1.1 * min(per_n), per_n
 
     def test_steps_carry_rule_anchors(self):
         doc = certificate(6)
