@@ -137,18 +137,11 @@ class MorseTable:
         return self.values[q] if 0 <= q <= self.horizon else 0
 
 
-def morse_numbers(
-    models: list[GeodesicModel], horizon: int, cutoff_factor: int = 1
-) -> MorseTable:
-    """M_q for 0 <= q <= horizon by certified finite enumeration.
-
-    cutoff_factor inflates the per-model iterate bound; the table is
-    provably invariant under any factor >= 1 (completeness of the cutoff).
-    """
+def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
+    """M_q for 0 <= q <= horizon by certified finite enumeration."""
     values = [0] * (horizon + 1)
     for g in models:
-        mmax = iterate_cutoff(g, horizon) * cutoff_factor
-        for m in range(1, mmax + 1):
+        for m in range(1, iterate_cutoff(g, horizon) + 1):
             i_m, _ = index_of_iterate(g, m)
             if 0 <= i_m <= horizon:
                 values[i_m] += critical_module_dim(g, m, i_m)

@@ -14,7 +14,6 @@ sum of irrationals, which no concrete choice could exhibit.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
@@ -175,23 +174,15 @@ def _violation_at(M: dict, n: int, q: int, kind: str) -> Violation:
                      + (f": table {fault}" if fault else ""))
 
 
+def _verify_violation(n: int, v: Violation, M: dict | None) -> None:
+    if not isinstance(v, Violation) or _violation_at(M, n, v.q, v.kind) != v:
+        raise TraceError(f"cited violation not reproduced from its table: {v}")
+
+
 def _lemma_6_1_failure(n: int) -> tuple[dict, Violation]:
     """The zero table of length n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
     M = {"length": n, "entries": []}
     return M, _violation_at(M, n, n - 1, "pointwise")
-
-
-def _lemma_6_3_refutations(n: int) -> list[dict]:
-    """One refutation per hypothetical i(c) < n-1 of the parity of n-1, in order.
-
-    The table puts 1 at degree i(c); its alternating sum fails at i(c) + 1.
-    """
-    refuted = []
-    for i0 in range(1 + n % 2, n - 2, 2):
-        M = {"length": i0 + 2, "entries": [[i0, 1]]}
-        refuted.append({"i_c": i0, "evidence": _violation_at(M, n, i0 + 1, "alternating"),
-                        "hypothetical_M": M})
-    return refuted
 
 
 def check_lemma_6_1(n: int) -> SymbolicFact:
@@ -223,13 +214,18 @@ def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
 
     parity_config "even-n": n even, i(c) odd, all even-degree M vanish;
     "odd-n": n odd, i(c) even, all odd-degree M vanish.  Every admissible
-    hypothetical i(c) < n-1 is refuted by an exact alternating-sum failure.
+    hypothetical i(c) < n-1, in increasing order, is refuted by an exact
+    alternating-sum failure: the table with 1 at degree i(c) fails at i(c) + 1.
     """
     if parity_config not in ("even-n", "odd-n"):
         raise PreconditionError(f"unknown parity config {parity_config!r}")
     if parity_config != ("even-n" if n % 2 == 0 else "odd-n"):
         raise PreconditionError(f"config {parity_config!r} requires {parity_config[:-2]} n")
-    refuted = _lemma_6_3_refutations(n)
+    refuted = []
+    for i0 in range(1 + n % 2, n - 2, 2):
+        M = {"length": i0 + 2, "entries": [[i0, 1]]}
+        refuted.append({"i_c": i0, "evidence": _violation_at(M, n, i0 + 1, "alternating"),
+                        "hypothetical_M": M})
     reason = ("each hypothetical below fails the alternating sum: -1 >= 0" if refuted
               else "hypothesis range below n-1 is empty")
     return SymbolicFact(
@@ -240,12 +236,22 @@ def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
     )
 
 
+def _lemma_6_3(n: int) -> SymbolicFact:
+    """Lemma 6.3 in the parity configuration of n."""
+    return check_lemma_6_3(n, "even-n" if n % 2 == 0 else "odd-n")
+
+
+def _duplicate_degree_table(n: int, q: int) -> dict:
+    """Two iterates at degree q, and one at each degree n-1, n+1, ... below it."""
+    return {"length": q + 2, "entries": [[j, 1] for j in range(n - 1, q, 2)] + [[q, 2]]}
+
+
 def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFact:
     """Uniqueness of the iterate hitting each degree n-1+2t on Theta(n), t <= k.
 
     Preconditions: i(c) = n-1 and (i(c^m) - i(c))/2 in {0, ..., m-1} for all
     supplied m.  A duplicated degree reproduces the exact alternating-sum
-    contradiction, which is returned as a Contradiction fact.
+    contradiction, which is returned as a "duplicate-degree" Contradiction fact.
     """
     if index_values.get(1) != n - 1:
         raise PreconditionError("requires i(c) = n - 1")
@@ -266,13 +272,14 @@ def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFac
         hits = assignments.get(q, [])
         if len(hits) > 1:
             # reproduce the exact contradiction for a duplicated degree
-            M = {"length": q + 2, "entries": [[n - 1 + 2 * t2, 1] for t2 in range(t)] + [[q, 2]]}
+            M = _duplicate_degree_table(n, q)
             v = _violation_at(M, n, q + 1, "alternating")
             return SymbolicFact(
                 FactKind.Contradiction,
                 f"two iterates {hits[:2]} share i = {q}: {v.lhs} >= {v.rhs} fails at q = {q + 1}",
                 "L6.5",
-                {"degree": q, "iterates": hits, "evidence": v, "hypothetical_M": M},
+                {"degree": q, "iterates": hits, "evidence": v, "hypothetical_M": M,
+                 "contradiction_kind": "duplicate-degree"},
             )
     return SymbolicFact(
         FactKind.IndexEquals,
@@ -314,7 +321,7 @@ def pinned_mean_index(n: int, case: Case = Case.NCG1, p_parity: int = 0) -> Frac
     return Fraction(s) / (N * euler_limit(n))
 
 
-# -- the replay engine -----------------------------------------------------
+# -- the rule table --------------------------------------------------------
 
 # the odd-n numbers of the equations that even n cites as the keys
 _ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
@@ -324,6 +331,181 @@ _ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)
 def _rule(n: int, even_rule: str) -> str:
     return even_rule if n % 2 == 0 else _ODD_RULE.get(even_rule, even_rule)
 
+
+def _is_product(x: Fraction, k: int, y: Fraction) -> bool:
+    """x == k*y, by integer cross-multiplication."""
+    return x.numerator * y.denominator == k * y.numerator * x.denominator
+
+
+def _pinned(p: dict, pin: dict) -> Fraction:
+    """The step's ihat, which must be the value its Eq(5.5) premise pins."""
+    if p["ihat"] != pin["value"]:
+        raise TraceError(f"ihat = {p['ihat']} is not the pinned mean index {pin['value']}")
+    return p["ihat"]
+
+
+# Each check reads the trace, the step's values and those of its premises,
+# and raises TraceError unless the values follow from n and the premises.
+
+def _lemma(check_lemma):
+    """The check of a lemma step: its values are those the lemma derives at this n."""
+    def check(t, p, *premises):
+        if p != check_lemma(t.n).payload:
+            raise TraceError("values not reproduced by the lemma at this n")
+    return check
+
+
+def _check_identity(t, p):
+    n, p_parity = t.n, int(t.subcase == "p odd")
+    if (p["N"], p["s"]) != _period_and_sign(t.case, p_parity, n):
+        raise TraceError(f"(N, s) = ({p['N']}, {p['s']}) of the identity do not fit the case")
+    R = euler_limit(n)  # s/(N*ihat) = R
+    if p["relation"] != "=" or p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
+        raise TraceError(f"identity re-check failed for ihat = {p['value']}")
+
+
+def _check_morse_parity(t, p):
+    if (p["i1_parity"], p["zero_parity"]) != ((t.n - 1) % 2, "odd" if t.n % 2 else "even"):
+        raise TraceError("Prop2.1 must give i(c) the parity of n-1")
+
+
+def _check_corollary_6_4(t, p, upper, lower):
+    if not p["i_c"] == upper["max"] == lower["min"] == t.n - 1:
+        raise TraceError("Cor6.4 must pin i(c) = n-1 from the L6.2 and L6.3 bounds")
+
+
+def _check_eq_6_7(t, p, pin, cor):
+    if _pinned(p, pin) >= 2 or p["p"] != 0 or p["r"] != 0:
+        raise TraceError("i(c) = n-1 and ihat < 2 must force p = r = 0")
+
+
+def _check_eq_6_9(t, p, p_r):
+    if p["relation"] != "=" or p["terms"] != t.n - 1 or not _is_product(p_r["ihat"], 2, p["value"]):
+        raise TraceError("the n-1 rotation numbers must sum to ihat/2")
+
+
+def _check_floor_sum(t, p, rho):
+    m, terms, total = p["m"], p["terms"], p["total"]
+    if (terms != rho["terms"] or not _is_product(total, m, rho["value"])
+            or p["set"] != _ends(floor_sum_range(m, terms, total))):
+        raise TraceError(f"floor-sum range re-check failed at m = {m}")
+
+
+def _check_claim_1(t, p, floor, before):
+    m, i = p["m"], p["i"]  # i(c^m) is the top of its floor-sum range, 2 above i(c^(m-1))
+    if (floor["m"] != m or before.get("m", 1) != m - 1
+            or not i == before.get("i", before.get("i_c")) + 2 == t.n - 1 + 2 * floor["set"][1]):
+        raise TraceError(f"Claim1 at m = {m} must rest on its floor sum and on i(c^{m - 1})")
+
+
+def _check_pigeonhole(t, p, pin, floor):
+    # each admissible floor sum s puts i(c^m) on the degree of the earlier iterate s + 1
+    first, last = floor["set"]
+    collisions = {t.n - 1 + 2 * s: s + 1 for s in range(first, last + 1)}
+    if (p["m"] != floor["m"] or last + 1 >= p["m"] or p["candidates"] != list(collisions)
+            or p["collisions"] != collisions):
+        raise TraceError("pigeonhole candidates and collisions do not follow from the floor sums")
+
+
+def _check_empty_range(t, p, pin, floor):
+    if floor["set"] or (p["m"], p["total"], p["set"]) != (floor["m"], floor["total"], []):
+        raise TraceError("empty-range pigeonhole needs the empty floor-sum range of its premise")
+
+
+def _check_duplicate_degree(t, p, cor, claim):
+    M = p.get("hypothetical_M")
+    if len(set(p["iterates"])) < 2 or M != _duplicate_degree_table(t.n, p["degree"]):
+        raise TraceError("duplicate-degree table not reproduced from two iterates at its degree")
+    _verify_violation(t.n, p.get("evidence"), M)
+
+
+def _check_sign(t, p, pin, lemma_6_1):
+    if _pinned(p, pin) > 0:
+        raise TraceError("sign contradiction cites a positive mean index")
+
+
+def _check_irrationality(t, p, pin):
+    if _pinned(p, pin) <= 0:
+        raise TraceError("irrationality contradiction needs a positive pinned value")
+
+
+def _check_integrality(t, p, pin):
+    if _pinned(p, pin).denominator == 1:
+        raise TraceError("integrality contradiction cites an integer value")
+
+
+def _check_p_half(t, p, pin):
+    ihat = _pinned(p, pin)  # ihat = p, a positive even integer, so p/2 >= 1
+    if t.subcase != "p even" or not 0 < ihat < 2 or not _is_product(ihat, 2, p["p_half"]):
+        raise TraceError("p/2 contradiction needs p even and 0 < p/2 = ihat/2 < 1")
+
+
+def _check_rotation_count(t, p, pin, bound):
+    # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17))
+    odd = (int(t.subcase == "p odd") - (t.case is Case.NCG3)) % 2
+    if (bound != 2 - odd or _pinned(p, pin) >= bound
+            or (p["k_lower"], p["k_upper"]) != (t.n - 1, t.n - 2)):
+        raise TraceError(f"rotation count needs the rule of the parity of p - k, ihat < {bound}, "
+                         "k >= n-1 and k <= n-2")
+
+
+_C = FactKind.Contradiction
+# Every step a trace may take, keyed by (rule, contradiction kind): the kind
+# of fact it states, the rules of the earlier steps it reads, in premise
+# order ("a|b" admits a step of either rule), and the check of its values.
+# Even-n names; _TABLE[n % 2] is the table for n.
+_RULES = {
+    ("L6.1", None): (FactKind.MeanIndexEquals, (), _lemma(check_lemma_6_1)),
+    ("Eq(5.5)", None): (FactKind.MeanIndexEquals, (), _check_identity),
+    ("Prop2.1", None): (FactKind.MorseZeroParity, (), _check_morse_parity),
+    ("L6.2", None): (FactKind.IndexRange, (), _lemma(check_lemma_6_2)),
+    ("L6.3", None): (FactKind.IndexRange, ("Prop2.1",), _lemma(_lemma_6_3)),
+    ("Cor6.4", None): (FactKind.IndexEquals, ("L6.2", "L6.3"), _check_corollary_6_4),
+    ("Eq(6.7)", None): (FactKind.IndexEquals, ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
+    ("Eq(6.9)", None): (FactKind.MeanIndexEquals, ("Eq(6.7)",), _check_eq_6_9),
+    ("Eq(6.11)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
+    ("Claim1", None): (FactKind.IndexEquals, ("Eq(6.11)", "Claim1|Cor6.4"), _check_claim_1),
+    ("Eq(6.14)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
+    ("L6.5", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_pigeonhole),
+    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
+    ("L6.5", "duplicate-degree"): (_C, ("Cor6.4", "Claim1"), _check_duplicate_degree),
+    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign),
+    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality),
+    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality),
+    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _check_p_half),
+    ("Eq(6.17)", "rotation-count"):
+        (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor: _check_rotation_count(t, p, pin, 1)),
+    ("Eq(6.18)", "rotation-count"):
+        (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor: _check_rotation_count(t, p, pin, 2)),
+}
+_TABLE = tuple(
+    {(_rule(parity, rule), kind): (fact_kind, tuple(tuple(_rule(parity, r) for r in slot.split("|"))
+                                                    for slot in slots), check)
+     for (rule, kind), (fact_kind, slots, check) in _RULES.items()}
+    for parity in (0, 1)
+)
+# for each rule, the premise slots that a step of that rule fills
+_FILLS = tuple({rule: {s for _, slots, _ in rows.values() for s in slots if rule in s}
+                for rule, _ in rows} for rows in _TABLE)
+
+# the contradictions that may close each case
+_CLOSINGS = {Case.NCG1: ("pigeonhole", "duplicate-degree"), Case.NCG2: ("sign", "rotation-count"),
+             Case.NCG3: ("sign", "rotation-count"), Case.NCG4: ("sign", "irrationality"),
+             Case.NCG5: ("sign", "integrality")}
+
+# the one type each payload key holds
+_VALUE_TYPES = {key: type_ for type_, keys in (
+    (int, "N s m i i_c p r terms max min degree k_lower k_upper i1_parity"),
+    (Fraction, "value rhs ihat total p_half"),
+    (str, "relation zero_parity contradiction_kind"),
+    (bool, "vacuous_hypothesis"),
+    (list, "set candidates iterates refuted"),
+    (dict, "collisions hypothetical_M"),
+    (Violation, "evidence"),
+) for key in keys.split()}
+
+
+# -- the replay engine -----------------------------------------------------
 
 def _shape_vacuity(n: int, case: Case) -> str | None:
     """Reason the case shape is unsatisfiable at this n, or None."""
@@ -336,254 +518,140 @@ def _shape_vacuity(n: int, case: Case) -> str | None:
     return None
 
 
-def _fact_identity_pin(n: int, case: Case, p_parity: int) -> tuple[SymbolicFact, Fraction]:
+class _Steps(list):
+    """The steps of one trace, each linked by `add` to the premises its row
+    names: for each premise slot, the latest earlier step of a rule in it."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n, self.rows, self.fills, self.latest = n, _TABLE[n % 2], _FILLS[n % 2], {}
+
+    def add(self, rule: str, statement: str, payload: dict) -> None:
+        kind, slots, _ = self.rows[rule, payload.get("contradiction_kind")]
+        premises = tuple([self.latest[slot] for slot in slots])
+        self.append(SymbolicFact(kind, statement, rule, payload, premises))
+        for slot in self.fills[rule]:
+            self.latest[slot] = len(self) - 1
+
+    def add_fact(self, fact: SymbolicFact) -> None:
+        self.add(fact.rule, fact.statement, fact.payload)
+
+    def close(self, case: Case, subcase: str = "") -> ProofTrace:
+        """The trace these steps derive, named after the contradiction of its last step."""
+        return ProofTrace(self.n, case, subcase, tuple(self), Verdict.CONTRADICTION,
+                          self[-1].payload["contradiction_kind"])
+
+
+def _identity_pin(steps: _Steps, case: Case, p_parity: int) -> Fraction:
+    """Add the Eq(5.5) step and return the ihat it pins."""
+    n = steps.n
     N, s = _period_and_sign(case, p_parity, n)
     R = euler_limit(n)
     ihat = pinned_mean_index(n, case, p_parity)
-    fact = SymbolicFact(
-        FactKind.MeanIndexEquals,
-        f"identity forces {s:+d}/({N}*ihat) = {R}, i.e. ihat = {ihat}",
-        "Eq(5.5)",
-        {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R},
-    )
-    return fact, ihat
+    steps.add("Eq(5.5)", f"identity forces {s:+d}/({N}*ihat) = {R}, i.e. ihat = {ihat}",
+              {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R})
+    return ihat
 
 
-def _morse_parity_fact(n: int, i1_parity: int) -> SymbolicFact:
-    dead = "even" if i1_parity % 2 == 1 else "odd"
-    return SymbolicFact(
-        FactKind.MorseZeroParity,
-        f"every contributing iterate has index of the parity of i(c); M_q = 0 for {dead} q >= 1",
-        "Prop2.1",
-        {"zero_parity": dead, "i1_parity": i1_parity % 2},
-    )
-
-
-def _corollary_6_4(n: int, parity_step: int) -> list[SymbolicFact]:
-    """The L6.2, L6.3 and Cor6.4 steps, to follow the Prop2.1 step at index parity_step."""
-    cfg = "even-n" if n % 2 == 0 else "odd-n"
-    upper = check_lemma_6_2(n)
-    lower = dataclasses.replace(check_lemma_6_3(n, cfg), premises=(parity_step,))
-    pin = SymbolicFact(
-        FactKind.IndexEquals,
-        f"i(c) = {n - 1}",
-        "Cor6.4",
-        {"i_c": n - 1},
-        (parity_step + 1, parity_step + 2),
-    )
-    return [upper, lower, pin]
-
-
-def _contradiction(statement: str, kind: str, rule: str, payload: dict,
-                   premises: tuple[int, ...]) -> SymbolicFact:
-    payload = dict(payload)
-    payload["contradiction_kind"] = kind
-    return SymbolicFact(FactKind.Contradiction, statement, rule, payload, premises)
+def _corollary_6_4(steps: _Steps) -> None:
+    """Add the Prop2.1, L6.2, L6.3 and Cor6.4 steps that pin i(c) = n-1."""
+    n = steps.n
+    dead = "even" if n % 2 == 0 else "odd"  # i(c) has the parity of n-1
+    steps.add("Prop2.1", "every contributing iterate has index of the parity of i(c); "
+              f"M_q = 0 for {dead} q >= 1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
+    steps.add_fact(check_lemma_6_2(n))
+    steps.add_fact(_lemma_6_3(n))
+    steps.add("Cor6.4", f"i(c) = {n - 1}", {"i_c": n - 1})
 
 
 def _replay_ncg1(n: int) -> ProofTrace:
-    steps: list[SymbolicFact] = [check_lemma_6_1(n)]
-    pin_fact, ihat = _fact_identity_pin(n, Case.NCG1, 0)
-    steps.append(pin_fact)
-    pin = len(steps) - 1
-    steps.append(_morse_parity_fact(n, (n - 1) % 2))
-    steps.extend(_corollary_6_4(n, len(steps) - 1))
-    cor = len(steps) - 1
+    steps = _Steps(n)
+    steps.add_fact(check_lemma_6_1(n))
+    ihat = _identity_pin(steps, Case.NCG1, 0)
+    _corollary_6_4(steps)
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
     # least one rotation contributing strictly positive angle forces p = 0.
-    steps.append(
-        SymbolicFact(
-            FactKind.IndexEquals,
-            f"2p + (n-2r-1) = {n - 1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
-            _rule(n, "Eq(6.7)"),
-            {"p": 0, "r": 0, "ihat": ihat},
-            (pin, cor),
-        )
-    )
+    steps.add(_rule(n, "Eq(6.7)"),
+              f"2p + (n-2r-1) = {n - 1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
+              {"p": 0, "r": 0, "ihat": ihat})
     terms = n - 1
     rho_sum = ihat / 2  # sum of rotation numbers theta_i/(2 pi)
-    steps.append(
-        SymbolicFact(
-            FactKind.MeanIndexEquals,
-            f"sum of the {terms} rotation numbers = ihat/2 = {rho_sum}, a rational",
-            _rule(n, "Eq(6.9)"),
-            {"relation": "=", "value": rho_sum, "terms": terms},
-            (len(steps) - 1,),
-        )
-    )
-    rho_step = len(steps) - 1
+    steps.add(_rule(n, "Eq(6.9)"),
+              f"sum of the {terms} rotation numbers = ihat/2 = {rho_sum}, a rational",
+              {"relation": "=", "value": rho_sum, "terms": terms})
 
     m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
     m_star = n if n % 2 == 0 else (n + 1) // 2
-    index_values = {1: n - 1}
-    previous = cor  # the step that fixes i(c^(m-1))
     for m in range(2, m1 + 1):
         total = m * rho_sum
         ends = _ends(floor_sum_range(m, terms, total))
-        steps.append(
-            SymbolicFact(
-                FactKind.FloorSumRange,
-                f"floor sum at m = {m} lies in {ends}",
-                _rule(n, "Eq(6.11)"),
-                {"m": m, "terms": terms, "total": total, "set": ends},
-                (rho_step,),
-            )
-        )
+        steps.add(_rule(n, "Eq(6.11)"), f"floor sum at m = {m} lies in {ends}",
+                  {"m": m, "terms": terms, "total": total, "set": ends})
         # uniqueness of the lower degrees forces the top value
-        index_values[m] = n - 1 + 2 * (m - 1)
-        steps.append(
-            SymbolicFact(
-                FactKind.IndexEquals,
-                f"i(c^{m}) = {index_values[m]} (lower values collide with earlier iterates)",
-                "Claim1",
-                {"m": m, "i": index_values[m]},
-                (len(steps) - 1, previous),
-            )
-        )
-        previous = len(steps) - 1
-    # a failure in any prefix of the table is also one in the full table
-    unique = check_lemma_6_5(n, index_values, m1 - 1)
-    if unique.kind is FactKind.Contradiction:
-        steps.append(dataclasses.replace(unique, premises=(cor, previous)))
-        return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
+        i_m = n - 1 + 2 * (m - 1)
+        steps.add("Claim1", f"i(c^{m}) = {i_m} (lower values collide with earlier iterates)",
+                  {"m": m, "i": i_m})
 
     # pigeonhole iterate: the exact rotation sum is an integer there
     total = m_star * rho_sum
     label = f"m = {m_star}" if n % 2 == 0 else f"m2 = {m_star}"
     admissible = floor_sum_range(m_star, terms, total)
     ends = _ends(admissible)
-    steps.append(
-        SymbolicFact(
-            FactKind.FloorSumRange,
-            f"floor sum at {label} lies in {ends} (exact total {total})",
-            _rule(n, "Eq(6.14)"),
-            {"m": m_star, "terms": terms, "total": total, "set": ends},
-            (rho_step,),
-        )
-    )
-    floor_step = len(steps) - 1
+    steps.add(_rule(n, "Eq(6.14)"), f"floor sum at {label} lies in {ends} (exact total {total})",
+              {"m": m_star, "terms": terms, "total": total, "set": ends})
     if not admissible:
-        steps.append(
-            _contradiction(
-                f"pigeonhole at {label}: no admissible floor sum exists, yet the "
-                f"irrational rotation numbers must realize the exact total {total}",
-                "pigeonhole",
-                _rule(n, "Eq(6.14)"),
-                {"m": m_star, "total": total, "set": []},
-                (pin, floor_step),
-            )
-        )
-        return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
-    taken = {n - 1 + 2 * (m - 1): m for m in range(1, m1 + 1)}
-    candidates = [n - 1 + 2 * s for s in admissible]
-    if not set(candidates) <= taken.keys():
-        raise TraceError("pigeonhole range escaped the occupied degrees")
-    collisions = {q: taken[q] for q in candidates}
-    steps.append(
-        _contradiction(
-            f"pigeonhole at {label}: i(c^{m_star}) must equal i(c^r) for some "
-            f"r in {sorted(collisions.values())}, contradicting uniqueness",
-            "pigeonhole",
-            "L6.5",
-            {"m": m_star, "candidates": candidates, "collisions": collisions},
-            (pin, floor_step),
-        )
-    )
-    return ProofTrace(n, Case.NCG1, "", tuple(steps), Verdict.CONTRADICTION, "pigeonhole")
+        steps.add(_rule(n, "Eq(6.14)"),
+                  f"pigeonhole at {label}: no admissible floor sum exists, yet the "
+                  f"irrational rotation numbers must realize the exact total {total}",
+                  {"m": m_star, "total": total, "set": [], "contradiction_kind": "pigeonhole"})
+        return steps.close(Case.NCG1)
+    collisions = {n - 1 + 2 * s: s + 1 for s in admissible}  # i(c^(s+1)) = n-1+2s
+    steps.add("L6.5",
+              f"pigeonhole at {label}: i(c^{m_star}) must equal i(c^r) for some "
+              f"r in {sorted(collisions.values())}, contradicting uniqueness",
+              {"m": m_star, "candidates": list(collisions), "collisions": collisions,
+               "contradiction_kind": "pigeonhole"})
+    return steps.close(Case.NCG1)
 
 
 def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
     subcase = "p even" if p_parity % 2 == 0 else "p odd"
-    steps: list[SymbolicFact] = []
-    pin_fact, ihat = _fact_identity_pin(n, case, p_parity)
-    steps.append(pin_fact)
+    steps = _Steps(n)
+    ihat = _identity_pin(steps, case, p_parity)
 
     if ihat <= 0:
-        steps.append(check_lemma_6_1(n))
-        steps.append(
-            _contradiction(
-                f"pinned ihat = {ihat} <= 0 contradicts ihat > 0",
-                "sign",
-                "L6.1",
-                {"ihat": ihat},
-                (0, 1),
-            )
-        )
-        return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "sign")
-
-    if case is Case.NCG4:
-        steps.append(
-            _contradiction(
-                f"ihat = (p-1) + theta_1/pi is irrational, but the identity pins "
-                f"ihat = {ihat}, a rational",
-                "irrationality",
-                "Eq(5.5)",
-                {"ihat": ihat},
-                (0,),
-            )
-        )
-        return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "irrationality")
-
-    if case is Case.NCG5:
+        steps.add_fact(check_lemma_6_1(n))
+        steps.add("L6.1", f"pinned ihat = {ihat} <= 0 contradicts ihat > 0",
+                  {"ihat": ihat, "contradiction_kind": "sign"})
+    elif case is Case.NCG4:
+        steps.add("Eq(5.5)", f"ihat = (p-1) + theta_1/pi is irrational, but the identity pins "
+                  f"ihat = {ihat}, a rational",
+                  {"ihat": ihat, "contradiction_kind": "irrationality"})
+    elif case is Case.NCG5:
         # ihat = p, a non-negative integer of the assumed parity
         if n % 2 == 1 and p_parity % 2 == 0:
-            steps.append(
-                _contradiction(
-                    f"p is a positive even integer, so 1 > (n-1)/(n+1) = p/2 >= 1",
-                    "integrality",
-                    "Step2-Subcase5.1",
-                    {"ihat": ihat, "p_half": ihat / 2},
-                    (0,),
-                )
-            )
-            return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "integrality")
-        if ihat.denominator != 1 or (ihat.numerator - p_parity) % 2 != 0:
-            steps.append(
-                _contradiction(
-                    f"ihat = p must be an integer with p {subcase.split()[1]}, "
-                    f"but the identity pins p = {ihat}",
-                    "integrality",
-                    "Eq(5.5)",
-                    {"ihat": ihat},
-                    (0,),
-                )
-            )
-            return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "integrality")
-        raise TraceError(f"NCG5 subcase with consistent integer p = {ihat} left open")
-
-    # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
-    steps.append(_morse_parity_fact(n, p_parity))
-    steps.extend(_corollary_6_4(n, len(steps) - 1))
-    cor = len(steps) - 1
-    k_parity = 0 if case is Case.NCG2 else 1
-    delta_even = (p_parity - k_parity) % 2 == 0
-    if delta_even:
-        if ihat >= 2:
-            raise TraceError("expected pinned ihat < 2")
-        steps.append(
-            _contradiction(
-                f"p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, so "
-                f"n-1 = p <= k contradicts k <= n-2r-2 <= {n - 2}",
-                "rotation-count",
-                _rule(n, "Eq(6.18)"),
-                {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2},
-                (0, cor),
-            )
-        )
+            steps.add("Step2-Subcase5.1",
+                      "p is a positive even integer, so 1 > (n-1)/(n+1) = p/2 >= 1",
+                      {"ihat": ihat, "p_half": ihat / 2, "contradiction_kind": "integrality"})
+        else:  # n even, p odd: the pin (n-1)/n is never an integer
+            steps.add("Eq(5.5)", f"ihat = p must be an integer with p {subcase.split()[1]}, "
+                      f"but the identity pins p = {ihat}",
+                      {"ihat": ihat, "contradiction_kind": "integrality"})
     else:
-        if ihat >= 1:
-            raise TraceError("expected pinned ihat < 1")
-        steps.append(
-            _contradiction(
-                f"p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
-                f"contradicts k <= n-2r-2 <= {n - 2}",
-                "rotation-count",
-                _rule(n, "Eq(6.17)"),
-                {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2},
-                (0, cor),
-            )
-        )
-    return ProofTrace(n, case, subcase, tuple(steps), Verdict.CONTRADICTION, "rotation-count")
+        # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
+        _corollary_6_4(steps)
+        k_parity = 0 if case is Case.NCG2 else 1
+        bounds = {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2,
+                  "contradiction_kind": "rotation-count"}
+        if (p_parity - k_parity) % 2 == 0:
+            steps.add(_rule(n, "Eq(6.18)"),
+                      f"p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, so "
+                      f"n-1 = p <= k contradicts k <= n-2r-2 <= {n - 2}", bounds)
+        else:
+            steps.add(_rule(n, "Eq(6.17)"),
+                      f"p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
+                      f"contradicts k <= n-2r-2 <= {n - 2}", bounds)
+    return steps.close(case, subcase)
 
 
 def replay(n: int) -> list[ProofTrace]:
@@ -605,155 +673,52 @@ def _replay_case(n: int, case: Case) -> list[ProofTrace]:
 
 # -- independent trace checker ---------------------------------------------
 
-# Every rule a trace may cite, keyed by (rule, contradiction kind), with the
-# rules of the earlier steps whose values it reads, in premise order; "a|b"
-# admits a step of either rule.  Even-n names; _PREMISES[n % 2] is the table.
-_PREMISE_RULES = {
-    ("L6.1", None): (),
-    ("Eq(5.5)", None): (),
-    ("Prop2.1", None): (),
-    ("L6.2", None): (),
-    ("L6.3", None): ("Prop2.1",),
-    ("Cor6.4", None): ("L6.2", "L6.3"),
-    ("Eq(6.7)", None): ("Eq(5.5)", "Cor6.4"),
-    ("Eq(6.9)", None): ("Eq(6.7)",),
-    ("Eq(6.11)", None): ("Eq(6.9)",),
-    ("Claim1", None): ("Eq(6.11)", "Claim1|Cor6.4"),  # its floor sum, the iterate before
-    ("Eq(6.14)", None): ("Eq(6.9)",),
-    ("L6.5", None): ("Cor6.4", "Claim1"),
-    ("L6.5", "pigeonhole"): ("Eq(5.5)", "Eq(6.14)"),
-    ("Eq(6.14)", "pigeonhole"): ("Eq(5.5)", "Eq(6.14)"),
-    ("L6.1", "sign"): ("Eq(5.5)", "L6.1"),
-    ("Eq(5.5)", "irrationality"): ("Eq(5.5)",),
-    ("Eq(5.5)", "integrality"): ("Eq(5.5)",),
-    ("Step2-Subcase5.1", "integrality"): ("Eq(5.5)",),
-    ("Eq(6.17)", "rotation-count"): ("Eq(5.5)", "Cor6.4"),
-    ("Eq(6.18)", "rotation-count"): ("Eq(5.5)", "Cor6.4"),
-}
-_PREMISES = tuple(
-    {(_rule(parity, rule), kind): tuple(tuple(_rule(parity, r) for r in slot.split("|"))
-                                        for slot in slots)
-     for (rule, kind), slots in _PREMISE_RULES.items()}
-    for parity in (0, 1)
-)
-
-
 def verify_trace(trace: ProofTrace) -> bool:
     """Re-validate every numeric claim of a trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check; returns True otherwise.
-    The checker recomputes each quantity from the payload inputs rather
-    than trusting the recorded statement strings, and requires each step's
-    premises to be earlier steps of the rules its own rule reads.
+    Each step is checked through its row of the rule table: it must state
+    the row's kind of fact, its premises must be earlier steps of the row's
+    rules, and the row's check recomputes its values from n and those
+    premises rather than trusting the recorded statement strings.
     """
-    n = trace.n
+    n, steps = trace.n, trace.steps
     if trace.verdict is Verdict.VACUOUS:
-        if trace.steps:
+        if steps:
             raise TraceError("vacuous trace must carry no derivation steps")
         if _shape_vacuity(n, trace.case) is None:
             raise TraceError(f"case {trace.case.value} is not vacuous for n = {n}")
         return True
-    if not trace.steps or trace.steps[-1].kind is not FactKind.Contradiction:
-        raise TraceError("contradiction trace must end in a Contradiction fact")
-    pinned = None  # the ihat this trace's own Eq(5.5) step pins
-    for i, fact in enumerate(trace.steps):
-        _verify_premises(n, trace.steps, i)
-        _verify_fact(n, fact)
-        p = fact.payload
-        if fact.kind is FactKind.MeanIndexEquals and "s" in p:
-            if (p["N"], p["s"]) != _period_and_sign(trace.case, int(trace.subcase == "p odd"), n):
-                raise TraceError(f"(N, s) of the identity do not fit the case: {fact.statement}")
-            pinned = p["value"]
-        elif "ihat" in p and p["ihat"] != pinned:
-            raise TraceError(f"ihat = {p['ihat']} is not the pinned mean index {pinned}")
+    subcases = ("",) if trace.case is Case.NCG1 else ("p even", "p odd")
+    if (not steps or _shape_vacuity(n, trace.case) is not None or trace.subcase not in subcases
+            or trace.detail not in _CLOSINGS.get(trace.case, ())):
+        raise TraceError(f"{trace.case} at n = {n}: a contradiction trace needs steps, a "
+                         f"satisfiable shape, a subcase in {subcases}, a closing its case allows")
+    rows, last = _TABLE[n % 2], len(steps) - 1
+    for i, fact in enumerate(steps):
+        try:
+            p = fact.payload
+            kind = p.get("contradiction_kind")
+            row = rows.get((fact.rule, kind))
+            if not row or fact.kind is not row[0] or kind != (None if i < last else trace.detail):
+                raise TraceError(f"no {fact.kind} of contradiction kind {kind!r} is a step of the "
+                                 f"derivation in this place at n = {n}")
+            _, slots, check = row
+            for key, value in p.items():
+                if type(value) is not _VALUE_TYPES.get(key):
+                    raise TraceError(f"value {key!r} = {value!r} is not of the type its key holds")
+            premises = fact.premises
+            if not (type(premises) is tuple and len(premises) == len(slots) and all(
+                    type(j) is int and 0 <= j < i and steps[j].rule in slot
+                    for j, slot in zip(premises, slots))):
+                raise TraceError(f"premises {premises!r} are not earlier steps of the rules "
+                                 f"{[' or '.join(s) for s in slots]}")
+            check(trace, p, *[steps[j].payload for j in premises])
+        except TraceError as e:
+            raise TraceError(f"step {i} ({fact.rule}): {e}") from None
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
+            raise TraceError(f"step {i} ({fact.rule}): malformed values: {e!r}") from e
     return True
-
-
-def _verify_premises(n: int, steps: tuple[SymbolicFact, ...], i: int) -> None:
-    fact = steps[i]
-    slots = _PREMISES[n % 2].get((fact.rule, fact.payload.get("contradiction_kind")))
-    if slots is None:
-        raise TraceError(f"rule {fact.rule!r} is not a step of the derivation at n = {n}")
-    premises = fact.premises
-    if not (isinstance(premises, tuple) and len(premises) == len(slots) and all(
-            type(j) is int and 0 <= j < i and steps[j].rule in slot
-            for j, slot in zip(premises, slots))):
-        raise TraceError(f"premises {premises!r} of step {i} ({fact.rule}) are not earlier "
-                         f"steps of the rules {[' or '.join(s) for s in slots]}")
-    if fact.rule == "Claim1":  # its own floor sum, and the iterate just before it
-        m = fact.payload["m"]
-        if [steps[j].payload.get("m") for j in premises] != [m, m - 1 if m > 2 else None]:
-            raise TraceError(f"Claim1 at m = {m} must rest on its floor sum and on i(c^{m - 1})")
-
-
-def _verify_fact(n: int, fact: SymbolicFact) -> None:
-    p = fact.payload
-    if fact.kind is FactKind.MeanIndexEquals and "s" in p:
-        # identity instantiation: s/(N * ihat) must equal the Euler value
-        if Fraction(p["s"]) / (p["N"] * Fraction(p["value"])) != euler_limit(n):
-            raise TraceError(f"identity re-check failed: {fact.statement}")
-    if fact.kind is FactKind.FloorSumRange:
-        expected = floor_sum_range(p["m"], p["terms"], Fraction(p["total"]))
-        if p["set"] != _ends(expected):
-            raise TraceError(f"floor-sum range re-check failed: {fact.statement}")
-    if fact.rule == "L6.2" or (fact.rule == "L6.1" and fact.kind is not FactKind.Contradiction):
-        # the evidence is required, and it is the one failure of the zero table
-        M, v = _lemma_6_1_failure(n)
-        if p.get("hypothetical_M") != M or p.get("evidence") != v:
-            raise TraceError(f"{fact.rule} evidence not reproduced: expected {v} of {M}")
-    elif "evidence" in p:
-        _verify_violation(n, p["evidence"], p.get("hypothetical_M"))
-    if fact.rule == "L6.3":
-        refuted = _lemma_6_3_refutations(n)
-        if p.get("refuted") != refuted or p.get("vacuous_hypothesis") is not (not refuted):
-            raise TraceError("L6.3 refutations not reproduced: each i(c) < n-1 of the "
-                             "parity of n-1 needs its table and failure, in order")
-    if fact.kind is FactKind.IndexEquals and "i" in p:
-        if (p["i"] - (n - 1)) % 2 != 0 or not (0 <= (p["i"] - (n - 1)) // 2 <= p["m"] - 1):
-            raise TraceError(f"iterate index re-check failed: {fact.statement}")
-    if fact.kind is FactKind.Contradiction:
-        _verify_contradiction(n, fact)
-
-
-def _verify_violation(n: int, v: Violation, M: dict | None) -> None:
-    if not isinstance(v, Violation) or _violation_at(M, n, v.q, v.kind) != v:
-        raise TraceError(f"cited violation not reproduced from its table: {v}")
-
-
-def _verify_contradiction(n: int, fact: SymbolicFact) -> None:
-    p = fact.payload
-    kind = p.get("contradiction_kind")
-    if kind == "sign":
-        if Fraction(p["ihat"]) > 0:
-            raise TraceError("sign contradiction cites a positive mean index")
-    elif kind == "irrationality":
-        ihat = Fraction(p["ihat"])  # must be rational and positive for the clash
-        if ihat <= 0:
-            raise TraceError("irrationality contradiction needs a positive pinned value")
-    elif kind == "integrality":
-        ihat = Fraction(p["ihat"])
-        if "p_half" in p:
-            if Fraction(p["p_half"]) != ihat / 2 or not ihat / 2 < 1:
-                raise TraceError("p/2 contradiction needs p/2 = ihat/2 < 1")
-        elif ihat.denominator == 1:
-            raise TraceError("integrality contradiction cites an integer value")
-    elif kind == "rotation-count":
-        if (p["k_lower"], p["k_upper"]) != (n - 1, n - 2):
-            raise TraceError("rotation-count bounds must be k >= n-1 and k <= n-2")
-    elif kind == "pigeonhole":
-        if "collisions" in p:
-            c = p["collisions"]  # each candidate degree q = i(c^r) of an earlier iterate r
-            if not c or set(c) != set(p["candidates"]) or any(
-                    q != n - 1 + 2 * (r - 1) or not 1 <= r < p["m"] for q, r in c.items()):
-                raise TraceError("pigeonhole collisions must map each candidate to its iterate")
-        else:
-            expected = floor_sum_range(p["m"], n - 1, Fraction(p["total"]))
-            if expected:
-                raise TraceError("empty-range pigeonhole re-check found admissible values")
-    elif fact.rule == "L6.5" and "evidence" in p:
-        pass  # evidence already re-validated via the violation table
-    else:
-        raise TraceError(f"unknown contradiction kind: {kind!r}")
 
 
 # -- certificate serialization ---------------------------------------------

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from indexlab import Case, ProofTrace, Verdict, replay, theta_set, verify_trace
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import (
+    _ODD_RULE,
+    _RULES,
+    _TABLE,
     FactKind,
     PreconditionError,
     SymbolicFact,
@@ -391,6 +394,47 @@ TAMPERINGS = [
 ]
 
 
+def _moved_total(p):
+    # a larger total with the range it gives: consistent in itself, but not
+    # m times the rotation sum of the Eq(6.9) premise
+    total = p["total"] + Fraction(1, 2 * p["total"].denominator)
+    if "terms" not in p:  # the empty-range pigeonhole restates its premise's total
+        return {"total": total}
+    r = floor_sum_range(p["m"], p["terms"], total)
+    return {"total": total, "set": [r[0], r[-1]] if r else []}
+
+
+# payload values each step's check derives from n and the values of its premises
+DERIVED_TAMPERINGS = [
+    ("value", lambda p: {"value": Fraction(123)}),  # Eq(6.9), and the Eq(5.5) and L6.1 values
+    ("i_c", lambda p: {"i_c": 77}),
+    ("p", lambda p: {"p": 5, "r": 9}),
+    ("i", lambda p: {"i": p["i"] - 2}),  # a lower value, still n-1+2t with 0 <= t <= m-1
+    ("total", _moved_total),
+    ("terms", lambda p: {"terms": p["terms"] + 1}),
+    ("max", lambda p: {"max": p["max"] + 2}),
+    ("min", lambda p: {"min": p["min"] - 2}),
+    ("relation", lambda p: {"relation": "<"}),
+    ("i1_parity", lambda p: {"i1_parity": 1 - p["i1_parity"]}),
+    ("zero_parity", lambda p: {"zero_parity": {"even": "odd", "odd": "even"}[p["zero_parity"]]}),
+    ("rhs", lambda p: {"rhs": -p["rhs"]}),
+    ("m", lambda p: {"m": p["m"] + 1}),
+    ("candidates", lambda p: {"candidates": p["candidates"][1:]}),
+]
+
+
+def _retyped(v):
+    """Values of other types that stand for v, some of them equal to it."""
+    out = [None, str(v), (v,)]
+    if isinstance(v, (int, Fraction)):
+        out += [float(v), Fraction(v), int(v), bool(v)]
+    if isinstance(v, (list, dict)):
+        out += [tuple(v), list(v)]
+    if isinstance(v, Violation):
+        out += [dataclasses.astuple(v), dataclasses.asdict(v)]
+    return [x for x in out if type(x) is not type(v)]
+
+
 class TestMutations:
     def test_recomputed_payload_values_are_checked(self):
         applied = [0] * len(TAMPERINGS)
@@ -469,7 +513,7 @@ class TestMutations:
         rules = [f.rule for f in t.steps]
         premises = (rules.index("Cor6.4"), len(rules) - 1 - rules[::-1].index("Claim1"))
         fact = dataclasses.replace(check_lemma_6_5(4, {1: 3, 2: 3}, 0), premises=premises)
-        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,))
+        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,), detail="duplicate-degree")
         assert verify_trace(trace)
         last = len(trace.steps) - 1
         for key in ("evidence", "hypothetical_M"):
@@ -551,6 +595,147 @@ class TestMutations:
         for premises in ((own_sum - 2, before), (own_sum, claims[0]), (own_sum, cor)):
             with pytest.raises(TraceError, match="Claim1 at m = 4"):
                 verify_trace(_replaced(t, i, premises=premises))
+
+    def test_derived_values_are_checked_against_their_premises(self):
+        applied = [0] * len(DERIVED_TAMPERINGS)
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    for j, (key, change) in enumerate(DERIVED_TAMPERINGS):
+                        if key in fact.payload:
+                            applied[j] += 1
+                            with pytest.raises(TraceError):
+                                verify_trace(_tampered(t, i, **change(fact.payload)))
+        assert all(applied), applied
+
+    def test_the_rotation_sum_is_half_the_pinned_ihat(self):
+        # a rotation sum a little below ihat/2, with every floor sum, range and
+        # pigeonhole after it re-derived from it: only the Eq(6.9) link is wrong
+        for n in range(3, 41):
+            [t] = [x for x in replay(n) if x.case is Case.NCG1]
+            [i] = [i for i, f in enumerate(t.steps) if f.rule in ("Eq(6.9)", "Eq(6.21)")]
+            rho = t.steps[i].payload["value"] - Fraction(1, 10**9)
+            bad = _tampered(t, i, value=rho)
+            for j in range(i + 1, len(t.steps)):
+                p = t.steps[j].payload
+                if "total" in p:
+                    r = floor_sum_range(p["m"], p["terms"], p["m"] * rho)
+                    bad = _tampered(bad, j, total=p["m"] * rho, set=[r[0], r[-1]])
+                elif "collisions" in p:
+                    collisions = {n - 1 + 2 * s: s + 1 for s in r}
+                    bad = _tampered(bad, j, candidates=list(collisions), collisions=collisions)
+            with pytest.raises(TraceError, match="ihat/2"):
+                verify_trace(bad)
+
+    def test_the_pin_solves_the_identity(self):
+        # a pinned ihat a little off, with every ihat and p/2 after it following
+        # it: only the identity itself fails
+        mutants = 0
+        for n in range(2, 41):
+            for t in replay(n):
+                if t.verdict is not Verdict.CONTRADICTION or t.case is Case.NCG1:
+                    continue
+                ihat = t.steps[0].payload["value"] + Fraction(1, 10**9)
+                bad = _tampered(t, 0, value=ihat)
+                for j, fact in enumerate(bad.steps):
+                    if "ihat" in fact.payload:
+                        bad = _tampered(bad, j, ihat=ihat)
+                    if "p_half" in fact.payload:
+                        bad = _tampered(bad, j, p_half=ihat / 2)
+                mutants += 1
+                with pytest.raises(TraceError, match="identity re-check"):
+                    verify_trace(bad)
+        assert mutants > 0
+
+    def test_duplicate_degree_needs_two_iterates_at_its_degree(self):
+        [t] = [x for x in replay(6) if x.case is Case.NCG1]
+        rules = [f.rule for f in t.steps]
+        premises = (rules.index("Cor6.4"), len(rules) - 1 - rules[::-1].index("Claim1"))
+        fact = dataclasses.replace(check_lemma_6_5(6, {1: 5, 2: 7, 3: 7}, 1), premises=premises)
+        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,), detail="duplicate-degree")
+        assert verify_trace(trace)
+        last = len(trace.steps) - 1
+        for changes in ({"degree": 5}, {"degree": 9}, {"iterates": [2]}, {"iterates": [3, 3]}):
+            with pytest.raises(TraceError):
+                verify_trace(_tampered(trace, last, **changes))
+
+    def test_traces_are_checked_as_a_whole(self):
+        applied = dict.fromkeys(["detail", "case", "subcase", "not last", "rule", "p/2",
+                                 "fact kind"], 0)
+        for n in range(2, 41):
+            traces = {(t.case, t.subcase): t for t in replay(n)}
+            for t in traces.values():
+                if t.verdict is not Verdict.CONTRADICTION:
+                    continue
+                mutants = [("detail", dataclasses.replace(t, detail=d))
+                           for d in ("pigeonhole", "duplicate-degree", "sign", "rotation-count",
+                                     "irrationality", "integrality", "vacuous") if d != t.detail]
+                for case in Case:
+                    subcase = "" if case is Case.NCG1 else t.subcase or "p even"
+                    own = traces.get((case, subcase))
+                    # another case's label is wrong unless its own trace has these very steps
+                    if case is not t.case and not (own and own.steps == t.steps):
+                        mutants.append(("case", dataclasses.replace(t, case=case, subcase=subcase)))
+                mutants += [("subcase", dataclasses.replace(t, subcase=s))
+                            for s in ("", "p even", "p odd", "p") if s != t.subcase]
+                # the closing step repeated, so that a contradiction is not the last step
+                mutants.append(("not last", dataclasses.replace(t, steps=t.steps + t.steps[-1:])))
+                # a rotation count cited by the rule of the other parity of p - k
+                swap = {"Eq(6.17)": "Eq(6.18)", "Eq(6.18)": "Eq(6.17)",
+                        "Eq(6.31)": "Eq(6.29)", "Eq(6.29)": "Eq(6.31)"}
+                if t.steps[-1].rule in swap:
+                    mutants.append(("rule", _replaced(t, len(t.steps) - 1,
+                                                      rule=swap[t.steps[-1].rule])))
+                # an NCG5 trace closed instead by the p/2 bound of Step 2, Subcase 5.1
+                if t.case is Case.NCG5 and t.steps[-1].rule != "Step2-Subcase5.1":
+                    ihat = t.steps[0].payload["value"]
+                    closing = SymbolicFact(FactKind.Contradiction, "", "Step2-Subcase5.1",
+                                           {"ihat": ihat, "p_half": ihat / 2,
+                                            "contradiction_kind": "integrality"}, (0,))
+                    mutants.append(("p/2", dataclasses.replace(
+                        t, steps=(t.steps[0], closing), detail="integrality")))
+                for i, fact in enumerate(t.steps):
+                    mutants += [("fact kind", _replaced(t, i, kind=k)) for k in FactKind
+                                if k is not fact.kind]
+                for label, bad in mutants:
+                    applied[label] += 1
+                    with pytest.raises(TraceError):
+                        verify_trace(bad)
+        assert all(applied.values()), applied
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_malformed_values_raise_trace_error(self, data):
+        # one key of one step deleted, or given a value of another type
+        n = data.draw(st.integers(2, 16))
+        t = data.draw(st.sampled_from([t for t in replay(n) if t.steps]))
+        i = data.draw(st.integers(0, len(t.steps) - 1))
+        p = t.steps[i].payload
+        key = data.draw(st.sampled_from(sorted(p)))
+        if data.draw(st.booleans()):
+            payload = _without(p, key)
+        else:
+            any_value = (st.none() | st.booleans() | st.integers() | st.floats() | st.fractions()
+                         | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
+            value = data.draw(st.sampled_from(_retyped(p[key]))
+                              | any_value.filter(lambda v: type(v) is not type(p[key])))
+            payload = {**p, key: value}
+        with pytest.raises(TraceError):
+            verify_trace(_replaced(t, i, payload))
+
+    def test_the_rule_table_has_no_dead_rows(self):
+        # every (rule, contradiction kind) the replay emits has a row, and
+        # every row but the duplicate-degree contradiction is emitted
+        even_rule = {odd: even for even, odd in _ODD_RULE.items()}
+        emitted = set()
+        for n in range(2, 41):
+            for t in replay(n):
+                for fact in t.steps:
+                    key = (fact.rule, fact.payload.get("contradiction_kind"))
+                    assert key in _TABLE[n % 2], (n, key)
+                    emitted.add((even_rule.get(key[0], key[0]), key[1]))
+        assert emitted <= set(_RULES)
+        assert set(_RULES) - emitted == {("L6.5", "duplicate-degree")}
 
     def test_untampered_traces_verify(self):
         for n in range(2, 61):
