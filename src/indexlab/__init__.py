@@ -29,7 +29,7 @@ from .morse import (
     morse_numbers,
     poincare_series_truncated,
 )
-from .prover import ProofTrace, SymbolicFact, Verdict, replay, theta_set, verify_trace
+from .prover import ProofTrace, SymbolicFact, Verdict, replay, verify_trace
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,5 @@ __all__ = [
     "SymbolicFact",
     "Verdict",
     "replay",
-    "theta_set",
     "verify_trace",
 ]

@@ -93,19 +93,6 @@ class TraceError(ValueError):
     """A replayed trace failed re-validation."""
 
 
-class PreconditionError(ValueError):
-    """A named hypothesis of a lemma check does not hold."""
-
-
-def theta_set(n: int) -> frozenset[int]:
-    """Theta(n): the degrees available before the Betti numbers first reach 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        return frozenset(j for j in range(n - 1, 3 * n - 4) if j % 2 == 1)
-    return frozenset(j for j in range(n - 1, 2 * n - 3) if j % 2 == 0)
-
-
 def floor_sum_range(m: int, terms: int, total: Fraction) -> range:
     """Possible values of a sum of `terms` floors of m*rho_i.
 
@@ -135,33 +122,9 @@ def _ends(r: range) -> list[int]:
 
 # -- lemma checks: each derives a fact by exhibiting Morse violations ------
 
-def _table_fault(M) -> str | None:
-    """Why M is not a hypothetical Morse table {"length": L, "entries": [[q, v], ...]}, or None.
-
-    The table stands for M_0..M_{L-1}: the entries list the nonzero values by
-    strictly increasing degree q in 0..L-1, and every other M_q is 0.
-    """
-    if not (isinstance(M, dict) and M.keys() == {"length", "entries"}):
-        return "not a {length, entries} dict"
-    length, entries = M["length"], M["entries"]
-    if type(length) is not int or length < 1:
-        return f"length {length!r} is not an int >= 1"
-    if type(entries) is not list:
-        return "entries are not a list"
-    prev = -1
-    for e in entries:
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-                and prev < e[0] < length and e[1] != 0):
-            return f"entry {e!r} is not a nonzero [q, M_q] with q increasing in 0..{length - 1}"
-        prev = e[0]
-    return None
-
-
 def _violation_at(M: dict, n: int, q: int, kind: str) -> Violation:
     """The failure of sparse table M's `kind` Morse inequality at degree q."""
-    fault = _table_fault(M)
-    if (fault is None and type(q) is int and 0 <= q < M["length"]
-            and kind in ("pointwise", "alternating")):
+    if type(q) is int and 0 <= q < M["length"] and kind in ("pointwise", "alternating"):
         entries = M["entries"]
         if kind == "pointwise":
             lhs, rhs = dict(entries).get(q, 0), betti(n, q)
@@ -170,13 +133,7 @@ def _violation_at(M: dict, n: int, q: int, kind: str) -> Violation:
             rhs = alternating_betti_sum(n, q)
         if lhs < rhs:
             return Violation(q, kind, lhs, rhs)
-    raise TraceError(f"{kind} violation at q={q} not reproduced from its table"
-                     + (f": table {fault}" if fault else ""))
-
-
-def _verify_violation(n: int, v: Violation, M: dict | None) -> None:
-    if not isinstance(v, Violation) or _violation_at(M, n, v.q, v.kind) != v:
-        raise TraceError(f"cited violation not reproduced from its table: {v}")
+    raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
 
 
 def _lemma_6_1_failure(n: int) -> tuple[dict, Violation]:
@@ -209,18 +166,14 @@ def check_lemma_6_2(n: int) -> SymbolicFact:
     )
 
 
-def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
-    """i(c) >= n-1 under the one-sided Morse vanishing configuration.
+def check_lemma_6_3(n: int) -> SymbolicFact:
+    """i(c) >= n-1 under the one-sided Morse vanishing of n's parity.
 
-    parity_config "even-n": n even, i(c) odd, all even-degree M vanish;
-    "odd-n": n odd, i(c) even, all odd-degree M vanish.  Every admissible
-    hypothetical i(c) < n-1, in increasing order, is refuted by an exact
-    alternating-sum failure: the table with 1 at degree i(c) fails at i(c) + 1.
+    For n even, i(c) is odd and all even-degree M vanish; for n odd, i(c) is
+    even and all odd-degree M vanish.  Every admissible hypothetical
+    i(c) < n-1, in increasing order, is refuted by an exact alternating-sum
+    failure: the table with 1 at degree i(c) fails at i(c) + 1.
     """
-    if parity_config not in ("even-n", "odd-n"):
-        raise PreconditionError(f"unknown parity config {parity_config!r}")
-    if parity_config != ("even-n" if n % 2 == 0 else "odd-n"):
-        raise PreconditionError(f"config {parity_config!r} requires {parity_config[:-2]} n")
     refuted = []
     for i0 in range(1 + n % 2, n - 2, 2):
         M = {"length": i0 + 2, "entries": [[i0, 1]]}
@@ -233,59 +186,6 @@ def check_lemma_6_3(n: int, parity_config: str) -> SymbolicFact:
         f"i(c) >= {n - 1} ({reason})",
         "L6.3",
         {"min": n - 1, "vacuous_hypothesis": not refuted, "refuted": refuted},
-    )
-
-
-def _lemma_6_3(n: int) -> SymbolicFact:
-    """Lemma 6.3 in the parity configuration of n."""
-    return check_lemma_6_3(n, "even-n" if n % 2 == 0 else "odd-n")
-
-
-def _duplicate_degree_table(n: int, q: int) -> dict:
-    """Two iterates at degree q, and one at each degree n-1, n+1, ... below it."""
-    return {"length": q + 2, "entries": [[j, 1] for j in range(n - 1, q, 2)] + [[q, 2]]}
-
-
-def check_lemma_6_5(n: int, index_values: dict[int, int], k: int) -> SymbolicFact:
-    """Uniqueness of the iterate hitting each degree n-1+2t on Theta(n), t <= k.
-
-    Preconditions: i(c) = n-1 and (i(c^m) - i(c))/2 in {0, ..., m-1} for all
-    supplied m.  A duplicated degree reproduces the exact alternating-sum
-    contradiction, which is returned as a "duplicate-degree" Contradiction fact.
-    """
-    if index_values.get(1) != n - 1:
-        raise PreconditionError("requires i(c) = n - 1")
-    for m, i_m in index_values.items():
-        d = i_m - (n - 1)
-        if d % 2 != 0 or not (0 <= d // 2 <= m - 1):
-            raise PreconditionError(
-                f"(i(c^{m}) - i(c))/2 = {Fraction(d, 2)} outside {{0..{m - 1}}}"
-            )
-    theta = theta_set(n)
-    assignments: dict[int, list[int]] = {}
-    for m, i_m in sorted(index_values.items()):
-        assignments.setdefault(i_m, []).append(m)
-    for t in range(0, k + 1):
-        q = n - 1 + 2 * t
-        if q not in theta:
-            continue
-        hits = assignments.get(q, [])
-        if len(hits) > 1:
-            # reproduce the exact contradiction for a duplicated degree
-            M = _duplicate_degree_table(n, q)
-            v = _violation_at(M, n, q + 1, "alternating")
-            return SymbolicFact(
-                FactKind.Contradiction,
-                f"two iterates {hits[:2]} share i = {q}: {v.lhs} >= {v.rhs} fails at q = {q + 1}",
-                "L6.5",
-                {"degree": q, "iterates": hits, "evidence": v, "hypothetical_M": M,
-                 "contradiction_kind": "duplicate-degree"},
-            )
-    return SymbolicFact(
-        FactKind.IndexEquals,
-        f"each degree of Theta({n}) up to n-1+2*{k} is hit by exactly one iterate",
-        "L6.5",
-        {"unique": True, "degrees": sorted(q for q in theta if q <= n - 1 + 2 * k)},
     )
 
 
@@ -412,13 +312,6 @@ def _check_empty_range(t, p, pin, floor):
         raise TraceError("empty-range pigeonhole needs the empty floor-sum range of its premise")
 
 
-def _check_duplicate_degree(t, p, cor, claim):
-    M = p.get("hypothetical_M")
-    if len(set(p["iterates"])) < 2 or M != _duplicate_degree_table(t.n, p["degree"]):
-        raise TraceError("duplicate-degree table not reproduced from two iterates at its degree")
-    _verify_violation(t.n, p.get("evidence"), M)
-
-
 def _check_sign(t, p, pin, lemma_6_1):
     if _pinned(p, pin) > 0:
         raise TraceError("sign contradiction cites a positive mean index")
@@ -459,7 +352,7 @@ _RULES = {
     ("Eq(5.5)", None): (FactKind.MeanIndexEquals, (), _check_identity),
     ("Prop2.1", None): (FactKind.MorseZeroParity, (), _check_morse_parity),
     ("L6.2", None): (FactKind.IndexRange, (), _lemma(check_lemma_6_2)),
-    ("L6.3", None): (FactKind.IndexRange, ("Prop2.1",), _lemma(_lemma_6_3)),
+    ("L6.3", None): (FactKind.IndexRange, ("Prop2.1",), _lemma(check_lemma_6_3)),
     ("Cor6.4", None): (FactKind.IndexEquals, ("L6.2", "L6.3"), _check_corollary_6_4),
     ("Eq(6.7)", None): (FactKind.IndexEquals, ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
     ("Eq(6.9)", None): (FactKind.MeanIndexEquals, ("Eq(6.7)",), _check_eq_6_9),
@@ -468,7 +361,6 @@ _RULES = {
     ("Eq(6.14)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
     ("L6.5", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_pigeonhole),
     ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
-    ("L6.5", "duplicate-degree"): (_C, ("Cor6.4", "Claim1"), _check_duplicate_degree),
     ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign),
     ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality),
     ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality),
@@ -489,17 +381,17 @@ _FILLS = tuple({rule: {s for _, slots, _ in rows.values() for s in slots if rule
                 for rule, _ in rows} for rows in _TABLE)
 
 # the contradictions that may close each case
-_CLOSINGS = {Case.NCG1: ("pigeonhole", "duplicate-degree"), Case.NCG2: ("sign", "rotation-count"),
+_CLOSINGS = {Case.NCG1: ("pigeonhole",), Case.NCG2: ("sign", "rotation-count"),
              Case.NCG3: ("sign", "rotation-count"), Case.NCG4: ("sign", "irrationality"),
              Case.NCG5: ("sign", "integrality")}
 
 # the one type each payload key holds
 _VALUE_TYPES = {key: type_ for type_, keys in (
-    (int, "N s m i i_c p r terms max min degree k_lower k_upper i1_parity"),
+    (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
     (Fraction, "value rhs ihat total p_half"),
     (str, "relation zero_parity contradiction_kind"),
     (bool, "vacuous_hypothesis"),
-    (list, "set candidates iterates refuted"),
+    (list, "set candidates refuted"),
     (dict, "collisions hypothetical_M"),
     (Violation, "evidence"),
 ) for key in keys.split()}
@@ -560,7 +452,7 @@ def _corollary_6_4(steps: _Steps) -> None:
     steps.add("Prop2.1", "every contributing iterate has index of the parity of i(c); "
               f"M_q = 0 for {dead} q >= 1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
     steps.add_fact(check_lemma_6_2(n))
-    steps.add_fact(_lemma_6_3(n))
+    steps.add_fact(check_lemma_6_3(n))
     steps.add("Cor6.4", f"i(c) = {n - 1}", {"i_c": n - 1})
 
 

@@ -200,6 +200,18 @@ class TestProve:
         assert code == 2
         assert "unknown case filter" in err
 
+    def test_a_trace_that_fails_its_check_is_an_error(self, capsys, monkeypatch):
+        replay_ncg1 = prover._replay_ncg1
+
+        def cut(n):  # the NCG1 trace without its closing step
+            t = replay_ncg1(n)
+            return type(t)(t.n, t.case, t.subcase, t.steps[:-1], t.verdict, t.detail)
+
+        monkeypatch.setattr(prover, "_replay_ncg1", cut)
+        code, out, err = run(capsys, "prove", "--n", "6")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         code, out, _ = run(capsys, "prove", "--n", "4", "--json", str(out_path))

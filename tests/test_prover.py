@@ -8,24 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexlab import Case, ProofTrace, Verdict, replay, theta_set, verify_trace
+from indexlab import Case, ProofTrace, Verdict, replay, verify_trace
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import (
     _ODD_RULE,
     _RULES,
     _TABLE,
     FactKind,
-    PreconditionError,
     SymbolicFact,
     TraceError,
-    _verify_violation,
     _violation_at,
     certificate,
     certificate_json,
     check_lemma_6_1,
     check_lemma_6_2,
     check_lemma_6_3,
-    check_lemma_6_5,
     floor_sum_range,
     pinned_mean_index,
 )
@@ -45,12 +42,6 @@ def _dense(sparse):
 def _expanded(ends):
     """The integers a certificate's [first, last] (or []) stands for."""
     return list(range(ends[0], ends[1] + 1)) if ends else []
-
-
-class TestThetaSet:
-    @pytest.mark.parametrize("n,expected", [(4, {3, 5, 7}), (5, {4, 6}), (2, {1}), (3, {2}), (6, {5, 7, 9, 11, 13})])
-    def test_members(self, n, expected):
-        assert theta_set(n) == frozenset(expected)
 
 
 class TestFloorSumRange:
@@ -105,50 +96,20 @@ class TestLemmaChecks:
         assert (v.q, v.kind, v.lhs, v.rhs) == (n - 1, "pointwise", 0, 1)
 
     def test_lower_bound_even_n(self):
-        fact = check_lemma_6_3(4, "even-n")
+        fact = check_lemma_6_3(4)
         [entry] = fact.payload["refuted"]
         assert entry["i_c"] == 1
         assert (entry["evidence"].lhs, entry["evidence"].rhs) == (-1, 0)
 
     def test_lower_bound_odd_n(self):
-        fact = check_lemma_6_3(5, "odd-n")
+        fact = check_lemma_6_3(5)
         [entry] = fact.payload["refuted"]
         assert entry["i_c"] == 2
         assert (entry["evidence"].lhs, entry["evidence"].rhs) == (-1, 0)
 
     def test_lower_bound_vacuous_for_small_n(self):
-        fact = check_lemma_6_3(2, "even-n")
+        fact = check_lemma_6_3(2)
         assert fact.payload["vacuous_hypothesis"]
-
-    def test_wrong_parity_config_rejected(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_6_3(4, "odd-n")
-
-
-class TestLemma65:
-    def test_unique_assignment(self):
-        values = {m: 2 * (m - 1) + 3 for m in range(1, 4)}  # n = 4 staircase
-        fact = check_lemma_6_5(4, values, 2)
-        assert fact.payload["unique"]
-        assert fact.payload["degrees"] == [3, 5, 7]
-
-    def test_duplicate_at_bottom_degree(self):
-        fact = check_lemma_6_5(4, {1: 3, 2: 3}, 0)
-        assert fact.kind is FactKind.Contradiction
-        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-2, -1)
-
-    def test_duplicate_at_higher_degree(self):
-        fact = check_lemma_6_5(4, {1: 3, 2: 5, 3: 5}, 1)
-        assert fact.kind is FactKind.Contradiction
-        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-3, -2)
-
-    def test_precondition_initial_index(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_6_5(4, {1: 5}, 0)
-
-    def test_precondition_range(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_6_5(4, {1: 3, 2: 9}, 1)
 
 
 class TestIdentityPin:
@@ -263,7 +224,7 @@ class TestVerifier:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_cited_violation_matches_the_full_scan(self, data):
-        # a dense table, cited in its sparse form, against the full scan of the dense one
+        # a dense table, in its sparse form, against the full scan of the dense one
         M = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
         sparse = _sparse(M)
         n = data.draw(st.integers(2, 12))
@@ -276,78 +237,6 @@ class TestVerifier:
                 _violation_at(sparse, n, q, kind)
         else:
             assert _violation_at(sparse, n, q, kind) == found
-        lhs, rhs = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
-        if found is not None and data.draw(st.booleans()):
-            lhs, rhs = found.lhs, found.rhs
-        cited = Violation(q, kind, lhs, rhs)
-        if cited in scan:
-            _verify_violation(n, cited, sparse)
-        else:
-            with pytest.raises(TraceError):
-                _verify_violation(n, cited, sparse)
-
-    def test_malformed_evidence_of_the_lemma_6_5_failure(self):
-        fact = check_lemma_6_5(4, {1: 3, 2: 3}, 0)
-        p = fact.payload
-        table = p["hypothetical_M"]
-        for evidence, M in ((None, table), (p["evidence"], {**table, "entries": [[3, "x"]]})):
-            with pytest.raises(TraceError):
-                _verify_violation(4, evidence, M)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_malformed_evidence_raises_trace_error(self, data):
-        # a genuine cited failure, the L6.5 duplicate-degree table, then one
-        # defect in its evidence or its table
-        n = data.draw(st.integers(2, 12))
-        # from n = 4 on, the duplicate sits one degree up and the table has two entries
-        fact = (check_lemma_6_5(n, {1: n - 1, 2: n - 1}, 0) if n < 4
-                else check_lemma_6_5(n, {1: n - 1, 2: n + 1, 3: n + 1}, 1))
-        v, M = fact.payload["evidence"], fact.payload["hypothetical_M"]
-        _verify_violation(n, v, M)
-        length, entries = M["length"], M["entries"]
-        not_int = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
-        q_free = st.integers(0, length - 1).filter(lambda q: q not in dict(entries))
-        defect = data.draw(st.sampled_from([
-            "evidence", "violation field", "table", "keys", "length", "length < 1",
-            "entries", "pair", "order", "range", "zero"]))
-        if defect == "evidence":
-            v = data.draw(not_int | st.integers() | st.just((v.q, v.kind, v.lhs, v.rhs))
-                          | st.just({"q": v.q, "kind": v.kind, "lhs": v.lhs, "rhs": v.rhs}))
-        elif defect == "violation field":
-            v = dataclasses.replace(v, q=data.draw(not_int | st.integers(length, length + 5)
-                                                   | st.integers(-5, -1)))
-        elif defect == "table":
-            M = data.draw(not_int | st.just(_dense(M)) | st.just(list(M.items())))
-        elif defect == "keys":
-            M = data.draw(st.sampled_from([{"length": length}, {"entries": entries},
-                                           {**M, "extra": 0}]))
-        elif defect == "length":
-            M = {**M, "length": data.draw(not_int | st.just(float(length)))}
-        elif defect == "length < 1":
-            M = {**M, "length": data.draw(st.integers(-5, 0))}
-        elif defect == "entries":
-            M = {**M, "entries": data.draw(st.just(tuple(entries)) | st.just(dict(entries))
-                                           | not_int)}
-        elif defect == "pair":
-            k = data.draw(st.integers(0, len(entries) - 1))
-            q, value = entries[k]
-            bad = data.draw(st.sampled_from([[q], [q, value, 0], (q, value), [q, str(value)],
-                                             [float(q), value], [q, float(value)], [q, True],
-                                             [True, value]]))
-            M = {**M, "entries": entries[:k] + [bad] + entries[k + 1:]}
-        elif defect == "order":
-            k = data.draw(st.integers(0, len(entries) - 1))
-            M = {**M, "entries": entries[:k + 1] + [entries[k]] + entries[k + 1:]}  # repeated q
-            if len(entries) > 1 and data.draw(st.booleans()):
-                M = {**M, "entries": entries[::-1]}  # decreasing q, the same sums
-        elif defect == "range":
-            q = data.draw(st.integers(length, length + 5) | st.integers(-5, -1))
-            M = {**M, "entries": sorted(entries + [[q, 1]])}
-        else:
-            M = {**M, "entries": sorted(entries + [[data.draw(q_free), 0]])}
-        with pytest.raises(TraceError):
-            _verify_violation(n, v, M)
 
     def test_open_trace_rejected(self):
         [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
@@ -471,7 +360,6 @@ class TestMutations:
     def test_lemma_6_1_to_6_3_evidence_is_required(self):
         kinds = set()
         for n in range(2, 41):
-            cfg = "even-n" if n % 2 == 0 else "odd-n"
             for t in replay(n):
                 for i, fact in enumerate(t.steps):
                     p = fact.payload
@@ -487,7 +375,7 @@ class TestMutations:
                             mutants["last refutation dropped"] = {**p, "refuted": refuted[:-1]}
                             mutants["emptied, flag set"] = {**p, "refuted": [], "vacuous_hypothesis": True}
                         # a genuine refutation of a larger n: its i(c) is not below n-1 here
-                        extra = check_lemma_6_3(n + 2, cfg).payload["refuted"][-1]
+                        extra = check_lemma_6_3(n + 2).payload["refuted"][-1]
                         mutants["refutation added"] = {**p, "refuted": refuted + [extra]}
                         mutants["flag flipped"] = {**p, "vacuous_hypothesis": not p["vacuous_hypothesis"]}
                     for kind, payload in mutants.items():
@@ -505,20 +393,6 @@ class TestMutations:
         for table in (_dense(p["hypothetical_M"]), {**p["hypothetical_M"], "entries": ()}):
             with pytest.raises(TraceError):
                 verify_trace(_tampered(t, 0, hypothetical_M=table))
-
-    def test_lemma_6_5_contradiction_needs_its_evidence(self):
-        # the NCG1 trace of n = 4, closed by the duplicate-degree failure
-        # instead, which rests on Cor6.4 and the last Claim1
-        [t] = [x for x in replay(4) if x.case is Case.NCG1]
-        rules = [f.rule for f in t.steps]
-        premises = (rules.index("Cor6.4"), len(rules) - 1 - rules[::-1].index("Claim1"))
-        fact = dataclasses.replace(check_lemma_6_5(4, {1: 3, 2: 3}, 0), premises=premises)
-        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,), detail="duplicate-degree")
-        assert verify_trace(trace)
-        last = len(trace.steps) - 1
-        for key in ("evidence", "hypothetical_M"):
-            with pytest.raises(TraceError):
-                verify_trace(_replaced(trace, last, _without(fact.payload, key)))
 
     def test_every_ihat_is_the_pinned_value(self):
         applied = set()
@@ -647,18 +521,6 @@ class TestMutations:
                     verify_trace(bad)
         assert mutants > 0
 
-    def test_duplicate_degree_needs_two_iterates_at_its_degree(self):
-        [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        rules = [f.rule for f in t.steps]
-        premises = (rules.index("Cor6.4"), len(rules) - 1 - rules[::-1].index("Claim1"))
-        fact = dataclasses.replace(check_lemma_6_5(6, {1: 5, 2: 7, 3: 7}, 1), premises=premises)
-        trace = dataclasses.replace(t, steps=t.steps[:-1] + (fact,), detail="duplicate-degree")
-        assert verify_trace(trace)
-        last = len(trace.steps) - 1
-        for changes in ({"degree": 5}, {"degree": 9}, {"iterates": [2]}, {"iterates": [3, 3]}):
-            with pytest.raises(TraceError):
-                verify_trace(_tampered(trace, last, **changes))
-
     def test_traces_are_checked_as_a_whole(self):
         applied = dict.fromkeys(["detail", "case", "subcase", "not last", "rule", "p/2",
                                  "fact kind"], 0)
@@ -725,7 +587,7 @@ class TestMutations:
 
     def test_the_rule_table_has_no_dead_rows(self):
         # every (rule, contradiction kind) the replay emits has a row, and
-        # every row but the duplicate-degree contradiction is emitted
+        # every row is emitted
         even_rule = {odd: even for even, odd in _ODD_RULE.items()}
         emitted = set()
         for n in range(2, 41):
@@ -734,8 +596,7 @@ class TestMutations:
                     key = (fact.rule, fact.payload.get("contradiction_kind"))
                     assert key in _TABLE[n % 2], (n, key)
                     emitted.add((even_rule.get(key[0], key[0]), key[1]))
-        assert emitted <= set(_RULES)
-        assert set(_RULES) - emitted == {("L6.5", "duplicate-degree")}
+        assert emitted == set(_RULES)
 
     def test_untampered_traces_verify(self):
         for n in range(2, 61):
