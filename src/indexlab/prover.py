@@ -298,13 +298,15 @@ def _check_claim_1(t, p, floor, before):
         raise TraceError(f"Claim1 at m = {m} must rest on its floor sum and on i(c^{m - 1})")
 
 
-def _check_pigeonhole(t, p, pin, floor):
-    # each admissible floor sum s puts i(c^m) on the degree of the earlier iterate s + 1
+def _check_pigeonhole(t, p, known, floor):
+    # each admissible floor sum s puts i(c^m) on the degree of the earlier iterate s + 1,
+    # whose index the Claim1 chain up to `known` has established
     first, last = floor["set"]
     collisions = {t.n - 1 + 2 * s: s + 1 for s in range(first, last + 1)}
-    if (p["m"] != floor["m"] or last + 1 >= p["m"] or p["candidates"] != list(collisions)
-            or p["collisions"] != collisions):
-        raise TraceError("pigeonhole candidates and collisions do not follow from the floor sums")
+    if (p["m"] != floor["m"] or not last + 1 <= known.get("m", 1) < p["m"]
+            or p["candidates"] != list(collisions) or p["collisions"] != collisions):
+        raise TraceError("pigeonhole candidates and collisions do not follow from the floor sums "
+                         "and the iterates whose indices are established")
 
 
 def _check_empty_range(t, p, pin, floor):
@@ -359,7 +361,7 @@ _RULES = {
     ("Eq(6.11)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
     ("Claim1", None): (FactKind.IndexEquals, ("Eq(6.11)", "Claim1|Cor6.4"), _check_claim_1),
     ("Eq(6.14)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
-    ("L6.5", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_pigeonhole),
+    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole),
     ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
     ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign),
     ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality),

@@ -470,6 +470,30 @@ class TestMutations:
             with pytest.raises(TraceError, match="Claim1 at m = 4"):
                 verify_trace(_replaced(t, i, premises=premises))
 
+    def test_the_pigeonhole_needs_the_claim1_chain(self):
+        # every Eq(6.11) and Claim1 step cut out and the premises re-indexed:
+        # nothing then establishes the indices of the iterates the pigeonhole
+        # collides with, whichever earlier step its first premise names
+        mutants = 0
+        for n in range(2, 41):
+            [t] = [x for x in replay(n) if x.case is Case.NCG1]
+            keep = [i for i, f in enumerate(t.steps)
+                    if f.rule not in ("Eq(6.11)", "Eq(6.23)", "Claim1")]
+            if len(keep) == len(t.steps):
+                continue  # n = 2, 3: the chain is empty
+            new = {old: k for k, old in enumerate(keep)}
+            steps = [dataclasses.replace(t.steps[i], premises=tuple(new.get(j, -1) for j in
+                                                                    t.steps[i].premises))
+                     for i in keep]
+            last = len(steps) - 1
+            for j in range(last):
+                steps[last] = dataclasses.replace(steps[last],
+                                                  premises=(j,) + steps[last].premises[1:])
+                mutants += 1
+                with pytest.raises(TraceError):
+                    verify_trace(dataclasses.replace(t, steps=tuple(steps)))
+        assert mutants > 0
+
     def test_derived_values_are_checked_against_their_premises(self):
         applied = [0] * len(DERIVED_TAMPERINGS)
         for n in range(2, 41):
@@ -608,13 +632,13 @@ class TestMutations:
 # bytes is deliberate; a schema change updates these and says so in CHANGES.md
 GOLDEN_SHA256 = {
     2: "6f4f8fd566d793d3219049e340972657ffacd98206b3e7f5810a45e41ecc4b92",
-    3: "e3466483229013f7f7969bd1aa42e62223137bf1dadaceaae7fefc5fc2c22ed2",
-    4: "0d472fb3ffdf76abedce50a038b9a111e07523a94511e20d7e76b777180efcdd",
-    5: "82f7e4f019734f0381cf4a80cc6e0a207e9f6d5b8355a5030f89d99cc43f71d7",
-    12: "9d373dabce38c1b397cb4b9c6af0127ea0339de015bca8b35ab56a8055ad87a1",
-    81: "196d44209a559873537b62c4ed125febc1da66b205a71d4c846068550c83f162",
-    120: "82df4b8609b0fd4ae9ccba8a4d05b105fe7aea81beabaa0402c0f3daae85d056",
-    200: "23c61dad67c67ad214416599b18d0d02d00df41c2660ab5001d0d769bd45fd83",
+    3: "8e9ecd2c5dc6e90977d955c56d5dfe0a63a8fa1bf5800c03ba3fa41fd6c7fcb1",
+    4: "6fe93c3dccfe3c72a2fb5ee453cae353d06ab36c778165a25825511fcce911bc",
+    5: "33a58024ae268039c974348c1af36aeca519331482fdbe7acf83da277be575e3",
+    12: "15237432e0f679764b4d4fce31b17edd3d7384d41995103986aef6656d942ef8",
+    81: "2a24d5f99d4241bed530e7e62866bbd880e833083d83893e588710ade285a306",
+    120: "f19c755f5b18a4f40597c2b69179d80046e03a33b790161be8a811082305cad8",
+    200: "9de63b6d935739e0bdbaa5aafe65df3e9433b239a61d1a86eaf18188a4c83f23",
 }
 
 
