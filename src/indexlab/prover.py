@@ -41,13 +41,8 @@ class SymbolicFact:
     premises: tuple[int, ...] = ()  # indices of the earlier steps whose values it reads
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "kind": self.kind.value,
-            "statement": self.statement,
-            "values": self.payload,
-            "premises": self.premises,
-        }
+        return {"rule": self.rule, "kind": self.kind.value, "statement": self.statement,
+                "values": self.payload, "premises": self.premises}
 
 
 def json_default(obj):
@@ -74,13 +69,9 @@ class ProofTrace:
     detail: str  # contradiction kind or vacuity reason
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case.value,
-            "subcase": self.subcase,
-            "steps": [s.to_json() for s in self.steps],
-            "verdict": self.verdict.value,
-            "detail": self.detail,
-        }
+        return {"case": self.case.value, "subcase": self.subcase,
+                "steps": [s.to_json() for s in self.steps], "verdict": self.verdict.value,
+                "detail": self.detail}
 
     @property
     def contradiction(self) -> SymbolicFact | None:
@@ -122,15 +113,16 @@ def _ends(r: range) -> list[int]:
 
 # -- lemma checks: each derives a fact by exhibiting Morse violations ------
 
-def _violation_at(M: dict, n: int, q: int, kind: str) -> Violation:
-    """The failure of sparse table M's `kind` Morse inequality at degree q."""
+def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> Violation:
+    """The failure of sparse table M's `kind` Morse inequality at degree q,
+    with M and q counted from degree `shift`: the Betti side is read at q + shift."""
     if type(q) is int and 0 <= q < M["length"] and kind in ("pointwise", "alternating"):
         entries = M["entries"]
         if kind == "pointwise":
-            lhs, rhs = dict(entries).get(q, 0), betti(n, q)
+            lhs, rhs = dict(entries).get(q, 0), betti(n, q + shift)
         else:  # M_q - M_{q-1} + M_{q-2} - ..., over the nonzero entries
             lhs = sum(v if (q - j) % 2 == 0 else -v for j, v in entries if j <= q)
-            rhs = alternating_betti_sum(n, q)
+            rhs = alternating_betti_sum(n, q + shift)
         if lhs < rhs:
             return Violation(q, kind, lhs, rhs)
     raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
@@ -171,22 +163,22 @@ def check_lemma_6_3(n: int) -> SymbolicFact:
 
     For n even, i(c) is odd and all even-degree M vanish; for n odd, i(c) is
     even and all odd-degree M vanish.  Every admissible hypothetical
-    i(c) < n-1, in increasing order, is refuted by an exact alternating-sum
-    failure: the table with 1 at degree i(c) fails at i(c) + 1.
+    i(c) = i0 < n-1 is refuted the same way: the table with 1 at degree i0
+    fails the alternating inequality at i0 + 1 with -1 < 0.  One family step
+    covers them all: `hypotheses` holds the first and last i0 (in steps of
+    2), and the table and its failure are read relative to i0.
     """
-    refuted = []
-    for i0 in range(1 + n % 2, n - 2, 2):
-        M = {"length": i0 + 2, "entries": [[i0, 1]]}
-        refuted.append({"i_c": i0, "evidence": _violation_at(M, n, i0 + 1, "alternating"),
-                        "hypothetical_M": M})
-    reason = ("each hypothetical below fails the alternating sum: -1 >= 0" if refuted
-              else "hypothesis range below n-1 is empty")
-    return SymbolicFact(
-        FactKind.IndexRange,
-        f"i(c) >= {n - 1} ({reason})",
-        "L6.3",
-        {"min": n - 1, "vacuous_hypothesis": not refuted, "refuted": refuted},
-    )
+    hypotheses = _ends(range(1 + n % 2, n - 2, 2))
+    payload = {"min": n - 1, "hypotheses": hypotheses}
+    if hypotheses:
+        # the left side reads only the table; the right side, taken at the last i0,
+        # is alternating_betti_sum(n, i0 + 1) = 0 for every i0 + 1 < n-1
+        M = {"length": 2, "entries": [[0, 1]]}
+        payload |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
+                    "hypothetical_M": M}
+    reason = (f"each hypothetical i(c) in {hypotheses}, in steps of 2, fails the alternating "
+              "sum at i(c)+1: -1 >= 0" if hypotheses else "hypothesis range below n-1 is empty")
+    return SymbolicFact(FactKind.IndexRange, f"i(c) >= {n - 1} ({reason})", "L6.3", payload)
 
 
 # -- identity pin-down -----------------------------------------------------
@@ -291,22 +283,30 @@ def _check_floor_sum(t, p, rho):
         raise TraceError(f"floor-sum range re-check failed at m = {m}")
 
 
-def _check_claim_1(t, p, floor, before):
-    m, i = p["m"], p["i"]  # i(c^m) is the top of its floor-sum range, 2 above i(c^(m-1))
-    if (floor["m"] != m or before.get("m", 1) != m - 1
-            or not i == before.get("i", before.get("i_c")) + 2 == t.n - 1 + 2 * floor["set"][1]):
-        raise TraceError(f"Claim1 at m = {m} must rest on its floor sum and on i(c^{m - 1})")
+def _check_floor_sum_family(t, p, rho):
+    # with rho = a/b the range at m is [0, m-1] iff m*rho < terms and m*(b-a) < b; both
+    # are monotone in m, so holding at the last iterate m1 they hold for every m <= m1
+    m1 = p["iterates"][-1]
+    if p["iterates"] != [2, m1] or p["terms"] != rho["terms"] or floor_sum_range(
+            m1, p["terms"], m1 * rho["value"]) != range(m1):
+        raise TraceError(f"floor-sum ranges [0, m-1] re-check failed for m in {p['iterates']}")
+
+
+def _check_claim_1(t, p, family, base):
+    # induction on m from i(c^1) = i(c): i(c^m) = i(c) + 2s for s in [0, m-1], and each
+    # s < m-1 is the degree i(c) + 2s of the earlier iterate s + 1, so s = m-1
+    m = family["iterates"][1]
+    if p["m"] != m or p["i"] != base["i_c"] + 2 * (m - 1):
+        raise TraceError(f"Claim1 up to m = {m} must give i(c) + 2(m-1) from its floor sums")
 
 
 def _check_pigeonhole(t, p, known, floor):
-    # each admissible floor sum s puts i(c^m) on the degree of the earlier iterate s + 1,
-    # whose index the Claim1 chain up to `known` has established
-    first, last = floor["set"]
-    collisions = {t.n - 1 + 2 * s: s + 1 for s in range(first, last + 1)}
-    if (p["m"] != floor["m"] or not last + 1 <= known.get("m", 1) < p["m"]
-            or p["candidates"] != list(collisions) or p["collisions"] != collisions):
-        raise TraceError("pigeonhole candidates and collisions do not follow from the floor sums "
-                         "and the iterates whose indices are established")
+    # each admissible floor sum s puts i(c^m) on the degree i(c) + 2s of the earlier
+    # iterate s + 1, whose index the Claim1 induction up to `known` has established
+    _, last = p["set"]
+    if (p["m"], p["set"]) != (floor["m"], floor["set"]) or not last < known.get("m", 1) < p["m"]:
+        raise TraceError("pigeonhole range does not follow from the floor sum, or reaches past "
+                         "the iterates whose indices are established")
 
 
 def _check_empty_range(t, p, pin, floor):
@@ -358,8 +358,8 @@ _RULES = {
     ("Cor6.4", None): (FactKind.IndexEquals, ("L6.2", "L6.3"), _check_corollary_6_4),
     ("Eq(6.7)", None): (FactKind.IndexEquals, ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
     ("Eq(6.9)", None): (FactKind.MeanIndexEquals, ("Eq(6.7)",), _check_eq_6_9),
-    ("Eq(6.11)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
-    ("Claim1", None): (FactKind.IndexEquals, ("Eq(6.11)", "Claim1|Cor6.4"), _check_claim_1),
+    ("Eq(6.11)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum_family),
+    ("Claim1", None): (FactKind.IndexEquals, ("Eq(6.11)", "Cor6.4"), _check_claim_1),
     ("Eq(6.14)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
     ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole),
     ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
@@ -378,25 +378,30 @@ _TABLE = tuple(
      for (rule, kind), (fact_kind, slots, check) in _RULES.items()}
     for parity in (0, 1)
 )
-# for each rule, the premise slots that a step of that rule fills
-_FILLS = tuple({rule: {s for _, slots, _ in rows.values() for s in slots if rule in s}
-                for rule, _ in rows} for rows in _TABLE)
 
 # the contradictions that may close each case
 _CLOSINGS = {Case.NCG1: ("pigeonhole",), Case.NCG2: ("sign", "rotation-count"),
              Case.NCG3: ("sign", "rotation-count"), Case.NCG4: ("sign", "irrationality"),
              Case.NCG5: ("sign", "integrality")}
 
-# the one type each payload key holds
+# the one type each payload key holds; what a list, dict or Violation holds is _plain
 _VALUE_TYPES = {key: type_ for type_, keys in (
     (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
     (Fraction, "value rhs ihat total p_half"),
     (str, "relation zero_parity contradiction_kind"),
-    (bool, "vacuous_hypothesis"),
-    (list, "set candidates refuted"),
-    (dict, "collisions hypothetical_M"),
+    (list, "set hypotheses iterates"),
+    (dict, "hypothetical_M"),
     (Violation, "evidence"),
 ) for key in keys.split()}
+
+
+def _plain(value) -> bool:
+    """Whether every value nested in a payload value is an int or a string, or
+    a list or dict of them: a retyped 1.0 or True is not 1."""
+    if type(value) is Violation:
+        value = vars(value)
+    nested = value.values() if type(value) is dict else value if type(value) is list else ()
+    return all(type(v) in (int, str) or type(v) in (list, dict) and _plain(v) for v in nested)
 
 
 # -- the replay engine -----------------------------------------------------
@@ -418,14 +423,13 @@ class _Steps(list):
 
     def __init__(self, n: int):
         super().__init__()
-        self.n, self.rows, self.fills, self.latest = n, _TABLE[n % 2], _FILLS[n % 2], {}
+        self.n, self.rows, self.at = n, _TABLE[n % 2], {}
 
     def add(self, rule: str, statement: str, payload: dict) -> None:
         kind, slots, _ = self.rows[rule, payload.get("contradiction_kind")]
-        premises = tuple([self.latest[slot] for slot in slots])
+        premises = tuple([max(self.at.get(r, -1) for r in slot) for slot in slots])
         self.append(SymbolicFact(kind, statement, rule, payload, premises))
-        for slot in self.fills[rule]:
-            self.latest[slot] = len(self) - 1
+        self.at[rule] = len(self) - 1
 
     def add_fact(self, fact: SymbolicFact) -> None:
         self.add(fact.rule, fact.statement, fact.payload)
@@ -460,7 +464,6 @@ def _corollary_6_4(steps: _Steps) -> None:
 
 def _replay_ncg1(n: int) -> ProofTrace:
     steps = _Steps(n)
-    steps.add_fact(check_lemma_6_1(n))
     ihat = _identity_pin(steps, Case.NCG1, 0)
     _corollary_6_4(steps)
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
@@ -474,37 +477,29 @@ def _replay_ncg1(n: int) -> ProofTrace:
               f"sum of the {terms} rotation numbers = ihat/2 = {rho_sum}, a rational",
               {"relation": "=", "value": rho_sum, "terms": terms})
 
+    # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
+    # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
     m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
-    m_star = n if n % 2 == 0 else (n + 1) // 2
-    for m in range(2, m1 + 1):
-        total = m * rho_sum
-        ends = _ends(floor_sum_range(m, terms, total))
-        steps.add(_rule(n, "Eq(6.11)"), f"floor sum at m = {m} lies in {ends}",
-                  {"m": m, "terms": terms, "total": total, "set": ends})
-        # uniqueness of the lower degrees forces the top value
-        i_m = n - 1 + 2 * (m - 1)
-        steps.add("Claim1", f"i(c^{m}) = {i_m} (lower values collide with earlier iterates)",
-                  {"m": m, "i": i_m})
-
-    # pigeonhole iterate: the exact rotation sum is an integer there
-    total = m_star * rho_sum
-    label = f"m = {m_star}" if n % 2 == 0 else f"m2 = {m_star}"
-    admissible = floor_sum_range(m_star, terms, total)
-    ends = _ends(admissible)
+    if m1 >= 2:
+        steps.add(_rule(n, "Eq(6.11)"), f"floor sum at each m in [2, {m1}] lies in [0, m-1], "
+                  f"as m*(1 - {rho_sum}) < 1", {"iterates": [2, m1], "terms": terms})
+        steps.add("Claim1", f"i(c^m) = {n - 1} + 2(m-1) for 1 <= m <= {m1} (by induction: lower "
+                  "values collide with earlier iterates)", {"m": m1, "i": n - 1 + 2 * (m1 - 1)})
+    m = m1 + 1
+    total = m * rho_sum
+    label = f"m = {m}" if n % 2 == 0 else f"m2 = {m}"
+    ends = _ends(floor_sum_range(m, terms, total))
     steps.add(_rule(n, "Eq(6.14)"), f"floor sum at {label} lies in {ends} (exact total {total})",
-              {"m": m_star, "terms": terms, "total": total, "set": ends})
-    if not admissible:
+              {"m": m, "terms": terms, "total": total, "set": ends})
+    if ends:
+        steps.add("L6.5", f"pigeonhole at {label}: i(c^{m}) = {n - 1} + 2s with s in {ends} is "
+                  "the index of the earlier iterate c^(s+1), contradicting uniqueness",
+                  {"m": m, "set": ends, "contradiction_kind": "pigeonhole"})
+    else:
         steps.add(_rule(n, "Eq(6.14)"),
                   f"pigeonhole at {label}: no admissible floor sum exists, yet the "
                   f"irrational rotation numbers must realize the exact total {total}",
-                  {"m": m_star, "total": total, "set": [], "contradiction_kind": "pigeonhole"})
-        return steps.close(Case.NCG1)
-    collisions = {n - 1 + 2 * s: s + 1 for s in admissible}  # i(c^(s+1)) = n-1+2s
-    steps.add("L6.5",
-              f"pigeonhole at {label}: i(c^{m_star}) must equal i(c^r) for some "
-              f"r in {sorted(collisions.values())}, contradicting uniqueness",
-              {"m": m_star, "candidates": list(collisions), "collisions": collisions,
-               "contradiction_kind": "pigeonhole"})
+                  {"m": m, "total": total, "set": [], "contradiction_kind": "pigeonhole"})
     return steps.close(Case.NCG1)
 
 
@@ -574,7 +569,8 @@ def verify_trace(trace: ProofTrace) -> bool:
     Each step is checked through its row of the rule table: it must state
     the row's kind of fact, its premises must be earlier steps of the row's
     rules, and the row's check recomputes its values from n and those
-    premises rather than trusting the recorded statement strings.
+    premises rather than trusting the recorded statement strings.  Every
+    step but the last must be a premise of a later one.
     """
     n, steps = trace.n, trace.steps
     if trace.verdict is Verdict.VACUOUS:
@@ -599,7 +595,7 @@ def verify_trace(trace: ProofTrace) -> bool:
                                  f"derivation in this place at n = {n}")
             _, slots, check = row
             for key, value in p.items():
-                if type(value) is not _VALUE_TYPES.get(key):
+                if type(value) is not _VALUE_TYPES.get(key) or not _plain(value):
                     raise TraceError(f"value {key!r} = {value!r} is not of the type its key holds")
             premises = fact.premises
             if not (type(premises) is tuple and len(premises) == len(slots) and all(
@@ -612,12 +608,15 @@ def verify_trace(trace: ProofTrace) -> bool:
             raise TraceError(f"step {i} ({fact.rule}): {e}") from None
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
             raise TraceError(f"step {i} ({fact.rule}): malformed values: {e!r}") from e
+    cited = {j for fact in steps for j in fact.premises}
+    if not cited.issuperset(range(last)):
+        raise TraceError(f"steps {sorted(set(range(last)) - cited)} are premises of no later step")
     return True
 
 
 # -- certificate serialization ---------------------------------------------
 
-CERTIFICATE_SCHEMA = 2
+CERTIFICATE_SCHEMA = 3
 
 
 def certificate(n: int, traces: list[ProofTrace] | None = None) -> dict:

@@ -169,14 +169,14 @@ class TestProve:
         assert code == 0
         doc = json.loads(out)
         assert {t["verdict"] for t in doc["traces"]} <= {"contradiction", "vacuous"}
-        assert doc["schema"] == 2 and "partial" not in doc
+        assert doc["schema"] == 3 and "partial" not in doc
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "prove", "--n", "5", "--case", "ncg4")
         assert code == 0
         doc = json.loads(out)
         assert [t["case"] for t in doc["traces"]] == ["NCG4", "NCG4"]
-        assert (doc["schema"], doc["partial"]) == (2, True)
+        assert (doc["schema"], doc["partial"]) == (3, True)
 
     def test_unknown_case_filter(self, capsys):
         code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexlab import Case, ProofTrace, Verdict, replay, verify_trace
+from indexlab.cli import main
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import (
     _ODD_RULE,
     _RULES,
     _TABLE,
+    _rule,
     FactKind,
     SymbolicFact,
     TraceError,
@@ -39,9 +42,82 @@ def _dense(sparse):
     return dense
 
 
-def _expanded(ends):
+def _expanded(ends, step=1):
     """The integers a certificate's [first, last] (or []) stands for."""
-    return list(range(ends[0], ends[1] + 1)) if ends else []
+    return list(range(ends[0], ends[1] + 1, step)) if ends else []
+
+
+def _shifted(M, i0):
+    """A sparse table counted from degree i0, read from degree 0."""
+    return {"length": M["length"] + i0, "entries": [[q + i0, v] for q, v in M["entries"]]}
+
+
+def _ratio(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _unrolled(n, trace):
+    """The facts of a certificate trace with each family step expanded into
+    the per-member facts it stands for, in order, as (rule, values): the L6.3
+    hypotheticals into their refutations, the Eq(6.11)/(6.23) family and the
+    Claim1 induction into one floor sum and one index per iterate, and the
+    pigeonhole range into the degrees it collides on."""
+    steps, facts = trace["steps"], []
+    for step in steps:
+        rule, p = step["rule"], step["values"]
+        if rule == "L6.3":
+            refuted = [{"i_c": i0, "hypothetical_M": _shifted(p["hypothetical_M"], i0),
+                        "evidence": {**p["evidence"], "q": p["evidence"]["q"] + i0}}
+                       for i0 in _expanded(p["hypotheses"], 2)]
+            facts.append((rule, {"min": p["min"], "vacuous_hypothesis": not refuted,
+                                 "refuted": refuted}))
+        elif rule == "Claim1":
+            family, base = (steps[j] for j in step["premises"])
+            rho = Fraction(steps[family["premises"][0]]["values"]["value"])
+            for m in range(2, p["m"] + 1):
+                facts.append((family["rule"], {"m": m, "terms": family["values"]["terms"],
+                                               "total": _ratio(m * rho), "set": [0, m - 1]}))
+                facts.append((rule, {"m": m, "i": base["values"]["i_c"] + 2 * (m - 1)}))
+        elif rule == "L6.5":
+            degrees = [n - 1 + 2 * s for s in _expanded(p["set"])]
+            facts.append((rule, {"m": p["m"], "candidates": degrees, "contradiction_kind":
+                                 "pigeonhole", "collisions": {str(q): (q - n + 1) // 2 + 1
+                                                              for q in degrees}}))
+        elif rule not in ("Eq(6.11)", "Eq(6.23)"):  # the family is expanded with its Claim1
+            facts.append((rule, p))
+    return facts
+
+
+def _check_unrolled(n, doc):
+    """The unrolled facts of every trace of certificate `doc`, each floor sum,
+    index, hypothetical and collision checked against references computed
+    here from Fraction floors and ceilings."""
+    unrolled = {(t["case"], t["subcase"]): _unrolled(n, t) for t in doc["traces"]}
+    # every hypothetical i(c) < n-1 of the parity of n-1, i(c) >= 1: 1 at degree i(c)
+    # fails at i(c)+1, where b_q - b_{q-1} + ... is 0, as every b_q below n-1 is
+    assert betti_values(n, n - 2) == [0] * (n - 1)
+    refuted = [{"i_c": i, "hypothetical_M": {"length": i + 2, "entries": [[i, 1]]},
+                "evidence": {"q": i + 1, "kind": "alternating", "lhs": -1, "rhs": 0}}
+               for i in range(1, n - 1) if (i - n + 1) % 2 == 0]
+    for facts in unrolled.values():
+        for rule, p in facts:
+            if "total" in p and "terms" in p:
+                total, terms = Fraction(p["total"]), p["terms"]
+                # the floor sum lies strictly between total - terms and total, and is >= 0
+                reference = range(max(0, math.floor(total - terms) + 1), math.ceil(total))
+                assert _expanded(p["set"]) == list(reference), (n, rule, p)
+            if rule == "Claim1":  # the top of its own floor-sum range, 2 above the iterate before
+                assert p["i"] == n - 1 + 2 * reference[-1]
+            if rule == "L6.3":
+                assert p["refuted"] == refuted
+    ncg1 = unrolled["NCG1", ""]
+    m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
+    assert [p["m"] for rule, p in ncg1 if rule == "Claim1"] == list(range(2, m1 + 1))
+    rule, closing = ncg1[-1]
+    if rule == "L6.5":  # every collided iterate is an earlier one whose index Claim1 gives
+        assert closing["candidates"] == [n - 1 + 2 * s for s in reference]
+        assert all(0 < r <= m1 < closing["m"] for r in closing["collisions"].values())
+    return unrolled
 
 
 class TestFloorSumRange:
@@ -97,19 +173,17 @@ class TestLemmaChecks:
 
     def test_lower_bound_even_n(self):
         fact = check_lemma_6_3(4)
-        [entry] = fact.payload["refuted"]
-        assert entry["i_c"] == 1
-        assert (entry["evidence"].lhs, entry["evidence"].rhs) == (-1, 0)
+        assert fact.payload["hypotheses"] == [1, 1]
+        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-1, 0)
 
     def test_lower_bound_odd_n(self):
         fact = check_lemma_6_3(5)
-        [entry] = fact.payload["refuted"]
-        assert entry["i_c"] == 2
-        assert (entry["evidence"].lhs, entry["evidence"].rhs) == (-1, 0)
+        assert fact.payload["hypotheses"] == [2, 2]
+        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-1, 0)
 
     def test_lower_bound_vacuous_for_small_n(self):
-        fact = check_lemma_6_3(2)
-        assert fact.payload["vacuous_hypothesis"]
+        for n in (2, 3):
+            assert check_lemma_6_3(n).payload == {"min": n - 1, "hypotheses": []}
 
 
 class TestIdentityPin:
@@ -176,11 +250,10 @@ class TestReplay:
 
     def test_floor_sum_facts_are_subsets_of_the_loose_sets(self):
         for n in (4, 5, 8, 9):
-            [ncg1] = [t for t in replay(n) if t.case is Case.NCG1]
-            for fact in ncg1.steps:
-                if fact.kind is FactKind.FloorSumRange:
-                    m = fact.payload["m"]
-                    assert set(_expanded(fact.payload["set"])) <= set(range(0, m))
+            [ncg1] = [t for t in json.loads(certificate_json(n))["traces"] if t["case"] == "NCG1"]
+            for _, p in _unrolled(n, ncg1):
+                if "total" in p:
+                    assert set(_expanded(p["set"])) <= set(range(0, p["m"]))
 
 
 class TestVerifier:
@@ -198,45 +271,44 @@ class TestVerifier:
 
     def test_tampered_floor_sum_is_caught(self):
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        bad_steps = list(t.steps)
-        for i, fact in enumerate(bad_steps):
+        tampered = 0
+        for i, fact in enumerate(t.steps):
             if fact.kind is FactKind.FloorSumRange:
-                # the range widened to reach 99
-                bad_steps[i] = dataclasses.replace(
-                    fact, payload={**fact.payload, "set": [fact.payload["set"][0], 99]})
-                break
-        bad = type(t)(t.n, t.case, t.subcase, tuple(bad_steps), t.verdict, t.detail)
-        with pytest.raises(TraceError):
-            verify_trace(bad)
+                # the family's iterates, or the range, widened to reach 99
+                key = "set" if "set" in fact.payload else "iterates"
+                tampered += 1
+                with pytest.raises(TraceError):
+                    verify_trace(_tampered(t, i, **{key: [fact.payload[key][0], 99]}))
+        assert tampered == 2
 
     @pytest.mark.parametrize("change", [{"q": 0}, {"lhs": -1}, {"rhs": 2}])
     def test_tampered_evidence_is_caught(self, change):
         # still a cited failure (lhs < rhs), but not one its table produces
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        fact = t.steps[0]
-        evidence = dataclasses.replace(fact.payload["evidence"], **change)
-        bad_steps = (dataclasses.replace(fact, payload={**fact.payload, "evidence": evidence}),
-                     ) + t.steps[1:]
-        bad = type(t)(t.n, t.case, t.subcase, bad_steps, t.verdict, t.detail)
+        [i] = [i for i, fact in enumerate(t.steps) if fact.rule == "L6.2"]
+        evidence = dataclasses.replace(t.steps[i].payload["evidence"], **change)
         with pytest.raises(TraceError, match="not reproduced"):
-            verify_trace(bad)
+            verify_trace(_tampered(t, i, evidence=evidence))
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_cited_violation_matches_the_full_scan(self, data):
-        # a dense table, in its sparse form, against the full scan of the dense one
+        # a dense table, in its sparse form counted from degree `shift`, against
+        # the full scan of the dense one
         M = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
         sparse = _sparse(M)
         n = data.draw(st.integers(2, 12))
         q = data.draw(st.integers(-1, len(M)))
         kind = data.draw(st.sampled_from(["alternating", "pointwise"]) | st.text(max_size=12))
-        scan = check_morse_inequalities(M, betti_values(n, len(M) - 1), len(M) - 1)
-        [found] = [v for v in scan if (v.q, v.kind) == (q, kind)] or [None]
+        shift = data.draw(st.integers(0, 20))
+        dense = [0] * shift + M
+        scan = check_morse_inequalities(dense, betti_values(n, len(dense) - 1), len(dense) - 1)
+        [found] = [v for v in scan if (v.q, v.kind) == (q + shift, kind) and q >= 0] or [None]
         if found is None:
             with pytest.raises(TraceError):
-                _violation_at(sparse, n, q, kind)
+                _violation_at(sparse, n, q, kind, shift)
         else:
-            assert _violation_at(sparse, n, q, kind) == found
+            assert _violation_at(sparse, n, q, kind, shift) == dataclasses.replace(found, q=q)
 
     def test_open_trace_rejected(self):
         [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
@@ -262,24 +334,18 @@ def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
-def _self_collision(p):
-    # iterate m at its own degree: the degree formula holds, but m is not earlier
-    q, r = next(iter(p["collisions"].items()))
-    q_m = q + 2 * (p["m"] - r)
-    return {"candidates": [q_m], "collisions": {q_m: p["m"]}}
-
-
 # payload values the checker recomputes from n and the fact itself
 TAMPERINGS = [
     ("p_half", lambda p: {"p_half": Fraction(0)}),
     ("k_lower", lambda p: {"k_lower": 50, "k_upper": 3}),
-    ("collisions", lambda p: {"collisions": {1: 1}}),
-    ("collisions", lambda p: {"collisions": {q: r + 1 for q, r in p["collisions"].items()}}),
-    # a true collision, but not every candidate degree
-    ("collisions", lambda p: {"collisions": dict(list(p["collisions"].items())[:1])}),
-    # right degrees, iterates in range, but each paired with the wrong degree
-    ("collisions", lambda p: {"collisions": dict(zip(p["collisions"], reversed(p["collisions"].values())))}),
-    ("collisions", _self_collision),
+    # a floor-sum or pigeonhole range one wider, or one made up
+    ("set", lambda p: {"set": [p["set"][0] - 1, p["set"][1]] if p["set"] else [0, 0]}),
+    ("set", lambda p: {"set": [p["set"][0], p["set"][1] + 1] if p["set"] else [1, 0]}),
+    # one hypothetical i(c) more, or a made-up one
+    ("hypotheses", lambda p: {"hypotheses": [p["hypotheses"][0], p["hypotheses"][1] + 2]
+                              if p["hypotheses"] else [1, 1]}),
+    ("iterates", lambda p: {"iterates": [2, p["iterates"][1] + 1]}),
+    ("iterates", lambda p: {"iterates": [1, p["iterates"][1]]}),
 ]
 
 
@@ -308,7 +374,8 @@ DERIVED_TAMPERINGS = [
     ("zero_parity", lambda p: {"zero_parity": {"even": "odd", "odd": "even"}[p["zero_parity"]]}),
     ("rhs", lambda p: {"rhs": -p["rhs"]}),
     ("m", lambda p: {"m": p["m"] + 1}),
-    ("candidates", lambda p: {"candidates": p["candidates"][1:]}),
+    # a family valid in itself, but shorter than the one Claim1 reads
+    ("iterates", lambda p: {"iterates": [2, p["iterates"][1] - 1]}),
 ]
 
 
@@ -322,6 +389,50 @@ def _retyped(v):
     if isinstance(v, Violation):
         out += [dataclasses.astuple(v), dataclasses.asdict(v)]
     return [x for x in out if type(x) is not type(v)]
+
+
+def _nearby(value):
+    """Values of value's own type next to it: an int moved by 1 or 2, a string
+    changed, a range emptied or made up, and each value nested in a list, dict
+    or Violation moved in turn."""
+    if type(value) is int:
+        return [value + d for d in (-2, -1, 1, 2)]
+    if type(value) is str:
+        return [value + "'"]
+    if type(value) is list:
+        return [[] if value else [1, 1]] + [value[:k] + [x] + value[k + 1:]
+                                            for k, v in enumerate(value) for x in _nearby(v)]
+    if type(value) is dict:
+        return [{**value, k: x} for k, v in value.items() for x in _nearby(v)]
+    return [dataclasses.replace(value, **{k: x}) for k, v in vars(value).items()
+            for x in _nearby(v)]
+
+
+def _retyped_nested(value):
+    """Copies of value with one int nested in it turned into a float or a bool."""
+    def retyped(v):
+        return [float(v), bool(v)] if type(v) is int else _retyped_nested(v)
+    if type(value) is list:
+        return [value[:k] + [x] + value[k + 1:] for k, v in enumerate(value) for x in retyped(v)]
+    if type(value) is dict:
+        return [{**value, k: x} for k, v in value.items() for x in retyped(v)]
+    if type(value) is Violation:
+        return [dataclasses.replace(value, **{k: x}) for k, v in vars(value).items()
+                for x in retyped(v)]
+    return []
+
+
+def _reindexed(trace, keep, default=-1):
+    """The trace with only the steps `keep`, each premise pointed at its step's
+    new index, or at `default` if that step is gone."""
+    new = {old: k for k, old in enumerate(keep)}
+    return dataclasses.replace(trace, steps=tuple(dataclasses.replace(
+        trace.steps[i], premises=tuple(new.get(j, default) for j in trace.steps[i].premises))
+        for i in keep))
+
+
+# the steps that each stand for a family of facts, one per member
+FAMILY_RULES = {"L6.3", "Eq(6.11)", "Eq(6.23)", "Claim1", "L6.5"}
 
 
 class TestMutations:
@@ -347,10 +458,6 @@ class TestMutations:
                 for i, fact in enumerate(t.steps):
                     p = fact.payload
                     payloads = [_without(p, "hypothetical_M")] if "evidence" in p else []
-                    for j, entry in enumerate(p.get("refuted", [])):
-                        refuted = list(p["refuted"])
-                        refuted[j] = _without(entry, "hypothetical_M")
-                        payloads.append({**p, "refuted": refuted})
                     for payload in payloads:
                         mutants += 1
                         with pytest.raises(TraceError, match="not reproduced"):
@@ -369,15 +476,15 @@ class TestMutations:
                         mutants["no evidence, no table"] = _without(_without(p, "evidence"),
                                                                     "hypothetical_M")
                     if fact.rule == "L6.3":
-                        refuted = p["refuted"]
-                        if refuted:
-                            mutants["first refutation dropped"] = {**p, "refuted": refuted[1:]}
-                            mutants["last refutation dropped"] = {**p, "refuted": refuted[:-1]}
-                            mutants["emptied, flag set"] = {**p, "refuted": [], "vacuous_hypothesis": True}
-                        # a genuine refutation of a larger n: its i(c) is not below n-1 here
-                        extra = check_lemma_6_3(n + 2).payload["refuted"][-1]
-                        mutants["refutation added"] = {**p, "refuted": refuted + [extra]}
-                        mutants["flag flipped"] = {**p, "vacuous_hypothesis": not p["vacuous_hypothesis"]}
+                        if p["hypotheses"]:
+                            a, b = p["hypotheses"]
+                            mutants["first hypothesis dropped"] = {**p, "hypotheses": [a + 2, b]}
+                            mutants["last hypothesis dropped"] = {**p, "hypotheses": [a, b - 2]}
+                            mutants["emptied"] = {"min": p["min"], "hypotheses": []}
+                            mutants["other parity"] = {**p, "hypotheses": [a + 1, b + 1]}
+                        # the family of a larger n: its last i(c) is not below n-1 here
+                        larger = check_lemma_6_3(n + 2).payload
+                        mutants["hypothesis added"] = {**larger, "min": n - 1}
                     for kind, payload in mutants.items():
                         kinds.add((fact.rule, kind))
                         with pytest.raises(TraceError, match="not reproduced"):
@@ -386,13 +493,16 @@ class TestMutations:
 
     def test_forged_evidence_needs_a_sparse_table(self):
         [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        p = t.steps[0].payload
-        forged = {**_without(p, "hypothetical_M"), "evidence": Violation(0, "pointwise", -7, 5)}
-        with pytest.raises(TraceError):
-            verify_trace(_replaced(t, 0, forged))
-        for table in (_dense(p["hypothetical_M"]), {**p["hypothetical_M"], "entries": ()}):
+        for i, fact in enumerate(t.steps):
+            p = fact.payload
+            if "hypothetical_M" not in p:
+                continue
+            forged = {**_without(p, "hypothetical_M"), "evidence": Violation(0, "pointwise", -7, 5)}
             with pytest.raises(TraceError):
-                verify_trace(_tampered(t, 0, hypothetical_M=table))
+                verify_trace(_replaced(t, i, forged))
+            for table in (_dense(p["hypothetical_M"]), {**p["hypothetical_M"], "entries": ()}):
+                with pytest.raises(TraceError):
+                    verify_trace(_tampered(t, i, hypothetical_M=table))
 
     def test_every_ihat_is_the_pinned_value(self):
         applied = set()
@@ -454,21 +564,22 @@ class TestMutations:
                     if fact.rule == "L6.3":
                         applied["relabelled L6.3"] += 1
                         with pytest.raises(TraceError):
-                            verify_trace(_replaced(t, i, {**fact.payload, "refuted": []},
+                            verify_trace(_replaced(t, i, {**fact.payload, "hypotheses": []},
                                                    rule="L6.4"))
         assert all(applied.values()), applied
 
     def test_claim1_rests_on_its_own_floor_sum_and_the_iterate_before(self):
-        # right rules, wrong steps: the checker also matches the iterates m
+        # each mutant is consistent in itself, but the induction does not reach
+        # the family's last iterate m1 = 4, or does not start at i(c) = 8
         [t] = [x for x in replay(9) if x.case is Case.NCG1]
         rules = [f.rule for f in t.steps]
-        claims = [i for i, r in enumerate(rules) if r == "Claim1"]  # m = 2, 3, 4
-        i = claims[-1]
-        own_sum, before = t.steps[i].premises
-        cor = rules.index("Cor6.4")
-        for premises in ((own_sum - 2, before), (own_sum, claims[0]), (own_sum, cor)):
-            with pytest.raises(TraceError, match="Claim1 at m = 4"):
-                verify_trace(_replaced(t, i, premises=premises))
+        family, claim = rules.index("Eq(6.23)"), rules.index("Claim1")
+        assert t.steps[claim].payload == {"m": 4, "i": 14}
+        for bad in (_tampered(t, family, iterates=[2, 3]),  # a true family, one iterate short
+                    _tampered(t, claim, m=3, i=12),  # a true chain, one iterate short
+                    _tampered(t, claim, i=16)):  # the chain of a base 2 above i(c)
+            with pytest.raises(TraceError, match="Claim1 up to m = "):
+                verify_trace(bad)
 
     def test_the_pigeonhole_needs_the_claim1_chain(self):
         # every Eq(6.11) and Claim1 step cut out and the premises re-indexed:
@@ -519,9 +630,8 @@ class TestMutations:
                 if "total" in p:
                     r = floor_sum_range(p["m"], p["terms"], p["m"] * rho)
                     bad = _tampered(bad, j, total=p["m"] * rho, set=[r[0], r[-1]])
-                elif "collisions" in p:
-                    collisions = {n - 1 + 2 * s: s + 1 for s in r}
-                    bad = _tampered(bad, j, candidates=list(collisions), collisions=collisions)
+                elif t.steps[j].rule == "L6.5":
+                    bad = _tampered(bad, j, set=[r[0], r[-1]])
             with pytest.raises(TraceError, match="ihat/2"):
                 verify_trace(bad)
 
@@ -609,6 +719,97 @@ class TestMutations:
         with pytest.raises(TraceError):
             verify_trace(_replaced(t, i, payload))
 
+    def test_every_field_of_each_family_step_is_checked(self):
+        rules = set()
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    if fact.rule not in FAMILY_RULES:
+                        continue
+                    rules.add(fact.rule)
+                    for key, value in fact.payload.items():
+                        for x in _nearby(value):
+                            with pytest.raises(TraceError):
+                                verify_trace(_tampered(t, i, **{key: x}))
+        assert rules == FAMILY_RULES
+
+    def test_nested_ints_keep_their_type(self):
+        # a range end, an evidence field or a table entry retyped to an equal float or bool
+        keys = set()
+        for n in range(2, 41):
+            for t in replay(n):
+                for i, fact in enumerate(t.steps):
+                    for key, value in fact.payload.items():
+                        for x in _retyped_nested(value):
+                            keys.add(key)
+                            with pytest.raises(TraceError, match="not of the type"):
+                                verify_trace(_tampered(t, i, **{key: x}))
+        assert keys == {"set", "hypotheses", "iterates", "evidence", "hypothetical_M"}
+
+    def test_every_step_but_the_last_is_a_premise(self):
+        mutants = 0
+        for n in range(2, 41):
+            for t in replay(n):
+                for k in range(len(t.steps) - 1):
+                    # step k dropped, the premises re-indexed
+                    dropped = _reindexed(t, [i for i in range(len(t.steps)) if i != k])
+                    mutants += 1
+                    with pytest.raises(TraceError):
+                        verify_trace(dropped)
+                for k in range(len(t.steps)):
+                    # a true step padded in after step k, and cited by no later step
+                    for pad in (t.steps[k], check_lemma_6_1(n), check_lemma_6_2(n)):
+                        padded = t.steps[:k + 1] + (pad,) + tuple(
+                            dataclasses.replace(f, premises=tuple(j + (j > k) for j in f.premises))
+                            for f in t.steps[k + 1:])
+                        if k + 1 < len(padded) - 1:  # a padded closing is not the last step
+                            mutants += 1
+                            with pytest.raises(TraceError, match="premises of no later step"):
+                                verify_trace(dataclasses.replace(t, steps=padded))
+        assert mutants > 0
+
+    def test_the_claim1_induction_cannot_be_cut_out(self):
+        # the pigeonhole then rests on Cor6.4, which establishes the index of c^1 only
+        for n in range(4, 41):
+            [t] = [x for x in replay(n) if x.case is Case.NCG1]
+            rules = [f.rule for f in t.steps]
+            keep = [i for i, rule in enumerate(rules) if rule != "Claim1"]
+            with pytest.raises(TraceError):
+                verify_trace(_reindexed(t, keep, default=rules.index("Cor6.4")))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_m1_is_the_last_iterate_the_floor_sums_allow(self, shift):
+        # m1 moved in the family, in the Claim1 induction, or in both; and the
+        # pigeonhole iterate m1 + 1 moved alone or with them, its floor sum and
+        # range re-derived: each mutant is consistent but for one link
+        for n in range(4, 41):
+            [t] = [x for x in replay(n) if x.case is Case.NCG1]
+            rules = [f.rule for f in t.steps]
+            family, claim = rules.index(_rule(n, "Eq(6.11)")), rules.index("Claim1")
+            floor, closing = rules.index(_rule(n, "Eq(6.14)")), rules.index("L6.5")
+            m1 = t.steps[family].payload["iterates"][1] + shift
+            rho = t.steps[family - 1].payload["value"]
+
+            def moved(*parts):
+                trace = t
+                if "family" in parts:
+                    trace = _tampered(trace, family, iterates=[2, m1])
+                if "claim" in parts:
+                    trace = _tampered(trace, claim, m=m1, i=n - 1 + 2 * (m1 - 1))
+                if "claim m" in parts:  # the index of the old last iterate kept
+                    trace = _tampered(trace, claim, m=m1)
+                if "pigeonhole" in parts:  # at m1 + 1
+                    ends = floor_sum_range(m1 + 1, n - 1, (m1 + 1) * rho)
+                    ends = [ends[0], ends[-1]]
+                    trace = _tampered(trace, floor, m=m1 + 1, total=(m1 + 1) * rho, set=ends)
+                    trace = _tampered(trace, closing, m=m1 + 1, set=ends)
+                return trace
+            for parts in (("family",), ("claim",), ("family", "claim"), ("pigeonhole",),
+                          ("claim", "pigeonhole"), ("claim m", "pigeonhole"),
+                          ("family", "claim", "pigeonhole")):
+                with pytest.raises(TraceError):
+                    verify_trace(moved(*parts))
+
     def test_the_rule_table_has_no_dead_rows(self):
         # every (rule, contradiction kind) the replay emits has a row, and
         # every row is emitted
@@ -628,17 +829,20 @@ class TestMutations:
                 assert verify_trace(t)
 
 
+# every certificate is shorter than this, for any n up to 10^9: only the digits of n grow it
+CERTIFICATE_BYTES = 16_000
+
 # sha256 of certificate_json(n), pinned so that any change to the certificate
 # bytes is deliberate; a schema change updates these and says so in CHANGES.md
 GOLDEN_SHA256 = {
-    2: "6f4f8fd566d793d3219049e340972657ffacd98206b3e7f5810a45e41ecc4b92",
-    3: "8e9ecd2c5dc6e90977d955c56d5dfe0a63a8fa1bf5800c03ba3fa41fd6c7fcb1",
-    4: "6fe93c3dccfe3c72a2fb5ee453cae353d06ab36c778165a25825511fcce911bc",
-    5: "33a58024ae268039c974348c1af36aeca519331482fdbe7acf83da277be575e3",
-    12: "15237432e0f679764b4d4fce31b17edd3d7384d41995103986aef6656d942ef8",
-    81: "2a24d5f99d4241bed530e7e62866bbd880e833083d83893e588710ade285a306",
-    120: "f19c755f5b18a4f40597c2b69179d80046e03a33b790161be8a811082305cad8",
-    200: "9de63b6d935739e0bdbaa5aafe65df3e9433b239a61d1a86eaf18188a4c83f23",
+    2: "3da363ba497ed381f0fd0056c02d42f187a85dd6f088ba797d31e64e9deecbd4",
+    3: "5b77d0be14330e86c2197e5dd5fcc0efc9e44bd3f3cfaec783eb6d24bd1f25a6",
+    4: "a63e78c5f3d9cdfb06a01d54b0b069b2707d4ab75df9897fad0aaf24a6178832",
+    5: "5529a355d93ff3f35456445d7821cfce173bb5937f23590b0cf761a443db40fc",
+    12: "0c25e6d7c72f29812218fd53b95ee986bf2dc6487e79971d4de698efb9c9fbc0",
+    81: "1e6214da8176722d2cd1f4275a9b30b5c72c93fa4efc8a1c3a4fe596292ec2d1",
+    120: "46cc5f0b67c7e47535f438689231ac9dcef3df49205b70fbc5f9ccaeeb592882",
+    200: "4935ac67c0a9a5d4635267a60ef45421dcd061db2610088bb891f996bb5da2db",
 }
 
 
@@ -652,42 +856,39 @@ class TestCertificate:
 
     def test_schema(self):
         doc = json.loads(certificate_json(4))
-        assert (doc["schema"], doc["n"]) == (2, 4)
+        assert (doc["schema"], doc["n"]) == (3, 4)
         assert set(doc) == {"schema", "n", "traces"}  # a full certificate is not partial
         for trace in doc["traces"]:
             assert trace["verdict"] in ("contradiction", "vacuous")
             for i, step in enumerate(trace["steps"]):
                 assert set(step) == {"rule", "kind", "statement", "values", "premises"}
                 assert len(step["premises"]) <= 2 and all(0 <= j < i for j in step["premises"])
+        # each rule occurs at most once before the closing step, which may
+        # repeat the rule of a premise (Eq(6.14), say, in the empty-range closing)
+        for n in (2, 3, 4, 5, 8, 9, 1000, 1001):
+            for t in replay(n):
+                rules = [f.rule for f in t.steps[:-1]]
+                assert len(set(rules)) == len(rules)
 
     def test_one_case_is_partial(self):
         for case in Case:
             doc = certificate(7, [t for t in replay(7) if t.case is case])
-            assert (doc["schema"], doc["partial"]) == (2, True)
+            assert (doc["schema"], doc["partial"]) == (3, True)
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_decoded_content_matches_the_dense_definitions(self, n):
-        # every range and sparse table of the certificate, expanded back to
-        # dense form, against references built here from the definitions
-        doc = json.loads(certificate_json(n))
+        # every family of the certificate unrolled, each range and sparse table
+        # expanded to dense form, against references built here from the definitions
+        unrolled = _check_unrolled(n, json.loads(certificate_json(n)))
         ranges = tables = 0
-        for trace in doc["traces"]:
-            for step in trace["steps"]:
-                p = step["values"]
-                if step["kind"] == "FloorSumRange":
-                    total, terms = Fraction(p["total"]), p["terms"]
-                    # the floor sum lies strictly between total - terms and total, and is >= 0
-                    reference = [s for s in range(math.ceil(total)) if s > total - terms]
-                    assert _expanded(p["set"]) == reference
-                    ranges += 1
+        for facts in unrolled.values():
+            for rule, p in facts:
+                ranges += "total" in p and "terms" in p
                 cited = [p] if "hypothetical_M" in p else []
-                if step["rule"] == "L6.3":
-                    # one table per hypothetical i(c) < n-1 of the parity of n-1, i(c) >= 1
-                    hypotheticals = [i for i in range(1, n - 1) if (i - n + 1) % 2 == 0]
-                    assert [e["i_c"] for e in p["refuted"]] == hypotheticals
+                if rule == "L6.3":
+                    cited += p["refuted"]
                     for e in p["refuted"]:
                         assert _dense(e["hypothetical_M"]) == [0] * e["i_c"] + [1, 0]
-                    cited += p["refuted"]
                 elif cited:  # L6.1 and L6.2 suppose M_q = 0 below degree n
                     assert _dense(p["hypothetical_M"]) == [0] * n
                 for c in cited:
@@ -697,9 +898,24 @@ class TestCertificate:
                     tables += 1
         assert ranges == (n - 1 if n % 2 == 0 else (n - 1) // 2) and tables > 0
 
-    def test_bytes_grow_linearly_in_n(self):
-        per_n = [len(certificate_json(n)) / n for n in (1000, 2000, 4000)]
-        assert max(per_n) < 1.1 * min(per_n), per_n
+    def test_family_steps_expand_to_the_unrolled_facts(self):
+        # the expansion of test_decoded_content_matches_the_dense_definitions,
+        # without the dense scans, to n = 500
+        for n in range(2, 501):
+            _check_unrolled(n, json.loads(certificate_json(n)))
+
+    def test_bytes_are_bounded_independently_of_n(self):
+        sizes = [len(certificate_json(n)) for n in (1000, 1001, 9999, 10000, 99999, 100000)]
+        assert max(sizes) < CERTIFICATE_BYTES, sizes
+
+    def test_a_billion_is_as_quick_and_small_as_any_n(self, capsys):
+        # every unrolled family is one step, so neither time nor bytes grow with n
+        start = time.perf_counter()
+        code = main(["prove", "--n", "1000000000"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0 and json.loads(out)["n"] == 10**9
+        assert elapsed < 1.0 and len(out) < CERTIFICATE_BYTES, (elapsed, len(out))
 
     def test_steps_carry_rule_anchors(self):
         doc = certificate(6)
