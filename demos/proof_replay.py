@@ -2,27 +2,29 @@
 
 Assuming a single prime closed geodesic on the bumpy Finsler n-sphere, each
 normal-form case and parity subcase is driven to an explicit contradiction.
-Every trace is re-validated by an independent exact checker.
+Every certificate is re-validated, from its JSON bytes, by an exact checker.
 """
 
 import json
 
-from indexlab import Verdict, replay, verify_trace
+from indexlab import verify_certificate
 from indexlab.prover import certificate_json
 
 for n in (2, 3, 4, 7):
+    cert = json.loads(certificate_json(n))
+    verify_certificate(cert)  # raises on any numeric discrepancy
     print(f"\nn = {n}")
-    for trace in replay(n):
-        verify_trace(trace)  # raises on any numeric discrepancy
-        tag = f"{trace.case.value:5s} {trace.subcase or '(all p)':8s}"
-        if trace.verdict is Verdict.VACUOUS:
-            print(f"  {tag} vacuous: {trace.detail}")
+    for trace in cert["traces"]:
+        tag = f"{trace['case']:5s} {trace['subcase'] or '(all p)':8s}"
+        if trace["verdict"] == "vacuous":
+            print(f"  {tag} vacuous: {trace['detail']}")
         else:
-            print(f"  {tag} contradiction ({trace.detail}):")
-            print(f"      {trace.contradiction.statement}")
+            print(f"  {tag} contradiction ({trace['detail']}):")
+            print(f"      {trace['steps'][-1]['statement']}")
 
 # the full case analysis serializes to a deterministic JSON certificate
-cert = json.loads(certificate_json(4))
+text = certificate_json(4)
+cert = json.loads(text)
 steps = sum(len(t["steps"]) for t in cert["traces"])
 print(f"\ncertificate for n = 4: {len(cert['traces'])} traces, {steps} facts, "
-      f"{len(certificate_json(4))} bytes of canonical JSON")
+      f"{len(text)} bytes of canonical JSON")

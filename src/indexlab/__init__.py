@@ -29,7 +29,7 @@ from .morse import (
     morse_numbers,
     poincare_series_truncated,
 )
-from .prover import ProofTrace, SymbolicFact, Verdict, replay, verify_trace
+from .prover import ProofTrace, Verdict, replay, verify_certificate, verify_trace
 
 __version__ = "0.1.0"
 
@@ -62,8 +62,8 @@ __all__ = [
     "averaged_alternating_sum",
     "mean_index_identity_lhs",
     "ProofTrace",
-    "SymbolicFact",
     "Verdict",
     "replay",
+    "verify_certificate",
     "verify_trace",
 ]

@@ -4,7 +4,8 @@ Under the hypothesis that exactly one prime closed geodesic exists on the
 bumpy n-sphere, every case shape and parity subcase of its linearized
 return map leads to a contradiction.  This module derives each
 contradiction as an ordered list of justified facts over exact rationals,
-and an independent checker re-validates every numeric step of a trace.
+each built as the JSON object the certificate holds, and a checker that
+reads the parsed certificate re-validates every numeric step.
 
 The engine works symbolically: a constraint like "the rotation numbers sum
 to a rational" is a fact about the model family, never an instantiated
@@ -16,42 +17,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .iteration import Case
-from .morse import Violation, alternating_betti_sum, betti, euler_limit
-
-
-class FactKind(enum.Enum):
-    IndexEquals = "IndexEquals"
-    IndexRange = "IndexRange"
-    MeanIndexEquals = "MeanIndexEquals"
-    MorseZeroParity = "MorseZeroParity"
-    FloorSumRange = "FloorSumRange"
-    Contradiction = "Contradiction"
-
-
-@dataclass(frozen=True)
-class SymbolicFact:
-    kind: FactKind
-    statement: str
-    rule: str
-    payload: dict = field(default_factory=dict)
-    premises: tuple[int, ...] = ()  # indices of the earlier steps whose values it reads
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "kind": self.kind.value, "statement": self.statement,
-                "values": self.payload, "premises": self.premises}
-
-
-def json_default(obj):
-    """`default=` hook of json.dumps for the payload values JSON has no type for."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, Violation):
-        return {"q": obj.q, "kind": obj.kind, "lhs": obj.lhs, "rhs": obj.rhs}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+from .morse import alternating_betti_sum, betti, euler_limit
 
 
 class Verdict(enum.Enum):
@@ -64,20 +35,13 @@ class ProofTrace:
     n: int
     case: Case
     subcase: str  # "", "p even", "p odd"
-    steps: tuple[SymbolicFact, ...]
+    steps: tuple[dict, ...]  # each {"rule", "kind", "statement", "values", "premises"}
     verdict: Verdict
     detail: str  # contradiction kind or vacuity reason
 
     def to_json(self) -> dict:
-        return {"case": self.case.value, "subcase": self.subcase,
-                "steps": [s.to_json() for s in self.steps], "verdict": self.verdict.value,
-                "detail": self.detail}
-
-    @property
-    def contradiction(self) -> SymbolicFact | None:
-        if self.verdict is Verdict.CONTRADICTION:
-            return self.steps[-1]
-        return None
+        return {"case": self.case.value, "subcase": self.subcase, "steps": list(self.steps),
+                "verdict": self.verdict.value, "detail": self.detail}
 
 
 class TraceError(ValueError):
@@ -111,9 +75,9 @@ def _ends(r: range) -> list[int]:
     return [r[0], r[-1]] if r else []
 
 
-# -- lemma checks: each derives a fact by exhibiting Morse violations ------
+# -- lemma checks: each derives a step's statement and values from Morse violations
 
-def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> Violation:
+def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> dict:
     """The failure of sparse table M's `kind` Morse inequality at degree q,
     with M and q counted from degree `shift`: the Betti side is read at q + shift."""
     if type(q) is int and 0 <= q < M["length"] and kind in ("pointwise", "alternating"):
@@ -124,41 +88,33 @@ def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> Violati
             lhs = sum(v if (q - j) % 2 == 0 else -v for j, v in entries if j <= q)
             rhs = alternating_betti_sum(n, q + shift)
         if lhs < rhs:
-            return Violation(q, kind, lhs, rhs)
+            return {"q": q, "kind": kind, "lhs": lhs, "rhs": rhs}
     raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
 
 
-def _lemma_6_1_failure(n: int) -> tuple[dict, Violation]:
+def _lemma_6_1_failure(n: int) -> tuple[dict, dict]:
     """The zero table of length n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
     M = {"length": n, "entries": []}
     return M, _violation_at(M, n, n - 1, "pointwise")
 
 
-def check_lemma_6_1(n: int) -> SymbolicFact:
+def check_lemma_6_1(n: int) -> tuple[str, dict]:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
     M, v = _lemma_6_1_failure(n)
-    return SymbolicFact(
-        FactKind.MeanIndexEquals,
-        f"mean index > 0 (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
-        "L6.1",
-        {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M},
-    )
+    return (f"mean index > 0 (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
+            {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M})
 
 
-def check_lemma_6_2(n: int) -> SymbolicFact:
+def check_lemma_6_2(n: int) -> tuple[str, dict]:
     """i(c) <= n-1 is forced: a larger initial index empties every degree
     up to n-1, again contradicting b_{n-1} = 1."""
     M, v = _lemma_6_1_failure(n)
-    return SymbolicFact(
-        FactKind.IndexRange,
-        f"i(c) <= {n - 1} (else M_{n - 1} = {v.lhs} >= b_{n - 1} = {v.rhs} fails)",
-        "L6.2",
-        {"max": n - 1, "evidence": v, "hypothetical_M": M},
-    )
+    return (f"i(c) <= {n - 1} (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
+            {"max": n - 1, "evidence": v, "hypothetical_M": M})
 
 
-def check_lemma_6_3(n: int) -> SymbolicFact:
+def check_lemma_6_3(n: int) -> tuple[str, dict]:
     """i(c) >= n-1 under the one-sided Morse vanishing of n's parity.
 
     For n even, i(c) is odd and all even-degree M vanish; for n odd, i(c) is
@@ -169,16 +125,16 @@ def check_lemma_6_3(n: int) -> SymbolicFact:
     2), and the table and its failure are read relative to i0.
     """
     hypotheses = _ends(range(1 + n % 2, n - 2, 2))
-    payload = {"min": n - 1, "hypotheses": hypotheses}
+    values = {"min": n - 1, "hypotheses": hypotheses}
     if hypotheses:
         # the left side reads only the table; the right side, taken at the last i0,
         # is alternating_betti_sum(n, i0 + 1) = 0 for every i0 + 1 < n-1
         M = {"length": 2, "entries": [[0, 1]]}
-        payload |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
+        values |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
                     "hypothetical_M": M}
     reason = (f"each hypothetical i(c) in {hypotheses}, in steps of 2, fails the alternating "
               "sum at i(c)+1: -1 >= 0" if hypotheses else "hypothesis range below n-1 is empty")
-    return SymbolicFact(FactKind.IndexRange, f"i(c) >= {n - 1} ({reason})", "L6.3", payload)
+    return f"i(c) >= {n - 1} ({reason})", values
 
 
 # -- identity pin-down -----------------------------------------------------
@@ -242,7 +198,7 @@ def _pinned(p: dict, pin: dict) -> Fraction:
 def _lemma(check_lemma):
     """The check of a lemma step: its values are those the lemma derives at this n."""
     def check(t, p, *premises):
-        if p != check_lemma(t.n).payload:
+        if p != check_lemma(t.n)[1]:
             raise TraceError("values not reproduced by the lemma at this n")
     return check
 
@@ -344,23 +300,23 @@ def _check_rotation_count(t, p, pin, bound):
                          "k >= n-1 and k <= n-2")
 
 
-_C = FactKind.Contradiction
+_C = "Contradiction"
 # Every step a trace may take, keyed by (rule, contradiction kind): the kind
 # of fact it states, the rules of the earlier steps it reads, in premise
 # order ("a|b" admits a step of either rule), and the check of its values.
 # Even-n names; _TABLE[n % 2] is the table for n.
 _RULES = {
-    ("L6.1", None): (FactKind.MeanIndexEquals, (), _lemma(check_lemma_6_1)),
-    ("Eq(5.5)", None): (FactKind.MeanIndexEquals, (), _check_identity),
-    ("Prop2.1", None): (FactKind.MorseZeroParity, (), _check_morse_parity),
-    ("L6.2", None): (FactKind.IndexRange, (), _lemma(check_lemma_6_2)),
-    ("L6.3", None): (FactKind.IndexRange, ("Prop2.1",), _lemma(check_lemma_6_3)),
-    ("Cor6.4", None): (FactKind.IndexEquals, ("L6.2", "L6.3"), _check_corollary_6_4),
-    ("Eq(6.7)", None): (FactKind.IndexEquals, ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
-    ("Eq(6.9)", None): (FactKind.MeanIndexEquals, ("Eq(6.7)",), _check_eq_6_9),
-    ("Eq(6.11)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum_family),
-    ("Claim1", None): (FactKind.IndexEquals, ("Eq(6.11)", "Cor6.4"), _check_claim_1),
-    ("Eq(6.14)", None): (FactKind.FloorSumRange, ("Eq(6.9)",), _check_floor_sum),
+    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1)),
+    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity),
+    ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity),
+    ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2)),
+    ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3)),
+    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4),
+    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
+    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9),
+    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family),
+    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1),
+    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum),
     ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole),
     ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
     ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign),
@@ -384,24 +340,24 @@ _CLOSINGS = {Case.NCG1: ("pigeonhole",), Case.NCG2: ("sign", "rotation-count"),
              Case.NCG3: ("sign", "rotation-count"), Case.NCG4: ("sign", "irrationality"),
              Case.NCG5: ("sign", "integrality")}
 
-# the one type each payload key holds; what a list, dict or Violation holds is _plain
-_VALUE_TYPES = {key: type_ for type_, keys in (
+# each value key's one JSON type, a fraction's being "a/b"; what lists and dicts hold is _plain
+_FRACTIONS = frozenset("value rhs ihat total p_half".split())
+_VALUE_TYPES = dict.fromkeys(_FRACTIONS, str) | {key: type_ for type_, keys in (
     (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
-    (Fraction, "value rhs ihat total p_half"),
     (str, "relation zero_parity contradiction_kind"),
     (list, "set hypotheses iterates"),
-    (dict, "hypothetical_M"),
-    (Violation, "evidence"),
+    (dict, "hypothetical_M evidence"),
 ) for key in keys.split()}
 
 
 def _plain(value) -> bool:
-    """Whether every value nested in a payload value is an int or a string, or
+    """Whether every value nested in a step's values is an int or a string, or
     a list or dict of them: a retyped 1.0 or True is not 1."""
-    if type(value) is Violation:
-        value = vars(value)
-    nested = value.values() if type(value) is dict else value if type(value) is list else ()
-    return all(type(v) in (int, str) or type(v) in (list, dict) and _plain(v) for v in nested)
+    for v in value.values() if type(value) is dict else value:
+        if type(v) is not int and type(v) is not str and (
+                type(v) is not list and type(v) is not dict or not _plain(v)):
+            return False
+    return True
 
 
 # -- the replay engine -----------------------------------------------------
@@ -425,19 +381,19 @@ class _Steps(list):
         super().__init__()
         self.n, self.rows, self.at = n, _TABLE[n % 2], {}
 
-    def add(self, rule: str, statement: str, payload: dict) -> None:
-        kind, slots, _ = self.rows[rule, payload.get("contradiction_kind")]
-        premises = tuple([max(self.at.get(r, -1) for r in slot) for slot in slots])
-        self.append(SymbolicFact(kind, statement, rule, payload, premises))
+    def add(self, rule: str, statement: str, values: dict) -> None:
+        """Append the step, each Fraction among its values spelled "a/b"."""
+        kind, slots, _ = self.rows[rule, values.get("contradiction_kind")]
+        self.append({"rule": rule, "kind": kind, "statement": statement, "values": {
+            k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
+            for k, v in values.items()},
+            "premises": [max(self.at.get(r, -1) for r in slot) for slot in slots]})
         self.at[rule] = len(self) - 1
-
-    def add_fact(self, fact: SymbolicFact) -> None:
-        self.add(fact.rule, fact.statement, fact.payload)
 
     def close(self, case: Case, subcase: str = "") -> ProofTrace:
         """The trace these steps derive, named after the contradiction of its last step."""
         return ProofTrace(self.n, case, subcase, tuple(self), Verdict.CONTRADICTION,
-                          self[-1].payload["contradiction_kind"])
+                          self[-1]["values"]["contradiction_kind"])
 
 
 def _identity_pin(steps: _Steps, case: Case, p_parity: int) -> Fraction:
@@ -457,8 +413,8 @@ def _corollary_6_4(steps: _Steps) -> None:
     dead = "even" if n % 2 == 0 else "odd"  # i(c) has the parity of n-1
     steps.add("Prop2.1", "every contributing iterate has index of the parity of i(c); "
               f"M_q = 0 for {dead} q >= 1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
-    steps.add_fact(check_lemma_6_2(n))
-    steps.add_fact(check_lemma_6_3(n))
+    steps.add("L6.2", *check_lemma_6_2(n))
+    steps.add("L6.3", *check_lemma_6_3(n))
     steps.add("Cor6.4", f"i(c) = {n - 1}", {"i_c": n - 1})
 
 
@@ -509,7 +465,7 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
     ihat = _identity_pin(steps, case, p_parity)
 
     if ihat <= 0:
-        steps.add_fact(check_lemma_6_1(n))
+        steps.add("L6.1", *check_lemma_6_1(n))
         steps.add("L6.1", f"pinned ihat = {ihat} <= 0 contradicts ihat > 0",
                   {"ihat": ihat, "contradiction_kind": "sign"})
     elif case is Case.NCG4:
@@ -555,62 +511,106 @@ def _replay_case(n: int, case: Case) -> list[ProofTrace]:
     reason = _shape_vacuity(n, case)
     if reason is not None:
         return [ProofTrace(n, case, "", (), Verdict.VACUOUS, reason)]
-    if case is Case.NCG1:
-        return [_replay_ncg1(n)]
-    return [_replay_subcase(n, case, p_parity) for p_parity in (0, 1)]
+    return [_replay_ncg1(n)] if case is Case.NCG1 else [_replay_subcase(n, case, p) for p in (0, 1)]
 
 
-# -- independent trace checker ---------------------------------------------
+# -- independent certificate checker ---------------------------------------
 
-def verify_trace(trace: ProofTrace) -> bool:
-    """Re-validate every numeric claim of a trace with exact arithmetic.
+# the JSON type of each field of a trace; what the row checks read of it besides the values
+_TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
+_Scope = namedtuple("_Scope", "n case subcase")
+_STEP_KEYS = {"rule", "kind", "statement", "values", "premises"}
+
+
+def _subcases(n: int, case: Case) -> tuple[str, ...]:
+    """The subcases replay derives for a case shape at n, in order."""
+    return ("",) if case is Case.NCG1 or _shape_vacuity(n, case) else ("p even", "p odd")
+
+
+def verify_trace(n: int, trace: dict) -> bool:
+    """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check; returns True otherwise.
-    Each step is checked through its row of the rule table: it must state
-    the row's kind of fact, its premises must be earlier steps of the row's
-    rules, and the row's check recomputes its values from n and those
+    Types are JSON's own, and each fraction must be spelled "a/b" in lowest
+    terms.  Each step is checked through its row of the rule table: it must
+    state the row's kind of fact, its premises must be earlier steps of the
+    row's rules, and the row's check recomputes its values from n and those
     premises rather than trusting the recorded statement strings.  Every
     step but the last must be a premise of a later one.
     """
-    n, steps = trace.n, trace.steps
-    if trace.verdict is Verdict.VACUOUS:
-        if steps:
-            raise TraceError("vacuous trace must carry no derivation steps")
-        if _shape_vacuity(n, trace.case) is None:
-            raise TraceError(f"case {trace.case.value} is not vacuous for n = {n}")
+    if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
+        raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
+    case = Case.__members__.get(trace["case"])  # each Case is named by its value
+    steps, subcase, detail = trace["steps"], trace["subcase"], trace["detail"]
+    reason = _shape_vacuity(n, case)
+    if trace["verdict"] == "vacuous":
+        if steps or reason is None or (subcase, detail) != ("", reason):
+            raise TraceError(f"{trace['case']} at n = {n} is not vacuous for this reason")
         return True
-    subcases = ("",) if trace.case is Case.NCG1 else ("p even", "p odd")
-    if (not steps or _shape_vacuity(n, trace.case) is not None or trace.subcase not in subcases
-            or trace.detail not in _CLOSINGS.get(trace.case, ())):
-        raise TraceError(f"{trace.case} at n = {n}: a contradiction trace needs steps, a "
-                         f"satisfiable shape, a subcase in {subcases}, a closing its case allows")
-    rows, last = _TABLE[n % 2], len(steps) - 1
-    for i, fact in enumerate(steps):
+    if (trace["verdict"] != "contradiction" or not steps or reason is not None
+            or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
+        raise TraceError(f"{trace['case']} at n = {n}: a contradiction trace needs steps, a "
+                         "satisfiable shape, one of its subcases, a closing its case allows")
+    rows, last, parsed, t = _TABLE[n % 2], len(steps) - 1, [], _Scope(n, case, subcase)
+    for i, step in enumerate(steps):
+        if type(step) is not dict or step.keys() != _STEP_KEYS:
+            raise TraceError(f"step {i} is not an object of the keys {sorted(_STEP_KEYS)}")
+        rule, values, premises = step["rule"], step["values"], step["premises"]
         try:
-            p = fact.payload
-            kind = p.get("contradiction_kind")
-            row = rows.get((fact.rule, kind))
-            if not row or fact.kind is not row[0] or kind != (None if i < last else trace.detail):
-                raise TraceError(f"no {fact.kind} of contradiction kind {kind!r} is a step of the "
-                                 f"derivation in this place at n = {n}")
+            kind = values.get("contradiction_kind")  # values not an object: AttributeError
+            row = rows.get((rule, kind))  # a rule or kind not a string is in no row
+            if (not row or step["kind"] != row[0] or type(step["statement"]) is not str
+                    or kind != (None if i < last else detail)):
+                raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r}, with a "
+                                 f"string statement, is a step in this place at n = {n}")
             _, slots, check = row
-            for key, value in p.items():
-                if type(value) is not _VALUE_TYPES.get(key) or not _plain(value):
+            if not _plain(values):
+                raise TraceError(f"a value in {values!r} is not of the type its key holds")
+            p = dict(values)
+            for key, value in values.items():
+                if type(value) is not _VALUE_TYPES.get(key):
                     raise TraceError(f"value {key!r} = {value!r} is not of the type its key holds")
-            premises = fact.premises
-            if not (type(premises) is tuple and len(premises) == len(slots) and all(
-                    type(j) is int and 0 <= j < i and steps[j].rule in slot
+                if key in _FRACTIONS:  # int() reads " 3", "+3" and "3_0": the spelling must match
+                    num, _, den = value.partition("/")
+                    x = p[key] = Fraction(int(num), int(den))
+                    if value != f"{x.numerator}/{x.denominator}":
+                        raise TraceError(f"{key} = {value!r} is not spelled 'a/b', in lowest terms")
+            if not (type(premises) is list and len(premises) == len(slots) and all(
+                    type(j) is int and 0 <= j < i and steps[j]["rule"] in slot
                     for j, slot in zip(premises, slots))):
                 raise TraceError(f"premises {premises!r} are not earlier steps of the rules "
                                  f"{[' or '.join(s) for s in slots]}")
-            check(trace, p, *[steps[j].payload for j in premises])
+            parsed.append(p)
+            check(t, p, *[parsed[j] for j in premises])
         except TraceError as e:
-            raise TraceError(f"step {i} ({fact.rule}): {e}") from None
-        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
-            raise TraceError(f"step {i} ({fact.rule}): malformed values: {e!r}") from e
-    cited = {j for fact in steps for j in fact.premises}
+            raise TraceError(f"step {i} ({rule}): {e}") from None
+        except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+                ValueError) as e:
+            raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
+    cited = {j for step in steps for j in step["premises"]}
     if not cited.issuperset(range(last)):
         raise TraceError(f"steps {sorted(set(range(last)) - cited)} are premises of no later step")
+    return True
+
+
+def verify_certificate(doc: dict) -> bool:
+    """Re-validate a parsed certificate: schema 3, an integer n >= 2, each trace by
+    verify_trace, and each (case, subcase) replay derives at n once, in replay order,
+    for every case shape, or for the shapes named in a document marked "partial": true."""
+    if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
+            and [type(doc[key]) for key in ("schema", "n", "traces")] == [int, int, list]
+            and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2 and doc["traces"]):
+        raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, traces")
+    n = doc["n"]
+    for trace in doc["traces"]:
+        verify_trace(n, trace)
+    got = [(t["case"], t["subcase"]) for t in doc["traces"]]
+    named = {case for case, _ in got}
+    want = [(case.value, s) for case in Case if case.value in named for s in _subcases(n, case)]
+    if got != want:
+        raise TraceError(f"traces {got} are not {want}, each once in replay order")
+    if doc.get("partial") is not (True if len(named) < len(Case) else None):
+        raise TraceError('"partial": true marks exactly the certificates that leave a case out')
     return True
 
 
@@ -630,5 +630,6 @@ def certificate(n: int, traces: list[ProofTrace] | None = None) -> dict:
     return doc
 
 
-def certificate_json(n: int) -> str:
-    return json.dumps(certificate(n), sort_keys=True, separators=(",", ":"), default=json_default)
+def certificate_json(n: int, traces: list[ProofTrace] | None = None) -> str:
+    """The certificate as the canonical JSON text that `prove` checks and writes."""
+    return json.dumps(certificate(n, traces), sort_keys=True, separators=(",", ":"))

@@ -134,12 +134,12 @@ def test_criterion_6_proof_replay_totality(capsys):
 def test_criterion_7_morse_inequality_reproductions():
     ok = True
     for n in (4, 5, 8, 9):
-        v = check_lemma_6_1(n).payload["evidence"]
-        ok = ok and (v.q, v.kind, v.lhs, v.rhs) == (n - 1, "pointwise", 0, 1)
-        v = check_lemma_6_2(n).payload["evidence"]
-        ok = ok and (v.q, v.kind, v.lhs, v.rhs) == (n - 1, "pointwise", 0, 1)
-        w = check_lemma_6_3(n).payload["evidence"]  # the failure of every hypothetical i(c)
-        ok = ok and (w.kind, w.lhs, w.rhs) == ("alternating", -1, 0)
+        v = check_lemma_6_1(n)[1]["evidence"]
+        ok = ok and v == {"q": n - 1, "kind": "pointwise", "lhs": 0, "rhs": 1}
+        v = check_lemma_6_2(n)[1]["evidence"]
+        ok = ok and v == {"q": n - 1, "kind": "pointwise", "lhs": 0, "rhs": 1}
+        w = check_lemma_6_3(n)[1]["evidence"]  # the failure of every hypothetical i(c)
+        ok = ok and (w["kind"], w["lhs"], w["rhs"]) == ("alternating", -1, 0)
     report(7, "lemma configurations trigger the exact recorded violations", ok)
 
 

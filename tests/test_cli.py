@@ -212,6 +212,21 @@ class TestProve:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_certificate_that_fails_its_check_is_an_error(self, capsys, monkeypatch, tmp_path):
+        certificate = prover.certificate
+
+        def duplicated(n, traces=None):  # the first trace twice
+            doc = certificate(n, traces)
+            return {**doc, "traces": doc["traces"][:1] + doc["traces"]}
+
+        monkeypatch.setattr(prover, "certificate", duplicated)
+        out_path = tmp_path / "cert.json"
+        for argv in (["prove", "--n", "6"], ["prove", "--n", "6", "--json", str(out_path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()  # nothing unchecked is written
+
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         code, out, _ = run(capsys, "prove", "--n", "4", "--json", str(out_path))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexlab import Case, ProofTrace, Verdict, replay, verify_trace
+from indexlab import Case, Verdict, replay, verify_certificate, verify_trace
+from indexlab import prover
 from indexlab.cli import main
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import (
@@ -17,8 +19,6 @@ from indexlab.prover import (
     _RULES,
     _TABLE,
     _rule,
-    FactKind,
-    SymbolicFact,
     TraceError,
     _violation_at,
     certificate,
@@ -54,6 +54,27 @@ def _shifted(M, i0):
 
 def _ratio(x):
     return f"{x.numerator}/{x.denominator}"
+
+
+def _doc(n):
+    """The certificate for n as a reader parses it."""
+    return json.loads(certificate_json(n))
+
+
+def _traces(n):
+    return _doc(n)["traces"]
+
+
+def _trace(n, case, subcase=""):
+    [t] = [t for t in _traces(n) if (t["case"], t["subcase"]) == (case, subcase)]
+    return t
+
+
+def _lemma_step(rule, kind, lemma, n):
+    """The step a lemma derives at n, as a trace holds it but with no premises."""
+    statement, values = lemma(n)
+    values = {k: _ratio(v) if type(v) is Fraction else v for k, v in values.items()}
+    return {"rule": rule, "kind": kind, "statement": statement, "values": values, "premises": []}
 
 
 def _unrolled(n, trace):
@@ -160,30 +181,30 @@ class TestFloorSumRange:
 class TestLemmaChecks:
     @pytest.mark.parametrize("n", [2, 3, 10])
     def test_positive_mean_index(self, n):
-        fact = check_lemma_6_1(n)
-        v = fact.payload["evidence"]
-        assert (v.q, v.lhs, v.rhs) == (n - 1, 0, 1)
+        _, values = check_lemma_6_1(n)
+        v = values["evidence"]
+        assert (v["q"], v["lhs"], v["rhs"]) == (n - 1, 0, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_initial_index_upper_bound(self, n):
-        fact = check_lemma_6_2(n)
-        assert fact.payload["max"] == n - 1
-        v = fact.payload["evidence"]
-        assert (v.q, v.kind, v.lhs, v.rhs) == (n - 1, "pointwise", 0, 1)
+        _, values = check_lemma_6_2(n)
+        assert values["max"] == n - 1
+        v = values["evidence"]
+        assert (v["q"], v["kind"], v["lhs"], v["rhs"]) == (n - 1, "pointwise", 0, 1)
 
     def test_lower_bound_even_n(self):
-        fact = check_lemma_6_3(4)
-        assert fact.payload["hypotheses"] == [1, 1]
-        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-1, 0)
+        _, values = check_lemma_6_3(4)
+        assert values["hypotheses"] == [1, 1]
+        assert (values["evidence"]["lhs"], values["evidence"]["rhs"]) == (-1, 0)
 
     def test_lower_bound_odd_n(self):
-        fact = check_lemma_6_3(5)
-        assert fact.payload["hypotheses"] == [2, 2]
-        assert (fact.payload["evidence"].lhs, fact.payload["evidence"].rhs) == (-1, 0)
+        _, values = check_lemma_6_3(5)
+        assert values["hypotheses"] == [2, 2]
+        assert (values["evidence"]["lhs"], values["evidence"]["rhs"]) == (-1, 0)
 
     def test_lower_bound_vacuous_for_small_n(self):
         for n in (2, 3):
-            assert check_lemma_6_3(n).payload == {"min": n - 1, "hypotheses": []}
+            assert check_lemma_6_3(n)[1] == {"min": n - 1, "hypotheses": []}
 
 
 class TestIdentityPin:
@@ -237,16 +258,16 @@ class TestReplay:
 
     def test_named_contradiction_strings(self):
         even = {(t.case, t.subcase): t for t in replay(6)}
-        assert "n-2 < k" in even[(Case.NCG2, "p odd")].contradiction.statement
-        assert "pigeonhole at m = 6" in even[(Case.NCG1, "")].contradiction.statement
+        assert "n-2 < k" in even[(Case.NCG2, "p odd")].steps[-1]["statement"]
+        assert "pigeonhole at m = 6" in even[(Case.NCG1, "")].steps[-1]["statement"]
         odd = {(t.case, t.subcase): t for t in replay(7)}
-        assert "p/2 >= 1" in odd[(Case.NCG5, "p even")].contradiction.statement
-        assert "pigeonhole at m2 = 4" in odd[(Case.NCG1, "")].contradiction.statement
+        assert "p/2 >= 1" in odd[(Case.NCG5, "p even")].steps[-1]["statement"]
+        assert "pigeonhole at m2 = 4" in odd[(Case.NCG1, "")].steps[-1]["statement"]
 
     def test_every_trace_revalidates(self):
         for n in range(2, 21):
-            for t in replay(n):
-                assert verify_trace(t)
+            for t in _traces(n):
+                assert verify_trace(n, t)
 
     def test_floor_sum_facts_are_subsets_of_the_loose_sets(self):
         for n in (4, 5, 8, 9):
@@ -258,37 +279,31 @@ class TestReplay:
 
 class TestVerifier:
     def test_tampered_identity_is_caught(self):
-        [t] = [x for x in replay(4) if x.case is Case.NCG2 and x.subcase == "p odd"]
-        bad_steps = list(t.steps)
-        pin = bad_steps[0]
-        tampered = SymbolicFact(
-            pin.kind, pin.statement, pin.rule, {**pin.payload, "value": Fraction(5, 7)}
-        )
-        bad_steps[0] = tampered
-        bad = type(t)(t.n, t.case, t.subcase, tuple(bad_steps), t.verdict, t.detail)
+        t = _trace(4, "NCG2", "p odd")
         with pytest.raises(TraceError):
-            verify_trace(bad)
+            verify_trace(4, _tampered(t, 0, value="5/7"))
 
     def test_tampered_floor_sum_is_caught(self):
-        [t] = [x for x in replay(6) if x.case is Case.NCG1]
+        t = _trace(6, "NCG1")
         tampered = 0
-        for i, fact in enumerate(t.steps):
-            if fact.kind is FactKind.FloorSumRange:
+        for i, step in enumerate(t["steps"]):
+            if step["kind"] == "FloorSumRange":
                 # the family's iterates, or the range, widened to reach 99
-                key = "set" if "set" in fact.payload else "iterates"
+                p = step["values"]
+                key = "set" if "set" in p else "iterates"
                 tampered += 1
                 with pytest.raises(TraceError):
-                    verify_trace(_tampered(t, i, **{key: [fact.payload[key][0], 99]}))
+                    verify_trace(6, _tampered(t, i, **{key: [p[key][0], 99]}))
         assert tampered == 2
 
     @pytest.mark.parametrize("change", [{"q": 0}, {"lhs": -1}, {"rhs": 2}])
     def test_tampered_evidence_is_caught(self, change):
         # still a cited failure (lhs < rhs), but not one its table produces
-        [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        [i] = [i for i, fact in enumerate(t.steps) if fact.rule == "L6.2"]
-        evidence = dataclasses.replace(t.steps[i].payload["evidence"], **change)
+        t = _trace(6, "NCG1")
+        [i] = [i for i, step in enumerate(t["steps"]) if step["rule"] == "L6.2"]
+        evidence = {**t["steps"][i]["values"]["evidence"], **change}
         with pytest.raises(TraceError, match="not reproduced"):
-            verify_trace(_tampered(t, i, evidence=evidence))
+            verify_trace(6, _tampered(t, i, evidence=evidence))
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -308,26 +323,25 @@ class TestVerifier:
             with pytest.raises(TraceError):
                 _violation_at(sparse, n, q, kind, shift)
         else:
-            assert _violation_at(sparse, n, q, kind, shift) == dataclasses.replace(found, q=q)
+            expected = {**dataclasses.asdict(found), "q": q}
+            assert _violation_at(sparse, n, q, kind, shift) == expected
 
     def test_open_trace_rejected(self):
-        [t] = [x for x in replay(4) if x.case is Case.NCG5 and x.subcase == "p odd"]
-        open_trace = type(t)(t.n, t.case, t.subcase, t.steps[:-1], t.verdict, t.detail)
+        t = _trace(4, "NCG5", "p odd")
         with pytest.raises(TraceError):
-            verify_trace(open_trace)
+            verify_trace(4, {**t, "steps": t["steps"][:-1]})
 
 
-def _replaced(trace, index, payload=None, **changes):
-    """The trace with step `index` given this payload and these other field values."""
-    fact = trace.steps[index]
-    steps = list(trace.steps)
-    steps[index] = dataclasses.replace(fact, payload=fact.payload if payload is None else payload,
-                                       **changes)
-    return dataclasses.replace(trace, steps=tuple(steps))
+def _replaced(trace, index, values=None, **changes):
+    """The trace with step `index` given these values and these other field values."""
+    steps = list(trace["steps"])
+    step = steps[index]
+    steps[index] = {**step, "values": step["values"] if values is None else values, **changes}
+    return {**trace, "steps": steps}
 
 
 def _tampered(trace, index, **changes):
-    return _replaced(trace, index, {**trace.steps[index].payload, **changes})
+    return _replaced(trace, index, {**trace["steps"][index]["values"], **changes})
 
 
 def _without(payload, key):
@@ -336,7 +350,7 @@ def _without(payload, key):
 
 # payload values the checker recomputes from n and the fact itself
 TAMPERINGS = [
-    ("p_half", lambda p: {"p_half": Fraction(0)}),
+    ("p_half", lambda p: {"p_half": "0/1"}),
     ("k_lower", lambda p: {"k_lower": 50, "k_upper": 3}),
     # a floor-sum or pigeonhole range one wider, or one made up
     ("set", lambda p: {"set": [p["set"][0] - 1, p["set"][1]] if p["set"] else [0, 0]}),
@@ -352,16 +366,17 @@ TAMPERINGS = [
 def _moved_total(p):
     # a larger total with the range it gives: consistent in itself, but not
     # m times the rotation sum of the Eq(6.9) premise
-    total = p["total"] + Fraction(1, 2 * p["total"].denominator)
+    total = Fraction(p["total"])
+    total += Fraction(1, 2 * total.denominator)
     if "terms" not in p:  # the empty-range pigeonhole restates its premise's total
-        return {"total": total}
+        return {"total": _ratio(total)}
     r = floor_sum_range(p["m"], p["terms"], total)
-    return {"total": total, "set": [r[0], r[-1]] if r else []}
+    return {"total": _ratio(total), "set": [r[0], r[-1]] if r else []}
 
 
 # payload values each step's check derives from n and the values of its premises
 DERIVED_TAMPERINGS = [
-    ("value", lambda p: {"value": Fraction(123)}),  # Eq(6.9), and the Eq(5.5) and L6.1 values
+    ("value", lambda p: {"value": "123/1"}),  # Eq(6.9), and the Eq(5.5) and L6.1 values
     ("i_c", lambda p: {"i_c": 77}),
     ("p", lambda p: {"p": 5, "r": 9}),
     ("i", lambda p: {"i": p["i"] - 2}),  # a lower value, still n-1+2t with 0 <= t <= m-1
@@ -372,7 +387,7 @@ DERIVED_TAMPERINGS = [
     ("relation", lambda p: {"relation": "<"}),
     ("i1_parity", lambda p: {"i1_parity": 1 - p["i1_parity"]}),
     ("zero_parity", lambda p: {"zero_parity": {"even": "odd", "odd": "even"}[p["zero_parity"]]}),
-    ("rhs", lambda p: {"rhs": -p["rhs"]}),
+    ("rhs", lambda p: {"rhs": _ratio(-Fraction(p["rhs"]))}),
     ("m", lambda p: {"m": p["m"] + 1}),
     # a family valid in itself, but shorter than the one Claim1 reads
     ("iterates", lambda p: {"iterates": [2, p["iterates"][1] - 1]}),
@@ -380,21 +395,21 @@ DERIVED_TAMPERINGS = [
 
 
 def _retyped(v):
-    """Values of other types that stand for v, some of them equal to it."""
-    out = [None, str(v), (v,)]
-    if isinstance(v, (int, Fraction)):
-        out += [float(v), Fraction(v), int(v), bool(v)]
+    """Values of other types that stand for v, some of them equal to it: for an
+    int or the "a/b" of a fraction, the number itself as a float, an int or a bool."""
+    out = [None, str(v), (v,), [v]]
+    if type(v) is int or type(v) is str and "/" in v:
+        x = Fraction(v)
+        out += [float(x), x, int(x), bool(x)]
     if isinstance(v, (list, dict)):
         out += [tuple(v), list(v)]
-    if isinstance(v, Violation):
-        out += [dataclasses.astuple(v), dataclasses.asdict(v)]
     return [x for x in out if type(x) is not type(v)]
 
 
 def _nearby(value):
     """Values of value's own type next to it: an int moved by 1 or 2, a string
-    changed, a range emptied or made up, and each value nested in a list, dict
-    or Violation moved in turn."""
+    changed, a range emptied or made up, and each value nested in a list or
+    dict moved in turn."""
     if type(value) is int:
         return [value + d for d in (-2, -1, 1, 2)]
     if type(value) is str:
@@ -402,10 +417,7 @@ def _nearby(value):
     if type(value) is list:
         return [[] if value else [1, 1]] + [value[:k] + [x] + value[k + 1:]
                                             for k, v in enumerate(value) for x in _nearby(v)]
-    if type(value) is dict:
-        return [{**value, k: x} for k, v in value.items() for x in _nearby(v)]
-    return [dataclasses.replace(value, **{k: x}) for k, v in vars(value).items()
-            for x in _nearby(v)]
+    return [{**value, k: x} for k, v in value.items() for x in _nearby(v)]
 
 
 def _retyped_nested(value):
@@ -416,9 +428,6 @@ def _retyped_nested(value):
         return [value[:k] + [x] + value[k + 1:] for k, v in enumerate(value) for x in retyped(v)]
     if type(value) is dict:
         return [{**value, k: x} for k, v in value.items() for x in retyped(v)]
-    if type(value) is Violation:
-        return [dataclasses.replace(value, **{k: x}) for k, v in vars(value).items()
-                for x in retyped(v)]
     return []
 
 
@@ -426,9 +435,10 @@ def _reindexed(trace, keep, default=-1):
     """The trace with only the steps `keep`, each premise pointed at its step's
     new index, or at `default` if that step is gone."""
     new = {old: k for k, old in enumerate(keep)}
-    return dataclasses.replace(trace, steps=tuple(dataclasses.replace(
-        trace.steps[i], premises=tuple(new.get(j, default) for j in trace.steps[i].premises))
-        for i in keep))
+    steps = trace["steps"]
+    return {**trace, "steps": [
+        {**steps[i], "premises": [new.get(j, default) for j in steps[i]["premises"]]}
+        for i in keep]}
 
 
 # the steps that each stand for a family of facts, one per member
@@ -439,43 +449,44 @@ class TestMutations:
     def test_recomputed_payload_values_are_checked(self):
         applied = [0] * len(TAMPERINGS)
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    p = step["values"]
                     for j, (key, change) in enumerate(TAMPERINGS):
-                        if key not in fact.payload:
+                        if key not in p:
                             continue
-                        changes = change(fact.payload)
-                        if {**fact.payload, **changes} != fact.payload:
+                        changes = change(p)
+                        if {**p, **changes} != p:
                             applied[j] += 1
                             with pytest.raises(TraceError):
-                                verify_trace(_tampered(t, i, **changes))
+                                verify_trace(n, _tampered(t, i, **changes))
         assert all(applied), applied
 
     def test_evidence_without_its_table_is_rejected(self):
         mutants = 0
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
-                    p = fact.payload
-                    payloads = [_without(p, "hypothetical_M")] if "evidence" in p else []
-                    for payload in payloads:
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    p = step["values"]
+                    values = [_without(p, "hypothetical_M")] if "evidence" in p else []
+                    for v in values:
                         mutants += 1
                         with pytest.raises(TraceError, match="not reproduced"):
-                            verify_trace(_replaced(t, i, payload))
+                            verify_trace(n, _replaced(t, i, v))
         assert mutants > 0
 
     def test_lemma_6_1_to_6_3_evidence_is_required(self):
         kinds = set()
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
-                    p = fact.payload
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    p = step["values"]
                     mutants = {}
-                    if fact.rule in ("L6.1", "L6.2") and fact.kind is not FactKind.Contradiction:
+                    if step["rule"] in ("L6.1", "L6.2") and step["kind"] != "Contradiction":
                         mutants["no evidence"] = _without(p, "evidence")
                         mutants["no evidence, no table"] = _without(_without(p, "evidence"),
                                                                     "hypothetical_M")
-                    if fact.rule == "L6.3":
+                    if step["rule"] == "L6.3":
                         if p["hypotheses"]:
                             a, b = p["hypotheses"]
                             mutants["first hypothesis dropped"] = {**p, "hypotheses": [a + 2, b]}
@@ -483,39 +494,40 @@ class TestMutations:
                             mutants["emptied"] = {"min": p["min"], "hypotheses": []}
                             mutants["other parity"] = {**p, "hypotheses": [a + 1, b + 1]}
                         # the family of a larger n: its last i(c) is not below n-1 here
-                        larger = check_lemma_6_3(n + 2).payload
+                        _, larger = check_lemma_6_3(n + 2)
                         mutants["hypothesis added"] = {**larger, "min": n - 1}
-                    for kind, payload in mutants.items():
-                        kinds.add((fact.rule, kind))
+                    for kind, values in mutants.items():
+                        kinds.add((step["rule"], kind))
                         with pytest.raises(TraceError, match="not reproduced"):
-                            verify_trace(_replaced(t, i, payload))
+                            verify_trace(n, _replaced(t, i, values))
         assert len(kinds) == 2 * 2 + 5, sorted(kinds)
 
     def test_forged_evidence_needs_a_sparse_table(self):
-        [t] = [x for x in replay(6) if x.case is Case.NCG1]
-        for i, fact in enumerate(t.steps):
-            p = fact.payload
+        t = _trace(6, "NCG1")
+        for i, step in enumerate(t["steps"]):
+            p = step["values"]
             if "hypothetical_M" not in p:
                 continue
-            forged = {**_without(p, "hypothetical_M"), "evidence": Violation(0, "pointwise", -7, 5)}
+            forged = {**_without(p, "hypothetical_M"),
+                      "evidence": {"q": 0, "kind": "pointwise", "lhs": -7, "rhs": 5}}
             with pytest.raises(TraceError):
-                verify_trace(_replaced(t, i, forged))
+                verify_trace(6, _replaced(t, i, forged))
             for table in (_dense(p["hypothetical_M"]), {**p["hypothetical_M"], "entries": ()}):
                 with pytest.raises(TraceError):
-                    verify_trace(_tampered(t, i, hypothetical_M=table))
+                    verify_trace(6, _tampered(t, i, hypothetical_M=table))
 
     def test_every_ihat_is_the_pinned_value(self):
         applied = set()
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
-                    if fact.payload.get("ihat", Fraction(9, 2)) != Fraction(9, 2):
-                        applied.add((t.case, t.subcase, t.detail))
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    if step["values"].get("ihat", "9/2") != "9/2":
+                        applied.add((t["case"], t["subcase"], t["detail"]))
                         with pytest.raises(TraceError):
-                            verify_trace(_tampered(t, i, ihat=Fraction(9, 2)))
-        for case in (Case.NCG2, Case.NCG3):
+                            verify_trace(n, _tampered(t, i, ihat="9/2"))
+        for case in ("NCG2", "NCG3"):
             assert (case, "p odd", "rotation-count") in applied
-        assert (Case.NCG4, "p odd", "irrationality") in applied
+        assert ("NCG4", "p odd", "irrationality") in applied
 
     @pytest.mark.parametrize("key", ["N", "s"])
     def test_the_pin_fits_the_case(self, key):
@@ -523,63 +535,66 @@ class TestMutations:
         # following it: consistent in itself, but not the pin of this case
         mutants = 0
         for n in range(2, 41):
-            for t in replay(n):
-                if t.verdict is not Verdict.CONTRADICTION:
+            for t in _traces(n):
+                if t["verdict"] != "contradiction":
                     continue
-                [i] = [i for i, f in enumerate(t.steps) if f.rule == "Eq(5.5)" and "s" in f.payload]
-                p = t.steps[i].payload
+                [i] = [i for i, s in enumerate(t["steps"])
+                       if s["rule"] == "Eq(5.5)" and "s" in s["values"]]
+                p = t["steps"][i]["values"]
                 N, s = (3 - p["N"], p["s"]) if key == "N" else (p["N"], -p["s"])
-                ihat = Fraction(s) / (N * euler_limit(n))
+                ihat = _ratio(Fraction(s) / (N * euler_limit(n)))
                 bad = _tampered(t, i, N=N, s=s, value=ihat)
-                for j, fact in enumerate(bad.steps):
-                    if "ihat" in fact.payload:
+                for j, step in enumerate(bad["steps"]):
+                    if "ihat" in step["values"]:
                         bad = _tampered(bad, j, ihat=ihat)
                 mutants += 1
                 with pytest.raises(TraceError, match="do not fit the case"):
-                    verify_trace(bad)
+                    verify_trace(n, bad)
         assert mutants > 0
 
     def test_premises_are_checked(self):
         applied = dict.fromkeys(["dropped", "forward", "other rule", "relabelled L6.3"], 0)
         for n in range(2, 41):
-            for t in replay(n):
+            for t in _traces(n):
+                steps = t["steps"]
                 latest = {}  # rule -> its latest step before step i
-                for i, fact in enumerate(t.steps):
+                for i, step in enumerate(steps):
+                    premises = step["premises"]
                     mutants = []
-                    for k, j in enumerate(fact.premises):
+                    for k, j in enumerate(premises):
                         def swap(x):
-                            return fact.premises[:k] + (x,) + fact.premises[k + 1:]
-                        mutants.append(("dropped", fact.premises[:k] + fact.premises[k + 1:]))
+                            return premises[:k] + [x] + premises[k + 1:]
+                        mutants.append(("dropped", premises[:k] + premises[k + 1:]))
                         mutants += [("forward", swap(i)), ("forward", swap(i + 1))]
-                        others = [x for rule, x in latest.items() if rule != t.steps[j].rule]
+                        others = [x for rule, x in latest.items() if rule != steps[j]["rule"]]
                         # every other rule up to n = 12, where each rule of both parities
                         # already occurs; past it the latest step of another rule
                         mutants += [("other rule", swap(x))
                                     for x in (others[-1:] if n > 12 else others)]
-                    latest[fact.rule] = i
-                    for kind, premises in mutants:
+                    latest[step["rule"]] = i
+                    for kind, bad in mutants:
                         applied[kind] += 1
                         with pytest.raises(TraceError):
-                            verify_trace(_replaced(t, i, premises=premises))
-                    if fact.rule == "L6.3":
+                            verify_trace(n, _replaced(t, i, premises=bad))
+                    if step["rule"] == "L6.3":
                         applied["relabelled L6.3"] += 1
                         with pytest.raises(TraceError):
-                            verify_trace(_replaced(t, i, {**fact.payload, "hypotheses": []},
-                                                   rule="L6.4"))
+                            verify_trace(n, _replaced(t, i, {**step["values"], "hypotheses": []},
+                                                      rule="L6.4"))
         assert all(applied.values()), applied
 
     def test_claim1_rests_on_its_own_floor_sum_and_the_iterate_before(self):
         # each mutant is consistent in itself, but the induction does not reach
         # the family's last iterate m1 = 4, or does not start at i(c) = 8
-        [t] = [x for x in replay(9) if x.case is Case.NCG1]
-        rules = [f.rule for f in t.steps]
+        t = _trace(9, "NCG1")
+        rules = [s["rule"] for s in t["steps"]]
         family, claim = rules.index("Eq(6.23)"), rules.index("Claim1")
-        assert t.steps[claim].payload == {"m": 4, "i": 14}
+        assert t["steps"][claim]["values"] == {"m": 4, "i": 14}
         for bad in (_tampered(t, family, iterates=[2, 3]),  # a true family, one iterate short
                     _tampered(t, claim, m=3, i=12),  # a true chain, one iterate short
                     _tampered(t, claim, i=16)):  # the chain of a base 2 above i(c)
             with pytest.raises(TraceError, match="Claim1 up to m = "):
-                verify_trace(bad)
+                verify_trace(9, bad)
 
     def test_the_pigeonhole_needs_the_claim1_chain(self):
         # every Eq(6.11) and Claim1 step cut out and the premises re-indexed:
@@ -587,116 +602,117 @@ class TestMutations:
         # collides with, whichever earlier step its first premise names
         mutants = 0
         for n in range(2, 41):
-            [t] = [x for x in replay(n) if x.case is Case.NCG1]
-            keep = [i for i, f in enumerate(t.steps)
-                    if f.rule not in ("Eq(6.11)", "Eq(6.23)", "Claim1")]
-            if len(keep) == len(t.steps):
+            t = _trace(n, "NCG1")
+            keep = [i for i, s in enumerate(t["steps"])
+                    if s["rule"] not in ("Eq(6.11)", "Eq(6.23)", "Claim1")]
+            if len(keep) == len(t["steps"]):
                 continue  # n = 2, 3: the chain is empty
-            new = {old: k for k, old in enumerate(keep)}
-            steps = [dataclasses.replace(t.steps[i], premises=tuple(new.get(j, -1) for j in
-                                                                    t.steps[i].premises))
-                     for i in keep]
-            last = len(steps) - 1
+            cut = _reindexed(t, keep)
+            last = len(keep) - 1
             for j in range(last):
-                steps[last] = dataclasses.replace(steps[last],
-                                                  premises=(j,) + steps[last].premises[1:])
+                closing = cut["steps"][last]
+                bad = _replaced(cut, last, premises=[j] + closing["premises"][1:])
                 mutants += 1
                 with pytest.raises(TraceError):
-                    verify_trace(dataclasses.replace(t, steps=tuple(steps)))
+                    verify_trace(n, bad)
         assert mutants > 0
 
     def test_derived_values_are_checked_against_their_premises(self):
         applied = [0] * len(DERIVED_TAMPERINGS)
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
                     for j, (key, change) in enumerate(DERIVED_TAMPERINGS):
-                        if key in fact.payload:
+                        if key in step["values"]:
                             applied[j] += 1
                             with pytest.raises(TraceError):
-                                verify_trace(_tampered(t, i, **change(fact.payload)))
+                                verify_trace(n, _tampered(t, i, **change(step["values"])))
         assert all(applied), applied
 
     def test_the_rotation_sum_is_half_the_pinned_ihat(self):
         # a rotation sum a little below ihat/2, with every floor sum, range and
         # pigeonhole after it re-derived from it: only the Eq(6.9) link is wrong
         for n in range(3, 41):
-            [t] = [x for x in replay(n) if x.case is Case.NCG1]
-            [i] = [i for i, f in enumerate(t.steps) if f.rule in ("Eq(6.9)", "Eq(6.21)")]
-            rho = t.steps[i].payload["value"] - Fraction(1, 10**9)
-            bad = _tampered(t, i, value=rho)
-            for j in range(i + 1, len(t.steps)):
-                p = t.steps[j].payload
+            t = _trace(n, "NCG1")
+            steps = t["steps"]
+            [i] = [i for i, s in enumerate(steps) if s["rule"] in ("Eq(6.9)", "Eq(6.21)")]
+            rho = Fraction(steps[i]["values"]["value"]) - Fraction(1, 10**9)
+            bad = _tampered(t, i, value=_ratio(rho))
+            for j in range(i + 1, len(steps)):
+                p = steps[j]["values"]
                 if "total" in p:
                     r = floor_sum_range(p["m"], p["terms"], p["m"] * rho)
-                    bad = _tampered(bad, j, total=p["m"] * rho, set=[r[0], r[-1]])
-                elif t.steps[j].rule == "L6.5":
+                    bad = _tampered(bad, j, total=_ratio(p["m"] * rho), set=[r[0], r[-1]])
+                elif steps[j]["rule"] == "L6.5":
                     bad = _tampered(bad, j, set=[r[0], r[-1]])
             with pytest.raises(TraceError, match="ihat/2"):
-                verify_trace(bad)
+                verify_trace(n, bad)
 
     def test_the_pin_solves_the_identity(self):
         # a pinned ihat a little off, with every ihat and p/2 after it following
         # it: only the identity itself fails
         mutants = 0
         for n in range(2, 41):
-            for t in replay(n):
-                if t.verdict is not Verdict.CONTRADICTION or t.case is Case.NCG1:
+            for t in _traces(n):
+                if t["verdict"] != "contradiction" or t["case"] == "NCG1":
                     continue
-                ihat = t.steps[0].payload["value"] + Fraction(1, 10**9)
-                bad = _tampered(t, 0, value=ihat)
-                for j, fact in enumerate(bad.steps):
-                    if "ihat" in fact.payload:
-                        bad = _tampered(bad, j, ihat=ihat)
-                    if "p_half" in fact.payload:
-                        bad = _tampered(bad, j, p_half=ihat / 2)
+                ihat = Fraction(t["steps"][0]["values"]["value"]) + Fraction(1, 10**9)
+                bad = _tampered(t, 0, value=_ratio(ihat))
+                for j, step in enumerate(bad["steps"]):
+                    if "ihat" in step["values"]:
+                        bad = _tampered(bad, j, ihat=_ratio(ihat))
+                    if "p_half" in step["values"]:
+                        bad = _tampered(bad, j, p_half=_ratio(ihat / 2))
                 mutants += 1
                 with pytest.raises(TraceError, match="identity re-check"):
-                    verify_trace(bad)
+                    verify_trace(n, bad)
         assert mutants > 0
 
     def test_traces_are_checked_as_a_whole(self):
         applied = dict.fromkeys(["detail", "case", "subcase", "not last", "rule", "p/2",
                                  "fact kind"], 0)
+        fact_kinds = {kind for kind, _, _ in _RULES.values()}
         for n in range(2, 41):
-            traces = {(t.case, t.subcase): t for t in replay(n)}
+            traces = {(t["case"], t["subcase"]): t for t in _traces(n)}
             for t in traces.values():
-                if t.verdict is not Verdict.CONTRADICTION:
+                if t["verdict"] != "contradiction":
                     continue
-                mutants = [("detail", dataclasses.replace(t, detail=d))
+                steps = t["steps"]
+                mutants = [("detail", {**t, "detail": d})
                            for d in ("pigeonhole", "duplicate-degree", "sign", "rotation-count",
-                                     "irrationality", "integrality", "vacuous") if d != t.detail]
-                for case in Case:
-                    subcase = "" if case is Case.NCG1 else t.subcase or "p even"
+                                     "irrationality", "integrality", "vacuous") if d != t["detail"]]
+                for case in ("NCG1", "NCG2", "NCG3", "NCG4", "NCG5"):
+                    subcase = "" if case == "NCG1" else t["subcase"] or "p even"
                     own = traces.get((case, subcase))
                     # another case's label is wrong unless its own trace has these very steps
-                    if case is not t.case and not (own and own.steps == t.steps):
-                        mutants.append(("case", dataclasses.replace(t, case=case, subcase=subcase)))
-                mutants += [("subcase", dataclasses.replace(t, subcase=s))
-                            for s in ("", "p even", "p odd", "p") if s != t.subcase]
+                    if case != t["case"] and not (own and own["steps"] == steps):
+                        mutants.append(("case", {**t, "case": case, "subcase": subcase}))
+                mutants += [("subcase", {**t, "subcase": s})
+                            for s in ("", "p even", "p odd", "p") if s != t["subcase"]]
                 # the closing step repeated, so that a contradiction is not the last step
-                mutants.append(("not last", dataclasses.replace(t, steps=t.steps + t.steps[-1:])))
+                mutants.append(("not last", {**t, "steps": steps + steps[-1:]}))
                 # a rotation count cited by the rule of the other parity of p - k
                 swap = {"Eq(6.17)": "Eq(6.18)", "Eq(6.18)": "Eq(6.17)",
                         "Eq(6.31)": "Eq(6.29)", "Eq(6.29)": "Eq(6.31)"}
-                if t.steps[-1].rule in swap:
-                    mutants.append(("rule", _replaced(t, len(t.steps) - 1,
-                                                      rule=swap[t.steps[-1].rule])))
+                if steps[-1]["rule"] in swap:
+                    mutants.append(("rule", _replaced(t, len(steps) - 1,
+                                                      rule=swap[steps[-1]["rule"]])))
                 # an NCG5 trace closed instead by the p/2 bound of Step 2, Subcase 5.1
-                if t.case is Case.NCG5 and t.steps[-1].rule != "Step2-Subcase5.1":
-                    ihat = t.steps[0].payload["value"]
-                    closing = SymbolicFact(FactKind.Contradiction, "", "Step2-Subcase5.1",
-                                           {"ihat": ihat, "p_half": ihat / 2,
-                                            "contradiction_kind": "integrality"}, (0,))
-                    mutants.append(("p/2", dataclasses.replace(
-                        t, steps=(t.steps[0], closing), detail="integrality")))
-                for i, fact in enumerate(t.steps):
-                    mutants += [("fact kind", _replaced(t, i, kind=k)) for k in FactKind
-                                if k is not fact.kind]
+                if t["case"] == "NCG5" and steps[-1]["rule"] != "Step2-Subcase5.1":
+                    ihat = steps[0]["values"]["value"]
+                    closing = {"rule": "Step2-Subcase5.1", "kind": "Contradiction",
+                               "statement": "", "premises": [0],
+                               "values": {"ihat": ihat, "p_half": _ratio(Fraction(ihat) / 2),
+                                          "contradiction_kind": "integrality"}}
+                    mutants.append(("p/2", {**t, "steps": [steps[0], closing],
+                                            "detail": "integrality"}))
+                for i, step in enumerate(steps):
+                    mutants += [("fact kind", _replaced(t, i, kind=k)) for k in sorted(fact_kinds)
+                                if k != step["kind"]]
                 for label, bad in mutants:
                     applied[label] += 1
                     with pytest.raises(TraceError):
-                        verify_trace(bad)
+                        verify_trace(n, bad)
         assert all(applied.values()), applied
 
     @settings(max_examples=400, deadline=None)
@@ -704,78 +720,89 @@ class TestMutations:
     def test_malformed_values_raise_trace_error(self, data):
         # one key of one step deleted, or given a value of another type
         n = data.draw(st.integers(2, 16))
-        t = data.draw(st.sampled_from([t for t in replay(n) if t.steps]))
-        i = data.draw(st.integers(0, len(t.steps) - 1))
-        p = t.steps[i].payload
+        t = data.draw(st.sampled_from([t for t in _traces(n) if t["steps"]]))
+        i = data.draw(st.integers(0, len(t["steps"]) - 1))
+        p = t["steps"][i]["values"]
         key = data.draw(st.sampled_from(sorted(p)))
         if data.draw(st.booleans()):
-            payload = _without(p, key)
+            values = _without(p, key)
         else:
             any_value = (st.none() | st.booleans() | st.integers() | st.floats() | st.fractions()
                          | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
             value = data.draw(st.sampled_from(_retyped(p[key]))
                               | any_value.filter(lambda v: type(v) is not type(p[key])))
-            payload = {**p, key: value}
+            values = {**p, key: value}
         with pytest.raises(TraceError):
-            verify_trace(_replaced(t, i, payload))
+            verify_trace(n, _replaced(t, i, values))
+
+    def test_values_hold_no_unknown_key(self):
+        for n in range(2, 13):
+            for t in _traces(n):
+                for i in range(len(t["steps"])):
+                    for value in (0, "", [], {}):
+                        with pytest.raises(TraceError, match="not of the type"):
+                            verify_trace(n, _tampered(t, i, note=value))
 
     def test_every_field_of_each_family_step_is_checked(self):
         rules = set()
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
-                    if fact.rule not in FAMILY_RULES:
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    if step["rule"] not in FAMILY_RULES:
                         continue
-                    rules.add(fact.rule)
-                    for key, value in fact.payload.items():
+                    rules.add(step["rule"])
+                    for key, value in step["values"].items():
                         for x in _nearby(value):
                             with pytest.raises(TraceError):
-                                verify_trace(_tampered(t, i, **{key: x}))
+                                verify_trace(n, _tampered(t, i, **{key: x}))
         assert rules == FAMILY_RULES
 
     def test_nested_ints_keep_their_type(self):
         # a range end, an evidence field or a table entry retyped to an equal float or bool
         keys = set()
         for n in range(2, 41):
-            for t in replay(n):
-                for i, fact in enumerate(t.steps):
-                    for key, value in fact.payload.items():
+            for t in _traces(n):
+                for i, step in enumerate(t["steps"]):
+                    for key, value in step["values"].items():
                         for x in _retyped_nested(value):
                             keys.add(key)
                             with pytest.raises(TraceError, match="not of the type"):
-                                verify_trace(_tampered(t, i, **{key: x}))
+                                verify_trace(n, _tampered(t, i, **{key: x}))
         assert keys == {"set", "hypotheses", "iterates", "evidence", "hypothetical_M"}
 
     def test_every_step_but_the_last_is_a_premise(self):
         mutants = 0
         for n in range(2, 41):
-            for t in replay(n):
-                for k in range(len(t.steps) - 1):
+            for t in _traces(n):
+                steps = t["steps"]
+                for k in range(len(steps) - 1):
                     # step k dropped, the premises re-indexed
-                    dropped = _reindexed(t, [i for i in range(len(t.steps)) if i != k])
+                    dropped = _reindexed(t, [i for i in range(len(steps)) if i != k])
                     mutants += 1
                     with pytest.raises(TraceError):
-                        verify_trace(dropped)
-                for k in range(len(t.steps)):
+                        verify_trace(n, dropped)
+                for k in range(len(steps)):
                     # a true step padded in after step k, and cited by no later step
-                    for pad in (t.steps[k], check_lemma_6_1(n), check_lemma_6_2(n)):
-                        padded = t.steps[:k + 1] + (pad,) + tuple(
-                            dataclasses.replace(f, premises=tuple(j + (j > k) for j in f.premises))
-                            for f in t.steps[k + 1:])
+                    for pad in (steps[k],
+                                _lemma_step("L6.1", "MeanIndexEquals", check_lemma_6_1, n),
+                                _lemma_step("L6.2", "IndexRange", check_lemma_6_2, n)):
+                        padded = steps[:k + 1] + [pad] + [
+                            {**s, "premises": [j + (j > k) for j in s["premises"]]}
+                            for s in steps[k + 1:]]
                         if k + 1 < len(padded) - 1:  # a padded closing is not the last step
                             mutants += 1
                             with pytest.raises(TraceError, match="premises of no later step"):
-                                verify_trace(dataclasses.replace(t, steps=padded))
+                                verify_trace(n, {**t, "steps": padded})
         assert mutants > 0
 
     def test_the_claim1_induction_cannot_be_cut_out(self):
         # the pigeonhole then rests on Cor6.4, which establishes the index of c^1 only
         for n in range(4, 41):
-            [t] = [x for x in replay(n) if x.case is Case.NCG1]
-            rules = [f.rule for f in t.steps]
+            t = _trace(n, "NCG1")
+            rules = [s["rule"] for s in t["steps"]]
             keep = [i for i, rule in enumerate(rules) if rule != "Claim1"]
             with pytest.raises(TraceError):
-                verify_trace(_reindexed(t, keep, default=rules.index("Cor6.4")))
+                verify_trace(n, _reindexed(t, keep, default=rules.index("Cor6.4")))
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_m1_is_the_last_iterate_the_floor_sums_allow(self, shift):
@@ -783,12 +810,13 @@ class TestMutations:
         # pigeonhole iterate m1 + 1 moved alone or with them, its floor sum and
         # range re-derived: each mutant is consistent but for one link
         for n in range(4, 41):
-            [t] = [x for x in replay(n) if x.case is Case.NCG1]
-            rules = [f.rule for f in t.steps]
+            t = _trace(n, "NCG1")
+            steps = t["steps"]
+            rules = [s["rule"] for s in steps]
             family, claim = rules.index(_rule(n, "Eq(6.11)")), rules.index("Claim1")
             floor, closing = rules.index(_rule(n, "Eq(6.14)")), rules.index("L6.5")
-            m1 = t.steps[family].payload["iterates"][1] + shift
-            rho = t.steps[family - 1].payload["value"]
+            m1 = steps[family]["values"]["iterates"][1] + shift
+            rho = Fraction(steps[family - 1]["values"]["value"])
 
             def moved(*parts):
                 trace = t
@@ -801,14 +829,15 @@ class TestMutations:
                 if "pigeonhole" in parts:  # at m1 + 1
                     ends = floor_sum_range(m1 + 1, n - 1, (m1 + 1) * rho)
                     ends = [ends[0], ends[-1]]
-                    trace = _tampered(trace, floor, m=m1 + 1, total=(m1 + 1) * rho, set=ends)
+                    trace = _tampered(trace, floor, m=m1 + 1, total=_ratio((m1 + 1) * rho),
+                                      set=ends)
                     trace = _tampered(trace, closing, m=m1 + 1, set=ends)
                 return trace
             for parts in (("family",), ("claim",), ("family", "claim"), ("pigeonhole",),
                           ("claim", "pigeonhole"), ("claim m", "pigeonhole"),
                           ("family", "claim", "pigeonhole")):
                 with pytest.raises(TraceError):
-                    verify_trace(moved(*parts))
+                    verify_trace(n, moved(*parts))
 
     def test_the_rule_table_has_no_dead_rows(self):
         # every (rule, contradiction kind) the replay emits has a row, and
@@ -816,17 +845,16 @@ class TestMutations:
         even_rule = {odd: even for even, odd in _ODD_RULE.items()}
         emitted = set()
         for n in range(2, 41):
-            for t in replay(n):
-                for fact in t.steps:
-                    key = (fact.rule, fact.payload.get("contradiction_kind"))
+            for t in _traces(n):
+                for step in t["steps"]:
+                    key = (step["rule"], step["values"].get("contradiction_kind"))
                     assert key in _TABLE[n % 2], (n, key)
                     emitted.add((even_rule.get(key[0], key[0]), key[1]))
         assert emitted == set(_RULES)
 
     def test_untampered_traces_verify(self):
         for n in range(2, 61):
-            for t in replay(n):
-                assert verify_trace(t)
+            assert verify_certificate(_doc(n))
 
 
 # every certificate is shorter than this, for any n up to 10^9: only the digits of n grow it
@@ -867,13 +895,23 @@ class TestCertificate:
         # repeat the rule of a premise (Eq(6.14), say, in the empty-range closing)
         for n in (2, 3, 4, 5, 8, 9, 1000, 1001):
             for t in replay(n):
-                rules = [f.rule for f in t.steps[:-1]]
+                rules = [s["rule"] for s in t.steps[:-1]]
                 assert len(set(rules)) == len(rules)
 
     def test_one_case_is_partial(self):
         for case in Case:
             doc = certificate(7, [t for t in replay(7) if t.case is case])
             assert (doc["schema"], doc["partial"]) == (3, True)
+            assert verify_certificate(json.loads(json.dumps(doc)))
+
+    def test_round_trip(self):
+        # replay builds JSON-native steps: the parsed bytes are the document itself,
+        # they dump back to the same bytes, and the checker accepts them
+        for n in range(2, 51):
+            text = certificate_json(n)
+            doc = json.loads(text)
+            assert doc == certificate(n) and verify_certificate(doc)
+            assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == text
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_decoded_content_matches_the_dense_definitions(self, n):
@@ -921,3 +959,162 @@ class TestCertificate:
         doc = certificate(6)
         rules = {s["rule"] for t in doc["traces"] for s in t["steps"]}
         assert "L6.1" in rules and "Eq(5.5)" in rules
+
+
+def _without_trace(doc, k):
+    return {**doc, "traces": doc["traces"][:k] + doc["traces"][k + 1:]}
+
+
+class TestCertificateDocument:
+    """verify_certificate checks the document around the traces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+    def test_each_trace_once_in_replay_order(self, n):
+        doc = _doc(n)
+        traces = doc["traces"]
+        mutants = []
+        for k in range(len(traces)):
+            mutants.append(_without_trace(doc, k))  # dropped
+            mutants.append({**doc, "traces": traces[:k + 1] + traces[k:]})  # duplicated
+            for j in range(k + 1, len(traces)):
+                swapped = list(traces)
+                swapped[k], swapped[j] = traces[j], traces[k]
+                mutants.append({**doc, "traces": swapped})
+        for bad in mutants:
+            with pytest.raises(TraceError):
+                verify_certificate(bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_partial_marks_exactly_the_documents_that_leave_a_case_out(self, n):
+        with pytest.raises(TraceError, match="partial"):
+            verify_certificate({**_doc(n), "partial": True})
+        for case in Case:
+            doc = json.loads(json.dumps(certificate(n, [t for t in replay(n) if t.case is case])))
+            assert verify_certificate(doc)
+            for bad in [_without(doc, "partial")] + [{**doc, "partial": v}
+                                                     for v in (False, 1, "true", None)]:
+                with pytest.raises(TraceError, match="partial"):
+                    verify_certificate(bad)
+
+    @pytest.mark.parametrize("change", [
+        {"schema": 2}, {"schema": 4}, {"schema": 3.0}, {"schema": "3"}, {"schema": True},
+        {"n": 80.0}, {"n": "80"}, {"n": True}, {"n": None}, {"n": 81}, {"n": 1},
+        {"traces": []}, {"traces": {}}, {"traces": None}, {"comment": ""},
+    ], ids=repr)
+    def test_schema_n_and_traces_are_exact(self, change):
+        with pytest.raises(TraceError):
+            verify_certificate({**_doc(80), **change})
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_n_is_at_least_2(self, n):
+        # a partial document of one vacuous trace, whose reason holds at this n too
+        for case in (Case.NCG2, Case.NCG3, Case.NCG4):
+            doc = certificate(n, [t for t in replay(2) if t.case is case])
+            doc["traces"][0]["detail"] = prover._shape_vacuity(n, case)
+            with pytest.raises(TraceError):
+                verify_certificate(json.loads(json.dumps(doc)))
+
+    def test_a_certificate_has_a_trace(self):
+        with pytest.raises(TraceError):
+            verify_certificate({"schema": 3, "n": 5, "traces": [], "partial": True})
+
+    @pytest.mark.parametrize("key", ["schema", "n", "traces"])
+    def test_every_key_is_required(self, key):
+        with pytest.raises(TraceError):
+            verify_certificate(_without(_doc(5), key))
+
+    @pytest.mark.parametrize("doc", [None, [], "{}", 3])
+    def test_a_certificate_is_an_object(self, doc):
+        with pytest.raises(TraceError):
+            verify_certificate(doc)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_a_vacuous_trace_carries_its_own_reason(self, n):
+        doc = _doc(n)
+        for k, t in enumerate(doc["traces"]):
+            if t["verdict"] != "vacuous":
+                continue
+            for bad in ({**t, "detail": t["detail"] + "'"}, {**t, "subcase": "p even"},
+                        {**t, "verdict": "contradiction"}, {**t, "verdict": "Vacuous"}):
+                traces = list(doc["traces"])
+                traces[k] = bad
+                with pytest.raises(TraceError):
+                    verify_certificate({**doc, "traces": traces})
+
+    def test_every_field_keeps_its_json_type(self):
+        # each field of a trace or of one of its steps removed, given a value of
+        # another JSON type, or joined by a field of no meaning
+        others = [None, True, 0, 1.5, "", [], {}]
+        mutants = 0
+        for n in (2, 3, 6, 7):
+            for t in _traces(n):
+                bad = [_without(t, key) for key in t] + [{**t, "note": ""}]
+                bad += [{**t, key: x} for key in t for x in others if type(x) is not type(t[key])]
+                for i, step in enumerate(t["steps"]):
+                    changed = [_without(step, key) for key in step] + [{**step, "note": ""}]
+                    changed += [{**step, key: x} for key in step for x in others
+                                if type(x) is not type(step[key])]
+                    bad += [{**t, "steps": t["steps"][:i] + [c] + t["steps"][i + 1:]}
+                            for c in changed]
+                for trace in bad:
+                    mutants += 1
+                    with pytest.raises(TraceError):
+                        verify_trace(n, trace)
+        assert mutants > 0
+
+    def test_deeply_nested_values_raise_trace_error(self):
+        t = _trace(6, "NCG1")
+        [i] = [i for i, s in enumerate(t["steps"]) if s["rule"] == "L6.2"]
+        deep = [0]
+        for _ in range(sys.getrecursionlimit()):
+            deep = [deep]
+        with pytest.raises(TraceError, match="malformed"):
+            verify_trace(6, _tampered(t, i, hypothetical_M={"length": 6, "entries": deep}))
+
+
+FRACTION_KEYS = {"value", "rhs", "ihat", "total", "p_half"}
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _misspellings(x, k):
+    """Spellings of the fraction x other than its one "a/b"; Python's Fraction
+    reads those named in SAME_VALUE as x itself."""
+    a, b = x.numerator, x.denominator
+    return {
+        "not in lowest terms": f"{k * a}/{k * b}",  # "6/4"
+        "both signs moved": f"{-a}/{-b}",
+        "negative denominator": f"{a}/-{b}",  # "3/-2"
+        "plus sign": f"+{a}/{b}" if a >= 0 else f"-0{-a}/{b}",  # "+3/2", or "-03/2"
+        "space before": f" {a}/{b}",
+        "space after": f"{a}/{b} ",
+        "leading zero": f"{a}/0{b}",
+        "underscore": f"{a}/0_{b}",
+        "other digits": f"{a}/{b}".translate(ARABIC_INDIC),
+        "decimal": str(float(x)),  # "1.5"
+        "numerator": str(a),  # "3"
+        "JSON integer": a,
+        "JSON float": float(x),
+    }
+
+
+SAME_VALUE = {"not in lowest terms", "plus sign", "space before", "space after", "leading zero",
+              "underscore", "other digits"}
+
+
+class TestFractionSpelling:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.sampled_from(sorted(_misspellings(Fraction(3, 2), 2))),
+           st.integers(2, 10**6))
+    def test_every_fraction_has_one_spelling(self, n, how, k):
+        sites = 0
+        for t in _traces(n):
+            for i, step in enumerate(t["steps"]):
+                for key in FRACTION_KEYS & step["values"].keys():
+                    x = Fraction(step["values"][key])
+                    spelled = _misspellings(x, k)[how]
+                    if how in SAME_VALUE:  # Python reads it as x: only the spelling is wrong
+                        assert Fraction(spelled) == x
+                    sites += 1
+                    with pytest.raises(TraceError, match="spelled|malformed|not of the type"):
+                        verify_trace(n, _tampered(t, i, **{key: spelled}))
+        assert sites > 0
