@@ -100,13 +100,12 @@ def cmd_morse_check(args) -> int:
     M = morse.morse_numbers(models, args.horizon)
     b = morse.betti_values(models[0].n, args.horizon)
     violations = morse.check_morse_inequalities(M, b, args.horizon)
-    out = {
-        "horizon": args.horizon,
-        "M": list(M.values),
-        "b": b,
-        "violations": [vars(v) for v in violations],  # each {"q", "kind", "lhs", "rhs"}
-    }
-    _emit(out, args.json)
+    # the text _emit would make of the dict, built in one pass with the keys in sorted order
+    rows = ",".join(['{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
+                     for q, kind, lhs, rhs in violations])
+    _emit('{"M":%s,"b":%s,"horizon":%d,"violations":[%s]}' % (
+        json.dumps(M.values, separators=(",", ":")), json.dumps(b, separators=(",", ":")),
+        args.horizon, rows), args.json)
     return 1 if violations else 0
 
 

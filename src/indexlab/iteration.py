@@ -123,11 +123,14 @@ def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError("iterate m must be positive")
-    cached = g._memo.get(m)
+    memo = g._memo
+    cached = memo.get(m)
     if cached is not None:
         return cached
-    i = g.slope * m + 2 * sum(floor_scaled(rho, m) for rho in g.rotation_numbers) + g.const
-    result = g._memo[m] = (i, 0)
+    floors = 0
+    for rho in g.rotation_numbers:
+        floors += floor_scaled(rho, m)
+    result = memo[m] = (g.slope * m + 2 * floors + g.const, 0)
     return result
 
 
@@ -161,11 +164,10 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
 
 
 def critical_module_dim(g: GeodesicModel, m: int, q: int) -> int:
-    """Rank of the degree-q local critical module of c^m: 0 or 1."""
-    i_m, _ = index_of_iterate(g, m)
-    if q != i_m:
-        return 0
-    return 1 if (i_m - g.initial_index) % 2 == 0 else 0
+    """Rank of the degree-q local critical module of c^m: 1 iff q = i(c^m) and
+    i(c^m) - i(c) is even, where i(c) = slope + const; else 0."""
+    i_m = index_of_iterate(g, m)[0]
+    return int(q == i_m and (i_m - g.slope - g.const) % 2 == 0)
 
 
 # -- JSON serialization ----------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ExactReal
 from .iteration import (
@@ -148,8 +149,7 @@ def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
     return MorseTable(tuple(values))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     q: int
     kind: str  # "alternating" for the partial-sum inequality, "pointwise" for M_q >= b_q
     lhs: int
@@ -168,6 +168,7 @@ def check_morse_inequalities(
     and the pointwise M_q >= b_q; an empty report means consistency.
     """
     violations: list[Violation] = []
+    add = violations.append
     m = list((M.values if isinstance(M, MorseTable) else M)[:horizon + 1])
     m += [0] * (horizon + 1 - len(m))  # a MorseTable reads 0 past its horizon
     alt_m = alt_b = 0
@@ -176,9 +177,9 @@ def check_morse_inequalities(
         alt_m = m_q - alt_m
         alt_b = b_q - alt_b
         if alt_m < alt_b:
-            violations.append(Violation(q, "alternating", alt_m, alt_b))
+            add(Violation(q, "alternating", alt_m, alt_b))
         if m_q < b_q:
-            violations.append(Violation(q, "pointwise", m_q, b_q))
+            add(Violation(q, "pointwise", m_q, b_q))
     return violations
 
 

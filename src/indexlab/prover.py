@@ -303,35 +303,39 @@ def _check_rotation_count(t, p, pin, bound):
 _C = "Contradiction"
 # Every step a trace may take, keyed by (rule, contradiction kind): the kind
 # of fact it states, the rules of the earlier steps it reads, in premise
-# order ("a|b" admits a step of either rule), and the check of its values.
-# Even-n names; _TABLE[n % 2] is the table for n.
+# order ("a|b" admits a step of either rule), the check of its values, and
+# the keys those values hold besides contradiction_kind ("a|b" admits either
+# set).  Even-n names; _TABLE[n % 2] is the table for n.
+_EVIDENCE = "evidence hypothetical_M"
 _RULES = {
-    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1)),
-    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity),
-    ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity),
-    ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2)),
-    ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3)),
-    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4),
-    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7),
-    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9),
-    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family),
-    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1),
-    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum),
-    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole),
-    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range),
-    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign),
-    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality),
-    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality),
-    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _check_p_half),
-    ("Eq(6.17)", "rotation-count"):
-        (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor: _check_rotation_count(t, p, pin, 1)),
-    ("Eq(6.18)", "rotation-count"):
-        (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor: _check_rotation_count(t, p, pin, 2)),
+    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "relation value " + _EVIDENCE),
+    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "relation value s N rhs"),
+    ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity, "zero_parity i1_parity"),
+    ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2), "max " + _EVIDENCE),
+    ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3),
+                     "min hypotheses|min hypotheses " + _EVIDENCE),
+    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4, "i_c"),
+    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7, "p r ihat"),
+    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9, "relation value terms"),
+    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family, "iterates terms"),
+    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1, "m i"),
+    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum, "m terms total set"),
+    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole, "m set"),
+    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range, "m total set"),
+    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign, "ihat"),
+    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality, "ihat"),
+    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality, "ihat"),
+    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _check_p_half, "ihat p_half"),
+    ("Eq(6.17)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
+                                     _check_rotation_count(t, p, pin, 1), "ihat k_lower k_upper"),
+    ("Eq(6.18)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
+                                     _check_rotation_count(t, p, pin, 2), "ihat k_lower k_upper"),
 }
 _TABLE = tuple(
     {(_rule(parity, rule), kind): (fact_kind, tuple(tuple(_rule(parity, r) for r in slot.split("|"))
-                                                    for slot in slots), check)
-     for (rule, kind), (fact_kind, slots, check) in _RULES.items()}
+                                                    for slot in slots), check,
+                                   tuple(set(key_set.split()) for key_set in keys.split("|")))
+     for (rule, kind), (fact_kind, slots, check, keys) in _RULES.items()}
     for parity in (0, 1)
 )
 
@@ -383,7 +387,7 @@ class _Steps(list):
 
     def add(self, rule: str, statement: str, values: dict) -> None:
         """Append the step, each Fraction among its values spelled "a/b"."""
-        kind, slots, _ = self.rows[rule, values.get("contradiction_kind")]
+        kind, slots, *_ = self.rows[rule, values.get("contradiction_kind")]
         self.append({"rule": rule, "kind": kind, "statement": statement, "values": {
             k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
             for k, v in values.items()},
@@ -401,7 +405,7 @@ def _identity_pin(steps: _Steps, case: Case, p_parity: int) -> Fraction:
     n = steps.n
     N, s = _period_and_sign(case, p_parity, n)
     R = euler_limit(n)
-    ihat = pinned_mean_index(n, case, p_parity)
+    ihat = Fraction(s) / (N * R)  # s/(N*ihat) = R solved, as in pinned_mean_index
     steps.add("Eq(5.5)", f"identity forces {s:+d}/({N}*ihat) = {R}, i.e. ihat = {ihat}",
               {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R})
     return ihat
@@ -534,9 +538,10 @@ def verify_trace(n: int, trace: dict) -> bool:
     Types are JSON's own, and each fraction must be spelled "a/b" in lowest
     terms.  Each step is checked through its row of the rule table: it must
     state the row's kind of fact, its premises must be earlier steps of the
-    row's rules, and the row's check recomputes its values from n and those
-    premises rather than trusting the recorded statement strings.  Every
-    step but the last must be a premise of a later one.
+    row's rules, the row's check recomputes its values from n and those
+    premises rather than trusting the recorded statement strings, and the
+    values hold the row's keys, no more.  Every step but the last must be a
+    premise of a later one.
     """
     if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
         raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
@@ -563,7 +568,7 @@ def verify_trace(n: int, trace: dict) -> bool:
                     or kind != (None if i < last else detail)):
                 raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r}, with a "
                                  f"string statement, is a step in this place at n = {n}")
-            _, slots, check = row
+            _, slots, check, key_sets = row
             if not _plain(values):
                 raise TraceError(f"a value in {values!r} is not of the type its key holds")
             p = dict(values)
@@ -582,6 +587,8 @@ def verify_trace(n: int, trace: dict) -> bool:
                                  f"{[' or '.join(s) for s in slots]}")
             parsed.append(p)
             check(t, p, *[parsed[j] for j in premises])
+            if values.keys() - {"contradiction_kind"} not in key_sets:
+                raise TraceError(f"values hold the keys {sorted(values)}, not those of this step")
         except TraceError as e:
             raise TraceError(f"step {i} ({rule}): {e}") from None
         except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,

@@ -2,14 +2,17 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, make, prover
+from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, make, morse,
+                      prover)
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
+from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
 
 RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -121,6 +124,35 @@ class TestMorseCheck:
         code, _, err = run(capsys, "morse-check", "--models", path)
         assert code == 2
         assert "mean index" in err
+
+
+class TestMorseCheckDocument:
+    """morse-check writes its document by hand; it must be the canonical json.dumps text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 8), horizon=st.integers(0, 60),
+           deltas=st.lists(st.integers(-2, 2), max_size=61))
+    @example(n=2, horizon=0, deltas=[])  # H = 0: one degree
+    @example(n=5, horizon=30, deltas=[])  # M = b: no violations
+    @example(n=4, horizon=2, deltas=[0, 1, 0])  # alternating lhs -1 at q = 2
+    def test_bytes_equal_the_sorted_json_dump(self, tmp_path_factory, n, horizon, deltas):
+        b = betti_values(n, horizon)
+        values = [max(0, b_q + d) for b_q, d in zip(b, deltas + [0] * len(b))]
+        violations = check_morse_inequalities(values, b, horizon)
+        expected = json.dumps({"horizon": horizon, "M": values, "b": b,
+                               "violations": [v._asdict() for v in violations]},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+        directory = tmp_path_factory.getbasetemp()
+        models = write_models(directory, [GeodesicModel(n, NormalFormDecomposition(
+            [Rot(RHO)] * (n - 1)), 0)], f"models-{n}.json")
+        argv = ["morse-check", "--models", models, "--horizon", str(horizon)]
+        out_path, out, code = directory / "morse-check.json", io.StringIO(), int(bool(violations))
+        with mock.patch.object(morse, "morse_numbers", lambda ms, h: MorseTable(tuple(values))):
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == code
+                assert main(argv + ["--json", str(out_path)]) == code
+        assert out.getvalue() == expected  # the --json run writes nothing to stdout
+        assert out_path.read_text() == expected
 
 
 class TestIdentity:

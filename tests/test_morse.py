@@ -1,4 +1,7 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from indexlab import (
     GeodesicModel,
     Hyp,
+    NBlock,
     NormalFormDecomposition,
     Rot,
     averaged_alternating_sum,
@@ -19,6 +23,7 @@ from indexlab import (
     morse_numbers,
     poincare_series_truncated,
 )
+from indexlab import iteration, morse
 from indexlab.exact import ExactReal
 from indexlab.morse import (
     MorseTable,
@@ -29,7 +34,7 @@ from indexlab.morse import (
     iterate_cutoff,
 )
 
-from conftest import random_model
+from conftest import NONSQUARE_D, random_model
 
 RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -122,6 +127,147 @@ class TestMorseNumbers:
             # and the cutoff is the smallest such bound: no extra iterates
             ihat = mean_index(g)
             assert mmax * ihat <= horizon + g.n - 1 < (mmax + 1) * ihat
+
+
+# -- an oracle for whole Morse tables: math.isqrt floors and the case formulas
+
+def _floor(a: int, b: int, c: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/c) for c > 0, by math.isqrt alone."""
+    t = isqrt(b * b * D)
+    return (a + (t if b >= 0 else -t - 1)) // c
+
+
+def _rho(rng: random.Random, D: int) -> tuple[int, int, int, int]:
+    """(a, b, c, D) with (a + b*sqrt(D))/c irrational and in (0, 1)."""
+    b, c = rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 12)
+    f = _floor(0, b, 1, D)  # a in [-f, c-f-1] puts a + b*sqrt(D) in (0, c)
+    return rng.randint(-f, c - f - 1), b, c, D
+
+
+# each shape: the fewest 2x2 blocks (rotations and hyperbolic) it needs, and
+# (n, r, k, p) -> (slope, const) of i(c^m) = slope*m + 2*sum floor(m*rho_j) + const
+SHAPES = {
+    "NCG1": (1, lambda n, r, k, p: (2 * p, n - 2 * r - 1)),
+    "NCG2": (3, lambda n, r, k, p: (p - k, k)),
+    "NCG3": (4, lambda n, r, k, p: (p - k, k)),
+    "NCG4": (2, lambda n, r, k, p: (p - 1, 1)),
+    "NCG5": (0, lambda n, r, k, p: (p, 0)),
+}
+
+
+def _mean_index(slope: int, rhos) -> tuple[int, int, int, int]:
+    """slope + 2*sum rho_j as (A, B, C, D), the value (A + B*sqrt(D))/C with C > 0."""
+    A, B, C, D = slope, 0, 1, 0
+    for a, b, c, D in rhos:
+        A, B, C = A * c + 2 * a * C, B * c + 2 * b * C, C * c
+    return A, B, C, D
+
+
+def _shaped_model(rng: random.Random, n: int, shape: str):
+    """A model of the shape at n: (model, (slope, const), rotation numbers as integers)."""
+    r = rng.randint(0, (n - 1 - SHAPES[shape][0]) // 2)  # N blocks, of dimension 4
+    free = n - 1 - 2 * r  # the 2x2 blocks: k rotations and free - k hyperbolic ones
+    if shape in ("NCG2", "NCG3"):  # k of the shape's parity, 2 or 3 <= k <= free - 1
+        k = rng.randrange(2 if shape == "NCG2" else 3, free, 2)
+    else:
+        k = {"NCG1": free, "NCG4": 1, "NCG5": 0}[shape]
+    D = rng.choice(NONSQUARE_D)
+    rhos = [_rho(rng, D) for _ in range(k)]
+    if shape in ("NCG2", "NCG3"):
+        # p < k, near the least p with ihat = p - k + 2*sum rho_j > 0: a small mean
+        # index lets the floors pull some indices below zero
+        p = max(0, k - _floor(*_mean_index(0, rhos))) + rng.randint(0, 1)
+    else:
+        p = rng.randint(-(free // 2) if shape == "NCG1" else 0, 3)  # NCG1: i(c) >= 0
+    blocks = ([Rot(make(*x)) for x in rhos] + [NBlock(make(*_rho(rng, D))) for _ in range(r)]
+              + [Hyp(Fraction(2)) for _ in range(free - k)])
+    rng.shuffle(blocks)
+    g = GeodesicModel(n, NormalFormDecomposition(blocks), p)
+    assert g.case.value == shape
+    return g, SHAPES[shape][1](n, r, k, p), rhos
+
+
+def _oracle_index(slope: int, const: int, rhos, m: int) -> int:
+    return slope * m + 2 * sum(_floor(m * a, m * b, c, D) for a, b, c, D in rhos) + const
+
+
+def _oracle_cutoff(n: int, slope: int, rhos, horizon: int) -> int | None:
+    """The largest m with m*ihat <= horizon + n - 1, or None unless ihat > 0 and
+    that m is below 20000."""
+    A, B, C, D = _mean_index(slope, rhos)
+    bound = (horizon + n - 1) * C
+
+    def beyond(m):  # m*ihat > horizon + n - 1; an irrational never equals the bound
+        return m * A > bound if B == 0 else _floor(m * A, m * B, 1, D) >= bound
+
+    if not beyond(20000):
+        return None
+    m = 0
+    while not beyond(m + 1):
+        m += 1
+    return m
+
+
+def _draw(rng: random.Random, horizon: int):
+    """1-3 models of one n, each with positive mean index, as (model, slope, const,
+    rotation numbers, cutoff)."""
+    n, count, drawn = rng.randint(2, 12), rng.randint(1, 3), []
+    while len(drawn) < count:
+        shape = rng.choice([s for s, (least, _) in SHAPES.items() if n - 1 >= least])
+        g, (slope, const), rhos = _shaped_model(rng, n, shape)
+        cut = _oracle_cutoff(n, slope, rhos, horizon)
+        if cut is not None:
+            drawn.append((g, slope, const, rhos, cut))
+    return drawn
+
+
+class TestMorseTableOracle:
+    def test_tables_match_the_isqrt_oracle(self, rng):
+        shapes, negative = Counter(), Counter()  # models and negative indices per shape
+        for _ in range(120):
+            horizon = rng.randint(0, 300)
+            drawn = _draw(rng, horizon)
+            table = [0] * (horizon + 1)
+            for g, slope, const, rhos, cut in drawn:
+                shapes[g.case.value] += 1
+                assert iterate_cutoff(g, horizon) == cut
+                for m in range(1, cut + 4):
+                    i = _oracle_index(slope, const, rhos, m)
+                    negative[g.case.value] += i < 0
+                    if m > cut:
+                        assert i > horizon  # the cutoff is certified
+                    elif 0 <= i <= horizon and (i - slope - const) % 2 == 0:
+                        table[i] += 1
+            assert list(morse_numbers([g for g, *_ in drawn], horizon).values) == table
+        assert set(shapes) == set(SHAPES) and negative["NCG2"] + negative["NCG3"] > 0
+
+    def test_morse_numbers_keeps_the_benchmark_call_counts(self, rng, monkeypatch):
+        # a traced benchmark run counts, per model, one index_of_iterate call per
+        # iterate up to the cutoff and a second for each in range, and k floors
+        # per iterate (the memo starts cold on a fresh model)
+        for _ in range(40):
+            horizon = rng.randint(0, 300)
+            drawn = _draw(rng, horizon)
+            calls = Counter()
+
+            def counted(name, fn):
+                def wrapper(*args):
+                    calls[name] += 1
+                    return fn(*args)
+                return wrapper
+
+            for module, name in ((morse, "index_of_iterate"), (iteration, "index_of_iterate"),
+                                 (iteration, "floor_scaled")):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            morse_numbers([g for g, *_ in drawn], horizon)
+            monkeypatch.undo()
+            want = Counter()
+            for g, slope, const, rhos, cut in drawn:
+                in_range = sum(0 <= _oracle_index(slope, const, rhos, m) <= horizon
+                               for m in range(1, cut + 1))
+                want["index_of_iterate"] += cut + in_range
+                want["floor_scaled"] += len(rhos) * cut
+            assert calls == want
 
 
 class TestMorseInequalities:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +17,7 @@ from indexlab.prover import (
     _ODD_RULE,
     _RULES,
     _TABLE,
+    _VALUE_TYPES,
     _rule,
     TraceError,
     _violation_at,
@@ -323,7 +323,7 @@ class TestVerifier:
             with pytest.raises(TraceError):
                 _violation_at(sparse, n, q, kind, shift)
         else:
-            expected = {**dataclasses.asdict(found), "q": q}
+            expected = {**found._asdict(), "q": q}
             assert _violation_at(sparse, n, q, kind, shift) == expected
 
     def test_open_trace_rejected(self):
@@ -671,7 +671,7 @@ class TestMutations:
     def test_traces_are_checked_as_a_whole(self):
         applied = dict.fromkeys(["detail", "case", "subcase", "not last", "rule", "p/2",
                                  "fact kind"], 0)
-        fact_kinds = {kind for kind, _, _ in _RULES.values()}
+        fact_kinds = {kind for kind, *_ in _RULES.values()}
         for n in range(2, 41):
             traces = {(t["case"], t["subcase"]): t for t in _traces(n)}
             for t in traces.values():
@@ -742,6 +742,25 @@ class TestMutations:
                     for value in (0, "", [], {}):
                         with pytest.raises(TraceError, match="not of the type"):
                             verify_trace(n, _tampered(t, i, note=value))
+
+    def test_values_hold_only_the_keys_of_their_row(self):
+        # each step plus any one known key, valued as some step holds it, is rejected
+        traces = {n: _traces(n) for n in range(2, 13)}
+        held = {}
+        for t in (t for ts in traces.values() for t in ts):
+            for step in t["steps"]:
+                for key, value in step["values"].items():
+                    held.setdefault(key, value)
+        assert held.keys() == _VALUE_TYPES.keys()
+        mutants = 0
+        for n, ts in traces.items():
+            for t in ts:
+                for i, step in enumerate(t["steps"]):
+                    for key in held.keys() - step["values"].keys():
+                        mutants += 1
+                        with pytest.raises(TraceError):
+                            verify_trace(n, _tampered(t, i, **{key: held[key]}))
+        assert mutants > 0
 
     def test_every_field_of_each_family_step_is_checked(self):
         rules = set()
