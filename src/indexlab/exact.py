@@ -254,7 +254,13 @@ def floor_scaled(x: ExactReal, m: int) -> int:
     """floor(m * x), exact.  For irrational x, m*x is never an integer."""
     if m <= 0:
         raise ValueError("m must be positive")
-    return _floor(x.a * m, x.b * m, x.c, x.D)
+    # _floor inlined, as this is the hottest call of every iteration; ExactReal.floor keeps
+    # _floor, so the range checks and cutoffs never count as floor_scaled calls
+    b = x.b * m
+    if b == 0:
+        return x.a * m // x.c
+    t = math.isqrt(b * b * x.D)
+    return (x.a * m + (t if b > 0 else -t - 1)) // x.c
 
 
 def fractional_part(x: ExactReal) -> ExactReal:

@@ -154,13 +154,13 @@ def analytic_period(g: GeodesicModel) -> int:
 def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
     """(epsilon, k0) at the m-th iterate.
 
-    epsilon = (-1)^(i(c^m) - i(c)); in the non-degenerate case the local
-    homology contributes exactly when epsilon = +1, so k0 = 1 iff epsilon = +1.
+    epsilon = (-1)^(i(c^m) - i(c)), where i(c) = slope + const; in the
+    non-degenerate case the local homology contributes exactly when
+    epsilon = +1, so k0 = 1 iff epsilon = +1.
     """
-    i_m, _ = index_of_iterate(g, m)
-    i_1 = g.initial_index
-    epsilon = 1 if (i_m - i_1) % 2 == 0 else -1
-    return epsilon, 1 if epsilon == 1 else 0
+    if (index_of_iterate(g, m)[0] - g.slope - g.const) % 2:
+        return -1, 0
+    return 1, 1
 
 
 def critical_module_dim(g: GeodesicModel, m: int, q: int) -> int:

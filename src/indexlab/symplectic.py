@@ -129,15 +129,25 @@ def block_to_json(b: Block) -> dict:
     }
 
 
+def _exact_number(value, name: str):
+    """value if it is an int or a string; a JSON float or boolean is refused, never rounded."""
+    if type(value) not in (int, str):
+        raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
+    return value
+
+
 def block_from_json(obj: dict) -> Block:
     kind = obj.get("type")
     if kind == "rot":
         return Rot(ExactReal.parse(obj["rho"]))
     if kind == "hyp":
-        return Hyp(Fraction(obj["d"]))
+        return Hyp(_exact_number(obj["d"], "d"))
     if kind == "n":
-        B = tuple(tuple(Fraction(x) for x in row) for row in obj.get("B", [[0, 0], [0, 0]]))
-        return NBlock(ExactReal.parse(obj["rho"]), B)
+        B = obj.get("B", [[0, 0], [0, 0]])
+        for row in B:
+            for x in row:
+                _exact_number(x, "B entry")
+        return NBlock(ExactReal.parse(obj["rho"]), B)  # NBlock makes the Fractions
     raise ValueError(f"unknown block type: {kind!r}")
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, make, morse,
-                      prover)
+from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, iteration,
+                      make, morse, prover)
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
 from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
+
+from conftest import random_model
 
 RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -96,6 +100,28 @@ class TestIterate:
         assert code == 2
         assert "model" in err
 
+    def test_iterate_keeps_the_benchmark_call_counts(self, rng, monkeypatch, tmp_path):
+        # a traced benchmark run counts two index_of_iterate calls per row (the row, then
+        # critical_type) and k floors per row (the memo starts cold on the model read)
+        path = tmp_path / "model.json"
+        for _ in range(30):
+            g, K = random_model(rng), rng.randint(0, 120)
+            path.write_text(json.dumps(model_to_json(g)))
+            calls = Counter()
+
+            def counted(name, fn):
+                def wrapper(*args):
+                    calls[name] += 1
+                    return fn(*args)
+                return wrapper
+
+            for name in ("index_of_iterate", "floor_scaled"):
+                monkeypatch.setattr(iteration, name, counted(name, getattr(iteration, name)))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["iterate", "--model", str(path), "--mmax", str(K)]) == 0
+            monkeypatch.undo()
+            assert calls == Counter(index_of_iterate=2 * K, floor_scaled=g.dec.count(Rot) * K)
+
 
 class TestMorseCheck:
     def test_consistent_pair_exits_zero(self, capsys, tmp_path):
@@ -153,6 +179,81 @@ class TestMorseCheckDocument:
                 assert main(argv + ["--json", str(out_path)]) == code
         assert out.getvalue() == expected  # the --json run writes nothing to stdout
         assert out_path.read_text() == expected
+
+
+SHAPES = ["NCG1", "NCG2", "NCG3", "NCG4", "NCG5"]
+# (sqrt(2) - 1)/4, about 0.10: with p = 0 the slope -k outruns the floors, so indices go negative
+SMALL_RHO = make(-1, 1, 4, 2)
+SQRT2_RHOS = [RHO, make(7, -4, 8, 2), SMALL_RHO, make(2, -1, 1, 2)]  # one field
+
+
+@st.composite
+def shaped_models(draw):
+    """A model of any case shape, with k rotations, h hyperbolic and r N blocks."""
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "NCG1":
+        k, h = draw(st.integers(1, 3)), 0
+    else:
+        k = {"NCG3": 3, "NCG4": 1, "NCG5": 0}.get(shape)
+        k = draw(st.sampled_from([2, 4])) if k is None else k
+        h = draw(st.integers(0 if shape == "NCG5" else 1, 2))
+    r = draw(st.integers(0 if k + h else 1, 1))
+    p = draw(st.integers(-(k // 2) if shape == "NCG1" else 0, 3))  # NCG1: i(c) = 2p + k >= 0
+    blocks = ([Rot(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(k)] + [Hyp(Fraction(2))] * h
+              + [NBlock(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(r)])
+    g = GeodesicModel(1 + k + h + 2 * r, NormalFormDecomposition(draw(st.permutations(blocks))), p)
+    assert g.case.value == shape
+    return g
+
+
+class TestIterateDocument:
+    """iterate writes its document by hand; it must be the json.dumps text of the row dicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=shaped_models(), K=st.integers(0, 60))
+    @example(g=GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0), K=0)  # "rows":[]
+    @example(g=GeodesicModel(4, NormalFormDecomposition(  # NCG2, i(c^2) = -2
+        [Rot(SMALL_RHO), Hyp(Fraction(2)), Rot(SMALL_RHO)]), 0), K=12)
+    @example(g=GeodesicModel(5, NormalFormDecomposition(  # NCG3, i(c^2) = -3
+        [Rot(SMALL_RHO)] * 3 + [Hyp(Fraction(2))]), 0), K=12)
+    def test_bytes_equal_the_dict_dumps(self, tmp_path_factory, g, K):
+        i_1 = iteration.index_of_iterate(g, 1)[0]
+        rows = []
+        for m in range(1, K + 1):
+            i_m = iteration.index_of_iterate(g, m)[0]
+            eps = 1 if (i_m - i_1) % 2 == 0 else -1
+            rows.append({"m": m, "i": i_m, "nu": 0, "epsilon": eps, "k0": int(eps == 1)})
+        expected = json.dumps({"case": g.case.value,
+                               "mean_index": iteration.mean_index(g).serialize(),
+                               "period": iteration.analytic_period(g), "rows": rows},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=["m", "i", "nu", "epsilon", "k0"])
+        writer.writeheader()
+        writer.writerows(rows)
+        directory = tmp_path_factory.getbasetemp()
+        model, out_path = directory / "iterate-model.json", directory / "iterate.json"
+        model.write_text(json.dumps(model_to_json(g)))
+        argv = ["iterate", "--model", str(model), "--mmax", str(K)]
+        out, csv_out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+            assert main(argv + ["--json", str(out_path)]) == 0
+        with contextlib.redirect_stdout(csv_out):
+            assert main(argv + ["--csv"]) == 0
+        assert out.getvalue() == expected  # the --json run writes nothing to stdout
+        assert out_path.read_text() == expected
+        assert csv_out.getvalue() == table.getvalue()
+
+    @pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["json", "csv"])
+    def test_a_mixed_field_model_is_an_input_error(self, capsys, tmp_path, extra):
+        # the mean index sqrt(2) - 1 + (sqrt(5) - 1)/4 lies in no one quadratic field
+        g = GeodesicModel(3, NormalFormDecomposition([Rot(RHO), Rot(make(-1, 1, 4, 5))]), 0)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(model_to_json(g)))
+        code, out, err = run(capsys, "iterate", "--model", str(path), "--mmax", "5", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot combine sqrt(2) with sqrt(5)\n"
 
 
 class TestIdentity:
@@ -347,6 +448,29 @@ class TestInputFaults:
         self.check_fault(capsys, ["iterate", "--model", str(path)], f"{key} must be an integer")
         path.write_text(json.dumps([{**model_to_json(g), key: value}]))
         self.check_fault(capsys, ["morse-check", "--models", str(path)], f"{key} must be an integer")
+
+    @pytest.mark.parametrize("block,field", [
+        ({"type": "hyp", "d": 2.5}, "d"), ({"type": "hyp", "d": True}, "d"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]}, "B entry"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, 1.0]]}, "B entry"),
+    ], ids=["d-2.5", "d-True", "B-0.1", "B-1.0"])
+    def test_inexact_block_number(self, capsys, tmp_path, block, field):
+        # a float or bool is refused, never read as a binary fraction or as 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2 if block["type"] == "hyp" else 3, "p": 0,
+                                    "dec": {"blocks": [block]}}))
+        self.check_fault(capsys, ["iterate", "--model", str(path)],
+                         f"model: {field} must be an integer or a fraction string")
+
+    @pytest.mark.parametrize("argv", [["iterate", "--model", "MODEL"], ["betti", "--n", "3"]],
+                             ids=["iterate", "betti"])
+    @pytest.mark.parametrize("flags", [["--csv", "--json", "OUT"], ["--json", "OUT", "--csv"]],
+                             ids=["csv-first", "json-first"])
+    def test_csv_excludes_json(self, capsys, tmp_path, ncg1_model, argv, flags):
+        out = tmp_path / "out.json"
+        files = {"MODEL": ncg1_model, "OUT": str(out)}
+        self.check_fault(capsys, [files.get(a, a) for a in argv + flags], "not allowed with argument")
+        assert not out.exists()
 
     def test_deeply_nested_document(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -101,3 +101,21 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             decomposition_from_json({"blocks": [{"type": "spiral"}]})
+
+    def test_integers_and_fraction_strings_stay_exact(self):
+        rho = RHO.serialize()
+        d = decomposition_from_json({"blocks": [
+            {"type": "hyp", "d": 2}, {"type": "hyp", "d": "-3/7"},
+            {"type": "n", "rho": rho, "B": [[1, "1/2"], [0, "-3"]]}]})
+        assert dumps(d) == ('{"blocks":[{"d":"2/1","type":"hyp"},{"d":"-3/7","type":"hyp"},'
+                            '{"B":[["1/1","1/2"],["0/1","-3/1"]],"rho":"%s","type":"n"}]}' % rho)
+
+    @pytest.mark.parametrize("block", [
+        {"type": "hyp", "d": 2.5}, {"type": "hyp", "d": 2.0}, {"type": "hyp", "d": True},
+        {"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]},
+        {"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, False]]},
+    ])
+    def test_floats_and_booleans_are_refused(self, block):
+        field = "d" if "d" in block else "B entry"
+        with pytest.raises(BlockInvariantError, match=f"^{field} must be an integer or a fraction"):
+            decomposition_from_json({"blocks": [block]})
