@@ -13,7 +13,6 @@ from .iteration import (
     GeodesicModel,
     analytic_period,
     classify,
-    critical_module_dim,
     critical_type,
     index_of_iterate,
     mean_index,
@@ -51,7 +50,6 @@ __all__ = [
     "mean_index",
     "analytic_period",
     "critical_type",
-    "critical_module_dim",
     "MorseTable",
     "SeriesPolynomial",
     "betti",

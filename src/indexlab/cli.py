@@ -127,7 +127,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    if args.case:
+    if args.case is not None:
         try:
             case = iteration.Case(args.case.upper())
         except ValueError:

@@ -21,8 +21,6 @@ class FieldMismatchError(ValueError):
 
 
 def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
     r = math.isqrt(n)
     return r * r == n
 
@@ -171,25 +169,14 @@ class ExactReal:
     # -- exact order -------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of (a + b*sqrt(D))/c, by integer case analysis.
+        """Sign of (a + b*sqrt(D))/c, by the floor identity.
 
-        With c > 0 only the numerator matters.  When a and b agree in sign
-        the answer is immediate; otherwise compare a^2 with b^2 D, which
-        decides |a| vs |b|*sqrt(D).
+        With c > 0 only the numerator matters.  For b != 0 it is irrational,
+        so it is positive exactly when its floor is >= 0.
         """
-        a, b, D = self.a, self.b, self.D
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * D
-        if a > 0:  # b < 0: sign of |a| - |b| sqrt(D)
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        return 1 if _floor(self.a, self.b, 1, self.D) >= 0 else -1
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -204,6 +191,9 @@ class ExactReal:
         return (self - other).sign() < 0
 
     def __hash__(self):
+        # a rational value hashes as the equal Fraction (and int), as __eq__ coerces them
+        if self.b == 0:
+            return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.D))
 
     # -- certified floor ---------------------------------------------------

@@ -9,7 +9,6 @@ every iterate; the nullity vanishes identically (bumpy hypothesis).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 from .exact import ExactReal, floor_scaled
@@ -74,7 +73,7 @@ class GeodesicModel:
     rotation_numbers: tuple[ExactReal, ...] = field(init=False, repr=False, compare=False)
     slope: int = field(init=False, repr=False, compare=False)
     const: int = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False, hash=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -110,9 +109,6 @@ class GeodesicModel:
     def initial_index(self) -> int:
         """i(c) = i(c^1) = slope + const: the floors vanish at m = 1, as 0 < rho < 1."""
         return self.slope + self.const
-
-    def __hash__(self):
-        return hash((self.n, self.dec, self.p))
 
 
 def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
@@ -163,13 +159,6 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
     return 1, 1
 
 
-def critical_module_dim(g: GeodesicModel, m: int, q: int) -> int:
-    """Rank of the degree-q local critical module of c^m: 1 iff q = i(c^m) and
-    i(c^m) - i(c) is even, where i(c) = slope + const; else 0."""
-    i_m = index_of_iterate(g, m)[0]
-    return int(q == i_m and (i_m - g.slope - g.const) % 2 == 0)
-
-
 # -- JSON serialization ----------------------------------------------------
 
 def model_to_json(g: GeodesicModel) -> dict:
@@ -197,7 +186,3 @@ def model_from_json(obj: dict) -> GeodesicModel:
             f"declared case {declared} does not match classified case {g.case.value}"
         )
     return g
-
-
-def dumps(g: GeodesicModel) -> str:
-    return json.dumps(model_to_json(g), sort_keys=True, separators=(",", ":"))

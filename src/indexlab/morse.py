@@ -16,7 +16,6 @@ from .exact import ExactReal
 from .iteration import (
     GeodesicModel,
     analytic_period,
-    critical_module_dim,
     critical_type,
     index_of_iterate,
     mean_index,
@@ -32,23 +31,10 @@ class NonTerminatingSumError(ValueError):
 def betti(n: int, q: int) -> int:
     """b_q of the quotient free-loop-space pair of the n-sphere.
 
-    Value 2 on the doubling set K (odd multiples k(n-1), k >= 3, for even n;
-    all multiples k(n-1), k >= 2, for odd n), 1 on the arithmetic ray
-    n-1 + 2N_0 off K, else 0.
+    b_q = A_q + A_{q-1} for the alternating sums A of alternating_betti_sum,
+    as A_q = b_q - A_{q-1}.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if q < 0:
-        return 0
-    if n % 2 == 0:
-        in_k = q % (n - 1) == 0 and (q // (n - 1)) >= 3 and (q // (n - 1)) % 2 == 1
-    else:
-        in_k = q % (n - 1) == 0 and (q // (n - 1)) >= 2
-    if in_k:
-        return 2
-    if q >= n - 1 and (q - (n - 1)) % 2 == 0:
-        return 1
-    return 0
+    return alternating_betti_sum(n, q) + alternating_betti_sum(n, q - 1)
 
 
 def betti_values(n: int, horizon: int) -> list[int]:
@@ -145,7 +131,7 @@ def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
         for m in range(1, iterate_cutoff(g, horizon) + 1):
             i_m, _ = index_of_iterate(g, m)
             if 0 <= i_m <= horizon:
-                values[i_m] += critical_module_dim(g, m, i_m)
+                values[i_m] += critical_type(g, m)[1]
     return MorseTable(tuple(values))
 
 
@@ -184,11 +170,13 @@ def check_morse_inequalities(
 
 
 def alternating_betti_sum(n: int, q: int) -> int:
-    """b_q - b_{q-1} + b_{q-2} - ... - (+-)b_0, in closed form.
+    """A_q = b_q - b_{q-1} + b_{q-2} - ... - (+-)b_0, in closed form.
 
-    Every nonzero b_j has the parity of n-1 (the ray n-1 + 2N_0 holds the
-    doubling set K), so each enters with the sign (-1)^(q-n+1), and the
-    sum is that sign times (#ray points <= q + #K points <= q).
+    b_j is 2 on the doubling set K (odd multiples k(n-1), k >= 3, for even n;
+    all multiples k(n-1), k >= 2, for odd n), 1 on the arithmetic ray
+    n-1 + 2N_0 off K, else 0.  Every nonzero b_j has the parity of n-1 (the
+    ray holds K), so each enters with the sign (-1)^(q-n+1), and the sum is
+    that sign times (#ray points <= q + #K points <= q).
     """
     if n < 2:
         raise ValueError("n must be >= 2")

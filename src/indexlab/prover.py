@@ -180,11 +180,6 @@ def _rule(n: int, even_rule: str) -> str:
     return even_rule if n % 2 == 0 else _ODD_RULE.get(even_rule, even_rule)
 
 
-def _is_product(x: Fraction, k: int, y: Fraction) -> bool:
-    """x == k*y, by integer cross-multiplication."""
-    return x.numerator * y.denominator == k * y.numerator * x.denominator
-
-
 def _pinned(p: dict, pin: dict) -> Fraction:
     """The step's ihat, which must be the value its Eq(5.5) premise pins."""
     if p["ihat"] != pin["value"]:
@@ -228,13 +223,13 @@ def _check_eq_6_7(t, p, pin, cor):
 
 
 def _check_eq_6_9(t, p, p_r):
-    if p["relation"] != "=" or p["terms"] != t.n - 1 or not _is_product(p_r["ihat"], 2, p["value"]):
+    if p["relation"] != "=" or p["terms"] != t.n - 1 or p_r["ihat"] != 2 * p["value"]:
         raise TraceError("the n-1 rotation numbers must sum to ihat/2")
 
 
 def _check_floor_sum(t, p, rho):
     m, terms, total = p["m"], p["terms"], p["total"]
-    if (terms != rho["terms"] or not _is_product(total, m, rho["value"])
+    if (terms != rho["terms"] or total != m * rho["value"]
             or p["set"] != _ends(floor_sum_range(m, terms, total))):
         raise TraceError(f"floor-sum range re-check failed at m = {m}")
 
@@ -287,7 +282,7 @@ def _check_integrality(t, p, pin):
 
 def _check_p_half(t, p, pin):
     ihat = _pinned(p, pin)  # ihat = p, a positive even integer, so p/2 >= 1
-    if t.subcase != "p even" or not 0 < ihat < 2 or not _is_product(ihat, 2, p["p_half"]):
+    if t.subcase != "p even" or not 0 < ihat < 2 or ihat != 2 * p["p_half"]:
         raise TraceError("p/2 contradiction needs p even and 0 < p/2 = ihat/2 < 1")
 
 

@@ -104,12 +104,6 @@ class NormalFormDecomposition:
     def rotations(self) -> tuple[Rot, ...]:
         return tuple(b for b in self.blocks if isinstance(b, Rot))
 
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
 
 # -- JSON serialization ----------------------------------------------------
 

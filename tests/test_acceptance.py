@@ -16,7 +16,6 @@ from indexlab import (
     averaged_alternating_sum,
     betti,
     check_morse_inequalities,
-    critical_module_dim,
     critical_type,
     euler_limit,
     index_of_iterate,
@@ -158,7 +157,7 @@ def test_criterion_8_morse_table_stability():
             for m in range(1, 2 * iterate_cutoff(g, horizon) + 1):
                 i_m, _ = index_of_iterate(g, m)
                 if 0 <= i_m <= horizon:
-                    doubled[i_m] += critical_module_dim(g, m, i_m)
+                    doubled[i_m] += critical_type(g, m)[1]
         ok = ok and morse_numbers(models, horizon).values == tuple(doubled)
         checked += 1
     report(8, "Morse tables invariant under doubling the iterate cutoff", ok)

@@ -316,6 +316,11 @@ class TestProve:
         assert code == 2
         assert "unknown case" in err
 
+    def test_empty_case_filter_is_unknown(self, capsys):
+        code, out, err = run(capsys, "prove", "--n", "5", "--case", "")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown case filter: \n"
+
     @pytest.mark.parametrize("n", [2, 3, 81, 200])
     def test_stdout_is_the_certificate(self, capsys, n):
         code, out, _ = run(capsys, "prove", "--n", str(n))

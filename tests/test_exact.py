@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indexlab.exact import (
@@ -179,6 +179,26 @@ class TestProperties:
             assert y == x and hash(y) == hash(x)
             assert (y.a, y.b, y.c, y.D) == (x.a, x.b, x.c, x.D)
             assert floor_scaled(y, 10) == floor_scaled(x, 10)
+
+    @given(
+        st.integers(-10 ** 6, 10 ** 6),
+        st.integers(-10 ** 6, 10 ** 6),
+        st.integers(1, 10 ** 6),
+        st.sampled_from(NONSQUARE_D + [2 ** 61 - 1]),
+    )
+    # numerators sqrt(2) - 1 in (0, 1), 1 - sqrt(2) in (-1, 0), and zero
+    @example(-1, 1, 1, 2)
+    @example(1, -1, 1, 2)
+    @example(0, 0, 1, 2)
+    def test_sign_against_integer_oracle(self, a, b, c, D):
+        expected = _sign_plus_sqrt(a, b, D) if b else (a > 0) - (a < 0)
+        assert make(a, b, c, D).sign() == expected
+
+    @given(st.one_of(st.integers(), st.fractions()))
+    def test_rational_values_hash_as_their_equals(self, q):
+        x = ExactReal.from_fraction(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
 
     @given(exact_reals)
     def test_inverse(self, x):

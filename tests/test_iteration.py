@@ -15,7 +15,6 @@ from indexlab import (
     Rot,
     analytic_period,
     classify,
-    critical_module_dim,
     critical_type,
     index_of_iterate,
     make,
@@ -175,17 +174,10 @@ class TestCriticalType:
 
 
 class TestCriticalModuleDim:
-    def test_at_the_index(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 0)
-        assert critical_module_dim(g, 1, g.initial_index) == 1
-
-    def test_off_the_index(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 0)
-        assert critical_module_dim(g, 1, g.initial_index + 1) == 0
-
+    # k0 of critical_type is the rank of the local critical module at degree i(c^m)
     def test_parity_obstruction(self):
         g = GeodesicModel(3, dec(H2, H2), p=1)  # i(c^2) = 2, i(c) = 1
-        assert critical_module_dim(g, 2, 2) == 0
+        assert critical_type(g, 2) == (-1, 0)
 
 
 class TestJson:

@@ -39,6 +39,13 @@ def test_uses_no_floating_point(path):
                     and any(alias.name == "sqrt" for alias in node.names)), where
 
 
+def test_all_names_are_bound():
+    import indexlab
+
+    assert [name for name in indexlab.__all__ if not hasattr(indexlab, name)] == []
+    exec("from indexlab import *", {})  # raises AttributeError on an unbound name
+
+
 def test_sees_every_module():
     assert {p.name for p in MODULES} >= {"exact.py", "symplectic.py", "iteration.py",
                                          "morse.py", "prover.py", "cli.py"}
