@@ -19,16 +19,13 @@ from .iteration import (
 )
 from .morse import (
     MorseTable,
-    SeriesPolynomial,
-    averaged_alternating_sum,
     betti,
     check_morse_inequalities,
     euler_limit,
     mean_index_identity_lhs,
     morse_numbers,
-    poincare_series_truncated,
 )
-from .prover import ProofTrace, Verdict, replay, verify_certificate, verify_trace
+from .prover import replay, verify_certificate, verify_trace
 
 __version__ = "0.1.0"
 
@@ -51,16 +48,11 @@ __all__ = [
     "analytic_period",
     "critical_type",
     "MorseTable",
-    "SeriesPolynomial",
     "betti",
-    "poincare_series_truncated",
     "morse_numbers",
     "check_morse_inequalities",
     "euler_limit",
-    "averaged_alternating_sum",
     "mean_index_identity_lhs",
-    "ProofTrace",
-    "Verdict",
     "replay",
     "verify_certificate",
     "verify_trace",

@@ -88,12 +88,6 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def cmd_series(args) -> int:
-    s = morse.poincare_series_truncated(args.n, args.degree)
-    _emit({"n": args.n, "coefficients": list(s.coefficients)}, args.json)
-    return 0
-
-
 def cmd_morse_check(args) -> int:
     models = _load_models(args.models)
     M = morse.morse_numbers(models, args.horizon)
@@ -172,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("series", help="truncated Poincare series coefficients")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, default=30)
-    p.add_argument("--json")
-    p.set_defaults(func=cmd_series)
-
     p = sub.add_parser("morse-check", help="Morse inequalities for a model set")
     p.add_argument("--models", required=True, help="path to a JSON list of models")
     p.add_argument("--horizon", type=int, default=40)
@@ -209,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
+    except (ValueError, KeyError, OverflowError, MemoryError) as exc:  # the last two: a size too large
+        sys.stderr.write(f"error: {' '.join(str(exc).splitlines()) or type(exc).__name__}\n")
         return 2
 
 

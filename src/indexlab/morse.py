@@ -48,53 +48,6 @@ def betti_values(n: int, horizon: int) -> list[int]:
     return b
 
 
-# -- formal power series ---------------------------------------------------
-
-@dataclass(frozen=True)
-class SeriesPolynomial:
-    """Truncated formal power series with integer coefficients."""
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, q: int) -> int:
-        return self.coefficients[q] if 0 <= q <= self.degree else 0
-
-    def truncated_at_minus_one(self, m: int) -> int:
-        """Value at t = -1 of the degree-m truncation."""
-        if m > self.degree:
-            raise IndexError(f"truncation {m} exceeds stored degree {self.degree}")
-        return sum(c if q % 2 == 0 else -c for q, c in enumerate(self.coefficients[: m + 1]))
-
-
-def _geometric_expand(shift: int, step: int, degree: int, out: list[int]) -> None:
-    """Add t^shift / (1 - t^step) = sum t^(shift + j*step) into out."""
-    e = shift
-    while e <= degree:
-        out[e] += 1
-        e += step
-
-
-def poincare_series_truncated(n: int, degree: int) -> SeriesPolynomial:
-    """Coefficient extraction of the loop-space Poincare series up to degree.
-
-    Even n: t^(n-1) * (1/(1-t^2) + t^(2n-2)/(1-t^(2n-2))).
-    Odd n:  t^(n-1) * (1/(1-t^2) + t^(n-1)/(1-t^(n-1))).
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    coeffs = [0] * (degree + 1)
-    _geometric_expand(n - 1, 2, degree, coeffs)
-    if n % 2 == 0:
-        _geometric_expand(3 * (n - 1), 2 * (n - 1), degree, coeffs)
-    else:
-        _geometric_expand(2 * (n - 1), n - 1, degree, coeffs)
-    return SeriesPolynomial(tuple(coeffs))
-
-
 # -- Morse-type numbers ----------------------------------------------------
 
 def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
@@ -197,13 +150,6 @@ def euler_limit(n: int) -> Fraction:
     if n % 2 == 0:
         return Fraction(-n, 2 * (n - 1))
     return Fraction(n + 1, 2 * (n - 1))
-
-
-def averaged_alternating_sum(s: SeriesPolynomial, m: int) -> Fraction:
-    """s^m(-1) / m for the degree-m truncation s^m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return Fraction(s.truncated_at_minus_one(m), m)
 
 
 # -- mean index identity ---------------------------------------------------

@@ -15,33 +15,17 @@ sum of irrationals, which no concrete choice could exhibit.
 
 from __future__ import annotations
 
-import enum
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .iteration import Case
 from .morse import alternating_betti_sum, betti, euler_limit
 
-
-class Verdict(enum.Enum):
-    CONTRADICTION = "contradiction"
-    VACUOUS = "vacuous"
-
-
-@dataclass(frozen=True)
-class ProofTrace:
-    n: int
-    case: Case
-    subcase: str  # "", "p even", "p odd"
-    steps: tuple[dict, ...]  # each {"rule", "kind", "statement", "values", "premises"}
-    verdict: Verdict
-    detail: str  # contradiction kind or vacuity reason
-
-    def to_json(self) -> dict:
-        return {"case": self.case.value, "subcase": self.subcase, "steps": list(self.steps),
-                "verdict": self.verdict.value, "detail": self.detail}
+# One replayed trace, each field the JSON value the certificate holds: the case
+# tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the
+# contradiction kind or vacuity reason.
+Trace = namedtuple("Trace", "case subcase steps verdict detail")
 
 
 class TraceError(ValueError):
@@ -389,10 +373,10 @@ class _Steps(list):
             "premises": [max(self.at.get(r, -1) for r in slot) for slot in slots]})
         self.at[rule] = len(self) - 1
 
-    def close(self, case: Case, subcase: str = "") -> ProofTrace:
+    def close(self, case: Case, subcase: str = "") -> Trace:
         """The trace these steps derive, named after the contradiction of its last step."""
-        return ProofTrace(self.n, case, subcase, tuple(self), Verdict.CONTRADICTION,
-                          self[-1]["values"]["contradiction_kind"])
+        return Trace(case.value, subcase, list(self), "contradiction",
+                     self[-1]["values"]["contradiction_kind"])
 
 
 def _identity_pin(steps: _Steps, case: Case, p_parity: int) -> Fraction:
@@ -417,7 +401,7 @@ def _corollary_6_4(steps: _Steps) -> None:
     steps.add("Cor6.4", f"i(c) = {n - 1}", {"i_c": n - 1})
 
 
-def _replay_ncg1(n: int) -> ProofTrace:
+def _replay_ncg1(n: int) -> Trace:
     steps = _Steps(n)
     ihat = _identity_pin(steps, Case.NCG1, 0)
     _corollary_6_4(steps)
@@ -458,7 +442,7 @@ def _replay_ncg1(n: int) -> ProofTrace:
     return steps.close(Case.NCG1)
 
 
-def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
+def _replay_subcase(n: int, case: Case, p_parity: int) -> Trace:
     subcase = "p even" if p_parity % 2 == 0 else "p odd"
     steps = _Steps(n)
     ihat = _identity_pin(steps, case, p_parity)
@@ -498,18 +482,18 @@ def _replay_subcase(n: int, case: Case, p_parity: int) -> ProofTrace:
     return steps.close(case, subcase)
 
 
-def replay(n: int) -> list[ProofTrace]:
+def replay(n: int) -> list[Trace]:
     """All case/parity traces for dimension n, each ending in a verdict."""
     if n < 2:
         raise ValueError("n must be >= 2")
     return [t for case in Case for t in _replay_case(n, case)]
 
 
-def _replay_case(n: int, case: Case) -> list[ProofTrace]:
+def _replay_case(n: int, case: Case) -> list[Trace]:
     """The traces of one case shape: one per parity subcase, or one verdict."""
     reason = _shape_vacuity(n, case)
     if reason is not None:
-        return [ProofTrace(n, case, "", (), Verdict.VACUOUS, reason)]
+        return [Trace(case.value, "", [], "vacuous", reason)]
     return [_replay_ncg1(n)] if case is Case.NCG1 else [_replay_subcase(n, case, p) for p in (0, 1)]
 
 
@@ -621,17 +605,17 @@ def verify_certificate(doc: dict) -> bool:
 CERTIFICATE_SCHEMA = 3
 
 
-def certificate(n: int, traces: list[ProofTrace] | None = None) -> dict:
+def certificate(n: int, traces: list[Trace] | None = None) -> dict:
     """The certificate of these traces (by default all of them); one that
     leaves a case shape out is marked partial."""
     if traces is None:
         traces = replay(n)
-    doc = {"schema": CERTIFICATE_SCHEMA, "n": n, "traces": [t.to_json() for t in traces]}
-    if {t.case for t in traces} != set(Case):
+    doc = {"schema": CERTIFICATE_SCHEMA, "n": n, "traces": [t._asdict() for t in traces]}
+    if len({t.case for t in traces}) < len(Case):
         doc["partial"] = True
     return doc
 
 
-def certificate_json(n: int, traces: list[ProofTrace] | None = None) -> str:
+def certificate_json(n: int, traces: list[Trace] | None = None) -> str:
     """The certificate as the canonical JSON text that `prove` checks and writes."""
     return json.dumps(certificate(n, traces), sort_keys=True, separators=(",", ":"))

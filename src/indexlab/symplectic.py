@@ -11,7 +11,6 @@ in (0, 1) \\ {1/2} that must be irrational.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -152,6 +151,3 @@ def decomposition_to_json(d: NormalFormDecomposition) -> dict:
 def decomposition_from_json(obj: dict) -> NormalFormDecomposition:
     return NormalFormDecomposition(block_from_json(b) for b in obj["blocks"])
 
-
-def dumps(d: NormalFormDecomposition) -> str:
-    return json.dumps(decomposition_to_json(d), sort_keys=True, separators=(",", ":"))

@@ -49,6 +49,29 @@ def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:
     return GeodesicModel(n, NormalFormDecomposition(blocks), p)
 
 
+def poincare_series(n: int, degree: int) -> list[int]:
+    """Coefficients t^0..t^degree of the loop-space Poincare series, each
+    geometric series expanded term by term: the Betti oracle of the tests.
+
+    Even n: t^(n-1) * (1/(1-t^2) + t^(2n-2)/(1-t^(2n-2))).
+    Odd n:  t^(n-1) * (1/(1-t^2) + t^(n-1)/(1-t^(n-1))).
+    """
+    coeffs = [0] * (degree + 1)
+    if n % 2 == 0:
+        terms = ((n - 1, 2), (3 * (n - 1), 2 * (n - 1)))
+    else:
+        terms = ((n - 1, 2), (2 * (n - 1), n - 1))
+    for shift, step in terms:  # t^shift / (1 - t^step)
+        for e in range(shift, degree + 1, step):
+            coeffs[e] += 1
+    return coeffs
+
+
+def at_minus_one(coeffs: list[int], m: int) -> int:
+    """Value at t = -1 of the degree-m truncation of a series with these coefficients."""
+    return sum(c if q % 2 == 0 else -c for q, c in enumerate(coeffs[: m + 1]))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

@@ -66,10 +66,10 @@ class TestBetti:
 
 
 class TestSeries:
-    def test_matches_betti(self, capsys):
-        _, out_s, _ = run(capsys, "series", "--n", "4", "--degree", "30")
-        _, out_b, _ = run(capsys, "betti", "--n", "4", "--qmax", "30")
-        assert json.loads(out_s)["coefficients"] == json.loads(out_b)["b"]
+    def test_is_an_unknown_command(self, capsys):
+        code, out, err = run(capsys, "series", "--n", "4", "--degree", "30")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestIterate:
@@ -343,7 +343,7 @@ class TestProve:
 
         def cut(n):  # the NCG1 trace without its closing step
             t = replay_ncg1(n)
-            return type(t)(t.n, t.case, t.subcase, t.steps[:-1], t.verdict, t.detail)
+            return t._replace(steps=t.steps[:-1])
 
         monkeypatch.setattr(prover, "_replay_ncg1", cut)
         code, out, err = run(capsys, "prove", "--n", "6")
@@ -390,6 +390,7 @@ class TestInputFaults:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+        return err
 
     @pytest.mark.parametrize(
         "command,text",
@@ -437,6 +438,24 @@ class TestInputFaults:
         files = {"MODEL": ncg1_model, "MODELS": write_models(tmp_path, [g])}
         argv = [files.get(a, a) for a in argv]
         self.check_fault(capsys, argv, f"{argv[-2]} must be >= 0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["betti", "--n", "2", "--qmax", str(10**20)],
+         ["morse-check", "--models", "MODELS", "--horizon", str(10**20)]],
+        ids=["qmax", "horizon"],
+    )
+    def test_oversized_bound(self, capsys, tmp_path, argv):
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        argv = [write_models(tmp_path, [g]) if a == "MODELS" else a for a in argv]
+        assert self.check_fault(capsys, argv, "error: ").strip() != "error:"
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def exhausted(n, horizon):  # as a huge list would fail, without allocating it
+            raise MemoryError
+
+        monkeypatch.setattr(morse, "betti_values", exhausted)
+        self.check_fault(capsys, ["betti", "--n", "2", "--qmax", "30"], "error: MemoryError")
 
     def test_infinite_dimension(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
@@ -572,7 +591,6 @@ bounds = st.one_of(*[st.integers(2, 500).map(str)] * 4,
 FLAGS = {  # the required flag first
     "iterate": ["--model", "--mmax", "--csv"],
     "betti": ["--n", "--qmax", "--csv"],
-    "series": ["--n", "--degree"],
     "morse-check": ["--models", "--horizon"],
     "identity": ["--models"],
     "prove": ["--n", "--case"],

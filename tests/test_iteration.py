@@ -173,13 +173,6 @@ class TestCriticalType:
             assert critical_type(g, m) == (1, 1)
 
 
-class TestCriticalModuleDim:
-    # k0 of critical_type is the rank of the local critical module at degree i(c^m)
-    def test_parity_obstruction(self):
-        g = GeodesicModel(3, dec(H2, H2), p=1)  # i(c^2) = 2, i(c) = 1
-        assert critical_type(g, 2) == (-1, 0)
-
-
 class TestJson:
     def test_round_trip(self, rng):
         for _ in range(40):

@@ -13,7 +13,6 @@ from indexlab import (
     NBlock,
     NormalFormDecomposition,
     Rot,
-    averaged_alternating_sum,
     betti,
     check_morse_inequalities,
     euler_limit,
@@ -21,7 +20,6 @@ from indexlab import (
     mean_index,
     mean_index_identity_lhs,
     morse_numbers,
-    poincare_series_truncated,
 )
 from indexlab import iteration, morse
 from indexlab.exact import ExactReal
@@ -34,7 +32,7 @@ from indexlab.morse import (
     iterate_cutoff,
 )
 
-from conftest import NONSQUARE_D, random_model
+from conftest import NONSQUARE_D, at_minus_one, poincare_series, random_model
 
 RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -76,16 +74,14 @@ class TestBetti:
 
 class TestPoincareSeries:
     def test_n2_prefix(self):
-        s = poincare_series_truncated(2, 7)
-        assert list(s.coefficients) == [0, 1, 0, 2, 0, 2, 0, 2]
+        assert poincare_series(2, 7) == [0, 1, 0, 2, 0, 2, 0, 2]
 
     def test_n3_prefix(self):
-        s = poincare_series_truncated(3, 6)
-        assert list(s.coefficients) == [0, 0, 1, 0, 2, 0, 2]
+        assert poincare_series(3, 6) == [0, 0, 1, 0, 2, 0, 2]
 
     def test_matches_closed_form(self):
         for n in range(2, 13):
-            s = poincare_series_truncated(n, 200)
+            s = poincare_series(n, 200)
             for q in range(201):
                 assert s[q] == betti(n, q)
 
@@ -304,7 +300,7 @@ class TestMorseInequalities:
         horizon = data.draw(st.integers(0, 40))
         values = data.draw(st.lists(st.integers(0, 3), min_size=horizon + 1, max_size=horizon + 1))
         b_horizon = horizon + data.draw(st.integers(0, 3))
-        b = poincare_series_truncated(n, horizon).coefficients
+        b = poincare_series(n, horizon)
         expected = []
         for q in range(horizon + 1):
             alt_m = sum((-1) ** (q - j) * values[j] for j in range(q + 1))
@@ -326,14 +322,14 @@ class TestBettiValues:
         for h in range(301):
             values = betti_values(n, h)
             assert values == reference[: h + 1]
-            assert values == list(poincare_series_truncated(n, h).coefficients)
+            assert values == poincare_series(n, h)
 
 
 class TestAlternatingBettiSum:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_matches_the_series_partial_sums(self, n):
         # b_q - b_{q-1} + ... read off the generating function, q up to 8n
-        coefficients = poincare_series_truncated(n, 8 * n).coefficients
+        coefficients = poincare_series(n, 8 * n)
         alt = 0
         for q, b_q in enumerate(coefficients):
             alt = b_q - alt
@@ -352,19 +348,8 @@ class TestEulerLimit:
 
     def test_convergence_of_averaged_sums(self):
         for n in (2, 3):
-            s = poincare_series_truncated(n, 1000)
-            got = averaged_alternating_sum(s, 1000)
+            got = Fraction(at_minus_one(poincare_series(n, 1000), 1000), 1000)
             assert abs(got - euler_limit(n)) < Fraction(1, 100)
-
-    def test_zero_polynomial(self):
-        from indexlab import SeriesPolynomial
-
-        assert averaged_alternating_sum(SeriesPolynomial((0, 0, 0)), 2) == 0
-
-    def test_truncation_range_error(self):
-        s = poincare_series_truncated(2, 5)
-        with pytest.raises(IndexError):
-            averaged_alternating_sum(s, 6)
 
 
 class TestMeanIndexIdentity:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -12,13 +13,17 @@ from indexlab.symplectic import (
     BlockInvariantError,
     decomposition_from_json,
     decomposition_to_json,
-    dumps,
 )
 
 from conftest import random_rho
 
 RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
 RHO2 = make(-1, 1, 1, 3)  # sqrt(3) - 1
+
+
+def dumps(d: NormalFormDecomposition) -> str:
+    """The canonical JSON text of a decomposition's document."""
+    return json.dumps(decomposition_to_json(d), sort_keys=True, separators=(",", ":"))
 
 
 class TestBlockInvariants:
