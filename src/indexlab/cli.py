@@ -17,16 +17,21 @@ from . import iteration, morse, prover
 from .exact import ExactReal
 
 
-def _emit(obj: dict | str, json_path: str | None) -> None:
-    text = obj if type(obj) is str else json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _emit(json_path: str | None, *pieces: str) -> None:
+    """Write the text pieces, in order, then one newline, to the file or stdout."""
     if json_path:
         try:
             with open(json_path, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines(pieces)
+                fh.write("\n")
         except OSError as exc:
             raise ValueError(f"cannot write {json_path}: {exc}") from exc
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _load_json(path: str):
@@ -69,11 +74,11 @@ def cmd_iterate(args) -> int:
         writer.writerow(("m", "i", "nu", "epsilon", "k0"))
         writer.writerows(rows)
     else:
-        # the text _emit would make of the dict, built in one pass with the keys in sorted order
+        # the text _dumps would make of the dict, built in one pass with the keys in sorted order
         body = ",".join([f'{{"epsilon":{eps},"i":{i_m},"k0":{k0},"m":{m},"nu":{nu}}}'
                          for m, i_m, nu, eps, k0 in rows])
-        _emit('{"case":"%s","mean_index":"%s","period":%d,"rows":[%s]}' % (
-            g.case.value, mean, iteration.analytic_period(g), body), args.json)
+        _emit(args.json, '{"case":"%s","mean_index":"%s","period":%d,"rows":[%s]}' % (
+            g.case.value, mean, iteration.analytic_period(g), body))
     return 0
 
 
@@ -84,7 +89,7 @@ def cmd_betti(args) -> int:
         writer.writerow(["q", "b_q"])
         writer.writerows(enumerate(out["b"]))
     else:
-        _emit(out, args.json)
+        _emit(args.json, _dumps(out))
     return 0
 
 
@@ -93,30 +98,25 @@ def cmd_morse_check(args) -> int:
     M = morse.morse_numbers(models, args.horizon)
     b = morse.betti_values(models[0].n, args.horizon)
     violations = morse.check_morse_inequalities(M, b, args.horizon)
-    # the text _emit would make of the dict, built in one pass with the keys in sorted order
+    failed = bool(violations)
+    # the text _dumps would make of the dict, in pieces, with the keys in sorted order
     rows = ",".join(['{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
                      for q, kind, lhs, rhs in violations])
-    _emit('{"M":%s,"b":%s,"horizon":%d,"violations":[%s]}' % (
-        json.dumps(M.values, separators=(",", ":")), json.dumps(b, separators=(",", ":")),
-        args.horizon, rows), args.json)
-    return 1 if violations else 0
+    del violations
+    _emit(args.json, '{"M":', json.dumps(M.values, separators=(",", ":")),
+          ',"b":', json.dumps(b, separators=(",", ":")),
+          ',"horizon":%d,"violations":[' % args.horizon, rows, "]}")
+    return 1 if failed else 0
 
 
 def cmd_identity(args) -> int:
     models = _load_models(args.models)
     n = models[0].n
     lhs = morse.mean_index_identity_lhs(models)
-    rhs = morse.euler_limit(n)
-    holds = lhs == ExactReal.from_fraction(rhs)
-    _emit(
-        {
-            "n": n,
-            "lhs": lhs.serialize(),
-            "rhs": ExactReal.from_fraction(rhs).serialize(),
-            "holds": holds,
-        },
-        args.json,
-    )
+    rhs = ExactReal.from_fraction(morse.euler_limit(n))
+    holds = lhs == rhs
+    _emit(args.json, _dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(),
+                             "holds": holds}))
     return 0 if holds else 1
 
 
@@ -131,7 +131,7 @@ def cmd_prove(args) -> int:
         traces = prover.replay(args.n)
     text = prover.certificate_json(args.n, traces)
     prover.verify_certificate(json.loads(text))  # the bytes written are the bytes checked
-    _emit(text, args.json)
+    _emit(args.json, text)
     return 0
 
 
@@ -189,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every input error ends here as one `error:` line and exit 2."""
+    args = None
     try:
         args = build_parser().parse_args(argv)
         for name, least in (("n", 2), ("mmax", 0), ("qmax", 0), ("horizon", 0)):
@@ -197,8 +198,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, KeyError, OverflowError, MemoryError) as exc:  # the last two: a size too large
-        sys.stderr.write(f"error: {' '.join(str(exc).splitlines()) or type(exc).__name__}\n")
+    except (ValueError, KeyError, OverflowError, MemoryError) as exc:
+        message = " ".join(str(exc).splitlines()) or type(exc).__name__
+        size = next((f for f in ("mmax", "qmax", "horizon") if hasattr(args, f)), None)
+        if size and isinstance(exc, (OverflowError, MemoryError)):  # a size too large
+            message = f"--{size} {getattr(args, size)} is too large ({message})"
+        sys.stderr.write(f"error: {message}\n")
         return 2
 
 

@@ -73,7 +73,7 @@ class GeodesicModel:
     rotation_numbers: tuple[ExactReal, ...] = field(init=False, repr=False, compare=False)
     slope: int = field(init=False, repr=False, compare=False)
     const: int = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _last: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -90,7 +90,7 @@ class GeodesicModel:
         }[case]
         for name, value in (("case", case),
                             ("rotation_numbers", tuple(b.rho for b in self.dec.rotations)),
-                            ("slope", slope), ("const", const), ("_memo", {})):
+                            ("slope", slope), ("const", const), ("_last", [(0, None)])):
             object.__setattr__(self, name, value)
         if case is Case.NCG1:
             if self.initial_index < 0:
@@ -115,18 +115,23 @@ def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
     """(i(c^m), nu(c^m)) = (slope*m + 2*sum floor(m*rho_j) + const, 0).
 
     The floors vanish at m = 1, as 0 < rho_j < 1, so i(c^1) = initial_index.
-    Results are memoized per model: Morse tables re-query heavily.
+    Each model caches its last result only: every repeated query asks for the
+    iterate just asked for (critical_type(g, m) follows index_of_iterate(g, m)),
+    so one entry serves every hit and memory stays O(1) per model.  The entry,
+    (0, None) before any query, is one (m, result) pair replaced by a single
+    assignment, so a concurrent reader never sees one m with another's result.
     """
     if m < 1:
         raise ValueError("iterate m must be positive")
-    memo = g._memo
-    cached = memo.get(m)
-    if cached is not None:
-        return cached
+    last = g._last
+    cached_m, result = last[0]
+    if cached_m == m:
+        return result
     floors = 0
     for rho in g.rotation_numbers:
         floors += floor_scaled(rho, m)
-    result = memo[m] = (g.slope * m + 2 * floors + g.const, 0)
+    result = (g.slope * m + 2 * floors + g.const, 0)
+    last[0] = (m, result)
     return result
 
 

@@ -102,7 +102,7 @@ class TestIterate:
 
     def test_iterate_keeps_the_benchmark_call_counts(self, rng, monkeypatch, tmp_path):
         # a traced benchmark run counts two index_of_iterate calls per row (the row, then
-        # critical_type) and k floors per row (the memo starts cold on the model read)
+        # critical_type, answered by the model's one-entry cache) and k floors per row
         path = tmp_path / "model.json"
         for _ in range(30):
             g, K = random_model(rng), rng.randint(0, 120)
@@ -418,11 +418,15 @@ class TestInputFaults:
 
     @pytest.mark.parametrize(
         "argv",
-        [["betti", "--n", "2", "--json", "MISSING/x"], ["prove", "--n", "2", "--json", "DIR"]],
-        ids=["betti-missing-dir", "prove-into-directory"],
+        [["betti", "--n", "2", "--json", "MISSING/x"], ["prove", "--n", "2", "--json", "DIR"],
+         ["morse-check", "--models", "MODELS", "--horizon", "200", "--json", "DIR"]],
+        ids=["betti-missing-dir", "prove-into-directory", "morse-check-into-directory"],
     )
     def test_unwritable_json_path(self, capsys, tmp_path, argv):
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         paths = {"MISSING/x": str(tmp_path / "missing" / "x"), "DIR": str(tmp_path)}
+        if "MODELS" in argv:
+            paths["MODELS"] = write_models(tmp_path, [g])
         argv = [paths.get(a, a) for a in argv]
         self.check_fault(capsys, argv, f"cannot write {argv[-1]}")
 
@@ -448,14 +452,15 @@ class TestInputFaults:
     def test_oversized_bound(self, capsys, tmp_path, argv):
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         argv = [write_models(tmp_path, [g]) if a == "MODELS" else a for a in argv]
-        assert self.check_fault(capsys, argv, "error: ").strip() != "error:"
+        self.check_fault(capsys, argv, f"error: {argv[-2]} {argv[-1]} is too large (")
 
     def test_out_of_memory(self, capsys, monkeypatch):
         def exhausted(n, horizon):  # as a huge list would fail, without allocating it
             raise MemoryError
 
         monkeypatch.setattr(morse, "betti_values", exhausted)
-        self.check_fault(capsys, ["betti", "--n", "2", "--qmax", "30"], "error: MemoryError")
+        self.check_fault(capsys, ["betti", "--n", "2", "--qmax", "30"],
+                         "error: --qmax 30 is too large (MemoryError)")
 
     def test_infinite_dimension(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

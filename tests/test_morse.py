@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indexlab import (
@@ -22,7 +24,7 @@ from indexlab import (
     morse_numbers,
 )
 from indexlab import iteration, morse
-from indexlab.exact import ExactReal
+from indexlab.exact import ExactReal, floor_scaled
 from indexlab.morse import (
     MorseTable,
     NonTerminatingSumError,
@@ -239,8 +241,8 @@ class TestMorseTableOracle:
 
     def test_morse_numbers_keeps_the_benchmark_call_counts(self, rng, monkeypatch):
         # a traced benchmark run counts, per model, one index_of_iterate call per
-        # iterate up to the cutoff and a second for each in range, and k floors
-        # per iterate (the memo starts cold on a fresh model)
+        # iterate up to the cutoff and a second for each in range (critical_type,
+        # answered by the model's one-entry cache), and k floors per iterate
         for _ in range(40):
             horizon = rng.randint(0, 300)
             drawn = _draw(rng, horizon)
@@ -264,6 +266,50 @@ class TestMorseTableOracle:
                 want["index_of_iterate"] += cut + in_range
                 want["floor_scaled"] += len(rhos) * cut
             assert calls == want
+
+
+class TestIterateCache:
+    """Each model caches only the iterate it was last asked for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           queries=st.lists(st.tuples(st.integers(0, 1),
+                                      st.integers(1, 4) | st.integers(1, 10**9)), max_size=60))
+    @example(seed=0, queries=[(0, 3), (0, 3), (1, 3), (0, 3), (0, 2), (1, 3), (0, 3)])
+    def test_any_query_order_matches_the_isqrt_oracle(self, seed, queries):
+        # two models queried in turn, in any order of m and with repeats: every answer
+        # is the oracle's, and only a repeat of the model's last m skips its k floors
+        rng = random.Random(seed)
+        n = rng.randint(5, 12)  # n - 1 >= 4 blocks: room for every shape
+        drawn = [_shaped_model(rng, n, rng.choice(list(SHAPES))) for _ in range(2)]
+        floors, last = [0], [None, None]
+
+        def counted(rho, m):
+            floors[0] += 1
+            return floor_scaled(rho, m)
+
+        with mock.patch.object(iteration, "floor_scaled", counted):
+            for j, m in queries:
+                g, (slope, const), rhos = drawn[j]
+                before = floors[0]
+                assert iteration.index_of_iterate(g, m) == (_oracle_index(slope, const, rhos, m), 0)
+                assert floors[0] - before == (0 if last[j] == m else len(rhos))
+                last[j] = m
+
+    def test_memory_stays_bounded_per_degree(self):
+        # one NCG1 model with mean index 2*sqrt(2)/3 ~ 0.94, so its 21214 iterates fill
+        # degrees 0..H: the table costs about 16 bytes per degree, where a cache entry
+        # per iterate would cost about 140 more
+        horizon = 20000
+        g = GeodesicModel(2, dec(Rot(make(0, 1, 3, 2))), 0)
+        assert iterate_cutoff(g, horizon) > horizon
+        tracemalloc.start()
+        try:
+            morse_numbers([g], horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * (horizon + 1)
 
 
 class TestMorseInequalities:
