@@ -1,8 +1,9 @@
 """Exact-arithmetic Morse index iteration for closed geodesics on spheres.
 
-The library has five layers: exact quadratic-field arithmetic (`exact`),
+The library has six layers: exact quadratic-field arithmetic (`exact`),
 symplectic normal-form blocks (`symplectic`), case classification and
-index iteration (`iteration`), Betti/Morse bookkeeping (`morse`), and the
+index iteration (`iteration`), Betti/Morse bookkeeping (`morse`), the
+trusted checker of single-geodesic certificates (`checker`), and the
 mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
@@ -25,7 +26,8 @@ from .morse import (
     mean_index_identity_lhs,
     morse_numbers,
 )
-from .prover import replay, verify_certificate, verify_trace
+from .checker import verify_certificate, verify_trace
+from .prover import replay
 
 __version__ = "0.1.0"
 

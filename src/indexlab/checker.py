@@ -1,0 +1,432 @@
+"""The trusted checker: it re-validates every numeric step of a parsed
+certificate with exact arithmetic, reading its cases as the certificate's own
+strings "NCG1" to "NCG5".  It imports from the package only the Betti closed
+forms of `morse`, so it can be audited on its own; the replay in `prover`
+links premises through its rule table and imports from it, never the reverse.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+
+from .morse import alternating_betti_sum, betti, euler_limit
+
+
+class TraceError(ValueError):
+    """A replayed trace failed re-validation."""
+
+
+def floor_sum_range(m: int, terms: int, total: Fraction) -> range:
+    """Possible values of a sum of `terms` floors of m*rho_i.
+
+    Each rho_i is irrational in (0, 1) and the exact values m*rho_i sum to
+    `total`.  Each fractional part lies strictly in (0, 1), so the floor sum
+    lies strictly inside (total - terms, total); floors of positive numbers
+    are also >= 0.  This is the sharpest derivable set and is contained in
+    the looser sets quoted in the source derivations.  The set is a range of
+    consecutive integers, possibly empty.
+    """
+    if m < 1 or terms < 1:
+        raise ValueError("m and terms must be positive")
+    num, den = total.as_integer_ratio()
+    if num <= 0 or num >= m * terms * den:
+        raise ValueError(
+            f"inconsistent constraint: total {total} outside (0, {m * terms})"
+        )
+    first = max(0, num // den - terms + 1)  # floor(total - terms) + 1
+    last = -(-num // den) - 1  # ceil(total) - 1
+    return range(first, last + 1)
+
+
+def _ends(r: range) -> list[int]:
+    """A range as a certificate carries it: [first, last], or [] when empty."""
+    return [r[0], r[-1]] if r else []
+
+
+# -- lemma checks: each derives a step's statement and values from Morse violations
+
+def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> dict:
+    """The failure of sparse table M's `kind` Morse inequality at degree q,
+    with M and q counted from degree `shift`: the Betti side is read at q + shift."""
+    if type(q) is int and 0 <= q < M["length"] and kind in ("pointwise", "alternating"):
+        entries = M["entries"]
+        if kind == "pointwise":
+            lhs, rhs = dict(entries).get(q, 0), betti(n, q + shift)
+        else:  # M_q - M_{q-1} + M_{q-2} - ..., over the nonzero entries
+            lhs = sum(v if (q - j) % 2 == 0 else -v for j, v in entries if j <= q)
+            rhs = alternating_betti_sum(n, q + shift)
+        if lhs < rhs:
+            return {"q": q, "kind": kind, "lhs": lhs, "rhs": rhs}
+    raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
+
+
+def _lemma_6_1_failure(n: int) -> tuple[dict, dict]:
+    """The zero table of length n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
+    M = {"length": n, "entries": []}
+    return M, _violation_at(M, n, n - 1, "pointwise")
+
+
+def check_lemma_6_1(n: int) -> tuple[str, dict]:
+    """Positive mean index is forced: zero mean index concentrates every
+    local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
+    M, v = _lemma_6_1_failure(n)
+    return (f"mean index > 0 (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
+            {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M})
+
+
+def check_lemma_6_2(n: int) -> tuple[str, dict]:
+    """i(c) <= n-1 is forced: a larger initial index empties every degree
+    up to n-1, again contradicting b_{n-1} = 1."""
+    M, v = _lemma_6_1_failure(n)
+    return (f"i(c) <= {n - 1} (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
+            {"max": n - 1, "evidence": v, "hypothetical_M": M})
+
+
+def check_lemma_6_3(n: int) -> tuple[str, dict]:
+    """i(c) >= n-1 under the one-sided Morse vanishing of n's parity.
+
+    For n even, i(c) is odd and all even-degree M vanish; for n odd, i(c) is
+    even and all odd-degree M vanish.  Every admissible hypothetical
+    i(c) = i0 < n-1 is refuted the same way: the table with 1 at degree i0
+    fails the alternating inequality at i0 + 1 with -1 < 0.  One family step
+    covers them all: `hypotheses` holds the first and last i0 (in steps of
+    2), and the table and its failure are read relative to i0.
+    """
+    hypotheses = _ends(range(1 + n % 2, n - 2, 2))
+    values = {"min": n - 1, "hypotheses": hypotheses}
+    if hypotheses:
+        # the left side reads only the table; the right side, taken at the last i0,
+        # is alternating_betti_sum(n, i0 + 1) = 0 for every i0 + 1 < n-1
+        M = {"length": 2, "entries": [[0, 1]]}
+        values |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
+                    "hypothetical_M": M}
+    reason = (f"each hypothetical i(c) in {hypotheses}, in steps of 2, fails the alternating "
+              "sum at i(c)+1: -1 >= 0" if hypotheses else "hypothesis range below n-1 is empty")
+    return f"i(c) >= {n - 1} ({reason})", values
+
+
+# -- identity pin-down -----------------------------------------------------
+
+def _period_and_sign(case: str, p_parity: int, n: int) -> tuple[int, int]:
+    """Analytic period N and the identity numerator s = (-1)^i(c).
+
+    For NCG1 the initial index has the parity of n-1 and the period is 1;
+    for the other cases i(c) = p and the period follows the parity table.
+    Over one period the m = 2 term vanishes whenever N = 2 (its type number
+    is 0), so the identity numerator is always (-1)^i(c).
+    """
+    if case == "NCG1":
+        return 1, (1 if (n - 1) % 2 == 0 else -1)
+    s = 1 if p_parity % 2 == 0 else -1
+    if case in ("NCG2", "NCG5"):
+        N = 1 if p_parity % 2 == 0 else 2
+    else:
+        N = 2 if p_parity % 2 == 0 else 1
+    return N, s
+
+
+# -- the rule table --------------------------------------------------------
+
+# the odd-n numbers of the equations that even n cites as the keys
+_ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
+             "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
+
+
+def _rule(n: int, even_rule: str) -> str:
+    return even_rule if n % 2 == 0 else _ODD_RULE.get(even_rule, even_rule)
+
+
+def _pinned(p: dict, pin: dict) -> Fraction:
+    """The step's ihat, which must be the value its Eq(5.5) premise pins."""
+    if p["ihat"] != pin["value"]:
+        raise TraceError(f"ihat = {p['ihat']} is not the pinned mean index {pin['value']}")
+    return p["ihat"]
+
+
+# Each check reads the trace, the step's values and those of its premises,
+# and raises TraceError unless the values follow from n and the premises.
+
+def _lemma(check_lemma):
+    """The check of a lemma step: its values are those the lemma derives at this n."""
+    def check(t, p, *premises):
+        if p != check_lemma(t.n)[1]:
+            raise TraceError("values not reproduced by the lemma at this n")
+    return check
+
+
+def _check_identity(t, p):
+    n, p_parity = t.n, int(t.subcase == "p odd")
+    if (p["N"], p["s"]) != _period_and_sign(t.case, p_parity, n):
+        raise TraceError(f"(N, s) = ({p['N']}, {p['s']}) of the identity do not fit the case")
+    R = euler_limit(n)  # s/(N*ihat) = R
+    if p["relation"] != "=" or p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
+        raise TraceError(f"identity re-check failed for ihat = {p['value']}")
+
+
+def _check_morse_parity(t, p):
+    if (p["i1_parity"], p["zero_parity"]) != ((t.n - 1) % 2, "odd" if t.n % 2 else "even"):
+        raise TraceError("Prop2.1 must give i(c) the parity of n-1")
+
+
+def _check_corollary_6_4(t, p, upper, lower):
+    if not p["i_c"] == upper["max"] == lower["min"] == t.n - 1:
+        raise TraceError("Cor6.4 must pin i(c) = n-1 from the L6.2 and L6.3 bounds")
+
+
+def _check_eq_6_7(t, p, pin, cor):
+    if _pinned(p, pin) >= 2 or p["p"] != 0 or p["r"] != 0:
+        raise TraceError("i(c) = n-1 and ihat < 2 must force p = r = 0")
+
+
+def _check_eq_6_9(t, p, p_r):
+    if p["relation"] != "=" or p["terms"] != t.n - 1 or p_r["ihat"] != 2 * p["value"]:
+        raise TraceError("the n-1 rotation numbers must sum to ihat/2")
+
+
+def _check_floor_sum(t, p, rho):
+    m, terms, total = p["m"], p["terms"], p["total"]
+    if (terms != rho["terms"] or total != m * rho["value"]
+            or p["set"] != _ends(floor_sum_range(m, terms, total))):
+        raise TraceError(f"floor-sum range re-check failed at m = {m}")
+
+
+def _check_floor_sum_family(t, p, rho):
+    # with rho = a/b the range at m is [0, m-1] iff m*rho < terms and m*(b-a) < b; both
+    # are monotone in m, so holding at the last iterate m1 they hold for every m <= m1
+    m1 = p["iterates"][-1]
+    if p["iterates"] != [2, m1] or p["terms"] != rho["terms"] or floor_sum_range(
+            m1, p["terms"], m1 * rho["value"]) != range(m1):
+        raise TraceError(f"floor-sum ranges [0, m-1] re-check failed for m in {p['iterates']}")
+
+
+def _check_claim_1(t, p, family, base):
+    # induction on m from i(c^1) = i(c): i(c^m) = i(c) + 2s for s in [0, m-1], and each
+    # s < m-1 is the degree i(c) + 2s of the earlier iterate s + 1, so s = m-1
+    m = family["iterates"][1]
+    if p["m"] != m or p["i"] != base["i_c"] + 2 * (m - 1):
+        raise TraceError(f"Claim1 up to m = {m} must give i(c) + 2(m-1) from its floor sums")
+
+
+def _check_pigeonhole(t, p, known, floor):
+    # each admissible floor sum s puts i(c^m) on the degree i(c) + 2s of the earlier
+    # iterate s + 1, whose index the Claim1 induction up to `known` has established
+    _, last = p["set"]
+    if (p["m"], p["set"]) != (floor["m"], floor["set"]) or not last < known.get("m", 1) < p["m"]:
+        raise TraceError("pigeonhole range does not follow from the floor sum, or reaches past "
+                         "the iterates whose indices are established")
+
+
+def _check_empty_range(t, p, pin, floor):
+    if floor["set"] or (p["m"], p["total"], p["set"]) != (floor["m"], floor["total"], []):
+        raise TraceError("empty-range pigeonhole needs the empty floor-sum range of its premise")
+
+
+def _check_sign(t, p, pin, lemma_6_1):
+    if _pinned(p, pin) > 0:
+        raise TraceError("sign contradiction cites a positive mean index")
+
+
+def _check_irrationality(t, p, pin):
+    if _pinned(p, pin) <= 0:
+        raise TraceError("irrationality contradiction needs a positive pinned value")
+
+
+def _check_integrality(t, p, pin):
+    if _pinned(p, pin).denominator == 1:
+        raise TraceError("integrality contradiction cites an integer value")
+
+
+def _check_p_half(t, p, pin):
+    ihat = _pinned(p, pin)  # ihat = p, a positive even integer, so p/2 >= 1
+    if t.subcase != "p even" or not 0 < ihat < 2 or ihat != 2 * p["p_half"]:
+        raise TraceError("p/2 contradiction needs p even and 0 < p/2 = ihat/2 < 1")
+
+
+def _check_rotation_count(t, p, pin, bound):
+    # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17))
+    odd = (int(t.subcase == "p odd") - (t.case == "NCG3")) % 2
+    if (bound != 2 - odd or _pinned(p, pin) >= bound
+            or (p["k_lower"], p["k_upper"]) != (t.n - 1, t.n - 2)):
+        raise TraceError(f"rotation count needs the rule of the parity of p - k, ihat < {bound}, "
+                         "k >= n-1 and k <= n-2")
+
+
+_C = "Contradiction"
+# Every step a trace may take, keyed by (rule, contradiction kind): the kind
+# of fact it states, the rules of the earlier steps it reads, in premise
+# order ("a|b" admits a step of either rule), the check of its values, and
+# the keys those values hold besides contradiction_kind ("a|b" admits either
+# set).  Even-n names; _TABLE[n % 2] is the table for n.
+_EVIDENCE = "evidence hypothetical_M"
+_RULES = {
+    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "relation value " + _EVIDENCE),
+    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "relation value s N rhs"),
+    ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity, "zero_parity i1_parity"),
+    ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2), "max " + _EVIDENCE),
+    ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3),
+                     "min hypotheses|min hypotheses " + _EVIDENCE),
+    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4, "i_c"),
+    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7, "p r ihat"),
+    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9, "relation value terms"),
+    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family, "iterates terms"),
+    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1, "m i"),
+    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum, "m terms total set"),
+    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole, "m set"),
+    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range, "m total set"),
+    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign, "ihat"),
+    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality, "ihat"),
+    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality, "ihat"),
+    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _check_p_half, "ihat p_half"),
+    ("Eq(6.17)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
+                                     _check_rotation_count(t, p, pin, 1), "ihat k_lower k_upper"),
+    ("Eq(6.18)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
+                                     _check_rotation_count(t, p, pin, 2), "ihat k_lower k_upper"),
+}
+_TABLE = tuple(
+    {(_rule(parity, rule), kind): (fact_kind, tuple(tuple(_rule(parity, r) for r in slot.split("|"))
+                                                    for slot in slots), check,
+                                   tuple(set(key_set.split()) for key_set in keys.split("|")))
+     for (rule, kind), (fact_kind, slots, check, keys) in _RULES.items()}
+    for parity in (0, 1)
+)
+
+# the contradictions that may close each case, the cases in replay order
+_CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
+             "NCG3": ("sign", "rotation-count"), "NCG4": ("sign", "irrationality"),
+             "NCG5": ("sign", "integrality")}
+
+# each value key's one JSON type, a fraction's being "a/b"; what lists and dicts hold is _plain
+_FRACTIONS = frozenset("value rhs ihat total p_half".split())
+_VALUE_TYPES = dict.fromkeys(_FRACTIONS, str) | {key: type_ for type_, keys in (
+    (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
+    (str, "relation zero_parity contradiction_kind"),
+    (list, "set hypotheses iterates"),
+    (dict, "hypothetical_M evidence"),
+) for key in keys.split()}
+
+
+def _plain(value) -> bool:
+    """Whether every value nested in a step's values is an int or a string, or
+    a list or dict of them: a retyped 1.0 or True is not 1."""
+    for v in value.values() if type(value) is dict else value:
+        if type(v) is not int and type(v) is not str and (
+                type(v) is not list and type(v) is not dict or not _plain(v)):
+            return False
+    return True
+
+
+def _shape_vacuity(n: int, case: str) -> str | None:
+    """Reason the case shape is unsatisfiable at this n, or None."""
+    if case == "NCG2" and n < 4:
+        return f"even k with 2 <= k <= n-2r-2 unsatisfiable for n = {n}"
+    if case == "NCG3" and n < 5:
+        return f"odd k with 3 <= k <= n-2r-2 unsatisfiable for n = {n}"
+    if case == "NCG4" and n < 3:
+        return f"one rotation plus a hyperbolic block needs n - 2r - 1 >= 2, impossible for n = {n}"
+    return None
+
+
+# the JSON type of each field of a trace; what the row checks read of it besides the values
+_TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
+_Scope = namedtuple("_Scope", "n case subcase")
+_STEP_KEYS = {"rule", "kind", "statement", "values", "premises"}
+
+
+def _subcases(n: int, case: str) -> tuple[str, ...]:
+    """The subcases replay derives for a case shape at n, in order."""
+    return ("",) if case == "NCG1" or _shape_vacuity(n, case) else ("p even", "p odd")
+
+
+def verify_trace(n: int, trace: dict) -> bool:
+    """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
+
+    Raises TraceError on the first failed re-check, n not an int >= 2 among
+    them; returns True otherwise.  Types are JSON's own, and each fraction
+    must be spelled "a/b" in lowest terms.  Each step is checked through its row of the rule table: it must
+    state the row's kind of fact, its premises must be earlier steps of the
+    row's rules, the row's check recomputes its values from n and those
+    premises rather than trusting the recorded statement strings, and the
+    values hold the row's keys, no more.  Every step but the last must be a
+    premise of a later one.
+    """
+    if type(n) is not int or n < 2:
+        raise TraceError(f"n must be an integer >= 2, not {n!r}")
+    if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
+        raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
+    case, subcase, steps, detail = trace["case"], trace["subcase"], trace["steps"], trace["detail"]
+    reason = _shape_vacuity(n, case)
+    if trace["verdict"] == "vacuous":
+        if steps or reason is None or (subcase, detail) != ("", reason):
+            raise TraceError(f"{case} at n = {n} is not vacuous for this reason")
+        return True
+    if (trace["verdict"] != "contradiction" or not steps or reason is not None
+            or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
+        raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
+                         "satisfiable shape, one of its subcases, a closing its case allows")
+    rows, last, parsed, t = _TABLE[n % 2], len(steps) - 1, [], _Scope(n, case, subcase)
+    for i, step in enumerate(steps):
+        if type(step) is not dict or step.keys() != _STEP_KEYS:
+            raise TraceError(f"step {i} is not an object of the keys {sorted(_STEP_KEYS)}")
+        rule, values, premises = step["rule"], step["values"], step["premises"]
+        try:
+            kind = values.get("contradiction_kind")  # values not an object: AttributeError
+            row = rows.get((rule, kind))  # a rule or kind not a string is in no row
+            if (not row or step["kind"] != row[0] or type(step["statement"]) is not str
+                    or kind != (None if i < last else detail)):
+                raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r}, with a "
+                                 f"string statement, is a step in this place at n = {n}")
+            _, slots, check, key_sets = row
+            if not _plain(values):
+                raise TraceError(f"a value in {values!r} is not of the type its key holds")
+            p = dict(values)
+            for key, value in values.items():
+                if type(value) is not _VALUE_TYPES.get(key):
+                    raise TraceError(f"value {key!r} = {value!r} is not of the type its key holds")
+                if key in _FRACTIONS:  # int() reads " 3", "+3" and "3_0": the spelling must match
+                    num, _, den = value.partition("/")
+                    x = p[key] = Fraction(int(num), int(den))
+                    if value != f"{x.numerator}/{x.denominator}":
+                        raise TraceError(f"{key} = {value!r} is not spelled 'a/b', in lowest terms")
+            if not (type(premises) is list and len(premises) == len(slots) and all(
+                    type(j) is int and 0 <= j < i and steps[j]["rule"] in slot
+                    for j, slot in zip(premises, slots))):
+                raise TraceError(f"premises {premises!r} are not earlier steps of the rules "
+                                 f"{[' or '.join(s) for s in slots]}")
+            parsed.append(p)
+            check(t, p, *[parsed[j] for j in premises])
+            if values.keys() - {"contradiction_kind"} not in key_sets:
+                raise TraceError(f"values hold the keys {sorted(values)}, not those of this step")
+        except TraceError as e:
+            raise TraceError(f"step {i} ({rule}): {e}") from None
+        except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+                ValueError) as e:
+            raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
+    cited = {j for step in steps for j in step["premises"]}
+    if not cited.issuperset(range(last)):
+        raise TraceError(f"steps {sorted(set(range(last)) - cited)} are premises of no later step")
+    return True
+
+
+def verify_certificate(doc: dict) -> bool:
+    """Re-validate a parsed certificate: schema 3, an integer n >= 2, each trace by
+    verify_trace, and each (case, subcase) replay derives at n once, in replay order,
+    for every case shape, or for the shapes named in a document marked "partial": true."""
+    if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
+            and [type(doc[key]) for key in ("schema", "n", "traces")] == [int, int, list]
+            and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2 and doc["traces"]):
+        raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, traces")
+    n = doc["n"]
+    for trace in doc["traces"]:
+        verify_trace(n, trace)
+    got = [(t["case"], t["subcase"]) for t in doc["traces"]]
+    named = {case for case, _ in got}
+    want = [(case, s) for case in _CLOSINGS if case in named for s in _subcases(n, case)]
+    if got != want:
+        raise TraceError(f"traces {got} are not {want}, each once in replay order")
+    if ("partial" in doc) != (len(named) < len(_CLOSINGS)) or doc.get("partial", True) is not True:
+        raise TraceError('"partial": true marks exactly the certificates that leave a case out')
+    return True
+
+
+CERTIFICATE_SCHEMA = 3

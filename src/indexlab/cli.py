@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import iteration, morse, prover
+from . import checker, iteration, morse, prover
 from .exact import ExactReal
 
 
@@ -123,14 +123,14 @@ def cmd_identity(args) -> int:
 def cmd_prove(args) -> int:
     if args.case is not None:
         try:
-            case = iteration.Case(args.case.upper())
+            case = iteration.Case(args.case.upper()).value
         except ValueError:
             raise ValueError(f"unknown case filter: {args.case}") from None
         traces = prover._replay_case(args.n, case)
     else:
         traces = prover.replay(args.n)
     text = prover.certificate_json(args.n, traces)
-    prover.verify_certificate(json.loads(text))  # the bytes written are the bytes checked
+    checker.verify_certificate(json.loads(text))  # the bytes written are the bytes checked
     _emit(args.json, text)
     return 0
 

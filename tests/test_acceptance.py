@@ -20,11 +20,12 @@ from indexlab import (
     index_of_iterate,
     mean_index,
     morse_numbers,
+    replay,
 )
 from indexlab.cli import main
 from indexlab.exact import ExactReal
 from indexlab.morse import betti_values, iterate_cutoff
-from indexlab.prover import check_lemma_6_1, check_lemma_6_2, check_lemma_6_3, pinned_mean_index
+from indexlab.checker import check_lemma_6_1, check_lemma_6_2, check_lemma_6_3
 
 from conftest import at_minus_one, poincare_series, random_model
 
@@ -98,7 +99,10 @@ def test_criterion_5_identity_pin_down():
     ok = True
     for n in range(2, 21):
         expected = Fraction(2 * (n - 1), n) if n % 2 == 0 else Fraction(2 * (n - 1), n + 1)
-        ok = ok and pinned_mean_index(n) == expected
+        # the value the Eq(5.5) step of the NCG1 trace pins, as `prove` emits it
+        [ncg1] = [t for t in replay(n) if t.case == "NCG1"]
+        [pin] = [step for step in ncg1.steps if step["rule"] == "Eq(5.5)"]
+        ok = ok and Fraction(pin["values"]["value"]) == expected
     report(5, "identity pins ihat = 2(n-1)/n resp. 2(n-1)/(n+1)", ok)
 
 

@@ -48,4 +48,26 @@ def test_all_names_are_bound():
 
 def test_sees_every_module():
     assert {p.name for p in MODULES} >= {"exact.py", "symplectic.py", "iteration.py",
-                                         "morse.py", "prover.py", "cli.py"}
+                                         "morse.py", "checker.py", "prover.py", "cli.py"}
+
+
+CHECKER = next(p for p in MODULES if p.name == "checker.py")
+
+
+def test_the_checker_imports_from_the_package_only_the_closed_forms_of_morse():
+    # so it never imports prover, iteration or cli: prover imports from it, never the reverse
+    package = []
+    for node in nodes(CHECKER):
+        if isinstance(node, ast.Import):
+            package += [(0, alias.name, []) for alias in node.names
+                        if alias.name.split(".")[0] == "indexlab"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "indexlab"):
+            package.append((node.level, node.module, sorted(a.name for a in node.names)))
+    assert package == [(1, "morse", ["alternating_betti_sum", "betti", "euler_limit"])]
+
+
+def test_the_checker_names_no_case_enum():
+    names = {getattr(node, attr, None) for node in nodes(CHECKER)
+             for attr in ("id", "attr", "name", "asname", "arg")}
+    assert "Case" not in names

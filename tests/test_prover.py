@@ -10,25 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexlab import Case, replay, verify_certificate, verify_trace
-from indexlab import prover
-from indexlab.cli import main
-from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
-from indexlab.prover import (
+from indexlab import checker, prover
+from indexlab.checker import (
     _ODD_RULE,
     _RULES,
     _TABLE,
     _VALUE_TYPES,
     _rule,
+    _shape_vacuity,
     TraceError,
     _violation_at,
-    certificate,
-    certificate_json,
     check_lemma_6_1,
     check_lemma_6_2,
     check_lemma_6_3,
     floor_sum_range,
-    pinned_mean_index,
 )
+from indexlab.cli import main
+from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
+from indexlab.prover import certificate, certificate_json
 
 
 def _sparse(dense):
@@ -210,8 +209,11 @@ class TestLemmaChecks:
 class TestIdentityPin:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_ncg1_values(self, n):
+        # the value the Eq(5.5) step of the NCG1 trace pins, as `prove` emits it
         expected = Fraction(2 * (n - 1), n) if n % 2 == 0 else Fraction(2 * (n - 1), n + 1)
-        assert pinned_mean_index(n) == expected
+        [ncg1] = [t for t in replay(n) if t.case == "NCG1"]
+        [pin] = [step for step in ncg1.steps if step["rule"] == "Eq(5.5)"]
+        assert Fraction(pin["values"]["value"]) == expected
 
 
 EXPECTED_DETAILS_EVEN = {
@@ -282,6 +284,22 @@ class TestVerifier:
         t = _trace(4, "NCG2", "p odd")
         with pytest.raises(TraceError):
             verify_trace(4, _tampered(t, 0, value="5/7"))
+
+    @pytest.mark.parametrize("n", [1, 0, -3, True, 2.0, "2", None], ids=repr)
+    def test_n_is_an_integer_of_at_least_2(self, n):
+        # traces of n = 2, the vacuous one carrying the reason its shape would give at this n
+        vacuous = _trace(2, "NCG2")
+        if type(n) in (int, bool):
+            vacuous = {**vacuous, "detail": _shape_vacuity(n, "NCG2")}
+        for trace in (vacuous, _trace(2, "NCG1")):
+            with pytest.raises(TraceError, match="n must be"):
+                verify_trace(n, trace)
+
+    def test_prover_binds_the_checker_functions_the_benchmark_traces(self):
+        # bench/tracing.py wraps prover.verify_trace and prover.floor_sum_range and patches
+        # every module that binds the same object: a function of its own would read 0 calls
+        assert prover.verify_trace is checker.verify_trace
+        assert prover.floor_sum_range is checker.floor_sum_range
 
     def test_tampered_floor_sum_is_caught(self):
         t = _trace(6, "NCG1")
@@ -1013,8 +1031,9 @@ class TestCertificateDocument:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_partial_marks_exactly_the_documents_that_leave_a_case_out(self, n):
-        with pytest.raises(TraceError, match="partial"):
-            verify_certificate({**_doc(n), "partial": True})
+        for v in (True, False, None):  # a full document has no "partial" key
+            with pytest.raises(TraceError, match="partial"):
+                verify_certificate({**_doc(n), "partial": v})
         for case in Case:
             traces = [t for t in replay(n) if t.case == case.value]
             doc = json.loads(json.dumps(certificate(n, traces)))
@@ -1038,7 +1057,7 @@ class TestCertificateDocument:
         # a partial document of one vacuous trace, whose reason holds at this n too
         for case in (Case.NCG2, Case.NCG3, Case.NCG4):
             doc = certificate(n, [t for t in replay(2) if t.case == case.value])
-            doc["traces"][0]["detail"] = prover._shape_vacuity(n, case)
+            doc["traces"][0]["detail"] = _shape_vacuity(n, case.value)
             with pytest.raises(TraceError):
                 verify_certificate(json.loads(json.dumps(doc)))
 
