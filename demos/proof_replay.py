@@ -2,13 +2,14 @@
 
 Assuming a single prime closed geodesic on the bumpy Finsler n-sphere, each
 normal-form case and parity subcase is driven to an explicit contradiction.
-Every certificate is re-validated, from its JSON bytes, by an exact checker.
+Every certificate is re-validated, from its JSON bytes, by an exact checker;
+the certificate holds values only, and `render` rebuilds each step's prose.
 """
 
 import json
 
 from indexlab import verify_certificate
-from indexlab.prover import certificate_json
+from indexlab.prover import certificate_json, render
 
 for n in (2, 3, 4, 7):
     cert = json.loads(certificate_json(n))
@@ -20,7 +21,8 @@ for n in (2, 3, 4, 7):
             print(f"  {tag} vacuous: {trace['detail']}")
         else:
             print(f"  {tag} contradiction ({trace['detail']}):")
-            print(f"      {trace['steps'][-1]['statement']}")
+            _, statement = render(n, trace)[-1]
+            print(f"      {statement}")
 
 # the full case analysis serializes to a deterministic JSON certificate
 text = certificate_json(4)

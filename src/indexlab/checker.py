@@ -44,7 +44,7 @@ def _ends(r: range) -> list[int]:
     return [r[0], r[-1]] if r else []
 
 
-# -- lemma checks: each derives a step's statement and values from Morse violations
+# -- lemma checks: each derives a step's values from Morse violations
 
 def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> dict:
     """The failure of sparse table M's `kind` Morse inequality at degree q,
@@ -67,23 +67,21 @@ def _lemma_6_1_failure(n: int) -> tuple[dict, dict]:
     return M, _violation_at(M, n, n - 1, "pointwise")
 
 
-def check_lemma_6_1(n: int) -> tuple[str, dict]:
+def check_lemma_6_1(n: int) -> dict:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
     M, v = _lemma_6_1_failure(n)
-    return (f"mean index > 0 (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
-            {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M})
+    return {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M}
 
 
-def check_lemma_6_2(n: int) -> tuple[str, dict]:
+def check_lemma_6_2(n: int) -> dict:
     """i(c) <= n-1 is forced: a larger initial index empties every degree
     up to n-1, again contradicting b_{n-1} = 1."""
     M, v = _lemma_6_1_failure(n)
-    return (f"i(c) <= {n - 1} (else M_{n - 1} = {v['lhs']} >= b_{n - 1} = {v['rhs']} fails)",
-            {"max": n - 1, "evidence": v, "hypothetical_M": M})
+    return {"max": n - 1, "evidence": v, "hypothetical_M": M}
 
 
-def check_lemma_6_3(n: int) -> tuple[str, dict]:
+def check_lemma_6_3(n: int) -> dict:
     """i(c) >= n-1 under the one-sided Morse vanishing of n's parity.
 
     For n even, i(c) is odd and all even-degree M vanish; for n odd, i(c) is
@@ -101,9 +99,7 @@ def check_lemma_6_3(n: int) -> tuple[str, dict]:
         M = {"length": 2, "entries": [[0, 1]]}
         values |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
                     "hypothetical_M": M}
-    reason = (f"each hypothetical i(c) in {hypotheses}, in steps of 2, fails the alternating "
-              "sum at i(c)+1: -1 >= 0" if hypotheses else "hypothesis range below n-1 is empty")
-    return f"i(c) >= {n - 1} ({reason})", values
+    return values
 
 
 # -- identity pin-down -----------------------------------------------------
@@ -128,15 +124,6 @@ def _period_and_sign(case: str, p_parity: int, n: int) -> tuple[int, int]:
 
 # -- the rule table --------------------------------------------------------
 
-# the odd-n numbers of the equations that even n cites as the keys
-_ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
-             "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
-
-
-def _rule(n: int, even_rule: str) -> str:
-    return even_rule if n % 2 == 0 else _ODD_RULE.get(even_rule, even_rule)
-
-
 def _pinned(p: dict, pin: dict) -> Fraction:
     """The step's ihat, which must be the value its Eq(5.5) premise pins."""
     if p["ihat"] != pin["value"]:
@@ -150,7 +137,7 @@ def _pinned(p: dict, pin: dict) -> Fraction:
 def _lemma(check_lemma):
     """The check of a lemma step: its values are those the lemma derives at this n."""
     def check(t, p, *premises):
-        if p != check_lemma(t.n)[1]:
+        if p != check_lemma(t.n):
             raise TraceError("values not reproduced by the lemma at this n")
     return check
 
@@ -257,7 +244,7 @@ _C = "Contradiction"
 # of fact it states, the rules of the earlier steps it reads, in premise
 # order ("a|b" admits a step of either rule), the check of its values, and
 # the keys those values hold besides contradiction_kind ("a|b" admits either
-# set).  Even-n names; _TABLE[n % 2] is the table for n.
+# set).  Rules are named as the paper cites them for even n, at every n.
 _EVIDENCE = "evidence hypothetical_M"
 _RULES = {
     ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "relation value " + _EVIDENCE),
@@ -283,13 +270,9 @@ _RULES = {
     ("Eq(6.18)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
                                      _check_rotation_count(t, p, pin, 2), "ihat k_lower k_upper"),
 }
-_TABLE = tuple(
-    {(_rule(parity, rule), kind): (fact_kind, tuple(tuple(_rule(parity, r) for r in slot.split("|"))
-                                                    for slot in slots), check,
-                                   tuple(set(key_set.split()) for key_set in keys.split("|")))
-     for (rule, kind), (fact_kind, slots, check, keys) in _RULES.items()}
-    for parity in (0, 1)
-)
+_TABLE = {key: (fact_kind, tuple(tuple(slot.split("|")) for slot in slots), check,
+                 tuple(set(key_set.split()) for key_set in keys.split("|")))
+          for key, (fact_kind, slots, check, keys) in _RULES.items()}
 
 # the contradictions that may close each case, the cases in replay order
 _CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
@@ -330,7 +313,7 @@ def _shape_vacuity(n: int, case: str) -> str | None:
 # the JSON type of each field of a trace; what the row checks read of it besides the values
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
 _Scope = namedtuple("_Scope", "n case subcase")
-_STEP_KEYS = {"rule", "kind", "statement", "values", "premises"}
+_STEP_KEYS = {"rule", "kind", "values", "premises"}
 
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
@@ -343,12 +326,13 @@ def verify_trace(n: int, trace: dict) -> bool:
 
     Raises TraceError on the first failed re-check, n not an int >= 2 among
     them; returns True otherwise.  Types are JSON's own, and each fraction
-    must be spelled "a/b" in lowest terms.  Each step is checked through its row of the rule table: it must
-    state the row's kind of fact, its premises must be earlier steps of the
-    row's rules, the row's check recomputes its values from n and those
-    premises rather than trusting the recorded statement strings, and the
-    values hold the row's keys, no more.  Every step but the last must be a
-    premise of a later one.
+    must be spelled "a/b" in lowest terms.  Each step holds a rule, a kind
+    of fact, values and premises, nothing else, and is checked through its
+    row of the rule table: it must state the row's kind of fact, its
+    premises must be earlier steps of the row's rules, the row's check
+    recomputes its values from n and those premises, and the values hold
+    the row's keys, no more.  Every step but the last must be a premise of
+    a later one.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
@@ -364,18 +348,17 @@ def verify_trace(n: int, trace: dict) -> bool:
             or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
-    rows, last, parsed, t = _TABLE[n % 2], len(steps) - 1, [], _Scope(n, case, subcase)
+    last, parsed, t = len(steps) - 1, [], _Scope(n, case, subcase)
     for i, step in enumerate(steps):
         if type(step) is not dict or step.keys() != _STEP_KEYS:
             raise TraceError(f"step {i} is not an object of the keys {sorted(_STEP_KEYS)}")
         rule, values, premises = step["rule"], step["values"], step["premises"]
         try:
             kind = values.get("contradiction_kind")  # values not an object: AttributeError
-            row = rows.get((rule, kind))  # a rule or kind not a string is in no row
-            if (not row or step["kind"] != row[0] or type(step["statement"]) is not str
-                    or kind != (None if i < last else detail)):
-                raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r}, with a "
-                                 f"string statement, is a step in this place at n = {n}")
+            row = _TABLE.get((rule, kind))  # a rule or kind not a string is in no row
+            if not row or step["kind"] != row[0] or kind != (None if i < last else detail):
+                raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r} "
+                                 f"is a step in this place at n = {n}")
             _, slots, check, key_sets = row
             if not _plain(values):
                 raise TraceError(f"a value in {values!r} is not of the type its key holds")
@@ -409,7 +392,7 @@ def verify_trace(n: int, trace: dict) -> bool:
 
 
 def verify_certificate(doc: dict) -> bool:
-    """Re-validate a parsed certificate: schema 3, an integer n >= 2, each trace by
+    """Re-validate a parsed certificate: schema 4, an integer n >= 2, each trace by
     verify_trace, and each (case, subcase) replay derives at n once, in replay order,
     for every case shape, or for the shapes named in a document marked "partial": true."""
     if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
@@ -417,8 +400,11 @@ def verify_certificate(doc: dict) -> bool:
             and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2 and doc["traces"]):
         raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, traces")
     n = doc["n"]
-    for trace in doc["traces"]:
-        verify_trace(n, trace)
+    for k, trace in enumerate(doc["traces"]):
+        try:
+            verify_trace(n, trace)
+        except TraceError as e:
+            raise TraceError(f"trace {k}: {e}") from None
     got = [(t["case"], t["subcase"]) for t in doc["traces"]]
     named = {case for case, _ in got}
     want = [(case, s) for case in _CLOSINGS if case in named for s in _subcases(n, case)]
@@ -429,4 +415,4 @@ def verify_certificate(doc: dict) -> bool:
     return True
 
 
-CERTIFICATE_SCHEMA = 3
+CERTIFICATE_SCHEMA = 4

@@ -1,13 +1,15 @@
 """Command-line front end: exact tables and proof certificates as JSON.
 
 Exit codes: 0 = success (all checks hold / all traces closed), 1 = a checked
-inequality or identity failed, 2 = input or validation error.  All exact
-numbers serialize in the "(a+b*sqrt(D))/c" form, never as floats.
+inequality, identity or certificate failed, 2 = input or validation error,
+a closed stdout among them.  All exact numbers serialize in the
+"(a+b*sqrt(D))/c" form, never as floats.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -135,6 +137,19 @@ def cmd_prove(args) -> int:
     return 0
 
 
+def cmd_verify(args) -> int:
+    doc = _load_json(args.certificate)
+    try:
+        checker.verify_certificate(doc)
+    except checker.TraceError as exc:  # a ValueError, which main would call an input error
+        sys.stderr.write(" ".join(f"{args.certificate}: {exc}".splitlines()) + "\n")
+        return 1
+    _emit(None, _dumps({"n": doc["n"], "partial": "partial" in doc, "schema": doc["schema"],
+                        "steps": sum(len(t["steps"]) for t in doc["traces"]),
+                        "traces": len(doc["traces"]), "verified": True}))
+    return 0
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -184,6 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_prove)
 
+    p = sub.add_parser("verify", help="re-check a certificate that prove wrote")
+    p.add_argument("certificate", help="path to a certificate JSON file")
+    p.set_defaults(func=cmd_verify)
+
     return parser
 
 
@@ -191,13 +210,23 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; every input error ends here as one `error:` line and exit 2."""
     args = None
     try:
-        args = build_parser().parse_args(argv)
-        for name, least in (("n", 2), ("mmax", 0), ("qmax", 0), ("horizon", 0)):
-            if getattr(args, name, least) < least:
-                raise ValueError(f"--{name} must be >= {least}")
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            for name, least in (("n", 2), ("mmax", 0), ("qmax", 0), ("horizon", 0)):
+                if getattr(args, name, least) < least:
+                    raise ValueError(f"--{name} must be >= {least}")
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # so that a reader's closed pipe fails here, not at exit
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError as exc:
+        # Mark the stream closed, so that exit does not flush what it still buffers
+        # into the closed pipe again; fd 1 itself stays open.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            sys.stdout.buffer.raw.close()
+        sys.stderr.write(f"error: stdout was closed before all output was written ({exc})\n")
+        return 2
     except (ValueError, KeyError, OverflowError, MemoryError) as exc:
         message = " ".join(str(exc).splitlines()) or type(exc).__name__
         size = next((f for f in ("mmax", "qmax", "horizon") if hasattr(args, f)), None)

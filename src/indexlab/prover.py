@@ -5,7 +5,8 @@ bumpy n-sphere, every case shape and parity subcase of its linearized
 return map leads to a contradiction.  This module derives each
 contradiction as an ordered list of justified facts over exact rationals,
 each built as the JSON object the certificate holds; `checker` re-validates
-every numeric step of the parsed certificate.
+every step of the parsed certificate.  A step holds values only: `render`
+rebuilds each step's prose, and the equation number odd n cites, from them.
 
 The engine works symbolically: a constraint like "the rotation numbers sum
 to a rational" is a fact about the model family, never an instantiated
@@ -20,9 +21,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _TABLE, _ends, _period_and_sign, _rule,
-                      _shape_vacuity, check_lemma_6_1, check_lemma_6_2, check_lemma_6_3,
-                      floor_sum_range, verify_trace)
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
+                      _period_and_sign, _shape_vacuity, check_lemma_6_1, check_lemma_6_2,
+                      check_lemma_6_3, floor_sum_range, verify_trace)
 from .morse import euler_limit
 
 # One replayed trace, each field the JSON value the certificate holds: the case
@@ -37,13 +38,12 @@ class _Steps(list):
 
     def __init__(self, n: int):
         super().__init__()
-        self.n, self.rows, self.at = n, _TABLE[n % 2], {}
+        self.n, self.at = n, {}
 
-    def add(self, rule: str, statement: str, values: dict) -> None:
-        """Append the step of this even-n rule under n's own number, fractions spelled "a/b"."""
-        rule = _rule(self.n, rule)
-        kind, slots, *_ = self.rows[rule, values.get("contradiction_kind")]
-        self.append({"rule": rule, "kind": kind, "statement": statement, "values": {
+    def add(self, rule: str, values: dict) -> None:
+        """Append the step of this rule, fractions spelled "a/b"."""
+        kind, slots, *_ = _TABLE[rule, values.get("contradiction_kind")]
+        self.append({"rule": rule, "kind": kind, "values": {
             k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
             for k, v in values.items()},
             "premises": [max(self.at.get(r, -1) for r in slot) for slot in slots]})
@@ -61,8 +61,7 @@ def _identity_pin(steps: _Steps, case: str, p_parity: int) -> Fraction:
     N, s = _period_and_sign(case, p_parity, n)
     R = euler_limit(n)
     ihat = Fraction(s) / (N * R)  # s/(N*ihat) = R solved for ihat
-    steps.add("Eq(5.5)", f"identity forces {s:+d}/({N}*ihat) = {R}, i.e. ihat = {ihat}",
-              {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R})
+    steps.add("Eq(5.5)", {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R})
     return ihat
 
 
@@ -70,11 +69,10 @@ def _corollary_6_4(steps: _Steps) -> None:
     """Add the Prop2.1, L6.2, L6.3 and Cor6.4 steps that pin i(c) = n-1."""
     n = steps.n
     dead = "even" if n % 2 == 0 else "odd"  # i(c) has the parity of n-1
-    steps.add("Prop2.1", "every contributing iterate has index of the parity of i(c); "
-              f"M_q = 0 for {dead} q >= 1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
-    steps.add("L6.2", *check_lemma_6_2(n))
-    steps.add("L6.3", *check_lemma_6_3(n))
-    steps.add("Cor6.4", f"i(c) = {n - 1}", {"i_c": n - 1})
+    steps.add("Prop2.1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
+    steps.add("L6.2", check_lemma_6_2(n))
+    steps.add("L6.3", check_lemma_6_3(n))
+    steps.add("Cor6.4", {"i_c": n - 1})
 
 
 def _replay_ncg1(n: int) -> Trace:
@@ -83,36 +81,26 @@ def _replay_ncg1(n: int) -> Trace:
     _corollary_6_4(steps)
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
     # least one rotation contributing strictly positive angle forces p = 0.
-    steps.add("Eq(6.7)",
-              f"2p + (n-2r-1) = {n - 1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
-              {"p": 0, "r": 0, "ihat": ihat})
+    steps.add("Eq(6.7)", {"p": 0, "r": 0, "ihat": ihat})
     terms = n - 1
     rho_sum = ihat / 2  # sum of rotation numbers theta_i/(2 pi)
-    steps.add("Eq(6.9)", f"sum of the {terms} rotation numbers = ihat/2 = {rho_sum}, a rational",
-              {"relation": "=", "value": rho_sum, "terms": terms})
+    steps.add("Eq(6.9)", {"relation": "=", "value": rho_sum, "terms": terms})
 
     # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
     # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
     m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
     if m1 >= 2:
-        steps.add("Eq(6.11)", f"floor sum at each m in [2, {m1}] lies in [0, m-1], "
-                  f"as m*(1 - {rho_sum}) < 1", {"iterates": [2, m1], "terms": terms})
-        steps.add("Claim1", f"i(c^m) = {n - 1} + 2(m-1) for 1 <= m <= {m1} (by induction: lower "
-                  "values collide with earlier iterates)", {"m": m1, "i": n - 1 + 2 * (m1 - 1)})
+        steps.add("Eq(6.11)", {"iterates": [2, m1], "terms": terms})
+        steps.add("Claim1", {"m": m1, "i": n - 1 + 2 * (m1 - 1)})
     m = m1 + 1
     total = m * rho_sum
-    label = f"m = {m}" if n % 2 == 0 else f"m2 = {m}"
     ends = _ends(floor_sum_range(m, terms, total))
-    steps.add("Eq(6.14)", f"floor sum at {label} lies in {ends} (exact total {total})",
-              {"m": m, "terms": terms, "total": total, "set": ends})
+    steps.add("Eq(6.14)", {"m": m, "terms": terms, "total": total, "set": ends})
     if ends:
-        steps.add("L6.5", f"pigeonhole at {label}: i(c^{m}) = {n - 1} + 2s with s in {ends} is "
-                  "the index of the earlier iterate c^(s+1), contradicting uniqueness",
-                  {"m": m, "set": ends, "contradiction_kind": "pigeonhole"})
+        steps.add("L6.5", {"m": m, "set": ends, "contradiction_kind": "pigeonhole"})
     else:
-        steps.add("Eq(6.14)", f"pigeonhole at {label}: no admissible floor sum exists, yet the "
-                  f"irrational rotation numbers must realize the exact total {total}",
-                  {"m": m, "total": total, "set": [], "contradiction_kind": "pigeonhole"})
+        steps.add("Eq(6.14)", {"m": m, "total": total, "set": [],
+                               "contradiction_kind": "pigeonhole"})
     return steps.close("NCG1")
 
 
@@ -122,35 +110,25 @@ def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
     ihat = _identity_pin(steps, case, p_parity)
 
     if ihat <= 0:
-        steps.add("L6.1", *check_lemma_6_1(n))
-        steps.add("L6.1", f"pinned ihat = {ihat} <= 0 contradicts ihat > 0",
-                  {"ihat": ihat, "contradiction_kind": "sign"})
+        steps.add("L6.1", check_lemma_6_1(n))
+        steps.add("L6.1", {"ihat": ihat, "contradiction_kind": "sign"})
     elif case == "NCG4":
-        steps.add("Eq(5.5)", f"ihat = (p-1) + theta_1/pi is irrational, but the identity pins "
-                  f"ihat = {ihat}, a rational",
-                  {"ihat": ihat, "contradiction_kind": "irrationality"})
+        steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "irrationality"})
     elif case == "NCG5":
         # ihat = p, a non-negative integer of the assumed parity
         if n % 2 == 1 and p_parity % 2 == 0:
             steps.add("Step2-Subcase5.1",
-                      "p is a positive even integer, so 1 > (n-1)/(n+1) = p/2 >= 1",
                       {"ihat": ihat, "p_half": ihat / 2, "contradiction_kind": "integrality"})
         else:  # n even, p odd: the pin (n-1)/n is never an integer
-            steps.add("Eq(5.5)", f"ihat = p must be an integer with p {subcase.split()[1]}, "
-                      f"but the identity pins p = {ihat}",
-                      {"ihat": ihat, "contradiction_kind": "integrality"})
+            steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "integrality"})
     else:
         # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
         _corollary_6_4(steps)
         k_parity = 0 if case == "NCG2" else 1
         bounds = {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2,
                   "contradiction_kind": "rotation-count"}
-        if (p_parity - k_parity) % 2 == 0:
-            steps.add("Eq(6.18)", f"p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, so "
-                      f"n-1 = p <= k contradicts k <= n-2r-2 <= {n - 2}", bounds)
-        else:
-            steps.add("Eq(6.17)", f"p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
-                      f"contradicts k <= n-2r-2 <= {n - 2}", bounds)
+        # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
+        steps.add("Eq(6.18)" if (p_parity - k_parity) % 2 == 0 else "Eq(6.17)", bounds)
     return steps.close(case, subcase)
 
 
@@ -185,3 +163,69 @@ def certificate(n: int, traces: list[Trace] | None = None) -> dict:
 def certificate_json(n: int, traces: list[Trace] | None = None) -> str:
     """The certificate as the canonical JSON text that `prove` checks and writes."""
     return json.dumps(certificate(n, traces), sort_keys=True, separators=(",", ":"))
+
+
+# -- presentation: the prose of each step, rebuilt on demand, never checked --
+
+# the odd-n numbers of the equations that even n cites as the keys
+_ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
+             "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
+
+# The statement of each row, a format string over the step's values (fractions
+# parsed) and the fields that `render` adds: n1 = n-1, the iterate m named as
+# n's parity names it, the trace's subcase, the premises' values and, for
+# Lemma 6.3, what its hypotheses refute.
+_TEXT = {
+    ("L6.1", None): "mean index > 0 (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
+                    "fails)",
+    ("Eq(5.5)", None): "identity forces {s:+d}/({N}*ihat) = {rhs}, i.e. ihat = {value}",
+    ("Prop2.1", None): "every contributing iterate has index of the parity of i(c); "
+                       "M_q = 0 for {zero_parity} q >= 1",
+    ("L6.2", None): "i(c) <= {max} (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
+                    "fails)",
+    ("L6.3", None): "i(c) >= {min} ({refuted})",
+    ("Cor6.4", None): "i(c) = {i_c}",
+    ("Eq(6.7)", None): "2p + (n-2r-1) = {n1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
+    ("Eq(6.9)", None): "sum of the {terms} rotation numbers = ihat/2 = {value}, a rational",
+    ("Eq(6.11)", None): "floor sum at each m in [2, {iterates[1]}] lies in [0, m-1], "
+                        "as m*(1 - {premises[0][value]}) < 1",
+    ("Claim1", None): "i(c^m) = {n1} + 2(m-1) for 1 <= m <= {m} (by induction: lower values "
+                      "collide with earlier iterates)",
+    ("Eq(6.14)", None): "floor sum at {at} lies in {set} (exact total {total})",
+    ("L6.5", "pigeonhole"): "pigeonhole at {at}: i(c^{m}) = {n1} + 2s with s in {set} is the "
+                            "index of the earlier iterate c^(s+1), contradicting uniqueness",
+    ("Eq(6.14)", "pigeonhole"): "pigeonhole at {at}: no admissible floor sum exists, yet the "
+                                "irrational rotation numbers must realize the exact total {total}",
+    ("L6.1", "sign"): "pinned ihat = {ihat} <= 0 contradicts ihat > 0",
+    ("Eq(5.5)", "irrationality"): "ihat = (p-1) + theta_1/pi is irrational, but the identity "
+                                  "pins ihat = {ihat}, a rational",
+    ("Eq(5.5)", "integrality"): "ihat = p must be an integer with {subcase}, but the identity "
+                                "pins p = {ihat}",
+    ("Step2-Subcase5.1", "integrality"): "p is a positive even integer, so "
+                                         "1 > (n-1)/(n+1) = p/2 >= 1",
+    ("Eq(6.17)", "rotation-count"): "p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
+                                    "contradicts k <= n-2r-2 <= {k_upper}",
+    ("Eq(6.18)", "rotation-count"): "p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, "
+                                    "so n-1 = p <= k contradicts k <= n-2r-2 <= {k_upper}",
+}
+
+
+def render(n: int, trace: dict) -> list[tuple[str, str]]:
+    """Each step of a certificate trace as the paper states it at n: the
+    equation number it cites there (odd n numbers some equations apart) and
+    its statement, rebuilt from the step's values and its premises' values.
+    The text is presentation only; the checker reads the values alone."""
+    steps, out = trace["steps"], []
+    parsed = [{k: Fraction(x) if k in _FRACTIONS else x for k, x in step["values"].items()}
+              for step in steps]
+    for step, v in zip(steps, parsed):
+        fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}",
+                  "subcase": trace["subcase"], "premises": [parsed[j] for j in step["premises"]]}
+        if "hypotheses" in v:
+            fields["refuted"] = (f"each hypothetical i(c) in {v['hypotheses']}, in steps of 2, "
+                                 "fails the alternating sum at i(c)+1: -1 >= 0"
+                                 if v["hypotheses"] else "hypothesis range below n-1 is empty")
+        rule = step["rule"]
+        out.append((_ODD_RULE.get(rule, rule) if n % 2 else rule,
+                    _TEXT[rule, v.get("contradiction_kind")].format_map(fields)))
+    return out

@@ -26,6 +26,7 @@ from indexlab.cli import main
 from indexlab.exact import ExactReal
 from indexlab.morse import betti_values, iterate_cutoff
 from indexlab.checker import check_lemma_6_1, check_lemma_6_2, check_lemma_6_3
+from indexlab.prover import render
 
 from conftest import at_minus_one, poincare_series, random_model
 
@@ -116,18 +117,16 @@ def test_criterion_6_proof_replay_totality(capsys):
         doc = json.loads(capsys.readouterr().out)
         ok = ok and code == 0
         ok = ok and all(t["verdict"] in ("contradiction", "vacuous") for t in doc["traces"])
-        by_key = {(t["case"], t["subcase"]): t for t in doc["traces"]}
+        # the statement of each closing step, as render rebuilds it from the certificate
+        closing = {(t["case"], t["subcase"]): render(n, t)[-1][1] for t in doc["traces"]
+                   if t["steps"]}
         if n % 2 == 0:
             if n >= 4:
-                last = by_key[("NCG2", "p odd")]["steps"][-1]["statement"]
-                ok = ok and "n-2 < k" in last
-            ncg1 = by_key[("NCG1", "")]["steps"][-1]["statement"]
-            ok = ok and f"pigeonhole at m = {n}" in ncg1
+                ok = ok and "n-2 < k" in closing[("NCG2", "p odd")]
+            ok = ok and f"pigeonhole at m = {n}" in closing[("NCG1", "")]
         else:
-            last = by_key[("NCG5", "p even")]["steps"][-1]["statement"]
-            ok = ok and "p/2 >= 1" in last
-            ncg1 = by_key[("NCG1", "")]["steps"][-1]["statement"]
-            ok = ok and f"pigeonhole at m2 = {(n + 1) // 2}" in ncg1
+            ok = ok and "p/2 >= 1" in closing[("NCG5", "p even")]
+            ok = ok and f"pigeonhole at m2 = {(n + 1) // 2}" in closing[("NCG1", "")]
     elapsed = time.perf_counter() - start
     report(6, f"replay closes every trace for n in [2, 50] ({elapsed:.2f}s)", ok and elapsed < 5.0)
 
@@ -135,11 +134,11 @@ def test_criterion_6_proof_replay_totality(capsys):
 def test_criterion_7_morse_inequality_reproductions():
     ok = True
     for n in (4, 5, 8, 9):
-        v = check_lemma_6_1(n)[1]["evidence"]
+        v = check_lemma_6_1(n)["evidence"]
         ok = ok and v == {"q": n - 1, "kind": "pointwise", "lhs": 0, "rhs": 1}
-        v = check_lemma_6_2(n)[1]["evidence"]
+        v = check_lemma_6_2(n)["evidence"]
         ok = ok and v == {"q": n - 1, "kind": "pointwise", "lhs": 0, "rhs": 1}
-        w = check_lemma_6_3(n)[1]["evidence"]  # the failure of every hypothetical i(c)
+        w = check_lemma_6_3(n)["evidence"]  # the failure of every hypothetical i(c)
         ok = ok and (w["kind"], w["lhs"], w["rhs"]) == ("alternating", -1, 0)
     report(7, "lemma configurations trigger the exact recorded violations", ok)
 

@@ -2,14 +2,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import indexlab
 from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, iteration,
                       make, morse, prover)
 from indexlab.cli import main
@@ -302,14 +307,14 @@ class TestProve:
         assert code == 0
         doc = json.loads(out)
         assert {t["verdict"] for t in doc["traces"]} <= {"contradiction", "vacuous"}
-        assert doc["schema"] == 3 and "partial" not in doc
+        assert doc["schema"] == 4 and "partial" not in doc
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "prove", "--n", "5", "--case", "ncg4")
         assert code == 0
         doc = json.loads(out)
         assert [t["case"] for t in doc["traces"]] == ["NCG4", "NCG4"]
-        assert (doc["schema"], doc["partial"]) == (3, True)
+        assert (doc["schema"], doc["partial"]) == (4, True)
 
     def test_unknown_case_filter(self, capsys):
         code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")
@@ -376,6 +381,134 @@ class TestProve:
         _, out1, _ = run(capsys, "prove", "--n", "6")
         _, out2, _ = run(capsys, "prove", "--n", "6")
         assert out1 == out2
+
+
+def _edited(n, case, subcase, edit):
+    """The certificate document for n with its (case, subcase) trace passed through edit."""
+    doc = json.loads(prover.certificate_json(n))
+    [t] = [t for t in doc["traces"] if (t["case"], t["subcase"]) == (case, subcase)]
+    edit(t)
+    return doc
+
+
+def _values(i, **changes):
+    return lambda t: t["steps"][i]["values"].update(changes)
+
+
+# whole documents carrying the tamperings of TestVerifier in test_prover.py
+TAMPERED = {
+    "identity": lambda: _edited(4, "NCG2", "p odd", _values(0, value="5/7")),
+    "family widened": lambda: _edited(6, "NCG1", "", _values(7, iterates=[2, 99])),
+    "range widened": lambda: _edited(6, "NCG1", "", _values(9, set=[0, 99])),
+    **{f"evidence {key}": lambda key=key, x=x: _edited(6, "NCG1", "", lambda t: t["steps"][2][
+        "values"]["evidence"].update({key: x})) for key, x in (("q", 0), ("lhs", -1), ("rhs", 2))},
+    "open trace": lambda: _edited(4, "NCG5", "p odd", lambda t: t["steps"].pop()),
+    "statement": lambda: _edited(4, "NCG1", "", lambda t: t["steps"][0].update(statement="")),
+    **{f"n = {n!r}": lambda n=n: {**json.loads(prover.certificate_json(2)), "n": n}
+       for n in (1, 0, -3, True, 2.0, "2", None)},
+    "schema 3": lambda: {**json.loads(prover.certificate_json(5)), "schema": 3},
+}
+
+
+class TestVerify:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_round_trip(self, capsys, tmp_path):
+        path = str(tmp_path / "cert.json")
+        for n in range(2, 61):
+            assert run(capsys, "prove", "--n", str(n), "--json", path) == (0, "", "")
+            code, out, err = run(capsys, "verify", path)
+            assert (code, err) == (0, "")
+            doc = json.loads(prover.certificate_json(n))
+            steps = sum(len(t["steps"]) for t in doc["traces"])
+            assert out == ('{"n":%d,"partial":false,"schema":4,"steps":%d,"traces":%d,'
+                           '"verified":true}\n' % (n, steps, len(doc["traces"])))
+
+    def test_a_partial_certificate_verifies(self, capsys, tmp_path):
+        path = str(tmp_path / "cert.json")
+        run(capsys, "prove", "--n", "7", "--case", "ncg3", "--json", path)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0 and json.loads(out)["partial"] is True
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED))
+    def test_a_tampered_certificate_exits_1(self, capsys, tmp_path, name):
+        path = self.write(tmp_path, TAMPERED[name]())
+        code, out, err = run(capsys, "verify", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        if not name.startswith(("n = ", "schema")):  # a trace fails: the line names its step
+            assert ": step " in err
+
+    def test_the_failing_step_is_named(self, capsys, tmp_path):
+        path = self.write(tmp_path, TAMPERED["identity"]())
+        # the NCG2 "p odd" trace is trace 2 of n = 4, after NCG1 and NCG2 "p even"
+        assert run(capsys, "verify", path) == (
+            1, "", f"{path}: trace 2: step 0 (Eq(5.5)): identity re-check failed for "
+                   "ihat = 5/7\n")
+
+    @pytest.mark.parametrize("text", ["", "{", "[1,", "\ud800"], ids=repr)
+    def test_a_file_that_is_not_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text, errors="surrogatepass")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+
+    def test_a_missing_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
+        assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_other_document_exits_1(self, tmp_path_factory, data):
+        doc = data.draw(json_values | st.sampled_from(sorted(TAMPERED)).map(
+            lambda name: TAMPERED[name]()))
+        path = tmp_path_factory.getbasetemp() / "verify.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        assert (code, out.getvalue()) == (1, "") and err.getvalue().count("\n") == 1
+
+
+# the package's parent directory, for a child process to import it from
+SRC = str(Path(indexlab.__file__).resolve().parents[1])
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 2 and one error line, never a traceback."""
+
+    def spawn(self, argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.Popen([sys.executable, "-m", "indexlab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def check(self, proc):
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (
+            2, "error: stdout was closed before all output was written ([Errno 32] Broken pipe)\n")
+
+    @pytest.mark.parametrize("command", ["iterate", "betti", "morse-check", "identity", "prove",
+                                         "verify"])
+    def test_closed_before_any_output(self, tmp_path, ncg1_model, command):
+        models = write_models(tmp_path, [GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)])
+        cert = tmp_path / "cert.json"
+        cert.write_text(prover.certificate_json(3))
+        argv = {"iterate": ["--model", ncg1_model], "betti": ["--n", "3"],
+                "morse-check": ["--models", models], "identity": ["--models", models],
+                "prove": ["--n", "5"], "verify": [str(cert)]}[command]
+        proc = self.spawn([command, *argv])
+        proc.stdout.close()
+        self.check(proc)
+
+    def test_closed_after_the_first_line(self, ncg1_model):
+        # as `indexlab iterate ... --csv | head -1`: the rows outgrow the pipe's buffer
+        proc = self.spawn(["iterate", "--model", ncg1_model, "--mmax", "20000", "--csv"])
+        assert proc.stdout.readline() == "m,i,nu,epsilon,k0\n"
+        proc.stdout.close()
+        self.check(proc)
 
 
 MODEL_FLAG = {"iterate": "--model", "morse-check": "--models", "identity": "--models"}

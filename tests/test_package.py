@@ -71,3 +71,32 @@ def test_the_checker_names_no_case_enum():
     names = {getattr(node, attr, None) for node in nodes(CHECKER)
              for attr in ("id", "attr", "name", "asname", "arg")}
     assert "Case" not in names
+
+
+def test_the_checker_holds_no_prose_and_one_rule_name_per_step():
+    # statements and the odd-n equation numbers are presentation, rendered in prover
+    names = {getattr(node, attr, None) for node in nodes(CHECKER)
+             for attr in ("id", "attr", "name", "asname", "arg")}
+    assert names.isdisjoint({"_ODD_RULE", "_rule", "render", "statement"})
+    assert "statement" not in {node.value for node in nodes(CHECKER)
+                               if isinstance(node, ast.Constant)}
+
+
+CLI = next(p for p in MODULES if p.name == "cli.py")
+
+
+def test_verify_reaches_nothing_in_prover():
+    # cmd_verify, and every function of cli it calls, directly or through another,
+    # names checker and never prover: the subcommand runs the kernel alone
+    functions = {node.name: node for node in ast.parse(CLI.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["cmd_verify"], set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            called = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            names |= called
+            todo += called & functions.keys()
+    assert reached == {"cmd_verify", "_load_json", "_emit"}
+    assert "checker" in names and "prover" not in names

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 from indexlab import Case, replay, verify_certificate, verify_trace
 from indexlab import checker, prover
 from indexlab.checker import (
-    _ODD_RULE,
     _RULES,
     _TABLE,
     _VALUE_TYPES,
-    _rule,
     _shape_vacuity,
     TraceError,
     _violation_at,
@@ -27,7 +26,7 @@ from indexlab.checker import (
 )
 from indexlab.cli import main
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
-from indexlab.prover import certificate, certificate_json
+from indexlab.prover import _ODD_RULE, certificate, certificate_json, render
 
 
 def _sparse(dense):
@@ -71,15 +70,14 @@ def _trace(n, case, subcase=""):
 
 def _lemma_step(rule, kind, lemma, n):
     """The step a lemma derives at n, as a trace holds it but with no premises."""
-    statement, values = lemma(n)
-    values = {k: _ratio(v) if type(v) is Fraction else v for k, v in values.items()}
-    return {"rule": rule, "kind": kind, "statement": statement, "values": values, "premises": []}
+    values = {k: _ratio(v) if type(v) is Fraction else v for k, v in lemma(n).items()}
+    return {"rule": rule, "kind": kind, "values": values, "premises": []}
 
 
 def _unrolled(n, trace):
     """The facts of a certificate trace with each family step expanded into
     the per-member facts it stands for, in order, as (rule, values): the L6.3
-    hypotheticals into their refutations, the Eq(6.11)/(6.23) family and the
+    hypotheticals into their refutations, the Eq(6.11) family and the
     Claim1 induction into one floor sum and one index per iterate, and the
     pigeonhole range into the degrees it collides on."""
     steps, facts = trace["steps"], []
@@ -103,7 +101,7 @@ def _unrolled(n, trace):
             facts.append((rule, {"m": p["m"], "candidates": degrees, "contradiction_kind":
                                  "pigeonhole", "collisions": {str(q): (q - n + 1) // 2 + 1
                                                               for q in degrees}}))
-        elif rule not in ("Eq(6.11)", "Eq(6.23)"):  # the family is expanded with its Claim1
+        elif rule != "Eq(6.11)":  # the family is expanded with its Claim1
             facts.append((rule, p))
     return facts
 
@@ -180,30 +178,29 @@ class TestFloorSumRange:
 class TestLemmaChecks:
     @pytest.mark.parametrize("n", [2, 3, 10])
     def test_positive_mean_index(self, n):
-        _, values = check_lemma_6_1(n)
-        v = values["evidence"]
+        v = check_lemma_6_1(n)["evidence"]
         assert (v["q"], v["lhs"], v["rhs"]) == (n - 1, 0, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_initial_index_upper_bound(self, n):
-        _, values = check_lemma_6_2(n)
+        values = check_lemma_6_2(n)
         assert values["max"] == n - 1
         v = values["evidence"]
         assert (v["q"], v["kind"], v["lhs"], v["rhs"]) == (n - 1, "pointwise", 0, 1)
 
     def test_lower_bound_even_n(self):
-        _, values = check_lemma_6_3(4)
+        values = check_lemma_6_3(4)
         assert values["hypotheses"] == [1, 1]
         assert (values["evidence"]["lhs"], values["evidence"]["rhs"]) == (-1, 0)
 
     def test_lower_bound_odd_n(self):
-        _, values = check_lemma_6_3(5)
+        values = check_lemma_6_3(5)
         assert values["hypotheses"] == [2, 2]
         assert (values["evidence"]["lhs"], values["evidence"]["rhs"]) == (-1, 0)
 
     def test_lower_bound_vacuous_for_small_n(self):
         for n in (2, 3):
-            assert check_lemma_6_3(n)[1] == {"min": n - 1, "hypotheses": []}
+            assert check_lemma_6_3(n) == {"min": n - 1, "hypotheses": []}
 
 
 class TestIdentityPin:
@@ -259,12 +256,12 @@ class TestReplay:
         assert tags["NCG5"] == "contradiction"
 
     def test_named_contradiction_strings(self):
-        even = {(t.case, t.subcase): t for t in replay(6)}
-        assert "n-2 < k" in even[("NCG2", "p odd")].steps[-1]["statement"]
-        assert "pigeonhole at m = 6" in even[("NCG1", "")].steps[-1]["statement"]
-        odd = {(t.case, t.subcase): t for t in replay(7)}
-        assert "p/2 >= 1" in odd[("NCG5", "p even")].steps[-1]["statement"]
-        assert "pigeonhole at m2 = 4" in odd[("NCG1", "")].steps[-1]["statement"]
+        even = {(t.case, t.subcase): render(6, t._asdict())[-1][1] for t in replay(6)}
+        assert "n-2 < k" in even[("NCG2", "p odd")]
+        assert "pigeonhole at m = 6" in even[("NCG1", "")]
+        odd = {(t.case, t.subcase): render(7, t._asdict())[-1][1] for t in replay(7)}
+        assert "p/2 >= 1" in odd[("NCG5", "p even")]
+        assert "pigeonhole at m2 = 4" in odd[("NCG1", "")]
 
     def test_every_trace_revalidates(self):
         for n in range(2, 21):
@@ -348,6 +345,23 @@ class TestVerifier:
         t = _trace(4, "NCG5", "p odd")
         with pytest.raises(TraceError):
             verify_trace(4, {**t, "steps": t["steps"][:-1]})
+
+    def test_a_step_holds_no_statement(self):
+        # a step holds a rule, a kind of fact, values and premises: prose is not checked,
+        # so a step that carries any, even the statement render gives it, is rejected
+        for n in range(2, 13):
+            for t in _traces(n):
+                for i, (_, statement) in enumerate(render(n, t)):
+                    for text in (statement, ""):
+                        with pytest.raises(TraceError, match="not an object of the keys"):
+                            verify_trace(n, _replaced(t, i, statement=text))
+
+    def test_a_schema_3_certificate_is_rejected(self):
+        for n in (2, 3, 12):
+            with pytest.raises(TraceError, match="not a certificate: schema 4"):
+                verify_certificate(schema_3(n))
+            with pytest.raises(TraceError, match="not an object of the keys"):
+                verify_certificate({**schema_3(n), "schema": 4})
 
 
 def _replaced(trace, index, values=None, **changes):
@@ -460,7 +474,7 @@ def _reindexed(trace, keep, default=-1):
 
 
 # the steps that each stand for a family of facts, one per member
-FAMILY_RULES = {"L6.3", "Eq(6.11)", "Eq(6.23)", "Claim1", "L6.5"}
+FAMILY_RULES = {"L6.3", "Eq(6.11)", "Claim1", "L6.5"}
 
 
 class TestMutations:
@@ -512,7 +526,7 @@ class TestMutations:
                             mutants["emptied"] = {"min": p["min"], "hypotheses": []}
                             mutants["other parity"] = {**p, "hypotheses": [a + 1, b + 1]}
                         # the family of a larger n: its last i(c) is not below n-1 here
-                        _, larger = check_lemma_6_3(n + 2)
+                        larger = check_lemma_6_3(n + 2)
                         mutants["hypothesis added"] = {**larger, "min": n - 1}
                     for kind, values in mutants.items():
                         kinds.add((step["rule"], kind))
@@ -606,7 +620,7 @@ class TestMutations:
         # the family's last iterate m1 = 4, or does not start at i(c) = 8
         t = _trace(9, "NCG1")
         rules = [s["rule"] for s in t["steps"]]
-        family, claim = rules.index("Eq(6.23)"), rules.index("Claim1")
+        family, claim = rules.index("Eq(6.11)"), rules.index("Claim1")
         assert t["steps"][claim]["values"] == {"m": 4, "i": 14}
         for bad in (_tampered(t, family, iterates=[2, 3]),  # a true family, one iterate short
                     _tampered(t, claim, m=3, i=12),  # a true chain, one iterate short
@@ -622,7 +636,7 @@ class TestMutations:
         for n in range(2, 41):
             t = _trace(n, "NCG1")
             keep = [i for i, s in enumerate(t["steps"])
-                    if s["rule"] not in ("Eq(6.11)", "Eq(6.23)", "Claim1")]
+                    if s["rule"] not in ("Eq(6.11)", "Claim1")]
             if len(keep) == len(t["steps"]):
                 continue  # n = 2, 3: the chain is empty
             cut = _reindexed(t, keep)
@@ -653,7 +667,7 @@ class TestMutations:
         for n in range(3, 41):
             t = _trace(n, "NCG1")
             steps = t["steps"]
-            [i] = [i for i, s in enumerate(steps) if s["rule"] in ("Eq(6.9)", "Eq(6.21)")]
+            [i] = [i for i, s in enumerate(steps) if s["rule"] == "Eq(6.9)"]
             rho = Fraction(steps[i]["values"]["value"]) - Fraction(1, 10**9)
             bad = _tampered(t, i, value=_ratio(rho))
             for j in range(i + 1, len(steps)):
@@ -710,16 +724,14 @@ class TestMutations:
                 # the closing step repeated, so that a contradiction is not the last step
                 mutants.append(("not last", {**t, "steps": steps + steps[-1:]}))
                 # a rotation count cited by the rule of the other parity of p - k
-                swap = {"Eq(6.17)": "Eq(6.18)", "Eq(6.18)": "Eq(6.17)",
-                        "Eq(6.31)": "Eq(6.29)", "Eq(6.29)": "Eq(6.31)"}
+                swap = {"Eq(6.17)": "Eq(6.18)", "Eq(6.18)": "Eq(6.17)"}
                 if steps[-1]["rule"] in swap:
                     mutants.append(("rule", _replaced(t, len(steps) - 1,
                                                       rule=swap[steps[-1]["rule"]])))
                 # an NCG5 trace closed instead by the p/2 bound of Step 2, Subcase 5.1
                 if t["case"] == "NCG5" and steps[-1]["rule"] != "Step2-Subcase5.1":
                     ihat = steps[0]["values"]["value"]
-                    closing = {"rule": "Step2-Subcase5.1", "kind": "Contradiction",
-                               "statement": "", "premises": [0],
+                    closing = {"rule": "Step2-Subcase5.1", "kind": "Contradiction", "premises": [0],
                                "values": {"ihat": ihat, "p_half": _ratio(Fraction(ihat) / 2),
                                           "contradiction_kind": "integrality"}}
                     mutants.append(("p/2", {**t, "steps": [steps[0], closing],
@@ -850,8 +862,8 @@ class TestMutations:
             t = _trace(n, "NCG1")
             steps = t["steps"]
             rules = [s["rule"] for s in steps]
-            family, claim = rules.index(_rule(n, "Eq(6.11)")), rules.index("Claim1")
-            floor, closing = rules.index(_rule(n, "Eq(6.14)")), rules.index("L6.5")
+            family, claim = rules.index("Eq(6.11)"), rules.index("Claim1")
+            floor, closing = rules.index("Eq(6.14)"), rules.index("L6.5")
             m1 = steps[family]["values"]["iterates"][1] + shift
             rho = Fraction(steps[family - 1]["values"]["value"])
 
@@ -879,15 +891,14 @@ class TestMutations:
     def test_the_rule_table_has_no_dead_rows(self):
         # every (rule, contradiction kind) the replay emits has a row, and
         # every row is emitted
-        even_rule = {odd: even for even, odd in _ODD_RULE.items()}
         emitted = set()
         for n in range(2, 41):
             for t in _traces(n):
                 for step in t["steps"]:
                     key = (step["rule"], step["values"].get("contradiction_kind"))
-                    assert key in _TABLE[n % 2], (n, key)
-                    emitted.add((even_rule.get(key[0], key[0]), key[1]))
-        assert emitted == set(_RULES)
+                    assert key in _TABLE, (n, key)
+                    emitted.add(key)
+        assert emitted == set(_RULES) == set(_TABLE)
 
     def test_untampered_traces_verify(self):
         for n in range(2, 61):
@@ -900,6 +911,19 @@ CERTIFICATE_BYTES = 16_000
 # sha256 of certificate_json(n), pinned so that any change to the certificate
 # bytes is deliberate; a schema change updates these and says so in CHANGES.md
 GOLDEN_SHA256 = {
+    2: "583a803ca8ebb95bb2a43b7e7a3d51d2571ae3f511885e636816ef66e71ea616",
+    3: "b6a81f5e13d45b6617eb39b7f72c97da5a1bf8d051efaced5706840c380d88e7",
+    4: "8fa661cda351b5bb2479b30f38a82f57e80c6c09a4953ec739a69f517060f114",
+    5: "117a417e9a3908fc85a402070265d71664a61ae91832f214f144985fd42993fd",
+    12: "ff77779cb0f637046a8991bde106b5c9bdfd535182adf514fcc503ef1556db6c",
+    81: "7c88985e224647a0d66605315ff6bf7869198d0207336418fb518cf47954a51b",
+    120: "f5ba5c8fa69ebaded3320c4254779e93bff803d7f9bfbabe45b2e20e7c5531ee",
+    200: "977479624aea1494cb25885e37e147716adda95e12c6d664aa6dd4088a52cf7f",
+}
+
+# sha256 of the certificate_json(n) bytes of schema 3, whose steps carried each
+# statement and the equation number of n's own parity
+SCHEMA_3_SHA256 = {
     2: "3da363ba497ed381f0fd0056c02d42f187a85dd6f088ba797d31e64e9deecbd4",
     3: "5b77d0be14330e86c2197e5dd5fcc0efc9e44bd3f3cfaec783eb6d24bd1f25a6",
     4: "a63e78c5f3d9cdfb06a01d54b0b069b2707d4ab75df9897fad0aaf24a6178832",
@@ -909,6 +933,19 @@ GOLDEN_SHA256 = {
     120: "46cc5f0b67c7e47535f438689231ac9dcef3df49205b70fbc5f9ccaeeb592882",
     200: "4935ac67c0a9a5d4635267a60ef45421dcd061db2610088bb891f996bb5da2db",
 }
+# sha256 of the schema-3 statements, and of the equation numbers, of every
+# step for n = 2..60 in replay order, each list joined by newlines
+SCHEMA_3_STATEMENTS_SHA256 = "b0cbf427a1dd67195dea97cbe3a0ca4be5bb026f33f4753f9c1c2f8f1860133b"
+SCHEMA_3_RULES_SHA256 = "f0ceb8e45808675a4d32bb8293da3813792b2999c5555a9e0ba28282bbdb8519"
+
+
+def schema_3(n):
+    """The schema-3 certificate document for n, rebuilt from schema 4 by render."""
+    doc = {**_doc(n), "schema": 3}
+    for t in doc["traces"]:
+        t["steps"] = [{**step, "rule": rule, "statement": statement}
+                      for step, (rule, statement) in zip(t["steps"], render(n, t))]
+    return doc
 
 
 class TestCertificate:
@@ -921,12 +958,12 @@ class TestCertificate:
 
     def test_schema(self):
         doc = json.loads(certificate_json(4))
-        assert (doc["schema"], doc["n"]) == (3, 4)
+        assert (doc["schema"], doc["n"]) == (4, 4)
         assert set(doc) == {"schema", "n", "traces"}  # a full certificate is not partial
         for trace in doc["traces"]:
             assert trace["verdict"] in ("contradiction", "vacuous")
             for i, step in enumerate(trace["steps"]):
-                assert set(step) == {"rule", "kind", "statement", "values", "premises"}
+                assert set(step) == {"rule", "kind", "values", "premises"}
                 assert len(step["premises"]) <= 2 and all(0 <= j < i for j in step["premises"])
         # each rule occurs at most once before the closing step, which may
         # repeat the rule of a premise (Eq(6.14), say, in the empty-range closing)
@@ -946,7 +983,7 @@ class TestCertificate:
     def test_one_case_is_partial(self):
         for case in Case:
             doc = certificate(7, [t for t in replay(7) if t.case == case.value])
-            assert (doc["schema"], doc["partial"]) == (3, True)
+            assert (doc["schema"], doc["partial"]) == (4, True)
             assert verify_certificate(json.loads(json.dumps(doc)))
 
     def test_round_trip(self):
@@ -1006,6 +1043,43 @@ class TestCertificate:
         assert "L6.1" in rules and "Eq(5.5)" in rules
 
 
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestRender:
+    """render rebuilds, outside the checker, the prose that schema 3 carried."""
+
+    def test_reproduces_the_schema_3_statements_and_numbers(self):
+        rendered = [line for n in range(2, 61) for t in replay(n)
+                    for line in render(n, t._asdict())]
+        assert len(rendered) == 2247
+        assert _sha256_lines(s for _, s in rendered) == SCHEMA_3_STATEMENTS_SHA256
+        assert _sha256_lines(r for r, _ in rendered) == SCHEMA_3_RULES_SHA256
+
+    @pytest.mark.parametrize("n", sorted(SCHEMA_3_SHA256))
+    def test_rebuilds_the_schema_3_bytes(self, n):
+        text = json.dumps(schema_3(n), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_SHA256[n]
+
+    def test_every_step_carries_its_even_n_rule_name(self):
+        # one rule name per step at every n; only render prints the odd-n numbers
+        odd_numbers = set(_ODD_RULE.values())
+        for n in range(2, 41):
+            for t in _traces(n):
+                rules = [step["rule"] for step in t["steps"]]
+                assert odd_numbers.isdisjoint(rules), (n, rules)
+                numbers = [number for number, _ in render(n, t)]
+                assert numbers == ([_ODD_RULE.get(r, r) for r in rules] if n % 2 else rules)
+
+    def test_odd_n_cites_the_odd_n_equation_numbers(self):
+        numbers = {(t["case"], t["subcase"]): [r for r, _ in render(9, t)] for t in _traces(9)}
+        assert numbers["NCG1", ""] == ["Eq(5.5)", "Prop2.1", "L6.2", "L6.3", "Cor6.4", "Eq(6.19)",
+                                       "Eq(6.21)", "Eq(6.23)", "Claim1", "Eq(6.27)", "L6.5"]
+        assert numbers["NCG2", "p even"][-1] == "Eq(6.29)"
+        assert numbers["NCG3", "p even"][-1] == "Eq(6.31)"
+
+
 def _without_trace(doc, k):
     return {**doc, "traces": doc["traces"][:k] + doc["traces"][k + 1:]}
 
@@ -1044,7 +1118,8 @@ class TestCertificateDocument:
                     verify_certificate(bad)
 
     @pytest.mark.parametrize("change", [
-        {"schema": 2}, {"schema": 4}, {"schema": 3.0}, {"schema": "3"}, {"schema": True},
+        {"schema": 2}, {"schema": 3}, {"schema": 5}, {"schema": 3.0}, {"schema": 4.0},
+        {"schema": "3"}, {"schema": "4"}, {"schema": True},
         {"n": 80.0}, {"n": "80"}, {"n": True}, {"n": None}, {"n": 81}, {"n": 1},
         {"traces": []}, {"traces": {}}, {"traces": None}, {"comment": ""},
     ], ids=repr)
@@ -1063,7 +1138,7 @@ class TestCertificateDocument:
 
     def test_a_certificate_has_a_trace(self):
         with pytest.raises(TraceError):
-            verify_certificate({"schema": 3, "n": 5, "traces": [], "partial": True})
+            verify_certificate({"schema": 4, "n": 5, "traces": [], "partial": True})
 
     @pytest.mark.parametrize("key", ["schema", "n", "traces"])
     def test_every_key_is_required(self, key):
@@ -1117,6 +1192,48 @@ class TestCertificateDocument:
             deep = [deep]
         with pytest.raises(TraceError, match="malformed"):
             verify_trace(6, _tampered(t, i, hypothetical_M={"length": 6, "entries": deep}))
+
+
+def _leaves(node):
+    """(container, key) of each value of a parsed JSON document that is not a list or dict."""
+    for key, value in node.items() if type(node) is dict else enumerate(node):
+        if type(value) is dict or type(value) is list:
+            yield from _leaves(value)
+        else:
+            yield node, key
+
+
+def _leaf_mutants(value):
+    """An int moved by 1 and negated; a fraction "a/b" with a moved by 1 or
+    negated, or with b + 1; any other string with a character appended, or
+    emptied.  Mutants equal to the value are left out."""
+    if type(value) is int:
+        out = [value + 1, value - 1, -value]
+    elif fraction := re.fullmatch(r"(-?\d+)/(\d+)", value):
+        a, b = int(fraction[1]), int(fraction[2])
+        out = [f"{a + 1}/{b}", f"{a - 1}/{b}", f"{-a}/{b}", f"{a}/{b + 1}"]
+    else:
+        out = [value + "x", ""]
+    return [x for x in out if x != value]
+
+
+class TestLeafMutations:
+    def test_every_one_leaf_mutant_is_rejected(self):
+        # every leaf of each certificate for n = 2..12 changed in place, the whole
+        # document re-checked, and the leaf restored: every byte is checked
+        mutants = 0
+        for n in range(2, 13):
+            doc = _doc(n)
+            for node, key in list(_leaves(doc)):
+                value = node[key]
+                for x in _leaf_mutants(value):
+                    node[key] = x
+                    mutants += 1
+                    with pytest.raises(TraceError):
+                        verify_certificate(doc)
+                node[key] = value
+            assert doc == _doc(n)
+        assert mutants == 7749
 
 
 FRACTION_KEYS = {"value", "rhs", "ihat", "total", "p_half"}
