@@ -395,13 +395,18 @@ def _values(i, **changes):
     return lambda t: t["steps"][i]["values"].update(changes)
 
 
-# whole documents carrying the tamperings of TestVerifier in test_prover.py
+def _evidence(key, x):  # the failure the L6.2 step cites, at n = 6 step 2, with one field changed
+    return lambda t: t["steps"][2]["values"]["evidence"].update({key: x})
+
+
+# whole documents, each with one of the tamperings of TestVerifier in test_prover.py, a step
+# that carries prose, an n that is not an integer >= 2, or the previous schema
 TAMPERED = {
     "identity": lambda: _edited(4, "NCG2", "p odd", _values(0, value="5/7")),
     "family widened": lambda: _edited(6, "NCG1", "", _values(7, iterates=[2, 99])),
     "range widened": lambda: _edited(6, "NCG1", "", _values(9, set=[0, 99])),
-    **{f"evidence {key}": lambda key=key, x=x: _edited(6, "NCG1", "", lambda t: t["steps"][2][
-        "values"]["evidence"].update({key: x})) for key, x in (("q", 0), ("lhs", -1), ("rhs", 2))},
+    **{f"evidence {key}": lambda key=key, x=x: _edited(6, "NCG1", "", _evidence(key, x))
+       for key, x in (("q", 0), ("lhs", -1), ("rhs", 2))},
     "open trace": lambda: _edited(4, "NCG5", "p odd", lambda t: t["steps"].pop()),
     "statement": lambda: _edited(4, "NCG1", "", lambda t: t["steps"][0].update(statement="")),
     **{f"n = {n!r}": lambda n=n: {**json.loads(prover.certificate_json(2)), "n": n}
@@ -486,8 +491,10 @@ class TestClosedStdout:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
     def check(self, proc):
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (
+        with proc:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (
             2, "error: stdout was closed before all output was written ([Errno 32] Broken pipe)\n")
 
     @pytest.mark.parametrize("command", ["iterate", "betti", "morse-check", "identity", "prove",
