@@ -26,7 +26,7 @@ from indexlab.checker import (
 )
 from indexlab.cli import main
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
-from indexlab.prover import _ODD_RULE, certificate, certificate_json, render
+from indexlab.prover import certificate, certificate_json, render
 
 
 def _sparse(dense):
@@ -1062,17 +1062,8 @@ class TestRender:
         text = json.dumps(schema_3(n), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_SHA256[n]
 
-    def test_every_step_carries_its_even_n_rule_name(self):
-        # one rule name per step at every n; only render prints the odd-n numbers
-        odd_numbers = set(_ODD_RULE.values())
-        for n in range(2, 41):
-            for t in _traces(n):
-                rules = [step["rule"] for step in t["steps"]]
-                assert odd_numbers.isdisjoint(rules), (n, rules)
-                numbers = [number for number, _ in render(n, t)]
-                assert numbers == ([_ODD_RULE.get(r, r) for r in rules] if n % 2 else rules)
-
     def test_odd_n_cites_the_odd_n_equation_numbers(self):
+        # a step carries the even-n name at every n (test_the_rule_table_has_no_dead_rows)
         numbers = {(t["case"], t["subcase"]): [r for r, _ in render(9, t)] for t in _traces(9)}
         assert numbers["NCG1", ""] == ["Eq(5.5)", "Prop2.1", "L6.2", "L6.3", "Cor6.4", "Eq(6.19)",
                                        "Eq(6.21)", "Eq(6.23)", "Claim1", "Eq(6.27)", "L6.5"]
