@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success (all checks hold / all traces closed), 1 = a checked
 inequality, identity or certificate failed, 2 = input or validation error,
-a closed stdout among them.  All exact numbers serialize in the
+a failed write to stdout among them.  All exact numbers serialize in the
 "(a+b*sqrt(D))/c" form, never as floats.
 """
 
@@ -12,8 +12,10 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import checker, iteration, morse, prover
 from .exact import ExactReal
@@ -22,8 +24,8 @@ from .exact import ExactReal
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(json_path: str | None, *pieces: str) -> None:
-    """Write the text pieces, in order, then one newline, to the file or stdout."""
+def _emit(json_path: str | None, pieces: Iterable[str]) -> None:
+    """Write the text pieces as they come, then one newline, to the file or stdout."""
     if json_path:
         try:
             with open(json_path, "w") as fh:
@@ -34,6 +36,15 @@ def _emit(json_path: str | None, *pieces: str) -> None:
     else:
         sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
+
+
+def _joined(items: Iterable[str]) -> Iterator[str]:
+    """The text of ",".join(items), made 256 items at a time: a list of any
+    length costs one block of memory, and a short list is one write."""
+    items, lead = iter(items), ""
+    while block := ",".join(itertools.islice(items, 256)):
+        yield lead + block
+        lead = ","
 
 
 def _load_json(path: str):
@@ -63,24 +74,30 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
     return models
 
 
+def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Iterator:
+    """The rows m = 1..mmax of the iterate table, each made when it is asked for:
+    (m, i, nu, epsilon, k0) tuples, or the text _dumps would make of each row's
+    dict, with the keys in sorted order."""
+    for m in range(1, mmax + 1):
+        i_m, nu = iteration.index_of_iterate(g, m)
+        eps, k0 = iteration.critical_type(g, m)
+        yield (f'{{"epsilon":{eps},"i":{i_m},"k0":{k0},"m":{m},"nu":{nu}}}' if as_json
+               else (m, i_m, nu, eps, k0))
+
+
 def cmd_iterate(args) -> int:
     g = _parse_model(_load_json(args.model), "model")
     mean = iteration.mean_index(g).serialize()  # a field mismatch exits 2, under --csv too
-    rows = []
-    for m in range(1, args.mmax + 1):
-        i_m, nu = iteration.index_of_iterate(g, m)
-        eps, k0 = iteration.critical_type(g, m)
-        rows.append((m, i_m, nu, eps, k0))
+    # each row is written as it is made, so memory does not grow with --mmax
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(("m", "i", "nu", "epsilon", "k0"))
-        writer.writerows(rows)
+        writer.writerows(_iterate_rows(g, args.mmax, False))
     else:
-        # the text _dumps would make of the dict, built in one pass with the keys in sorted order
-        body = ",".join([f'{{"epsilon":{eps},"i":{i_m},"k0":{k0},"m":{m},"nu":{nu}}}'
-                         for m, i_m, nu, eps, k0 in rows])
-        _emit(args.json, '{"case":"%s","mean_index":"%s","period":%d,"rows":[%s]}' % (
-            g.case.value, mean, iteration.analytic_period(g), body))
+        _emit(args.json, itertools.chain(
+            ('{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
+                g.case.value, mean, iteration.analytic_period(g)),),
+            _joined(_iterate_rows(g, args.mmax, True)), ("]}",)))
     return 0
 
 
@@ -91,7 +108,7 @@ def cmd_betti(args) -> int:
         writer.writerow(["q", "b_q"])
         writer.writerows(enumerate(out["b"]))
     else:
-        _emit(args.json, _dumps(out))
+        _emit(args.json, (_dumps(out),))
     return 0
 
 
@@ -99,16 +116,20 @@ def cmd_morse_check(args) -> int:
     models = _load_models(args.models)
     M = morse.morse_numbers(models, args.horizon)
     b = morse.betti_values(models[0].n, args.horizon)
-    violations = morse.check_morse_inequalities(M, b, args.horizon)
-    failed = bool(violations)
-    # the text _dumps would make of the dict, in pieces, with the keys in sorted order
-    rows = ",".join(['{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
-                     for q, kind, lhs, rhs in violations])
-    del violations
-    _emit(args.json, '{"M":', json.dumps(M.values, separators=(",", ":")),
-          ',"b":', json.dumps(b, separators=(",", ":")),
-          ',"horizon":%d,"violations":[' % args.horizon, rows, "]}")
-    return 1 if failed else 0
+    failures = morse.inequality_failures(M, b, args.horizon)
+    first = next(failures, None)
+    # the text _dumps would make of the dict, with the keys in sorted order; the
+    # failures are formatted as they are found and written 256 at a time, so
+    # their number does not set the memory
+    rows = itertools.chain((first,) if first else (), failures)
+    _emit(args.json, itertools.chain(
+        ('{"M":', json.dumps(M.values, separators=(",", ":")),
+         ',"b":', json.dumps(b, separators=(",", ":")),
+         ',"horizon":%d,"violations":[' % args.horizon),
+        _joined('{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
+                for q, kind, lhs, rhs in rows),
+        ("]}",)))
+    return 0 if first is None else 1
 
 
 def cmd_identity(args) -> int:
@@ -117,8 +138,8 @@ def cmd_identity(args) -> int:
     lhs = morse.mean_index_identity_lhs(models)
     rhs = ExactReal.from_fraction(morse.euler_limit(n))
     holds = lhs == rhs
-    _emit(args.json, _dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(),
-                             "holds": holds}))
+    _emit(args.json, (_dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(),
+                              "holds": holds}),))
     return 0 if holds else 1
 
 
@@ -133,7 +154,7 @@ def cmd_prove(args) -> int:
         traces = prover.replay(args.n)
     text = prover.certificate_json(args.n, traces)
     checker.verify_certificate(json.loads(text))  # the bytes written are the bytes checked
-    _emit(args.json, text)
+    _emit(args.json, (text,))
     return 0
 
 
@@ -144,9 +165,9 @@ def cmd_verify(args) -> int:
     except checker.TraceError as exc:  # a ValueError, which main would call an input error
         sys.stderr.write(" ".join(f"{args.certificate}: {exc}".splitlines()) + "\n")
         return 1
-    _emit(None, _dumps({"n": doc["n"], "partial": "partial" in doc, "schema": doc["schema"],
-                        "steps": sum(len(t["steps"]) for t in doc["traces"]),
-                        "traces": len(doc["traces"]), "verified": True}))
+    _emit(None, (_dumps({"n": doc["n"], "partial": "partial" in doc, "schema": doc["schema"],
+                         "steps": sum(len(t["steps"]) for t in doc["traces"]),
+                         "traces": len(doc["traces"]), "verified": True}),))
     return 0
 
 
@@ -220,12 +241,15 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # so that a reader's closed pipe fails here, not at exit
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except BrokenPipeError as exc:
-        # Mark the stream closed, so that exit does not flush what it still buffers
-        # into the closed pipe again; fd 1 itself stays open.
+    except OSError as exc:  # the commands turn every other OSError into a ValueError
+        # Writing stdout failed: a reader closed the pipe, or the device is full.  Mark
+        # the stream closed, so that exit does not flush what it still buffers into it
+        # again; fd 1 itself stays open.
         with contextlib.suppress(AttributeError, OSError, ValueError):
             sys.stdout.buffer.raw.close()
-        sys.stderr.write(f"error: stdout was closed before all output was written ({exc})\n")
+        what = ("stdout was closed before all output was written"
+                if isinstance(exc, BrokenPipeError) else "cannot write stdout")
+        sys.stderr.write(f"error: {what} ({exc})\n")
         return 2
     except (ValueError, KeyError, OverflowError, MemoryError) as exc:
         message = " ".join(str(exc).splitlines()) or type(exc).__name__

@@ -8,6 +8,7 @@ iterates, and the mean-index identity from exact quadratic-field values.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -98,16 +99,13 @@ class Violation(NamedTuple):
         return f"q={self.q} {self.kind}: {self.lhs} >= {self.rhs} fails"
 
 
-def check_morse_inequalities(
+def inequality_failures(
     M: MorseTable | list[int], b: list[int], horizon: int
-) -> list[Violation]:
-    """All failures of the Morse inequalities up to the horizon.
-
-    Checks the alternating partial sums M_q - M_{q-1} + ... >= b_q - b_{q-1} + ...
-    and the pointwise M_q >= b_q; an empty report means consistency.
-    """
-    violations: list[Violation] = []
-    add = violations.append
+) -> Iterator[tuple[int, str, int, int]]:
+    """Each failure of the Morse inequalities up to the horizon, as a plain
+    (q, kind, lhs, rhs) tuple yielded when found: by degree, the alternating
+    partial sum M_q - M_{q-1} + ... >= b_q - b_{q-1} + ... before the pointwise
+    M_q >= b_q.  A caller that writes each one as it comes holds none."""
     m = list((M.values if isinstance(M, MorseTable) else M)[:horizon + 1])
     m += [0] * (horizon + 1 - len(m))  # a MorseTable reads 0 past its horizon
     alt_m = alt_b = 0
@@ -116,10 +114,17 @@ def check_morse_inequalities(
         alt_m = m_q - alt_m
         alt_b = b_q - alt_b
         if alt_m < alt_b:
-            add(Violation(q, "alternating", alt_m, alt_b))
+            yield q, "alternating", alt_m, alt_b
         if m_q < b_q:
-            add(Violation(q, "pointwise", m_q, b_q))
-    return violations
+            yield q, "pointwise", m_q, b_q
+
+
+def check_morse_inequalities(
+    M: MorseTable | list[int], b: list[int], horizon: int
+) -> list[Violation]:
+    """All failures of the Morse inequalities up to the horizon, in the order
+    of inequality_failures; an empty report means consistency."""
+    return list(map(Violation._make, inequality_failures(M, b, horizon)))
 
 
 def alternating_betti_sum(n: int, q: int) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -127,6 +128,22 @@ class TestIterate:
             monkeypatch.undo()
             assert calls == Counter(index_of_iterate=2 * K, floor_scaled=g.dec.count(Rot) * K)
 
+    def test_rows_are_written_as_they_are_made(self, tmp_path, ncg1_model):
+        # 100000 rows, as JSON to a file and as CSV to stdout, each under 1 MB of heap
+        # (0.06 and 0.18 MB); with every row built before the first was written, the
+        # peaks were 30.3 and 15.2 MB
+        cli.build_parser()
+        argv = ["iterate", "--model", ncg1_model, "--mmax", "100000"]
+        for extra in (["--json", os.devnull], ["--csv"]):
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert main(argv + extra) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 1 << 20, extra
+
 
 class TestMorseCheck:
     def test_consistent_pair_exits_zero(self, capsys, tmp_path):
@@ -155,6 +172,27 @@ class TestMorseCheck:
         code, _, err = run(capsys, "morse-check", "--models", path)
         assert code == 2
         assert "mean index" in err
+
+    def test_memory_does_not_grow_with_the_failures(self, tmp_path):
+        # i(c^m) = 2 floor(m (sqrt(2) - 1)) + 1 misses every even degree, so this one NCG1
+        # model fails 10000 times up to H = 20000.  Each failure is written as it is
+        # found: the heap peak is that of M, b and their text, about 96 bytes per
+        # degree.  With a Violation and a row string held per failure it was about 192.
+        horizon = 20000
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        path = write_models(tmp_path, [g])
+        M = morse.morse_numbers([g], horizon)
+        assert len(check_morse_inequalities(M, betti_values(2, horizon), horizon)) == 10000
+        cli.build_parser()
+        tracemalloc.start()
+        try:
+            code = main(["morse-check", "--models", path, "--horizon", str(horizon),
+                         "--json", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 128 * (horizon + 1)
 
 
 class TestMorseCheckDocument:
@@ -516,6 +554,28 @@ class TestClosedStdout:
         assert proc.stdout.readline() == "m,i,nu,epsilon,k0\n"
         proc.stdout.close()
         self.check(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+class TestFullStdout:
+    """A write to stdout that fails otherwise, here with no space left, also exits 2
+    with one error line: exit 1 would claim that a check failed."""
+
+    @pytest.mark.parametrize("command", ["iterate", "betti", "morse-check", "identity", "prove",
+                                         "verify"])
+    def test_every_command(self, tmp_path, ncg1_model, command):
+        models = write_models(tmp_path, [GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)])
+        cert = tmp_path / "cert.json"
+        cert.write_text(prover.certificate_json(3))
+        argv = {"iterate": ["--model", ncg1_model], "betti": ["--n", "3"],
+                "morse-check": ["--models", models], "identity": ["--models", models],
+                "prove": ["--n", "5"], "verify": [str(cert)]}[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "indexlab.cli", command, *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write stdout ([Errno 28] No space left on device)\n")
 
 
 MODEL_FLAG = {"iterate": "--model", "morse-check": "--models", "identity": "--models"}
