@@ -128,7 +128,7 @@ class TestIterate:
             monkeypatch.undo()
             assert calls == Counter(index_of_iterate=2 * K, floor_scaled=g.dec.count(Rot) * K)
 
-    def test_rows_are_written_as_they_are_made(self, tmp_path, ncg1_model):
+    def test_rows_are_written_as_they_are_made(self, ncg1_model):
         # 100000 rows, as JSON to a file and as CSV to stdout, each under 1 MB of heap
         # (0.06 and 0.18 MB); with every row built before the first was written, the
         # peaks were 30.3 and 15.2 MB
@@ -174,9 +174,9 @@ class TestMorseCheck:
         assert "mean index" in err
 
     def test_memory_does_not_grow_with_the_failures(self, tmp_path):
-        # i(c^m) = 2 floor(m (sqrt(2) - 1)) + 1 misses every even degree, so this one NCG1
-        # model fails 10000 times up to H = 20000.  Each failure is written as it is
-        # found: the heap peak is that of M, b and their text, about 96 bytes per
+        # one NCG1 model, i(c^m) = 2 floor(m (sqrt(2) - 1)) + 1, whose Morse table fails
+        # the inequalities 10000 times up to H = 20000.  The failures are written as they
+        # are found: the heap peak is that of M, b and their text, about 96 bytes per
         # degree.  With a Violation and a row string held per failure it was about 192.
         horizon = 20000
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
