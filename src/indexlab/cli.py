@@ -15,13 +15,14 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import checker, iteration, morse, prover
 from .exact import ExactReal
 
 
-_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_compact = functools.partial(json.dumps, separators=(",", ":"))
+_dumps = functools.partial(_compact, sort_keys=True)
 
 
 def _emit(json_path: str | None, pieces: Iterable[str]) -> None:
@@ -45,6 +46,15 @@ def _joined(items: Iterable[str]) -> Iterator[str]:
     while block := ",".join(itertools.islice(items, 256)):
         yield lead + block
         lead = ","
+
+
+def _int_list(values: Sequence[int]) -> Iterator[str]:
+    """The text of _compact(list(values)), made from slices of 256 numbers: a
+    list of any length costs one block's text, not the whole string."""
+    yield "["
+    for start in range(0, len(values), 256):
+        yield ("," if start else "") + _compact(values[start:start + 256])[1:-1]
+    yield "]"
 
 
 def _load_json(path: str):
@@ -102,13 +112,13 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    out = {"n": args.n, "b": morse.betti_values(args.n, args.qmax)}
+    b = morse.betti_values(args.n, args.qmax)
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["q", "b_q"])
-        writer.writerows(enumerate(out["b"]))
-    else:
-        _emit(args.json, (_dumps(out),))
+        writer.writerows(enumerate(b))
+    else:  # the text of _dumps({"n": n, "b": b})
+        _emit(args.json, itertools.chain(('{"b":',), _int_list(b), (',"n":%d}' % args.n,)))
     return 0
 
 
@@ -118,14 +128,13 @@ def cmd_morse_check(args) -> int:
     b = morse.betti_values(models[0].n, args.horizon)
     failures = morse.inequality_failures(M, b, args.horizon)
     first = next(failures, None)
-    # the text _dumps would make of the dict, with the keys in sorted order; the
-    # failures are formatted as they are found and written 256 at a time, so
-    # their number does not set the memory
+    # the text _dumps would make of the dict, with the keys in sorted order; M, b
+    # and the failures are written 256 at a time, the failures formatted as they
+    # are found, so only M and b themselves grow with the horizon
     rows = itertools.chain((first,) if first else (), failures)
     _emit(args.json, itertools.chain(
-        ('{"M":', json.dumps(M.values, separators=(",", ":")),
-         ',"b":', json.dumps(b, separators=(",", ":")),
-         ',"horizon":%d,"violations":[' % args.horizon),
+        ('{"M":',), _int_list(M.values), (',"b":',), _int_list(b),
+        (',"horizon":%d,"violations":[' % args.horizon,),
         _joined('{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
                 for q, kind, lhs, rhs in rows),
         ("]}",)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .exact import ExactReal
@@ -66,6 +67,13 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
     return (ExactReal(horizon + g.n - 1) / ihat).floor()
 
 
+# The most iterates morse_numbers enumerates for one model: two to three
+# minutes at the 1.1-1.8 us an iterate of a model with one to three rotation
+# blocks took (2-core x86_64, Python 3.11.7).  A tiny mean index can ask for
+# 10^41 iterates, which would never finish.
+MAX_ITERATES = 10**8
+
+
 @dataclass(frozen=True)
 class MorseTable:
     values: tuple[int, ...]
@@ -79,10 +87,19 @@ class MorseTable:
 
 
 def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
-    """M_q for 0 <= q <= horizon by certified finite enumeration."""
-    values = [0] * (horizon + 1)
-    for g in models:
-        for m in range(1, iterate_cutoff(g, horizon) + 1):
+    """M_q for 0 <= q <= horizon by certified finite enumeration.
+
+    Raises ValueError before any enumeration when a model's iterate cutoff
+    exceeds MAX_ITERATES.
+    """
+    values = [0] * (horizon + 1)  # first, so that a horizon too large for memory says so
+    cutoffs = [iterate_cutoff(g, horizon) for g in models]
+    for idx, cut in enumerate(cutoffs):
+        if cut > MAX_ITERATES:
+            raise ValueError(f"model #{idx}: iterate cutoff {cut} at horizon {horizon} "
+                             f"exceeds the limit of {MAX_ITERATES} iterates")
+    for g, cut in zip(models, cutoffs):
+        for m in range(1, cut + 1):
             i_m, _ = index_of_iterate(g, m)
             if 0 <= i_m <= horizon:
                 values[i_m] += critical_type(g, m)[1]
@@ -106,10 +123,10 @@ def inequality_failures(
     (q, kind, lhs, rhs) tuple yielded when found: by degree, the alternating
     partial sum M_q - M_{q-1} + ... >= b_q - b_{q-1} + ... before the pointwise
     M_q >= b_q.  A caller that writes each one as it comes holds none."""
-    m = list((M.values if isinstance(M, MorseTable) else M)[:horizon + 1])
-    m += [0] * (horizon + 1 - len(m))  # a MorseTable reads 0 past its horizon
+    values = M.values if isinstance(M, MorseTable) else M
     alt_m = alt_b = 0
-    for q, m_q in enumerate(m):
+    # read in place: 0 past the table's end, nothing past the horizon
+    for q, m_q in enumerate(islice(chain(values, repeat(0)), horizon + 1)):
         b_q = b[q]
         alt_m = m_q - alt_m
         alt_b = b_q - alt_b

@@ -70,6 +70,23 @@ class TestBetti:
         assert code == 2
         assert "n must be >= 2" in err
 
+    def test_the_list_is_written_in_blocks(self, monkeypatch):
+        # b is written 256 numbers at a time: past the list itself, --qmax 10**6 costs
+        # 0.03 bytes of heap per degree; its whole json.dumps text cost about 5.3
+        qmax = 10**6
+        b = betti_values(2, qmax)
+        monkeypatch.setattr(morse, "betti_values", lambda n, h: b)
+        cli.build_parser()
+        for extra in ([], ["--json", os.devnull]):
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert main(["betti", "--n", "2", "--qmax", str(qmax)] + extra) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < (qmax + 1) // 4, extra
+
 
 class TestSeries:
     def test_is_an_unknown_command(self, capsys):
@@ -175,9 +192,10 @@ class TestMorseCheck:
 
     def test_memory_does_not_grow_with_the_failures(self, tmp_path):
         # one NCG1 model, i(c^m) = 2 floor(m (sqrt(2) - 1)) + 1, whose Morse table fails
-        # the inequalities 10000 times up to H = 20000.  The failures are written as they
-        # are found: the heap peak is that of M, b and their text, about 96 bytes per
-        # degree.  With a Violation and a row string held per failure it was about 192.
+        # the inequalities 10000 times up to H = 20000.  M, b and the failures are written
+        # 256 at a time, the failures as they are found: the heap peak is that of the
+        # lists M and b, about 24 bytes per degree.  With the whole json.dumps text of M
+        # and b it was about 96; with a Violation and a row string per failure, about 192.
         horizon = 20000
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         path = write_models(tmp_path, [g])
@@ -192,7 +210,19 @@ class TestMorseCheck:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert peak < 128 * (horizon + 1)
+        assert peak < 40 * (horizon + 1)
+
+    def test_a_tiny_mean_index_is_refused_at_once(self, tmp_path):
+        # rho = (1 + sqrt(2))/10**41 asks for 2.3e41 iterates at H = 10: refused before
+        # any enumeration, where the loop ran until it was killed
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(make(1, 1, 10**41, 2))]), 0)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "indexlab.cli", "morse-check", "--models",
+                               write_models(tmp_path, [g]), "--horizon", "10"],
+                              env=env, capture_output=True, text=True, timeout=15)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: model #0: iterate cutoff {morse.iterate_cutoff(g, 10)} at "
+                               f"horizon 10 exceeds the limit of {morse.MAX_ITERATES} iterates\n")
 
 
 class TestMorseCheckDocument:
@@ -204,6 +234,12 @@ class TestMorseCheckDocument:
     @example(n=2, horizon=0, deltas=[])  # H = 0: one degree
     @example(n=5, horizon=30, deltas=[])  # M = b: no violations
     @example(n=4, horizon=2, deltas=[0, 1, 0])  # alternating lhs -1 at q = 2
+    # M, b and the failures are written 256 to a block: H = 255 fills one block, 256
+    # starts a second, 511 fills two and 512 starts a third
+    @example(n=2, horizon=255, deltas=[])
+    @example(n=2, horizon=256, deltas=[-2] * 257)
+    @example(n=3, horizon=511, deltas=[-1, 1] * 256)
+    @example(n=2, horizon=512, deltas=[])
     def test_bytes_equal_the_sorted_json_dump(self, tmp_path_factory, n, horizon, deltas):
         b = betti_values(n, horizon)
         values = [max(0, b_q + d) for b_q, d in zip(b, deltas + [0] * len(b))]

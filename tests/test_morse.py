@@ -110,6 +110,24 @@ class TestMorseNumbers:
         with pytest.raises(NonTerminatingSumError):
             morse_numbers([g], 5)
 
+    def test_a_cutoff_above_the_limit_is_refused_before_any_enumeration(self, monkeypatch):
+        # the limit is inclusive: a cutoff equal to it runs, one above it is refused, and
+        # the refusal names the model, its cutoff and the limit before any iterate is made
+        small, large = (GeodesicModel(2, dec(Rot(rho)), 0) for rho in (RHO, make(1, 1, 100, 2)))
+        horizon = 9
+        cut = iterate_cutoff(large, horizon)  # floor(10 / (2 (1 + sqrt(2))/100)) = 207
+        assert iterate_cutoff(small, horizon) < cut
+        expected = morse_numbers([small, large], horizon)
+        monkeypatch.setattr(morse, "MAX_ITERATES", cut)
+        assert morse_numbers([small, large], horizon) == expected
+        monkeypatch.setattr(morse, "MAX_ITERATES", cut - 1)
+        calls = Counter()
+        monkeypatch.setattr(morse, "index_of_iterate", lambda g, m: calls.update([m]))
+        with pytest.raises(ValueError, match=f"^model #1: iterate cutoff {cut} at horizon 9 "
+                                             f"exceeds the limit of {cut - 1} iterates$"):
+            morse_numbers([small, large], horizon)
+        assert not calls
+
     def test_cutoff_is_certified(self, rng):
         for _ in range(30):
             g = random_model(rng)
@@ -341,10 +359,12 @@ class TestMorseInequalities:
     @given(st.data())
     def test_matches_explicit_partial_sums(self, data):
         # reference: every partial sum written out, Betti numbers read off the
-        # Poincare series; the Betti list may run past the check's horizon
+        # Poincare series; the Betti list may run past the check's horizon, and the
+        # table may end before it (reading 0 past its end) or run past it (ignored)
         n = data.draw(st.integers(2, 12))
         horizon = data.draw(st.integers(0, 40))
-        values = data.draw(st.lists(st.integers(0, 3), min_size=horizon + 1, max_size=horizon + 1))
+        table = data.draw(st.lists(st.integers(0, 3), max_size=horizon + 4))
+        values = (table + [0] * (horizon + 1))[:horizon + 1]
         b_horizon = horizon + data.draw(st.integers(0, 3))
         b = poincare_series(n, horizon)
         expected = []
@@ -355,9 +375,9 @@ class TestMorseInequalities:
                 expected.append(Violation(q, "alternating", alt_m, alt_b))
             if values[q] < b[q]:
                 expected.append(Violation(q, "pointwise", values[q], b[q]))
-        for M in (values, MorseTable(tuple(values))):
-            for table in (betti_values(n, b_horizon), list(b)):
-                assert check_morse_inequalities(M, table, horizon) == expected
+        for M in (table, MorseTable(tuple(table))):
+            for betti_table in (betti_values(n, b_horizon), list(b)):
+                assert check_morse_inequalities(M, betti_table, horizon) == expected
 
 
 class TestBettiValues:
