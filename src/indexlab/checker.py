@@ -2,12 +2,13 @@
 certificate with exact arithmetic, reading its cases as the certificate's own
 strings "NCG1" to "NCG5".  It imports from the package only the Betti closed
 forms of `morse`, so it can be audited on its own; the replay in `prover`
-links premises through its rule table and imports from it, never the reverse.
+builds its steps from its rule table and imports from it, never the reverse.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .morse import alternating_betti_sum, betti, euler_limit
@@ -71,7 +72,7 @@ def check_lemma_6_1(n: int) -> dict:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
     M, v = _lemma_6_1_failure(n)
-    return {"relation": ">", "value": Fraction(0), "evidence": v, "hypothetical_M": M}
+    return {"value": Fraction(0), "evidence": v, "hypothetical_M": M}
 
 
 def check_lemma_6_2(n: int) -> dict:
@@ -147,7 +148,7 @@ def _check_identity(t, p):
     if (p["N"], p["s"]) != _period_and_sign(t.case, p_parity, n):
         raise TraceError(f"(N, s) = ({p['N']}, {p['s']}) of the identity do not fit the case")
     R = euler_limit(n)  # s/(N*ihat) = R
-    if p["relation"] != "=" or p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
+    if p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
         raise TraceError(f"identity re-check failed for ihat = {p['value']}")
 
 
@@ -167,7 +168,7 @@ def _check_eq_6_7(t, p, pin, cor):
 
 
 def _check_eq_6_9(t, p, p_r):
-    if p["relation"] != "=" or p["terms"] != t.n - 1 or p_r["ihat"] != 2 * p["value"]:
+    if p["terms"] != t.n - 1 or p_r["ihat"] != 2 * p["value"]:
         raise TraceError("the n-1 rotation numbers must sum to ihat/2")
 
 
@@ -241,21 +242,21 @@ def _check_rotation_count(t, p, pin, bound):
 
 _C = "Contradiction"
 # Every step a trace may take, keyed by (rule, contradiction kind): the kind
-# of fact it states, the rules of the earlier steps it reads, in premise
-# order ("a|b" admits a step of either rule), the check of its values, and
+# of fact it states, the rules of the earlier steps it reads, one slot per
+# premise ("a|b" admits a step of either rule), the check of its values, and
 # the keys those values hold besides contradiction_kind ("a|b" admits either
 # set).  Rules are named as the paper cites them for even n, at every n.
 _EVIDENCE = "evidence hypothetical_M"
 _RULES = {
-    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "relation value " + _EVIDENCE),
-    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "relation value s N rhs"),
+    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "value " + _EVIDENCE),
+    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "value s N rhs"),
     ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity, "zero_parity i1_parity"),
     ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2), "max " + _EVIDENCE),
     ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3),
                      "min hypotheses|min hypotheses " + _EVIDENCE),
     ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4, "i_c"),
     ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7, "p r ihat"),
-    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9, "relation value terms"),
+    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9, "value terms"),
     ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family, "iterates terms"),
     ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1, "m i"),
     ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum, "m terms total set"),
@@ -283,7 +284,7 @@ _CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
 _FRACTIONS = frozenset("value rhs ihat total p_half".split())
 _VALUE_TYPES = dict.fromkeys(_FRACTIONS, str) | {key: type_ for type_, keys in (
     (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
-    (str, "relation zero_parity contradiction_kind"),
+    (str, "zero_parity contradiction_kind"),
     (list, "set hypotheses iterates"),
     (dict, "hypothetical_M evidence"),
 ) for key in keys.split()}
@@ -313,7 +314,7 @@ def _shape_vacuity(n: int, case: str) -> str | None:
 # the JSON type of each field of a trace; what the row checks read of it besides the values
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
 _Scope = namedtuple("_Scope", "n case subcase")
-_STEP_KEYS = {"rule", "kind", "values", "premises"}
+_STEP_KEYS = {"rule", "kind", "values"}
 
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
@@ -321,18 +322,26 @@ def _subcases(n: int, case: str) -> tuple[str, ...]:
     return ("",) if case == "NCG1" or _shape_vacuity(n, case) else ("p even", "p odd")
 
 
+def _premises(steps: list) -> Iterator[list[int]]:
+    """Each step's premises: per slot of its row, the latest earlier step of its rules, or -1."""
+    latest = {}
+    for i, step in enumerate(steps):
+        slots = _TABLE[step["rule"], step["values"].get("contradiction_kind")][1]
+        yield [max(latest.get(rule, -1) for rule in slot) for slot in slots]
+        latest[step["rule"]] = i
+
+
 def verify_trace(n: int, trace: dict) -> bool:
     """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check, n not an int >= 2 among
     them; returns True otherwise.  Types are JSON's own, and each fraction
-    must be spelled "a/b" in lowest terms.  Each step holds a rule, a kind
-    of fact, values and premises, nothing else, and is checked through its
-    row of the rule table: it must state the row's kind of fact, its
-    premises must be earlier steps of the row's rules, the row's check
-    recomputes its values from n and those premises, and the values hold
-    the row's keys, no more.  Every step but the last must be a premise of
-    a later one.
+    must be spelled "a/b" in lowest terms.  Each step holds a rule, a kind of
+    fact and values, nothing else, and is checked through its row of the rule
+    table: it states the row's kind of fact, each slot has an earlier step
+    (`_premises`), the row's check recomputes the values from n and those
+    premises, and the values hold the row's keys, no more.  Every step but
+    the last must be a premise of a later one.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
@@ -349,10 +358,11 @@ def verify_trace(n: int, trace: dict) -> bool:
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
     last, parsed, t = len(steps) - 1, [], _Scope(n, case, subcase)
+    links, cited = _premises(steps), set()
     for i, step in enumerate(steps):
         if type(step) is not dict or step.keys() != _STEP_KEYS:
             raise TraceError(f"step {i} is not an object of the keys {sorted(_STEP_KEYS)}")
-        rule, values, premises = step["rule"], step["values"], step["premises"]
+        rule, values = step["rule"], step["values"]
         try:
             kind = values.get("contradiction_kind")  # values not an object: AttributeError
             row = _TABLE.get((rule, kind))  # a rule or kind not a string is in no row
@@ -371,11 +381,10 @@ def verify_trace(n: int, trace: dict) -> bool:
                     x = p[key] = Fraction(int(num), int(den))
                     if value != f"{x.numerator}/{x.denominator}":
                         raise TraceError(f"{key} = {value!r} is not spelled 'a/b', in lowest terms")
-            if not (type(premises) is list and len(premises) == len(slots) and all(
-                    type(j) is int and 0 <= j < i and steps[j]["rule"] in slot
-                    for j, slot in zip(premises, slots))):
-                raise TraceError(f"premises {premises!r} are not earlier steps of the rules "
-                                 f"{[' or '.join(s) for s in slots]}")
+            premises = next(links)
+            if -1 in premises:
+                raise TraceError(f"no earlier step of {' or '.join(slots[premises.index(-1)])}")
+            cited.update(premises)
             parsed.append(p)
             check(t, p, *[parsed[j] for j in premises])
             if values.keys() - {"contradiction_kind"} not in key_sets:
@@ -385,14 +394,13 @@ def verify_trace(n: int, trace: dict) -> bool:
         except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
                 ValueError) as e:
             raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
-    cited = {j for step in steps for j in step["premises"]}
     if not cited.issuperset(range(last)):
         raise TraceError(f"steps {sorted(set(range(last)) - cited)} are premises of no later step")
     return True
 
 
 def verify_certificate(doc: dict) -> bool:
-    """Re-validate a parsed certificate: schema 4, an integer n >= 2, each trace by
+    """Re-validate a parsed certificate: schema 5, an integer n >= 2, each trace by
     verify_trace, and each (case, subcase) replay derives at n once, in replay order,
     for every case shape, or for the shapes named in a document marked "partial": true."""
     if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
@@ -415,4 +423,4 @@ def verify_certificate(doc: dict) -> bool:
     return True
 
 
-CERTIFICATE_SCHEMA = 4
+CERTIFICATE_SCHEMA = 5

@@ -40,13 +40,15 @@ def betti(n: int, q: int) -> int:
 
 
 def betti_values(n: int, horizon: int) -> list[int]:
-    """[betti(n, q) for q in range(horizon + 1)], laid out by slices."""
+    """[betti(n, q) for q in range(horizon + 1)], as one period repeated in place."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    b = [0] * (horizon + 1)
-    b[n - 1::2] = [1] * len(b[n - 1::2])
-    first, step = (3 * (n - 1), 2 * (n - 1)) if n % 2 == 0 else (2 * (n - 1), n - 1)
-    b[first::step] = [2] * len(b[first::step])  # the doubling set K
+    step = 2 * (n - 1) if n % 2 == 0 else n - 1  # the spacing of the doubling set K
+    # from q = 0: 1 on the ray's parity (n-1's), 2 on K's (q = n-1 mod step, q > n-1)
+    b = [0 if (j - n + 1) % 2 else 1 + (j == (n - 1) % step) for j in range(step)]
+    b *= -(-(horizon + 1) // step)  # refused at once when too large
+    del b[horizon + 1:]
+    b[:n] = ([0] * (n - 1) + [1])[:horizon + 1]  # 0 below the ray, and 1, not 2, at its start
     return b
 
 

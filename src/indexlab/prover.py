@@ -22,8 +22,8 @@ from fractions import Fraction
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
 from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
-                      _period_and_sign, _shape_vacuity, check_lemma_6_1, check_lemma_6_2,
-                      check_lemma_6_3, floor_sum_range, verify_trace)
+                      _period_and_sign, _premises, _shape_vacuity, check_lemma_6_1,
+                      check_lemma_6_2, check_lemma_6_3, floor_sum_range, verify_trace)
 from .morse import euler_limit
 
 # One replayed trace, each field the JSON value the certificate holds: the case
@@ -33,21 +33,13 @@ Trace = namedtuple("Trace", "case subcase steps verdict detail")
 
 
 class _Steps(list):
-    """The steps of one trace, each linked by `add` to the premises its row
-    names: for each premise slot, the latest earlier step of a rule in it."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n, self.at = n, {}
+    """The steps of one trace, whose premises their order implies (`checker._premises`)."""
 
     def add(self, rule: str, values: dict) -> None:
         """Append the step of this rule, fractions spelled "a/b"."""
-        kind, slots, *_ = _TABLE[rule, values.get("contradiction_kind")]
-        self.append({"rule": rule, "kind": kind, "values": {
-            k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
-            for k, v in values.items()},
-            "premises": [max(self.at.get(r, -1) for r in slot) for slot in slots]})
-        self.at[rule] = len(self) - 1
+        self.append({"rule": rule, "kind": _TABLE[rule, values.get("contradiction_kind")][0],
+                     "values": {k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction
+                                else v for k, v in values.items()}})
 
     def close(self, case: str, subcase: str = "") -> Trace:
         """The trace these steps derive, named after the contradiction of its last step."""
@@ -55,19 +47,17 @@ class _Steps(list):
                      self[-1]["values"]["contradiction_kind"])
 
 
-def _identity_pin(steps: _Steps, case: str, p_parity: int) -> Fraction:
+def _identity_pin(steps: _Steps, n: int, case: str, p_parity: int) -> Fraction:
     """Add the Eq(5.5) step and return the ihat it pins."""
-    n = steps.n
     N, s = _period_and_sign(case, p_parity, n)
     R = euler_limit(n)
     ihat = Fraction(s) / (N * R)  # s/(N*ihat) = R solved for ihat
-    steps.add("Eq(5.5)", {"relation": "=", "value": ihat, "s": s, "N": N, "rhs": R})
+    steps.add("Eq(5.5)", {"value": ihat, "s": s, "N": N, "rhs": R})
     return ihat
 
 
-def _corollary_6_4(steps: _Steps) -> None:
+def _corollary_6_4(steps: _Steps, n: int) -> None:
     """Add the Prop2.1, L6.2, L6.3 and Cor6.4 steps that pin i(c) = n-1."""
-    n = steps.n
     dead = "even" if n % 2 == 0 else "odd"  # i(c) has the parity of n-1
     steps.add("Prop2.1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
     steps.add("L6.2", check_lemma_6_2(n))
@@ -76,15 +66,15 @@ def _corollary_6_4(steps: _Steps) -> None:
 
 
 def _replay_ncg1(n: int) -> Trace:
-    steps = _Steps(n)
-    ihat = _identity_pin(steps, "NCG1", 0)
-    _corollary_6_4(steps)
+    steps = _Steps()
+    ihat = _identity_pin(steps, n, "NCG1", 0)
+    _corollary_6_4(steps, n)
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
     # least one rotation contributing strictly positive angle forces p = 0.
     steps.add("Eq(6.7)", {"p": 0, "r": 0, "ihat": ihat})
     terms = n - 1
     rho_sum = ihat / 2  # sum of rotation numbers theta_i/(2 pi)
-    steps.add("Eq(6.9)", {"relation": "=", "value": rho_sum, "terms": terms})
+    steps.add("Eq(6.9)", {"value": rho_sum, "terms": terms})
 
     # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
     # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
@@ -106,8 +96,8 @@ def _replay_ncg1(n: int) -> Trace:
 
 def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
     subcase = "p even" if p_parity % 2 == 0 else "p odd"
-    steps = _Steps(n)
-    ihat = _identity_pin(steps, case, p_parity)
+    steps = _Steps()
+    ihat = _identity_pin(steps, n, case, p_parity)
 
     if ihat <= 0:
         steps.add("L6.1", check_lemma_6_1(n))
@@ -123,7 +113,7 @@ def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
             steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "integrality"})
     else:
         # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
-        _corollary_6_4(steps)
+        _corollary_6_4(steps, n)
         k_parity = 0 if case == "NCG2" else 1
         bounds = {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2,
                   "contradiction_kind": "rotation-count"}
@@ -173,8 +163,8 @@ _ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)
 
 # The statement of each row, a format string over the step's values (fractions
 # parsed) and the fields that `render` adds: n1 = n-1, the iterate m named as
-# n's parity names it, the trace's subcase, the premises' values and, for
-# Lemma 6.3, what its hypotheses refute.
+# n's parity names it, the trace's subcase, the values of the premises the
+# checker derives and, for Lemma 6.3, what its hypotheses refute.
 _TEXT = {
     ("L6.1", None): "mean index > 0 (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
                     "fails)",
@@ -218,9 +208,9 @@ def render(n: int, trace: dict) -> list[tuple[str, str]]:
     steps, out = trace["steps"], []
     parsed = [{k: Fraction(x) if k in _FRACTIONS else x for k, x in step["values"].items()}
               for step in steps]
-    for step, v in zip(steps, parsed):
+    for step, v, premises in zip(steps, parsed, _premises(steps)):
         fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}",
-                  "subcase": trace["subcase"], "premises": [parsed[j] for j in step["premises"]]}
+                  "subcase": trace["subcase"], "premises": [parsed[j] for j in premises]}
         if "hypotheses" in v:
             fields["refuted"] = (f"each hypothetical i(c) in {v['hypotheses']}, in steps of 2, "
                                  "fails the alternating sum at i(c)+1: -1 >= 0"

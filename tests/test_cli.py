@@ -16,8 +16,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import indexlab
-from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, cli, iteration,
-                      make, morse, prover)
+from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, checker, cli,
+                      iteration, make, morse, prover)
 from indexlab.cli import main
 from indexlab.iteration import model_to_json
 from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
@@ -381,14 +381,14 @@ class TestProve:
         assert code == 0
         doc = json.loads(out)
         assert {t["verdict"] for t in doc["traces"]} <= {"contradiction", "vacuous"}
-        assert doc["schema"] == 4 and "partial" not in doc
+        assert doc["schema"] == 5 and "partial" not in doc
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "prove", "--n", "5", "--case", "ncg4")
         assert code == 0
         doc = json.loads(out)
         assert [t["case"] for t in doc["traces"]] == ["NCG4", "NCG4"]
-        assert (doc["schema"], doc["partial"]) == (4, True)
+        assert (doc["schema"], doc["partial"]) == (5, True)
 
     def test_unknown_case_filter(self, capsys):
         code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")
@@ -469,12 +469,22 @@ def _values(i, **changes):
     return lambda t: t["steps"][i]["values"].update(changes)
 
 
+def _schema_4(n, schema=4):
+    """The certificate for n with each step's premises put back, as schema 4 held them."""
+    doc = json.loads(prover.certificate_json(n))
+    for t in doc["traces"]:
+        for step, premises in zip(t["steps"], checker._premises(t["steps"])):
+            step["premises"] = premises
+    return {**doc, "schema": schema}
+
+
 def _evidence(key, x):  # the failure the L6.2 step cites, at n = 6 step 2, with one field changed
     return lambda t: t["steps"][2]["values"]["evidence"].update({key: x})
 
 
 # whole documents, each with one of the tamperings of TestVerifier in test_prover.py, a step
-# that carries prose, an n that is not an integer >= 2, or the previous schema
+# that carries prose, premises or a relation, an n that is not an integer >= 2, or an
+# earlier schema
 TAMPERED = {
     "identity": lambda: _edited(4, "NCG2", "p odd", _values(0, value="5/7")),
     "family widened": lambda: _edited(6, "NCG1", "", _values(7, iterates=[2, 99])),
@@ -483,9 +493,12 @@ TAMPERED = {
        for key, x in (("q", 0), ("lhs", -1), ("rhs", 2))},
     "open trace": lambda: _edited(4, "NCG5", "p odd", lambda t: t["steps"].pop()),
     "statement": lambda: _edited(4, "NCG1", "", lambda t: t["steps"][0].update(statement="")),
+    "premises": lambda: _schema_4(5, schema=5),
+    "relation": lambda: _edited(4, "NCG1", "", _values(0, relation="=")),
     **{f"n = {n!r}": lambda n=n: {**json.loads(prover.certificate_json(2)), "n": n}
        for n in (1, 0, -3, True, 2.0, "2", None)},
     "schema 3": lambda: {**json.loads(prover.certificate_json(5)), "schema": 3},
+    "schema 4": lambda: _schema_4(5),
 }
 
 
@@ -503,7 +516,7 @@ class TestVerify:
             assert (code, err) == (0, "")
             doc = json.loads(prover.certificate_json(n))
             steps = sum(len(t["steps"]) for t in doc["traces"])
-            assert out == ('{"n":%d,"partial":false,"schema":4,"steps":%d,"traces":%d,'
+            assert out == ('{"n":%d,"partial":false,"schema":5,"steps":%d,"traces":%d,'
                            '"verified":true}\n' % (n, steps, len(doc["traces"])))
 
     def test_a_partial_certificate_verifies(self, capsys, tmp_path):
@@ -527,6 +540,13 @@ class TestVerify:
         assert run(capsys, "verify", path) == (
             1, "", f"{path}: trace 2: step 0 (Eq(5.5)): identity re-check failed for "
                    "ihat = 5/7\n")
+
+    def test_a_schema_4_step_is_named(self, capsys, tmp_path):
+        # a schema-4 certificate relabelled 5 fails at its first step, which holds premises
+        path = self.write(tmp_path, TAMPERED["premises"]())
+        assert run(capsys, "verify", path) == (
+            1, "", f"{path}: trace 0: step 0 is not an object of the keys "
+                   "['kind', 'rule', 'values']\n")
 
     @pytest.mark.parametrize("text", ["", "{", "[1,", "\ud800"], ids=repr)
     def test_a_file_that_is_not_json_exits_2(self, capsys, tmp_path, text):

@@ -390,6 +390,18 @@ class TestBettiValues:
             assert values == reference[: h + 1]
             assert values == poincare_series(n, h)
 
+    def test_the_list_is_the_only_large_allocation(self):
+        # 8 bytes per degree for the list's pointers (small ints are shared), and
+        # no second list of the same length as it is built
+        horizon = 10**6
+        tracemalloc.start()
+        try:
+            values = betti_values(2, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == horizon + 1 and peak <= 9 * horizon, peak / horizon
+
 
 class TestAlternatingBettiSum:
     @pytest.mark.parametrize("n", range(2, 41))
