@@ -6,10 +6,9 @@ floors are decided by integer case analysis, never by floating point.
 
 from fractions import Fraction
 
-from indexlab import make
-from indexlab.exact import ExactReal, compare, floor_scaled, fractional_part
+from indexlab.exact import ExactReal, floor_scaled
 
-rho = make(-1, 1, 1, 2)  # sqrt(2) - 1
+rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 print(f"rho = {rho.serialize()}  (irrational: {rho.is_irrational})")
 
 # floors of m * rho drive every index formula in the package
@@ -17,12 +16,12 @@ for m in (1, 2, 3, 10, 100, 10 ** 6):
     print(f"floor({m} * rho) = {floor_scaled(rho, m)}")
 
 # the fractional part of an irrational multiple is never zero
-x = fractional_part(rho * 12345)
+x = rho * 12345 - (rho * 12345).floor()
 print(f"frac(12345 * rho) has sign {x.sign()} (certified nonzero)")
 
 # exact comparison across a field and the rationals
 half = ExactReal.from_fraction(Fraction(1, 2))
-print(f"compare(rho, 1/2) = {compare(rho, half)}  (rho < 1/2 since 2*2^2 < 3^2)")
+print(f"sign(rho - 1/2) = {(rho - half).sign()}  (rho < 1/2 since 2*2^2 < 3^2)")
 
 # arithmetic stays in the field and in canonical form
 y = (rho * rho + rho / 3).inverse()

@@ -15,12 +15,12 @@ from indexlab import (
     analytic_period,
     critical_type,
     index_of_iterate,
-    make,
     mean_index,
 )
+from indexlab.exact import ExactReal
 
-rho = make(-1, 1, 1, 2)  # sqrt(2) - 1
-rho2 = make(-4, 3, 2, 2)  # (3*sqrt(2) - 4)/2, same field as rho
+rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
+rho2 = ExactReal(-4, 3, 2, 2)  # (3*sqrt(2) - 4)/2, same field as rho
 
 MODELS = [
     ("all rotations (NCG1)", GeodesicModel(4, NormalFormDecomposition([Rot(rho), Rot(rho), Rot(rho2)]), 0)),

@@ -11,7 +11,6 @@ from indexlab import (
     Rot,
     check_morse_inequalities,
     euler_limit,
-    make,
     mean_index,
     mean_index_identity_lhs,
     morse_numbers,
@@ -25,15 +24,15 @@ print("Betti numbers of the loop-space pair (n = 2):", betti_values(2, HORIZON))
 print("averaged Euler value: P^m(-1)/m ->", euler_limit(2))
 
 # one geodesic alone: the table under-fills and over-fills at once
-solo = GeodesicModel(2, NormalFormDecomposition([Rot(make(-1, 1, 1, 2))]), 0)
+solo = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 1, 2))]), 0)
 M = morse_numbers([solo], HORIZON)
 print("\nsolo geodesic Morse table:", list(M.values))
 for v in check_morse_inequalities(M, betti_values(2, HORIZON), HORIZON):
     print("  violation:", v)
 
 # a two-geodesic configuration with 1/(2 rho1) + 1/(2 (1 + rho2)) = 1
-g1 = GeodesicModel(2, NormalFormDecomposition([Rot(make(1, 1, 4, 5))]), 0)
-g2 = GeodesicModel(2, NormalFormDecomposition([Rot(make(-1, 1, 4, 5))]), 1)
+g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)
+g2 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)
 pair = [g1, g2]
 M2 = morse_numbers(pair, HORIZON)
 print("\npair Morse table:        ", list(M2.values))

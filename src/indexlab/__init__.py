@@ -7,7 +7,7 @@ trusted checker of single-geodesic certificates (`checker`), and the
 mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
-from .exact import ExactReal, FieldMismatchError, compare, floor_scaled, is_irrational, make
+from .exact import ExactReal, FieldMismatchError, floor_scaled
 from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot
 from .iteration import (
     Case,
@@ -34,10 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactReal",
     "FieldMismatchError",
-    "make",
-    "compare",
     "floor_scaled",
-    "is_irrational",
     "Rot",
     "NBlock",
     "Hyp",

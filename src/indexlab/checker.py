@@ -245,11 +245,12 @@ _C = "Contradiction"
 # of fact it states, the rules of the earlier steps it reads, one slot per
 # premise ("a|b" admits a step of either rule), the check of its values, and
 # the keys those values hold besides contradiction_kind ("a|b" admits either
-# set).  Rules are named as the paper cites them for even n, at every n.
+# set).  Rules are named as the paper cites them for even n, at every n.  The
+# steps before the closing take the rows' order: one spelling per derivation.
 _EVIDENCE = "evidence hypothetical_M"
 _RULES = {
-    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "value " + _EVIDENCE),
     ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "value s N rhs"),
+    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "value " + _EVIDENCE),
     ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity, "zero_parity i1_parity"),
     ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2), "max " + _EVIDENCE),
     ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3),
@@ -274,6 +275,7 @@ _RULES = {
 _TABLE = {key: (fact_kind, tuple(tuple(slot.split("|")) for slot in slots), check,
                  tuple(set(key_set.split()) for key_set in keys.split("|")))
           for key, (fact_kind, slots, check, keys) in _RULES.items()}
+_ORDER = {rule: i for i, (rule, kind) in enumerate(_RULES) if kind is None}
 
 # the contradictions that may close each case, the cases in replay order
 _CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
@@ -340,8 +342,8 @@ def verify_trace(n: int, trace: dict) -> bool:
     fact and values, nothing else, and is checked through its row of the rule
     table: it states the row's kind of fact, each slot has an earlier step
     (`_premises`), the row's check recomputes the values from n and those
-    premises, and the values hold the row's keys, no more.  Every step but
-    the last must be a premise of a later one.
+    premises, and the values hold the row's keys, no more.  The steps before
+    the last take the table's order, and each must be a premise of a later one.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
@@ -357,7 +359,7 @@ def verify_trace(n: int, trace: dict) -> bool:
             or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
-    last, parsed, t = len(steps) - 1, [], _Scope(n, case, subcase)
+    last, parsed, t, order = len(steps) - 1, [], _Scope(n, case, subcase), -1
     links, cited = _premises(steps), set()
     for i, step in enumerate(steps):
         if type(step) is not dict or step.keys() != _STEP_KEYS:
@@ -369,6 +371,10 @@ def verify_trace(n: int, trace: dict) -> bool:
             if not row or step["kind"] != row[0] or kind != (None if i < last else detail):
                 raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r} "
                                  f"is a step in this place at n = {n}")
+            if i < last:
+                if _ORDER[rule] <= order:
+                    raise TraceError(f"not after {steps[i - 1]['rule']}: the rule table's order")
+                order = _ORDER[rule]
             _, slots, check, key_sets = row
             if not _plain(values):
                 raise TraceError(f"a value in {values!r} is not of the type its key holds")

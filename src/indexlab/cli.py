@@ -86,7 +86,7 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
 
 def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Iterator:
     """The rows m = 1..mmax of the iterate table, each made when it is asked for:
-    (m, i, nu, epsilon, k0) tuples, or the text _dumps would make of each row's
+    (m, i, nu, epsilon, k0) tuples, or the text _dumps would give for each row's
     dict, with the keys in sorted order."""
     for m in range(1, mmax + 1):
         i_m, nu = iteration.index_of_iterate(g, m)
@@ -128,7 +128,7 @@ def cmd_morse_check(args) -> int:
     b = morse.betti_values(models[0].n, args.horizon)
     failures = morse.inequality_failures(M, b, args.horizon)
     first = next(failures, None)
-    # the text _dumps would make of the dict, with the keys in sorted order; M, b
+    # the text _dumps would give for the dict, with the keys in sorted order; M, b
     # and the failures are written 256 at a time, the failures formatted as they
     # are found, so only M and b themselves grow with the horizon
     rows = itertools.chain((first,) if first else (), failures)

@@ -226,20 +226,6 @@ class ExactReal:
         return self.serialize()
 
 
-def make(a: int, b: int, c: int, D: int) -> ExactReal:
-    """Build a canonical value (a + b*sqrt(D))/c."""
-    return ExactReal(a, b, c, D)
-
-
-def is_irrational(x: ExactReal) -> bool:
-    return x.is_irrational
-
-
-def compare(x: ExactReal, y: ExactReal) -> int:
-    """Exact trichotomy: -1, 0, or +1 as x <, =, > y."""
-    return (x - y).sign()
-
-
 def floor_scaled(x: ExactReal, m: int) -> int:
     """floor(m * x), exact.  For irrational x, m*x is never an integer."""
     if m <= 0:
@@ -251,7 +237,3 @@ def floor_scaled(x: ExactReal, m: int) -> int:
         return x.a * m // x.c
     t = math.isqrt(b * b * x.D)
     return (x.a * m + (t if b > 0 else -t - 1)) // x.c
-
-
-def fractional_part(x: ExactReal) -> ExactReal:
-    return x - x.floor()

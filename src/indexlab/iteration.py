@@ -18,7 +18,6 @@ from .symplectic import (
     NormalFormDecomposition,
     Rot,
     decomposition_from_json,
-    decomposition_to_json,
 )
 
 
@@ -164,16 +163,7 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
     return 1, 1
 
 
-# -- JSON serialization ----------------------------------------------------
-
-def model_to_json(g: GeodesicModel) -> dict:
-    return {
-        "n": g.n,
-        "p": g.p,
-        "case": g.case.value,
-        "dec": decomposition_to_json(g.dec),
-    }
-
+# -- JSON input ------------------------------------------------------------
 
 def _int_field(obj: dict, key: str) -> int:
     value = obj[key]

@@ -78,14 +78,7 @@ MAX_ITERATES = 10**8
 
 @dataclass(frozen=True)
 class MorseTable:
-    values: tuple[int, ...]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, q: int) -> int:
-        return self.values[q] if 0 <= q <= self.horizon else 0
+    values: tuple[int, ...]  # M_0..M_horizon
 
 
 def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:

@@ -46,7 +46,7 @@ class NBlock:
     """Twisted block N(alpha, B); rho = alpha/(2*pi).  Symplectic dimension 4.
 
     B is an arbitrary rational 2x2 matrix; it does not influence the index
-    iteration and is carried only for faithful serialization.
+    iteration and is checked when a block is built, then never read.
     """
 
     rho: ExactReal
@@ -104,23 +104,7 @@ class NormalFormDecomposition:
         return tuple(b for b in self.blocks if isinstance(b, Rot))
 
 
-# -- JSON serialization ----------------------------------------------------
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def block_to_json(b: Block) -> dict:
-    if isinstance(b, Rot):
-        return {"type": "rot", "rho": b.rho.serialize()}
-    if isinstance(b, Hyp):
-        return {"type": "hyp", "d": _frac_str(b.d)}
-    return {
-        "type": "n",
-        "rho": b.rho.serialize(),
-        "B": [[_frac_str(x) for x in row] for row in b.B],
-    }
-
+# -- JSON input ------------------------------------------------------------
 
 def _exact_number(value, name: str):
     """value if it is an int or a string; a JSON float or boolean is refused, never rounded."""
@@ -142,10 +126,6 @@ def block_from_json(obj: dict) -> Block:
                 _exact_number(x, "B entry")
         return NBlock(ExactReal.parse(obj["rho"]), B)  # NBlock makes the Fractions
     raise ValueError(f"unknown block type: {kind!r}")
-
-
-def decomposition_to_json(d: NormalFormDecomposition) -> dict:
-    return {"blocks": [block_to_json(b) for b in d.blocks]}
 
 
 def decomposition_from_json(obj: dict) -> NormalFormDecomposition:

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, make
+from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot
 from indexlab.exact import ExactReal
 
 NONSQUARE_D = [2, 3, 5, 6, 7, 10, 11, 13, 17, 19]
@@ -29,8 +29,30 @@ def random_rho(rng: random.Random, D: int) -> ExactReal:
     """Random irrational rotation number in (0, 1) within Q(sqrt(D))."""
     b = rng.randint(1, 9)
     c = rng.randint(2, 12)
-    x = make(0, b, c, D)
+    x = ExactReal(0, b, c, D)
     return x - x.floor()
+
+
+def _ratio(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def decomposition_json(dec: NormalFormDecomposition) -> dict:
+    """The model-file object of a decomposition: each block's type and data, in order."""
+    blocks = []
+    for b in dec.blocks:
+        if isinstance(b, Hyp):
+            blocks.append({"type": "hyp", "d": _ratio(b.d)})
+        else:
+            blocks.append({"type": "rot" if isinstance(b, Rot) else "n", "rho": b.rho.serialize()})
+        if isinstance(b, NBlock):
+            blocks[-1]["B"] = [[_ratio(x) for x in row] for row in b.B]
+    return {"blocks": blocks}
+
+
+def model_json(g: GeodesicModel) -> dict:
+    """The model-file object that `iterate` and `morse-check` read back as g."""
+    return {"n": g.n, "p": g.p, "case": g.case.value, "dec": decomposition_json(g.dec)}
 
 
 def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:

@@ -16,15 +16,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import indexlab
-from indexlab import (GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, checker, cli,
-                      iteration, make, morse, prover)
+from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
+                      checker, cli, iteration, morse, prover)
 from indexlab.cli import main
-from indexlab.iteration import model_to_json
 from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
 
-from conftest import random_model
+from conftest import model_json, random_model
 
-RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
+RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 
 
 def run(capsys, *argv):
@@ -33,9 +32,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def heap_peak(argv):
+    """The tracemalloc heap peak of main(argv), stdout discarded, after one untraced
+    warm-up run, so that only what the run itself holds is counted."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def write_models(tmp_path, models, name="models.json"):
     path = tmp_path / name
-    path.write_text(json.dumps([model_to_json(g) for g in models]))
+    path.write_text(json.dumps([model_json(g) for g in models]))
     return str(path)
 
 
@@ -43,7 +55,7 @@ def write_models(tmp_path, models, name="models.json"):
 def ncg1_model(tmp_path):
     g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(g)))
+    path.write_text(json.dumps(model_json(g)))
     return str(path)
 
 
@@ -71,21 +83,17 @@ class TestBetti:
         assert "n must be >= 2" in err
 
     def test_the_list_is_written_in_blocks(self, monkeypatch):
-        # b is written 256 numbers at a time: past the list itself, --qmax 10**6 costs
-        # 0.03 bytes of heap per degree; its whole json.dumps text cost about 5.3
-        qmax = 10**6
-        b = betti_values(2, qmax)
-        monkeypatch.setattr(morse, "betti_values", lambda n, h: b)
-        cli.build_parser()
+        # b is written 256 numbers at a time: past the list itself, the heap peak grows
+        # by under 0.25 bytes per degree from --qmax 10**4 to 10**5 (by 0); with the
+        # whole list formatted before the first write it grew by 31.2
+        sizes = (10**4, 10**5)
         for extra in ([], ["--json", os.devnull]):
-            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-                tracemalloc.start()
-                try:
-                    assert main(["betti", "--n", "2", "--qmax", str(qmax)] + extra) == 0
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert peak < (qmax + 1) // 4, extra
+            peaks = []
+            for qmax in sizes:
+                b = betti_values(2, qmax)
+                monkeypatch.setattr(morse, "betti_values", lambda n, h: b)
+                peaks.append(heap_peak(["betti", "--n", "2", "--qmax", str(qmax)] + extra))
+            assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) // 4, (extra, peaks)
 
 
 class TestSeries:
@@ -129,7 +137,7 @@ class TestIterate:
         path = tmp_path / "model.json"
         for _ in range(30):
             g, K = random_model(rng), rng.randint(0, 120)
-            path.write_text(json.dumps(model_to_json(g)))
+            path.write_text(json.dumps(model_json(g)))
             calls = Counter()
 
             def counted(name, fn):
@@ -146,27 +154,23 @@ class TestIterate:
             assert calls == Counter(index_of_iterate=2 * K, floor_scaled=g.dec.count(Rot) * K)
 
     def test_rows_are_written_as_they_are_made(self, ncg1_model):
-        # 100000 rows, as JSON to a file and as CSV to stdout, each under 1 MB of heap
-        # (0.06 and 0.18 MB); with every row built before the first was written, the
-        # peaks were 30.3 and 15.2 MB
-        cli.build_parser()
-        argv = ["iterate", "--model", ncg1_model, "--mmax", "100000"]
+        # 10**3 and 10**4 rows, as JSON to a file and as CSV to stdout: each peak is
+        # under 1 MB of heap (0.06 and 0.18 MB) and grows by under 10 bytes per added
+        # row (0.2 and 0); with every row built before the first was written, the
+        # peaks at 10**4 rows were 2.8 and 1.5 MB, and grew by 292 and 144 per row
+        sizes = (10**3, 10**4)
         for extra in (["--json", os.devnull], ["--csv"]):
-            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-                tracemalloc.start()
-                try:
-                    assert main(argv + extra) == 0
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert peak < 1 << 20, extra
+            peaks = [heap_peak(["iterate", "--model", ncg1_model, "--mmax", str(mmax)] + extra)
+                     for mmax in sizes]
+            assert max(peaks) < 1 << 20, (extra, peaks)
+            assert peaks[1] - peaks[0] < 10 * (sizes[1] - sizes[0]), (extra, peaks)
 
 
 class TestMorseCheck:
     def test_consistent_pair_exits_zero(self, capsys, tmp_path):
         # two-geodesic configuration whose Morse table equals the Betti table
-        g1 = GeodesicModel(2, NormalFormDecomposition([Rot(make(1, 1, 4, 5))]), 0)
-        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(make(-1, 1, 4, 5))]), 1)
+        g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)
+        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)
         path = write_models(tmp_path, [g1, g2])
         code, out, _ = run(capsys, "morse-check", "--models", path, "--horizon", "9")
         assert code == 0
@@ -215,7 +219,7 @@ class TestMorseCheck:
     def test_a_tiny_mean_index_is_refused_at_once(self, tmp_path):
         # rho = (1 + sqrt(2))/10**41 asks for 2.3e41 iterates at H = 10: refused before
         # any enumeration, where the loop ran until it was killed
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(make(1, 1, 10**41, 2))]), 0)
+        g = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 10**41, 2))]), 0)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-m", "indexlab.cli", "morse-check", "--models",
                                write_models(tmp_path, [g]), "--horizon", "10"],
@@ -262,8 +266,8 @@ class TestMorseCheckDocument:
 
 SHAPES = ["NCG1", "NCG2", "NCG3", "NCG4", "NCG5"]
 # (sqrt(2) - 1)/4, about 0.10: with p = 0 the slope -k outruns the floors, so indices go negative
-SMALL_RHO = make(-1, 1, 4, 2)
-SQRT2_RHOS = [RHO, make(7, -4, 8, 2), SMALL_RHO, make(2, -1, 1, 2)]  # one field
+SMALL_RHO = ExactReal(-1, 1, 4, 2)
+SQRT2_RHOS = [RHO, ExactReal(7, -4, 8, 2), SMALL_RHO, ExactReal(2, -1, 1, 2)]  # one field
 
 
 @st.composite
@@ -312,7 +316,7 @@ class TestIterateDocument:
         writer.writerows(rows)
         directory = tmp_path_factory.getbasetemp()
         model, out_path = directory / "iterate-model.json", directory / "iterate.json"
-        model.write_text(json.dumps(model_to_json(g)))
+        model.write_text(json.dumps(model_json(g)))
         argv = ["iterate", "--model", str(model), "--mmax", str(K)]
         out, csv_out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -327,9 +331,9 @@ class TestIterateDocument:
     @pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["json", "csv"])
     def test_a_mixed_field_model_is_an_input_error(self, capsys, tmp_path, extra):
         # the mean index sqrt(2) - 1 + (sqrt(5) - 1)/4 lies in no one quadratic field
-        g = GeodesicModel(3, NormalFormDecomposition([Rot(RHO), Rot(make(-1, 1, 4, 5))]), 0)
+        g = GeodesicModel(3, NormalFormDecomposition([Rot(RHO), Rot(ExactReal(-1, 1, 4, 5))]), 0)
         path = tmp_path / "mixed.json"
-        path.write_text(json.dumps(model_to_json(g)))
+        path.write_text(json.dumps(model_json(g)))
         code, out, err = run(capsys, "iterate", "--model", str(path), "--mmax", "5", *extra)
         assert (code, out) == (2, "")
         assert err == "error: cannot combine sqrt(2) with sqrt(5)\n"
@@ -337,7 +341,7 @@ class TestIterateDocument:
 
 class TestIdentity:
     def test_holding_identity(self, capsys, tmp_path):
-        rhos = [make(-1, 1, 1, 2), make(7, -4, 8, 2), make(7, -4, 8, 2)]
+        rhos = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), ExactReal(7, -4, 8, 2)]
         g = GeodesicModel(4, NormalFormDecomposition([Rot(r) for r in rhos]), 0)
         path = write_models(tmp_path, [g])
         code, out, _ = run(capsys, "identity", "--models", path)
@@ -729,9 +733,9 @@ class TestInputFaults:
         # a float, bool or string is refused, never truncated to an int
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({**model_to_json(g), key: value}))
+        path.write_text(json.dumps({**model_json(g), key: value}))
         self.check_fault(capsys, ["iterate", "--model", str(path)], f"{key} must be an integer")
-        path.write_text(json.dumps([{**model_to_json(g), key: value}]))
+        path.write_text(json.dumps([{**model_json(g), key: value}]))
         self.check_fault(capsys, ["morse-check", "--models", str(path)], f"{key} must be an integer")
 
     @pytest.mark.parametrize("block,field", [
@@ -813,11 +817,11 @@ class TestUsage:
 RHOS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(5))/4", "(1+1*sqrt(5))/4",
         "(1+1*sqrt(2))/1", "(1+1*sqrt(2))/0"]
 ODD = [None, True, -1, 0, 1, 3, 2.5, float("inf"), float("nan"), 10**40, "2", "1/0", "x\ny", [], {}]
-VALID = [model_to_json(GeodesicModel(n, NormalFormDecomposition(b), p)) for n, b, p in [
+VALID = [model_json(GeodesicModel(n, NormalFormDecomposition(b), p)) for n, b, p in [
     (2, [Rot(RHO)], 0),
     (3, [Rot(RHO), Hyp(Fraction(2))], 2),
     (3, [Hyp(Fraction(2)), Hyp(Fraction(-3))], 1),
-    (5, [Rot(RHO), Rot(make(7, -4, 8, 2)), Hyp(Fraction(2)), Hyp(Fraction(3))], 3),
+    (5, [Rot(RHO), Rot(ExactReal(7, -4, 8, 2)), Hyp(Fraction(2)), Hyp(Fraction(3))], 3),
     (3, [NBlock(RHO)], 0),
 ]]
 json_values = st.recursive(

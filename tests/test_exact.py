@@ -6,77 +6,69 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indexlab.exact import (
-    ExactReal,
-    FieldMismatchError,
-    compare,
-    floor_scaled,
-    fractional_part,
-    is_irrational,
-    make,
-)
+from indexlab.exact import ExactReal, FieldMismatchError, floor_scaled
 
 from conftest import NONSQUARE_D, approx
 
-SQRT2_M1 = make(-1, 1, 1, 2)  # sqrt(2) - 1
+SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 
 
 class TestMake:
     def test_irrational_value(self):
         x = SQRT2_M1
         assert (x.a, x.b, x.c, x.D) == (-1, 1, 1, 2)
-        assert is_irrational(x)
+        assert x.is_irrational
 
     def test_gcd_normalization(self):
-        x = make(2, 0, 4, 0)
+        x = ExactReal(2, 0, 4, 0)
         assert (x.a, x.b, x.c, x.D) == (1, 0, 2, 0)
-        assert not is_irrational(x)
+        assert not x.is_irrational
 
     def test_perfect_square_folds(self):
         # (0 + 2*sqrt(4))/2 = 2; cross-checked against the rational approximation
-        x = make(0, 2, 2, 4)
+        x = ExactReal(0, 2, 2, 4)
         assert (x.a, x.b, x.c, x.D) == (2, 0, 1, 0)
         assert approx(x) == 2
 
     def test_negative_denominator_absorbed(self):
-        x = make(1, 1, -2, 2)
+        x = ExactReal(1, 1, -2, 2)
         assert x.c == 2 and x.a == -1 and x.b == -1
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            make(1, 0, 0, 0)
+            ExactReal(1, 0, 0, 0)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
-            make(0, 1, 1, -2)
+            ExactReal(0, 1, 1, -2)
 
 
 class TestIsIrrational:
     def test_quadratic_irrational(self):
-        assert is_irrational(SQRT2_M1)
+        assert SQRT2_M1.is_irrational
 
     def test_rational(self):
-        assert not is_irrational(make(1, 0, 2, 0))
+        assert not ExactReal(1, 0, 2, 0).is_irrational
 
     def test_perfect_square_radicand(self):
-        assert not is_irrational(make(0, 3, 1, 9))
+        assert not ExactReal(0, 3, 1, 9).is_irrational
 
 
 class TestCompare:
     def test_cross_field_examples(self):
         # (sqrt(2)-1)^2 = 3 - 2 sqrt(2) < 1/4 by integer cross-multiplication
-        assert compare(SQRT2_M1, make(1, 0, 2, 0)) < 0
-        assert compare(make(3, 0, 2, 0), make(0, 1, 1, 2)) > 0
+        assert (SQRT2_M1 - ExactReal(1, 0, 2, 0)).sign() < 0
+        assert (ExactReal(3, 0, 2, 0) - ExactReal(0, 1, 1, 2)).sign() > 0
 
     def test_reflexive(self):
-        assert compare(SQRT2_M1, SQRT2_M1) == 0
+        assert (SQRT2_M1 - SQRT2_M1).sign() == 0
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
-            compare(make(0, 1, 1, 2), make(0, 1, 1, 3))
+            ExactReal(0, 1, 1, 2) - ExactReal(0, 1, 1, 3)
 
     def test_rational_mixes_with_any_field(self):
-        assert compare(make(1, 0, 1, 0), make(0, 1, 1, 3)) < 0
+        assert (ExactReal(1, 0, 1, 0) - ExactReal(0, 1, 1, 3)).sign() < 0
 
 
 class TestFloorScaled:
@@ -88,10 +80,10 @@ class TestFloorScaled:
         assert floor_scaled(SQRT2_M1, 3) == 1
 
     def test_rational_exact(self):
-        assert floor_scaled(make(1, 0, 2, 0), 4) == 2
+        assert floor_scaled(ExactReal(1, 0, 2, 0), 4) == 2
 
     def test_negative_value(self):
-        assert floor_scaled(make(1, -1, 1, 2), 1) == -1  # 1 - sqrt(2)
+        assert floor_scaled(ExactReal(1, -1, 1, 2), 1) == -1  # 1 - sqrt(2)
 
     def test_against_rational_approximation(self):
         for m in (1, 7, 99, 12345):
@@ -114,7 +106,7 @@ def _sign_plus_sqrt(u: int, v: int, D: int) -> int:
 
 
 exact_reals = st.builds(
-    make,
+    ExactReal,
     st.integers(-50, 50),
     st.integers(-20, 20),
     st.integers(1, 30),
@@ -137,7 +129,7 @@ class TestProperties:
         st.integers(1, 10 ** 7),
     )
     def test_floor_against_integer_oracle(self, a, b, c, D, m):
-        x = make(a, b, c, D)
+        x = ExactReal(a, b, c, D)
         f = floor_scaled(x, m)
         a, b, c = x.a, x.b, x.c
         # f*c <= a*m + b*m*sqrt(D) < (f+1)*c, with signs decided by squaring
@@ -147,15 +139,15 @@ class TestProperties:
 
     @given(exact_reals, exact_reals, exact_reals)
     def test_total_order(self, x, y, z):
-        assert (compare(x, y) == 0) == (x == y)
-        assert compare(x, y) == -compare(y, x)
+        assert ((x - y).sign() == 0) == (x == y)
+        assert (x - y).sign() == -(y - x).sign()
         if x <= y <= z:
             assert x <= z
 
     @given(exact_reals, st.integers(1, 10 ** 5))
     def test_strict_fractional_part_when_irrational(self, x, m):
         if x.is_irrational:
-            assert fractional_part(x * m).sign() > 0
+            assert (x * m - (x * m).floor()).sign() > 0
 
     @given(exact_reals, exact_reals, st.fractions())
     def test_arithmetic_closure_and_canonical_form(self, x, y, q):
@@ -192,7 +184,7 @@ class TestProperties:
     @example(0, 0, 1, 2)
     def test_sign_against_integer_oracle(self, a, b, c, D):
         expected = _sign_plus_sqrt(a, b, D) if b else (a > 0) - (a < 0)
-        assert make(a, b, c, D).sign() == expected
+        assert ExactReal(a, b, c, D).sign() == expected
 
     @given(st.one_of(st.integers(), st.fractions()))
     def test_rational_values_hash_as_their_equals(self, q):
@@ -212,4 +204,4 @@ def test_parse_rejects_garbage():
 
 
 def test_division_by_rational():
-    assert SQRT2_M1 / 2 == make(-1, 1, 2, 2)
+    assert SQRT2_M1 / 2 == ExactReal(-1, 1, 2, 2)

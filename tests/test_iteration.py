@@ -17,15 +17,14 @@ from indexlab import (
     classify,
     critical_type,
     index_of_iterate,
-    make,
     mean_index,
 )
 from indexlab.exact import ExactReal
-from indexlab.iteration import ModelInvariantError, model_from_json, model_to_json
+from indexlab.iteration import ModelInvariantError, model_from_json
 
-from conftest import random_model
+from conftest import model_json, random_model
 
-RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
+RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 H2 = Hyp(Fraction(2))
 
 
@@ -106,11 +105,11 @@ class TestMeanIndex:
         assert mean_index(GeodesicModel(3, dec(H2, H2), 2)) == ExactReal(2)
 
     def test_ncg1_value(self):
-        assert mean_index(GeodesicModel(2, dec(Rot(RHO)), 0)) == make(-2, 2, 1, 2)
+        assert mean_index(GeodesicModel(2, dec(Rot(RHO)), 0)) == ExactReal(-2, 2, 1, 2)
 
     def test_ncg4_value(self):
         g = GeodesicModel(3, dec(Rot(RHO), H2), 1)
-        assert mean_index(g) == make(-2, 2, 1, 2)  # (p-1) + 2 rho
+        assert mean_index(g) == ExactReal(-2, 2, 1, 2)  # (p-1) + 2 rho
 
     def test_is_the_limit_slope(self):
         g = GeodesicModel(2, dec(Rot(RHO)), 0)
@@ -177,11 +176,11 @@ class TestJson:
     def test_round_trip(self, rng):
         for _ in range(40):
             g = random_model(rng)
-            g2 = model_from_json(model_to_json(g))
+            g2 = model_from_json(model_json(g))
             assert (g2.n, g2.p, g2.case, g2.dec.blocks) == (g.n, g.p, g.case, g.dec.blocks)
 
     def test_case_mismatch_rejected(self):
-        obj = model_to_json(GeodesicModel(2, dec(Rot(RHO)), 0))
+        obj = model_json(GeodesicModel(2, dec(Rot(RHO)), 0))
         obj["case"] = "NCG5"
         with pytest.raises(ModelInvariantError):
             model_from_json(obj)

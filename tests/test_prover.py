@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexlab import (Case, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, make,
+from indexlab import (Case, ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
                       replay, verify_certificate, verify_trace)
 from indexlab import checker, prover
 from indexlab.checker import (
@@ -391,7 +391,7 @@ class TestShapeVacuity:
         # blocks has k + 2r + h = n-1; GeodesicModel accepts every census (its NCG2
         # and NCG3 bound k <= n-2r-2 is h >= 1) and classify names its shape: the
         # kernel must call exactly the other shapes vacuous
-        rho = make(-1, 1, 1, 2)  # sqrt(2) - 1
+        rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
         for n in range(2, 13):
             reached = {GeodesicModel(n, NormalFormDecomposition(
                 [Rot(rho)] * k + [NBlock(rho)] * r + [Hyp(Fraction(2))] * (n - 1 - 2 * r - k)),
@@ -622,11 +622,12 @@ class TestMutations:
         assert mutants > 0
 
     def test_swapped_or_relabelled_steps_are_rejected(self):
-        # the premises are derived from the order of the steps: two adjacent steps
-        # swapped are rejected unless every step still rests on the same steps (a
-        # swap of two steps that read neither each other nor a rule of the other),
-        # which is the same derivation written in another order
-        applied = dict.fromkeys(["rejected", "same derivation", "relabelled L6.3"], 0)
+        # the premises are derived from the order of the steps, and the steps before
+        # the closing take the rule table's order: two adjacent steps swapped are
+        # rejected, also where every step still rests on the same steps (a swap of
+        # two steps that read neither each other nor a rule of the other), which is
+        # the same derivation written in another order
+        applied = dict.fromkeys(["other derivation", "same derivation", "relabelled L6.3"], 0)
         for n in range(2, 41):
             for t in _traces(n):
                 steps = t["steps"]
@@ -638,9 +639,10 @@ class TestMutations:
                     moved = dict(zip(map(id, swapped), _premise_steps(swapped)))
                     if [moved[id(step)] for step in steps] == derivation:
                         applied["same derivation"] += 1
-                        assert verify_trace(n, {**t, "steps": swapped})
+                        with pytest.raises(TraceError, match="the rule table's order"):
+                            verify_trace(n, {**t, "steps": swapped})
                     else:
-                        applied["rejected"] += 1
+                        applied["other derivation"] += 1
                         with pytest.raises(TraceError):
                             verify_trace(n, {**t, "steps": swapped})
                 for i, step in enumerate(steps):
@@ -649,7 +651,11 @@ class TestMutations:
                         with pytest.raises(TraceError):
                             verify_trace(n, _replaced(t, i, {**step["values"], "hypotheses": []},
                                                       rule="L6.4"))
-        assert all(applied.values()), applied
+        # every adjacent swap at n = 2..40; the kernel once accepted the 523 of them
+        # that keep the derivation
+        assert applied["same derivation"] == 523
+        assert applied["same derivation"] + applied["other derivation"] == 1128
+        assert applied["relabelled L6.3"] > 0
 
     def test_claim1_rests_on_its_own_floor_sum_and_the_iterate_before(self):
         # each mutant is consistent in itself, but the induction does not reach
@@ -850,14 +856,13 @@ class TestMutations:
         assert keys == {"set", "hypotheses", "iterates", "evidence", "hypothetical_M"}
 
     def test_every_step_but_the_last_is_a_premise(self):
-        mutants = 0
+        mutants, rows_in_order = [0, 0], list(_RULES)
         for n in range(2, 41):
             for t in _traces(n):
                 steps = t["steps"]
                 for k in range(len(steps) - 1):
                     # step k dropped
                     dropped = _kept(t, [i for i in range(len(steps)) if i != k])
-                    mutants += 1
                     with pytest.raises(TraceError):
                         verify_trace(n, dropped)
                 for k in range(len(steps)):
@@ -868,10 +873,14 @@ class TestMutations:
                                 _lemma_step("L6.2", "IndexRange", check_lemma_6_2, n)):
                         padded = steps[:k + 1] + [pad] + steps[k + 1:]
                         if k + 1 < len(padded) - 1:  # a padded closing is not the last step
-                            mutants += 1
-                            with pytest.raises(TraceError, match="premises of no later step"):
+                            # a pad out of the rule table's order is rejected for that first
+                            rows = [rows_in_order.index((s["rule"], None)) for s in padded[:-1]]
+                            in_order = all(a < b for a, b in zip(rows, rows[1:]))
+                            mutants[in_order] += 1
+                            with pytest.raises(TraceError, match="premises of no later step"
+                                               if in_order else "the rule table's order"):
                                 verify_trace(n, {**t, "steps": padded})
-        assert mutants > 0
+        assert all(mutants), mutants
 
     def test_the_claim1_induction_cannot_be_cut_out(self):
         # the pigeonhole then rests on Cor6.4, which establishes the index of c^1 only

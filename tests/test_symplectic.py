@@ -8,32 +8,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indexlab import Hyp, NBlock, NormalFormDecomposition, Rot, make
-from indexlab.symplectic import (
-    BlockInvariantError,
-    decomposition_from_json,
-    decomposition_to_json,
-)
+from indexlab import ExactReal, Hyp, NBlock, NormalFormDecomposition, Rot
+from indexlab.symplectic import BlockInvariantError, decomposition_from_json
 
-from conftest import random_rho
+from conftest import decomposition_json, random_rho
 
-RHO = make(-1, 1, 1, 2)  # sqrt(2) - 1
-RHO2 = make(-1, 1, 1, 3)  # sqrt(3) - 1
+RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
+RHO2 = ExactReal(-1, 1, 1, 3)  # sqrt(3) - 1
 
 
 def dumps(d: NormalFormDecomposition) -> str:
     """The canonical JSON text of a decomposition's document."""
-    return json.dumps(decomposition_to_json(d), sort_keys=True, separators=(",", ":"))
+    return json.dumps(decomposition_json(d), sort_keys=True, separators=(",", ":"))
 
 
 class TestBlockInvariants:
     def test_rational_rotation_rejected(self):
         with pytest.raises(BlockInvariantError):
-            Rot(make(1, 0, 3, 0))
+            Rot(ExactReal(1, 0, 3, 0))
 
     def test_rotation_outside_unit_interval_rejected(self):
         with pytest.raises(BlockInvariantError):
-            Rot(make(1, 1, 1, 2))  # 1 + sqrt(2) > 1
+            Rot(ExactReal(1, 1, 1, 2))  # 1 + sqrt(2) > 1
 
     @given(st.integers(-60, 60), st.integers(-12, 12),
            st.integers(-40, 40).filter(bool), st.integers(0, 50))
@@ -52,10 +48,10 @@ class TestBlockInvariants:
         else:
             needle = "(0, 1)"
         if needle is None:
-            Rot(make(a, b, c, D))
+            Rot(ExactReal(a, b, c, D))
         else:
             with pytest.raises(BlockInvariantError, match=re.escape(needle)):
-                Rot(make(a, b, c, D))
+                Rot(ExactReal(a, b, c, D))
 
     def test_hyperbolic_forbidden_parameters(self):
         for d in (0, 1, -1):
@@ -97,11 +93,11 @@ class TestJson:
     def test_round_trip(self, rng):
         for _ in range(30):
             d = _random_dec(rng)
-            assert decomposition_from_json(decomposition_to_json(d)).blocks == d.blocks
+            assert decomposition_from_json(decomposition_json(d)).blocks == d.blocks
 
     def test_deterministic_dump(self):
         d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(-3, 7)), NBlock(RHO2)])
-        assert dumps(d) == dumps(decomposition_from_json(decomposition_to_json(d)))
+        assert dumps(d) == dumps(decomposition_from_json(decomposition_json(d)))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
