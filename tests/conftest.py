@@ -43,10 +43,11 @@ def decomposition_json(dec: NormalFormDecomposition) -> dict:
     for b in dec.blocks:
         if isinstance(b, Hyp):
             blocks.append({"type": "hyp", "d": _ratio(b.d)})
+        elif isinstance(b, Rot):
+            blocks.append({"type": "rot", "rho": b.rho.serialize()})
         else:
-            blocks.append({"type": "rot" if isinstance(b, Rot) else "n", "rho": b.rho.serialize()})
-        if isinstance(b, NBlock):
-            blocks[-1]["B"] = [[_ratio(x) for x in row] for row in b.B]
+            blocks.append({"type": "n", "rho": b.rho.serialize(),
+                           "B": [[_ratio(x) for x in row] for row in b.B]})
     return {"blocks": blocks}
 
 
