@@ -1,10 +1,10 @@
 """Exact-arithmetic Morse index iteration for closed geodesics on spheres.
 
-The library has six layers: exact quadratic-field arithmetic (`exact`),
-symplectic normal-form blocks (`symplectic`), case classification and
-index iteration (`iteration`), Betti/Morse bookkeeping (`morse`), the
-trusted checker of single-geodesic certificates (`checker`), and the
-mechanical single-geodesic case-analysis replayer (`prover`).
+The library has six layers: the trusted certificate checker (`checker`),
+which imports nothing from the package; exact quadratic-field arithmetic
+(`exact`), symplectic normal-form blocks (`symplectic`), case classification
+and index iteration (`iteration`), Betti/Morse bookkeeping (`morse`), and
+the mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
 from .exact import ExactReal, FieldMismatchError, floor_scaled

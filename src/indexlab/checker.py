@@ -1,17 +1,17 @@
 """The trusted checker: it re-validates every numeric step of a parsed
 certificate with exact arithmetic, reading its cases as the certificate's own
-strings "NCG1" to "NCG5".  It imports from the package only the Betti closed
-forms of `morse`, so it can be audited on its own; the replay in `prover`
-builds its steps from its rule table and imports from it, never the reverse.
+strings "NCG1" to "NCG5".  It imports nothing from the package, so this one
+file can be audited and run alone (`python -I checker.py CERT.json`); `morse`
+takes its Betti closed forms and `prover` its rule table, never the reverse.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-
-from .morse import alternating_betti_sum, betti, euler_limit
 
 
 class TraceError(ValueError):
@@ -43,6 +43,45 @@ def floor_sum_range(m: int, terms: int, total: Fraction) -> range:
 def _ends(r: range) -> list[int]:
     """A range as a certificate carries it: [first, last], or [] when empty."""
     return [r[0], r[-1]] if r else []
+
+
+# -- Betti closed forms and the averaged Euler value ----------------------
+
+def betti(n: int, q: int) -> int:
+    """b_q of the quotient free-loop-space pair of the n-sphere.
+
+    b_q = A_q + A_{q-1} for the alternating sums A of alternating_betti_sum,
+    as A_q = b_q - A_{q-1}.
+    """
+    return alternating_betti_sum(n, q) + alternating_betti_sum(n, q - 1)
+
+
+def alternating_betti_sum(n: int, q: int) -> int:
+    """A_q = b_q - b_{q-1} + b_{q-2} - ... - (+-)b_0, in closed form.
+
+    b_j is 2 on the doubling set K (odd multiples k(n-1), k >= 3, for even n;
+    all multiples k(n-1), k >= 2, for odd n), 1 on the arithmetic ray
+    n-1 + 2N_0 off K, else 0.  Every nonzero b_j has the parity of n-1 (the
+    ray holds K), so each enters with the sign (-1)^(q-n+1), and the sum is
+    that sign times (#ray points <= q + #K points <= q).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if q < n - 1:
+        return 0
+    ray = (q - (n - 1)) // 2 + 1
+    k_max = q // (n - 1)  # the multiples k(n-1) <= q
+    doubled = (k_max - 1) // 2 if n % 2 == 0 else k_max - 1  # odd k >= 3, resp. k >= 2
+    return (ray + doubled) * (1 if (q - n + 1) % 2 == 0 else -1)
+
+
+def euler_limit(n: int) -> Fraction:
+    """Limit of P^m(-1)/m for the sphere loop-space pair."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n % 2 == 0:
+        return Fraction(-n, 2 * (n - 1))
+    return Fraction(n + 1, 2 * (n - 1))
 
 
 # -- lemma checks: each derives a step's values from Morse violations
@@ -430,3 +469,12 @@ def verify_certificate(doc: dict) -> bool:
 
 
 CERTIFICATE_SCHEMA = 5
+
+
+if __name__ == "__main__":
+    try:
+        with open(sys.argv[1], encoding="utf-8") as fh:
+            verify_certificate(json.load(fh))
+    except (OSError, ValueError) as e:  # a TraceError is a ValueError, as is bad JSON
+        sys.exit(f"{sys.argv[1]}: {' '.join(str(e).splitlines())}")
+    print(f"{sys.argv[1]}: verified")

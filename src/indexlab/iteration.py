@@ -9,7 +9,6 @@ every iterate; the nullity vanishes identically (bumpy hypothesis).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .exact import ExactReal, floor_scaled
 from .symplectic import (
@@ -57,29 +56,21 @@ def classify(n: int, dec: NormalFormDecomposition) -> Case:
     return Case.NCG2 if k % 2 == 0 else Case.NCG3
 
 
-@dataclass(frozen=True)
 class GeodesicModel:
     """One hypothetical prime closed geodesic: blocks + homotopy parameter p.
 
     Every case shape iterates as i(c^m) = slope*m + 2*sum floor(m*rho_j) + const
     over its rotation numbers rho_j; the model fixes (slope, const) when built.
+    Instances are immutable, and equal and hashed by (n, dec, p).
     """
 
-    n: int
-    dec: NormalFormDecomposition
-    p: int
-    case: Case = field(init=False)
-    rotation_numbers: tuple[ExactReal, ...] = field(init=False, repr=False, compare=False)
-    slope: int = field(init=False, repr=False, compare=False)
-    const: int = field(init=False, repr=False, compare=False)
-    _last: list = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, dec: NormalFormDecomposition, p: int):
+        if n < 2:
             raise ModelInvariantError("sphere dimension n must be >= 2")
-        n, p = self.n, self.p
-        case = classify(n, self.dec)
-        k, r = self.dec.count(Rot), self.dec.count(NBlock)
+        case = classify(n, dec)
+        k, r = dec.count(Rot), dec.count(NBlock)
         slope, const = {
             Case.NCG1: (2 * p, n - 2 * r - 1),
             Case.NCG2: (p - k, k),
@@ -87,8 +78,8 @@ class GeodesicModel:
             Case.NCG4: (p - 1, 1),
             Case.NCG5: (p, 0),
         }[case]
-        for name, value in (("case", case),
-                            ("rotation_numbers", tuple(b.rho for b in self.dec.rotations)),
+        for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
+                            ("rotation_numbers", tuple(b.rho for b in dec.rotations)),
                             ("slope", slope), ("const", const), ("_last", [(0, None)])):
             object.__setattr__(self, name, value)
         if case is Case.NCG1:
@@ -97,12 +88,30 @@ class GeodesicModel:
                     f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {self.initial_index}"
                 )
         else:
-            if self.p < 0:
-                raise ModelInvariantError(f"{case.value} requires p >= 0, got {self.p}")
-        if case is Case.NCG2 and not (2 <= k <= self.n - 2 * r - 2):
+            if p < 0:
+                raise ModelInvariantError(f"{case.value} requires p >= 0, got {p}")
+        if case is Case.NCG2 and not (2 <= k <= n - 2 * r - 2):
             raise ModelInvariantError(f"NCG2 needs even k with 2 <= k <= n-2r-2, got k={k}")
-        if case is Case.NCG3 and not (3 <= k <= self.n - 2 * r - 2):
+        if case is Case.NCG3 and not (3 <= k <= n - 2 * r - 2):
             raise ModelInvariantError(f"NCG3 needs odd k with 3 <= k <= n-2r-2, got k={k}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeodesicModel is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.dec, self.p) == (other.n, other.dec, other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.dec, self.p))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked __setattr__
+        return (GeodesicModel, (self.n, self.dec, self.p))
+
+    def __repr__(self):
+        return f"GeodesicModel(n={self.n!r}, dec={self.dec!r}, p={self.p!r}, case={self.case!r})"
 
     @property
     def initial_index(self) -> int:

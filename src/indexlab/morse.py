@@ -8,12 +8,11 @@ iterates, and the mean-index identity from exact quadratic-field values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import NamedTuple
 
+from .checker import alternating_betti_sum, betti, euler_limit  # the kernel's closed forms
 from .exact import ExactReal
 from .iteration import (
     GeodesicModel,
@@ -29,15 +28,6 @@ class NonTerminatingSumError(ValueError):
 
 
 # -- Betti numbers ---------------------------------------------------------
-
-def betti(n: int, q: int) -> int:
-    """b_q of the quotient free-loop-space pair of the n-sphere.
-
-    b_q = A_q + A_{q-1} for the alternating sums A of alternating_betti_sum,
-    as A_q = b_q - A_{q-1}.
-    """
-    return alternating_betti_sum(n, q) + alternating_betti_sum(n, q - 1)
-
 
 def betti_values(n: int, horizon: int) -> list[int]:
     """[betti(n, q) for q in range(horizon + 1)], as one period repeated in place."""
@@ -76,9 +66,7 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
 MAX_ITERATES = 10**8
 
 
-@dataclass(frozen=True)
-class MorseTable:
-    values: tuple[int, ...]  # M_0..M_horizon
+MorseTable = namedtuple("MorseTable", "values")  # values: M_0..M_horizon
 
 
 def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
@@ -101,11 +89,10 @@ def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
     return MorseTable(tuple(values))
 
 
-class Violation(NamedTuple):
-    q: int
-    kind: str  # "alternating" for the partial-sum inequality, "pointwise" for M_q >= b_q
-    lhs: int
-    rhs: int
+class Violation(namedtuple("Violation", "q kind lhs rhs")):
+    """kind is "alternating" for the partial-sum inequality, "pointwise" for M_q >= b_q."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"q={self.q} {self.kind}: {self.lhs} >= {self.rhs} fails"
@@ -137,36 +124,6 @@ def check_morse_inequalities(
     """All failures of the Morse inequalities up to the horizon, in the order
     of inequality_failures; an empty report means consistency."""
     return list(map(Violation._make, inequality_failures(M, b, horizon)))
-
-
-def alternating_betti_sum(n: int, q: int) -> int:
-    """A_q = b_q - b_{q-1} + b_{q-2} - ... - (+-)b_0, in closed form.
-
-    b_j is 2 on the doubling set K (odd multiples k(n-1), k >= 3, for even n;
-    all multiples k(n-1), k >= 2, for odd n), 1 on the arithmetic ray
-    n-1 + 2N_0 off K, else 0.  Every nonzero b_j has the parity of n-1 (the
-    ray holds K), so each enters with the sign (-1)^(q-n+1), and the sum is
-    that sign times (#ray points <= q + #K points <= q).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if q < n - 1:
-        return 0
-    ray = (q - (n - 1)) // 2 + 1
-    k_max = q // (n - 1)  # the multiples k(n-1) <= q
-    doubled = (k_max - 1) // 2 if n % 2 == 0 else k_max - 1  # odd k >= 3, resp. k >= 2
-    return (ray + doubled) * (1 if (q - n + 1) % 2 == 0 else -1)
-
-
-# -- averaged Euler value --------------------------------------------------
-
-def euler_limit(n: int) -> Fraction:
-    """Limit of P^m(-1)/m for the sphere loop-space pair."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        return Fraction(-n, 2 * (n - 1))
-    return Fraction(n + 1, 2 * (n - 1))
 
 
 # -- mean index identity ---------------------------------------------------

@@ -23,8 +23,8 @@ from fractions import Fraction
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
 from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
                       _period_and_sign, _premises, _shape_vacuity, check_lemma_6_1,
-                      check_lemma_6_2, check_lemma_6_3, floor_sum_range, verify_trace)
-from .morse import euler_limit
+                      check_lemma_6_2, check_lemma_6_3, euler_limit, floor_sum_range,
+                      verify_trace)
 
 # One replayed trace, each field the JSON value the certificate holds: the case
 # tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the

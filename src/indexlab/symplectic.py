@@ -11,9 +11,9 @@ in (0, 1) \\ {1/2} that must be irrational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .exact import ExactReal
 
@@ -29,68 +29,58 @@ def _check_rho(rho: ExactReal, what: str) -> None:
         raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho}")
 
 
-@dataclass(frozen=True)
-class Rot:
+class Rot(namedtuple("Rot", "rho")):
     """Rotation block R(theta); rho = theta/(2*pi).  Symplectic dimension 2."""
 
-    rho: ExactReal
-
-    def __post_init__(self):
-        _check_rho(self.rho, "R-block")
-
+    __slots__ = ()
     dim = 2
 
+    def __new__(cls, rho: ExactReal):
+        _check_rho(rho, "R-block")
+        return super().__new__(cls, rho)
 
-@dataclass(frozen=True)
-class NBlock:
+
+class NBlock(namedtuple("NBlock", "rho B")):
     """Twisted block N(alpha, B); rho = alpha/(2*pi).  Symplectic dimension 4.
 
     B is an arbitrary rational 2x2 matrix; it does not influence the index
     iteration and is checked when a block is built, then never read.
     """
 
-    rho: ExactReal
-    B: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] = (
-        (Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0)),
-    )
-
-    def __post_init__(self):
-        _check_rho(self.rho, "N-block")
-        B = tuple(tuple(Fraction(x) for x in row) for row in self.B)
-        if len(B) != 2 or any(len(row) != 2 for row in B):
-            raise BlockInvariantError("B must be a 2x2 matrix")
-        object.__setattr__(self, "B", B)
-
+    __slots__ = ()
     dim = 4
 
+    def __new__(cls, rho: ExactReal, B=((0, 0), (0, 0))):
+        _check_rho(rho, "N-block")
+        B = tuple(tuple(Fraction(x) for x in row) for row in B)
+        if len(B) != 2 or any(len(row) != 2 for row in B):
+            raise BlockInvariantError("B must be a 2x2 matrix")
+        return super().__new__(cls, rho, B)
 
-@dataclass(frozen=True)
-class Hyp:
+
+class Hyp(namedtuple("Hyp", "d")):
     """Hyperbolic block H(d) = diag(d, 1/d), d not in {0, +1, -1}.  Dimension 2."""
 
-    d: Fraction
-
-    def __post_init__(self):
-        d = Fraction(self.d)
-        if d in (0, 1, -1):
-            raise BlockInvariantError(f"hyperbolic parameter must avoid {{0, 1, -1}}, got {d}")
-        object.__setattr__(self, "d", d)
-
+    __slots__ = ()
     dim = 2
 
+    def __new__(cls, d: Fraction):
+        d = Fraction(d)
+        if d in (0, 1, -1):
+            raise BlockInvariantError(f"hyperbolic parameter must avoid {{0, 1, -1}}, got {d}")
+        return super().__new__(cls, d)
 
-Block = Union[Rot, NBlock, Hyp]
+
+Block = Rot | NBlock | Hyp
 
 
-@dataclass(frozen=True, init=False)
-class NormalFormDecomposition:
+class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
     """Ordered diamond-sum of normal-form blocks."""
 
-    blocks: tuple[Block, ...]
+    __slots__ = ()
 
-    def __init__(self, blocks: Iterable[Block] = ()):
-        object.__setattr__(self, "blocks", tuple(blocks))
+    def __new__(cls, blocks: Iterable[Block] = ()):
+        return super().__new__(cls, tuple(blocks))
 
     @property
     def total_dim(self) -> int:

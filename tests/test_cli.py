@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -562,6 +563,30 @@ class TestVerify:
     def test_a_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+
+    def check_alone(self, tmp_path, path):
+        """Run a copy of checker.py, alone in its directory, in isolated mode on path:
+        no indexlab module can be imported there, so the kernel runs on its own."""
+        alone = tmp_path / "alone"
+        alone.mkdir(exist_ok=True)
+        shutil.copy(checker.__file__, alone)
+        return subprocess.run([sys.executable, "-I", "checker.py", path], cwd=alone,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_the_checker_file_alone_verifies_prove_output(self, capsys, tmp_path):
+        for n in (2, 3, 4, 5, 12, 61):
+            path = str(tmp_path / f"{n}.json")
+            assert run(capsys, "prove", "--n", str(n), "--json", path) == (0, "", "")
+            done = self.check_alone(tmp_path, path)
+            assert (done.returncode, done.stdout, done.stderr) == (0, f"{path}: verified\n", "")
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED))
+    def test_the_checker_file_alone_rejects_a_tampered_certificate(self, capsys, tmp_path, name):
+        path = self.write(tmp_path, TAMPERED[name]())
+        done = self.check_alone(tmp_path, path)
+        # a non-zero exit and the same line that `indexlab verify` writes
+        _, _, err = run(capsys, "verify", path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -70,6 +70,56 @@ class TestModelInvariants:
         assert GeodesicModel(3, dec(H2, H2), 3).initial_index == 3
 
 
+class TestModelValueSemantics:
+    TEXT = ("GeodesicModel(n=4, dec=NormalFormDecomposition(blocks=("
+            "Rot(rho=ExactReal(-1, 1, 1, 2)), Hyp(d=Fraction(2, 1)), "
+            "Rot(rho=ExactReal(-1, 1, 1, 3)))), p=3, case=<Case.NCG2: 'NCG2'>)")
+
+    @staticmethod
+    def make():
+        return GeodesicModel(n=4, dec=dec(Rot(RHO), H2, Rot(ExactReal(-1, 1, 1, 3))), p=3)
+
+    def test_equal_inputs_give_equal_models_that_copy_and_pickle(self):
+        g, h = self.make(), self.make()
+        assert g is not h and g == h and hash(g) == hash(h) and repr(g) == self.TEXT
+        index_of_iterate(g, 7)  # a filled cache is not part of the value
+        for z in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert type(z) is GeodesicModel and z == g and hash(z) == hash(g)
+            assert repr(z) == self.TEXT
+            assert (z.case, z.rotation_numbers, z.slope, z.const) == (
+                g.case, g.rotation_numbers, g.slope, g.const)
+
+    def test_equality_reads_n_dec_and_p(self):
+        g = GeodesicModel(2, dec(Rot(RHO)), 1)
+        assert g == GeodesicModel(2, dec(Rot(RHO)), p=1)
+        assert g != GeodesicModel(2, dec(Rot(RHO)), 2)
+        assert g != GeodesicModel(2, dec(Rot(ExactReal(-1, 1, 1, 3))), 1)
+        assert g != GeodesicModel(3, dec(Rot(RHO), Rot(RHO)), 1)
+        assert g != (2, dec(Rot(RHO)), 1) and g != g.dec
+
+    def test_assignment_raises(self):
+        g = self.make()
+        for attr in ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last",
+                     "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, attr, 0)
+        assert repr(g) == self.TEXT
+
+    @pytest.mark.parametrize("n, blocks, p, message", [
+        (1, (), 0, "sphere dimension n must be >= 2"),
+        (3, (Rot(RHO),), 0, "decomposition has dimension 2, expected 4"),
+        (2, (Rot(RHO),), -1, "NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got -1"),
+        (2, (H2,), -1, "NCG5 requires p >= 0, got -1"),
+        (4, (Rot(RHO), Rot(RHO), H2), -1, "NCG2 requires p >= 0, got -1"),
+        (5, (Rot(RHO), Rot(RHO), Rot(RHO), H2), -2, "NCG3 requires p >= 0, got -2"),
+        (3, (Rot(RHO), H2), -3, "NCG4 requires p >= 0, got -3"),
+    ])
+    def test_each_bad_input_has_its_message(self, n, blocks, p, message):
+        with pytest.raises(ModelInvariantError) as info:
+            GeodesicModel(n, dec(*blocks), p)
+        assert str(info.value) == message
+
+
 class TestIndexOfIterate:
     def test_ncg5_linear(self):
         g = GeodesicModel(3, dec(H2, H2), p=2)

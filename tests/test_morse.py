@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -377,6 +379,31 @@ class TestMorseInequalities:
         for M in (table, MorseTable(tuple(table))):
             for betti_table in (betti_values(n, b_horizon), list(b)):
                 assert check_morse_inequalities(M, betti_table, horizon) == expected
+
+
+class TestResultValueSemantics:
+    VALUES = [(lambda: MorseTable((1, 0, 2)), "MorseTable(values=(1, 0, 2))"),
+              (lambda: MorseTable(values=()), "MorseTable(values=())"),
+              (lambda: Violation(3, "alternating", -1, 0),
+               "Violation(q=3, kind='alternating', lhs=-1, rhs=0)"),
+              (lambda: Violation(q=1, kind="pointwise", lhs=0, rhs=1),
+               "Violation(q=1, kind='pointwise', lhs=0, rhs=1)")]
+
+    @pytest.mark.parametrize("make, text", VALUES)
+    def test_equal_values_copy_pickle_and_stay_fixed(self, make, text):
+        x, y = make(), make()
+        assert x is not y and x == y and hash(x) == hash(y) and repr(x) == text
+        for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(z) is type(x) and z == x and hash(z) == hash(x) and repr(z) == text
+        for attr in ("values", "q", "kind", "lhs", "rhs", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 0)
+        assert repr(x) == text
+
+    def test_a_violation_reads_as_its_inequality(self):
+        assert str(Violation(3, "alternating", -1, 0)) == "q=3 alternating: -1 >= 0 fails"
+        assert Violation(1, "pointwise", 0, 1)._asdict() == {
+            "q": 1, "kind": "pointwise", "lhs": 0, "rhs": 1}
 
 
 class TestBettiValues:

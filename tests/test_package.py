@@ -2,29 +2,51 @@
 and no floating point."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "indexlab").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "indexlab").glob("*.py"))
 
 
 def nodes(path):
     return ast.walk(ast.parse(path.read_text(), str(path)))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_imports_only_the_standard_library(path):
+def absolute_imports(path):
+    """(line, top-level module) of each absolute import in the file."""
     for node in nodes(path):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            assert name.split(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
+            yield node.lineno, node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    for lineno, name in absolute_imports(path):
+        assert name in sys.stdlib_module_names, (path.name, lineno, name)
+
+
+# what `import dataclasses` or `import typing` loads with it; none is needed to run a command
+HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_neither_dataclasses_nor_typing(path):
+    assert [(n, m) for n, m in absolute_imports(path) if m in ("dataclasses", "typing")] == []
+
+
+def test_starting_the_cli_loads_no_heavy_module():
+    # -S: no site, so no .pth file of the environment loads any of them first
+    code = f"import sys, indexlab.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -54,8 +76,8 @@ def test_sees_every_module():
 CHECKER = next(p for p in MODULES if p.name == "checker.py")
 
 
-def test_the_checker_imports_from_the_package_only_the_closed_forms_of_morse():
-    # so it never imports prover, iteration or cli: prover imports from it, never the reverse
+def test_the_checker_imports_nothing_from_the_package():
+    # so the one file runs on its own, and prover imports from it, never the reverse
     package = []
     for node in nodes(CHECKER):
         if isinstance(node, ast.Import):
@@ -64,7 +86,7 @@ def test_the_checker_imports_from_the_package_only_the_closed_forms_of_morse():
         elif isinstance(node, ast.ImportFrom) and (
                 node.level or node.module.split(".")[0] == "indexlab"):
             package.append((node.level, node.module, sorted(a.name for a in node.names)))
-    assert package == [(1, "morse", ["alternating_betti_sum", "betti", "euler_limit"])]
+    assert package == []
 
 
 def test_the_checker_names_no_case_enum():

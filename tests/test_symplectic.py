@@ -1,4 +1,7 @@
+import copy
+import itertools
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -68,6 +71,73 @@ class TestBlockInvariants:
         assert Rot(RHO).dim == 2
         assert Hyp(Fraction(2)).dim == 2
         assert NBlock(RHO).dim == 4
+
+
+# one value of each block kind and of a decomposition, built twice from equal inputs,
+# with the repr each keeps
+_B = "B=((Fraction(1, 1), Fraction(2, 1)), (Fraction(1, 3), Fraction(0, 1)))"
+_ZERO_B = "B=((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1)))"
+VALUES = {
+    "Rot": (lambda: Rot(RHO), "Rot(rho=ExactReal(-1, 1, 1, 2))"),
+    "NBlock": (lambda: NBlock(RHO, ((1, 2), (Fraction(1, 3), 0))),
+               f"NBlock(rho=ExactReal(-1, 1, 1, 2), {_B})"),
+    "NBlock default B": (lambda: NBlock(rho=RHO2),
+                         f"NBlock(rho=ExactReal(-1, 1, 1, 3), {_ZERO_B})"),
+    "Hyp": (lambda: Hyp(d=-3), "Hyp(d=Fraction(-3, 1))"),
+    "empty sum": (lambda: NormalFormDecomposition(), "NormalFormDecomposition(blocks=())"),
+    "sum": (lambda: NormalFormDecomposition(blocks=iter([Rot(RHO), Hyp("1/2")])),
+            "NormalFormDecomposition(blocks=(Rot(rho=ExactReal(-1, 1, 1, 2)), "
+            "Hyp(d=Fraction(1, 2))))"),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equal_inputs_give_equal_values_that_copy_and_pickle(self, name):
+        make, text = VALUES[name]
+        x, y = make(), make()
+        assert x is not y and x == y and hash(x) == hash(y) and repr(x) == text
+        for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(z) is type(x) and z == x and hash(z) == hash(x) and repr(z) == text
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_assignment_raises(self, name):
+        make, text = VALUES[name]
+        x = make()
+        for attr in ("rho", "B", "d", "blocks", "dim", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 0)
+        assert repr(x) == text
+
+    def test_a_block_equals_only_a_block_of_its_kind_and_data(self):
+        blocks = [Rot(RHO), Rot(RHO2), NBlock(RHO), NBlock(RHO2), NBlock(RHO, ((1, 0), (0, 1))),
+                  Hyp(2), Hyp(Fraction(-1, 3))]
+        for (i, a), (j, b) in itertools.product(enumerate(blocks), repeat=2):
+            assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
+            assert NormalFormDecomposition([a]) != b
+        assert NBlock(RHO) == NBlock(RHO, [[0, 0], ["0", Fraction(0)]])
+        assert Hyp(2) == Hyp("4/2") == Hyp(Fraction(2)) and hash(Hyp(2)) == hash(Hyp("4/2"))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Rot(ExactReal(1, 0, 3)),
+         "R-block rotation number must be irrational, got (1+0*sqrt(0))/3"),
+        (lambda: Rot(ExactReal(1, 1, 1, 2)),
+         "R-block rotation number must lie in (0, 1), got (1+1*sqrt(2))/1"),
+        (lambda: NBlock(ExactReal(1, 0, 2)),
+         "N-block rotation number must be irrational, got (1+0*sqrt(0))/2"),
+        (lambda: NBlock(ExactReal(-3, 1, 1, 2)),
+         "N-block rotation number must lie in (0, 1), got (-3+1*sqrt(2))/1"),
+        (lambda: NBlock(RHO, ((1, 2),)), "B must be a 2x2 matrix"),
+        (lambda: NBlock(RHO, ((1, 2), (3, 4), (5, 6))), "B must be a 2x2 matrix"),
+        (lambda: NBlock(RHO, ((1, 2), (3,))), "B must be a 2x2 matrix"),
+        (lambda: Hyp(1), "hyperbolic parameter must avoid {0, 1, -1}, got 1"),
+        (lambda: Hyp(Fraction(-2, 2)), "hyperbolic parameter must avoid {0, 1, -1}, got -1"),
+        (lambda: Hyp("0/5"), "hyperbolic parameter must avoid {0, 1, -1}, got 0"),
+    ])
+    def test_each_bad_input_has_its_message(self, make, message):
+        with pytest.raises(BlockInvariantError) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestDiamondSum:
