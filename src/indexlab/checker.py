@@ -7,6 +7,7 @@ takes its Betti closed forms and `prover` its rule table, never the reverse.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -341,15 +342,24 @@ def _plain(value) -> bool:
     return True
 
 
-def _shape_vacuity(n: int, case: str) -> str | None:
-    """Reason the case shape is unsatisfiable at this n, or None."""
-    if case == "NCG2" and n < 4:
-        return f"even k with 2 <= k <= n-2r-2 unsatisfiable for n = {n}"
-    if case == "NCG3" and n < 5:
-        return f"odd k with 3 <= k <= n-2r-2 unsatisfiable for n = {n}"
-    if case == "NCG4" and n < 3:
-        return f"one rotation plus a hyperbolic block needs n - 2r - 1 >= 2, impossible for n = {n}"
-    return None
+def case_of(k: int, h: int) -> str:
+    """The case shape of k rotation and h hyperbolic blocks (Long's normal forms):
+    h = 0 gives NCG1 if k > 0, else NCG5; otherwise k = 0, 1, even, odd give
+    NCG5, NCG4, NCG2, NCG3 (at k = 1 the NCG1 and NCG4 formulas agree)."""
+    if h == 0:
+        return "NCG1" if k else "NCG5"
+    if k < 2:
+        return "NCG4" if k else "NCG5"
+    return "NCG3" if k % 2 else "NCG2"
+
+
+@functools.lru_cache(maxsize=64)  # a certificate asks once per trace and case
+def _reached(n: int) -> frozenset[str]:
+    """The shapes of the censuses k + 2r + h = n-1.  A shape reads only k = 0, k = 1,
+    k's parity and h = 0, so taking 2 from k >= 4 or from h >= 3 keeps the shape and
+    the parity 2r needs: k < 4 and h < 3 reach every shape, in O(1)."""
+    return frozenset(case_of(k, h) for k in range(min(n, 4)) for h in range(min(n - k, 3))
+                     if (n - 1 - k - h) % 2 == 0)
 
 
 # the JSON type of each field of a trace; what the row checks read of it besides the values
@@ -360,7 +370,7 @@ _STEP_KEYS = {"rule", "kind", "values"}
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
     """The subcases replay derives for a case shape at n, in order."""
-    return ("",) if case == "NCG1" or _shape_vacuity(n, case) else ("p even", "p odd")
+    return ("",) if case == "NCG1" or case not in _reached(n) else ("p even", "p odd")
 
 
 def _premises(steps: list) -> Iterator[list[int]]:
@@ -389,12 +399,12 @@ def verify_trace(n: int, trace: dict) -> bool:
     if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
         raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
     case, subcase, steps, detail = trace["case"], trace["subcase"], trace["steps"], trace["detail"]
-    reason = _shape_vacuity(n, case)
-    if trace["verdict"] == "vacuous":
-        if steps or reason is None or (subcase, detail) != ("", reason):
-            raise TraceError(f"{case} at n = {n} is not vacuous for this reason")
+    reached = _reached(n)
+    if trace["verdict"] == "vacuous":  # a shape no census of dimension 2(n-1) reaches
+        if steps or case not in _CLOSINGS.keys() - reached or (subcase, detail) != ("", ""):
+            raise TraceError(f"{case} at n = {n} is not a vacuous trace of an unreached shape")
         return True
-    if (trace["verdict"] != "contradiction" or not steps or reason is not None
+    if (trace["verdict"] != "contradiction" or not steps or case not in reached
             or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
@@ -445,7 +455,7 @@ def verify_trace(n: int, trace: dict) -> bool:
 
 
 def verify_certificate(doc: dict) -> bool:
-    """Re-validate a parsed certificate: schema 5, an integer n >= 2, each trace by
+    """Re-validate a parsed certificate: schema 6, an integer n >= 2, each trace by
     verify_trace, and each (case, subcase) replay derives at n once, in replay order,
     for every case shape, or for the shapes named in a document marked "partial": true."""
     if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
@@ -468,13 +478,16 @@ def verify_certificate(doc: dict) -> bool:
     return True
 
 
-CERTIFICATE_SCHEMA = 5
+CERTIFICATE_SCHEMA = 6
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: python checker.py CERT.json", file=sys.stderr)
+        sys.exit(2)
     try:
         with open(sys.argv[1], encoding="utf-8") as fh:
             verify_certificate(json.load(fh))
-    except (OSError, ValueError) as e:  # a TraceError is a ValueError, as is bad JSON
+    except (OSError, RecursionError, ValueError) as e:  # TraceError and bad JSON are ValueErrors
         sys.exit(f"{sys.argv[1]}: {' '.join(str(e).splitlines())}")
     print(f"{sys.argv[1]}: verified")

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import enum
 
+from .checker import case_of
 from .exact import ExactReal, floor_scaled
-from .symplectic import (
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    Rot,
-    decomposition_from_json,
-)
+from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot, decomposition_from_json
 
 
 class Case(enum.Enum):
@@ -33,27 +28,13 @@ class ModelInvariantError(ValueError):
 
 
 def classify(n: int, dec: NormalFormDecomposition) -> Case:
-    """Determine the case tag from the non-N block census.
-
-    With k rotations and h hyperbolic blocks among the 2x2 blocks:
-    h = 0 with k > 0 is NCG1 (a rotation-only tail, including the k = 1
-    boundary, where the NCG1 and NCG4 formulas agree); h = 0 with k = 0
-    is NCG5 with an empty hyperbolic tail; otherwise k = 0 -> NCG5,
-    k = 1 -> NCG4, k even -> NCG2, k odd -> NCG3.
-    """
+    """The case tag of the non-N block census: `checker.case_of` of its k
+    rotations and h hyperbolic blocks, for a decomposition of dimension 2(n-1)."""
     if dec.total_dim != 2 * (n - 1):
         raise ModelInvariantError(
             f"decomposition has dimension {dec.total_dim}, expected {2 * (n - 1)}"
         )
-    k = dec.count(Rot)
-    h = dec.count(Hyp)
-    if h == 0:
-        return Case.NCG1 if k > 0 else Case.NCG5
-    if k == 0:
-        return Case.NCG5
-    if k == 1:
-        return Case.NCG4
-    return Case.NCG2 if k % 2 == 0 else Case.NCG3
+    return Case(case_of(dec.count(Rot), dec.count(Hyp)))
 
 
 class GeodesicModel:
@@ -87,13 +68,8 @@ class GeodesicModel:
                 raise ModelInvariantError(
                     f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {self.initial_index}"
                 )
-        else:
-            if p < 0:
-                raise ModelInvariantError(f"{case.value} requires p >= 0, got {p}")
-        if case is Case.NCG2 and not (2 <= k <= n - 2 * r - 2):
-            raise ModelInvariantError(f"NCG2 needs even k with 2 <= k <= n-2r-2, got k={k}")
-        if case is Case.NCG3 and not (3 <= k <= n - 2 * r - 2):
-            raise ModelInvariantError(f"NCG3 needs odd k with 3 <= k <= n-2r-2, got k={k}")
+        elif p < 0:
+            raise ModelInvariantError(f"{case.value} requires p >= 0, got {p}")
 
     def __setattr__(self, name, value):
         raise AttributeError("GeodesicModel is immutable")

@@ -386,14 +386,14 @@ class TestProve:
         assert code == 0
         doc = json.loads(out)
         assert {t["verdict"] for t in doc["traces"]} <= {"contradiction", "vacuous"}
-        assert doc["schema"] == 5 and "partial" not in doc
+        assert doc["schema"] == 6 and "partial" not in doc
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "prove", "--n", "5", "--case", "ncg4")
         assert code == 0
         doc = json.loads(out)
         assert [t["case"] for t in doc["traces"]] == ["NCG4", "NCG4"]
-        assert (doc["schema"], doc["partial"]) == (5, True)
+        assert (doc["schema"], doc["partial"]) == (6, True)
 
     def test_unknown_case_filter(self, capsys):
         code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")
@@ -487,6 +487,15 @@ def _evidence(key, x):  # the failure the L6.2 step cites, at n = 6 step 2, with
     return lambda t: t["steps"][2]["values"]["evidence"].update({key: x})
 
 
+def _schema_5(n):
+    """The certificate for n with each vacuous trace's reason put back, as schema 5 held it."""
+    doc = json.loads(prover.certificate_json(n))
+    for t in doc["traces"]:
+        if t["verdict"] == "vacuous":
+            t["detail"] = prover.vacuity(n, t["case"])
+    return {**doc, "schema": 5}
+
+
 # whole documents, each with one of the tamperings of TestVerifier in test_prover.py, a step
 # that carries prose, premises or a relation, an n that is not an integer >= 2, or an
 # earlier schema
@@ -498,12 +507,13 @@ TAMPERED = {
        for key, x in (("q", 0), ("lhs", -1), ("rhs", 2))},
     "open trace": lambda: _edited(4, "NCG5", "p odd", lambda t: t["steps"].pop()),
     "statement": lambda: _edited(4, "NCG1", "", lambda t: t["steps"][0].update(statement="")),
-    "premises": lambda: _schema_4(5, schema=5),
+    "premises": lambda: _schema_4(5, schema=6),
     "relation": lambda: _edited(4, "NCG1", "", _values(0, relation="=")),
     **{f"n = {n!r}": lambda n=n: {**json.loads(prover.certificate_json(2)), "n": n}
        for n in (1, 0, -3, True, 2.0, "2", None)},
     "schema 3": lambda: {**json.loads(prover.certificate_json(5)), "schema": 3},
     "schema 4": lambda: _schema_4(5),
+    "schema 5": lambda: _schema_5(2),
 }
 
 
@@ -521,7 +531,7 @@ class TestVerify:
             assert (code, err) == (0, "")
             doc = json.loads(prover.certificate_json(n))
             steps = sum(len(t["steps"]) for t in doc["traces"])
-            assert out == ('{"n":%d,"partial":false,"schema":5,"steps":%d,"traces":%d,'
+            assert out == ('{"n":%d,"partial":false,"schema":6,"steps":%d,"traces":%d,'
                            '"verified":true}\n' % (n, steps, len(doc["traces"])))
 
     def test_a_partial_certificate_verifies(self, capsys, tmp_path):
@@ -547,7 +557,7 @@ class TestVerify:
                    "ihat = 5/7\n")
 
     def test_a_schema_4_step_is_named(self, capsys, tmp_path):
-        # a schema-4 certificate relabelled 5 fails at its first step, which holds premises
+        # a schema-4 certificate relabelled 6 fails at its first step, which holds premises
         path = self.write(tmp_path, TAMPERED["premises"]())
         assert run(capsys, "verify", path) == (
             1, "", f"{path}: trace 0: step 0 is not an object of the keys "
@@ -564,14 +574,30 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert (code, out) == (2, "") and err.startswith("error: cannot read ")
 
-    def check_alone(self, tmp_path, path):
-        """Run a copy of checker.py, alone in its directory, in isolated mode on path:
+    def check_alone(self, tmp_path, *args):
+        """Run a copy of checker.py, alone in its directory, in isolated mode on args:
         no indexlab module can be imported there, so the kernel runs on its own."""
         alone = tmp_path / "alone"
         alone.mkdir(exist_ok=True)
         shutil.copy(checker.__file__, alone)
-        return subprocess.run([sys.executable, "-I", "checker.py", path], cwd=alone,
+        return subprocess.run([sys.executable, "-I", "checker.py", *args], cwd=alone,
                               capture_output=True, text=True, timeout=60)
+
+    def test_the_checker_file_alone_needs_one_file(self, tmp_path):
+        # no argument, or two: one usage line and exit 2, never a traceback
+        path = self.write(tmp_path, json.loads(prover.certificate_json(2)))
+        for args in ((), (path, path)):
+            done = self.check_alone(tmp_path, *args)
+            assert (done.returncode, done.stdout, done.stderr) == (
+                2, "", "usage: python checker.py CERT.json\n")
+
+    def test_the_checker_file_alone_rejects_deep_nesting_in_one_line(self, tmp_path):
+        # JSON nested past the recursion limit is a file it cannot parse: exit 1, one line
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5)
+        done = self.check_alone(tmp_path, str(path))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith(f"{path}: ") and done.stderr.count("\n") == 1
 
     def test_the_checker_file_alone_verifies_prove_output(self, capsys, tmp_path):
         for n in (2, 3, 4, 5, 12, 61):

@@ -19,6 +19,7 @@ from indexlab import (
     index_of_iterate,
     mean_index,
 )
+from indexlab.checker import case_of
 from indexlab.exact import ExactReal
 from indexlab.iteration import ModelInvariantError, model_from_json
 
@@ -54,6 +55,29 @@ class TestClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ModelInvariantError):
             classify(3, dec(Rot(RHO)))
+
+    # Long's normal forms by census: row h, column k = 0..5 rotation blocks.  No
+    # hyperbolic block: NCG1 with a rotation, NCG5 without; with one: no rotation
+    # NCG5, one NCG4, an even number NCG2, an odd number >= 3 NCG3
+    SHAPES = {
+        0: ["NCG5", "NCG1", "NCG1", "NCG1", "NCG1", "NCG1"],
+        1: ["NCG5", "NCG4", "NCG2", "NCG3", "NCG2", "NCG3"],
+        2: ["NCG5", "NCG4", "NCG2", "NCG3", "NCG2", "NCG3"],
+        3: ["NCG5", "NCG4", "NCG2", "NCG3", "NCG2", "NCG3"],
+    }
+
+    def test_case_of_is_the_table_of_the_normal_forms(self):
+        assert {(k, h): case_of(k, h) for h in range(4) for k in range(6)} == {
+            (k, h): case for h, row in self.SHAPES.items() for k, case in enumerate(row)}
+
+    def test_classify_reads_the_census_through_case_of(self):
+        # every census of k rotations, r N-blocks and h hyperbolic blocks at n = 2..6
+        for n in range(2, 7):
+            for r in range((n - 1) // 2 + 1):
+                for k in range(n - 2 * r):
+                    h = n - 1 - 2 * r - k
+                    blocks = [Rot(RHO)] * k + [NBlock(RHO)] * r + [H2] * h
+                    assert classify(n, dec(*blocks)) is Case(self.SHAPES[min(h, 3)][min(k, 5)])
 
 
 class TestModelInvariants:

@@ -61,6 +61,12 @@ def test_uses_no_floating_point(path):
                     and any(alias.name == "sqrt" for alias in node.names)), where
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml claims requires-python >= 3.10: no newer syntax may creep in
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_all_names_are_bound():
     import indexlab
 

@@ -17,7 +17,7 @@ from indexlab.checker import (
     _RULES,
     _TABLE,
     _VALUE_TYPES,
-    _shape_vacuity,
+    _reached,
     TraceError,
     _violation_at,
     check_lemma_6_1,
@@ -27,7 +27,7 @@ from indexlab.checker import (
 )
 from indexlab.cli import main
 from indexlab.morse import Violation, betti_values, check_morse_inequalities, euler_limit
-from indexlab.prover import certificate, certificate_json, render
+from indexlab.prover import certificate, certificate_json, render, vacuity
 
 
 def _sparse(dense):
@@ -286,11 +286,8 @@ class TestVerifier:
 
     @pytest.mark.parametrize("n", [1, 0, -3, True, 2.0, "2", None], ids=repr)
     def test_n_is_an_integer_of_at_least_2(self, n):
-        # traces of n = 2, the vacuous one carrying the reason its shape would give at this n
-        vacuous = _trace(2, "NCG2")
-        if type(n) in (int, bool):
-            vacuous = {**vacuous, "detail": _shape_vacuity(n, "NCG2")}
-        for trace in (vacuous, _trace(2, "NCG1")):
+        # traces of n = 2, one vacuous: no census at n < 2 reaches NCG2 either
+        for trace in (_trace(2, "NCG2"), _trace(2, "NCG1")):
             with pytest.raises(TraceError, match="n must be"):
                 verify_trace(n, trace)
 
@@ -360,18 +357,18 @@ class TestVerifier:
 
     def test_a_schema_3_certificate_is_rejected(self):
         for n in (2, 3, 12):
-            with pytest.raises(TraceError, match="not a certificate: schema 5"):
+            with pytest.raises(TraceError, match="not a certificate: schema 6"):
                 verify_certificate(schema_3(n))
             with pytest.raises(TraceError, match="not an object of the keys"):
-                verify_certificate({**schema_3(n), "schema": 5})
+                verify_certificate({**schema_3(n), "schema": 6})
 
     def test_a_schema_4_certificate_is_rejected(self):
         # a step that still holds its premises, or a value that still holds its relation
         for n in (2, 3, 12):
-            with pytest.raises(TraceError, match="not a certificate: schema 5"):
+            with pytest.raises(TraceError, match="not a certificate: schema 6"):
                 verify_certificate(schema_4(n))
             with pytest.raises(TraceError, match="step 0 is not an object of the keys"):
-                verify_certificate({**schema_4(n), "schema": 5})
+                verify_certificate({**schema_4(n), "schema": 6})
         relations = 0
         for n in range(2, 41):
             for t, old in zip(_traces(n), schema_4(n)["traces"]):
@@ -384,20 +381,49 @@ class TestVerifier:
                             verify_trace(n, _replaced(t, i, kept["values"]))
         assert relations > 0
 
+    def test_a_schema_5_certificate_is_rejected(self):
+        # a vacuous trace that still holds its reason, or a schema-6 document relabelled 5
+        for n in (2, 3, 4, 12):
+            with pytest.raises(TraceError, match="not a certificate: schema 6"):
+                verify_certificate(schema_5(n))
+            with pytest.raises(TraceError, match="not a certificate: schema 6"):
+                verify_certificate({**_doc(n), "schema": 5})
+            if n < 5:
+                with pytest.raises(TraceError, match="is not a vacuous trace"):
+                    verify_certificate({**schema_5(n), "schema": 6})
+
 
 class TestShapeVacuity:
     def test_the_vacuous_shapes_are_those_no_census_reaches(self):
         # a model of dimension 2(n-1) with k rotations, r N-blocks and h hyperbolic
-        # blocks has k + 2r + h = n-1; GeodesicModel accepts every census (its NCG2
-        # and NCG3 bound k <= n-2r-2 is h >= 1) and classify names its shape: the
-        # kernel must call exactly the other shapes vacuous
+        # blocks has k + 2r + h = n-1; GeodesicModel accepts every census and classify
+        # names its shape: the kernel must reach exactly those shapes
         rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-        for n in range(2, 13):
+        for n in range(2, 17):
             reached = {GeodesicModel(n, NormalFormDecomposition(
                 [Rot(rho)] * k + [NBlock(rho)] * r + [Hyp(Fraction(2))] * (n - 1 - 2 * r - k)),
                 1).case.value for r in range((n - 1) // 2 + 1) for k in range(n - 2 * r)}
-            assert reached == {case.value for case in Case
-                               if _shape_vacuity(n, case.value) is None}, n
+            assert reached == _reached(n), n
+            assert [t.case for t in replay(n) if t.verdict == "vacuous"] == sorted(
+                {case.value for case in Case} - reached), n
+
+    @pytest.mark.parametrize("n", [5, 6, 10**9, 10**9 + 1])
+    def test_every_shape_is_reached_from_n_5(self, n):
+        assert _reached(n) == {case.value for case in Case}
+
+    def test_a_reached_shape_has_no_vacuous_trace(self):
+        # NCG3 is first reached at n = 5: its two subcases cannot give way to a vacuous
+        # trace, with or without the reason schema 5 gave
+        doc = _doc(5)
+        k = [t["case"] for t in doc["traces"]].index("NCG3")
+        for detail in ("", vacuity(4, "NCG3"), vacuity(5, "NCG3")):
+            vacuous = {"case": "NCG3", "subcase": "", "steps": [], "verdict": "vacuous",
+                       "detail": detail}
+            with pytest.raises(TraceError, match="is not a vacuous trace"):
+                verify_trace(5, vacuous)
+            for traces in ([vacuous], doc["traces"][:k] + [vacuous] + doc["traces"][k + 2:]):
+                with pytest.raises(TraceError, match="is not a vacuous trace"):
+                    verify_certificate({**doc, "traces": traces})
 
 
 def _replaced(trace, index, values=None, **changes):
@@ -949,6 +975,19 @@ CERTIFICATE_BYTES = 16_000
 # sha256 of certificate_json(n), pinned so that any change to the certificate
 # bytes is deliberate; a schema change updates these and says so in CHANGES.md
 GOLDEN_SHA256 = {
+    2: "b05045d021019d3aa70d1b398c562af36a7cacd9c274b3bcccf781124089f8be",
+    3: "ee45ee17774dacd9920825118cc6c51fc88a997e79bf97f9144b411ddfdc4626",
+    4: "7c1e6b3ba12857df4847f4a2e20512ef017603a537aceaa9a002ed6a8b78955d",
+    5: "ce4fc42285bc6846fa3252f4769550c1c4493f0420adf07ee857e4361a8b4972",
+    12: "3fa2baa8a50741ac632c7d45471c6cddc86c2c08faae96c87dfcc68425e6e20c",
+    81: "74ff7d64b0ff90586f95e125d4f3ff905d0fe31af7ccd18b4040ff241fe8699e",
+    120: "81171a282334ed236b7b81b2b5de7c989a72f2f9274e5362101b9ceb395043e3",
+    200: "8353ee3a3df235252b6c1c56413a20fc9d30146d4ea39f756999737a8b5afcdb",
+}
+
+# sha256 of the certificate_json(n) bytes of schema 5, whose vacuous traces
+# carried the reason in their detail
+SCHEMA_5_SHA256 = {
     2: "ca6144a7c241550a81b5f563755caab8d3582ca9d22e0918c4f6c05b0d81bc88",
     3: "ad1e5a4f4dccaa0f60a858fc562874fbc7c0a5dc0c2f72ba7a378bdc9c83fddf",
     4: "c3c80cb7bcb1685436a0b3961604b717257cdfb7c5e3f6b9474ac92036a3574e",
@@ -981,10 +1020,20 @@ SCHEMA_3_RULES_SHA256 = "f0ceb8e45808675a4d32bb8293da3813792b2999c5555a9e0ba2828
 SCHEMA_4_RELATIONS = {("L6.1", None): ">", ("Eq(5.5)", None): "=", ("Eq(6.9)", None): "="}
 
 
+def schema_5(n):
+    """The schema-5 certificate document for n, rebuilt from schema 6: each
+    vacuous trace with the reason `vacuity` gives put back in its detail."""
+    doc = {**_doc(n), "schema": 5}
+    for t in doc["traces"]:
+        if t["verdict"] == "vacuous":
+            t["detail"] = vacuity(n, t["case"])
+    return doc
+
+
 def schema_4(n):
     """The schema-4 certificate document for n, rebuilt from schema 5: each step
     with the premises the checker derives and its row's relation put back."""
-    doc = {**_doc(n), "schema": 4}
+    doc = {**schema_5(n), "schema": 4}
     for t in doc["traces"]:
         t["steps"] = [
             {**step, "premises": premises, "values": step["values"] | (
@@ -1008,12 +1057,17 @@ class TestCertificate:
     def test_golden_digest(self, n):
         assert hashlib.sha256(certificate_json(n).encode()).hexdigest() == GOLDEN_SHA256[n]
 
+    @pytest.mark.parametrize("n", sorted(SCHEMA_5_SHA256))
+    def test_rebuilds_the_schema_5_bytes(self, n):
+        text = json.dumps(schema_5(n), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_5_SHA256[n]
+
     def test_deterministic_json(self):
         assert certificate_json(5) == certificate_json(5)
 
     def test_schema(self):
         doc = json.loads(certificate_json(4))
-        assert (doc["schema"], doc["n"]) == (5, 4)
+        assert (doc["schema"], doc["n"]) == (6, 4)
         assert set(doc) == {"schema", "n", "traces"}  # a full certificate is not partial
         for trace in doc["traces"]:
             assert trace["verdict"] in ("contradiction", "vacuous")
@@ -1039,7 +1093,7 @@ class TestCertificate:
     def test_one_case_is_partial(self):
         for case in Case:
             doc = certificate(7, [t for t in replay(7) if t.case == case.value])
-            assert (doc["schema"], doc["partial"]) == (5, True)
+            assert (doc["schema"], doc["partial"]) == (6, True)
             assert verify_certificate(json.loads(json.dumps(doc)))
 
     def test_round_trip(self):
@@ -1165,9 +1219,9 @@ class TestCertificateDocument:
                     verify_certificate(bad)
 
     @pytest.mark.parametrize("change", [
-        {"schema": 2}, {"schema": 3}, {"schema": 4}, {"schema": 6}, {"schema": 3.0},
-        {"schema": 4.0}, {"schema": 5.0}, {"schema": "3"}, {"schema": "4"}, {"schema": "5"},
-        {"schema": True},
+        {"schema": 2}, {"schema": 3}, {"schema": 4}, {"schema": 5}, {"schema": 7},
+        {"schema": 3.0}, {"schema": 4.0}, {"schema": 5.0}, {"schema": 6.0}, {"schema": "3"},
+        {"schema": "4"}, {"schema": "5"}, {"schema": "6"}, {"schema": True},
         {"n": 80.0}, {"n": "80"}, {"n": True}, {"n": None}, {"n": 81}, {"n": 1},
         {"traces": []}, {"traces": {}}, {"traces": None}, {"comment": ""},
     ], ids=repr)
@@ -1177,16 +1231,15 @@ class TestCertificateDocument:
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_n_is_at_least_2(self, n):
-        # a partial document of one vacuous trace, whose reason holds at this n too
+        # a partial document of one vacuous trace, of a shape no census at this n reaches either
         for case in (Case.NCG2, Case.NCG3, Case.NCG4):
             doc = certificate(n, [t for t in replay(2) if t.case == case.value])
-            doc["traces"][0]["detail"] = _shape_vacuity(n, case.value)
             with pytest.raises(TraceError):
                 verify_certificate(json.loads(json.dumps(doc)))
 
     def test_a_certificate_has_a_trace(self):
         with pytest.raises(TraceError):
-            verify_certificate({"schema": 5, "n": 5, "traces": [], "partial": True})
+            verify_certificate({"schema": 6, "n": 5, "traces": [], "partial": True})
 
     @pytest.mark.parametrize("key", ["schema", "n", "traces"])
     def test_every_key_is_required(self, key):
@@ -1199,17 +1252,23 @@ class TestCertificateDocument:
             verify_certificate(doc)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_a_vacuous_trace_carries_its_own_reason(self, n):
+    def test_a_vacuous_trace_carries_no_prose(self, n):
+        # its detail is "": the shape, which no census at n reaches, is its whole reason
         doc = _doc(n)
+        vacuous = 0
         for k, t in enumerate(doc["traces"]):
             if t["verdict"] != "vacuous":
                 continue
-            for bad in ({**t, "detail": t["detail"] + "'"}, {**t, "subcase": "p even"},
-                        {**t, "verdict": "contradiction"}, {**t, "verdict": "Vacuous"}):
+            vacuous += 1
+            assert t["detail"] == ""
+            for bad in ({**t, "detail": vacuity(n, t["case"])}, {**t, "detail": "'"},
+                        {**t, "subcase": "p even"}, {**t, "verdict": "contradiction"},
+                        {**t, "verdict": "Vacuous"}):
                 traces = list(doc["traces"])
                 traces[k] = bad
                 with pytest.raises(TraceError):
                     verify_certificate({**doc, "traces": traces})
+        assert vacuous == 5 - len(_reached(n))  # 3, 2 and 0
 
     def test_every_field_keeps_its_json_type(self):
         # each field of a trace or of one of its steps removed, given a value of
@@ -1282,8 +1341,9 @@ class TestLeafMutations:
                 node[key] = value
             assert doc == _doc(n)
         # 7749 at schema 4, less the 836 mutants of premise indices and the 272 of
-        # relations that the schema-4 certificates for n = 2..12 held
-        assert mutants == 7749 - 836 - 272
+        # relations that the schema-4 certificates for n = 2..12 held, and the 6 of
+        # emptying the reasons of the vacuous traces that schema 5 held
+        assert mutants == 7749 - 836 - 272 - 6
 
 
 FRACTION_KEYS = {"value", "rhs", "ihat", "total", "p_half"}
