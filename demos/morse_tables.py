@@ -27,8 +27,8 @@ print("averaged Euler value: P^m(-1)/m ->", euler_limit(2))
 solo = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 1, 2))]), 0)
 M = morse_numbers([solo], HORIZON)
 print("\nsolo geodesic Morse table:", list(M.values))
-for v in check_morse_inequalities(M, betti_values(2, HORIZON), HORIZON):
-    print("  violation:", v)
+for q, kind, lhs, rhs in check_morse_inequalities(M, betti_values(2, HORIZON), HORIZON):
+    print(f"  violation: q={q} {kind}: {lhs} >= {rhs} fails")
 
 # a two-geodesic configuration with 1/(2 rho1) + 1/(2 (1 + rho2)) = 1
 g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)

@@ -10,7 +10,6 @@ the mechanical single-geodesic case-analysis replayer (`prover`).
 from .exact import ExactReal, FieldMismatchError, floor_scaled
 from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot
 from .iteration import (
-    Case,
     GeodesicModel,
     analytic_period,
     classify,
@@ -39,7 +38,6 @@ __all__ = [
     "NBlock",
     "Hyp",
     "NormalFormDecomposition",
-    "Case",
     "GeodesicModel",
     "classify",
     "index_of_iterate",

@@ -145,7 +145,7 @@ def check_lemma_6_3(n: int) -> dict:
 
 # -- identity pin-down -----------------------------------------------------
 
-def _period_and_sign(case: str, p_parity: int, n: int) -> tuple[int, int]:
+def _period_and_sign(case: str, subcase: str, n: int) -> tuple[int, int]:
     """Analytic period N and the identity numerator s = (-1)^i(c).
 
     For NCG1 the initial index has the parity of n-1 and the period is 1;
@@ -155,11 +155,8 @@ def _period_and_sign(case: str, p_parity: int, n: int) -> tuple[int, int]:
     """
     if case == "NCG1":
         return 1, (1 if (n - 1) % 2 == 0 else -1)
-    s = 1 if p_parity % 2 == 0 else -1
-    if case in ("NCG2", "NCG5"):
-        N = 1 if p_parity % 2 == 0 else 2
-    else:
-        N = 2 if p_parity % 2 == 0 else 1
+    s = 1 if subcase == "p even" else -1
+    N = 1 if (s == 1) == (case in ("NCG2", "NCG5")) else 2
     return N, s
 
 
@@ -184,10 +181,9 @@ def _lemma(check_lemma):
 
 
 def _check_identity(t, p):
-    n, p_parity = t.n, int(t.subcase == "p odd")
-    if (p["N"], p["s"]) != _period_and_sign(t.case, p_parity, n):
+    if (p["N"], p["s"]) != _period_and_sign(t.case, t.subcase, t.n):
         raise TraceError(f"(N, s) = ({p['N']}, {p['s']}) of the identity do not fit the case")
-    R = euler_limit(n)  # s/(N*ihat) = R
+    R = euler_limit(t.n)  # s/(N*ihat) = R
     if p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
         raise TraceError(f"identity re-check failed for ihat = {p['value']}")
 
@@ -273,7 +269,7 @@ def _check_p_half(t, p, pin):
 
 def _check_rotation_count(t, p, pin, bound):
     # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17))
-    odd = (int(t.subcase == "p odd") - (t.case == "NCG3")) % 2
+    odd = (t.subcase == "p odd") != (t.case == "NCG3")
     if (bound != 2 - odd or _pinned(p, pin) >= bound
             or (p["k_lower"], p["k_upper"]) != (t.n - 1, t.n - 2)):
         raise TraceError(f"rotation count needs the rule of the parity of p - k, ihat < {bound}, "

@@ -86,13 +86,13 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
 
 def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Iterator:
     """The rows m = 1..mmax of the iterate table, each made when it is asked for:
-    (m, i, nu, epsilon, k0) tuples, or the text _dumps would give for each row's
-    dict, with the keys in sorted order."""
+    (m, i, nu, epsilon, k0) tuples, nu = 0 as the metric is bumpy, or the text
+    _dumps would give for each row's dict, with the keys in sorted order."""
     for m in range(1, mmax + 1):
-        i_m, nu = iteration.index_of_iterate(g, m)
+        i_m = iteration.index_of_iterate(g, m)
         eps, k0 = iteration.critical_type(g, m)
-        yield (f'{{"epsilon":{eps},"i":{i_m},"k0":{k0},"m":{m},"nu":{nu}}}' if as_json
-               else (m, i_m, nu, eps, k0))
+        yield (f'{{"epsilon":{eps},"i":{i_m},"k0":{k0},"m":{m},"nu":0}}' if as_json
+               else (m, i_m, 0, eps, k0))
 
 
 def cmd_iterate(args) -> int:
@@ -106,7 +106,7 @@ def cmd_iterate(args) -> int:
     else:
         _emit(args.json, itertools.chain(
             ('{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
-                g.case.value, mean, iteration.analytic_period(g)),),
+                g.case, mean, iteration.analytic_period(g)),),
             _joined(_iterate_rows(g, args.mmax, True)), ("]}",)))
     return 0
 
@@ -154,10 +154,9 @@ def cmd_identity(args) -> int:
 
 def cmd_prove(args) -> int:
     if args.case is not None:
-        try:
-            case = iteration.Case(args.case.upper()).value
-        except ValueError:
-            raise ValueError(f"unknown case filter: {args.case}") from None
+        case = args.case.upper()
+        if case not in checker._CLOSINGS:
+            raise ValueError(f"unknown case filter: {args.case}")
         traces = prover._replay_case(args.n, case)
     else:
         traces = prover.replay(args.n)

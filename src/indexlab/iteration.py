@@ -8,33 +8,23 @@ every iterate; the nullity vanishes identically (bumpy hypothesis).
 
 from __future__ import annotations
 
-import enum
-
 from .checker import case_of
 from .exact import ExactReal, floor_scaled
 from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot, decomposition_from_json
-
-
-class Case(enum.Enum):
-    NCG1 = "NCG1"
-    NCG2 = "NCG2"
-    NCG3 = "NCG3"
-    NCG4 = "NCG4"
-    NCG5 = "NCG5"
 
 
 class ModelInvariantError(ValueError):
     """Model data violates its case shape or parameter constraints."""
 
 
-def classify(n: int, dec: NormalFormDecomposition) -> Case:
-    """The case tag of the non-N block census: `checker.case_of` of its k
+def classify(n: int, dec: NormalFormDecomposition) -> str:
+    """The case tag "NCG1" to "NCG5" of the non-N block census: `checker.case_of` of its k
     rotations and h hyperbolic blocks, for a decomposition of dimension 2(n-1)."""
     if dec.total_dim != 2 * (n - 1):
         raise ModelInvariantError(
             f"decomposition has dimension {dec.total_dim}, expected {2 * (n - 1)}"
         )
-    return Case(case_of(dec.count(Rot), dec.count(Hyp)))
+    return case_of(dec.count(Rot), dec.count(Hyp))
 
 
 class GeodesicModel:
@@ -53,23 +43,23 @@ class GeodesicModel:
         case = classify(n, dec)
         k, r = dec.count(Rot), dec.count(NBlock)
         slope, const = {
-            Case.NCG1: (2 * p, n - 2 * r - 1),
-            Case.NCG2: (p - k, k),
-            Case.NCG3: (p - k, k),
-            Case.NCG4: (p - 1, 1),
-            Case.NCG5: (p, 0),
+            "NCG1": (2 * p, n - 2 * r - 1),
+            "NCG2": (p - k, k),
+            "NCG3": (p - k, k),
+            "NCG4": (p - 1, 1),
+            "NCG5": (p, 0),
         }[case]
         for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
                             ("rotation_numbers", tuple(b.rho for b in dec.rotations)),
                             ("slope", slope), ("const", const), ("_last", [(0, None)])):
             object.__setattr__(self, name, value)
-        if case is Case.NCG1:
+        if case == "NCG1":
             if self.initial_index < 0:
                 raise ModelInvariantError(
                     f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {self.initial_index}"
                 )
         elif p < 0:
-            raise ModelInvariantError(f"{case.value} requires p >= 0, got {p}")
+            raise ModelInvariantError(f"{case} requires p >= 0, got {p}")
 
     def __setattr__(self, name, value):
         raise AttributeError("GeodesicModel is immutable")
@@ -95,8 +85,8 @@ class GeodesicModel:
         return self.slope + self.const
 
 
-def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
-    """(i(c^m), nu(c^m)) = (slope*m + 2*sum floor(m*rho_j) + const, 0).
+def index_of_iterate(g: GeodesicModel, m: int) -> int:
+    """i(c^m) = slope*m + 2*sum floor(m*rho_j) + const; the nullity nu(c^m) is 0.
 
     The floors vanish at m = 1, as 0 < rho_j < 1, so i(c^1) = initial_index.
     Each model caches its last result only: every repeated query asks for the
@@ -114,7 +104,7 @@ def index_of_iterate(g: GeodesicModel, m: int) -> tuple[int, int]:
     floors = 0
     for rho in g.rotation_numbers:
         floors += floor_scaled(rho, m)
-    result = (g.slope * m + 2 * floors + g.const, 0)
+    result = g.slope * m + 2 * floors + g.const
     last[0] = (m, result)
     return result
 
@@ -143,7 +133,7 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
     non-degenerate case the local homology contributes exactly when
     epsilon = +1, so k0 = 1 iff epsilon = +1.
     """
-    if (index_of_iterate(g, m)[0] - g.slope - g.const) % 2:
+    if (index_of_iterate(g, m) - g.slope - g.const) % 2:
         return -1, 0
     return 1, 1
 
@@ -161,8 +151,7 @@ def model_from_json(obj: dict) -> GeodesicModel:
     g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj["dec"]),
                       p=_int_field(obj, "p"))
     declared = obj.get("case")
-    if declared is not None and declared != g.case.value:
-        raise ModelInvariantError(
-            f"declared case {declared} does not match classified case {g.case.value}"
-        )
+    if declared is not None and declared != g.case:
+        raise ModelInvariantError(f"declared case {declared} does not match classified case "
+                                  f"{g.case}")
     return g

@@ -30,15 +30,17 @@ class NonTerminatingSumError(ValueError):
 # -- Betti numbers ---------------------------------------------------------
 
 def betti_values(n: int, horizon: int) -> list[int]:
-    """[betti(n, q) for q in range(horizon + 1)], as one period repeated in place."""
+    """[betti(n, q) for q in range(horizon + 1)], filled in place in one list of that length."""
     if n < 2:
         raise ValueError("n must be >= 2")
     step = 2 * (n - 1) if n % 2 == 0 else n - 1  # the spacing of the doubling set K
-    # from q = 0: 1 on the ray's parity (n-1's), 2 on K's (q = n-1 mod step, q > n-1)
-    b = [0 if (j - n + 1) % 2 else 1 + (j == (n - 1) % step) for j in range(step)]
-    b *= -(-(horizon + 1) // step)  # refused at once when too large
-    del b[horizon + 1:]
-    b[:n] = ([0] * (n - 1) + [1])[:horizon + 1]  # 0 below the ray, and 1, not 2, at its start
+    b = [0] * (horizon + 1)
+    # 1 on the ray n-1 + 2N_0, then 2 on K = n-1 + step*N_1, written 256 entries at a
+    # time: nothing else grows with the horizon, and nothing at all with n
+    for first, stride, value in ((n - 1, 2, 1), (n - 1 + step, step, 2)):
+        for start in range(first, horizon + 1, 256 * stride):
+            count = min(256, len(range(start, horizon + 1, stride)))
+            b[start:start + count * stride:stride] = [value] * count
     return b
 
 
@@ -83,19 +85,10 @@ def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
                              f"exceeds the limit of {MAX_ITERATES} iterates")
     for g, cut in zip(models, cutoffs):
         for m in range(1, cut + 1):
-            i_m, _ = index_of_iterate(g, m)
+            i_m = index_of_iterate(g, m)
             if 0 <= i_m <= horizon:
                 values[i_m] += critical_type(g, m)[1]
     return MorseTable(tuple(values))
-
-
-class Violation(namedtuple("Violation", "q kind lhs rhs")):
-    """kind is "alternating" for the partial-sum inequality, "pointwise" for M_q >= b_q."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return f"q={self.q} {self.kind}: {self.lhs} >= {self.rhs} fails"
 
 
 def inequality_failures(
@@ -120,10 +113,11 @@ def inequality_failures(
 
 def check_morse_inequalities(
     M: MorseTable | list[int], b: list[int], horizon: int
-) -> list[Violation]:
-    """All failures of the Morse inequalities up to the horizon, in the order
-    of inequality_failures; an empty report means consistency."""
-    return list(map(Violation._make, inequality_failures(M, b, horizon)))
+) -> list[tuple[int, str, int, int]]:
+    """All failures of the Morse inequalities up to the horizon, the (q, kind,
+    lhs, rhs) tuples of inequality_failures in its order; an empty list means
+    consistency."""
+    return list(inequality_failures(M, b, horizon))
 
 
 # -- mean index identity ---------------------------------------------------
@@ -143,7 +137,7 @@ def mean_index_identity_lhs(models: list[GeodesicModel]) -> ExactReal:
         N = analytic_period(g)
         s = 0
         for m in range(1, N + 1):
-            i_m, _ = index_of_iterate(g, m)
+            i_m = index_of_iterate(g, m)
             _, k0 = critical_type(g, m)
             s += (1 if i_m % 2 == 0 else -1) * k0
         total = total + ExactReal(s) / (ihat * N)

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
 from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
-                      _period_and_sign, _premises, _reached, check_lemma_6_1, check_lemma_6_2,
-                      check_lemma_6_3, euler_limit, floor_sum_range, verify_trace)
+                      _period_and_sign, _premises, _reached, _subcases, check_lemma_6_1,
+                      check_lemma_6_2, check_lemma_6_3, euler_limit, floor_sum_range,
+                      verify_trace)
 
 # One replayed trace, each field the JSON value the certificate holds: the case
 # tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the
@@ -46,9 +47,9 @@ class _Steps(list):
                      self[-1]["values"]["contradiction_kind"])
 
 
-def _identity_pin(steps: _Steps, n: int, case: str, p_parity: int) -> Fraction:
+def _identity_pin(steps: _Steps, n: int, case: str, subcase: str) -> Fraction:
     """Add the Eq(5.5) step and return the ihat it pins."""
-    N, s = _period_and_sign(case, p_parity, n)
+    N, s = _period_and_sign(case, subcase, n)
     R = euler_limit(n)
     ihat = Fraction(s) / (N * R)  # s/(N*ihat) = R solved for ihat
     steps.add("Eq(5.5)", {"value": ihat, "s": s, "N": N, "rhs": R})
@@ -66,7 +67,7 @@ def _corollary_6_4(steps: _Steps, n: int) -> None:
 
 def _replay_ncg1(n: int) -> Trace:
     steps = _Steps()
-    ihat = _identity_pin(steps, n, "NCG1", 0)
+    ihat = _identity_pin(steps, n, "NCG1", "")
     _corollary_6_4(steps, n)
     # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
     # least one rotation contributing strictly positive angle forces p = 0.
@@ -93,10 +94,9 @@ def _replay_ncg1(n: int) -> Trace:
     return steps.close("NCG1")
 
 
-def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
-    subcase = "p even" if p_parity % 2 == 0 else "p odd"
+def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
     steps = _Steps()
-    ihat = _identity_pin(steps, n, case, p_parity)
+    ihat = _identity_pin(steps, n, case, subcase)
 
     if ihat <= 0:
         steps.add("L6.1", check_lemma_6_1(n))
@@ -105,7 +105,7 @@ def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
         steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "irrationality"})
     elif case == "NCG5":
         # ihat = p, a non-negative integer of the assumed parity
-        if n % 2 == 1 and p_parity % 2 == 0:
+        if n % 2 == 1 and subcase == "p even":
             steps.add("Step2-Subcase5.1",
                       {"ihat": ihat, "p_half": ihat / 2, "contradiction_kind": "integrality"})
         else:  # n even, p odd: the pin (n-1)/n is never an integer
@@ -113,11 +113,10 @@ def _replay_subcase(n: int, case: str, p_parity: int) -> Trace:
     else:
         # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
         _corollary_6_4(steps, n)
-        k_parity = 0 if case == "NCG2" else 1
         bounds = {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2,
                   "contradiction_kind": "rotation-count"}
         # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
-        steps.add("Eq(6.18)" if (p_parity - k_parity) % 2 == 0 else "Eq(6.17)", bounds)
+        steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)", bounds)
     return steps.close(case, subcase)
 
 
@@ -132,7 +131,8 @@ def _replay_case(n: int, case: str) -> list[Trace]:
     """The traces of one case shape: one per parity subcase, or one verdict."""
     if case not in _reached(n):
         return [Trace(case, "", [], "vacuous", "")]
-    return [_replay_ncg1(n)] if case == "NCG1" else [_replay_subcase(n, case, p) for p in (0, 1)]
+    return [_replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
+            for subcase in _subcases(n, case)]
 
 
 # -- certificate serialization ---------------------------------------------

@@ -96,11 +96,15 @@ class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
 
 # -- JSON input ------------------------------------------------------------
 
-def _exact_number(value, name: str):
-    """value if it is an int or a string; a JSON float or boolean is refused, never rounded."""
-    if type(value) not in (int, str):
-        raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
-    return value
+def _exact_number(value, name: str) -> Fraction:
+    """value, an int or a fraction string, as a Fraction: a JSON float or boolean is
+    refused, never rounded, and so is a string that is no fraction, such as "1/0"."""
+    try:
+        if type(value) in (int, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
 
 
 def block_from_json(obj: dict) -> Block:
@@ -110,11 +114,8 @@ def block_from_json(obj: dict) -> Block:
     if kind == "hyp":
         return Hyp(_exact_number(obj["d"], "d"))
     if kind == "n":
-        B = obj.get("B", [[0, 0], [0, 0]])
-        for row in B:
-            for x in row:
-                _exact_number(x, "B entry")
-        return NBlock(ExactReal.parse(obj["rho"]), B)  # NBlock makes the Fractions
+        B = [[_exact_number(x, "B entry") for x in row] for row in obj.get("B", [[0, 0], [0, 0]])]
+        return NBlock(ExactReal.parse(obj["rho"]), B)
     raise ValueError(f"unknown block type: {kind!r}")
 
 

@@ -53,7 +53,7 @@ def decomposition_json(dec: NormalFormDecomposition) -> dict:
 
 def model_json(g: GeodesicModel) -> dict:
     """The model-file object that `iterate` and `morse-check` read back as g."""
-    return {"n": g.n, "p": g.p, "case": g.case.value, "dec": decomposition_json(g.dec)}
+    return {"n": g.n, "p": g.p, "case": g.case, "dec": decomposition_json(g.dec)}
 
 
 def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:

@@ -169,15 +169,18 @@ class TestIterate:
 
 class TestMorseCheck:
     def test_consistent_pair_exits_zero(self, capsys, tmp_path):
-        # two-geodesic configuration whose Morse table equals the Betti table
+        # two-geodesic configuration whose Morse table equals the Betti table: with
+        # 1/ihat_1 + 1/ihat_2 = 1 the iterates' degrees are complementary Beatty
+        # sequences (Rayleigh's theorem), so M_q = b_q at every degree, not only at the first
         g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)
         g2 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)
         path = write_models(tmp_path, [g1, g2])
-        code, out, _ = run(capsys, "morse-check", "--models", path, "--horizon", "9")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["violations"] == []
-        assert doc["M"] == doc["b"] == [0, 1, 0, 2, 0, 2, 0, 2, 0, 2]
+        for horizon, b in ((9, [0, 1, 0, 2, 0, 2, 0, 2, 0, 2]), (20000, betti_values(2, 20000))):
+            code, out, _ = run(capsys, "morse-check", "--models", path, "--horizon", str(horizon))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["violations"] == []
+            assert doc["M"] == doc["b"] == b
 
     def test_violating_set_exits_one(self, capsys, tmp_path):
         # i(c^m) = 2m misses every odd degree, so M_1 = 0 < b_1 = 1 for n = 2
@@ -200,7 +203,7 @@ class TestMorseCheck:
         # the inequalities 10000 times up to H = 20000.  M, b and the failures are written
         # 256 at a time, the failures as they are found: the heap peak is that of the
         # lists M and b, about 24 bytes per degree.  With the whole json.dumps text of M
-        # and b it was about 96; with a Violation and a row string per failure, about 192.
+        # and b it was about 96; with an object and a row string per failure, about 192.
         horizon = 20000
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         path = write_models(tmp_path, [g])
@@ -249,8 +252,8 @@ class TestMorseCheckDocument:
         b = betti_values(n, horizon)
         values = [max(0, b_q + d) for b_q, d in zip(b, deltas + [0] * len(b))]
         violations = check_morse_inequalities(values, b, horizon)
-        expected = json.dumps({"horizon": horizon, "M": values, "b": b,
-                               "violations": [v._asdict() for v in violations]},
+        rows = [dict(zip(("q", "kind", "lhs", "rhs"), v)) for v in violations]
+        expected = json.dumps({"horizon": horizon, "M": values, "b": b, "violations": rows},
                               sort_keys=True, separators=(",", ":")) + "\n"
         directory = tmp_path_factory.getbasetemp()
         models = write_models(directory, [GeodesicModel(n, NormalFormDecomposition(
@@ -286,7 +289,7 @@ def shaped_models(draw):
     blocks = ([Rot(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(k)] + [Hyp(Fraction(2))] * h
               + [NBlock(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(r)])
     g = GeodesicModel(1 + k + h + 2 * r, NormalFormDecomposition(draw(st.permutations(blocks))), p)
-    assert g.case.value == shape
+    assert g.case == shape
     return g
 
 
@@ -301,13 +304,13 @@ class TestIterateDocument:
     @example(g=GeodesicModel(5, NormalFormDecomposition(  # NCG3, i(c^2) = -3
         [Rot(SMALL_RHO)] * 3 + [Hyp(Fraction(2))]), 0), K=12)
     def test_bytes_equal_the_dict_dumps(self, tmp_path_factory, g, K):
-        i_1 = iteration.index_of_iterate(g, 1)[0]
+        i_1 = iteration.index_of_iterate(g, 1)
         rows = []
         for m in range(1, K + 1):
-            i_m = iteration.index_of_iterate(g, m)[0]
+            i_m = iteration.index_of_iterate(g, m)
             eps = 1 if (i_m - i_1) % 2 == 0 else -1
             rows.append({"m": m, "i": i_m, "nu": 0, "epsilon": eps, "k0": int(eps == 1)})
-        expected = json.dumps({"case": g.case.value,
+        expected = json.dumps({"case": g.case,
                                "mean_index": iteration.mean_index(g).serialize(),
                                "period": iteration.analytic_period(g), "rows": rows},
                               sort_keys=True, separators=(",", ":")) + "\n"
@@ -789,18 +792,22 @@ class TestInputFaults:
         path.write_text(json.dumps([{**model_json(g), key: value}]))
         self.check_fault(capsys, ["morse-check", "--models", str(path)], f"{key} must be an integer")
 
-    @pytest.mark.parametrize("block,field", [
-        ({"type": "hyp", "d": 2.5}, "d"), ({"type": "hyp", "d": True}, "d"),
-        ({"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]}, "B entry"),
-        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, 1.0]]}, "B entry"),
-    ], ids=["d-2.5", "d-True", "B-0.1", "B-1.0"])
-    def test_inexact_block_number(self, capsys, tmp_path, block, field):
-        # a float or bool is refused, never read as a binary fraction or as 1
+    @pytest.mark.parametrize("block,field,value", [
+        ({"type": "hyp", "d": 2.5}, "d", 2.5), ({"type": "hyp", "d": True}, "d", True),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]}, "B entry", 0.1),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, 1.0]]}, "B entry", 1.0),
+        ({"type": "hyp", "d": "1/0"}, "d", "1/0"), ({"type": "hyp", "d": "two"}, "d", "two"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [["1/0", 0], [0, 0]]}, "B entry", "1/0"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, "two"]]}, "B entry", "two"),
+    ], ids=["d-2.5", "d-True", "B-0.1", "B-1.0", "d-1/0", "d-two", "B-1/0", "B-two"])
+    def test_inexact_block_number(self, capsys, tmp_path, block, field, value):
+        # a float or bool is refused, never read as a binary fraction or as 1, and so is
+        # a string that is no fraction; the message names the field and the value
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"n": 2 if block["type"] == "hyp" else 3, "p": 0,
                                     "dec": {"blocks": [block]}}))
         self.check_fault(capsys, ["iterate", "--model", str(path)],
-                         f"model: {field} must be an integer or a fraction string")
+                         f"model: {field} must be an integer or a fraction string, got {value!r}")
 
     @pytest.mark.parametrize("argv", [["iterate", "--model", "MODEL"], ["betti", "--n", "3"]],
                              ids=["iterate", "betti"])
