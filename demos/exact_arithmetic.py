@@ -16,12 +16,12 @@ for m in (1, 2, 3, 10, 100, 10 ** 6):
     print(f"floor({m} * rho) = {floor_scaled(rho, m)}")
 
 # the fractional part of an irrational multiple is never zero
-x = rho * 12345 - (rho * 12345).floor()
+x = rho * 12345 + (-(rho * 12345).floor())
 print(f"frac(12345 * rho) has sign {x.sign()} (certified nonzero)")
 
 # exact comparison across a field and the rationals
 half = ExactReal.from_fraction(Fraction(1, 2))
-print(f"sign(rho - 1/2) = {(rho - half).sign()}  (rho < 1/2 since 2*2^2 < 3^2)")
+print(f"sign(rho - 1/2) = {(rho + (-1) * half).sign()}  (rho < 1/2 since 2*2^2 < 3^2)")
 
 # arithmetic stays in the field and in canonical form
 y = (rho * rho + rho / 3).inverse()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
 
 
 class FieldMismatchError(ValueError):
@@ -38,7 +37,6 @@ def _floor(a: int, b: int, c: int, D: int) -> int:
     return (a + (t if b > 0 else -t - 1)) // c
 
 
-@total_ordering
 class ExactReal:
     """(a + b*sqrt(D))/c in canonical form.
 
@@ -124,18 +122,6 @@ class ExactReal:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ExactReal":
-        return ExactReal(-self.a, -self.b, self.c, self.D)
-
-    def __sub__(self, other) -> "ExactReal":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ExactReal":
-        return -(self - other)
-
     def __mul__(self, other) -> "ExactReal":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -160,13 +146,7 @@ class ExactReal:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> "ExactReal":
-        return self._coerce(other) * self.inverse()
-
-    def __abs__(self) -> "ExactReal":
-        return -self if self.sign() < 0 else self
-
-    # -- exact order -------------------------------------------------------
+    # -- exact sign and equality -------------------------------------------
 
     def sign(self) -> int:
         """Sign of (a + b*sqrt(D))/c, by the floor identity.
@@ -183,12 +163,6 @@ class ExactReal:
         if other is NotImplemented:
             return NotImplemented
         return (self.a, self.b, self.c, self.D) == (other.a, other.b, other.c, other.D)
-
-    def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
 
     def __hash__(self):
         # a rational value hashes as the equal Fraction (and int), as __eq__ coerces them

@@ -25,12 +25,17 @@ def approx(x: ExactReal, digits: int = 40) -> Fraction:
     return (Fraction(x.a) + x.b * lo) / x.c
 
 
+def sign_of_difference(x, y) -> int:
+    """Sign of x - y, from ExactReal's +, * and sign() alone."""
+    return (x + (-1) * y).sign()
+
+
 def random_rho(rng: random.Random, D: int) -> ExactReal:
     """Random irrational rotation number in (0, 1) within Q(sqrt(D))."""
     b = rng.randint(1, 9)
     c = rng.randint(2, 12)
     x = ExactReal(0, b, c, D)
-    return x - x.floor()
+    return x + (-x.floor())
 
 
 def _ratio(q: Fraction) -> str:

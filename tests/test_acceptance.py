@@ -22,12 +22,11 @@ from indexlab import (
     replay,
 )
 from indexlab.cli import main
-from indexlab.exact import ExactReal
 from indexlab.morse import betti_values, iterate_cutoff
 from indexlab.checker import _CLOSINGS, check_lemma_6_1, check_lemma_6_2, check_lemma_6_3
 from indexlab.prover import render
 
-from conftest import at_minus_one, poincare_series, random_model
+from conftest import at_minus_one, poincare_series, random_model, sign_of_difference
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -61,10 +60,11 @@ def test_criterion_2_index_bound(sample):
     ok = True
     for g in sample:
         ihat = mean_index(g)
-        gap = ExactReal(g.n - 1)
+        gap = g.n - 1
         for m in range(1, 101):
             i_m = index_of_iterate(g, m)
-            ok = ok and abs(ExactReal(i_m) - ihat * m) <= gap
+            ok = (ok and sign_of_difference(ihat * m, i_m - gap) >= 0
+                  and sign_of_difference(ihat * m, i_m + gap) <= 0)
     elapsed = time.perf_counter() - start
     report(2, f"|i(c^m) - m*ihat| <= n-1 on 1000 models, m <= 100 ({elapsed:.2f}s)", ok and elapsed < 10.0)
 

@@ -346,13 +346,17 @@ class TestIterateDocument:
 class TestIdentity:
     def test_holding_identity(self, capsys, tmp_path):
         rhos = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), ExactReal(7, -4, 8, 2)]
-        g = GeodesicModel(4, NormalFormDecomposition([Rot(r) for r in rhos]), 0)
-        path = write_models(tmp_path, [g])
-        code, out, _ = run(capsys, "identity", "--models", path)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["holds"] is True
-        assert doc["lhs"] == doc["rhs"]
+        one = [GeodesicModel(4, NormalFormDecomposition([Rot(r) for r in rhos]), 0)]
+        # the complementary Beatty pair of TestMorseCheck: lhs = euler_limit(2) = -1
+        pair = [GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0),
+                GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)]
+        for models in (one, pair):
+            path = write_models(tmp_path, models)
+            code, out, _ = run(capsys, "identity", "--models", path)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["holds"] is True
+            assert doc["lhs"] == doc["rhs"]
 
     def test_failing_identity(self, capsys, tmp_path):
         g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)

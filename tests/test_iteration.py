@@ -23,7 +23,7 @@ from indexlab.cli import _iterate_rows
 from indexlab.exact import ExactReal
 from indexlab.iteration import ModelInvariantError, model_from_json
 
-from conftest import model_json, random_model
+from conftest import model_json, random_model, sign_of_difference
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 H2 = Hyp(Fraction(2))
@@ -194,8 +194,8 @@ class TestMeanIndex:
         m = 10 ** 4
         i_m = index_of_iterate(g, m)
         # |i(c^m)/m - ihat| <= (n-1)/m, exactly
-        diff = ExactReal(i_m) - ihat * m
-        assert abs(diff) <= ExactReal(g.n - 1)
+        assert sign_of_difference(ihat * m, i_m - (g.n - 1)) >= 0
+        assert sign_of_difference(ihat * m, i_m + (g.n - 1)) <= 0
 
     def test_index_bound_sample(self, rng):
         for _ in range(50):
@@ -203,7 +203,8 @@ class TestMeanIndex:
             ihat = mean_index(g)
             for m in (1, 2, 17):
                 i_m = index_of_iterate(g, m)
-                assert abs(ExactReal(i_m) - ihat * m) <= ExactReal(g.n - 1)
+                assert sign_of_difference(ihat * m, i_m - (g.n - 1)) >= 0
+                assert sign_of_difference(ihat * m, i_m + (g.n - 1)) <= 0
 
 
 class TestAnalyticPeriod:

@@ -34,7 +34,7 @@ from indexlab.morse import (
     iterate_cutoff,
 )
 
-from conftest import NONSQUARE_D, at_minus_one, poincare_series, random_model
+from conftest import NONSQUARE_D, at_minus_one, poincare_series, random_model, sign_of_difference
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -142,7 +142,8 @@ class TestMorseNumbers:
                 assert index_of_iterate(g, m) > horizon
             # and the cutoff is the smallest such bound: no extra iterates
             ihat = mean_index(g)
-            assert mmax * ihat <= horizon + g.n - 1 < (mmax + 1) * ihat
+            assert sign_of_difference(mmax * ihat, horizon + g.n - 1) <= 0
+            assert sign_of_difference((mmax + 1) * ihat, horizon + g.n - 1) > 0
 
 
 # -- an oracle for whole Morse tables: math.isqrt floors and the case formulas

@@ -122,3 +122,17 @@ def test_verify_reaches_nothing_in_prover():
             todo += called & functions.keys()
     assert reached == {"cmd_verify", "_load_json", "_emit"}
     assert "checker" in names and "prover" not in names
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    # on a failure hypothesis imports its patching helpers, which warn from a hook teardown;
+    # the run must go on to the next test under the project's warning filters
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert False\n\n\n"
+        "def test_passes():\n    pass\n")
+    config = SRC.parent / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+                           "test_two.py"], capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
