@@ -143,174 +143,138 @@ def check_lemma_6_3(n: int) -> dict:
     return values
 
 
-# -- identity pin-down -----------------------------------------------------
-
-def _period_and_sign(case: str, subcase: str, n: int) -> tuple[int, int]:
-    """Analytic period N and the identity numerator s = (-1)^i(c).
-
-    For NCG1 the initial index has the parity of n-1 and the period is 1;
-    for the other cases i(c) = p and the period follows the parity table.
-    Over one period the m = 2 term vanishes whenever N = 2 (its type number
-    is 0), so the identity numerator is always (-1)^i(c).
-    """
-    if case == "NCG1":
-        return 1, (1 if (n - 1) % 2 == 0 else -1)
-    s = 1 if subcase == "p even" else -1
-    N = 1 if (s == 1) == (case in ("NCG2", "NCG5")) else 2
-    return N, s
-
-
 # -- the rule table --------------------------------------------------------
 
-def _pinned(p: dict, pin: dict) -> Fraction:
-    """The step's ihat, which must be the value its Eq(5.5) premise pins."""
-    if p["ihat"] != pin["value"]:
-        raise TraceError(f"ihat = {p['ihat']} is not the pinned mean index {pin['value']}")
-    return p["ihat"]
+# Each derivation reads the trace's scope t = (n, case, subcase), the values the
+# step chooses (the iterate m of Eq(6.14), the last of Eq(6.11)'s iterates) and
+# its premises' derived values.  It returns the step's values, fractions as
+# Fractions, or raises TraceError where the premises do not justify the step.
+
+def _identity(t, p):
+    """Eq(5.5), s/(N*ihat) = R, solved for ihat.  s = (-1)^i(c), as the m = 2 term of a
+    period N = 2 vanishes (its type number is 0).  For NCG1 i(c) has the parity of n-1
+    and N = 1; for the other cases i(c) = p and N follows the parity table."""
+    if t.case == "NCG1":
+        N, s = 1, (1 if (t.n - 1) % 2 == 0 else -1)
+    else:
+        s = 1 if t.subcase == "p even" else -1
+        N = 1 if (s == 1) == (t.case in ("NCG2", "NCG5")) else 2
+    R = euler_limit(t.n)
+    return {"N": N, "rhs": R, "s": s, "value": s / (N * R)}
 
 
-# Each check reads the trace, the step's values and those of its premises,
-# and raises TraceError unless the values follow from n and the premises.
-
-def _lemma(check_lemma):
-    """The check of a lemma step: its values are those the lemma derives at this n."""
-    def check(t, p, *premises):
-        if p != check_lemma(t.n):
-            raise TraceError("values not reproduced by the lemma at this n")
-    return check
+def _corollary_6_4(t, p, upper, lower):
+    if upper["max"] != lower["min"]:
+        raise TraceError("Cor6.4 needs the L6.2 and L6.3 bounds to meet")
+    return {"i_c": upper["max"]}
 
 
-def _check_identity(t, p):
-    if (p["N"], p["s"]) != _period_and_sign(t.case, t.subcase, t.n):
-        raise TraceError(f"(N, s) = ({p['N']}, {p['s']}) of the identity do not fit the case")
-    R = euler_limit(t.n)  # s/(N*ihat) = R
-    if p["rhs"] != R or p["value"] * p["N"] * R != p["s"]:
-        raise TraceError(f"identity re-check failed for ihat = {p['value']}")
+def _eq_6_7(t, p, pin, cor):
+    # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at least one
+    # rotation contributing a positive angle forces p = r = 0
+    if pin["value"] >= 2:
+        raise TraceError("p = r = 0 needs ihat < 2")
+    return {"ihat": pin["value"], "p": 0, "r": 0}
 
 
-def _check_morse_parity(t, p):
-    if (p["i1_parity"], p["zero_parity"]) != ((t.n - 1) % 2, "odd" if t.n % 2 else "even"):
-        raise TraceError("Prop2.1 must give i(c) the parity of n-1")
-
-
-def _check_corollary_6_4(t, p, upper, lower):
-    if not p["i_c"] == upper["max"] == lower["min"] == t.n - 1:
-        raise TraceError("Cor6.4 must pin i(c) = n-1 from the L6.2 and L6.3 bounds")
-
-
-def _check_eq_6_7(t, p, pin, cor):
-    if _pinned(p, pin) >= 2 or p["p"] != 0 or p["r"] != 0:
-        raise TraceError("i(c) = n-1 and ihat < 2 must force p = r = 0")
-
-
-def _check_eq_6_9(t, p, p_r):
-    if p["terms"] != t.n - 1 or p_r["ihat"] != 2 * p["value"]:
-        raise TraceError("the n-1 rotation numbers must sum to ihat/2")
-
-
-def _check_floor_sum(t, p, rho):
-    m, terms, total = p["m"], p["terms"], p["total"]
-    if (terms != rho["terms"] or total != m * rho["value"]
-            or p["set"] != _ends(floor_sum_range(m, terms, total))):
-        raise TraceError(f"floor-sum range re-check failed at m = {m}")
-
-
-def _check_floor_sum_family(t, p, rho):
+def _floor_sum_family(t, p, rho):
     # with rho = a/b the range at m is [0, m-1] iff m*rho < terms and m*(b-a) < b; both
     # are monotone in m, so holding at the last iterate m1 they hold for every m <= m1
     m1 = p["iterates"][-1]
-    if p["iterates"] != [2, m1] or p["terms"] != rho["terms"] or floor_sum_range(
-            m1, p["terms"], m1 * rho["value"]) != range(m1):
-        raise TraceError(f"floor-sum ranges [0, m-1] re-check failed for m in {p['iterates']}")
+    if floor_sum_range(m1, rho["terms"], m1 * rho["value"]) != range(m1):
+        raise TraceError(f"the floor-sum range at m = {m1} is not [0, m-1]")
+    return {"iterates": [2, m1], "terms": rho["terms"]}
 
 
-def _check_claim_1(t, p, family, base):
+def _floor_sum(t, p, rho):
+    m, terms = p["m"], rho["terms"]
+    total = m * rho["value"]
+    return {"m": m, "set": _ends(floor_sum_range(m, terms, total)), "terms": terms,
+            "total": total}
+
+
+def _claim_1(t, p, family, base):
     # induction on m from i(c^1) = i(c): i(c^m) = i(c) + 2s for s in [0, m-1], and each
     # s < m-1 is the degree i(c) + 2s of the earlier iterate s + 1, so s = m-1
     m = family["iterates"][1]
-    if p["m"] != m or p["i"] != base["i_c"] + 2 * (m - 1):
-        raise TraceError(f"Claim1 up to m = {m} must give i(c) + 2(m-1) from its floor sums")
+    return {"i": base["i_c"] + 2 * (m - 1), "m": m}
 
 
-def _check_pigeonhole(t, p, known, floor):
+def _pigeonhole(t, p, known, floor):
     # each admissible floor sum s puts i(c^m) on the degree i(c) + 2s of the earlier
     # iterate s + 1, whose index the Claim1 induction up to `known` has established
-    _, last = p["set"]
-    if (p["m"], p["set"]) != (floor["m"], floor["set"]) or not last < known.get("m", 1) < p["m"]:
-        raise TraceError("pigeonhole range does not follow from the floor sum, or reaches past "
-                         "the iterates whose indices are established")
+    _, last = floor["set"]
+    if not last < known.get("m", 1) < floor["m"]:
+        raise TraceError("the pigeonhole range reaches past the iterates whose indices are "
+                         "established")
+    return {"m": floor["m"], "set": floor["set"]}
 
 
-def _check_empty_range(t, p, pin, floor):
-    if floor["set"] or (p["m"], p["total"], p["set"]) != (floor["m"], floor["total"], []):
-        raise TraceError("empty-range pigeonhole needs the empty floor-sum range of its premise")
+def _empty_range(t, p, pin, floor):
+    if floor["set"]:
+        raise TraceError("the empty-range pigeonhole needs an empty floor-sum range")
+    return {"m": floor["m"], "set": [], "total": floor["total"]}
 
 
-def _check_sign(t, p, pin, lemma_6_1):
-    if _pinned(p, pin) > 0:
-        raise TraceError("sign contradiction cites a positive mean index")
+def _restated(pin: dict, holds: bool, why: str) -> dict:
+    """The pinned ihat that a closing restates, where the condition it cites holds."""
+    if not holds:
+        raise TraceError(why)
+    return {"ihat": pin["value"]}
 
 
-def _check_irrationality(t, p, pin):
-    if _pinned(p, pin) <= 0:
-        raise TraceError("irrationality contradiction needs a positive pinned value")
+def _p_half(t, p, pin):  # ihat = p, a positive even integer, so p/2 >= 1
+    why = "p/2 contradiction needs p even and 0 < p/2 = ihat/2 < 1"
+    return _restated(pin, t.subcase == "p even" and 0 < pin["value"] < 2, why) | {
+        "p_half": pin["value"] / 2}
 
 
-def _check_integrality(t, p, pin):
-    if _pinned(p, pin).denominator == 1:
-        raise TraceError("integrality contradiction cites an integer value")
-
-
-def _check_p_half(t, p, pin):
-    ihat = _pinned(p, pin)  # ihat = p, a positive even integer, so p/2 >= 1
-    if t.subcase != "p even" or not 0 < ihat < 2 or ihat != 2 * p["p_half"]:
-        raise TraceError("p/2 contradiction needs p even and 0 < p/2 = ihat/2 < 1")
-
-
-def _check_rotation_count(t, p, pin, bound):
-    # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17))
+def _rotation_count(t, pin, cor, bound):
+    # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17)):
+    # with p = i(c), k >= i(c) either way, while the census gives k <= n-2
     odd = (t.subcase == "p odd") != (t.case == "NCG3")
-    if (bound != 2 - odd or _pinned(p, pin) >= bound
-            or (p["k_lower"], p["k_upper"]) != (t.n - 1, t.n - 2)):
-        raise TraceError(f"rotation count needs the rule of the parity of p - k, ihat < {bound}, "
-                         "k >= n-1 and k <= n-2")
+    why = f"rotation count needs the rule of the parity of p - k and ihat < {bound}"
+    return _restated(pin, bound == 2 - odd and pin["value"] < bound, why) | {
+        "k_lower": cor["i_c"], "k_upper": t.n - 2}
 
 
 _C = "Contradiction"
-# Every step a trace may take, keyed by (rule, contradiction kind): the kind
-# of fact it states, the rules of the earlier steps it reads, one slot per
-# premise ("a|b" admits a step of either rule), the check of its values, and
-# the keys those values hold besides contradiction_kind ("a|b" admits either
-# set).  Rules are named as the paper cites them for even n, at every n.  The
-# steps before the closing take the rows' order: one spelling per derivation.
-_EVIDENCE = "evidence hypothetical_M"
+# Every step a trace may take, keyed by (rule, contradiction kind): the kind of
+# fact it states, the rules of the earlier steps it reads, one slot per premise
+# ("a|b" admits a step of either rule), and the derivation of its values.  Rules
+# are named as the paper cites them for even n, at every n.  The steps before
+# the closing take the rows' order: one spelling per derivation.
 _RULES = {
-    ("Eq(5.5)", None): ("MeanIndexEquals", (), _check_identity, "value s N rhs"),
-    ("L6.1", None): ("MeanIndexEquals", (), _lemma(check_lemma_6_1), "value " + _EVIDENCE),
-    ("Prop2.1", None): ("MorseZeroParity", (), _check_morse_parity, "zero_parity i1_parity"),
-    ("L6.2", None): ("IndexRange", (), _lemma(check_lemma_6_2), "max " + _EVIDENCE),
-    ("L6.3", None): ("IndexRange", ("Prop2.1",), _lemma(check_lemma_6_3),
-                     "min hypotheses|min hypotheses " + _EVIDENCE),
-    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _check_corollary_6_4, "i_c"),
-    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _check_eq_6_7, "p r ihat"),
-    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), _check_eq_6_9, "value terms"),
-    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum_family, "iterates terms"),
-    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _check_claim_1, "m i"),
-    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _check_floor_sum, "m terms total set"),
-    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _check_pigeonhole, "m set"),
-    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _check_empty_range, "m total set"),
-    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), _check_sign, "ihat"),
-    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), _check_irrationality, "ihat"),
-    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), _check_integrality, "ihat"),
-    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _check_p_half, "ihat p_half"),
+    ("Eq(5.5)", None): ("MeanIndexEquals", (), _identity),
+    ("L6.1", None): ("MeanIndexEquals", (), lambda t, p: check_lemma_6_1(t.n)),
+    ("Prop2.1", None): ("MorseZeroParity", (), lambda t, p: {
+        "i1_parity": (t.n - 1) % 2, "zero_parity": "odd" if t.n % 2 else "even"}),
+    ("L6.2", None): ("IndexRange", (), lambda t, p: check_lemma_6_2(t.n)),
+    ("L6.3", None): ("IndexRange", ("Prop2.1",), lambda t, p, parity: check_lemma_6_3(t.n)),
+    ("Cor6.4", None): ("IndexEquals", ("L6.2", "L6.3"), _corollary_6_4),
+    ("Eq(6.7)", None): ("IndexEquals", ("Eq(5.5)", "Cor6.4"), _eq_6_7),
+    # the n-1 rotation numbers sum to ihat/2
+    ("Eq(6.9)", None): ("MeanIndexEquals", ("Eq(6.7)",), lambda t, p, p_r: {
+        "terms": t.n - 1, "value": p_r["ihat"] / 2}),
+    ("Eq(6.11)", None): ("FloorSumRange", ("Eq(6.9)",), _floor_sum_family),
+    ("Claim1", None): ("IndexEquals", ("Eq(6.11)", "Cor6.4"), _claim_1),
+    ("Eq(6.14)", None): ("FloorSumRange", ("Eq(6.9)",), _floor_sum),
+    ("L6.5", "pigeonhole"): (_C, ("Claim1|Cor6.4", "Eq(6.14)"), _pigeonhole),
+    ("Eq(6.14)", "pigeonhole"): (_C, ("Eq(5.5)", "Eq(6.14)"), _empty_range),
+    ("L6.1", "sign"): (_C, ("Eq(5.5)", "L6.1"), lambda t, p, pin, lemma_6_1: _restated(
+        pin, pin["value"] <= 0, "sign contradiction cites a positive mean index")),
+    ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), lambda t, p, pin: _restated(
+        pin, pin["value"] > 0, "irrationality contradiction needs a positive pinned value")),
+    ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), lambda t, p, pin: _restated(
+        pin, pin["value"].denominator != 1, "integrality contradiction cites an integer value")),
+    ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _p_half),
     ("Eq(6.17)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
-                                     _check_rotation_count(t, p, pin, 1), "ihat k_lower k_upper"),
+                                     _rotation_count(t, pin, cor, 1)),
     ("Eq(6.18)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
-                                     _check_rotation_count(t, p, pin, 2), "ihat k_lower k_upper"),
+                                     _rotation_count(t, pin, cor, 2)),
 }
-_TABLE = {key: (fact_kind, tuple(tuple(slot.split("|")) for slot in slots), check,
-                 tuple(set(key_set.split()) for key_set in keys.split("|")))
-          for key, (fact_kind, slots, check, keys) in _RULES.items()}
+_TABLE = {key: (fact_kind, tuple(tuple(slot.split("|")) for slot in slots), derive)
+          for key, (fact_kind, slots, derive) in _RULES.items()}
 _ORDER = {rule: i for i, (rule, kind) in enumerate(_RULES) if kind is None}
 
 # the contradictions that may close each case, the cases in replay order
@@ -318,14 +282,15 @@ _CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
              "NCG3": ("sign", "rotation-count"), "NCG4": ("sign", "irrationality"),
              "NCG5": ("sign", "integrality")}
 
-# each value key's one JSON type, a fraction's being "a/b"; what lists and dicts hold is _plain
-_FRACTIONS = frozenset("value rhs ihat total p_half".split())
-_VALUE_TYPES = dict.fromkeys(_FRACTIONS, str) | {key: type_ for type_, keys in (
-    (int, "N s m i i_c p r terms max min k_lower k_upper i1_parity"),
-    (str, "zero_parity contradiction_kind"),
-    (list, "set hypotheses iterates"),
-    (dict, "hypothetical_M evidence"),
-) for key in keys.split()}
+
+def _spelled(values: dict, kind: str | None) -> dict:
+    """Derived values as a step holds them: each Fraction spelled "a/b" in lowest
+    terms, and the contradiction kind of a closing added."""
+    spelled = {k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
+               for k, v in values.items()}
+    if kind is not None:
+        spelled["contradiction_kind"] = kind
+    return spelled
 
 
 def _plain(value) -> bool:
@@ -358,7 +323,7 @@ def _reached(n: int) -> frozenset[str]:
                      if (n - 1 - k - h) % 2 == 0)
 
 
-# the JSON type of each field of a trace; what the row checks read of it besides the values
+# the JSON type of each field of a trace; what the derivations read of it besides the values
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
 _Scope = namedtuple("_Scope", "n case subcase")
 _STEP_KEYS = {"rule", "kind", "values"}
@@ -371,10 +336,10 @@ def _subcases(n: int, case: str) -> tuple[str, ...]:
 
 def _premises(steps: list) -> Iterator[list[int]]:
     """Each step's premises: per slot of its row, the latest earlier step of its rules, or -1."""
-    latest = {}
+    latest = dict.fromkeys(_ORDER, -1)
     for i, step in enumerate(steps):
         slots = _TABLE[step["rule"], step["values"].get("contradiction_kind")][1]
-        yield [max(latest.get(rule, -1) for rule in slot) for slot in slots]
+        yield [max(map(latest.__getitem__, slot)) for slot in slots]
         latest[step["rule"]] = i
 
 
@@ -382,13 +347,14 @@ def verify_trace(n: int, trace: dict) -> bool:
     """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check, n not an int >= 2 among
-    them; returns True otherwise.  Types are JSON's own, and each fraction
-    must be spelled "a/b" in lowest terms.  Each step holds a rule, a kind of
-    fact and values, nothing else, and is checked through its row of the rule
-    table: it states the row's kind of fact, each slot has an earlier step
-    (`_premises`), the row's check recomputes the values from n and those
-    premises, and the values hold the row's keys, no more.  The steps before
-    the last take the table's order, and each must be a premise of a later one.
+    them; returns True otherwise.  Types are JSON's own.  Each step holds a
+    rule, a kind of fact and values, nothing else, and is checked through its
+    row of the rule table: it states the row's kind of fact, each slot has an
+    earlier step (`_premises`), and its values are exactly those the row's
+    derivation gives from the trace, the iterate the step chooses and the
+    premises' derived values, each fraction spelled "a/b" in lowest terms.  The
+    steps before the last take the table's order, and each must be a premise
+    of a later one.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
@@ -404,7 +370,7 @@ def verify_trace(n: int, trace: dict) -> bool:
             or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
-    last, parsed, t, order = len(steps) - 1, [], _Scope(n, case, subcase), -1
+    last, derived, t, order = len(steps) - 1, [], _Scope(n, case, subcase), -1
     links, cited = _premises(steps), set()
     for i, step in enumerate(steps):
         if type(step) is not dict or step.keys() != _STEP_KEYS:
@@ -420,26 +386,16 @@ def verify_trace(n: int, trace: dict) -> bool:
                 if _ORDER[rule] <= order:
                     raise TraceError(f"not after {steps[i - 1]['rule']}: the rule table's order")
                 order = _ORDER[rule]
-            _, slots, check, key_sets = row
             if not _plain(values):
-                raise TraceError(f"a value in {values!r} is not of the type its key holds")
-            p = dict(values)
-            for key, value in values.items():
-                if type(value) is not _VALUE_TYPES.get(key):
-                    raise TraceError(f"value {key!r} = {value!r} is not of the type its key holds")
-                if key in _FRACTIONS:  # int() reads " 3", "+3" and "3_0": the spelling must match
-                    num, _, den = value.partition("/")
-                    x = p[key] = Fraction(int(num), int(den))
-                    if value != f"{x.numerator}/{x.denominator}":
-                        raise TraceError(f"{key} = {value!r} is not spelled 'a/b', in lowest terms")
+                raise TraceError(f"a value in {values!r} is not an int or a string, "
+                                 "or a list or object of them")
             premises = next(links)
             if -1 in premises:
-                raise TraceError(f"no earlier step of {' or '.join(slots[premises.index(-1)])}")
+                raise TraceError(f"no earlier step of {' or '.join(row[1][premises.index(-1)])}")
             cited.update(premises)
-            parsed.append(p)
-            check(t, p, *[parsed[j] for j in premises])
-            if values.keys() - {"contradiction_kind"} not in key_sets:
-                raise TraceError(f"values hold the keys {sorted(values)}, not those of this step")
+            derived.append(row[2](t, values, *[derived[j] for j in premises]))
+            if values != (spelled := _spelled(derived[-1], kind)):
+                raise TraceError(f"values {values} are not {spelled}, those the rule derives")
         except TraceError as e:
             raise TraceError(f"step {i} ({rule}): {e}") from None
         except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,

@@ -141,14 +141,16 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
 # -- JSON input ------------------------------------------------------------
 
 def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
+    value = obj.get(key)
     if type(value) is not int:  # bool, float and str are refused, never truncated
         raise ModelInvariantError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def model_from_json(obj: dict) -> GeodesicModel:
-    g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj["dec"]),
+    if type(obj) is not dict:
+        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {obj!r}")
+    g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj.get("dec")),
                       p=_int_field(obj, "p"))
     declared = obj.get("case")
     if declared is not None and declared != g.case:

@@ -3,10 +3,13 @@
 Under the hypothesis that exactly one prime closed geodesic exists on the
 bumpy n-sphere, every case shape and parity subcase of its linearized
 return map leads to a contradiction.  This module derives each
-contradiction as an ordered list of justified facts over exact rationals,
-each built as the JSON object the certificate holds; `checker` re-validates
-every step of the parsed certificate.  A step holds values only: `render`
-rebuilds each step's prose, and the equation number odd n cites, from them.
+contradiction as an ordered list of justified facts over exact rationals.
+It chooses only the sequence of rules, their branches and the iterates of
+the floor sums: each step's values are those its row of `checker`'s rule
+table derives, spelled as the certificate holds them, and `checker`
+re-validates every step of the parsed certificate with the same rows.  A
+step holds values only: `render` rebuilds each step's prose, and the
+equation number odd n cites, from them.
 
 The engine works symbolically: a constraint like "the rotation numbers sum
 to a rational" is a fact about the model family, never an instantiated
@@ -18,13 +21,10 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
-                      _period_and_sign, _premises, _reached, _subcases, check_lemma_6_1,
-                      check_lemma_6_2, check_lemma_6_3, euler_limit, floor_sum_range,
-                      verify_trace)
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _TABLE, _Scope, _premises, _reached,
+                      _spelled, _subcases, floor_sum_range, verify_trace)
 
 # One replayed trace, each field the JSON value the certificate holds: the case
 # tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the
@@ -32,92 +32,73 @@ from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _FRACTIONS, _TABLE, _ends,
 Trace = namedtuple("Trace", "case subcase steps verdict detail")
 
 
-class _Steps(list):
-    """The steps of one trace, whose premises their order implies (`checker._premises`)."""
+class _Steps:
+    """The steps of one trace, whose premises their order implies (`checker._premises`),
+    and the values derived for each."""
 
-    def add(self, rule: str, values: dict) -> None:
-        """Append the step of this rule, fractions spelled "a/b"."""
-        self.append({"rule": rule, "kind": _TABLE[rule, values.get("contradiction_kind")][0],
-                     "values": {k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction
-                                else v for k, v in values.items()}})
+    def __init__(self, n: int, case: str, subcase: str = ""):
+        self.scope, self.steps, self.derived = _Scope(n, case, subcase), [], []
+        self.links = _premises(self.steps)  # resumed once per step as the list grows
 
-    def close(self, case: str, subcase: str = "") -> Trace:
+    def add(self, rule: str, kind: str | None = None, **chosen) -> dict:
+        """Append the step of this rule and contradiction kind, with the values its row
+        derives from the values it chooses and its premises, and return those values."""
+        fact_kind, _, derive = _TABLE[rule, kind]
+        step = {"rule": rule, "kind": fact_kind, "values": {"contradiction_kind": kind}}
+        self.steps.append(step)  # _premises reads the row of each step it reaches
+        values = derive(self.scope, chosen, *map(self.derived.__getitem__, next(self.links)))
+        self.derived.append(values)
+        step["values"] = _spelled(values, kind)
+        return values
+
+    def close(self) -> Trace:
         """The trace these steps derive, named after the contradiction of its last step."""
-        return Trace(case, subcase, list(self), "contradiction",
-                     self[-1]["values"]["contradiction_kind"])
+        return Trace(self.scope.case, self.scope.subcase, self.steps, "contradiction",
+                     self.steps[-1]["values"]["contradiction_kind"])
 
 
-def _identity_pin(steps: _Steps, n: int, case: str, subcase: str) -> Fraction:
-    """Add the Eq(5.5) step and return the ihat it pins."""
-    N, s = _period_and_sign(case, subcase, n)
-    R = euler_limit(n)
-    ihat = Fraction(s) / (N * R)  # s/(N*ihat) = R solved for ihat
-    steps.add("Eq(5.5)", {"value": ihat, "s": s, "N": N, "rhs": R})
-    return ihat
-
-
-def _corollary_6_4(steps: _Steps, n: int) -> None:
+def _corollary_6_4(steps: _Steps) -> None:
     """Add the Prop2.1, L6.2, L6.3 and Cor6.4 steps that pin i(c) = n-1."""
-    dead = "even" if n % 2 == 0 else "odd"  # i(c) has the parity of n-1
-    steps.add("Prop2.1", {"zero_parity": dead, "i1_parity": (n - 1) % 2})
-    steps.add("L6.2", check_lemma_6_2(n))
-    steps.add("L6.3", check_lemma_6_3(n))
-    steps.add("Cor6.4", {"i_c": n - 1})
+    for rule in ("Prop2.1", "L6.2", "L6.3", "Cor6.4"):
+        steps.add(rule)
 
 
 def _replay_ncg1(n: int) -> Trace:
-    steps = _Steps()
-    ihat = _identity_pin(steps, n, "NCG1", "")
-    _corollary_6_4(steps, n)
-    # i(c) = n-1 forces 2p + (n-2r-1) = n-1, so p = r; ihat < 2 with at
-    # least one rotation contributing strictly positive angle forces p = 0.
-    steps.add("Eq(6.7)", {"p": 0, "r": 0, "ihat": ihat})
-    terms = n - 1
-    rho_sum = ihat / 2  # sum of rotation numbers theta_i/(2 pi)
-    steps.add("Eq(6.9)", {"value": rho_sum, "terms": terms})
-
+    steps = _Steps(n, "NCG1")
+    steps.add("Eq(5.5)")
+    _corollary_6_4(steps)
+    steps.add("Eq(6.7)")
+    steps.add("Eq(6.9)")
     # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
     # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
     m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
     if m1 >= 2:
-        steps.add("Eq(6.11)", {"iterates": [2, m1], "terms": terms})
-        steps.add("Claim1", {"m": m1, "i": n - 1 + 2 * (m1 - 1)})
-    m = m1 + 1
-    total = m * rho_sum
-    ends = _ends(floor_sum_range(m, terms, total))
-    steps.add("Eq(6.14)", {"m": m, "terms": terms, "total": total, "set": ends})
-    if ends:
-        steps.add("L6.5", {"m": m, "set": ends, "contradiction_kind": "pigeonhole"})
+        steps.add("Eq(6.11)", iterates=[2, m1])
+        steps.add("Claim1")
+    if steps.add("Eq(6.14)", m=m1 + 1)["set"]:
+        steps.add("L6.5", "pigeonhole")
     else:
-        steps.add("Eq(6.14)", {"m": m, "total": total, "set": [],
-                               "contradiction_kind": "pigeonhole"})
-    return steps.close("NCG1")
+        steps.add("Eq(6.14)", "pigeonhole")
+    return steps.close()
 
 
 def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
-    steps = _Steps()
-    ihat = _identity_pin(steps, n, case, subcase)
-
-    if ihat <= 0:
-        steps.add("L6.1", check_lemma_6_1(n))
-        steps.add("L6.1", {"ihat": ihat, "contradiction_kind": "sign"})
+    steps = _Steps(n, case, subcase)
+    if steps.add("Eq(5.5)")["value"] <= 0:
+        steps.add("L6.1")
+        steps.add("L6.1", "sign")
     elif case == "NCG4":
-        steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "irrationality"})
-    elif case == "NCG5":
-        # ihat = p, a non-negative integer of the assumed parity
-        if n % 2 == 1 and subcase == "p even":
-            steps.add("Step2-Subcase5.1",
-                      {"ihat": ihat, "p_half": ihat / 2, "contradiction_kind": "integrality"})
-        else:  # n even, p odd: the pin (n-1)/n is never an integer
-            steps.add("Eq(5.5)", {"ihat": ihat, "contradiction_kind": "integrality"})
+        steps.add("Eq(5.5)", "irrationality")
+    elif case == "NCG5":  # ihat = p, a non-negative integer of the assumed parity
+        steps.add("Step2-Subcase5.1" if n % 2 and subcase == "p even" else "Eq(5.5)",
+                  "integrality")
     else:
         # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
-        _corollary_6_4(steps, n)
-        bounds = {"ihat": ihat, "k_lower": n - 1, "k_upper": n - 2,
-                  "contradiction_kind": "rotation-count"}
+        _corollary_6_4(steps)
         # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
-        steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)", bounds)
-    return steps.close(case, subcase)
+        steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)",
+                  "rotation-count")
+    return steps.close()
 
 
 def replay(n: int) -> list[Trace]:
@@ -159,10 +140,10 @@ def certificate_json(n: int, traces: list[Trace] | None = None) -> str:
 _ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
              "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
 
-# The statement of each row, a format string over the step's values (fractions
-# parsed) and the fields that `render` adds: n1 = n-1, the iterate m named as
-# n's parity names it, the trace's subcase, the values of the premises the
-# checker derives and, for Lemma 6.3, what its hypotheses refute.
+# The statement of each row, a format string over the values the row derives
+# and the fields that `render` adds: n1 = n-1, the iterate m named as n's
+# parity names it, the trace's subcase, the premises' derived values and, for
+# Lemma 6.3, what its hypotheses refute.
 _TEXT = {
     ("L6.1", None): "mean index > 0 (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
                     "fails)",
@@ -210,19 +191,19 @@ def vacuity(n: int, case: str) -> str:
 def render(n: int, trace: dict) -> list[tuple[str, str]]:
     """Each step of a certificate trace as the paper states it at n: the
     equation number it cites there (odd n numbers some equations apart) and
-    its statement, rebuilt from the step's values and its premises' values.
-    The text is presentation only; the checker reads the values alone."""
-    steps, out = trace["steps"], []
-    parsed = [{k: Fraction(x) if k in _FRACTIONS else x for k, x in step["values"].items()}
-              for step in steps]
-    for step, v, premises in zip(steps, parsed, _premises(steps)):
+    its statement, rebuilt from the values the rule table derives for the step
+    and its premises, which a verified trace holds.  The text is presentation
+    only; the checker reads the values alone."""
+    steps, out = _Steps(n, trace["case"], trace["subcase"]), []
+    for step, premises in zip(trace["steps"], _premises(trace["steps"])):
+        rule, kind = step["rule"], step["values"].get("contradiction_kind")
+        v = steps.add(rule, kind, **step["values"])
         fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}",
-                  "subcase": trace["subcase"], "premises": [parsed[j] for j in premises]}
+                  "subcase": trace["subcase"], "premises": [steps.derived[j] for j in premises]}
         if "hypotheses" in v:
             fields["refuted"] = (f"each hypothetical i(c) in {v['hypotheses']}, in steps of 2, "
                                  "fails the alternating sum at i(c)+1: -1 >= 0"
                                  if v["hypotheses"] else "hypothesis range below n-1 is empty")
-        rule = step["rule"]
         out.append((_ODD_RULE.get(rule, rule) if n % 2 else rule,
-                    _TEXT[rule, v.get("contradiction_kind")].format_map(fields)))
+                    _TEXT[rule, kind].format_map(fields)))
     return out

@@ -107,18 +107,35 @@ def _exact_number(value, name: str) -> Fraction:
     raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
 
 
-def block_from_json(obj: dict) -> Block:
+def _exact_real(value, path: str) -> ExactReal:
+    if type(value) is not str:
+        raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r}')
+    return ExactReal.parse(value)
+
+
+def block_from_json(obj: dict, path: str) -> Block:
+    """The block of a JSON object; each error names the path of its field and its value."""
+    if type(obj) is not dict:
+        raise BlockInvariantError(f'{path} must be an object with a "type", got {obj!r}')
     kind = obj.get("type")
     if kind == "rot":
-        return Rot(ExactReal.parse(obj["rho"]))
+        return Rot(_exact_real(obj.get("rho"), f"{path}.rho"))
     if kind == "hyp":
-        return Hyp(_exact_number(obj["d"], "d"))
+        return Hyp(_exact_number(obj.get("d"), f"{path}.d"))
     if kind == "n":
-        B = [[_exact_number(x, "B entry") for x in row] for row in obj.get("B", [[0, 0], [0, 0]])]
-        return NBlock(ExactReal.parse(obj["rho"]), B)
-    raise ValueError(f"unknown block type: {kind!r}")
+        B = obj.get("B", [[0, 0], [0, 0]])
+        if type(B) is not list or len(B) != 2 or any(type(r) is not list or len(r) != 2 for r in B):
+            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {B!r}")
+        return NBlock(_exact_real(obj.get("rho"), f"{path}.rho"), [
+            [_exact_number(x, f"{path}.B[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(B)])
+    raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r}")
 
 
-def decomposition_from_json(obj: dict) -> NormalFormDecomposition:
-    return NormalFormDecomposition(block_from_json(b) for b in obj["blocks"])
-
+def decomposition_from_json(obj: dict, path: str = "dec") -> NormalFormDecomposition:
+    if type(obj) is not dict:
+        raise BlockInvariantError(f'{path} must be an object {{"blocks": [...]}}, got {obj!r}')
+    if type(blocks := obj.get("blocks")) is not list:
+        raise BlockInvariantError(f"{path}.blocks must be a list of blocks, got {blocks!r}")
+    return NormalFormDecomposition(block_from_json(b, f"{path}.blocks[{i}]")
+                                   for i, b in enumerate(blocks))

@@ -558,10 +558,12 @@ class TestVerify:
 
     def test_the_failing_step_is_named(self, capsys, tmp_path):
         path = self.write(tmp_path, TAMPERED["identity"]())
-        # the NCG2 "p odd" trace is trace 2 of n = 4, after NCG1 and NCG2 "p even"
+        # the NCG2 "p odd" trace is trace 2 of n = 4, after NCG1 and NCG2 "p even"; the
+        # line names the values given and those the rule derives, ihat = 3/4
         assert run(capsys, "verify", path) == (
-            1, "", f"{path}: trace 2: step 0 (Eq(5.5)): identity re-check failed for "
-                   "ihat = 5/7\n")
+            1, "", f"{path}: trace 2: step 0 (Eq(5.5)): values {{'N': 2, 'rhs': '-2/3', 's': -1, "
+                   "'value': '5/7'} are not {'N': 2, 'rhs': '-2/3', 's': -1, 'value': '3/4'}, "
+                   "those the rule derives\n")
 
     def test_a_schema_4_step_is_named(self, capsys, tmp_path):
         # a schema-4 certificate relabelled 6 fails at its first step, which holds premises
@@ -798,20 +800,46 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("block,field,value", [
         ({"type": "hyp", "d": 2.5}, "d", 2.5), ({"type": "hyp", "d": True}, "d", True),
-        ({"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]}, "B entry", 0.1),
-        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, 1.0]]}, "B entry", 1.0),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0.1, True], [0, 0]]}, "B[0][0]", 0.1),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, 1.0]]}, "B[1][1]", 1.0),
         ({"type": "hyp", "d": "1/0"}, "d", "1/0"), ({"type": "hyp", "d": "two"}, "d", "two"),
-        ({"type": "n", "rho": RHO.serialize(), "B": [["1/0", 0], [0, 0]]}, "B entry", "1/0"),
-        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, "two"]]}, "B entry", "two"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [["1/0", 0], [0, 0]]}, "B[0][0]", "1/0"),
+        ({"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, "two"]]}, "B[1][1]", "two"),
     ], ids=["d-2.5", "d-True", "B-0.1", "B-1.0", "d-1/0", "d-two", "B-1/0", "B-two"])
     def test_inexact_block_number(self, capsys, tmp_path, block, field, value):
         # a float or bool is refused, never read as a binary fraction or as 1, and so is
-        # a string that is no fraction; the message names the field and the value
+        # a string that is no fraction; the message names the field's path and the value
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"n": 2 if block["type"] == "hyp" else 3, "p": 0,
                                     "dec": {"blocks": [block]}}))
         self.check_fault(capsys, ["iterate", "--model", str(path)],
-                         f"model: {field} must be an integer or a fraction string, got {value!r}")
+                         f"model: dec.blocks[0].{field} must be an integer or a fraction string, "
+                         f"got {value!r}")
+
+    @pytest.mark.parametrize("model,message", [
+        ({"n": 3, "p": 0, "dec": {"blocks": [{"type": "n", "rho": RHO.serialize(), "B": 5}]}},
+         "dec.blocks[0].B must be a 2x2 matrix, got 5"),
+        ({"n": 3, "p": 0, "dec": {"blocks": [{"type": "n", "rho": RHO.serialize(), "B": [5, 6]}]}},
+         "dec.blocks[0].B must be a 2x2 matrix, got [5, 6]"),
+        ({"n": 2, "p": 0, "dec": {"blocks": [{"type": "rot", "rho": 5}]}},
+         'dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got 5'),
+        ({"n": 2, "p": 0, "dec": {"blocks": [{"type": "hyp"}]}},
+         "dec.blocks[0].d must be an integer or a fraction string, got None"),
+        ({"n": 2, "p": 0, "dec": {"blocks": 5}}, "dec.blocks must be a list of blocks, got 5"),
+        ({"n": 2, "p": 0, "dec": []}, 'dec must be an object {"blocks": [...]}, got []'),
+        ({"n": 2, "p": 0, "dec": {"blocks": [5]}}, 'dec.blocks[0] must be an object with a "type", '
+                                                     "got 5"),
+        ([1], "a model must be an object with n, p and dec, got [1]"),
+        ({"p": 0, "dec": {"blocks": [{"type": "rot", "rho": RHO.serialize()}]}},
+         "n must be an integer, got None"),
+    ], ids=["B-int", "B-rows", "rho-int", "no-d", "blocks-int", "dec-list", "block-int",
+            "model-list", "no-n"])
+    def test_a_model_error_names_its_field(self, capsys, tmp_path, model, message):
+        # each message names the path of the field that is wrong and the value it holds
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        err = self.check_fault(capsys, ["iterate", "--model", str(path)], message)
+        assert err == f"error: model: {message}\n"
 
     @pytest.mark.parametrize("argv", [["iterate", "--model", "MODEL"], ["betti", "--n", "3"]],
                              ids=["iterate", "betti"])

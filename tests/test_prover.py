@@ -17,7 +17,6 @@ from indexlab.checker import (
     _CLOSINGS,
     _RULES,
     _TABLE,
-    _VALUE_TYPES,
     _reached,
     TraceError,
     _violation_at,
@@ -317,7 +316,7 @@ class TestVerifier:
         t = _trace(6, "NCG1")
         [i] = [i for i, step in enumerate(t["steps"]) if step["rule"] == "L6.2"]
         evidence = {**t["steps"][i]["values"]["evidence"], **change}
-        with pytest.raises(TraceError, match="not reproduced"):
+        with pytest.raises(TraceError, match=r"\(L6\.2\): values .* those the rule derives"):
             verify_trace(6, _tampered(t, i, evidence=evidence))
 
     @settings(max_examples=400, deadline=None)
@@ -378,7 +377,8 @@ class TestVerifier:
                         verify_trace(n, _replaced(t, i, premises=kept["premises"]))
                     if "relation" in kept["values"]:
                         relations += 1
-                        with pytest.raises(TraceError, match=rf"step {i} .*'relation'.* not of"):
+                        with pytest.raises(TraceError, match=rf"step {i} .*'relation'.* are not "
+                                                                 "{.*}, those the rule derives"):
                             verify_trace(n, _replaced(t, i, kept["values"]))
         assert relations > 0
 
@@ -567,7 +567,7 @@ class TestMutations:
                     values = [_without(p, "hypothetical_M")] if "evidence" in p else []
                     for v in values:
                         mutants += 1
-                        with pytest.raises(TraceError, match="not reproduced"):
+                        with pytest.raises(TraceError, match="those the rule derives"):
                             verify_trace(n, _replaced(t, i, v))
         assert mutants > 0
 
@@ -594,7 +594,7 @@ class TestMutations:
                         mutants["hypothesis added"] = {**larger, "min": n - 1}
                     for kind, values in mutants.items():
                         kinds.add((step["rule"], kind))
-                        with pytest.raises(TraceError, match="not reproduced"):
+                        with pytest.raises(TraceError, match="those the rule derives"):
                             verify_trace(n, _replaced(t, i, values))
         assert len(kinds) == 2 * 2 + 5, sorted(kinds)
 
@@ -625,6 +625,25 @@ class TestMutations:
             assert (case, "p odd", "rotation-count") in applied
         assert ("NCG4", "p odd", "irrationality") in applied
 
+    def test_a_sign_closing_needs_a_pin_of_at_most_0(self):
+        # each positive pin of a case that the sign may close, closed by Lemma 6.1's
+        # sign contradiction instead: consistent but for the sign of the pin
+        mutants = 0
+        for n in range(2, 41):
+            for t in _traces(n):
+                if "sign" not in _CLOSINGS[t["case"]] or not t["steps"]:
+                    continue
+                pin = t["steps"][0]
+                if Fraction(pin["values"]["value"]) <= 0:
+                    continue
+                closing = {"rule": "L6.1", "kind": "Contradiction", "values": {
+                    "ihat": pin["values"]["value"], "contradiction_kind": "sign"}}
+                lemma = _lemma_step("L6.1", "MeanIndexEquals", check_lemma_6_1, n)
+                mutants += 1
+                with pytest.raises(TraceError, match="sign contradiction cites a positive"):
+                    verify_trace(n, {**t, "steps": [pin, lemma, closing], "detail": "sign"})
+        assert mutants > 0
+
     @pytest.mark.parametrize("key", ["N", "s"])
     def test_the_pin_fits_the_case(self, key):
         # another period or sign, with the identity re-solved and every ihat
@@ -644,7 +663,9 @@ class TestMutations:
                     if "ihat" in step["values"]:
                         bad = _tampered(bad, j, ihat=ihat)
                 mutants += 1
-                with pytest.raises(TraceError, match="do not fit the case"):
+                # the message names the period and sign that the case derives
+                derived = rf"are not {{'N': {p['N']}, 'rhs': '[-0-9/]+', 's': {p['s']}, "
+                with pytest.raises(TraceError, match=rf"step {i} \(Eq\(5\.5\)\): .* {derived}"):
                     verify_trace(n, bad)
         assert mutants > 0
 
@@ -666,7 +687,10 @@ class TestMutations:
                     moved = dict(zip(map(id, swapped), _premise_steps(swapped)))
                     if [moved[id(step)] for step in steps] == derivation:
                         applied["same derivation"] += 1
-                        with pytest.raises(TraceError, match="the rule table's order"):
+                        # the step moved down is named, after the one it now follows
+                        order = re.escape(f"step {i + 1} ({steps[i]['rule']}): not after "
+                                          f"{steps[i + 1]['rule']}: the rule table's order")
+                        with pytest.raises(TraceError, match=order):
                             verify_trace(n, {**t, "steps": swapped})
                     else:
                         applied["other derivation"] += 1
@@ -694,7 +718,7 @@ class TestMutations:
         for bad in (_tampered(t, family, iterates=[2, 3]),  # a true family, one iterate short
                     _tampered(t, claim, m=3, i=12),  # a true chain, one iterate short
                     _tampered(t, claim, i=16)):  # the chain of a base 2 above i(c)
-            with pytest.raises(TraceError, match="Claim1 up to m = "):
+            with pytest.raises(TraceError, match=r"\(Claim1\): values .* those the rule derives"):
                 verify_trace(9, bad)
 
     def test_the_pigeonhole_needs_the_claim1_chain(self):
@@ -740,7 +764,7 @@ class TestMutations:
                     bad = _tampered(bad, j, total=_ratio(p["m"] * rho), set=[r[0], r[-1]])
                 elif steps[j]["rule"] == "L6.5":
                     bad = _tampered(bad, j, set=[r[0], r[-1]])
-            with pytest.raises(TraceError, match="ihat/2"):
+            with pytest.raises(TraceError, match=r"\(Eq\(6\.9\)\): values .* the rule derives"):
                 verify_trace(n, bad)
 
     def test_the_pin_solves_the_identity(self):
@@ -759,7 +783,8 @@ class TestMutations:
                     if "p_half" in step["values"]:
                         bad = _tampered(bad, j, p_half=_ratio(ihat / 2))
                 mutants += 1
-                with pytest.raises(TraceError, match="identity re-check"):
+                pin = r"step 0 \(Eq\(5\.5\)\): values .* the rule derives"
+                with pytest.raises(TraceError, match=pin):
                     verify_trace(n, bad)
         assert mutants > 0
 
@@ -833,7 +858,7 @@ class TestMutations:
             for t in _traces(n):
                 for i in range(len(t["steps"])):
                     for value in (0, "", [], {}):
-                        with pytest.raises(TraceError, match="not of the type"):
+                        with pytest.raises(TraceError, match="'note': .* the rule derives"):
                             verify_trace(n, _tampered(t, i, note=value))
 
     def test_values_hold_only_the_keys_of_their_row(self):
@@ -844,7 +869,10 @@ class TestMutations:
             for step in t["steps"]:
                 for key, value in step["values"].items():
                     held.setdefault(key, value)
-        assert held.keys() == _VALUE_TYPES.keys()
+        # every key the derivations give, and the contradiction kind of a closing
+        assert held.keys() == set("value s N rhs evidence hypothetical_M zero_parity i1_parity "
+                                  "max min hypotheses i_c p r ihat terms iterates i m total set "
+                                  "k_lower k_upper p_half contradiction_kind".split())
         mutants = 0
         for n, ts in traces.items():
             for t in ts:
@@ -878,7 +906,7 @@ class TestMutations:
                     for key, value in step["values"].items():
                         for x in _retyped_nested(value):
                             keys.add(key)
-                            with pytest.raises(TraceError, match="not of the type"):
+                            with pytest.raises(TraceError, match="is not an int or a string"):
                                 verify_trace(n, _tampered(t, i, **{key: x}))
         assert keys == {"set", "hypotheses", "iterates", "evidence", "hypothetical_M"}
 
@@ -908,6 +936,14 @@ class TestMutations:
                                                if in_order else "the rule table's order"):
                                 verify_trace(n, {**t, "steps": padded})
         assert all(mutants), mutants
+
+    def test_a_missing_premise_is_named(self):
+        # each trace without its Eq(5.5) pin: the first step that reads the pin names it
+        for n in range(2, 41):
+            for t in _traces(n):
+                if t["steps"]:
+                    with pytest.raises(TraceError, match=r"\): no earlier step of Eq\(5\.5\)$"):
+                        verify_trace(n, _kept(t, range(1, len(t["steps"]))))
 
     def test_the_claim1_induction_cannot_be_cut_out(self):
         # the pigeonhole then rests on Cor6.4, which establishes the index of c^1 only
@@ -1391,6 +1427,6 @@ class TestFractionSpelling:
                     if how in SAME_VALUE:  # Python reads it as x: only the spelling is wrong
                         assert Fraction(spelled) == x
                     sites += 1
-                    with pytest.raises(TraceError, match="spelled|malformed|not of the type"):
+                    with pytest.raises(TraceError, match="those the rule derives|is not an int"):
                         verify_trace(n, _tampered(t, i, **{key: spelled}))
         assert sites > 0

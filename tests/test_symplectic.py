@@ -187,6 +187,9 @@ class TestJson:
         {"type": "n", "rho": RHO.serialize(), "B": [[0, 0], [0, False]]},
     ])
     def test_floats_and_booleans_are_refused(self, block):
-        field = "d" if "d" in block else "B entry"
-        with pytest.raises(BlockInvariantError, match=f"^{field} must be an integer or a fraction"):
+        # the message names the path of the first inexact number
+        field = "d" if "d" in block else next(f"B[{i}][{j}]" for i, row in enumerate(block["B"])
+                                              for j, x in enumerate(row) if type(x) is not int)
+        needle = re.escape(f"dec.blocks[0].{field} must be an integer or a fraction")
+        with pytest.raises(BlockInvariantError, match=f"^{needle}"):
             decomposition_from_json({"blocks": [block]})
