@@ -336,10 +336,10 @@ def _subcases(n: int, case: str) -> tuple[str, ...]:
 
 def _premises(steps: list) -> Iterator[list[int]]:
     """Each step's premises: per slot of its row, the latest earlier step of its rules, or -1."""
-    latest = dict.fromkeys(_ORDER, -1)
+    latest = {}
     for i, step in enumerate(steps):
         slots = _TABLE[step["rule"], step["values"].get("contradiction_kind")][1]
-        yield [max(map(latest.__getitem__, slot)) for slot in slots]
+        yield [max(latest.get(rule, -1) for rule in slot) for slot in slots]
         latest[step["rule"]] = i
 
 

@@ -132,10 +132,10 @@ def block_from_json(obj: dict, path: str) -> Block:
     raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r}")
 
 
-def decomposition_from_json(obj: dict, path: str = "dec") -> NormalFormDecomposition:
+def decomposition_from_json(obj: dict) -> NormalFormDecomposition:
     if type(obj) is not dict:
-        raise BlockInvariantError(f'{path} must be an object {{"blocks": [...]}}, got {obj!r}')
+        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {obj!r}')
     if type(blocks := obj.get("blocks")) is not list:
-        raise BlockInvariantError(f"{path}.blocks must be a list of blocks, got {blocks!r}")
-    return NormalFormDecomposition(block_from_json(b, f"{path}.blocks[{i}]")
+        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {blocks!r}")
+    return NormalFormDecomposition(block_from_json(b, f"dec.blocks[{i}]")
                                    for i, b in enumerate(blocks))
