@@ -2,7 +2,7 @@
 certificate with exact arithmetic, reading its cases as the certificate's own
 strings "NCG1" to "NCG5".  It imports nothing from the package, so this one
 file can be audited and run alone (`python -I checker.py CERT.json`); `morse`
-takes its Betti closed forms and `prover` its rule table, never the reverse.
+takes its Betti closed forms and `prover` its step builder, never the reverse.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 
 
@@ -85,41 +84,26 @@ def euler_limit(n: int) -> Fraction:
     return Fraction(n + 1, 2 * (n - 1))
 
 
-# -- lemma checks: each derives a step's values from Morse violations
+# -- lemma checks: each states the Morse failure that refutes its hypothesis
 
-def _violation_at(M: dict, n: int, q: int, kind: str, shift: int = 0) -> dict:
-    """The failure of sparse table M's `kind` Morse inequality at degree q,
-    with M and q counted from degree `shift`: the Betti side is read at q + shift."""
-    if type(q) is int and 0 <= q < M["length"] and kind in ("pointwise", "alternating"):
-        entries = M["entries"]
-        if kind == "pointwise":
-            lhs, rhs = dict(entries).get(q, 0), betti(n, q + shift)
-        else:  # M_q - M_{q-1} + M_{q-2} - ..., over the nonzero entries
-            lhs = sum(v if (q - j) % 2 == 0 else -v for j, v in entries if j <= q)
-            rhs = alternating_betti_sum(n, q + shift)
-        if lhs < rhs:
-            return {"q": q, "kind": kind, "lhs": lhs, "rhs": rhs}
-    raise TraceError(f"{kind} violation at q={q} not reproduced from its table")
-
-
-def _lemma_6_1_failure(n: int) -> tuple[dict, dict]:
-    """The zero table of length n that Lemmas 6.1 and 6.2 suppose, and its failure at q = n-1."""
-    M = {"length": n, "entries": []}
-    return M, _violation_at(M, n, n - 1, "pointwise")
+def _zero_table_failure(n: int) -> dict:
+    """The zero table of length n that Lemmas 6.1 and 6.2 suppose: M_{n-1} = 0 < b_{n-1}."""
+    if not 0 < (b := betti(n, n - 1)):
+        raise TraceError(f"the zero table meets b_{n - 1} = {b}")
+    return {"evidence": {"q": n - 1, "kind": "pointwise", "lhs": 0, "rhs": b},
+            "hypothetical_M": {"length": n, "entries": []}}
 
 
 def check_lemma_6_1(n: int) -> dict:
     """Positive mean index is forced: zero mean index concentrates every
     local module in degree 0, leaving M_{n-1} = 0 below b_{n-1} = 1."""
-    M, v = _lemma_6_1_failure(n)
-    return {"value": Fraction(0), "evidence": v, "hypothetical_M": M}
+    return {"value": Fraction(0)} | _zero_table_failure(n)
 
 
 def check_lemma_6_2(n: int) -> dict:
     """i(c) <= n-1 is forced: a larger initial index empties every degree
     up to n-1, again contradicting b_{n-1} = 1."""
-    M, v = _lemma_6_1_failure(n)
-    return {"max": n - 1, "evidence": v, "hypothetical_M": M}
+    return {"max": n - 1} | _zero_table_failure(n)
 
 
 def check_lemma_6_3(n: int) -> dict:
@@ -134,12 +118,11 @@ def check_lemma_6_3(n: int) -> dict:
     """
     hypotheses = _ends(range(1 + n % 2, n - 2, 2))
     values = {"min": n - 1, "hypotheses": hypotheses}
-    if hypotheses:
-        # the left side reads only the table; the right side, taken at the last i0,
-        # is alternating_betti_sum(n, i0 + 1) = 0 for every i0 + 1 < n-1
-        M = {"length": 2, "entries": [[0, 1]]}
-        values |= {"evidence": _violation_at(M, n, 1, "alternating", hypotheses[1]),
-                    "hypothetical_M": M}
+    if hypotheses:  # M_{i0+1} - M_{i0} = -1 below A_{i0+1}, which is 0 for every i0 + 1 < n-1
+        if not -1 < (rhs := alternating_betti_sum(n, hypotheses[1] + 1)):
+            raise TraceError(f"A_{hypotheses[1] + 1} = {rhs} is not above the table's -1")
+        values |= {"evidence": {"q": 1, "kind": "alternating", "lhs": -1, "rhs": rhs},
+                   "hypothetical_M": {"length": 2, "entries": [[0, 1]]}}
     return values
 
 
@@ -203,16 +186,17 @@ def _claim_1(t, p, family, base):
 def _pigeonhole(t, p, known, floor):
     # each admissible floor sum s puts i(c^m) on the degree i(c) + 2s of the earlier
     # iterate s + 1, whose index the Claim1 induction up to `known` has established
-    _, last = floor["set"]
-    if not last < known.get("m", 1) < floor["m"]:
-        raise TraceError("the pigeonhole range reaches past the iterates whose indices are "
-                         "established")
+    if not floor["set"] or not floor["set"][1] < known.get("m", 1) < floor["m"]:
+        raise TraceError("the pigeonhole needs a floor-sum range below the iterates whose "
+                         "indices are established")
     return {"m": floor["m"], "set": floor["set"]}
 
 
 def _empty_range(t, p, pin, floor):
-    if floor["set"]:
-        raise TraceError("the empty-range pigeonhole needs an empty floor-sum range")
+    # the least m at which the exact total m*rho is an integer is rho's denominator
+    if floor["set"] or floor["m"] != (floor["total"] / floor["m"]).denominator:
+        raise TraceError("the empty-range pigeonhole needs an empty floor-sum range at the "
+                         "least m whose exact total is an integer")
     return {"m": floor["m"], "set": [], "total": floor["total"]}
 
 
@@ -233,8 +217,8 @@ def _rotation_count(t, pin, cor, bound):
     # p - k even gives p - k <= ihat < 2 (Eq(6.18)), odd gives p - k < ihat < 1 (Eq(6.17)):
     # with p = i(c), k >= i(c) either way, while the census gives k <= n-2
     odd = (t.subcase == "p odd") != (t.case == "NCG3")
-    why = f"rotation count needs the rule of the parity of p - k and ihat < {bound}"
-    return _restated(pin, bound == 2 - odd and pin["value"] < bound, why) | {
+    why = f"rotation count needs the rule of the parity of p - k and 0 < ihat < {bound}"
+    return _restated(pin, bound == 2 - odd and 0 < pin["value"] < bound, why) | {
         "k_lower": cor["i_c"], "k_upper": t.n - 2}
 
 
@@ -266,7 +250,8 @@ _RULES = {
     ("Eq(5.5)", "irrationality"): (_C, ("Eq(5.5)",), lambda t, p, pin: _restated(
         pin, pin["value"] > 0, "irrationality contradiction needs a positive pinned value")),
     ("Eq(5.5)", "integrality"): (_C, ("Eq(5.5)",), lambda t, p, pin: _restated(
-        pin, pin["value"].denominator != 1, "integrality contradiction cites an integer value")),
+        pin, t.subcase == "p odd" and pin["value"] > 0 and pin["value"].denominator != 1,
+        "integrality contradiction needs p odd and a positive pinned value, not an integer")),
     ("Step2-Subcase5.1", "integrality"): (_C, ("Eq(5.5)",), _p_half),
     ("Eq(6.17)", "rotation-count"): (_C, ("Eq(5.5)", "Cor6.4"), lambda t, p, pin, cor:
                                      _rotation_count(t, pin, cor, 1)),
@@ -326,7 +311,6 @@ def _reached(n: int) -> frozenset[str]:
 # the JSON type of each field of a trace; what the derivations read of it besides the values
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
 _Scope = namedtuple("_Scope", "n case subcase")
-_STEP_KEYS = {"rule", "kind", "values"}
 
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
@@ -334,27 +318,53 @@ def _subcases(n: int, case: str) -> tuple[str, ...]:
     return ("",) if case == "NCG1" or case not in _reached(n) else ("p even", "p odd")
 
 
-def _premises(steps: list) -> Iterator[list[int]]:
-    """Each step's premises: per slot of its row, the latest earlier step of its rules, or -1."""
-    latest = {}
-    for i, step in enumerate(steps):
-        slots = _TABLE[step["rule"], step["values"].get("contradiction_kind")][1]
-        yield [max(latest.get(rule, -1) for rule in slot) for slot in slots]
-        latest[step["rule"]] = i
+class _Steps:
+    """The steps of one trace, each built through its row of the rule table: the only
+    code that builds a step, for the replay, `verify_trace` and `render` alike."""
+
+    def __init__(self, n: int, case: str, subcase: str = ""):
+        self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
+        self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
+
+    def add(self, rule: str, kind: str | None = None, **chosen) -> dict:
+        """Append the step of this rule and contradiction kind; return the values its row derives
+        from the values it chooses and its premises, per slot the latest earlier step of its
+        rules.  Refused: a step after the closing, out of order before it, or missing a premise."""
+        if (rule, kind) not in _TABLE or kind and kind not in _CLOSINGS[self.scope.case]:
+            raise TraceError(f"{self.scope.case} has no step {rule!r} of closing {kind!r}")
+        if self.kind:
+            raise TraceError(f"a step after the {self.kind} closing")
+        if kind is None and self.steps and _ORDER[rule] <= _ORDER[self.steps[-1]["rule"]]:
+            raise TraceError(f"not after {self.steps[-1]['rule']}: the rule table's order")
+        fact_kind, slots, derive = _TABLE[rule, kind]
+        premises = [max(self.latest.get(r, -1) for r in slot) for slot in slots]
+        if -1 in premises:
+            raise TraceError(f"no earlier step of {' or '.join(slots[premises.index(-1)])}")
+        values = derive(self.scope, chosen, *map(self.derived.__getitem__, premises))
+        self.latest[rule], self.kind = len(self.steps), kind
+        self.steps.append({"rule": rule, "kind": fact_kind, "values": _spelled(values, kind)})
+        self.derived.append(values)
+        self.premises.append(premises)
+        return values
+
+    def close(self) -> str:
+        """The closing's contradiction kind, once every earlier step is a premise of a later one."""
+        if not self.kind:
+            raise TraceError("the trace is open: its last step closes no contradiction")
+        if uncited := set(range(len(self.steps) - 1)).difference(*self.premises):
+            raise TraceError(f"steps {sorted(uncited)} are premises of no later step")
+        return self.kind
 
 
 def verify_trace(n: int, trace: dict) -> bool:
     """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check, n not an int >= 2 among
-    them; returns True otherwise.  Types are JSON's own.  Each step holds a
-    rule, a kind of fact and values, nothing else, and is checked through its
-    row of the rule table: it states the row's kind of fact, each slot has an
-    earlier step (`_premises`), and its values are exactly those the row's
-    derivation gives from the trace, the iterate the step chooses and the
-    premises' derived values, each fraction spelled "a/b" in lowest terms.  The
-    steps before the last take the table's order, and each must be a premise
-    of a later one.
+    them; returns True otherwise.  Types are JSON's own.  Each step is rebuilt
+    through `_Steps` from its own rule, contradiction kind and chosen values, and
+    must equal the step built: the rule, its row's kind of fact and exactly the
+    values its derivation gives, each fraction spelled "a/b" in lowest terms.  The
+    last step closes the trace by the contradiction its detail names.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
@@ -370,39 +380,26 @@ def verify_trace(n: int, trace: dict) -> bool:
             or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
-    last, derived, t, order = len(steps) - 1, [], _Scope(n, case, subcase), -1
-    links, cited = _premises(steps), set()
+    built = _Steps(n, case, subcase)
     for i, step in enumerate(steps):
-        if type(step) is not dict or step.keys() != _STEP_KEYS:
-            raise TraceError(f"step {i} is not an object of the keys {sorted(_STEP_KEYS)}")
-        rule, values = step["rule"], step["values"]
+        rule = step.get("rule") if type(step) is dict else None
         try:
-            kind = values.get("contradiction_kind")  # values not an object: AttributeError
-            row = _TABLE.get((rule, kind))  # a rule or kind not a string is in no row
-            if not row or step["kind"] != row[0] or kind != (None if i < last else detail):
-                raise TraceError(f"no {step['kind']!r} of contradiction kind {kind!r} "
-                                 f"is a step in this place at n = {n}")
-            if i < last:
-                if _ORDER[rule] <= order:
-                    raise TraceError(f"not after {steps[i - 1]['rule']}: the rule table's order")
-                order = _ORDER[rule]
+            values = step["values"]
             if not _plain(values):
                 raise TraceError(f"a value in {values!r} is not an int or a string, "
                                  "or a list or object of them")
-            premises = next(links)
-            if -1 in premises:
-                raise TraceError(f"no earlier step of {' or '.join(row[1][premises.index(-1)])}")
-            cited.update(premises)
-            derived.append(row[2](t, values, *[derived[j] for j in premises]))
-            if values != (spelled := _spelled(derived[-1], kind)):
-                raise TraceError(f"values {values} are not {spelled}, those the rule derives")
+            built.add(rule, values.get("contradiction_kind"), **values)
+            if step != (want := built.steps[-1]):
+                raise TraceError(
+                    f"values {values} are not {want['values']}, those the rule derives"
+                    if values != want["values"] else f"not {want}, the step its rule builds")
+            if i == len(steps) - 1 and built.close() != detail:
+                raise TraceError(f"its {built.kind} closing is not the {detail} of the trace")
         except TraceError as e:
             raise TraceError(f"step {i} ({rule}): {e}") from None
         except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
                 ValueError) as e:
             raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
-    if not cited.issuperset(range(last)):
-        raise TraceError(f"steps {sorted(set(range(last)) - cited)} are premises of no later step")
     return True
 
 

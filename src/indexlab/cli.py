@@ -68,7 +68,7 @@ def _load_json(path: str):
 def _parse_model(obj, label: str) -> iteration.GeodesicModel:
     try:
         return iteration.model_from_json(obj)
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # each reader names the field it refuses
         raise ValueError(f"{label}: {exc}") from exc
 
 

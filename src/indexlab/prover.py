@@ -5,11 +5,11 @@ bumpy n-sphere, every case shape and parity subcase of its linearized
 return map leads to a contradiction.  This module derives each
 contradiction as an ordered list of justified facts over exact rationals.
 It chooses only the sequence of rules, their branches and the iterates of
-the floor sums: each step's values are those its row of `checker`'s rule
-table derives, spelled as the certificate holds them, and `checker`
-re-validates every step of the parsed certificate with the same rows.  A
-step holds values only: `render` rebuilds each step's prose, and the
-equation number odd n cites, from them.
+the floor sums: `checker._Steps` builds each step, linking its premises and
+deriving its values through its row of the rule table, and refuses a choice
+out of order, uncited or unjustified; `checker` rebuilds every step of the
+parsed certificate with the same builder.  A step holds values only: `render`
+rebuilds each step's prose, and the equation number odd n cites, from them.
 
 The engine works symbolically: a constraint like "the rotation numbers sum
 to a rational" is a fact about the model family, never an instantiated
@@ -23,8 +23,8 @@ import json
 from collections import namedtuple
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _TABLE, _Scope, _premises, _reached,
-                      _spelled, _subcases, floor_sum_range, verify_trace)
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _reached, _Steps, _subcases,
+                      floor_sum_range, verify_trace)
 
 # One replayed trace, each field the JSON value the certificate holds: the case
 # tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the
@@ -32,29 +32,10 @@ from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _TABLE, _Scope, _premises, 
 Trace = namedtuple("Trace", "case subcase steps verdict detail")
 
 
-class _Steps:
-    """The steps of one trace, whose premises their order implies (`checker._premises`),
-    and the values derived for each."""
-
-    def __init__(self, n: int, case: str, subcase: str = ""):
-        self.scope, self.steps, self.derived = _Scope(n, case, subcase), [], []
-        self.links = _premises(self.steps)  # resumed once per step as the list grows
-
-    def add(self, rule: str, kind: str | None = None, **chosen) -> dict:
-        """Append the step of this rule and contradiction kind, with the values its row
-        derives from the values it chooses and its premises, and return those values."""
-        fact_kind, _, derive = _TABLE[rule, kind]
-        step = {"rule": rule, "kind": fact_kind, "values": {"contradiction_kind": kind}}
-        self.steps.append(step)  # _premises reads the row of each step it reaches
-        values = derive(self.scope, chosen, *map(self.derived.__getitem__, next(self.links)))
-        self.derived.append(values)
-        step["values"] = _spelled(values, kind)
-        return values
-
-    def close(self) -> Trace:
-        """The trace these steps derive, named after the contradiction of its last step."""
-        return Trace(self.scope.case, self.scope.subcase, self.steps, "contradiction",
-                     self.steps[-1]["values"]["contradiction_kind"])
+def _closed(steps: _Steps) -> Trace:
+    """The trace these steps derive, named after the contradiction of its closing."""
+    return Trace(steps.scope.case, steps.scope.subcase, steps.steps, "contradiction",
+                 steps.close())
 
 
 def _corollary_6_4(steps: _Steps) -> None:
@@ -79,7 +60,7 @@ def _replay_ncg1(n: int) -> Trace:
         steps.add("L6.5", "pigeonhole")
     else:
         steps.add("Eq(6.14)", "pigeonhole")
-    return steps.close()
+    return _closed(steps)
 
 
 def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
@@ -98,7 +79,7 @@ def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
         # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
         steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)",
                   "rotation-count")
-    return steps.close()
+    return _closed(steps)
 
 
 def replay(n: int) -> list[Trace]:
@@ -191,15 +172,15 @@ def vacuity(n: int, case: str) -> str:
 def render(n: int, trace: dict) -> list[tuple[str, str]]:
     """Each step of a certificate trace as the paper states it at n: the
     equation number it cites there (odd n numbers some equations apart) and
-    its statement, rebuilt from the values the rule table derives for the step
-    and its premises, which a verified trace holds.  The text is presentation
+    its statement, rebuilt from the values the kernel's builder derives for the
+    step and its premises, which a verified trace holds.  The text is presentation
     only; the checker reads the values alone."""
     steps, out = _Steps(n, trace["case"], trace["subcase"]), []
-    for step, premises in zip(trace["steps"], _premises(trace["steps"])):
+    for step in trace["steps"]:
         rule, kind = step["rule"], step["values"].get("contradiction_kind")
         v = steps.add(rule, kind, **step["values"])
-        fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}",
-                  "subcase": trace["subcase"], "premises": [steps.derived[j] for j in premises]}
+        fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}", "subcase":
+                  trace["subcase"], "premises": [steps.derived[j] for j in steps.premises[-1]]}
         if "hypotheses" in v:
             fields["refuted"] = (f"each hypothetical i(c) in {v['hypotheses']}, in steps of 2, "
                                  "fails the alternating sum at i(c)+1: -1 >= 0"

@@ -11,6 +11,7 @@ in (0, 1) \\ {1/2} that must be irrational.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -97,20 +98,25 @@ class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
 # -- JSON input ------------------------------------------------------------
 
 def _exact_number(value, name: str) -> Fraction:
-    """value, an int or a fraction string, as a Fraction: a JSON float or boolean is
-    refused, never rounded, and so is a string that is no fraction, such as "1/0"."""
+    """value, an int or a string "a" or "a/b" of integers a and b != 0, as a Fraction: a JSON
+    float or bool is refused, never rounded, and so is any other string ("1/0", "0.5", "1e9")."""
     try:
-        if type(value) in (int, str):
+        if type(value) is int:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        if type(value) is str and (m := re.fullmatch(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?", value)):
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except ValueError:  # more digits than int() converts
         pass
     raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
 
 
 def _exact_real(value, path: str) -> ExactReal:
-    if type(value) is not str:
-        raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r}')
-    return ExactReal.parse(value)
+    try:
+        if type(value) is str:
+            return ExactReal.parse(value)
+    except ValueError:  # no literal of the form, or more digits than int() converts
+        pass
+    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r}')
 
 
 def block_from_json(obj: dict, path: str) -> Block:
@@ -119,17 +125,22 @@ def block_from_json(obj: dict, path: str) -> Block:
         raise BlockInvariantError(f'{path} must be an object with a "type", got {obj!r}')
     kind = obj.get("type")
     if kind == "rot":
-        return Rot(_exact_real(obj.get("rho"), f"{path}.rho"))
-    if kind == "hyp":
-        return Hyp(_exact_number(obj.get("d"), f"{path}.d"))
-    if kind == "n":
+        field, block, args = "rho", Rot, [_exact_real(obj.get("rho"), f"{path}.rho")]
+    elif kind == "hyp":
+        field, block, args = "d", Hyp, [_exact_number(obj.get("d"), f"{path}.d")]
+    elif kind == "n":
         B = obj.get("B", [[0, 0], [0, 0]])
         if type(B) is not list or len(B) != 2 or any(type(r) is not list or len(r) != 2 for r in B):
             raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {B!r}")
-        return NBlock(_exact_real(obj.get("rho"), f"{path}.rho"), [
+        field, block, args = "rho", NBlock, [_exact_real(obj.get("rho"), f"{path}.rho"), [
             [_exact_number(x, f"{path}.B[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(B)])
-    raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r}")
+            for i, row in enumerate(B)]]
+    else:
+        raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r}")
+    try:
+        return block(*args)
+    except BlockInvariantError as e:  # a value of the right type that the block refuses
+        raise BlockInvariantError(f"{path}.{field} = {obj[field]!r}: {e}") from None
 
 
 def decomposition_from_json(obj: dict) -> NormalFormDecomposition:

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot
+from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, checker
 from indexlab.exact import ExactReal
 
 NONSQUARE_D = [2, 3, 5, 6, 7, 10, 11, 13, 17, 19]
@@ -75,6 +75,17 @@ def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:
     rng.shuffle(blocks)
     p = rng.randint(0, 4)
     return GeodesicModel(n, NormalFormDecomposition(blocks), p)
+
+
+def premises(steps: list) -> list[list[int]]:
+    """Each step's premises as the kernel's builder links them, for steps in any order:
+    per slot of its row, the latest earlier step of its rules, or -1."""
+    latest, links = {}, []
+    for i, step in enumerate(steps):
+        slots = checker._TABLE[step["rule"], step["values"].get("contradiction_kind")][1]
+        links.append([max(latest.get(rule, -1) for rule in slot) for slot in slots])
+        latest[step["rule"]] = i
+    return links
 
 
 def poincare_series(n: int, degree: int) -> list[int]:

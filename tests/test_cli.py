@@ -485,8 +485,10 @@ def _schema_4(n, schema=4):
     """The certificate for n with each step's premises put back, as schema 4 held them."""
     doc = json.loads(prover.certificate_json(n))
     for t in doc["traces"]:
-        for step, premises in zip(t["steps"], checker._premises(t["steps"])):
-            step["premises"] = premises
+        built = checker._Steps(n, t["case"], t["subcase"])  # the builder links each step
+        for step in t["steps"]:
+            built.add(step["rule"], step["values"].get("contradiction_kind"), **step["values"])
+            step["premises"] = built.premises[-1]
     return {**doc, "schema": schema}
 
 
@@ -569,8 +571,9 @@ class TestVerify:
         # a schema-4 certificate relabelled 6 fails at its first step, which holds premises
         path = self.write(tmp_path, TAMPERED["premises"]())
         assert run(capsys, "verify", path) == (
-            1, "", f"{path}: trace 0: step 0 is not an object of the keys "
-                   "['kind', 'rule', 'values']\n")
+            1, "", f"{path}: trace 0: step 0 (Eq(5.5)): not {{'rule': 'Eq(5.5)', 'kind': "
+                   "'MeanIndexEquals', 'values': {'N': 1, 'rhs': '3/4', 's': 1, 'value': '4/3'}}, "
+                   "the step its rule builds\n")
 
     @pytest.mark.parametrize("text", ["", "{", "[1,", "\ud800"], ids=repr)
     def test_a_file_that_is_not_json_exits_2(self, capsys, tmp_path, text):
@@ -841,6 +844,28 @@ class TestInputFaults:
         err = self.check_fault(capsys, ["iterate", "--model", str(path)], message)
         assert err == f"error: model: {message}\n"
 
+    @pytest.mark.parametrize("block,message", [
+        ({"type": "rot", "rho": "abc"},
+         """dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got 'abc'"""),
+        ({"type": "rot", "rho": "(1+1*sqrt(2))/0"},
+         """dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got '(1+1*sqrt(2))/0'"""),
+        ({"type": "rot", "rho": "(1+0*sqrt(2))/3"}, "dec.blocks[0].rho = '(1+0*sqrt(2))/3': "
+         "R-block rotation number must be irrational, got (1+0*sqrt(0))/3"),
+        ({"type": "rot", "rho": "(1+1*sqrt(2))/1"}, "dec.blocks[0].rho = '(1+1*sqrt(2))/1': "
+         "R-block rotation number must lie in (0, 1), got (1+1*sqrt(2))/1"),
+        ({"type": "hyp", "d": 1},
+         "dec.blocks[0].d = 1: hyperbolic parameter must avoid {0, 1, -1}, got 1"),
+        ({"type": "hyp", "d": "1e10000000"},
+         "dec.blocks[0].d must be an integer or a fraction string, got '1e10000000'"),
+    ], ids=["rho-abc", "rho-c-0", "rho-rational", "rho-above-1", "d-1", "d-exponent"])
+    def test_a_refused_value_names_its_field(self, capsys, tmp_path, block, message):
+        # a value of the right JSON type that its block refuses names the path and the
+        # value, and an exponent is refused before it is expanded
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "p": 0, "dec": {"blocks": [block]}}))
+        err = self.check_fault(capsys, ["iterate", "--model", str(path)], message)
+        assert err == f"error: model: {message}\n"
+
     @pytest.mark.parametrize("argv", [["iterate", "--model", "MODEL"], ["betti", "--n", "3"]],
                              ids=["iterate", "betti"])
     @pytest.mark.parametrize("flags", [["--csv", "--json", "OUT"], ["--json", "OUT", "--csv"]],
@@ -900,6 +925,54 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+# -- the model-file grammar: every field dropped or retyped is refused by name --
+
+GRAMMAR = [model_json(GeodesicModel(n, NormalFormDecomposition(blocks), p)) for n, blocks, p in [
+    (2, [Rot(RHO)], 0), (3, [NBlock(RHO, [[1, "1/2"], [0, -3]])], 0),
+    (3, [Hyp(Fraction(2)), Hyp(Fraction(-3, 7))], 1)]]
+# the JSON types each field takes, by its key; a list index is a row of B, or an entry
+TAKES = {"n": (int,), "p": (int,), "case": (str, type(None)), "dec": (dict,), "blocks": (list,),
+         "type": (str,), "rho": (str,), "d": (int, str), "B": (list,), "row": (list,),
+         "entry": (int, str)}
+OPTIONAL = {"case", "B"}
+
+
+def _fields(node, path=()):
+    """(path, kind) of each field nested in a model file's object."""
+    for key, value in node.items() if type(node) is dict else enumerate(node):
+        kind = key if type(key) is str else "row" if type(value) is list else "entry"
+        if path[-1:] != ("blocks",):  # a block is no field of a type, its fields are
+            yield path + (key,), kind
+        if type(value) in (dict, list):
+            yield from _fields(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_dropped_or_retyped_field_is_refused_by_name(tmp_path_factory, data):
+    model = json.loads(json.dumps(data.draw(st.sampled_from(GRAMMAR))))
+    path, kind = data.draw(st.sampled_from(list(_fields(model))))
+    *parents, key = path
+    node = model
+    for k in parents:
+        node = node[k]
+    others = [1, "x", 2.5, True, None, [1], {"a": 1}]
+    retyped = [v for v in others if type(v) not in TAKES[kind]]
+    if kind in OPTIONAL or data.draw(st.booleans()):
+        node[key] = data.draw(st.sampled_from(retyped))
+    else:
+        del node[key]
+    file = tmp_path_factory.getbasetemp() / "grammar.json"
+    file.write_text(json.dumps(model))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["iterate", "--model", str(file)])
+    out, err = out.getvalue(), err.getvalue()
+    assert (code, out) == (2, "") and err.startswith("error: model: ") and err.count("\n") == 1
+    if "blocks" in parents:
+        assert f"dec.blocks[{path[path.index('blocks') + 1]}]" in err, err
 
 
 # -- fuzz: any argv and any document exit 0, 1 or 2, never with a traceback --

@@ -19,7 +19,6 @@ from indexlab.checker import (
     _TABLE,
     _reached,
     TraceError,
-    _violation_at,
     check_lemma_6_1,
     check_lemma_6_2,
     check_lemma_6_3,
@@ -28,6 +27,8 @@ from indexlab.checker import (
 from indexlab.cli import main
 from indexlab.morse import betti_values, check_morse_inequalities, euler_limit
 from indexlab.prover import certificate, certificate_json, render, vacuity
+
+from conftest import premises
 
 
 def _sparse(dense):
@@ -69,6 +70,13 @@ def _trace(n, case, subcase=""):
     return t
 
 
+def _built(n, trace):
+    """The kernel's builder, holding the steps of a certificate trace rebuilt."""
+    return _build(n, trace["case"], trace["subcase"], [
+        (step["rule"], step["values"].get("contradiction_kind"), step["values"])
+        for step in trace["steps"]])
+
+
 def _lemma_step(rule, kind, lemma, n):
     """The step a lemma derives at n, as a trace holds it."""
     values = {k: _ratio(v) if type(v) is Fraction else v for k, v in lemma(n).items()}
@@ -82,7 +90,7 @@ def _unrolled(n, trace):
     Claim1 induction into one floor sum and one index per iterate, and the
     pigeonhole range into the degrees it collides on."""
     steps, facts = trace["steps"], []
-    links = list(checker._premises(steps))
+    links = _built(n, trace).premises
     for step, premises in zip(steps, links):
         rule, p = step["rule"], step["values"]
         if rule == "L6.3":
@@ -319,26 +327,37 @@ class TestVerifier:
         with pytest.raises(TraceError, match=r"\(L6\.2\): values .* those the rule derives"):
             verify_trace(6, _tampered(t, i, evidence=evidence))
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_cited_violation_matches_the_full_scan(self, data):
-        # a dense table, in its sparse form counted from degree `shift`, against
-        # the full scan of the dense one
-        M = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
-        sparse = _sparse(M)
-        n = data.draw(st.integers(2, 12))
-        q = data.draw(st.integers(-1, len(M)))
-        kind = data.draw(st.sampled_from(["alternating", "pointwise"]) | st.text(max_size=12))
-        shift = data.draw(st.integers(0, 20))
-        dense = [0] * shift + M
-        scan = check_morse_inequalities(dense, betti_values(n, len(dense) - 1), len(dense) - 1)
-        [found] = [v for v in scan if v[:2] == (q + shift, kind) and q >= 0] or [None]
-        if found is None:
-            with pytest.raises(TraceError):
-                _violation_at(sparse, n, q, kind, shift)
-        else:
-            expected = {"q": q, "kind": kind, "lhs": found[2], "rhs": found[3]}
-            assert _violation_at(sparse, n, q, kind, shift) == expected
+    def test_lemma_evidence_is_the_failure_the_full_scan_finds(self):
+        # an oracle for the lemma rows: each cited failure is the one that morse's scan of
+        # the dense hypothetical table finds at its degree and kind; L6.3's table and
+        # failure are counted from its last hypothetical i(c)
+        cited = set()
+        for n in range(2, 61):
+            for t in _traces(n):
+                for step in t["steps"]:
+                    p = step["values"]
+                    if step["rule"] not in ("L6.1", "L6.2", "L6.3") or "evidence" not in p:
+                        continue
+                    shift = p["hypotheses"][1] if step["rule"] == "L6.3" else 0
+                    dense = [0] * shift + _dense(p["hypothetical_M"])
+                    scan = check_morse_inequalities(dense, betti_values(n, len(dense) - 1),
+                                                    len(dense) - 1)
+                    q, kind = p["evidence"]["q"], p["evidence"]["kind"]
+                    [(lhs, rhs)] = [v[2:] for v in scan if v[:2] == (q + shift, kind)]
+                    assert p["evidence"] == {"q": q, "kind": kind, "lhs": lhs, "rhs": rhs}
+                    cited.add(step["rule"])
+        assert cited == {"L6.1", "L6.2", "L6.3"}
+
+    def test_a_lemma_failure_is_stated_only_where_it_fails(self, monkeypatch):
+        # each lemma row states its failure directly, so it must refuse one that does not
+        # hold: a Betti side of 0 at q = n-1 for the zero table, or -1 at L6.3's last i0 + 1
+        monkeypatch.setattr(checker, "betti", lambda n, q: 0 if q == n - 1 else 1)
+        for lemma in (check_lemma_6_1, check_lemma_6_2):
+            with pytest.raises(TraceError, match=r"^the zero table meets b_5 = 0$"):
+                lemma(6)
+        monkeypatch.setattr(checker, "alternating_betti_sum", lambda n, q: -1 if q == 4 else 0)
+        with pytest.raises(TraceError, match=r"^A_4 = -1 is not above the table's -1$"):
+            check_lemma_6_3(6)
 
     def test_open_trace_rejected(self):
         t = _trace(4, "NCG5", "p odd")
@@ -352,14 +371,16 @@ class TestVerifier:
             for t in _traces(n):
                 for i, (_, statement) in enumerate(render(n, t)):
                     for text in (statement, ""):
-                        with pytest.raises(TraceError, match="not an object of the keys"):
+                        with pytest.raises(TraceError, match=rf"^step {i} \(.*\): not {{.*}}, "
+                                                             "the step its rule builds$"):
                             verify_trace(n, _replaced(t, i, statement=text))
 
     def test_a_schema_3_certificate_is_rejected(self):
         for n in (2, 3, 12):
             with pytest.raises(TraceError, match="not a certificate: schema 6"):
                 verify_certificate(schema_3(n))
-            with pytest.raises(TraceError, match="not an object of the keys"):
+            with pytest.raises(TraceError, match=r"step 0 \(Eq\(5\.5\)\): values {.*'relation'.*} "
+                                                 "are not {.*}, those the rule derives$"):
                 verify_certificate({**schema_3(n), "schema": 6})
 
     def test_a_schema_4_certificate_is_rejected(self):
@@ -367,13 +388,15 @@ class TestVerifier:
         for n in (2, 3, 12):
             with pytest.raises(TraceError, match="not a certificate: schema 6"):
                 verify_certificate(schema_4(n))
-            with pytest.raises(TraceError, match="step 0 is not an object of the keys"):
+            with pytest.raises(TraceError, match=r"step 0 \(Eq\(5\.5\)\): values {.*'relation'.*} "
+                                                 "are not {.*}, those the rule derives$"):
                 verify_certificate({**schema_4(n), "schema": 6})
         relations = 0
         for n in range(2, 41):
             for t, old in zip(_traces(n), schema_4(n)["traces"]):
                 for i, (step, kept) in enumerate(zip(t["steps"], old["steps"])):
-                    with pytest.raises(TraceError, match=f"step {i} is not an object of the keys"):
+                    with pytest.raises(TraceError, match=rf"step {i} \(.*\): not {{.*}}, the "
+                                                         "step its rule builds$"):
                         verify_trace(n, _replaced(t, i, premises=kept["premises"]))
                     if "relation" in kept["values"]:
                         relations += 1
@@ -534,7 +557,7 @@ def _premise_steps(steps):
     """Each step's derived premises as the ids of the steps themselves, None for a
     slot with no earlier step."""
     return [[id(steps[j]) if j >= 0 else None for j in links]
-            for links in checker._premises(steps)]
+            for links in premises(steps)]
 
 
 # the steps that each stand for a family of facts, one per member
@@ -1076,7 +1099,7 @@ def schema_4(n):
             {**step, "premises": premises, "values": step["values"] | (
                 {"relation": relation} if (relation := SCHEMA_4_RELATIONS.get(
                     (step["rule"], step["values"].get("contradiction_kind")))) else {})}
-            for step, premises in zip(t["steps"], checker._premises(t["steps"]))]
+            for step, premises in zip(t["steps"], _built(n, t).premises)]
     return doc
 
 
@@ -1110,7 +1133,7 @@ class TestCertificate:
             assert trace["verdict"] in ("contradiction", "vacuous")
             for i, step in enumerate(trace["steps"]):
                 assert set(step) == {"rule", "kind", "values"}
-            for i, premises in enumerate(checker._premises(trace["steps"])):
+            for i, premises in enumerate(_built(4, trace).premises):
                 assert len(premises) <= 2 and all(0 <= j < i for j in premises)
         # each rule occurs at most once before the closing step, which may
         # repeat the rule of a premise (Eq(6.14), say, in the empty-range closing)
@@ -1430,3 +1453,141 @@ class TestFractionSpelling:
                     with pytest.raises(TraceError, match="those the rule derives|is not an int"):
                         verify_trace(n, _tampered(t, i, **{key: spelled}))
         assert sites > 0
+
+
+def _build(n, case, subcase, program):
+    """The kernel's builder after it built the steps (rule, kind, chosen values) of program."""
+    steps = checker._Steps(n, case, subcase)
+    for rule, kind, chosen in program:
+        steps.add(rule, kind, **chosen)
+    return steps
+
+
+PIN, COR = [("Eq(5.5)", None, {})], [(rule, None, {}) for rule in ("Prop2.1", "L6.2", "L6.3",
+                                                                  "Cor6.4")]
+# every closing the rule table has for a parity subcase, after the steps it reads
+SUBCASE_CLOSINGS = [[("L6.1", None, {}), ("L6.1", "sign", {})], [("Eq(5.5)", "irrationality", {})],
+                    [("Eq(5.5)", "integrality", {})], [("Step2-Subcase5.1", "integrality", {})],
+                    COR + [("Eq(6.17)", "rotation-count", {})],
+                    COR + [("Eq(6.18)", "rotation-count", {})]]
+
+
+def _alternatives(n, case):
+    """Step programs for a trace of case at n: each subcase closing, or for NCG1 the
+    pigeonhole of either kind at each iterate m in [2, n+2], after no Eq(6.11) family or
+    one whose last iterate is any m1 up to one past the replay's."""
+    if case != "NCG1":
+        return [PIN + closing for closing in SUBCASE_CLOSINGS]
+    head = PIN + COR + [("Eq(6.7)", None, {}), ("Eq(6.9)", None, {})]
+    families = [[]] + [[("Eq(6.11)", None, {"iterates": [2, m1]}), ("Claim1", None, {})]
+                       for m1 in range(2, n + 1 if n % 2 == 0 else (n + 1) // 2 + 1)]
+    return [head + family + [("Eq(6.14)", None, {"m": m}), (rule, "pigeonhole", {})]
+            for family in families for m in range(2, n + 3) for rule in ("L6.5", "Eq(6.14)")]
+
+
+def _closing(rule, kind, **values):
+    return {"rule": rule, "kind": "Contradiction", "values": {**values, "contradiction_kind": kind}}
+
+
+# the steps of a second spelling of a (case, subcase) trace at n, from the trace's own pin
+SECOND_SPELLINGS = {
+    # a negative pin closed by rotation count after Cor6.4, not by L6.1's sign
+    (4, "NCG2", "p even"): lambda pin: [pin, *_trace(4, "NCG1")["steps"][1:5], _closing(
+        "Eq(6.18)", "rotation-count", ihat=pin["values"]["value"], k_lower=3, k_upper=2)],
+    # a negative pin, no integer, closed by integrality, not by sign
+    (4, "NCG5", "p even"): lambda pin: [pin, _closing("Eq(5.5)", "integrality",
+                                                      ihat=pin["values"]["value"])],
+    # p even at odd n closed by the pin's integrality, not by Step 2 of Subcase 5.1
+    (5, "NCG5", "p even"): lambda pin: [pin, _closing("Eq(5.5)", "integrality",
+                                                      ihat=pin["values"]["value"])],
+    # the empty-range pigeonhole at m = 4, past the least m = 2 with an integer total
+    (2, "NCG1", ""): lambda pin: _trace(2, "NCG1")["steps"][:-2] + [
+        {"rule": "Eq(6.14)", "kind": "FloorSumRange",
+         "values": {"m": 4, "set": [], "terms": 1, "total": "2/1"}},
+        _closing("Eq(6.14)", "pigeonhole", m=4, set=[], total="2/1")],
+}
+
+
+class TestOneSpelling:
+    """Each (case, subcase) has one closing that the kernel accepts: the replay's."""
+
+    @pytest.mark.parametrize("n,case,subcase", sorted(SECOND_SPELLINGS))
+    def test_a_second_spelling_is_rejected(self, n, case, subcase):
+        # a document of each family the kernel once accepted besides the replay's trace
+        doc = _doc(n)
+        [t] = [t for t in doc["traces"] if (t["case"], t["subcase"]) == (case, subcase)]
+        t["steps"] = SECOND_SPELLINGS[n, case, subcase](t["steps"][0])
+        t["detail"] = t["steps"][-1]["values"]["contradiction_kind"]
+        with pytest.raises(TraceError):
+            verify_certificate(doc)
+
+    def test_no_alternative_can_be_built(self):
+        built = 0
+        for n in range(2, 41):
+            for t in _traces(n):
+                if t["verdict"] != "contradiction":
+                    continue
+                for program in _alternatives(n, t["case"]):
+                    try:
+                        steps = _build(n, t["case"], t["subcase"], program)
+                        steps.close()
+                    except TraceError:
+                        continue
+                    built += 1
+                    assert steps.steps == t["steps"], (n, t["case"], t["subcase"])
+        assert built == sum(len(replay(n)) - sum(not t.steps for t in replay(n))
+                            for n in range(2, 41))
+
+
+class TestStepBuilder:
+    """The kernel's builder refuses a faulty step as it is built: in a certificate, which
+    verify_trace rebuilds, and in the replay, whose choices it builds."""
+
+    @pytest.mark.parametrize("program,refusal", [
+        (PIN + [("L6.2", None, {}), ("Prop2.1", None, {})], r"not after L6\.2: the rule table's"),
+        (PIN + [("Eq(5.5)", "integrality", {}), ("L6.1", None, {})],
+         "a step after the integrality closing"),
+        ([("L6.3", None, {})], r"no earlier step of Prop2\.1$"),
+        (PIN + [("Eq(5.5)", "irrationality", {})],
+         r"NCG5 has no step 'Eq\(5\.5\)' of closing 'irrationality'"),
+    ], ids=["order", "after the closing", "no premise", "closing of another case"])
+    def test_add_refuses(self, program, refusal):
+        with pytest.raises(TraceError, match=refusal):
+            _build(4, "NCG5", "p odd", program)
+
+    @pytest.mark.parametrize("program,refusal", [
+        (PIN, "the trace is open"),
+        (PIN + [("L6.2", None, {}), ("Eq(5.5)", "integrality", {})],
+         r"steps \[1\] are premises of no later step"),
+    ], ids=["open", "uncited"])
+    def test_close_refuses(self, program, refusal):
+        steps = _build(4, "NCG5", "p odd", program)
+        with pytest.raises(TraceError, match=refusal):
+            steps.close()
+
+    @pytest.mark.parametrize("rules,refusal", [
+        (("L6.2", "Prop2.1", "L6.3", "Cor6.4"), "the rule table's order"),
+        (("L6.2", "L6.3", "Cor6.4"), r"no earlier step of Prop2\.1$"),
+        (("L6.1", "Prop2.1", "L6.2", "L6.3", "Cor6.4"), r"steps \[1\] are premises of no later"),
+    ], ids=["order", "no premise", "uncited"])
+    def test_the_replay_is_refused_as_it_is_built(self, monkeypatch, rules, refusal):
+        # the replay's choice of the steps that pin i(c) = n-1, made wrongly
+        monkeypatch.setattr(prover, "_corollary_6_4",
+                            lambda steps: [steps.add(rule) for rule in rules])
+        with pytest.raises(TraceError, match=refusal):
+            replay(6)
+
+    def test_a_replay_past_or_short_of_its_closing_is_refused(self, monkeypatch):
+        closed = prover._closed
+        monkeypatch.setattr(prover, "_closed", lambda steps: steps.add("Eq(5.5)") and closed(steps))
+        with pytest.raises(TraceError, match="a step after the pigeonhole closing"):
+            replay(2)
+
+        class Open(checker._Steps):  # every closing the replay chooses left out
+            def add(self, rule, kind=None, **chosen):
+                return super().add(rule, **chosen) if kind is None else {}
+
+        monkeypatch.setattr(prover, "_closed", closed)
+        monkeypatch.setattr(prover, "_Steps", Open)
+        with pytest.raises(TraceError, match="the trace is open"):
+            replay(2)
