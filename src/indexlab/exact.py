@@ -182,7 +182,7 @@ class ExactReal:
         return f"({self.a}{self.b:+d}*sqrt({self.D}))/{self.c}"
 
     _PATTERN = re.compile(
-        r"^\((-?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/(\d*[1-9]\d*)$"
+        r"^\((-?[0-9]+)([+-][0-9]+)\*sqrt\(([0-9]+)\)\)/(0*[1-9][0-9]*)$"
     )
 
     @classmethod

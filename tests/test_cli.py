@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
 from conftest import model_json, random_model
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
+LONG_RHO = "(1+1*sqrt(2))/" + "1" * 100_000 + "x"  # no literal; quadratic to refuse if c's digits overlap
 
 
 def run(capsys, *argv):
@@ -857,13 +859,21 @@ class TestInputFaults:
          "dec.blocks[0].d = 1: hyperbolic parameter must avoid {0, 1, -1}, got 1"),
         ({"type": "hyp", "d": "1e10000000"},
          "dec.blocks[0].d must be an integer or a fraction string, got '1e10000000'"),
-    ], ids=["rho-abc", "rho-c-0", "rho-rational", "rho-above-1", "d-1", "d-exponent"])
+        ({"type": "rot", "rho": LONG_RHO},
+         f"""dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got {LONG_RHO!r}"""),
+        ({"type": "rot", "rho": "(-\u0661+1*sqrt(\u0665))/4"},
+         """dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got '(-\u0661+1*sqrt(\u0665))/4'"""),
+    ], ids=["rho-abc", "rho-c-0", "rho-rational", "rho-above-1", "d-1", "d-exponent",
+            "rho-long-c", "rho-arabic-digits"])
     def test_a_refused_value_names_its_field(self, capsys, tmp_path, block, message):
         # a value of the right JSON type that its block refuses names the path and the
-        # value, and an exponent is refused before it is expanded
+        # value, at once: an exponent is not expanded, and a long digit run is matched
+        # in linear time
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"n": 2, "p": 0, "dec": {"blocks": [block]}}))
+        start = time.perf_counter()
         err = self.check_fault(capsys, ["iterate", "--model", str(path)], message)
+        assert time.perf_counter() - start < 5
         assert err == f"error: model: {message}\n"
 
     @pytest.mark.parametrize("argv", [["iterate", "--model", "MODEL"], ["betti", "--n", "3"]],

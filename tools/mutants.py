@@ -36,6 +36,7 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
            ast.IsNot: "is not", ast.And: "and", ast.Or: "or", ast.Add: "+", ast.Sub: "-"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+TIMEOUT = 900  # seconds per mutant; a mutant that loops forever counts as killed
 
 
 def sites(tree: ast.Module, names: list[str]) -> list[tuple[ast.AST, int, str]]:
@@ -74,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--in", dest="names", action="append", default=[])
     parser.add_argument("--site", type=int, action="append", help="run only these sites")
     parser.add_argument("--list", action="store_true", help="print the sites, run nothing")
-    parser.add_argument("--timeout", type=float, default=900, help="seconds per mutant")
     parser.add_argument("--workdir", help="where the temporary copy goes")
     args = parser.parse_intermixed_args(argv)
     root, source = Path.cwd(), Path(args.module).read_text()
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                      "--hypothesis-seed=0", *args.tests], cwd=copy, env=env,
                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                    timeout=args.timeout).returncode != 0
+                    timeout=TIMEOUT).returncode != 0
             except subprocess.TimeoutExpired:
                 failed = True
             survivors += not failed
