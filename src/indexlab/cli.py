@@ -97,7 +97,6 @@ def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Itera
 
 def cmd_iterate(args) -> int:
     g = _parse_model(_load_json(args.model), "model")
-    mean = iteration.mean_index(g).serialize()  # a field mismatch exits 2, under --csv too
     # each row is written as it is made, so memory does not grow with --mmax
     if args.csv:
         writer = csv.writer(sys.stdout)
@@ -106,7 +105,7 @@ def cmd_iterate(args) -> int:
     else:
         _emit(args.json, itertools.chain(
             ('{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
-                g.case, mean, iteration.analytic_period(g)),),
+                g.case, iteration.mean_index(g).serialize(), iteration.analytic_period(g)),),
             _joined(_iterate_rows(g, args.mmax, True)), ("]}",)))
     return 0
 

@@ -156,4 +156,10 @@ def model_from_json(obj: dict) -> GeodesicModel:
     if declared is not None and declared != g.case:
         raise ModelInvariantError(f"declared case {declared} does not match classified case "
                                   f"{g.case}")
+    # mean_index sums the rotation numbers, so they must share one field
+    rots = [(i, b.rho.D) for i, b in enumerate(g.dec.blocks) if isinstance(b, Rot)]
+    for i, D in rots:
+        if D != rots[0][1]:
+            raise ModelInvariantError(f"dec.blocks[{rots[0][0]}].rho and dec.blocks[{i}].rho "
+                                      f"lie in Q(sqrt({rots[0][1]})) and Q(sqrt({D}))")
     return g

@@ -123,22 +123,17 @@ def check_morse_inequalities(
 # -- mean index identity ---------------------------------------------------
 
 def mean_index_identity_lhs(models: list[GeodesicModel]) -> ExactReal:
-    """Sum over models of sum_{m<=N} (-1)^i(c^m) k0(c^m) / (N * ihat(c)).
-
-    Callers must pass only homologically visible models; an invisible model
-    contributes 0 and is legal but pointless.  Comparing the result with
-    euler_limit(n) is the identity check.
+    """Sum over models of (-1)^i(c) / (N * ihat(c)), the closed form of the sum over
+    one period of (-1)^i(c^m) k0(c^m) / (N * ihat(c)): c is its only iterate with k0 = 1,
+    as when N = 2, i(c^2) - i(c) has the parity of the odd slope.  Callers must pass only
+    homologically visible models; an invisible model contributes 0 and is legal but
+    pointless.  Comparing the result with euler_limit(n) is the identity check.
     """
     total = ExactReal(0)
     for g in models:
         ihat = mean_index(g)
         if ihat.sign() <= 0:
             raise NonTerminatingSumError("identity requires positive mean index")
-        N = analytic_period(g)
-        s = 0
-        for m in range(1, N + 1):
-            i_m = index_of_iterate(g, m)
-            _, k0 = critical_type(g, m)
-            s += (1 if i_m % 2 == 0 else -1) * k0
-        total = total + ExactReal(s) / (ihat * N)
+        s = -1 if g.initial_index % 2 else 1
+        total = total + ExactReal(s) / (ihat * analytic_period(g))
     return total

@@ -77,6 +77,27 @@ def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:
     return GeodesicModel(n, NormalFormDecomposition(blocks), p)
 
 
+def katok_models(n: int, alpha: ExactReal, weights: list[int]) -> list[GeodesicModel]:
+    """The Katok-type model set of the n-sphere: 2 * ceil(n/2) NCG1 models with no N block,
+    from an irrational alpha and ceil(n/2) distinct positive weights with alpha * weight < 1.
+
+    Model (j, sigma) has the raw rotation values x = (1 + tau*l_i*alpha) / (1 + sigma*l_j*alpha)
+    for i != j and tau = +-1, and 1 / (1 + sigma*l_j*alpha) when n is even; its p is the sum
+    of their floors and its rotation numbers their fractional parts.  So every index has the
+    parity of n - 1 and ihat = 2(n - 1) / (1 + sigma*l_j*alpha).  Written with ExactReal's +,
+    *, / and floor() alone.
+    """
+    models = []
+    for j, l_j in enumerate(weights):
+        for sigma in (1, -1):
+            den = alpha * (sigma * l_j) + 1
+            xs = [(alpha * (tau * l_i) + 1) / den for i, l_i in enumerate(weights) if i != j
+                  for tau in (1, -1)] + ([ExactReal(1) / den] if n % 2 == 0 else [])
+            models.append(GeodesicModel(n, NormalFormDecomposition(
+                [Rot(x + (-x.floor())) for x in xs]), sum(x.floor() for x in xs)))
+    return models
+
+
 def premises(steps: list) -> list[list[int]]:
     """Each step's premises as the kernel's builder links them, for steps in any order:
     per slot of its row, the latest earlier step of its rules, or -1."""

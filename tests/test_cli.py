@@ -342,7 +342,8 @@ class TestIterateDocument:
         path.write_text(json.dumps(model_json(g)))
         code, out, err = run(capsys, "iterate", "--model", str(path), "--mmax", "5", *extra)
         assert (code, out) == (2, "")
-        assert err == "error: cannot combine sqrt(2) with sqrt(5)\n"
+        assert err == ("error: model: dec.blocks[0].rho and dec.blocks[1].rho lie in "
+                       "Q(sqrt(2)) and Q(sqrt(5))\n")
 
 
 class TestIdentity:
@@ -893,6 +894,21 @@ class TestInputFaults:
 
     def test_usage_error_is_one_line(self, capsys):
         self.check_fault(capsys, ["betti", "--n", "x"], "invalid int value")
+
+    @pytest.mark.parametrize("command", ["iterate", "morse-check", "identity"])
+    def test_a_model_in_two_fields_is_refused_by_name(self, capsys, tmp_path, command):
+        # the model's number and the paths and fields of its first two disagreeing rotations
+        mixed = GeodesicModel(4, NormalFormDecomposition(
+            [Rot(RHO), Hyp(Fraction(2)), Rot(ExactReal(-1, 1, 1, 3))]), 0)
+        message = "dec.blocks[0].rho and dec.blocks[2].rho lie in Q(sqrt(2)) and Q(sqrt(3))"
+        if command == "iterate":
+            path, label = tmp_path / "model.json", "model"
+            path.write_text(json.dumps(model_json(mixed)))
+        else:
+            good = GeodesicModel(4, NormalFormDecomposition([Rot(RHO)] * 3), 0)
+            path, label = write_models(tmp_path, [good, mixed]), "model #1"
+        err = self.check_fault(capsys, [command, MODEL_FLAG[command], str(path)], message)
+        assert err == f"error: {label}: {message}\n"
 
 
 class TestParserReuse:

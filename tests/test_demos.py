@@ -9,7 +9,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_all_demos_are_collected():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

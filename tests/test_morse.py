@@ -485,3 +485,37 @@ class TestMeanIndexIdentity:
         g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 0)
         with pytest.raises(NonTerminatingSumError):
             mean_index_identity_lhs([g])
+
+    @staticmethod
+    def by_iterates(g):
+        """The reference term of one model: sum_{m<=N} (-1)^i(c^m) k0(c^m) / (N * ihat) over
+        its period, with k0 = 1 exactly where i(c^m) - i(c) is even."""
+        N, i_1 = iteration.analytic_period(g), iteration.index_of_iterate(g, 1)
+        s = 0
+        for m in range(1, N + 1):
+            i_m = iteration.index_of_iterate(g, m)
+            s += (1 if i_m % 2 == 0 else -1) * ((i_m - i_1) % 2 == 0)
+        return ExactReal(s) / (mean_index(g) * N)
+
+    def test_the_closed_form_equals_the_sum_over_one_period(self):
+        rng, seen = random.Random(36), Counter()
+        for _ in range(600):
+            g = random_model(rng)
+            if mean_index(g).sign() > 0:
+                assert mean_index_identity_lhs([g]) == self.by_iterates(g)
+                seen[g.case, iteration.analytic_period(g)] += 1
+        # every shape at N = 1, and every shape but NCG1, whose slope 2p is even, at N = 2
+        assert set(seen) == {(f"NCG{k}", N) for k in range(1, 6) for N in (1, 2)} - {("NCG1", 2)}
+
+    def test_no_iterate_is_evaluated(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the identity's closed form evaluates no iterate")
+
+        for name in ("index_of_iterate", "critical_type"):
+            monkeypatch.setattr(morse, name, refused)
+        monkeypatch.setattr(iteration, "floor_scaled", refused)
+        g1 = GeodesicModel(2, dec(Rot(ExactReal(1, 1, 4, 5))), 0)
+        g2 = GeodesicModel(2, dec(Rot(ExactReal(-1, 1, 4, 5))), 1)
+        odd = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 3)
+        assert mean_index_identity_lhs([g1, g2]) == ExactReal.from_fraction(euler_limit(2))
+        assert mean_index_identity_lhs([odd]) == ExactReal.from_fraction(Fraction(-1, 6))

@@ -3,6 +3,7 @@ and no floating point."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,3 +137,17 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
                            "test_two.py"], capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_every_equivalent_mutant_names_a_line_of_its_module():
+    # the list of tools/mutants.py's equivalent survivors names each by its line's text;
+    # a line that changed or went is a stale entry, to be re-run and updated
+    listed, module = [], None
+    for row in (SRC.parent / "tools" / "EQUIVALENT_MUTANTS.md").read_text().splitlines():
+        if row.startswith("## "):
+            module = SRC.parent / row[3:]
+        elif row.startswith("- "):
+            line, mutation = re.fullmatch(r"- `(.+?)` — (.+?): .+", row).groups()
+            listed.append((module.relative_to(SRC.parent), line, mutation))
+            assert line in {text.strip() for text in module.read_text().splitlines()}, listed[-1]
+    assert listed and len(listed) == len(set(listed))
