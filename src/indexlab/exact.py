@@ -24,6 +24,12 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def same_field(D1: int, D2: int) -> bool:
+    """Whether Q(sqrt(D1)) = Q(sqrt(D2)) for non-square D1 and D2: sqrt(D2) is then
+    sqrt(D1*D2)/sqrt(D1), a rational multiple of sqrt(D1) iff D1*D2 is a perfect square."""
+    return _is_perfect_square(D1 * D2)
+
+
 def _floor(a: int, b: int, c: int, D: int) -> int:
     """floor((a + b*sqrt(D))/c) for c > 0 and, when b != 0, non-square D.
 
@@ -42,8 +48,9 @@ class ExactReal:
 
     Canonical means: c > 0, gcd(a, b, c) = 1, and the irrational part is
     genuine -- if D is a perfect square (or b = 0) the value is folded into
-    a plain rational with b = 0, D = 0.  Instances are immutable and
-    hashable; equal values have identical component tuples.
+    a plain rational with b = 0, D = 0.  D keeps the spelling it was given, so
+    2*sqrt(2) over D = 2 and sqrt(8) over D = 8 are two component tuples of one
+    value: they compare, hash and combine as equal.  Instances are immutable.
     """
 
     __slots__ = ("a", "b", "c", "D")
@@ -89,17 +96,20 @@ class ExactReal:
 
     # -- field compatibility ----------------------------------------------
 
-    def _join_field(self, other: "ExactReal") -> int:
-        """Common D for self and other, or raise FieldMismatchError."""
+    def _join_field(self, other: "ExactReal") -> tuple[int, "ExactReal"]:
+        """Common D for self and other, and other spelled over it; or raise
+        FieldMismatchError.  Over self's D1, (a + b*sqrt(D2))/c is
+        (a*D1 + b*k*sqrt(D1))/(c*D1) with k = sqrt(D1*D2)."""
         if self.b == 0:
-            return other.D
-        if other.b == 0:
-            return self.D
-        if self.D != other.D:
+            return other.D, other
+        if other.b == 0 or other.D == self.D:
+            return self.D, other
+        if not same_field(self.D, other.D):
             raise FieldMismatchError(
                 f"cannot combine sqrt({self.D}) with sqrt({other.D})"
             )
-        return self.D
+        D = self.D
+        return D, ExactReal(other.a * D, other.b * math.isqrt(D * other.D), other.c * D, D)
 
     @staticmethod
     def _coerce(x) -> "ExactReal":
@@ -115,7 +125,7 @@ class ExactReal:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        D = self._join_field(other)
+        D, other = self._join_field(other)
         a = self.a * other.c + other.a * self.c
         b = self.b * other.c + other.b * self.c
         return ExactReal(a, b, self.c * other.c, D)
@@ -126,7 +136,7 @@ class ExactReal:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        D = self._join_field(other)
+        D, other = self._join_field(other)
         a = self.a * other.a + self.b * other.b * D
         b = self.a * other.b + self.b * other.a
         return ExactReal(a, b, self.c * other.c, D)
@@ -162,13 +172,18 @@ class ExactReal:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.a, self.b, self.c, self.D) == (other.a, other.b, other.c, other.D)
+        if self.b and other.b and not same_field(self.D, other.D):
+            return False  # two fields meet only in the rationals
+        other = self._join_field(other)[1]
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
     def __hash__(self):
-        # a rational value hashes as the equal Fraction (and int), as __eq__ coerces them
+        # a rational value hashes as the equal Fraction (and int), as __eq__ coerces them;
+        # an irrational one by a/c, (b/c)^2 * D and the sign of b, shared by every spelling
         if self.b == 0:
             return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.D))
+        square = Fraction(self.b * self.b * self.D, self.c * self.c)
+        return hash((Fraction(self.a, self.c), square, self.b > 0))
 
     # -- certified floor ---------------------------------------------------
 

@@ -9,7 +9,7 @@ every iterate; the nullity vanishes identically (bumpy hypothesis).
 from __future__ import annotations
 
 from .checker import case_of
-from .exact import ExactReal, floor_scaled
+from .exact import ExactReal, floor_scaled, same_field
 from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot, decomposition_from_json
 
 
@@ -31,8 +31,10 @@ class GeodesicModel:
     """One hypothetical prime closed geodesic: blocks + homotopy parameter p.
 
     Every case shape iterates as i(c^m) = slope*m + 2*sum floor(m*rho_j) + const
-    over its rotation numbers rho_j; the model fixes (slope, const) when built.
-    Instances are immutable, and equal and hashed by (n, dec, p).
+    over its k rotation numbers rho_j, in one of Long's two families: NCG1 as
+    2p*m + ... + n - 2r - 1, and NCG2 to NCG5 (k = 1 for NCG4, 0 for NCG5) as
+    (p - k)*m + ... + k.  Valid when i(c) = slope + const >= 0, which is p >= 0
+    outside NCG1.  Instances are immutable, and equal and hashed by (n, dec, p).
     """
 
     __slots__ = ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last")
@@ -41,25 +43,16 @@ class GeodesicModel:
         if n < 2:
             raise ModelInvariantError("sphere dimension n must be >= 2")
         case = classify(n, dec)
-        k, r = dec.count(Rot), dec.count(NBlock)
-        slope, const = {
-            "NCG1": (2 * p, n - 2 * r - 1),
-            "NCG2": (p - k, k),
-            "NCG3": (p - k, k),
-            "NCG4": (p - 1, 1),
-            "NCG5": (p, 0),
-        }[case]
+        k = dec.count(Rot)
+        slope, const = (2 * p, n - 2 * dec.count(NBlock) - 1) if case == "NCG1" else (p - k, k)
+        if slope + const < 0:
+            raise ModelInvariantError(
+                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {slope + const}"
+                if case == "NCG1" else f"{case} requires p >= 0, got {p}")
         for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
                             ("rotation_numbers", tuple(b.rho for b in dec.rotations)),
                             ("slope", slope), ("const", const), ("_last", [(0, None)])):
             object.__setattr__(self, name, value)
-        if case == "NCG1":
-            if self.initial_index < 0:
-                raise ModelInvariantError(
-                    f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {self.initial_index}"
-                )
-        elif p < 0:
-            raise ModelInvariantError(f"{case} requires p >= 0, got {p}")
 
     def __setattr__(self, name, value):
         raise AttributeError("GeodesicModel is immutable")
@@ -159,7 +152,7 @@ def model_from_json(obj: dict) -> GeodesicModel:
     # mean_index sums the rotation numbers, so they must share one field
     rots = [(i, b.rho.D) for i, b in enumerate(g.dec.blocks) if isinstance(b, Rot)]
     for i, D in rots:
-        if D != rots[0][1]:
+        if not same_field(D, rots[0][1]):
             raise ModelInvariantError(f"dec.blocks[{rots[0][0]}].rho and dec.blocks[{i}].rho "
                                       f"lie in Q(sqrt({rots[0][1]})) and Q(sqrt({D}))")
     return g

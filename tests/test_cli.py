@@ -910,6 +910,37 @@ class TestInputFaults:
         err = self.check_fault(capsys, [command, MODEL_FLAG[command], str(path)], message)
         assert err == f"error: {label}: {message}\n"
 
+    @pytest.mark.parametrize("models, message", [
+        ([RHO, ExactReal(-1, 1, 1, 3)], "model #0 and model #1 lie in Q(sqrt(2)) and Q(sqrt(3))"),
+        # an NCG5 model's mean index p is rational, and so is its term: Q(sqrt(2)) from #1
+        ([None, RHO, RHO, ExactReal(-1, 1, 1, 3)],
+         "model #1 and model #3 lie in Q(sqrt(2)) and Q(sqrt(3))"),
+    ], ids=["pair", "after-a-rational-term"])
+    def test_identity_names_the_models_of_two_fields(self, capsys, tmp_path, models, message):
+        models = [GeodesicModel(2, NormalFormDecomposition([Rot(rho)]), 0) if rho else
+                  GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 1)
+                  for rho in models]
+        err = self.check_fault(capsys, ["identity", "--models", write_models(tmp_path, models)],
+                               message)
+        assert err == f"error: {message}\n"
+
+    def test_one_field_in_two_spellings_is_no_fault(self, capsys, tmp_path):
+        # sqrt(8) - 2 = 2*sqrt(2) - 2: the model of both spellings is the model over Q(sqrt(2))
+        rows = []
+        for rho in ("(-2+1*sqrt(8))/1", "(-2+2*sqrt(2))/1"):
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"n": 3, "p": 0, "dec": {"blocks": [
+                {"type": "rot", "rho": rho}, {"type": "rot", "rho": "(-1+1*sqrt(2))/1"}]}}))
+            code, out, err = run(capsys, "iterate", "--model", str(path), "--mmax", "40")
+            assert (code, err) == (0, "")
+            rows.append(json.loads(out)["rows"])
+        assert rows[0] == rows[1]
+        # the Beatty pair of TestIdentity, its second rotation (sqrt(5) - 1)/4 spelled over 20
+        pair = [GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0),
+                GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-2, 1, 8, 20))]), 1)]
+        code, out, err = run(capsys, "identity", "--models", write_models(tmp_path, pair))
+        assert (code, err, json.loads(out)["holds"]) == (0, "", True)
+
 
 class TestParserReuse:
     """main builds its parser once per process, and no call leaks into the next."""

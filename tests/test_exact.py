@@ -68,9 +68,24 @@ class TestCompare:
             ExactReal(0, 1, 1, 2) + ExactReal(0, 1, 1, 3)
         with pytest.raises(FieldMismatchError):
             ExactReal(0, 1, 1, 2) * ExactReal(0, 1, 1, 3)
+        # sqrt(8) lies in Q(sqrt(2)), which is not Q(sqrt(3))
+        with pytest.raises(FieldMismatchError) as info:
+            ExactReal(0, 1, 1, 8) + ExactReal(0, 1, 1, 3)
+        assert str(info.value) == "cannot combine sqrt(8) with sqrt(3)"
+        assert ExactReal(0, 1, 1, 2) != ExactReal(0, 1, 1, 3) != ExactReal(0, 1, 1, 8)
 
     def test_rational_mixes_with_any_field(self):
         assert sign_of_difference(ExactReal(1, 0, 1, 0), ExactReal(0, 1, 1, 3)) < 0
+
+    def test_an_operand_is_respelled_only_across_spellings(self, monkeypatch):
+        # one D, or a rational operand, builds the result alone; sqrt(8) over D = 2 adds one
+        x, y, built, init = SQRT2_M1, ExactReal(1, 3, 7, 2), [], ExactReal.__init__
+        monkeypatch.setattr(ExactReal, "__init__", lambda self, *args: built.append(args) or
+                            init(self, *args))
+        for z in (y, ExactReal(3, 0, 4, 0), ExactReal(0, 1, 1, 8)):
+            built.clear()
+            x + z, z + x, x * z, z * x
+            assert len(built) == (8 if z.D == 8 else 4)
 
 
 class TestFloorScaled:
@@ -200,6 +215,23 @@ class TestProperties:
         x = ExactReal.from_fraction(q)
         assert x == q and hash(x) == hash(q)
         assert len({x, q}) == 1
+
+    @given(st.integers(-50, 50), st.integers(-20, 20).filter(bool), st.integers(1, 30),
+           st.sampled_from(NONSQUARE_D), st.integers(2, 5),
+           st.integers(-50, 50), st.integers(-20, 20), st.integers(1, 30))
+    @example(0, 2, 1, 2, 2, -1, 1, 1)  # 2*sqrt(2) = sqrt(8), and sqrt(2) - 1
+    def test_a_value_spelled_over_D_times_a_square_is_the_same_value(self, a, b, c, D, s,
+                                                                      za, zb, zc):
+        # (a + b*sqrt(D))/c = (a*s + b*sqrt(D*s^2))/(c*s), and z is a second value of Q(sqrt(D))
+        x, y = ExactReal(a, b, c, D), ExactReal(a * s, b, c * s, D * s * s)
+        z = ExactReal(za, zb, zc, D)
+        assert (y.D, x == y, y == x, hash(x) == hash(y)) == (D * s * s, True, True, True)
+        assert x + z == y + z == z + y and x * z == y * z == z * y
+        assert x + y == x * 2 and y + (-1) * x == 0 and y * x == x * x
+        if z.sign():
+            assert x / z == y / z and z / x == z / y
+        assert x.floor() == y.floor() and floor_scaled(x, 999) == floor_scaled(y, 999)
+        assert x != y + ExactReal(1, 0, 1000, 0) and x != (-1) * y
 
     @given(exact_reals)
     def test_inverse(self, x):

@@ -184,6 +184,13 @@ class TestFloorSumRange:
         with pytest.raises(ValueError):
             floor_sum_range(3, 2, Fraction(6))
 
+    @pytest.mark.parametrize("m, terms", [(0, 2), (2, 0), (-1, -1)])
+    def test_a_count_below_one_is_refused_as_such(self, m, terms):
+        # whichever count is below 1, the refusal says so, not that the total is inconsistent
+        with pytest.raises(ValueError) as info:
+            floor_sum_range(m, terms, Fraction(1, 2))
+        assert str(info.value) == "m and terms must be positive"
+
 
 class TestLemmaChecks:
     @pytest.mark.parametrize("n", [2, 3, 10])

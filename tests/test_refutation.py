@@ -1,0 +1,112 @@
+"""The refutation oracle: concrete models fail where the certificate says.
+
+`prove` refutes one prime closed geodesic symbolically; `identity` and `morse-check`
+test concrete models.  Here the two meet.  For the shapes that `certificate(n)` closes
+by a pigeonhole or a rotation count, single models that satisfy the mean-index identity
+exist and are built exactly from the certificate's own pinned values.  Each must then
+fail the Morse inequalities at a degree read off the same certificate, and so at or
+below it.
+
+n = 2 has no such NCG1 model: its one rotation number would have to equal Eq(6.9)'s
+ihat/2 = 1/2, a rational, so `identity` cannot hold (the certificate closes it by the
+empty-range pigeonhole instead).
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from indexlab import ExactReal, GeodesicModel, Hyp, NormalFormDecomposition, Rot, prover
+from indexlab.cli import main
+from indexlab.morse import betti_values
+
+from conftest import model_json
+
+SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1, the irrational part of every rotation
+
+
+def steps_of(n, case, subcase):
+    """The values of each step of one trace of certificate(n), by rule, fractions parsed."""
+    trace, = (t for t in prover.certificate(n)["traces"]
+              if (t["case"], t["subcase"]) == (case, subcase))
+    return {s["rule"]: {k: Fraction(v) if type(v) is str and "/" in v else v
+                        for k, v in s["values"].items()} for s in trace["steps"]}
+
+
+def rotations(total: Fraction, count: int) -> list[ExactReal]:
+    """count irrational numbers in Q(sqrt(2)), each in (0, 1), summing to total < 1: total/count
+    each, moved by (sqrt(2) - 1)/(count (count + 2)) times weights 1, ..., 1, -(count - 1)."""
+    share, unit = ExactReal.from_fraction(total / count), SQRT2_M1 / (count * (count + 2))
+    weights = [1] * (count - 1) + [1 - count]
+    return [share + unit * w for w in weights]
+
+
+def run(tmp_path, command, g, *extra):
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(model_json(g) if command == "iterate" else [model_json(g)]))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main([command, "--model" if command == "iterate" else "--models", str(path),
+                     *extra])
+    return code, json.loads(out.getvalue())
+
+
+def failures(tmp_path, g, bound):
+    """The exit codes of identity and of morse-check at horizon `bound`, and the (q, kind)
+    of each failure that morse-check finds."""
+    identity, _ = run(tmp_path, "identity", g)
+    code, doc = run(tmp_path, "morse-check", g, "--horizon", str(bound))
+    return identity, code, [(v["q"], v["kind"]) for v in doc["violations"]]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_an_ncg1_model_that_meets_the_identity_fails_by_the_pigeonhole_degree(tmp_path, n):
+    steps = steps_of(n, "NCG1", "")
+    # Eq(6.7) and Eq(6.9): p = r = 0, and the n-1 rotation numbers sum to the pinned ihat/2
+    assert (steps["Eq(6.7)"]["p"], steps["Eq(6.7)"]["r"]) == (0, 0)
+    rhos = rotations(steps["Eq(6.9)"]["value"], steps["Eq(6.9)"]["terms"])
+    assert all(rho.is_irrational and rho.floor() == 0 for rho in rhos)
+    g = GeodesicModel(n, NormalFormDecomposition([Rot(rho) for rho in rhos]), 0)
+    assert g.initial_index == steps["Cor6.4"]["i_c"] == n - 1
+
+    # i(c^k) = i(c) + 2s with s the floor sum at k: in [0, k-1] at Eq(6.11)'s iterates, and
+    # in Eq(6.14)'s set [first, last] at the pigeonhole's m
+    i_c, m, (first, last) = g.initial_index, steps["Eq(6.14)"]["m"], steps["Eq(6.14)"]["set"]
+    _, doc = run(tmp_path, "iterate", g, "--mmax", str(m))
+    rows = {row["m"]: row["i"] - i_c for row in doc["rows"]}
+    family = steps.get("Eq(6.11)", {"iterates": [2, 1]})["iterates"]
+    assert all(rows[k] in range(0, 2 * k, 2) for k in range(family[0], family[1] + 1))
+    assert rows[m] in range(2 * first, 2 * last + 1, 2)
+
+    # The bound.  The floor sum grows with k, so each of c, ..., c^m has an index of the
+    # parity of i(c) and at most D = i(c) + 2*last.  The slope 2p is even, so each one
+    # counts in M: the M_q with q <= D sum to at least m, which the Betti numbers there do
+    # not reach.  At D + 1, of the other parity, the alternating sum of M is then below b's.
+    D = steps["Cor6.4"]["i_c"] + 2 * last
+    assert sum(betti_values(n, D)) < m
+    identity, code, found = failures(tmp_path, g, D + 1)
+    assert (identity, code) == (0, 1) and (D + 1, "alternating") in found
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_an_ncg2_model_that_meets_the_identity_fails_by_the_lemma_6_3_degree(tmp_path, n):
+    steps = steps_of(n, "NCG2", "p odd")
+    # p = 1 and k = 2: ihat = p - k + 2(rho_1 + rho_2) equals the pinned (n-1)/n
+    p, pin = 1, steps["Eq(5.5)"]["value"]
+    assert pin == Fraction(n - 1, n)
+    blocks = [Rot(rho) for rho in rotations((pin - p + 2) / 2, 2)]
+    g = GeodesicModel(n, NormalFormDecomposition(blocks + [Hyp(Fraction(2))] * (n - 3)), p)
+    assert (g.case, g.initial_index) == ("NCG2", p)
+
+    # The bound.  Lemma 6.3 refutes each i(c) of its hypotheses, in steps of 2, by its
+    # evidence q degrees above i(c).  Here c itself makes M_{i(c)} >= 1, M vanishes at the
+    # other parity (Prop2.1), and i(c) = p = 1, the first hypothesis, leaves no degree of
+    # its parity below it: the alternating sum of M at i(c) + 1 is at most -1, below b's.
+    first, last = steps["L6.3"]["hypotheses"]
+    assert g.initial_index in range(first, last + 1, 2)
+    evidence = steps["L6.3"]["evidence"]
+    bound = g.initial_index + evidence["q"]
+    identity, code, found = failures(tmp_path, g, bound)
+    assert (identity, code) == (0, 1) and (bound, evidence["kind"]) in found
