@@ -308,9 +308,11 @@ def _reached(n: int) -> frozenset[str]:
                      if (n - 1 - k - h) % 2 == 0)
 
 
-# the JSON type of each field of a trace; what the derivations read of it besides the values
+# a trace's fields and their JSON types: the case, "" or a parity subcase, the steps,
+# "contradiction" or "vacuous", and the closing's contradiction kind, "" if vacuous
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
-_Scope = namedtuple("_Scope", "n case subcase")
+Trace = namedtuple("Trace", _TRACE_TYPES)
+_Scope = namedtuple("_Scope", "n case subcase")  # what derivations read besides the values
 
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
@@ -347,13 +349,13 @@ class _Steps:
         self.premises.append(premises)
         return values
 
-    def close(self) -> str:
-        """The closing's contradiction kind, once every earlier step is a premise of a later one."""
+    def close(self) -> Trace:
+        """The closed trace, once every earlier step is a premise of a later one."""
         if not self.kind:
             raise TraceError("the trace is open: its last step closes no contradiction")
         if uncited := set(range(len(self.steps) - 1)).difference(*self.premises):
             raise TraceError(f"steps {sorted(uncited)} are premises of no later step")
-        return self.kind
+        return Trace(self.scope.case, self.scope.subcase, self.steps, "contradiction", self.kind)
 
 
 def verify_trace(n: int, trace: dict) -> bool:
@@ -393,7 +395,7 @@ def verify_trace(n: int, trace: dict) -> bool:
                 raise TraceError(
                     f"values {values} are not {want['values']}, those the rule derives"
                     if values != want["values"] else f"not {want}, the step its rule builds")
-            if i == len(steps) - 1 and built.close() != detail:
+            if i == len(steps) - 1 and built.close().detail != detail:
                 raise TraceError(f"its {built.kind} closing is not the {detail} of the trace")
         except TraceError as e:
             raise TraceError(f"step {i} ({rule}): {e}") from None

@@ -168,22 +168,20 @@ class ExactReal:
             return (self.a > 0) - (self.a < 0)
         return 1 if _floor(self.a, self.b, 1, self.D) >= 0 else -1
 
+    def _value(self) -> Fraction | tuple:
+        """The key its spellings share and no other value has: a rational's Fraction, which
+        hashes as an equal int does, or an irrational's a/c, (b/c)^2 * D and the sign of b."""
+        q = Fraction(self.a, self.c)
+        return (q, Fraction(self.b * self.b * self.D, self.c * self.c), self.b > 0) if self.b else q
+
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.b and other.b and not same_field(self.D, other.D):
-            return False  # two fields meet only in the rationals
-        other = self._join_field(other)[1]
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return self._value() == other._value()
 
     def __hash__(self):
-        # a rational value hashes as the equal Fraction (and int), as __eq__ coerces them;
-        # an irrational one by a/c, (b/c)^2 * D and the sign of b, shared by every spelling
-        if self.b == 0:
-            return hash(Fraction(self.a, self.c))
-        square = Fraction(self.b * self.b * self.D, self.c * self.c)
-        return hash((Fraction(self.a, self.c), square, self.b > 0))
+        return hash(self._value())
 
     # -- certified floor ---------------------------------------------------
 

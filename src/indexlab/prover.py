@@ -20,22 +20,10 @@ sum of irrationals, which no concrete choice could exhibit.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _reached, _Steps, _subcases,
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, Trace, _reached, _Steps, _subcases,
                       floor_sum_range, verify_trace)
-
-# One replayed trace, each field the JSON value the certificate holds: the case
-# tag, "" or a parity subcase, the steps, "contradiction" or "vacuous", and the
-# contradiction kind, or "" for a vacuous trace (`vacuity` gives its reason).
-Trace = namedtuple("Trace", "case subcase steps verdict detail")
-
-
-def _closed(steps: _Steps) -> Trace:
-    """The trace these steps derive, named after the contradiction of its closing."""
-    return Trace(steps.scope.case, steps.scope.subcase, steps.steps, "contradiction",
-                 steps.close())
 
 
 def _corollary_6_4(steps: _Steps) -> None:
@@ -60,7 +48,7 @@ def _replay_ncg1(n: int) -> Trace:
         steps.add("L6.5", "pigeonhole")
     else:
         steps.add("Eq(6.14)", "pigeonhole")
-    return _closed(steps)
+    return steps.close()
 
 
 def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
@@ -79,7 +67,7 @@ def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
         # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
         steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)",
                   "rotation-count")
-    return _closed(steps)
+    return steps.close()
 
 
 def replay(n: int) -> list[Trace]:

@@ -98,6 +98,47 @@ def katok_models(n: int, alpha: ExactReal, weights: list[int]) -> list[GeodesicM
     return models
 
 
+def ref_floor(a: int, b: int, c: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/c) for c > 0, non-square D, from integer squares only."""
+
+    def at_most(N: int) -> bool:  # N <= (a + b*sqrt(D))/c, i.e. N*c - a <= b*sqrt(D)
+        lhs = N * c - a
+        if b >= 0:
+            return lhs <= 0 or lhs * lhs < b * b * D
+        return lhs < 0 and lhs * lhs > b * b * D
+
+    N = (a + (isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D))) // c
+    while at_most(N + 1):
+        N += 1
+    while not at_most(N):
+        N -= 1
+    return N
+
+
+def ref_case(g) -> str:
+    k = sum(isinstance(b, Rot) for b in g.dec.blocks)
+    h = sum(isinstance(b, Hyp) for b in g.dec.blocks)
+    if h == 0:
+        return "NCG1" if k else "NCG5"
+    return {0: "NCG5", 1: "NCG4"}.get(k, "NCG2" if k % 2 == 0 else "NCG3")
+
+
+def ref_index(g, m: int) -> int:
+    """i(c^m) by the case formulas of Long's iteration theory, spelled out."""
+    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
+    k, n, p = len(rhos), g.n, g.p
+    floors = sum(ref_floor(m * x.a, m * x.b, x.c, x.D) for x in rhos)
+    case = ref_case(g)
+    if case == "NCG1":
+        return 2 * m * p + 2 * floors + n - 2 * r - 1
+    if case in ("NCG2", "NCG3"):
+        return m * (p - k) + 2 * floors + k
+    if case == "NCG4":
+        return m * (p - 1) + 2 * floors + 1
+    return m * p
+
+
 def premises(steps: list) -> list[list[int]]:
     """Each step's premises as the kernel's builder links them, for steps in any order:
     per slot of its row, the latest earlier step of its rules, or -1."""

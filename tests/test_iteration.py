@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -23,7 +22,7 @@ from indexlab.cli import _iterate_rows
 from indexlab.exact import ExactReal
 from indexlab.iteration import ModelInvariantError, model_from_json
 
-from conftest import model_json, random_model, sign_of_difference
+from conftest import model_json, random_model, ref_case, ref_floor, ref_index, sign_of_difference
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 H2 = Hyp(Fraction(2))
@@ -271,48 +270,7 @@ class TestJson:
                 assert index_of_iterate(g2, 10) == index_of_iterate(g, 10)
 
 
-# -- independent reference for the five iteration formulas ------------------
-
-def ref_floor(a: int, b: int, c: int, D: int) -> int:
-    """floor((a + b*sqrt(D))/c) for c > 0, non-square D, from integer squares only."""
-
-    def at_most(N: int) -> bool:  # N <= (a + b*sqrt(D))/c, i.e. N*c - a <= b*sqrt(D)
-        lhs = N * c - a
-        if b >= 0:
-            return lhs <= 0 or lhs * lhs < b * b * D
-        return lhs < 0 and lhs * lhs > b * b * D
-
-    N = (a + (isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D))) // c
-    while at_most(N + 1):
-        N += 1
-    while not at_most(N):
-        N -= 1
-    return N
-
-
-def ref_case(g) -> str:
-    k = sum(isinstance(b, Rot) for b in g.dec.blocks)
-    h = sum(isinstance(b, Hyp) for b in g.dec.blocks)
-    if h == 0:
-        return "NCG1" if k else "NCG5"
-    return {0: "NCG5", 1: "NCG4"}.get(k, "NCG2" if k % 2 == 0 else "NCG3")
-
-
-def ref_index(g, m: int) -> int:
-    """i(c^m) by the case formulas of Long's iteration theory, spelled out."""
-    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
-    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
-    k, n, p = len(rhos), g.n, g.p
-    floors = sum(ref_floor(m * x.a, m * x.b, x.c, x.D) for x in rhos)
-    case = ref_case(g)
-    if case == "NCG1":
-        return 2 * m * p + 2 * floors + n - 2 * r - 1
-    if case in ("NCG2", "NCG3"):
-        return m * (p - k) + 2 * floors + k
-    if case == "NCG4":
-        return m * (p - 1) + 2 * floors + 1
-    return m * p
-
+# -- independent reference for the five iteration formulas: ref_index is in conftest --
 
 def ref_period(g) -> int:
     case = ref_case(g)

@@ -1585,8 +1585,12 @@ class TestStepBuilder:
             replay(6)
 
     def test_a_replay_past_or_short_of_its_closing_is_refused(self, monkeypatch):
-        closed = prover._closed
-        monkeypatch.setattr(prover, "_closed", lambda steps: steps.add("Eq(5.5)") and closed(steps))
+        class Past(checker._Steps):  # one more step after the closing the replay chooses
+            def close(self):
+                self.add("Eq(5.5)")
+                return super().close()
+
+        monkeypatch.setattr(prover, "_Steps", Past)
         with pytest.raises(TraceError, match="a step after the pigeonhole closing"):
             replay(2)
 
@@ -1594,7 +1598,6 @@ class TestStepBuilder:
             def add(self, rule, kind=None, **chosen):
                 return super().add(rule, **chosen) if kind is None else {}
 
-        monkeypatch.setattr(prover, "_closed", closed)
         monkeypatch.setattr(prover, "_Steps", Open)
         with pytest.raises(TraceError, match="the trace is open"):
             replay(2)

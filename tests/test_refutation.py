@@ -5,7 +5,9 @@ test concrete models.  Here the two meet.  For the shapes that `certificate(n)` 
 by a pigeonhole or a rotation count, single models that satisfy the mean-index identity
 exist and are built exactly from the certificate's own pinned values.  Each must then
 fail the Morse inequalities at a degree read off the same certificate, and so at or
-below it.
+below it.  Below that degree, each model's indices and critical types must also match
+the integer-square oracle `ref_index`, so a fault of the index layer cannot hide behind
+a failure the certificate predicts.
 
 n = 2 has no such NCG1 model: its one rotation number would have to equal Eq(6.9)'s
 ihat/2 = 1/2, a rational, so `identity` cannot hold (the certificate closes it by the
@@ -21,9 +23,10 @@ import pytest
 
 from indexlab import ExactReal, GeodesicModel, Hyp, NormalFormDecomposition, Rot, prover
 from indexlab.cli import main
-from indexlab.morse import betti_values
+from indexlab.iteration import critical_type, index_of_iterate
+from indexlab.morse import betti_values, iterate_cutoff
 
-from conftest import model_json
+from conftest import model_json, ref_index
 
 SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1, the irrational part of every rotation
 
@@ -55,7 +58,13 @@ def run(tmp_path, command, g, *extra):
 
 def failures(tmp_path, g, bound):
     """The exit codes of identity and of morse-check at horizon `bound`, and the (q, kind)
-    of each failure that morse-check finds."""
+    of each failure that morse-check finds.  First, each iterate that can reach a degree up
+    to `bound` must have the oracle's index, and the critical type of that index's parity."""
+    i_c = ref_index(g, 1)
+    for m in range(1, iterate_cutoff(g, bound) + 1):
+        i = ref_index(g, m)
+        assert index_of_iterate(g, m) == i, m
+        assert critical_type(g, m) == ((-1, 0) if (i - i_c) % 2 else (1, 1)), m
     identity, _ = run(tmp_path, "identity", g)
     code, doc = run(tmp_path, "morse-check", g, "--horizon", str(bound))
     return identity, code, [(v["q"], v["kind"]) for v in doc["violations"]]
@@ -96,17 +105,22 @@ def test_an_ncg2_model_that_meets_the_identity_fails_by_the_lemma_6_3_degree(tmp
     # p = 1 and k = 2: ihat = p - k + 2(rho_1 + rho_2) equals the pinned (n-1)/n
     p, pin = 1, steps["Eq(5.5)"]["value"]
     assert pin == Fraction(n - 1, n)
-    blocks = [Rot(rho) for rho in rotations((pin - p + 2) / 2, 2)]
-    g = GeodesicModel(n, NormalFormDecomposition(blocks + [Hyp(Fraction(2))] * (n - 3)), p)
-    assert (g.case, g.initial_index) == ("NCG2", p)
+    total = (pin - p + 2) / 2
+    # two pairs: even shares moved apart, and sqrt(2) - 1 = (-1 + sqrt(2))/1 with its
+    # complement, whose floor at m = 1 is 0, not the -1 of its rational part alone
+    for pair in (rotations(total, 2), [SQRT2_M1, SQRT2_M1 * -1 + total]):
+        blocks = [Rot(rho) for rho in pair] + [Hyp(Fraction(2))] * (n - 3)
+        g = GeodesicModel(n, NormalFormDecomposition(blocks), p)
+        assert (g.case, g.initial_index) == ("NCG2", p)
 
-    # The bound.  Lemma 6.3 refutes each i(c) of its hypotheses, in steps of 2, by its
-    # evidence q degrees above i(c).  Here c itself makes M_{i(c)} >= 1, M vanishes at the
-    # other parity (Prop2.1), and i(c) = p = 1, the first hypothesis, leaves no degree of
-    # its parity below it: the alternating sum of M at i(c) + 1 is at most -1, below b's.
-    first, last = steps["L6.3"]["hypotheses"]
-    assert g.initial_index in range(first, last + 1, 2)
-    evidence = steps["L6.3"]["evidence"]
-    bound = g.initial_index + evidence["q"]
-    identity, code, found = failures(tmp_path, g, bound)
-    assert (identity, code) == (0, 1) and (bound, evidence["kind"]) in found
+        # The bound.  Lemma 6.3 refutes each i(c) of its hypotheses, in steps of 2, by its
+        # evidence q degrees above i(c).  Here c itself makes M_{i(c)} >= 1, M vanishes at
+        # the other parity (Prop2.1), and i(c) = p = 1, the first hypothesis, leaves no
+        # degree of its parity below it: the alternating sum of M at i(c) + 1 is at most -1,
+        # below b's.
+        first, last = steps["L6.3"]["hypotheses"]
+        assert g.initial_index in range(first, last + 1, 2)
+        evidence = steps["L6.3"]["evidence"]
+        bound = g.initial_index + evidence["q"]
+        identity, code, found = failures(tmp_path, g, bound)
+        assert (identity, code) == (0, 1) and (bound, evidence["kind"]) in found

@@ -7,8 +7,9 @@ and it survives when the chosen tests still pass against it.
 One mutant per site: a comparison swapped (< and <=, > and >=, == and !=, in and
 not in, is and is not), an integer constant plus 1, `and` and `or` swapped, or `+`
 and `-` swapped.  `--in NAME` keeps the sites inside the named top-level functions,
-classes and assignments (all of the module by default); `--list` prints the sites
-without running them, and `--site I` runs site I alone.
+classes and assignments, and `--in __main__` those of the `if __name__ == "__main__":`
+block (all of the module by default); `--list` prints the sites without running them,
+and `--site I` runs site I alone.
 
 Each mutant is the module rewritten by `ast.unparse` into a copy of the repository
 under a temporary directory, where `pytest -x` runs the tests with a fixed
@@ -37,12 +38,20 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.IsNot: "is not", ast.And: "and", ast.Or: "or", ast.Add: "+", ast.Sub: "-"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 TIMEOUT = 900  # seconds per mutant; a mutant that loops forever counts as killed
+MAIN = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
+
+
+def named(node: ast.stmt) -> set:
+    """The names `--in` selects a top-level statement by: its own, its targets' or __main__."""
+    if isinstance(node, ast.If) and ast.dump(node.test) == MAIN:
+        return {"__main__"}
+    targets = getattr(node, "targets", ())
+    return {getattr(node, "name", None), *(getattr(t, "id", None) for t in targets)}
 
 
 def sites(tree: ast.Module, names: list[str]) -> list[tuple[ast.AST, int, str]]:
     """(node, index of the operator in a comparison, label) of each site, in tree order."""
-    scopes = [node for node in tree.body if not names or getattr(node, "name", None) in names
-              or any(getattr(t, "id", None) in names for t in getattr(node, "targets", ()))]
+    scopes = [node for node in tree.body if not names or named(node) & set(names)]
     found = []
     for node in (node for scope in scopes for node in ast.walk(scope)):
         if isinstance(node, ast.Compare):
