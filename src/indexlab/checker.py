@@ -143,7 +143,7 @@ def _identity(t, p):
         s = 1 if t.subcase == "p even" else -1
         N = 1 if (s == 1) == (t.case in ("NCG2", "NCG5")) else 2
     R = euler_limit(t.n)
-    return {"N": N, "rhs": R, "s": s, "value": s / (N * R)}
+    return {"N": N, "rhs": R, "s": s, "value": Fraction(s * R.denominator, N * R.numerator)}
 
 
 def _corollary_6_4(t, p, upper, lower):
@@ -268,16 +268,6 @@ _CLOSINGS = {"NCG1": ("pigeonhole",), "NCG2": ("sign", "rotation-count"),
              "NCG5": ("sign", "integrality")}
 
 
-def _spelled(values: dict, kind: str | None) -> dict:
-    """Derived values as a step holds them: each Fraction spelled "a/b" in lowest
-    terms, and the contradiction kind of a closing added."""
-    spelled = {k: f"{v.numerator}/{v.denominator}" if type(v) is Fraction else v
-               for k, v in values.items()}
-    if kind is not None:
-        spelled["contradiction_kind"] = kind
-    return spelled
-
-
 def _plain(value) -> bool:
     """Whether every value nested in a step's values is an int or a string, or
     a list or dict of them: a retyped 1.0 or True is not 1."""
@@ -332,19 +322,33 @@ class _Steps:
         """Append the step of this rule and contradiction kind; return the values its row derives
         from the values it chooses and its premises, per slot the latest earlier step of its
         rules.  Refused: a step after the closing, out of order before it, or missing a premise."""
-        if (rule, kind) not in _TABLE or kind and kind not in _CLOSINGS[self.scope.case]:
+        row = _TABLE.get((rule, kind))
+        if row is None or kind and kind not in _CLOSINGS[self.scope.case]:
             raise TraceError(f"{self.scope.case} has no step {rule!r} of closing {kind!r}")
         if self.kind:
             raise TraceError(f"a step after the {self.kind} closing")
         if kind is None and self.steps and _ORDER[rule] <= _ORDER[self.steps[-1]["rule"]]:
             raise TraceError(f"not after {self.steps[-1]['rule']}: the rule table's order")
-        fact_kind, slots, derive = _TABLE[rule, kind]
-        premises = [max(self.latest.get(r, -1) for r in slot) for slot in slots]
-        if -1 in premises:
-            raise TraceError(f"no earlier step of {' or '.join(slots[premises.index(-1)])}")
-        values = derive(self.scope, chosen, *map(self.derived.__getitem__, premises))
+        fact_kind, slots, derive = row
+        premises, cited = [], []
+        for slot in slots:  # the latest earlier step of the slot's rules
+            latest = -1
+            for r in slot:
+                if (i := self.latest.get(r, -1)) > latest:
+                    latest = i
+            if latest < 0:
+                raise TraceError(f"no earlier step of {' or '.join(slot)}")
+            premises.append(latest)
+            cited.append(self.derived[latest])
+        values = derive(self.scope, chosen, *cited)
         self.latest[rule], self.kind = len(self.steps), kind
-        self.steps.append({"rule": rule, "kind": fact_kind, "values": _spelled(values, kind)})
+        spelled = values.copy()  # as the step holds them: each Fraction "a/b" in lowest terms
+        for k, v in values.items():
+            if type(v) is Fraction:
+                spelled[k] = f"{v.numerator}/{v.denominator}"
+        if kind is not None:
+            spelled["contradiction_kind"] = kind
+        self.steps.append({"rule": rule, "kind": fact_kind, "values": spelled})
         self.derived.append(values)
         self.premises.append(premises)
         return values

@@ -185,13 +185,15 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+    """The one parser of this process, built on first use; its `commands` maps each
+    command's name to that command's parser.
 
     `main` reuses it on every call, so callers share it: parse with it, but
     never mutate it (no add_argument, set_defaults or changed prog).
     """
     parser = _Parser(prog="indexlab")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("iterate", help="index table of the iterates of one model")
     p.add_argument("--model", required=True, help="path to a model JSON file")
@@ -239,7 +241,12 @@ def main(argv: list[str] | None = None) -> int:
     args = None
     try:
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            parser = build_parser()
+            # an argv that names a command is parsed once, by that command's parser; the
+            # top-level parser serves the rest: no argument, --help or an unknown command
+            command = parser.commands.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
             for name, least in (("n", 2), ("mmax", 0), ("qmax", 0), ("horizon", 0)):
                 if getattr(args, name, least) < least:
                     raise ValueError(f"--{name} must be >= {least}")

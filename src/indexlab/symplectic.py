@@ -97,13 +97,16 @@ class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
 
 # -- JSON input ------------------------------------------------------------
 
+_NUMBER = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def _exact_number(value, name: str) -> Fraction:
     """value, an int or a string "a" or "a/b" of integers a and b != 0, as a Fraction: a JSON
     float or bool is refused, never rounded, and so is any other string ("1/0", "0.5", "1e9")."""
     try:
         if type(value) is int:
             return Fraction(value)
-        if type(value) is str and (m := re.fullmatch(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?", value)):
+        if type(value) is str and (m := _NUMBER.fullmatch(value)):
             return Fraction(int(m[1]), int(m[2] or 1))
     except ValueError:  # more digits than int() converts
         pass

@@ -961,6 +961,28 @@ class TestParserReuse:
         capsys.readouterr()
         assert built.count("indexlab") == 1  # one parser; the rest are its subcommands
 
+    def test_a_command_is_parsed_once(self, capsys, monkeypatch, ncg1_model):
+        # by the command's own parser: the top-level parser reads no argv that names a command
+        parsed = []
+        parse = cli._Parser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counting_parse)
+        for argv in (["betti", "--n", "3"], ["iterate", "--model", ncg1_model], ["prove", "--n", "4"],
+                     ["verify", ncg1_model], ["betti", "--n", "x"], ["prove", "--n", "4", "stray"],
+                     ["identity", "-h"]):
+            parsed.clear()
+            main(argv)
+            assert parsed == [f"indexlab {argv[0]}"], argv
+        for argv in ([], ["--help"], ["frobnicate"]):  # no command: the top-level parser reads it
+            parsed.clear()
+            main(argv)
+            assert parsed == ["indexlab"], argv
+        capsys.readouterr()
+
     @pytest.mark.parametrize("first,then", [
         (["iterate", "--model", "MODEL", "--csv"], ["iterate", "--model", "MODEL"]),
         (["prove", "--n", "12", "--case", "ncg4"], ["prove", "--n", "12"]),
@@ -976,12 +998,56 @@ class TestParserReuse:
         assert run(capsys, *then) == expected
 
 
+USAGE = {None: "usage: indexlab [-h] {iterate,betti,morse-check,identity,prove,verify} ...",
+         "iterate": "usage: indexlab iterate [-h] --model MODEL [--mmax MMAX] [--json JSON | --csv]",
+         "betti": "usage: indexlab betti [-h] --n N [--qmax QMAX] [--json JSON | --csv]",
+         "morse-check": "usage: indexlab morse-check [-h] --models MODELS [--horizon HORIZON]",
+         "identity": "usage: indexlab identity [-h] --models MODELS [--json JSON]",
+         "prove": "usage: indexlab prove [-h] --n N [--case CASE] [--json JSON]",
+         "verify": "usage: indexlab verify [-h] certificate"}
+COMMANDS = "'iterate', 'betti', 'morse-check', 'identity', 'prove', 'verify'"
+
+# (argv, exit code, the usage line that help prints on stdout, stderr); only the
+# unrecognized-arguments line names the command, as its parser reads argv alone
+PARSES = [
+    ([], 2, None, "error: indexlab: the following arguments are required: command\n"),
+    (["-h"], 0, USAGE[None], ""),
+    (["--he"], 0, USAGE[None], ""),
+    (["frobnicate", "--n", "3"], 2, None, "error: indexlab: argument command: invalid "
+                                          f"choice: 'frobnicate' (choose from {COMMANDS})\n"),
+    *[([command, "-h"], 0, USAGE[command], "") for command in USAGE if command],
+    (["betti", "--n", "3", "--he"], 0, USAGE["betti"], ""),
+    (["prove"], 2, None, "error: indexlab prove: the following arguments are required: --n\n"),
+    (["verify"], 2, None,
+     "error: indexlab verify: the following arguments are required: certificate\n"),
+    (["betti", "--n", "x"], 2, None, "error: indexlab betti: argument --n: invalid int value: "
+                                     "'x'\n"),
+    (["prove", "--n", "4", "stray"], 2, None,
+     "error: indexlab prove: unrecognized arguments: stray\n"),
+    (["iterate", "--model", "m.json", "--extra"], 2, None,
+     "error: indexlab iterate: unrecognized arguments: --extra\n"),
+    (["verify", "--", "-x"], 2, None,
+     "error: cannot read -x: [Errno 2] No such file or directory: '-x'\n"),
+]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv,code,usage,err", PARSES,
+                             ids=[" ".join(argv) or "(none)" for argv, *_ in PARSES])
+    def test_what_each_argv_prints(self, capsys, monkeypatch, tmp_path, argv, code, usage, err):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # the width help wraps to
+        got, out, got_err = run(capsys, *argv)
+        assert (got, out.split("\n", 1)[0] if usage else out, got_err) == (code, usage or "", err)
+        if usage:  # the whole help of the parser that reads argv
+            parser = cli.build_parser()
+            assert out == parser.commands.get(argv[0], parser).format_help()
 
 
 # -- the model-file grammar: every field dropped or retyped is refused by name --
@@ -1073,12 +1139,13 @@ documents = st.one_of(models, st.lists(models, max_size=3),
 # bounds stay at most 500, so no case allocates or replays at scale
 bounds = st.one_of(*[st.integers(2, 500).map(str)] * 4,
                    st.sampled_from(["-1", "0", "1", "x", "", "1e3", "\n"]))
-FLAGS = {  # the required flag first
+FLAGS = {  # the required flag first; CERT stands for verify's positional certificate
     "iterate": ["--model", "--mmax", "--csv"],
     "betti": ["--n", "--qmax", "--csv"],
     "morse-check": ["--models", "--horizon"],
     "identity": ["--models"],
     "prove": ["--n", "--case"],
+    "verify": ["CERT"],
     "frobnicate": ["--n"],
 }
 
@@ -1094,13 +1161,17 @@ def test_fuzzed_runs_exit_cleanly(tmp_path_factory, data):
     flags += data.draw(st.lists(st.sampled_from(optional or [required]), max_size=3))
     argv = [command]
     for flag in data.draw(st.permutations(flags)):
-        if flag in ("--model", "--models"):
+        if flag in ("--model", "--models", "CERT"):
             value = data.draw(st.sampled_from([str(path)] * 4 + [str(path) + ".missing"]))
         elif flag == "--case":
             value = data.draw(st.sampled_from(["ncg1", "NCG4", "ncg9", "a\nb"]))
         else:
             value = data.draw(bounds)
-        argv += [flag] if flag == "--csv" else [flag, value]
+        argv += [flag] if flag == "--csv" else [value] if flag == "CERT" else [flag, value]
+    # help or a stray token anywhere: before the command the top-level parser reads argv
+    extra = data.draw(st.sampled_from([None] * 3 + ["-h", "--help", "stray"]))
+    if extra:
+        argv.insert(data.draw(st.integers(0, len(argv))), extra)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

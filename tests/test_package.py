@@ -2,6 +2,7 @@
 and no floating point."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -151,3 +152,35 @@ def test_every_equivalent_mutant_names_a_line_of_its_module():
             listed.append((module.relative_to(SRC.parent), line, mutation))
             assert line in {text.strip() for text in module.read_text().splitlines()}, listed[-1]
     assert listed and len(listed) == len(set(listed))
+
+
+@pytest.fixture
+def mutants(monkeypatch):
+    """tools/mutants.py's main, run from the repository root as its usage line shows."""
+    spec = importlib.util.spec_from_file_location("mutants", SRC.parent / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.chdir(SRC.parent)
+    return module.main
+
+
+@pytest.mark.parametrize("selection,message", [
+    (["--in", "_steps"], "--in _steps names no top-level statement of src/indexlab/checker.py"),
+    (["--in", "_Steps", "--in", "verify_trac"],
+     "--in verify_trac names no top-level statement of src/indexlab/checker.py"),
+    (["--in", "CERTIFICATE_SCHEMA", "--site", "1"],
+     "--site 1 is outside 0..N-1 for the N = 1 sites selected"),
+    (["--in", "CERTIFICATE_SCHEMA", "--site", "-1"],
+     "--site -1 is outside 0..N-1 for the N = 1 sites selected"),
+], ids=["misspelled", "one-of-two", "past-the-last", "negative"])
+def test_mutants_refuses_a_selection_of_nothing(mutants, capsys, selection, message):
+    # a typo would read as a clean run of no mutant, and -1 would run the last site
+    assert mutants(["src/indexlab/checker.py", "--list", *selection]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_mutants_lists_the_one_site_of_a_name(mutants, capsys):
+    selection = ["--in", "CERTIFICATE_SCHEMA", "--site", "0"]
+    assert mutants(["src/indexlab/checker.py", "--list", *selection]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(" 6 -> 7  CERTIFICATE_SCHEMA = 6\n") and out.count("\n") == 1 and err == ""

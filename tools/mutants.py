@@ -9,7 +9,8 @@ not in, is and is not), an integer constant plus 1, `and` and `or` swapped, or `
 and `-` swapped.  `--in NAME` keeps the sites inside the named top-level functions,
 classes and assignments, and `--in __main__` those of the `if __name__ == "__main__":`
 block (all of the module by default); `--list` prints the sites without running them,
-and `--site I` runs site I alone.
+and `--site I` runs site I alone.  A name that selects no top-level statement, or a
+site outside 0..N-1 of the N sites selected, is refused with exit 2.
 
 Each mutant is the module rewritten by `ast.unparse` into a copy of the repository
 under a temporary directory, where `pytest -x` runs the tests with a fixed
@@ -87,8 +88,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", help="where the temporary copy goes")
     args = parser.parse_intermixed_args(argv)
     root, source = Path.cwd(), Path(args.module).read_text()
-    lines, found = source.splitlines(), sites(ast.parse(source), args.names)
+    tree = ast.parse(source)
+    lines, found = source.splitlines(), sites(tree, args.names)
     chosen = args.site if args.site is not None else range(len(found))
+    for name in args.names:  # a misspelled name would read as a clean run of no mutant
+        if not any(name in named(node) for node in tree.body):
+            sys.stderr.write(f"error: --in {name} names no top-level statement of {args.module}\n")
+            return 2
+    for i in chosen:  # -1 would run the last site
+        if not 0 <= i < len(found):
+            sys.stderr.write(f"error: --site {i} is outside 0..N-1 for the N = {len(found)} "
+                             "sites selected\n")
+            return 2
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="mutants-", dir=args.workdir) as tmp:
         copy = Path(tmp) / "repo"
