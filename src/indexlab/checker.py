@@ -7,7 +7,6 @@ takes its Betti closed forms and `prover` its step builder, never the reverse.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from collections import namedtuple
@@ -289,13 +288,10 @@ def case_of(k: int, h: int) -> str:
     return "NCG3" if k % 2 else "NCG2"
 
 
-@functools.lru_cache(maxsize=64)  # a certificate asks once per trace and case
-def _reached(n: int) -> frozenset[str]:
-    """The shapes of the censuses k + 2r + h = n-1.  A shape reads only k = 0, k = 1,
-    k's parity and h = 0, so taking 2 from k >= 4 or from h >= 3 keeps the shape and
-    the parity 2r needs: k < 4 and h < 3 reach every shape, in O(1)."""
-    return frozenset(case_of(k, h) for k in range(min(n, 4)) for h in range(min(n - k, 3))
-                     if (n - 1 - k - h) % 2 == 0)
+# the least n at which a census k + 2r + h = n-1 has each shape: at r = 0, k = 1 (NCG1),
+# k = 2, h = 1 (NCG2), k = 3, h = 1 (NCG3), k = h = 1 (NCG4), h = 1 (NCG5).  One more
+# hyperbolic block, or rotation for NCG1 (h = 0), keeps the shape at every larger n
+_LEAST = {"NCG1": 2, "NCG2": 4, "NCG3": 5, "NCG4": 3, "NCG5": 2}
 
 
 # a trace's fields and their JSON types: the case, "" or a parity subcase, the steps,
@@ -307,7 +303,7 @@ _Scope = namedtuple("_Scope", "n case subcase")  # what derivations read besides
 
 def _subcases(n: int, case: str) -> tuple[str, ...]:
     """The subcases replay derives for a case shape at n, in order."""
-    return ("",) if case == "NCG1" or case not in _reached(n) else ("p even", "p odd")
+    return ("",) if case == "NCG1" or n < _LEAST[case] else ("p even", "p odd")
 
 
 class _Steps:
@@ -377,13 +373,13 @@ def verify_trace(n: int, trace: dict) -> bool:
     if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
         raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
     case, subcase, steps, detail = trace["case"], trace["subcase"], trace["steps"], trace["detail"]
-    reached = _reached(n)
     if trace["verdict"] == "vacuous":  # a shape no census of dimension 2(n-1) reaches
-        if steps or case not in _CLOSINGS.keys() - reached or (subcase, detail) != ("", ""):
+        if steps or case not in _LEAST or n >= _LEAST[case] or (subcase, detail) != ("", ""):
             raise TraceError(f"{case} at n = {n} is not a vacuous trace of an unreached shape")
         return True
-    if (trace["verdict"] != "contradiction" or not steps or case not in reached
-            or subcase not in _subcases(n, case) or detail not in _CLOSINGS.get(case, ())):
+    if (trace["verdict"] != "contradiction" or not steps or case not in _LEAST
+            or n < _LEAST[case] or subcase not in _subcases(n, case)
+            or detail not in _CLOSINGS[case]):
         raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
                          "satisfiable shape, one of its subcases, a closing its case allows")
     built = _Steps(n, case, subcase)

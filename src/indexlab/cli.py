@@ -79,8 +79,9 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected a non-empty list of models")
     models = [_parse_model(obj, f"model #{idx}") for idx, obj in enumerate(entries)]
-    if any(g.n != models[0].n for g in models):
-        raise ValueError("all models must share the sphere dimension n")
+    for idx, g in enumerate(models):
+        if g.n != models[0].n:
+            raise ValueError(f"model #{idx}: n = {g.n}, but model #0 has n = {models[0].n}")
     return models
 
 

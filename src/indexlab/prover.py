@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, Trace, _reached, _Steps, _subcases,
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _LEAST, Trace, _Steps, _subcases,
                       floor_sum_range, verify_trace)
 
 
@@ -79,7 +79,7 @@ def replay(n: int) -> list[Trace]:
 
 def _replay_case(n: int, case: str) -> list[Trace]:
     """The traces of one case shape: one per parity subcase, or one verdict."""
-    if case not in _reached(n):
+    if n < _LEAST[case]:
         return [Trace(case, "", [], "vacuous", "")]
     return [_replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
             for subcase in _subcases(n, case)]

@@ -379,7 +379,7 @@ class TestIdentity:
         path = write_models(tmp_path, [g2, g3])
         code, _, err = run(capsys, "identity", "--models", path)
         assert code == 2
-        assert "dimension" in err
+        assert err == "error: model #1: n = 3, but model #0 has n = 2\n"
 
     def test_zero_mean_index_is_input_error(self, capsys, tmp_path):
         g = GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 0)
@@ -740,7 +740,15 @@ class TestInputFaults:
         g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
         g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
         path = write_models(tmp_path, [g2, g3])
-        self.check_fault(capsys, ["morse-check", "--models", path], "dimension")
+        err = self.check_fault(capsys, ["morse-check", "--models", path], "model #1")
+        assert err == "error: model #1: n = 3, but model #0 has n = 2\n"
+
+    def test_identity_names_the_first_model_of_another_dimension(self, capsys, tmp_path):
+        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
+        path = write_models(tmp_path, [g3, g3, g2, g2])
+        err = self.check_fault(capsys, ["identity", "--models", path], "model #2")
+        assert err == "error: model #2: n = 2, but model #0 has n = 3\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,15 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     assert "1 failed, 1 passed" in done.stdout
 
 
+def test_the_kernel_keeps_no_state_between_calls():
+    # the trusted checker caches nothing: what it accepts depends on its input alone
+    path = SRC / "indexlab" / "checker.py"
+    assert "functools" not in {name for _, name in absolute_imports(path)}
+    for node in nodes(path):
+        for decorator in getattr(node, "decorator_list", ()):
+            assert "cache" not in ast.unparse(decorator), (node.lineno, node.name)
+
+
 def test_every_equivalent_mutant_names_a_line_of_its_module():
     # the list of tools/mutants.py's equivalent survivors names each by its line's text;
     # a line that changed or went is a stale entry, to be re-run and updated
@@ -177,6 +187,16 @@ def test_mutants_refuses_a_selection_of_nothing(mutants, capsys, selection, mess
     # a typo would read as a clean run of no mutant, and -1 would run the last site
     assert mutants(["src/indexlab/checker.py", "--list", *selection]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_mutants_lists_without_copying_the_repository(mutants, capsys, monkeypatch):
+    def copytree(*args, **kwargs):
+        raise AssertionError("--list copied the repository")
+
+    monkeypatch.setattr(shutil, "copytree", copytree)
+    assert mutants(["src/indexlab/checker.py", "--list", "--in", "_LEAST"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 5 and err == ""  # one constant per case shape
 
 
 def test_mutants_lists_the_one_site_of_a_name(mutants, capsys):

@@ -15,9 +15,9 @@ from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposi
 from indexlab import checker, prover
 from indexlab.checker import (
     _CLOSINGS,
+    _LEAST,
     _RULES,
     _TABLE,
-    _reached,
     TraceError,
     check_lemma_6_1,
     check_lemma_6_2,
@@ -424,23 +424,53 @@ class TestVerifier:
                     verify_certificate({**schema_5(n), "schema": 6})
 
 
+def _census_shapes(n):
+    """The shapes GeodesicModel and classify give the censuses of dimension 2(n-1): a model
+    with k rotations, r N-blocks and h hyperbolic blocks has k + 2r + h = n-1."""
+    rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
+    return {GeodesicModel(n, NormalFormDecomposition(
+        [Rot(rho)] * k + [NBlock(rho)] * r + [Hyp(Fraction(2))] * (n - 1 - 2 * r - k)),
+        1).case for r in range((n - 1) // 2 + 1) for k in range(n - 2 * r)}
+
+
+def _vacuous(case):
+    return {"case": case, "subcase": "", "steps": [], "verdict": "vacuous", "detail": ""}
+
+
 class TestShapeVacuity:
     def test_the_vacuous_shapes_are_those_no_census_reaches(self):
-        # a model of dimension 2(n-1) with k rotations, r N-blocks and h hyperbolic
-        # blocks has k + 2r + h = n-1; GeodesicModel accepts every census and classify
-        # names its shape: the kernel must reach exactly those shapes
-        rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-        for n in range(2, 17):
-            reached = {GeodesicModel(n, NormalFormDecomposition(
-                [Rot(rho)] * k + [NBlock(rho)] * r + [Hyp(Fraction(2))] * (n - 1 - 2 * r - k)),
-                1).case for r in range((n - 1) // 2 + 1) for k in range(n - 2 * r)}
-            assert reached == _reached(n), n
+        # GeodesicModel accepts every census and classify names its shape: the kernel
+        # must reach exactly those shapes
+        for n in range(2, 41):
+            reached = _census_shapes(n)
+            assert reached == {c for c in _LEAST if n >= _LEAST[c]}, n
             assert [t.case for t in replay(n) if t.verdict == "vacuous"] == sorted(
                 _CLOSINGS.keys() - reached), n
 
+    @pytest.mark.parametrize("case", sorted(_LEAST))
+    def test_each_least_n_is_the_first_census_of_its_shape(self, case):
+        # n = 2 is the least dimension, so a shape reached there has no n below to miss it
+        least = _LEAST[case]
+        assert case in _census_shapes(least)
+        assert least == 2 or case not in _census_shapes(least - 1)
+
     @pytest.mark.parametrize("n", [5, 6, 10**9, 10**9 + 1])
     def test_every_shape_is_reached_from_n_5(self, n):
-        assert _reached(n) == _CLOSINGS.keys()
+        assert {c for c in _LEAST if n >= _LEAST[c]} == _CLOSINGS.keys()
+
+    @pytest.mark.parametrize("case,least", [("NCG2", 4), ("NCG3", 5), ("NCG4", 3)])
+    def test_a_vacuous_trace_is_accepted_below_the_least_n_only(self, case, least):
+        assert verify_trace(least - 1, _vacuous(case))
+        with pytest.raises(TraceError, match=f"{case} at n = {least} is not a vacuous trace"):
+            verify_trace(least, _vacuous(case))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_an_unknown_case_is_neither_vacuous_nor_refuted(self, n):
+        with pytest.raises(TraceError, match="is not a vacuous trace"):
+            verify_trace(n, _vacuous("NCG6"))
+        trace = {**_doc(n)["traces"][0], "case": "NCG6"}
+        with pytest.raises(TraceError, match="a contradiction trace needs steps"):
+            verify_trace(n, trace)
 
     def test_a_reached_shape_has_no_vacuous_trace(self):
         # NCG3 is first reached at n = 5: its two subcases cannot give way to a vacuous
@@ -1336,7 +1366,7 @@ class TestCertificateDocument:
                 traces[k] = bad
                 with pytest.raises(TraceError):
                     verify_certificate({**doc, "traces": traces})
-        assert vacuous == 5 - len(_reached(n))  # 3, 2 and 0
+        assert vacuous == 5 - len({c for c in _LEAST if n >= _LEAST[c]})  # 3, 2 and 0
 
     def test_every_field_keeps_its_json_type(self):
         # each field of a trace or of one of its steps removed, given a value of

@@ -100,17 +100,21 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"error: --site {i} is outside 0..N-1 for the N = {len(found)} "
                              "sites selected\n")
             return 2
+
+    def where(i: int) -> str:
+        node, _, label = found[i]
+        return f"{args.module}:{node.lineno} {label}  {lines[node.lineno - 1].strip()}"
+
+    if args.list:  # before any copy of the repository
+        for i in chosen:
+            print(f"{i:4d} {where(i)}")
+        return 0
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="mutants-", dir=args.workdir) as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(root, copy, ignore=IGNORED)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         for i in chosen:
-            node, _, label = found[i]
-            where = f"{args.module}:{node.lineno} {label}  {lines[node.lineno - 1].strip()}"
-            if args.list:
-                print(f"{i:4d} {where}")
-                continue
             (copy / args.module).write_text(mutant(source, args.names, i))
             shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
             try:
@@ -122,9 +126,8 @@ def main(argv: list[str] | None = None) -> int:
             except subprocess.TimeoutExpired:
                 failed = True
             survivors += not failed
-            print(f"{i:4d} {'killed' if failed else 'SURVIVED':8s} {where}", flush=True)
-    if not args.list:
-        print(f"{len(chosen) - survivors} killed, {survivors} survived of {len(chosen)}")
+            print(f"{i:4d} {'killed' if failed else 'SURVIVED':8s} {where(i)}", flush=True)
+    print(f"{len(chosen) - survivors} killed, {survivors} survived of {len(chosen)}")
     return 0
 
 
