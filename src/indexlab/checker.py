@@ -406,12 +406,11 @@ def verify_trace(n: int, trace: dict) -> bool:
 
 
 def verify_certificate(doc: dict) -> bool:
-    """Re-validate a parsed certificate: schema 6, an integer n >= 2, each trace by
-    verify_trace, and each (case, subcase) replay derives at n once, in replay order,
-    for every case shape, or for the shapes named in a document marked "partial": true."""
-    if not (type(doc) is dict and doc.keys() - {"partial"} == {"schema", "n", "traces"}
+    """Re-validate a parsed certificate: exactly schema 6, an integer n >= 2 and traces, each
+    by verify_trace, and each (case, subcase) that replay derives at n once, in replay order."""
+    if not (type(doc) is dict and doc.keys() == {"schema", "n", "traces"}
             and [type(doc[key]) for key in ("schema", "n", "traces")] == [int, int, list]
-            and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2 and doc["traces"]):
+            and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2):
         raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, traces")
     n = doc["n"]
     for k, trace in enumerate(doc["traces"]):
@@ -420,12 +419,9 @@ def verify_certificate(doc: dict) -> bool:
         except TraceError as e:
             raise TraceError(f"trace {k}: {e}") from None
     got = [(t["case"], t["subcase"]) for t in doc["traces"]]
-    named = {case for case, _ in got}
-    want = [(case, s) for case in _CLOSINGS if case in named for s in _subcases(n, case)]
+    want = [(case, s) for case in _CLOSINGS for s in _subcases(n, case)]
     if got != want:
         raise TraceError(f"traces {got} are not {want}, each once in replay order")
-    if ("partial" in doc) != (len(named) < len(_CLOSINGS)) or doc.get("partial", True) is not True:
-        raise TraceError('"partial": true marks exactly the certificates that leave a case out')
     return True
 
 

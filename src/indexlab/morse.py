@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from itertools import chain, islice, repeat
 
 from .checker import alternating_betti_sum, betti, euler_limit  # the kernel's closed forms
-from .exact import ExactReal, FieldMismatchError
+from .exact import ExactReal, FieldMismatchError, same_field
 from .iteration import (
     GeodesicModel,
     analytic_period,
@@ -127,21 +127,20 @@ def mean_index_identity_lhs(models: list[GeodesicModel]) -> ExactReal:
     one period of (-1)^i(c^m) k0(c^m) / (N * ihat(c)): c is its only iterate with k0 = 1,
     as when N = 2, i(c^2) - i(c) has the parity of the odd slope.  Callers must pass only
     homologically visible models; an invisible model contributes 0 and is legal but
-    pointless.  Comparing the result with euler_limit(n) is the identity check.  A term in
-    another field than the sum is refused, naming its model and the one that took the sum there.
+    pointless.  Comparing the result with euler_limit(n) is the identity check.  A set whose
+    irrational terms lie in two fields is refused, whatever the order of its models, naming
+    the first model with an irrational term and the first whose term lies in another field.
     """
-    total = ExactReal(0)
-    for idx, g in enumerate(models):
+    terms = []
+    for g in models:
         ihat = mean_index(g)
         if ihat.sign() <= 0:
             raise NonTerminatingSumError("identity requires positive mean index")
         s = -1 if g.initial_index % 2 else 1
-        term = ExactReal(s) / (ihat * analytic_period(g))
-        if not total.is_irrational:
-            first = idx
-        try:
-            total = total + term
-        except FieldMismatchError:
-            raise FieldMismatchError(f"model #{first} and model #{idx} lie in "
-                                     f"Q(sqrt({total.D})) and Q(sqrt({term.D}))") from None
-    return total
+        terms.append(ExactReal(s) / (ihat * analytic_period(g)))
+    fields = [(idx, term.D) for idx, term in enumerate(terms) if term.is_irrational]
+    for idx, D in fields:
+        if not same_field(fields[0][1], D):
+            raise FieldMismatchError(f"model #{fields[0][0]} and model #{idx} lie in "
+                                     f"Q(sqrt({fields[0][1]})) and Q(sqrt({D}))")
+    return sum(terms, ExactReal(0))

@@ -71,36 +71,25 @@ def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
 
 
 def replay(n: int) -> list[Trace]:
-    """All case/parity traces for dimension n, each ending in a verdict."""
+    """All case/parity traces for dimension n, each ending in a verdict: one per subcase of
+    each case shape, and one vacuous trace for a shape that no census at n reaches."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return [t for case in _CLOSINGS for t in _replay_case(n, case)]
-
-
-def _replay_case(n: int, case: str) -> list[Trace]:
-    """The traces of one case shape: one per parity subcase, or one verdict."""
-    if n < _LEAST[case]:
-        return [Trace(case, "", [], "vacuous", "")]
-    return [_replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
-            for subcase in _subcases(n, case)]
+    return [Trace(case, "", [], "vacuous", "") if n < _LEAST[case]
+            else _replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
+            for case in _CLOSINGS for subcase in _subcases(n, case)]
 
 
 # -- certificate serialization ---------------------------------------------
 
-def certificate(n: int, traces: list[Trace] | None = None) -> dict:
-    """The certificate of these traces (by default all of them); one that
-    leaves a case shape out is marked partial."""
-    if traces is None:
-        traces = replay(n)
-    doc = {"schema": CERTIFICATE_SCHEMA, "n": n, "traces": [t._asdict() for t in traces]}
-    if len({t.case for t in traces}) < len(_CLOSINGS):
-        doc["partial"] = True
-    return doc
+def certificate(n: int) -> dict:
+    """The certificate of every trace that replay derives at n."""
+    return {"schema": CERTIFICATE_SCHEMA, "n": n, "traces": [t._asdict() for t in replay(n)]}
 
 
-def certificate_json(n: int, traces: list[Trace] | None = None) -> str:
+def certificate_json(n: int) -> str:
     """The certificate as the canonical JSON text that `prove` checks and writes."""
-    return json.dumps(certificate(n, traces), sort_keys=True, separators=(",", ":"))
+    return json.dumps(certificate(n), sort_keys=True, separators=(",", ":"))
 
 
 # -- presentation: the prose of each step, rebuilt on demand, never checked --

@@ -398,39 +398,10 @@ class TestProve:
         assert {t["verdict"] for t in doc["traces"]} <= {"contradiction", "vacuous"}
         assert doc["schema"] == 6 and "partial" not in doc
 
-    def test_case_filter(self, capsys):
-        code, out, _ = run(capsys, "prove", "--n", "5", "--case", "ncg4")
-        assert code == 0
-        doc = json.loads(out)
-        assert [t["case"] for t in doc["traces"]] == ["NCG4", "NCG4"]
-        assert (doc["schema"], doc["partial"]) == (6, True)
-
-    def test_unknown_case_filter(self, capsys):
-        code, _, err = run(capsys, "prove", "--n", "5", "--case", "ncg9")
-        assert code == 2
-        assert "unknown case" in err
-
-    def test_empty_case_filter_is_unknown(self, capsys):
-        code, out, err = run(capsys, "prove", "--n", "5", "--case", "")
-        assert (code, out) == (2, "")
-        assert err == "error: unknown case filter: \n"
-
     @pytest.mark.parametrize("n", [2, 3, 81, 200])
     def test_stdout_is_the_certificate(self, capsys, n):
         code, out, _ = run(capsys, "prove", "--n", str(n))
         assert (code, out) == (0, prover.certificate_json(n) + "\n")
-
-    def test_case_filter_replays_only_that_case(self, capsys, monkeypatch):
-        def refuse(n):
-            raise AssertionError("the NCG1 replay ran for a filtered run")
-
-        monkeypatch.setattr(prover, "_replay_ncg1", refuse)
-        code, out, _ = run(capsys, "prove", "--n", "300", "--case", "ncg4")
-        assert code == 0
-        assert {t["case"] for t in json.loads(out)["traces"]} == {"NCG4"}
-        code, _, err = run(capsys, "prove", "--n", "300", "--case", "ncg9")
-        assert code == 2
-        assert "unknown case filter" in err
 
     def test_a_trace_that_fails_its_check_is_an_error(self, capsys, monkeypatch):
         replay_ncg1 = prover._replay_ncg1
@@ -445,11 +416,9 @@ class TestProve:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_a_certificate_that_fails_its_check_is_an_error(self, capsys, monkeypatch, tmp_path):
-        certificate = prover.certificate
-
-        def duplicated(n, traces=None):  # the first trace twice
-            doc = certificate(n, traces)
-            return {**doc, "traces": doc["traces"][:1] + doc["traces"]}
+        def duplicated(n):  # the first trace twice
+            traces = [t._asdict() for t in prover.replay(n)]
+            return {"schema": 6, "n": n, "traces": traces[:1] + traces}
 
         monkeypatch.setattr(prover, "certificate", duplicated)
         out_path = tmp_path / "cert.json"
@@ -508,6 +477,12 @@ def _schema_5(n):
     return {**doc, "schema": 5}
 
 
+def _cases(n, cases):
+    """The certificate for n with the traces of these case shapes alone."""
+    doc = json.loads(prover.certificate_json(n))
+    return {**doc, "traces": [t for t in doc["traces"] if t["case"] in cases]}
+
+
 # whole documents, each with one of the tamperings of TestVerifier in test_prover.py, a step
 # that carries prose, premises or a relation, an n that is not an integer >= 2, or an
 # earlier schema
@@ -526,6 +501,12 @@ TAMPERED = {
     "schema 3": lambda: {**json.loads(prover.certificate_json(5)), "schema": 3},
     "schema 4": lambda: _schema_4(5),
     "schema 5": lambda: _schema_5(2),
+    # a document with a "partial" key, or one that leaves a case shape out: one kind per n
+    **{f"partial {v}": lambda v=v: {**json.loads(prover.certificate_json(5)), "partial": v}
+       for v in (True, False, None)},
+    "NCG4 alone": lambda: _cases(5, {"NCG4"}),
+    "NCG4 alone, partial": lambda: {**_cases(5, {"NCG4"}), "partial": True},
+    "without NCG3": lambda: _cases(5, {"NCG1", "NCG2", "NCG4", "NCG5"}),
 }
 
 
@@ -543,14 +524,8 @@ class TestVerify:
             assert (code, err) == (0, "")
             doc = json.loads(prover.certificate_json(n))
             steps = sum(len(t["steps"]) for t in doc["traces"])
-            assert out == ('{"n":%d,"partial":false,"schema":6,"steps":%d,"traces":%d,'
-                           '"verified":true}\n' % (n, steps, len(doc["traces"])))
-
-    def test_a_partial_certificate_verifies(self, capsys, tmp_path):
-        path = str(tmp_path / "cert.json")
-        run(capsys, "prove", "--n", "7", "--case", "ncg3", "--json", path)
-        code, out, _ = run(capsys, "verify", path)
-        assert code == 0 and json.loads(out)["partial"] is True
+            assert out == ('{"n":%d,"schema":6,"steps":%d,"traces":%d,"verified":true}\n'
+                           % (n, steps, len(doc["traces"])))
 
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_a_tampered_certificate_exits_1(self, capsys, tmp_path, name):
@@ -558,7 +533,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", path)
         assert (code, out) == (1, "")
         assert err.startswith(f"{path}: ") and err.count("\n") == 1
-        if not name.startswith(("n = ", "schema")):  # a trace fails: the line names its step
+        if not name.startswith(("n = ", "schema", "partial", "NCG4", "without")):
+            # a trace fails: the line names its step
             assert ": step " in err
 
     def test_the_failing_step_is_named(self, capsys, tmp_path):
@@ -932,6 +908,20 @@ class TestInputFaults:
                                message)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("order, message", [
+        ("ABC", "model #0 and model #2 lie in Q(sqrt(2)) and Q(sqrt(3))"),
+        ("ACB", "model #0 and model #1 lie in Q(sqrt(2)) and Q(sqrt(3))"),
+        ("CAB", "model #0 and model #1 lie in Q(sqrt(3)) and Q(sqrt(2))"),
+    ], ids=["ABC", "ACB", "CAB"])
+    def test_identity_refuses_two_fields_in_any_order(self, capsys, tmp_path, order, message):
+        # the irrational parts of A's and B's terms cancel: a running sum that met C after
+        # them would have been rational, and the set decided instead of refused
+        rhos = {"A": RHO, "B": ExactReal(3, 1, 7, 2), "C": ExactReal(-1, 1, 1, 3)}
+        models = [GeodesicModel(2, NormalFormDecomposition([Rot(rhos[k])]), 0) for k in order]
+        err = self.check_fault(capsys, ["identity", "--models", write_models(tmp_path, models)],
+                               message)
+        assert err == f"error: {message}\n"
+
     def test_one_field_in_two_spellings_is_no_fault(self, capsys, tmp_path):
         # sqrt(8) - 2 = 2*sqrt(2) - 2: the model of both spellings is the model over Q(sqrt(2))
         rows = []
@@ -993,17 +983,20 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("first,then", [
         (["iterate", "--model", "MODEL", "--csv"], ["iterate", "--model", "MODEL"]),
-        (["prove", "--n", "12", "--case", "ncg4"], ["prove", "--n", "12"]),
+        (["prove", "--n", "12", "--json", "CERT"], ["prove", "--n", "12"]),
         (["betti", "--n", "x"], ["betti", "--n", "5", "--qmax", "12"]),
         (["--help"], ["betti", "--n", "5"]),
-    ], ids=["csv", "case", "usage-error", "help"])
-    def test_a_call_leaves_nothing_to_the_next(self, capsys, ncg1_model, first, then):
-        first, then = ([ncg1_model if a == "MODEL" else a for a in argv] for argv in (first, then))
+    ], ids=["csv", "json-path", "usage-error", "help"])
+    def test_a_call_leaves_nothing_to_the_next(self, capsys, tmp_path, ncg1_model, first, then):
+        files = {"MODEL": ncg1_model, "CERT": str(tmp_path / "cert.json")}
+        first, then = ([files.get(a, a) for a in argv] for argv in (first, then))
         cli.build_parser.cache_clear()
         expected = run(capsys, *then)  # the first call of a fresh parser
         cli.build_parser.cache_clear()
         run(capsys, *first)
         assert run(capsys, *then) == expected
+        if "--json" in first:  # the file took the first call's output, stdout the next one's
+            assert Path(files["CERT"]).read_text() == expected[1]
 
 
 USAGE = {None: "usage: indexlab [-h] {iterate,betti,morse-check,identity,prove,verify} ...",
@@ -1011,7 +1004,7 @@ USAGE = {None: "usage: indexlab [-h] {iterate,betti,morse-check,identity,prove,v
          "betti": "usage: indexlab betti [-h] --n N [--qmax QMAX] [--json JSON | --csv]",
          "morse-check": "usage: indexlab morse-check [-h] --models MODELS [--horizon HORIZON]",
          "identity": "usage: indexlab identity [-h] --models MODELS [--json JSON]",
-         "prove": "usage: indexlab prove [-h] --n N [--case CASE] [--json JSON]",
+         "prove": "usage: indexlab prove [-h] --n N [--json JSON]",
          "verify": "usage: indexlab verify [-h] certificate"}
 COMMANDS = "'iterate', 'betti', 'morse-check', 'identity', 'prove', 'verify'"
 
@@ -1032,6 +1025,8 @@ PARSES = [
                                      "'x'\n"),
     (["prove", "--n", "4", "stray"], 2, None,
      "error: indexlab prove: unrecognized arguments: stray\n"),
+    (["prove", "--n", "5", "--case", "ncg4"], 2, None,  # one certificate per n: no case filter
+     "error: indexlab prove: unrecognized arguments: --case ncg4\n"),
     (["iterate", "--model", "m.json", "--extra"], 2, None,
      "error: indexlab iterate: unrecognized arguments: --extra\n"),
     (["verify", "--", "-x"], 2, None,
@@ -1152,7 +1147,7 @@ FLAGS = {  # the required flag first; CERT stands for verify's positional certif
     "betti": ["--n", "--qmax", "--csv"],
     "morse-check": ["--models", "--horizon"],
     "identity": ["--models"],
-    "prove": ["--n", "--case"],
+    "prove": ["--n"],
     "verify": ["CERT"],
     "frobnicate": ["--n"],
 }
@@ -1171,8 +1166,6 @@ def test_fuzzed_runs_exit_cleanly(tmp_path_factory, data):
     for flag in data.draw(st.permutations(flags)):
         if flag in ("--model", "--models", "CERT"):
             value = data.draw(st.sampled_from([str(path)] * 4 + [str(path) + ".missing"]))
-        elif flag == "--case":
-            value = data.draw(st.sampled_from(["ncg1", "NCG4", "ncg9", "a\nb"]))
         else:
             value = data.draw(bounds)
         argv += [flag] if flag == "--csv" else [value] if flag == "CERT" else [flag, value]

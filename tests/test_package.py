@@ -127,6 +127,30 @@ def test_verify_reaches_nothing_in_prover():
     assert "checker" in names and "prover" not in names
 
 
+def test_the_cli_reaches_other_layers_only_through_their_public_names():
+    # a name that starts with "_" is its own layer's business: the CLI neither imports
+    # one from the package nor reads one off a module of it
+    modules, private = set(), []
+    for node in nodes(CLI):
+        if isinstance(node, ast.Import):
+            modules |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                        if alias.name.split(".")[0] == "indexlab"}
+        elif isinstance(node, ast.ImportFrom) and (node.level
+                                                   or node.module.split(".")[0] == "indexlab"):
+            private += [(node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("_")]
+            if node.module in (None, "indexlab"):  # from . import checker binds a module
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for node in nodes(CLI):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                private.append((node.lineno, ast.unparse(node)))
+    assert "checker" in modules and private == []
+
+
 def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     # on a failure hypothesis imports its patching helpers, which warn from a hook teardown;
     # the run must go on to the next test under the project's warning filters

@@ -1187,12 +1187,6 @@ class TestCertificate:
             assert json.loads(json.dumps(t._asdict())) == t._asdict()
         assert [t._asdict() for t in traces] == certificate(n)["traces"]
 
-    def test_one_case_is_partial(self):
-        for case in _CLOSINGS:
-            doc = certificate(7, [t for t in replay(7) if t.case == case])
-            assert (doc["schema"], doc["partial"]) == (6, True)
-            assert verify_certificate(json.loads(json.dumps(doc)))
-
     def test_round_trip(self):
         # replay builds JSON-native steps: the parsed bytes are the document itself,
         # they dump back to the same bytes, and the checker accepts them
@@ -1303,18 +1297,20 @@ class TestCertificateDocument:
                 verify_certificate(bad)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
-    def test_partial_marks_exactly_the_documents_that_leave_a_case_out(self, n):
-        for v in (True, False, None):  # a full document has no "partial" key
-            with pytest.raises(TraceError, match="partial"):
-                verify_certificate({**_doc(n), "partial": v})
+    def test_a_partial_key_or_a_left_out_case_is_refused(self, n):
+        # one document kind per n: every case shape, and no "partial" key of any value
+        doc = _doc(n)
+        for v in (True, False, None):
+            with pytest.raises(TraceError, match="not a certificate"):
+                verify_certificate({**doc, "partial": v})
         for case in _CLOSINGS:
-            traces = [t for t in replay(n) if t.case == case]
-            doc = json.loads(json.dumps(certificate(n, traces)))
-            assert verify_certificate(doc)
-            for bad in [_without(doc, "partial")] + [{**doc, "partial": v}
-                                                     for v in (False, 1, "true", None)]:
-                with pytest.raises(TraceError, match="partial"):
+            alone = {**doc, "traces": [t for t in doc["traces"] if t["case"] == case]}
+            without = {**doc, "traces": [t for t in doc["traces"] if t["case"] != case]}
+            for bad in (alone, without):
+                with pytest.raises(TraceError, match="each once in replay order"):
                     verify_certificate(bad)
+            with pytest.raises(TraceError, match="not a certificate"):
+                verify_certificate({**alone, "partial": True})
 
     @pytest.mark.parametrize("change", [
         {"schema": 2}, {"schema": 3}, {"schema": 4}, {"schema": 5}, {"schema": 7},
@@ -1329,15 +1325,15 @@ class TestCertificateDocument:
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_n_is_at_least_2(self, n):
-        # a partial document of one vacuous trace, of a shape no census at this n reaches either
-        for case in ("NCG2", "NCG3", "NCG4"):
-            doc = certificate(n, [t for t in replay(2) if t.case == case])
-            with pytest.raises(TraceError):
-                verify_certificate(json.loads(json.dumps(doc)))
+        # one vacuous trace per case shape, as no census at this n reaches any shape: the
+        # document replay would give if it replayed n, refused for its n alone
+        doc = {"schema": 6, "n": n, "traces": [_vacuous(case) for case in _CLOSINGS]}
+        with pytest.raises(TraceError, match="not a certificate"):
+            verify_certificate(doc)
 
     def test_a_certificate_has_a_trace(self):
         with pytest.raises(TraceError):
-            verify_certificate({"schema": 6, "n": 5, "traces": [], "partial": True})
+            verify_certificate({"schema": 6, "n": 5, "traces": []})
 
     @pytest.mark.parametrize("key", ["schema", "n", "traces"])
     def test_every_key_is_required(self, key):
