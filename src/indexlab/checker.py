@@ -295,8 +295,10 @@ _LEAST = {"NCG1": 2, "NCG2": 4, "NCG3": 5, "NCG4": 3, "NCG5": 2}
 
 
 # a trace's fields and their JSON types: the case, "" or a parity subcase, the steps,
-# "contradiction" or "vacuous", and the closing's contradiction kind, "" if vacuous
+# "contradiction" or "vacuous", and the closing's contradiction kind, "" if vacuous;
+# then a certificate's keys and theirs
 _TRACE_TYPES = {"case": str, "subcase": str, "steps": list, "verdict": str, "detail": str}
+_CERTIFICATE_TYPES = {"schema": int, "n": int, "traces": list}
 Trace = namedtuple("Trace", _TRACE_TYPES)
 _Scope = namedtuple("_Scope", "n case subcase")  # what derivations read besides the values
 
@@ -311,16 +313,19 @@ class _Steps:
     code that builds a step, for the replay, `verify_trace` and `render` alike."""
 
     def __init__(self, n: int, case: str, subcase: str = ""):
+        if case not in _LEAST or subcase not in _subcases(n, case):
+            raise TraceError(f"{case} {subcase!r} is no case and subcase replay derives at n = {n}")
         self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
         self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
 
     def add(self, rule: str, kind: str | None = None, **chosen) -> dict:
         """Append the step of this rule and contradiction kind; return the values its row derives
         from the values it chooses and its premises, per slot the latest earlier step of its
-        rules.  Refused: a step after the closing, out of order before it, or missing a premise."""
-        row = _TABLE.get((rule, kind))
-        if row is None or kind and kind not in _CLOSINGS[self.scope.case]:
-            raise TraceError(f"{self.scope.case} has no step {rule!r} of closing {kind!r}")
+        rules.  Refused: any step of a shape no census at n reaches, a step after the closing,
+        out of order before it, or missing a premise."""
+        row, (n, case, _) = _TABLE.get((rule, kind)), self.scope
+        if row is None or kind and kind not in _CLOSINGS[case] or n < _LEAST[case]:
+            raise TraceError(f"{case} has no step {rule!r} of closing {kind!r} at n = {n}")
         if self.kind:
             raise TraceError(f"a step after the {self.kind} closing")
         if kind is None and self.steps and _ORDER[rule] <= _ORDER[self.steps[-1]["rule"]]:
@@ -350,9 +355,12 @@ class _Steps:
         return values
 
     def close(self) -> Trace:
-        """The closed trace, once every earlier step is a premise of a later one."""
+        """The closed trace: vacuous, with no step, for a shape that no census at n reaches;
+        else a contradiction, once every earlier step is a premise of a later one."""
+        if self.scope.n < _LEAST[self.scope.case]:
+            return Trace(self.scope.case, "", [], "vacuous", "")
         if not self.kind:
-            raise TraceError("the trace is open: its last step closes no contradiction")
+            raise TraceError("the trace is open: none of its steps closes a contradiction")
         if uncited := set(range(len(self.steps) - 1)).difference(*self.premises):
             raise TraceError(f"steps {sorted(uncited)} are premises of no later step")
         return Trace(self.scope.case, self.scope.subcase, self.steps, "contradiction", self.kind)
@@ -362,30 +370,20 @@ def verify_trace(n: int, trace: dict) -> bool:
     """Re-validate every numeric claim of one parsed certificate trace with exact arithmetic.
 
     Raises TraceError on the first failed re-check, n not an int >= 2 among
-    them; returns True otherwise.  Types are JSON's own.  Each step is rebuilt
-    through `_Steps` from its own rule, contradiction kind and chosen values, and
-    must equal the step built: the rule, its row's kind of fact and exactly the
-    values its derivation gives, each fraction spelled "a/b" in lowest terms.  The
-    last step closes the trace by the contradiction its detail names.
+    them; returns True otherwise.  Types are JSON's own.  The trace is rebuilt
+    through `_Steps`, each step from its own rule, contradiction kind and chosen
+    values, and must equal the trace built: each step the rule, its row's kind of
+    fact and exactly the values its derivation gives, each fraction spelled "a/b"
+    in lowest terms, and the verdict and detail that closing the steps gives.
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
     if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
         raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
-    case, subcase, steps, detail = trace["case"], trace["subcase"], trace["steps"], trace["detail"]
-    if trace["verdict"] == "vacuous":  # a shape no census of dimension 2(n-1) reaches
-        if steps or case not in _LEAST or n >= _LEAST[case] or (subcase, detail) != ("", ""):
-            raise TraceError(f"{case} at n = {n} is not a vacuous trace of an unreached shape")
-        return True
-    if (trace["verdict"] != "contradiction" or not steps or case not in _LEAST
-            or n < _LEAST[case] or subcase not in _subcases(n, case)
-            or detail not in _CLOSINGS[case]):
-        raise TraceError(f"{case} at n = {n}: a contradiction trace needs steps, a "
-                         "satisfiable shape, one of its subcases, a closing its case allows")
-    built = _Steps(n, case, subcase)
-    for i, step in enumerate(steps):
-        rule = step.get("rule") if type(step) is dict else None
-        try:
+    built = _Steps(n, trace["case"], trace["subcase"])
+    try:
+        for i, step in enumerate(trace["steps"]):
+            rule = step.get("rule") if type(step) is dict else None
             values = step["values"]
             if not _plain(values):
                 raise TraceError(f"a value in {values!r} is not an int or a string, "
@@ -395,23 +393,39 @@ def verify_trace(n: int, trace: dict) -> bool:
                 raise TraceError(
                     f"values {values} are not {want['values']}, those the rule derives"
                     if values != want["values"] else f"not {want}, the step its rule builds")
-            if i == len(steps) - 1 and built.close().detail != detail:
-                raise TraceError(f"its {built.kind} closing is not the {detail} of the trace")
-        except TraceError as e:
-            raise TraceError(f"step {i} ({rule}): {e}") from None
-        except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
-                ValueError) as e:
-            raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
+        closed = built.close()
+    except TraceError as e:  # an open or uncited trace is refused at its last step
+        raise TraceError(f"step {i} ({rule}): {e}" if trace["steps"] else str(e)) from None
+    except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+            ValueError) as e:
+        raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
+    if (closed.verdict, closed.detail) != (trace["verdict"], trace["detail"]):
+        raise TraceError(f"verdict {trace['verdict']!r} and detail {trace['detail']!r} are not "
+                         f"{closed.verdict!r} and {closed.detail!r}, those its steps close")
     return True
+
+
+def _frame_fault(doc) -> str:
+    """What first keeps a parsed document out of a certificate's frame, or "" if nothing does:
+    another type, a missing or extra key, a value of another type, then schema or n."""
+    if type(doc) is not dict:
+        return f"type {type(doc).__name__}, not dict"
+    for key in (*_CERTIFICATE_TYPES, *doc):
+        if key not in doc or key not in _CERTIFICATE_TYPES:
+            return f"{'an extra' if key in doc else 'no'} key {key!r:.40}"
+        if type(doc[key]) is not _CERTIFICATE_TYPES[key]:
+            return f"{key} of type {type(doc[key]).__name__}"
+    if doc["schema"] != CERTIFICATE_SCHEMA or doc["n"] < 2:
+        return f"schema = {doc['schema']}, n = {doc['n']}"
+    return ""
 
 
 def verify_certificate(doc: dict) -> bool:
     """Re-validate a parsed certificate: exactly schema 6, an integer n >= 2 and traces, each
     by verify_trace, and each (case, subcase) that replay derives at n once, in replay order."""
-    if not (type(doc) is dict and doc.keys() == {"schema", "n", "traces"}
-            and [type(doc[key]) for key in ("schema", "n", "traces")] == [int, int, list]
-            and doc["schema"] == CERTIFICATE_SCHEMA and doc["n"] >= 2):
-        raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, traces")
+    if fault := _frame_fault(doc):
+        raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, "
+                         f"traces; got {fault}")
     n = doc["n"]
     for k, trace in enumerate(doc["traces"]):
         try:

@@ -58,9 +58,8 @@ def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
         steps.add("L6.1", "sign")
     elif case == "NCG4":
         steps.add("Eq(5.5)", "irrationality")
-    elif case == "NCG5":  # ihat = p, a non-negative integer of the assumed parity
-        steps.add("Step2-Subcase5.1" if n % 2 and subcase == "p even" else "Eq(5.5)",
-                  "integrality")
+    elif case == "NCG5":  # ihat = p > 0, an integer of the assumed parity: even only at odd n
+        steps.add("Step2-Subcase5.1" if subcase == "p even" else "Eq(5.5)", "integrality")
     else:
         # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
         _corollary_6_4(steps)
@@ -75,7 +74,7 @@ def replay(n: int) -> list[Trace]:
     each case shape, and one vacuous trace for a shape that no census at n reaches."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return [Trace(case, "", [], "vacuous", "") if n < _LEAST[case]
+    return [_Steps(n, case).close() if n < _LEAST[case]
             else _replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
             for case in _CLOSINGS for subcase in _subcases(n, case)]
 

@@ -504,6 +504,9 @@ TAMPERED = {
     # a document with a "partial" key, or one that leaves a case shape out: one kind per n
     **{f"partial {v}": lambda v=v: {**json.loads(prover.certificate_json(5)), "partial": v}
        for v in (True, False, None)},
+    "comment": lambda: {**json.loads(prover.certificate_json(5)), "comment": ""},
+    "without n": lambda: {key: v for key, v in json.loads(prover.certificate_json(5)).items()
+                          if key != "n"},
     "NCG4 alone": lambda: _cases(5, {"NCG4"}),
     "NCG4 alone, partial": lambda: {**_cases(5, {"NCG4"}), "partial": True},
     "without NCG3": lambda: _cases(5, {"NCG1", "NCG2", "NCG4", "NCG5"}),
@@ -533,9 +536,22 @@ class TestVerify:
         code, out, err = run(capsys, "verify", path)
         assert (code, out) == (1, "")
         assert err.startswith(f"{path}: ") and err.count("\n") == 1
-        if not name.startswith(("n = ", "schema", "partial", "NCG4", "without")):
+        if not name.startswith(("n = ", "schema", "partial", "comment", "NCG4", "without")):
             # a trace fails: the line names its step
             assert ": step " in err
+
+    @pytest.mark.parametrize("name,fault", [
+        ("partial True", "an extra key 'partial'"), ("comment", "an extra key 'comment'"),
+        ("without n", "no key 'n'"), ("n = 2.0", "n of type float"),
+        ("n = 1", "schema = 6, n = 1"), ("schema 3", "schema = 3, n = 5"),
+    ])
+    def test_a_refused_document_names_its_first_fault(self, capsys, tmp_path, name, fault):
+        # the same line from `indexlab verify` and from the checker file alone
+        path = self.write(tmp_path, TAMPERED[name]())
+        line = f"{path}: not a certificate: schema 6, integer n >= 2, traces; got {fault}\n"
+        assert run(capsys, "verify", path) == (1, "", line)
+        done = self.check_alone(tmp_path, path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", line)
 
     def test_the_failing_step_is_named(self, capsys, tmp_path):
         path = self.write(tmp_path, TAMPERED["identity"]())

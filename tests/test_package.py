@@ -228,3 +228,19 @@ def test_mutants_lists_the_one_site_of_a_name(mutants, capsys):
     assert mutants(["src/indexlab/checker.py", "--list", *selection]) == 0
     out, err = capsys.readouterr()
     assert out.endswith(" 6 -> 7  CERTIFICATE_SCHEMA = 6\n") and out.count("\n") == 1 and err == ""
+
+
+def test_only_the_step_builder_makes_a_trace():
+    # every trace, vacuous ones too, is closed by checker._Steps.close: a Trace made
+    # anywhere else in the package would pass by the builder's refusals
+    made, allowed = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        if path == CHECKER:
+            [steps] = [node for node in tree.body if getattr(node, "name", None) == "_Steps"]
+            [close] = [node for node in steps.body if getattr(node, "name", None) == "close"]
+            allowed = {id(node) for node in ast.walk(close)}
+        made += [(path.name, node.lineno, id(node) in allowed) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and "Trace" in ast.unparse(node.func).split(".")]
+    assert [(name, line) for name, line, inside in made if not inside] == []
+    assert any(inside for *_, inside in made)

@@ -420,7 +420,8 @@ class TestVerifier:
             with pytest.raises(TraceError, match="not a certificate: schema 6"):
                 verify_certificate({**_doc(n), "schema": 5})
             if n < 5:
-                with pytest.raises(TraceError, match="is not a vacuous trace"):
+                with pytest.raises(TraceError, match=r"detail '(even|odd) k .* are not 'vacuous' "
+                                                     "and '', those its steps close$"):
                     verify_certificate({**schema_5(n), "schema": 6})
 
 
@@ -461,15 +462,16 @@ class TestShapeVacuity:
     @pytest.mark.parametrize("case,least", [("NCG2", 4), ("NCG3", 5), ("NCG4", 3)])
     def test_a_vacuous_trace_is_accepted_below_the_least_n_only(self, case, least):
         assert verify_trace(least - 1, _vacuous(case))
-        with pytest.raises(TraceError, match=f"{case} at n = {least} is not a vacuous trace"):
+        with pytest.raises(TraceError, match=f"^{case} '' is no case and subcase replay derives "
+                                             f"at n = {least}$"):
             verify_trace(least, _vacuous(case))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_an_unknown_case_is_neither_vacuous_nor_refuted(self, n):
-        with pytest.raises(TraceError, match="is not a vacuous trace"):
+        with pytest.raises(TraceError, match="^NCG6 '' is no case and subcase replay derives"):
             verify_trace(n, _vacuous("NCG6"))
         trace = {**_doc(n)["traces"][0], "case": "NCG6"}
-        with pytest.raises(TraceError, match="a contradiction trace needs steps"):
+        with pytest.raises(TraceError, match="^NCG6 '' is no case and subcase replay derives"):
             verify_trace(n, trace)
 
     def test_a_reached_shape_has_no_vacuous_trace(self):
@@ -480,10 +482,11 @@ class TestShapeVacuity:
         for detail in ("", vacuity(4, "NCG3"), vacuity(5, "NCG3")):
             vacuous = {"case": "NCG3", "subcase": "", "steps": [], "verdict": "vacuous",
                        "detail": detail}
-            with pytest.raises(TraceError, match="is not a vacuous trace"):
+            refusal = "NCG3 '' is no case and subcase replay derives at n = 5$"
+            with pytest.raises(TraceError, match=refusal):
                 verify_trace(5, vacuous)
             for traces in ([vacuous], doc["traces"][:k] + [vacuous] + doc["traces"][k + 2:]):
-                with pytest.raises(TraceError, match="is not a vacuous trace"):
+                with pytest.raises(TraceError, match=refusal):
                     verify_certificate({**doc, "traces": traces})
 
 
@@ -1340,6 +1343,24 @@ class TestCertificateDocument:
         with pytest.raises(TraceError):
             verify_certificate(_without(_doc(5), key))
 
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda d: {**d, "partial": True}, "an extra key 'partial'"),
+        (lambda d: {**d, "comment": ""}, "an extra key 'comment'"),
+        (lambda d: _without(d, "n"), "no key 'n'"),
+        (lambda d: {**_without(d, "n"), "partial": True}, "no key 'n'"),
+        (lambda d: {**d, "n": None, "partial": True}, "n of type NoneType"),
+        (lambda d: {**d, "schema": 6.0}, "schema of type float"),
+        (lambda d: {**d, "traces": {}}, "traces of type dict"),
+        (lambda d: {**d, "schema": 5}, "schema = 5, n = 5"),
+        (lambda d: {**d, "n": 1}, "schema = 6, n = 1"),
+        (lambda d: [d], "type list, not dict"),
+    ], ids=["partial", "comment", "no n", "no n, partial", "n null, partial", "schema 6.0",
+            "traces {}", "schema 5", "n 1", "in a list"])
+    def test_the_refusal_names_the_first_fault(self, edit, fault):
+        with pytest.raises(TraceError, match=re.escape(
+                f"not a certificate: schema 6, integer n >= 2, traces; got {fault}") + "$"):
+            verify_certificate(edit(_doc(5)))
+
     @pytest.mark.parametrize("doc", [None, [], "{}", 3])
     def test_a_certificate_is_an_object(self, doc):
         with pytest.raises(TraceError):
@@ -1627,3 +1648,21 @@ class TestStepBuilder:
         monkeypatch.setattr(prover, "_Steps", Open)
         with pytest.raises(TraceError, match="the trace is open"):
             replay(2)
+
+    @pytest.mark.parametrize("n,case,subcase", [
+        (3, "NCG6", ""), (5, "NCG6", "p even"), (5, "NCG3", ""), (4, "NCG3", "p even"),
+        (2, "NCG1", "p odd"), (5, "NCG5", "p"),
+    ])
+    def test_a_scope_replay_never_derives_is_refused(self, n, case, subcase):
+        with pytest.raises(TraceError, match=f"^{case} '{subcase}' is no case and subcase "
+                                             f"replay derives at n = {n}$"):
+            checker._Steps(n, case, subcase)
+
+    @pytest.mark.parametrize("case,least", [("NCG2", 4), ("NCG3", 5), ("NCG4", 3)])
+    def test_a_shape_no_census_reaches_takes_no_step_and_closes_vacuous(self, case, least):
+        for n in range(2, least):
+            for rule, kind in _TABLE:
+                with pytest.raises(TraceError, match=f"^{case} has no step .* at n = {n}$"):
+                    checker._Steps(n, case).add(rule, kind)
+            [own] = [t for t in replay(n) if t.case == case]
+            assert checker._Steps(n, case).close() == own == (case, "", [], "vacuous", "")
