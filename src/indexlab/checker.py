@@ -378,8 +378,8 @@ def verify_trace(n: int, trace: dict) -> bool:
     """
     if type(n) is not int or n < 2:
         raise TraceError(f"n must be an integer >= 2, not {n!r}")
-    if type(trace) is not dict or {key: type(v) for key, v in trace.items()} != _TRACE_TYPES:
-        raise TraceError("not a trace: strings case, subcase, verdict, detail and a list of steps")
+    if fault := _frame_fault(trace, _TRACE_TYPES):
+        raise TraceError(f"not a trace: keys case, subcase, steps, verdict, detail; got {fault}")
     built = _Steps(n, trace["case"], trace["subcase"])
     try:
         for i, step in enumerate(trace["steps"]):
@@ -405,25 +405,25 @@ def verify_trace(n: int, trace: dict) -> bool:
     return True
 
 
-def _frame_fault(doc) -> str:
-    """What first keeps a parsed document out of a certificate's frame, or "" if nothing does:
-    another type, a missing or extra key, a value of another type, then schema or n."""
+def _frame_fault(doc, types: dict) -> str:
+    """The first fault that keeps a parsed document out of a frame, `types` its keys' JSON types, or
+    "": not a dict, a key in table order missing or of another type, then the first extra key."""
     if type(doc) is not dict:
         return f"type {type(doc).__name__}, not dict"
-    for key in (*_CERTIFICATE_TYPES, *doc):
-        if key not in doc or key not in _CERTIFICATE_TYPES:
-            return f"{'an extra' if key in doc else 'no'} key {key!r:.40}"
-        if type(doc[key]) is not _CERTIFICATE_TYPES[key]:
-            return f"{key} of type {type(doc[key]).__name__}"
-    if doc["schema"] != CERTIFICATE_SCHEMA or doc["n"] < 2:
-        return f"schema = {doc['schema']}, n = {doc['n']}"
+    for key, kind in types.items():
+        if key not in doc or type(doc[key]) is not kind:
+            return f"{key} of type {type(doc[key]).__name__}" if key in doc else f"no key {key!r}"
+    if len(doc) > len(types):  # every declared key is there, so some other key is too
+        return f"an extra key {next(key for key in doc if key not in types)!r:.40}"
     return ""
 
 
 def verify_certificate(doc: dict) -> bool:
     """Re-validate a parsed certificate: exactly schema 6, an integer n >= 2 and traces, each
     by verify_trace, and each (case, subcase) that replay derives at n once, in replay order."""
-    if fault := _frame_fault(doc):
+    fault = _frame_fault(doc, _CERTIFICATE_TYPES)
+    if fault or doc["schema"] != CERTIFICATE_SCHEMA or doc["n"] < 2:
+        fault = fault or f"schema = {doc['schema']}, n = {doc['n']}"
         raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, "
                          f"traces; got {fault}")
     n = doc["n"]

@@ -505,6 +505,9 @@ TAMPERED = {
     **{f"partial {v}": lambda v=v: {**json.loads(prover.certificate_json(5)), "partial": v}
        for v in (True, False, None)},
     "comment": lambda: {**json.loads(prover.certificate_json(5)), "comment": ""},
+    # a trace outside its frame: an extra key, or one missing
+    "trace comment": lambda: _edited(5, "NCG1", "", lambda t: t.update(comment="")),
+    "trace without detail": lambda: _edited(5, "NCG1", "", lambda t: t.pop("detail")),
     "without n": lambda: {key: v for key, v in json.loads(prover.certificate_json(5)).items()
                           if key != "n"},
     "NCG4 alone": lambda: _cases(5, {"NCG4"}),
@@ -536,7 +539,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", path)
         assert (code, out) == (1, "")
         assert err.startswith(f"{path}: ") and err.count("\n") == 1
-        if not name.startswith(("n = ", "schema", "partial", "comment", "NCG4", "without")):
+        if not name.startswith(("n = ", "schema", "partial", "comment", "NCG4", "without",
+                                "trace")):
             # a trace fails: the line names its step
             assert ": step " in err
 
@@ -544,11 +548,16 @@ class TestVerify:
         ("partial True", "an extra key 'partial'"), ("comment", "an extra key 'comment'"),
         ("without n", "no key 'n'"), ("n = 2.0", "n of type float"),
         ("n = 1", "schema = 6, n = 1"), ("schema 3", "schema = 3, n = 5"),
+        ("trace comment", "an extra key 'comment'"), ("trace without detail", "no key 'detail'"),
     ])
     def test_a_refused_document_names_its_first_fault(self, capsys, tmp_path, name, fault):
-        # the same line from `indexlab verify` and from the checker file alone
+        # the same line from `indexlab verify` and from the checker file alone: a refused
+        # document's, or its refused trace 0's
         path = self.write(tmp_path, TAMPERED[name]())
-        line = f"{path}: not a certificate: schema 6, integer n >= 2, traces; got {fault}\n"
+        refusal = ("trace 0: not a trace: keys case, subcase, steps, verdict, detail"
+                   if name.startswith("trace") else
+                   "not a certificate: schema 6, integer n >= 2, traces")
+        line = f"{path}: {refusal}; got {fault}\n"
         assert run(capsys, "verify", path) == (1, "", line)
         done = self.check_alone(tmp_path, path)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", line)

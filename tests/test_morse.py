@@ -8,7 +8,7 @@ from math import isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from indexlab import (
@@ -34,7 +34,14 @@ from indexlab.morse import (
     iterate_cutoff,
 )
 
-from conftest import NONSQUARE_D, at_minus_one, poincare_series, random_model, sign_of_difference
+from conftest import (
+    NONSQUARE_D,
+    at_minus_one,
+    katok_models,
+    poincare_series,
+    random_model,
+    sign_of_difference,
+)
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 
@@ -127,6 +134,17 @@ class TestMorseNumbers:
                                              f"exceeds the limit of {cut - 1} iterates$"):
             morse_numbers([small, large], horizon)
         assert not calls
+
+    def test_the_limit_is_10_to_the_8_iterates(self):
+        # the limit as shipped, not patched: a tiny mean index is refused naming it, and so
+        # is rho = 1/N - (sqrt(2) - 1)/10**20 at N = 10**8 + 1, whose cutoff at H = 1 is N
+        N = 10**8 + 1
+        tiny = GeodesicModel(2, dec(Rot(ExactReal(1, 1, 10**41, 2))), 0)
+        edge = GeodesicModel(2, dec(Rot(ExactReal(10**20 + N, -N, N * 10**20, 2))), 0)
+        assert iterate_cutoff(edge, 1) == N
+        for g in (tiny, edge):
+            with pytest.raises(ValueError, match="exceeds the limit of 100000000 iterates$"):
+                morse_numbers([g], 1)
 
     def test_cutoff_is_certified(self, rng):
         for _ in range(30):
@@ -379,6 +397,80 @@ class TestMorseInequalities:
         for M in (table, MorseTable(tuple(table))):
             for betti_table in (betti_values(n, b_horizon), list(b)):
                 assert check_morse_inequalities(M, betti_table, horizon) == expected
+
+
+def _parity_pure(g: GeodesicModel) -> bool:
+    """Whether every index of g has the parity of n - 1 and every iterate counts in M: an
+    NCG1 model, or one with an even slope p - k and k = n - 1 (mod 2)."""
+    k = len(g.rotation_numbers)
+    return g.case == "NCG1" or g.slope % 2 == 0 and k % 2 == (g.n - 1) % 2
+
+
+@st.composite
+def _parity_pure_model(draw, n: int, D: int):
+    """A parity-pure model of the n-sphere with positive mean index, its rotation numbers
+    in Q(sqrt(D)): r N blocks, k = n - 1 - 2r - h rotations and an even number h of
+    hyperbolic ones (so k = n - 1 mod 2), and p of k's parity unless h = 0 < k (NCG1)."""
+    def rho():
+        x = ExactReal(draw(st.integers(-20, 20)), draw(st.integers(1, 9)),
+                      draw(st.integers(2, 12)), D)
+        return x + (-x.floor())
+
+    r = draw(st.integers(0, (n - 1) // 2))
+    h = draw(st.sampled_from(range(0, n - 2 * r, 2)))
+    k = n - 1 - 2 * r - h
+    blocks = ([Rot(rho()) for _ in range(k)] + [NBlock(rho()) for _ in range(r)]
+              + [Hyp(Fraction(2))] * h)
+    # NCG1: i(c) = 2p + k >= 0; otherwise i(c) = p >= 0
+    p = draw(st.integers(-(k // 2), 3)) if h == 0 < k else k + 2 * draw(st.integers(-1, 2))
+    assume(p >= 0 or h == 0 < k)
+    g = GeodesicModel(n, NormalFormDecomposition(draw(st.permutations(blocks))), p)
+    assume(mean_index(g).sign() > 0)
+    return g
+
+
+class TestParityPureLemma:
+    """For a parity-pure set, the Morse inequalities up to H hold exactly when M = b below
+    H and M_H >= b_H.
+
+    Every index has the parity of n - 1 and every iterate counts (an even slope puts every
+    iterate at k0 = 1), and so does every degree with b_q > 0
+    (`alternating_betti_sum`'s docstring).  At a degree q <= H of the other parity,
+    M_q = b_q = 0, so the alternating inequality at q reads A_M(q-1) <= A_b(q-1), while at
+    q - 1 it reads A_M(q-1) >= A_b(q-1): the alternating sums agree there.  As they agree
+    two degrees apart, with nothing between, M_j = b_j at each j < H; at H only
+    M_H >= b_H is asked.  Conversely, M = b below H and M_H >= b_H satisfy every
+    inequality.  The Katok-type sets are the passing case.
+    """
+
+    @staticmethod
+    def agree(models, horizon):
+        """Whether the inequality scan and the lemma's criterion give one verdict, and it."""
+        n = models[0].n
+        M, b = list(morse_numbers(models, horizon).values), betti_values(n, horizon)
+        passes = check_morse_inequalities(M, b, horizon) == []
+        assert passes == (M[:horizon] == b[:horizon] and M[horizon] >= b[horizon])
+        return passes
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_the_inequalities_hold_iff_m_equals_b_below_the_horizon(self, data):
+        n, D = data.draw(st.integers(2, 6)), data.draw(st.sampled_from(NONSQUARE_D))
+        models = data.draw(st.lists(_parity_pure_model(n, D), min_size=1, max_size=3))
+        assert all(_parity_pure(g) for g in models)
+        self.agree(models, data.draw(st.integers(0, 120)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_katok_type_sets_and_their_drop_one_sets(self, n):
+        # sqrt(5) - 2 and weights 1, ..., ceil(n/2): the set passes at every horizon up to
+        # 120, and without any one model c_d it fails from H = i(c_d) on
+        models = katok_models(n, ExactReal(-2, 1, 1, 5), list(range(1, (n + 3) // 2)))
+        assert all(_parity_pure(g) for g in models)
+        for horizon in range(121):
+            assert self.agree(models, horizon)
+            for d, g in enumerate(models):
+                rest = models[:d] + models[d + 1:]
+                assert self.agree(rest, horizon) == (horizon < g.initial_index)
 
 
 class TestResultValueSemantics:

@@ -1280,6 +1280,15 @@ def _without_trace(doc, k):
     return {**doc, "traces": doc["traces"][:k] + doc["traces"][k + 1:]}
 
 
+# the refusal of a document, or of its trace 0, up to the first fault it names
+_DOC = "not a certificate: schema 6, integer n >= 2, traces; got "
+_TRACE = "trace 0: not a trace: keys case, subcase, steps, verdict, detail; got "
+
+
+def _first_trace(edit):
+    return lambda doc: {**doc, "traces": [edit(doc["traces"][0]), *doc["traces"][1:]]}
+
+
 class TestCertificateDocument:
     """verify_certificate checks the document around the traces."""
 
@@ -1343,22 +1352,28 @@ class TestCertificateDocument:
         with pytest.raises(TraceError):
             verify_certificate(_without(_doc(5), key))
 
-    @pytest.mark.parametrize("edit,fault", [
-        (lambda d: {**d, "partial": True}, "an extra key 'partial'"),
-        (lambda d: {**d, "comment": ""}, "an extra key 'comment'"),
-        (lambda d: _without(d, "n"), "no key 'n'"),
-        (lambda d: {**_without(d, "n"), "partial": True}, "no key 'n'"),
-        (lambda d: {**d, "n": None, "partial": True}, "n of type NoneType"),
-        (lambda d: {**d, "schema": 6.0}, "schema of type float"),
-        (lambda d: {**d, "traces": {}}, "traces of type dict"),
-        (lambda d: {**d, "schema": 5}, "schema = 5, n = 5"),
-        (lambda d: {**d, "n": 1}, "schema = 6, n = 1"),
-        (lambda d: [d], "type list, not dict"),
+    @pytest.mark.parametrize("edit,refusal", [
+        (lambda d: {**d, "partial": True}, _DOC + "an extra key 'partial'"),
+        (lambda d: {**d, "comment": ""}, _DOC + "an extra key 'comment'"),
+        (lambda d: _without(d, "n"), _DOC + "no key 'n'"),
+        (lambda d: {**_without(d, "n"), "partial": True}, _DOC + "no key 'n'"),
+        (lambda d: {**d, "n": None, "partial": True}, _DOC + "n of type NoneType"),
+        (lambda d: {**d, "schema": 6.0}, _DOC + "schema of type float"),
+        (lambda d: {**d, "traces": {}}, _DOC + "traces of type dict"),
+        (lambda d: {**d, "schema": 5}, _DOC + "schema = 5, n = 5"),
+        (lambda d: {**d, "n": 1}, _DOC + "schema = 6, n = 1"),
+        (lambda d: [d], _DOC + "type list, not dict"),
+        # the frame of trace 0, the NCG1 trace, read by the same check
+        (_first_trace(lambda t: {**t, "comment": ""}), _TRACE + "an extra key 'comment'"),
+        (_first_trace(lambda t: _without(t, "detail")), _TRACE + "no key 'detail'"),
+        (_first_trace(lambda t: {**t, "steps": {}}), _TRACE + "steps of type dict"),
+        (_first_trace(lambda t: [t]), _TRACE + "type list, not dict"),
+        (_first_trace(lambda t: {**t, "case": True}), _TRACE + "case of type bool"),
     ], ids=["partial", "comment", "no n", "no n, partial", "n null, partial", "schema 6.0",
-            "traces {}", "schema 5", "n 1", "in a list"])
-    def test_the_refusal_names_the_first_fault(self, edit, fault):
-        with pytest.raises(TraceError, match=re.escape(
-                f"not a certificate: schema 6, integer n >= 2, traces; got {fault}") + "$"):
+            "traces {}", "schema 5", "n 1", "in a list", "trace comment", "trace without detail",
+            "trace steps {}", "trace in a list", "trace case true"])
+    def test_the_refusal_names_the_first_fault(self, edit, refusal):
+        with pytest.raises(TraceError, match=re.escape(refusal) + "$"):
             verify_certificate(edit(_doc(5)))
 
     @pytest.mark.parametrize("doc", [None, [], "{}", 3])

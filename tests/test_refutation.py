@@ -11,7 +11,9 @@ a failure the certificate predicts.
 
 n = 2 has no such NCG1 model: its one rotation number would have to equal Eq(6.9)'s
 ihat/2 = 1/2, a rational, so `identity` cannot hold (the certificate closes it by the
-empty-range pigeonhole instead).
+empty-range pigeonhole instead).  Its control is the Beatty pair of two geodesics, which
+meets the identity and the Morse inequalities while each of its models alone fails the
+identity.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from indexlab.cli import main
 from indexlab.iteration import critical_type, index_of_iterate
 from indexlab.morse import betti_values, iterate_cutoff
 
-from conftest import model_json, ref_index
+from conftest import katok_models, model_json, ref_index
 
 SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1, the irrational part of every rotation
 
@@ -48,8 +50,10 @@ def rotations(total: Fraction, count: int) -> list[ExactReal]:
 
 
 def run(tmp_path, command, g, *extra):
+    """Run the command on the model g, or on the set g of `identity` and `morse-check`."""
     path = tmp_path / "models.json"
-    path.write_text(json.dumps(model_json(g) if command == "iterate" else [model_json(g)]))
+    path.write_text(json.dumps(model_json(g) if command == "iterate" else
+                               [model_json(x) for x in (g if type(g) is list else [g])]))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main([command, "--model" if command == "iterate" else "--models", str(path),
                      *extra])
@@ -124,3 +128,17 @@ def test_an_ncg2_model_that_meets_the_identity_fails_by_the_lemma_6_3_degree(tmp
         bound = g.initial_index + evidence["q"]
         identity, code, found = failures(tmp_path, g, bound)
         assert (identity, code) == (0, 1) and (bound, evidence["kind"]) in found
+
+
+def test_the_n_2_beatty_pair_meets_both_checks_and_each_model_alone_fails_the_identity(
+        tmp_path):
+    # sqrt(5) - 2 with weight 1: the NCG1 models with rho = (1 +- sqrt(5))/4 and p = 0, 1,
+    # whose indices 1 + 2p*m + 2 floor(m*rho) cover the odd degrees once each, as b does
+    pair = katok_models(2, ExactReal(-2, 1, 1, 5), [1])
+    horizon = 2 * max(g.initial_index for g in pair) + 2
+    assert run(tmp_path, "identity", pair)[0] == 0
+    code, doc = run(tmp_path, "morse-check", pair, "--horizon", str(horizon))
+    assert (code, doc["violations"], doc["M"]) == (0, [], betti_values(2, horizon))
+    for g in pair:
+        code, doc = run(tmp_path, "identity", g)
+        assert (code, doc["holds"]) == (1, False)
