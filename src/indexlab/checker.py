@@ -164,7 +164,7 @@ def _floor_sum_family(t, p, rho):
     # are monotone in m, so holding at the last iterate m1 they hold for every m <= m1
     m1 = p["iterates"][-1]
     if floor_sum_range(m1, rho["terms"], m1 * rho["value"]) != range(m1):
-        raise TraceError(f"the floor-sum range at m = {m1} is not [0, m-1]")
+        raise TraceError(f"the floor-sum range at m = {m1!r:.40} is not [0, m-1]")
     return {"iterates": [2, m1], "terms": rho["terms"]}
 
 
@@ -314,7 +314,8 @@ class _Steps:
 
     def __init__(self, n: int, case: str, subcase: str = ""):
         if case not in _LEAST or subcase not in _subcases(n, case):
-            raise TraceError(f"{case} {subcase!r} is no case and subcase replay derives at n = {n}")
+            raise TraceError(f"{case!s:.40} {subcase!r:.40} is no case and subcase replay derives "
+                             f"at n = {n!r:.40}")
         self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
         self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
 
@@ -325,7 +326,8 @@ class _Steps:
         out of order before it, or missing a premise."""
         row, (n, case, _) = _TABLE.get((rule, kind)), self.scope
         if row is None or kind and kind not in _CLOSINGS[case] or n < _LEAST[case]:
-            raise TraceError(f"{case} has no step {rule!r} of closing {kind!r} at n = {n}")
+            raise TraceError(f"{case} has no step {rule!r:.40} of closing {kind!r:.40} "
+                             f"at n = {n!r:.40}")
         if self.kind:
             raise TraceError(f"a step after the {self.kind} closing")
         if kind is None and self.steps and _ORDER[rule] <= _ORDER[self.steps[-1]["rule"]]:
@@ -377,7 +379,7 @@ def verify_trace(n: int, trace: dict) -> bool:
     in lowest terms, and the verdict and detail that closing the steps gives.
     """
     if type(n) is not int or n < 2:
-        raise TraceError(f"n must be an integer >= 2, not {n!r}")
+        raise TraceError(f"n must be an integer >= 2, not {n!r:.40}")
     if fault := _frame_fault(trace, _TRACE_TYPES):
         raise TraceError(f"not a trace: keys case, subcase, steps, verdict, detail; got {fault}")
     built = _Steps(n, trace["case"], trace["subcase"])
@@ -386,22 +388,22 @@ def verify_trace(n: int, trace: dict) -> bool:
             rule = step.get("rule") if type(step) is dict else None
             values = step["values"]
             if not _plain(values):
-                raise TraceError(f"a value in {values!r} is not an int or a string, "
+                raise TraceError(f"a value in {values!r:.200} is not an int or a string, "
                                  "or a list or object of them")
             built.add(rule, values.get("contradiction_kind"), **values)
             if step != (want := built.steps[-1]):
-                raise TraceError(
-                    f"values {values} are not {want['values']}, those the rule derives"
-                    if values != want["values"] else f"not {want}, the step its rule builds")
+                raise TraceError(f"values {values!s:.170} are not {want['values']!s:.160}, those "
+                                 "the rule derives" if values != want["values"] else
+                                 f"not {want!s:.220}, the step its rule builds")
         closed = built.close()
     except TraceError as e:  # an open or uncited trace is refused at its last step
-        raise TraceError(f"step {i} ({rule}): {e}" if trace["steps"] else str(e)) from None
+        raise TraceError(f"step {i} ({rule!s:.40}): {e}" if trace["steps"] else str(e)) from None
     except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
             ValueError) as e:
-        raise TraceError(f"step {i} ({rule}): malformed values: {e!r}") from e
+        raise TraceError(f"step {i} ({rule!s:.40}): malformed values: {e!r:.100}") from e
     if (closed.verdict, closed.detail) != (trace["verdict"], trace["detail"]):
-        raise TraceError(f"verdict {trace['verdict']!r} and detail {trace['detail']!r} are not "
-                         f"{closed.verdict!r} and {closed.detail!r}, those its steps close")
+        raise TraceError(f"verdict {trace['verdict']!r:.40} and detail {trace['detail']!r:.40} "
+                         f"are not {closed.verdict!r} and {closed.detail!r}, those its steps close")
     return True
 
 
@@ -423,7 +425,7 @@ def verify_certificate(doc: dict) -> bool:
     by verify_trace, and each (case, subcase) that replay derives at n once, in replay order."""
     fault = _frame_fault(doc, _CERTIFICATE_TYPES)
     if fault or doc["schema"] != CERTIFICATE_SCHEMA or doc["n"] < 2:
-        fault = fault or f"schema = {doc['schema']}, n = {doc['n']}"
+        fault = fault or f"schema = {doc['schema']!r:.40}, n = {doc['n']!r:.40}"
         raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, "
                          f"traces; got {fault}")
     n = doc["n"]
@@ -435,7 +437,7 @@ def verify_certificate(doc: dict) -> bool:
     got = [(t["case"], t["subcase"]) for t in doc["traces"]]
     want = [(case, s) for case in _CLOSINGS for s in _subcases(n, case)]
     if got != want:
-        raise TraceError(f"traces {got} are not {want}, each once in replay order")
+        raise TraceError(f"traces {got!s:.150} are not {want}, each once in replay order")
     return True
 
 

@@ -61,14 +61,13 @@ class ExactReal:
         if D < 0:
             raise ValueError("D must be non-negative")
         if b != 0 and _is_perfect_square(D):
-            a, b, D = a + b * math.isqrt(D), 0, 0
+            a, b = a + b * math.isqrt(D), 0
         if b == 0:
             D = 0
         if c < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -86,7 +85,7 @@ class ExactReal:
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "ExactReal":
         q = Fraction(q)
-        return cls(q.numerator, 0, q.denominator, 0)
+        return cls(q.numerator, c=q.denominator)
 
     # -- predicates --------------------------------------------------------
 
@@ -166,7 +165,7 @@ class ExactReal:
         """
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
-        return 1 if _floor(self.a, self.b, 1, self.D) >= 0 else -1
+        return 1 if self.floor() >= 0 else -1
 
     def _value(self) -> Fraction | tuple:
         """The key its spellings share and no other value has: a rational's Fraction, which

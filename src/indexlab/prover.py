@@ -32,27 +32,11 @@ def _corollary_6_4(steps: _Steps) -> None:
         steps.add(rule)
 
 
-def _replay_ncg1(n: int) -> Trace:
-    steps = _Steps(n, "NCG1")
-    steps.add("Eq(5.5)")
-    _corollary_6_4(steps)
-    steps.add("Eq(6.7)")
-    steps.add("Eq(6.9)")
-    # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
-    # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
-    m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
-    if m1 >= 2:
-        steps.add("Eq(6.11)", iterates=[2, m1])
-        steps.add("Claim1")
-    if steps.add("Eq(6.14)", m=m1 + 1)["set"]:
-        steps.add("L6.5", "pigeonhole")
-    else:
-        steps.add("Eq(6.14)", "pigeonhole")
-    return steps.close()
-
-
-def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
+def _replay(n: int, case: str, subcase: str) -> Trace:
+    """The trace of (case, subcase) at n: vacuous where no census at n has the shape."""
     steps = _Steps(n, case, subcase)
+    if n < _LEAST[case]:
+        return steps.close()
     if steps.add("Eq(5.5)")["value"] <= 0:
         steps.add("L6.1")
         steps.add("L6.1", "sign")
@@ -60,12 +44,25 @@ def _replay_subcase(n: int, case: str, subcase: str) -> Trace:
         steps.add("Eq(5.5)", "irrationality")
     elif case == "NCG5":  # ihat = p > 0, an integer of the assumed parity: even only at odd n
         steps.add("Step2-Subcase5.1" if subcase == "p even" else "Eq(5.5)", "integrality")
-    else:
-        # NCG2 / NCG3 with positive pinned ihat: pin i(c) = p = n-1, then bound k
+    elif case != "NCG1":
+        # i(c) = p = n-1, and k >= p (Eq(6.18) if p - k is even, else Eq(6.17)) exceeds n-2
         _corollary_6_4(steps)
-        # p - k even gives p <= k (Eq(6.18)), odd gives n-2 < k (Eq(6.17)): both exceed n-2
         steps.add("Eq(6.18)" if (subcase == "p even") == (case == "NCG2") else "Eq(6.17)",
                   "rotation-count")
+    else:  # NCG1, whose pin is positive at every n
+        _corollary_6_4(steps)
+        steps.add("Eq(6.7)")
+        steps.add("Eq(6.9)")
+        # below the pigeonhole iterate m1 + 1, where the exact rotation sum is an
+        # integer, every floor-sum range is [0, m-1] and uniqueness forces its top
+        m1 = n - 1 if n % 2 == 0 else (n - 1) // 2
+        if m1 >= 2:
+            steps.add("Eq(6.11)", iterates=[2, m1])
+            steps.add("Claim1")
+        if steps.add("Eq(6.14)", m=m1 + 1)["set"]:
+            steps.add("L6.5", "pigeonhole")
+        else:
+            steps.add("Eq(6.14)", "pigeonhole")
     return steps.close()
 
 
@@ -74,9 +71,7 @@ def replay(n: int) -> list[Trace]:
     each case shape, and one vacuous trace for a shape that no census at n reaches."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return [_Steps(n, case).close() if n < _LEAST[case]
-            else _replay_ncg1(n) if case == "NCG1" else _replay_subcase(n, case, subcase)
-            for case in _CLOSINGS for subcase in _subcases(n, case)]
+    return [_replay(n, case, subcase) for case in _CLOSINGS for subcase in _subcases(n, case)]
 
 
 # -- certificate serialization ---------------------------------------------

@@ -404,13 +404,13 @@ class TestProve:
         assert (code, out) == (0, prover.certificate_json(n) + "\n")
 
     def test_a_trace_that_fails_its_check_is_an_error(self, capsys, monkeypatch):
-        replay_ncg1 = prover._replay_ncg1
+        replay_one = prover._replay
 
-        def cut(n):  # the NCG1 trace without its closing step
-            t = replay_ncg1(n)
-            return t._replace(steps=t.steps[:-1])
+        def cut(n, case, subcase):  # the NCG1 trace without its closing step
+            t = replay_one(n, case, subcase)
+            return t._replace(steps=t.steps[:-1]) if case == "NCG1" else t
 
-        monkeypatch.setattr(prover, "_replay_ncg1", cut)
+        monkeypatch.setattr(prover, "_replay", cut)
         code, out, err = run(capsys, "prove", "--n", "6")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -516,6 +516,20 @@ TAMPERED = {
 }
 
 
+# documents whose refusal would quote a document value of thousands or millions of
+# characters, were each value not cut: the kernel's line stays short
+OVERSIZED = {
+    "schema 10**4000": lambda: {**json.loads(prover.certificate_json(5)), "schema": 10**4000},
+    "n 10**4000": lambda: {**json.loads(prover.certificate_json(5)), "n": 10**4000},
+    "long detail": lambda: _edited(5, "NCG1", "", lambda t: t.update(detail="d" * 10**6)),
+    "long subcase": lambda: _edited(5, "NCG1", "", lambda t: t.update(subcase="s" * 10**6)),
+    "long rule": lambda: _edited(5, "NCG1", "", lambda t: t["steps"][0].update(rule="E" * 10**6)),
+    "long value": lambda: _edited(5, "NCG1", "", _values(0, value="7" * 10**6)),
+    "traces 1000 times": lambda: {**(doc := json.loads(prover.certificate_json(5))),
+                                  "traces": doc["traces"] * 1000},
+}
+
+
 class TestVerify:
     def write(self, tmp_path, doc):
         path = tmp_path / "cert.json"
@@ -561,6 +575,20 @@ class TestVerify:
         assert run(capsys, "verify", path) == (1, "", line)
         done = self.check_alone(tmp_path, path)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", line)
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_a_refusal_quotes_each_document_value_cut_short(self, capsys, tmp_path, monkeypatch,
+                                                             name):
+        # one line of at most 400 characters, from `indexlab verify` and from the checker
+        # file alone, however long the value the refusal names
+        self.write(tmp_path, OVERSIZED[name]())
+        monkeypatch.chdir(tmp_path)
+        done = self.check_alone(tmp_path, "../cert.json")
+        for code, out, err in (run(capsys, "verify", "cert.json"),
+                               (done.returncode, done.stdout, done.stderr)):
+            assert (code, out) == (1, "")
+            line, end = err[:-1], err[-1:]
+            assert end == "\n" and "\n" not in line and len(line) <= 400, err[:500]
 
     def test_the_failing_step_is_named(self, capsys, tmp_path):
         path = self.write(tmp_path, TAMPERED["identity"]())

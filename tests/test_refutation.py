@@ -7,7 +7,9 @@ exist and are built exactly from the certificate's own pinned values.  Each must
 fail the Morse inequalities at a degree read off the same certificate, and so at or
 below it.  Below that degree, each model's indices and critical types must also match
 the integer-square oracle `ref_index`, so a fault of the index layer cannot hide behind
-a failure the certificate predicts.
+a failure the certificate predicts.  The shapes that the certificate closes by the pin's
+sign, irrationality or integrality have no single model that meets the identity at all:
+hypothesis draws models of each such shape and parity, and each fails `identity`.
 
 n = 2 has no such NCG1 model: its one rotation number would have to equal Eq(6.9)'s
 ihat/2 = 1/2, a rational, so `identity` cannot hold (the certificate closes it by the
@@ -22,13 +24,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from indexlab import ExactReal, GeodesicModel, Hyp, NormalFormDecomposition, Rot, prover
+from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
+                      checker, prover)
 from indexlab.cli import main
-from indexlab.iteration import critical_type, index_of_iterate
+from indexlab.iteration import critical_type, index_of_iterate, mean_index
 from indexlab.morse import betti_values, iterate_cutoff
 
-from conftest import katok_models, model_json, ref_index
+from conftest import NONSQUARE_D, katok_models, model_json, random_rho, ref_index
 
 SQRT2_M1 = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1, the irrational part of every rotation
 
@@ -142,3 +147,35 @@ def test_the_n_2_beatty_pair_meets_both_checks_and_each_model_alone_fails_the_id
     for g in pair:
         code, doc = run(tmp_path, "identity", g)
         assert (code, doc["holds"]) == (1, False)
+
+
+# the traces that certificate(n) closes by the pin's sign, irrationality or integrality,
+# each with the ihat that its first step, Eq(5.5), pins
+CLOSED_BY_THE_PIN = [(n, t["case"], t["subcase"], Fraction(t["steps"][0]["values"]["value"]))
+                     for n in range(3, 9) for t in prover.certificate(n)["traces"]
+                     if t["detail"] in ("sign", "irrationality", "integrality")]
+
+
+@pytest.mark.parametrize("n,case,subcase,pin", CLOSED_BY_THE_PIN,
+                         ids=[f"{n}-{case}-{subcase}" for n, case, subcase, _ in CLOSED_BY_THE_PIN])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_shape_closed_by_its_pin_has_no_model_that_meets_the_identity(
+        tmp_path_factory, n, case, subcase, pin, data):
+    # a model's term in the identity is (-1)^i(c)/(N*ihat), with i(c) = p, so N and the sign
+    # are those of its subcase, and Eq(5.5) pins the one ihat that would meet the identity:
+    # negative, or rational where a single rotation makes ihat irrational, or no integer
+    # where ihat = p.  So no model of the shape and parity with a positive ihat meets it
+    censuses = [(k, r, n - 1 - k - 2 * r) for k in range(n) for r in range((n - 1 - k) // 2 + 1)
+                if checker.case_of(k, n - 1 - k - 2 * r) == case]
+    k, r, h = data.draw(st.sampled_from(censuses))
+    rng, D = data.draw(st.randoms(use_true_random=False)), data.draw(st.sampled_from(NONSQUARE_D))
+    blocks = ([Rot(random_rho(rng, D)) for _ in range(k)] + [NBlock(random_rho(rng, D))] * r
+              + [Hyp(Fraction(data.draw(st.sampled_from([2, 3, -2, 5]))))] * h)
+    p = 2 * data.draw(st.integers(0, 3)) + (subcase == "p odd")
+    g = GeodesicModel(n, NormalFormDecomposition(data.draw(st.permutations(blocks))), p)
+    assert (g.case, g.initial_index) == (case, p)
+    assume(mean_index(g).sign() > 0)
+    code, doc = run(tmp_path_factory.getbasetemp(), "identity", g)
+    assert (code, doc["holds"]) == (1, False)
+    assert mean_index(g) != pin

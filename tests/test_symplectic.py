@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from indexlab import ExactReal, Hyp, NBlock, NormalFormDecomposition, Rot
+from indexlab.iteration import model_from_json
 from indexlab.symplectic import BlockInvariantError, decomposition_from_json
 
 from conftest import decomposition_json, random_rho
@@ -180,6 +181,18 @@ class TestJson:
             {"type": "n", "rho": rho, "B": [[1, "1/2"], [0, "-3"]]}]})
         assert dumps(d) == ('{"blocks":[{"d":"2/1","type":"hyp"},{"d":"-3/7","type":"hyp"},'
                             '{"B":[["1/1","1/2"],["0/1","-3/1"]],"rho":"%s","type":"n"}]}' % rho)
+
+    def test_an_n_block_without_b_reads_as_the_zero_matrix(self):
+        # B may be left out of a model file's N-block: the model reads as with B = 0, and
+        # the block as NBlock's own default
+        def model(**b):
+            blocks = [{"type": "rot", "rho": RHO.serialize()},
+                      {"type": "n", "rho": RHO.serialize(), **b}]
+            return model_from_json({"n": 4, "p": 1, "dec": {"blocks": blocks}})
+
+        without, zero = model(), model(B=[[0, 0], [0, 0]])
+        assert without == zero and hash(without) == hash(zero)
+        assert without.dec.blocks[1] == NBlock(RHO)
 
     @pytest.mark.parametrize("block", [
         {"type": "hyp", "d": 2.5}, {"type": "hyp", "d": 2.0}, {"type": "hyp", "d": True},
