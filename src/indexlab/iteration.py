@@ -1,16 +1,16 @@
 """Case classification and index iteration for completely non-degenerate maps.
 
 A geodesic model is a normal-form decomposition of total dimension 2(n-1)
-together with the free integer parameter p of its homotopy class.  The five
-case shapes determine closed iteration formulas for the Morse index of
-every iterate; the nullity vanishes identically (bumpy hypothesis).
+together with the free integer parameter p of its homotopy class.  One formula
+in i(c) and the rotation numbers gives the Morse index of every iterate of all
+five case shapes; the nullity vanishes identically (bumpy hypothesis).
 """
 
 from __future__ import annotations
 
 from .checker import case_of
 from .exact import ExactReal, floor_scaled, same_field
-from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot, decomposition_from_json
+from .symplectic import Hyp, NormalFormDecomposition, Rot, decomposition_from_json
 
 
 class ModelInvariantError(ValueError):
@@ -20,21 +20,21 @@ class ModelInvariantError(ValueError):
 def classify(n: int, dec: NormalFormDecomposition) -> str:
     """The case tag "NCG1" to "NCG5" of the non-N block census: `checker.case_of` of its k
     rotations and h hyperbolic blocks, for a decomposition of dimension 2(n-1)."""
-    if dec.total_dim != 2 * (n - 1):
-        raise ModelInvariantError(
-            f"decomposition has dimension {dec.total_dim}, expected {2 * (n - 1)}"
-        )
-    return case_of(dec.count(Rot), dec.count(Hyp))
+    dim = sum(b.dim for b in dec.blocks)
+    if dim != 2 * (n - 1):
+        raise ModelInvariantError(f"decomposition has dimension {dim}, expected {2 * (n - 1)}")
+    return case_of(sum(isinstance(b, Rot) for b in dec.blocks),
+                   sum(isinstance(b, Hyp) for b in dec.blocks))
 
 
 class GeodesicModel:
     """One hypothetical prime closed geodesic: blocks + homotopy parameter p.
 
-    Every case shape iterates as i(c^m) = slope*m + 2*sum floor(m*rho_j) + const
-    over its k rotation numbers rho_j, in one of Long's two families: NCG1 as
-    2p*m + ... + n - 2r - 1, and NCG2 to NCG5 (k = 1 for NCG4, 0 for NCG5) as
-    (p - k)*m + ... + k.  Valid when i(c) = slope + const >= 0, which is p >= 0
-    outside NCG1.  Instances are immutable, and equal and hashed by (n, dec, p).
+    Every case shape iterates by Bott's formula over its k rotation numbers rho_j,
+    i(c^m) = (i(c) - k)*m + 2*sum floor(m*rho_j) + k, with i(c) = 2p + k for NCG1
+    (where k = n - 2r - 1) and i(c) = p otherwise; slope = i(c) - k, const = k.
+    Valid when i(c) >= 0, which is p >= 0 outside NCG1.  Instances are immutable,
+    and equal and hashed by (n, dec, p).
     """
 
     __slots__ = ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last")
@@ -43,15 +43,16 @@ class GeodesicModel:
         if n < 2:
             raise ModelInvariantError("sphere dimension n must be >= 2")
         case = classify(n, dec)
-        k = dec.count(Rot)
-        slope, const = (2 * p, n - 2 * dec.count(NBlock) - 1) if case == "NCG1" else (p - k, k)
-        if slope + const < 0:
+        rhos = tuple(b.rho for b in dec.blocks if isinstance(b, Rot))
+        k = len(rhos)
+        i_c = 2 * p + k if case == "NCG1" else p
+        if i_c < 0:
             raise ModelInvariantError(
-                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {slope + const}"
+                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {i_c}"
                 if case == "NCG1" else f"{case} requires p >= 0, got {p}")
         for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
-                            ("rotation_numbers", tuple(b.rho for b in dec.rotations)),
-                            ("slope", slope), ("const", const), ("_last", [(0, None)])):
+                            ("rotation_numbers", rhos), ("slope", i_c - k), ("const", k),
+                            ("_last", [(0, None)])):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -79,7 +80,7 @@ class GeodesicModel:
 
 
 def index_of_iterate(g: GeodesicModel, m: int) -> int:
-    """i(c^m) = slope*m + 2*sum floor(m*rho_j) + const; the nullity nu(c^m) is 0.
+    """i(c^m) = (i(c) - k)*m + 2*sum floor(m*rho_j) + k; the nullity nu(c^m) is 0.
 
     The floors vanish at m = 1, as 0 < rho_j < 1, so i(c^1) = initial_index.
     Each model caches its last result only: every repeated query asks for the
@@ -113,7 +114,7 @@ def mean_index(g: GeodesicModel) -> ExactReal:
 def analytic_period(g: GeodesicModel) -> int:
     """Minimal period N of the critical-type sequence (always 1 or 2).
 
-    N = 1 iff i(c^m) - i(c) is even for every m; 2*floor(m*rho) is even and
+    N = 1 iff i(c^m) - i(c) is even for every m; in (i(c) - k)*m + 2*sum floor(m*rho_j) + k
     the floors vanish at m = 1, so that difference has the parity of slope*(m - 1).
     """
     return 1 if g.slope % 2 == 0 else 2
@@ -136,18 +137,18 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
 def _int_field(obj: dict, key: str) -> int:
     value = obj.get(key)
     if type(value) is not int:  # bool, float and str are refused, never truncated
-        raise ModelInvariantError(f"{key} must be an integer, got {value!r}")
+        raise ModelInvariantError(f"{key} must be an integer, got {value!r:.40}")
     return value
 
 
 def model_from_json(obj: dict) -> GeodesicModel:
     if type(obj) is not dict:
-        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {obj!r}")
+        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {obj!r:.40}")
     g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj.get("dec")),
                       p=_int_field(obj, "p"))
     declared = obj.get("case")
     if declared is not None and declared != g.case:
-        raise ModelInvariantError(f"declared case {declared} does not match classified case "
+        raise ModelInvariantError(f"declared case {declared!s:.40} does not match classified case "
                                   f"{g.case}")
     # mean_index sums the rotation numbers, so they must share one field
     rots = [(i, b.rho.D) for i, b in enumerate(g.dec.blocks) if isinstance(b, Rot)]

@@ -25,9 +25,9 @@ class BlockInvariantError(ValueError):
 
 def _check_rho(rho: ExactReal, what: str) -> None:
     if not rho.is_irrational:
-        raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho}")
+        raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho!s:.40}")
     if rho.floor() != 0:  # rho is irrational, so it is never 0 or 1
-        raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho}")
+        raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho!s:.40}")
 
 
 class Rot(namedtuple("Rot", "rho")):
@@ -83,17 +83,6 @@ class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
     def __new__(cls, blocks: Iterable[Block] = ()):
         return super().__new__(cls, tuple(blocks))
 
-    @property
-    def total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
-    def count(self, kind: type) -> int:
-        return sum(1 for b in self.blocks if isinstance(b, kind))
-
-    @property
-    def rotations(self) -> tuple[Rot, ...]:
-        return tuple(b for b in self.blocks if isinstance(b, Rot))
-
 
 # -- JSON input ------------------------------------------------------------
 
@@ -110,7 +99,7 @@ def _exact_number(value, name: str) -> Fraction:
             return Fraction(int(m[1]), int(m[2] or 1))
     except ValueError:  # more digits than int() converts
         pass
-    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r}")
+    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r:.40}")
 
 
 def _exact_real(value, path: str) -> ExactReal:
@@ -119,13 +108,13 @@ def _exact_real(value, path: str) -> ExactReal:
             return ExactReal.parse(value)
     except ValueError:  # no literal of the form, or more digits than int() converts
         pass
-    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r}')
+    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r:.40}')
 
 
 def block_from_json(obj: dict, path: str) -> Block:
     """The block of a JSON object; each error names the path of its field and its value."""
     if type(obj) is not dict:
-        raise BlockInvariantError(f'{path} must be an object with a "type", got {obj!r}')
+        raise BlockInvariantError(f'{path} must be an object with a "type", got {obj!r:.40}')
     kind = obj.get("type")
     if kind == "rot":
         field, block, args = "rho", Rot, [_exact_real(obj.get("rho"), f"{path}.rho")]
@@ -134,22 +123,22 @@ def block_from_json(obj: dict, path: str) -> Block:
     elif kind == "n":
         B = obj.get("B", [[0, 0], [0, 0]])
         if type(B) is not list or len(B) != 2 or any(type(r) is not list or len(r) != 2 for r in B):
-            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {B!r}")
+            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {B!r:.40}")
         field, block, args = "rho", NBlock, [_exact_real(obj.get("rho"), f"{path}.rho"), [
             [_exact_number(x, f"{path}.B[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(B)]]
     else:
-        raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r}")
+        raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r:.40}")
     try:
         return block(*args)
     except BlockInvariantError as e:  # a value of the right type that the block refuses
-        raise BlockInvariantError(f"{path}.{field} = {obj[field]!r}: {e}") from None
+        raise BlockInvariantError(f"{path}.{field} = {obj[field]!r:.40}: {e}") from None
 
 
 def decomposition_from_json(obj: dict) -> NormalFormDecomposition:
     if type(obj) is not dict:
-        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {obj!r}')
+        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {obj!r:.40}')
     if type(blocks := obj.get("blocks")) is not list:
-        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {blocks!r}")
+        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {blocks!r:.40}")
     return NormalFormDecomposition(block_from_json(b, f"dec.blocks[{i}]")
                                    for i, b in enumerate(blocks))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import strategies as st
 
 from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, checker
 from indexlab.exact import ExactReal
@@ -98,6 +99,31 @@ def katok_models(n: int, alpha: ExactReal, weights: list[int]) -> list[GeodesicM
     return models
 
 
+SHAPES = ["NCG1", "NCG2", "NCG3", "NCG4", "NCG5"]
+# (sqrt(2) - 1)/4, about 0.10: with p = 0 the slope -k outruns the floors, so indices go negative
+SMALL_RHO = ExactReal(-1, 1, 4, 2)
+SQRT2_RHOS = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), SMALL_RHO, ExactReal(2, -1, 1, 2)]
+
+
+@st.composite
+def shaped_models(draw):
+    """A model of any case shape, with k rotations, h hyperbolic and r N blocks."""
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "NCG1":
+        k, h = draw(st.integers(1, 3)), 0
+    else:
+        k = {"NCG3": 3, "NCG4": 1, "NCG5": 0}.get(shape)
+        k = draw(st.sampled_from([2, 4])) if k is None else k
+        h = draw(st.integers(0 if shape == "NCG5" else 1, 2))
+    r = draw(st.integers(0 if k + h else 1, 1))
+    p = draw(st.integers(-(k // 2) if shape == "NCG1" else 0, 3))  # NCG1: i(c) = 2p + k >= 0
+    blocks = ([Rot(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(k)] + [Hyp(Fraction(2))] * h
+              + [NBlock(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(r)])
+    g = GeodesicModel(1 + k + h + 2 * r, NormalFormDecomposition(draw(st.permutations(blocks))), p)
+    assert g.case == shape
+    return g
+
+
 def ref_floor(a: int, b: int, c: int, D: int) -> int:
     """floor((a + b*sqrt(D))/c) for c > 0, non-square D, from integer squares only."""
 
@@ -137,6 +163,37 @@ def ref_index(g, m: int) -> int:
     if case == "NCG4":
         return m * (p - 1) + 2 * floors + 1
     return m * p
+
+
+def exceeds(u: int, v: int, D: int) -> bool:
+    """u > v*sqrt(D) for non-square D, from integer squares only."""
+    return u > 0 and u * u > v * v * D if v >= 0 else u >= 0 or u * u < v * v * D
+
+
+def bott_index(g, m: int) -> int:
+    """i(c^m) by Bott's iteration formula: the sum over the m-th roots of unity w of
+    the w-index i_w(c), read from the splitting numbers of each block (Long 2002).
+
+    Going round the unit circle from 1 to w = e^{2*pi*i*j/m}, j = 1..m-1, i_w(c) moves
+    from i_1(c) = i(c) by S+ - S- at each eigenvalue passed:
+    - a rotation block with rotation number rho has (S+, S-) = (0, 1) at e^{2*pi*i*rho}
+      and (1, 0) at e^{-2*pi*i*rho}, so it adds [j/m > 1 - rho] - [j/m > rho];
+    - an N block has S+ - S- = 0 at both of its eigenvalues, and no root of unity meets
+      them, as its rho is irrational: it adds nothing;
+    - a hyperbolic block has no eigenvalue on the unit circle, and adds nothing.
+
+    So i(c^m) = m*i(c) + the sum over rotation blocks and j of those brackets.  Each
+    comparison of j/m with rho = (a + b*sqrt(D))/c, c > 0, is an integer-square test;
+    i(c) is the paper's per-case statement, 2p + n - 2r - 1 for NCG1 and p otherwise.
+    No floor, no slope or const and no ExactReal arithmetic.
+    """
+    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
+    index = m * (2 * g.p + g.n - 2 * r - 1 if ref_case(g) == "NCG1" else g.p)
+    for x in (b.rho for b in g.dec.blocks if isinstance(b, Rot)):
+        for j in range(1, m):  # j/m > 1 - rho, then j/m > rho, each times m*c
+            index += exceeds(j * x.c - m * x.c + m * x.a, -m * x.b, x.D)
+            index -= exceeds(j * x.c - m * x.a, m * x.b, x.D)
+    return index
 
 
 def premises(steps: list) -> list[list[int]]:

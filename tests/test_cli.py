@@ -1,8 +1,11 @@
 import contextlib
 import csv
+import functools
 import io
 import json
+import operator
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -23,7 +26,7 @@ from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposi
 from indexlab.cli import main
 from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
 
-from conftest import model_json, random_model
+from conftest import SMALL_RHO, katok_models, model_json, random_model, shaped_models
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 LONG_RHO = "(1+1*sqrt(2))/" + "1" * 100_000 + "x"  # no literal; quadratic to refuse if c's digits overlap
@@ -154,7 +157,8 @@ class TestIterate:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["iterate", "--model", str(path), "--mmax", str(K)]) == 0
             monkeypatch.undo()
-            assert calls == Counter(index_of_iterate=2 * K, floor_scaled=g.dec.count(Rot) * K)
+            assert calls == Counter(index_of_iterate=2 * K,
+                                    floor_scaled=len(g.rotation_numbers) * K)
 
     def test_rows_are_written_as_they_are_made(self, ncg1_model):
         # 10**3 and 10**4 rows, as JSON to a file and as CSV to stdout: each peak is
@@ -268,31 +272,6 @@ class TestMorseCheckDocument:
                 assert main(argv + ["--json", str(out_path)]) == code
         assert out.getvalue() == expected  # the --json run writes nothing to stdout
         assert out_path.read_text() == expected
-
-
-SHAPES = ["NCG1", "NCG2", "NCG3", "NCG4", "NCG5"]
-# (sqrt(2) - 1)/4, about 0.10: with p = 0 the slope -k outruns the floors, so indices go negative
-SMALL_RHO = ExactReal(-1, 1, 4, 2)
-SQRT2_RHOS = [RHO, ExactReal(7, -4, 8, 2), SMALL_RHO, ExactReal(2, -1, 1, 2)]  # one field
-
-
-@st.composite
-def shaped_models(draw):
-    """A model of any case shape, with k rotations, h hyperbolic and r N blocks."""
-    shape = draw(st.sampled_from(SHAPES))
-    if shape == "NCG1":
-        k, h = draw(st.integers(1, 3)), 0
-    else:
-        k = {"NCG3": 3, "NCG4": 1, "NCG5": 0}.get(shape)
-        k = draw(st.sampled_from([2, 4])) if k is None else k
-        h = draw(st.integers(0 if shape == "NCG5" else 1, 2))
-    r = draw(st.integers(0 if k + h else 1, 1))
-    p = draw(st.integers(-(k // 2) if shape == "NCG1" else 0, 3))  # NCG1: i(c) = 2p + k >= 0
-    blocks = ([Rot(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(k)] + [Hyp(Fraction(2))] * h
-              + [NBlock(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(r)])
-    g = GeodesicModel(1 + k + h + 2 * r, NormalFormDecomposition(draw(st.permutations(blocks))), p)
-    assert g.case == shape
-    return g
 
 
 class TestIterateDocument:
@@ -898,15 +877,15 @@ class TestInputFaults:
         ({"type": "hyp", "d": "1e10000000"},
          "dec.blocks[0].d must be an integer or a fraction string, got '1e10000000'"),
         ({"type": "rot", "rho": LONG_RHO},
-         f"""dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got {LONG_RHO!r}"""),
+         f"""dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got {LONG_RHO!r:.40}"""),
         ({"type": "rot", "rho": "(-\u0661+1*sqrt(\u0665))/4"},
          """dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got '(-\u0661+1*sqrt(\u0665))/4'"""),
     ], ids=["rho-abc", "rho-c-0", "rho-rational", "rho-above-1", "d-1", "d-exponent",
             "rho-long-c", "rho-arabic-digits"])
     def test_a_refused_value_names_its_field(self, capsys, tmp_path, block, message):
         # a value of the right JSON type that its block refuses names the path and the
-        # value, at once: an exponent is not expanded, and a long digit run is matched
-        # in linear time
+        # value, at once: an exponent is not expanded, a long digit run is matched in
+        # linear time, and a long value is quoted cut to 40 characters
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"n": 2, "p": 0, "dec": {"blocks": [block]}}))
         start = time.perf_counter()
@@ -1234,3 +1213,99 @@ def test_fuzzed_runs_exit_cleanly(tmp_path_factory, data):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# -- long values: every refusal of a model file is one short line --
+
+REFUSAL_BOUND = 400  # characters in the one stderr line of a refusal, its newline left out
+MILLION = 10**6
+_ROT = {"n": 2, "p": 0, "dec": {"blocks": [{"type": "rot", "rho": RHO.serialize()}]}}
+PROBES = {  # model files spoiled by one long value, each of which a refusal once quoted whole
+    "model-list": lambda: [0] * 200_000,
+    "p": lambda: {**_ROT, "p": "9" * MILLION},
+    "rho": lambda: {**_ROT, "dec": {"blocks": [
+        {"type": "rot", "rho": "(" + "1" * MILLION + "+1*sqrt(2))/3"}]}},
+    "type": lambda: {**_ROT, "dec": {"blocks": [{"type": "r" * MILLION, "rho": "x"}]}},
+    "case": lambda: {**_ROT, "case": "N" * MILLION},
+    "d": lambda: {"n": 2, "p": 0, "dec": {"blocks": [{"type": "hyp", "d": "9" * MILLION}]}},
+    "blocks-dict": lambda: {**_ROT, "dec": {"blocks": {str(i): i for i in range(100_000)}}},
+}
+
+
+def run_document(text, command, path):
+    """(exit code, stdout, stderr) of the command on a model file of the model text: the
+    model itself for iterate, a list of that one model for morse-check and identity."""
+    path.write_text(text if command == "iterate" else f"[{text}]")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, MODEL_FLAG[command], str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean(code, out, err):
+    """Exit 0 or 1 with nothing on stderr, or 2 with one short error line and no output."""
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) - 1 <= REFUSAL_BOUND, f"{len(err) - 1} characters: {err[:200]}"
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_FLAG))
+@pytest.mark.parametrize("name", list(PROBES))
+def test_a_long_value_is_refused_in_one_short_line(tmp_path, name, command):
+    # each line was as long as the value it quotes, up to 1,577,839 characters
+    code, out, err = run_document(json.dumps(PROBES[name]()), command, tmp_path / "model.json")
+    assert code == 2
+    assert_clean(code, out, err)
+
+
+STRETCHED = "\0stretched"  # stands for a million-digit JSON number in the written text
+SCALARS = {kind for kind, types in TAKES.items() if not {dict, list} & set(types)}
+
+
+def spoiled(model):
+    """Four model texts per scalar field of the model: the field dropped, retyped (an int
+    as its string, a string as its length), stretched to a million characters (a string
+    padded with 1s, an int as a million-digit number), and wrapped in a list."""
+    for *parents, key in [path for path, kind in _fields(model) if kind in SCALARS]:
+        for how in ("drop", "retype", "stretch", "wrap"):
+            doc = json.loads(json.dumps(model))
+            node = functools.reduce(operator.getitem, parents, doc)
+            value = node[key]
+            if how == "drop":
+                del node[key]
+            elif how == "retype":
+                node[key] = str(value) if type(value) is int else len(value)
+            elif how == "stretch":
+                node[key] = value.ljust(MILLION, "1") if type(value) is str else STRETCHED
+            else:
+                node[key] = [value]
+            yield json.dumps(doc).replace(json.dumps(STRETCHED), "9" * MILLION)
+
+
+def corpus_models():
+    """The valid models the corpus spoils: README's example, a Katok-type model, and
+    the first random model of each case shape at a fixed seed."""
+    models = [{"n": 3, "p": 2, "case": "NCG4", "dec": {"blocks": [
+        {"type": "rot", "rho": "(-1+1*sqrt(2))/1"}, {"type": "hyp", "d": 2}]}},
+        model_json(katok_models(4, ExactReal(-2, 1, 1, 5), [1, 2])[0])]
+    rng, shapes = random.Random(46), {}
+    while len(shapes) < 5:
+        g = random_model(rng)
+        shapes.setdefault(g.case, model_json(g))
+    return models + [shapes[case] for case in sorted(shapes)]
+
+
+def test_every_spoiled_model_exits_cleanly(tmp_path):
+    # each scalar field of each valid model dropped, retyped, stretched and wrapped,
+    # through the three commands that read model files
+    codes = Counter()
+    for model in corpus_models():
+        for text in spoiled(model):
+            for command in sorted(MODEL_FLAG):
+                code, out, err = run_document(text, command, tmp_path / "model.json")
+                assert_clean(code, out, err)
+                codes[code] += 1
+    assert codes[2] and codes[0]

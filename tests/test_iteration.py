@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from indexlab import (
     GeodesicModel,
@@ -22,7 +23,8 @@ from indexlab.cli import _iterate_rows
 from indexlab.exact import ExactReal
 from indexlab.iteration import ModelInvariantError, model_from_json
 
-from conftest import model_json, random_model, ref_case, ref_floor, ref_index, sign_of_difference
+from conftest import (bott_index, katok_models, model_json, random_model, ref_case, ref_floor,
+                      ref_index, shaped_models, sign_of_difference)
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 H2 = Hyp(Fraction(2))
@@ -312,3 +314,38 @@ class TestAgainstReference:
             assert Fraction(ihat.a, ihat.c) == rational
             assert Fraction(ihat.b, ihat.c) == coefficient
         assert seen == set(_CLOSINGS)
+
+
+def assert_bott(g, mmax):
+    """index_of_iterate, initial_index, critical_type, analytic_period and mean_index
+    of g against Bott's formula, at m = 1..mmax."""
+    bott = [bott_index(g, m) for m in range(1, mmax + 1)]
+    assert [index_of_iterate(g, m) for m in range(1, mmax + 1)] == bott
+    assert g.initial_index == bott[0]
+    even = [(i - bott[0]) % 2 == 0 for i in bott]
+    assert [critical_type(g, m) for m in range(1, mmax + 1)] == [
+        (1, 1) if e else (-1, 0) for e in even]
+    assert analytic_period(g) == (1 if all(even) else 2)
+    # each rotation's brackets average rho - (1 - rho) over the circle: the mean index
+    # is i(c) + sum (2*rho - 1), here as its rational part and its sqrt(D) coefficient
+    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    ihat = mean_index(g)
+    assert (Fraction(ihat.a, ihat.c), Fraction(ihat.b, ihat.c)) == (
+        bott[0] + sum(2 * Fraction(x.a, x.c) - 1 for x in rhos),
+        sum(2 * Fraction(x.b, x.c) for x in rhos))
+
+
+class TestBott:
+    """Bott's iteration formula, an oracle that shares no formula with the index layer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_models())
+    # NCG1 with p < 0 and two N blocks: i(c) = 2p + n - 2r - 1 = 0
+    @example(GeodesicModel(7, dec(Rot(RHO), NBlock(RHO), Rot(RHO), NBlock(RHO)), -1))
+    def test_every_shape(self, g):
+        assert_bott(g, 60)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_katok_models(self, n):
+        for g in katok_models(n, ExactReal(-2, 1, 1, 5), list(range(1, (n + 3) // 2))):
+            assert_bott(g, 59)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from indexlab import ExactReal, Hyp, NBlock, NormalFormDecomposition, Rot
-from indexlab.iteration import model_from_json
+from indexlab.iteration import ModelInvariantError, classify, model_from_json
 from indexlab.symplectic import BlockInvariantError, decomposition_from_json
 
 from conftest import decomposition_json, random_rho
@@ -143,8 +143,14 @@ class TestValueSemantics:
 
 class TestDiamondSum:
     def test_dim_census(self):
+        # a rotation and a hyperbolic block add 2 dimensions each, an N block 4: the census
+        # k = h = 1, r = 1 has dimension 8 = 2(n - 1) at n = 5 only, and is NCG4 there
         d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(2)), NBlock(RHO)])
-        assert d.total_dim == 2 * (d.count(Rot) + d.count(Hyp)) + 4 * d.count(NBlock)
+        assert classify(5, d) == "NCG4"
+        for n in (2, 3, 4, 6, 7):
+            with pytest.raises(ModelInvariantError) as info:
+                classify(n, d)
+            assert str(info.value) == f"decomposition has dimension 8, expected {2 * (n - 1)}"
 
 
 def _random_dec(rng: random.Random) -> NormalFormDecomposition:
