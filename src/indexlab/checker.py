@@ -310,7 +310,7 @@ def _subcases(n: int, case: str) -> tuple[str, ...]:
 
 class _Steps:
     """The steps of one trace, each built through its row of the rule table: the only
-    code that builds a step, for the replay, `verify_trace` and `render` alike."""
+    code that builds a step, for the replay and `verify_trace` alike."""
 
     def __init__(self, n: int, case: str, subcase: str = ""):
         if case not in _LEAST or subcase not in _subcases(n, case):

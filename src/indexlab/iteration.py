@@ -22,7 +22,8 @@ def classify(n: int, dec: NormalFormDecomposition) -> str:
     rotations and h hyperbolic blocks, for a decomposition of dimension 2(n-1)."""
     dim = sum(b.dim for b in dec.blocks)
     if dim != 2 * (n - 1):
-        raise ModelInvariantError(f"decomposition has dimension {dim}, expected {2 * (n - 1)}")
+        raise ModelInvariantError(f"decomposition has dimension {dim}, expected "
+                                  f"{2 * (n - 1)!s:.40}")
     return case_of(sum(isinstance(b, Rot) for b in dec.blocks),
                    sum(isinstance(b, Hyp) for b in dec.blocks))
 
@@ -48,8 +49,8 @@ class GeodesicModel:
         i_c = 2 * p + k if case == "NCG1" else p
         if i_c < 0:
             raise ModelInvariantError(
-                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {i_c}"
-                if case == "NCG1" else f"{case} requires p >= 0, got {p}")
+                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {i_c!s:.40}"
+                if case == "NCG1" else f"{case} requires p >= 0, got {p!s:.40}")
         for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
                             ("rotation_numbers", rhos), ("slope", i_c - k), ("const", k),
                             ("_last", [(0, None)])):
@@ -155,5 +156,5 @@ def model_from_json(obj: dict) -> GeodesicModel:
     for i, D in rots:
         if not same_field(D, rots[0][1]):
             raise ModelInvariantError(f"dec.blocks[{rots[0][0]}].rho and dec.blocks[{i}].rho "
-                                      f"lie in Q(sqrt({rots[0][1]})) and Q(sqrt({D}))")
+                                      f"lie in Q(sqrt({rots[0][1]!s:.40})) and Q(sqrt({D!s:.40}))")
     return g

@@ -8,8 +8,9 @@ It chooses only the sequence of rules, their branches and the iterates of
 the floor sums: `checker._Steps` builds each step, linking its premises and
 deriving its values through its row of the rule table, and refuses a choice
 out of order, uncited or unjustified; `checker` rebuilds every step of the
-parsed certificate with the same builder.  A step holds values only: `render`
-rebuilds each step's prose, and the equation number odd n cites, from them.
+parsed certificate with the same builder.  A step holds values only, and its
+rule is named as the paper cites it for even n, at every n (README's table
+gives the numbers odd n cites).
 
 The engine works symbolically: a constraint like "the rotation numbers sum
 to a rational" is a fact about the model family, never an instantiated
@@ -84,78 +85,3 @@ def certificate(n: int) -> dict:
 def certificate_json(n: int) -> str:
     """The certificate as the canonical JSON text that `prove` checks and writes."""
     return json.dumps(certificate(n), sort_keys=True, separators=(",", ":"))
-
-
-# -- presentation: the prose of each step, rebuilt on demand, never checked --
-
-# the odd-n numbers of the equations that even n cites as the keys
-_ODD_RULE = {"Eq(6.7)": "Eq(6.19)", "Eq(6.9)": "Eq(6.21)", "Eq(6.11)": "Eq(6.23)",
-             "Eq(6.14)": "Eq(6.27)", "Eq(6.17)": "Eq(6.31)", "Eq(6.18)": "Eq(6.29)"}
-
-# The statement of each row, a format string over the values the row derives
-# and the fields that `render` adds: n1 = n-1, the iterate m named as n's
-# parity names it, the trace's subcase, the premises' derived values and, for
-# Lemma 6.3, what its hypotheses refute.
-_TEXT = {
-    ("L6.1", None): "mean index > 0 (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
-                    "fails)",
-    ("Eq(5.5)", None): "identity forces {s:+d}/({N}*ihat) = {rhs}, i.e. ihat = {value}",
-    ("Prop2.1", None): "every contributing iterate has index of the parity of i(c); "
-                       "M_q = 0 for {zero_parity} q >= 1",
-    ("L6.2", None): "i(c) <= {max} (else M_{n1} = {evidence[lhs]} >= b_{n1} = {evidence[rhs]} "
-                    "fails)",
-    ("L6.3", None): "i(c) >= {min} ({refuted})",
-    ("Cor6.4", None): "i(c) = {i_c}",
-    ("Eq(6.7)", None): "2p + (n-2r-1) = {n1} gives p = r; ihat = {ihat} < 2 forces p = r = 0",
-    ("Eq(6.9)", None): "sum of the {terms} rotation numbers = ihat/2 = {value}, a rational",
-    ("Eq(6.11)", None): "floor sum at each m in [2, {iterates[1]}] lies in [0, m-1], "
-                        "as m*(1 - {premises[0][value]}) < 1",
-    ("Claim1", None): "i(c^m) = {n1} + 2(m-1) for 1 <= m <= {m} (by induction: lower values "
-                      "collide with earlier iterates)",
-    ("Eq(6.14)", None): "floor sum at {at} lies in {set} (exact total {total})",
-    ("L6.5", "pigeonhole"): "pigeonhole at {at}: i(c^{m}) = {n1} + 2s with s in {set} is the "
-                            "index of the earlier iterate c^(s+1), contradicting uniqueness",
-    ("Eq(6.14)", "pigeonhole"): "pigeonhole at {at}: no admissible floor sum exists, yet the "
-                                "irrational rotation numbers must realize the exact total {total}",
-    ("L6.1", "sign"): "pinned ihat = {ihat} <= 0 contradicts ihat > 0",
-    ("Eq(5.5)", "irrationality"): "ihat = (p-1) + theta_1/pi is irrational, but the identity "
-                                  "pins ihat = {ihat}, a rational",
-    ("Eq(5.5)", "integrality"): "ihat = p must be an integer with {subcase}, but the identity "
-                                "pins p = {ihat}",
-    ("Step2-Subcase5.1", "integrality"): "p is a positive even integer, so "
-                                         "1 > (n-1)/(n+1) = p/2 >= 1",
-    ("Eq(6.17)", "rotation-count"): "p - k = n-1-k < ihat = {ihat} < 1 yields n-2 < k, which "
-                                    "contradicts k <= n-2r-2 <= {k_upper}",
-    ("Eq(6.18)", "rotation-count"): "p - k is even and p - k <= ihat = {ihat} < 2 gives p <= k, "
-                                    "so n-1 = p <= k contradicts k <= n-2r-2 <= {k_upper}",
-}
-
-
-def vacuity(n: int, case: str) -> str:
-    """Why no census at n has the shape of a vacuous trace's case: the `detail` that
-    schema 5 held, rebuilt as presentation, like `render`, and never checked."""
-    return {"NCG2": "even k with 2 <= k <= n-2r-2 unsatisfiable for n = {n}",
-            "NCG3": "odd k with 3 <= k <= n-2r-2 unsatisfiable for n = {n}",
-            "NCG4": "one rotation plus a hyperbolic block needs n - 2r - 1 >= 2, "
-                    "impossible for n = {n}"}[case].format(n=n)
-
-
-def render(n: int, trace: dict) -> list[tuple[str, str]]:
-    """Each step of a certificate trace as the paper states it at n: the
-    equation number it cites there (odd n numbers some equations apart) and
-    its statement, rebuilt from the values the kernel's builder derives for the
-    step and its premises, which a verified trace holds.  The text is presentation
-    only; the checker reads the values alone."""
-    steps, out = _Steps(n, trace["case"], trace["subcase"]), []
-    for step in trace["steps"]:
-        rule, kind = step["rule"], step["values"].get("contradiction_kind")
-        v = steps.add(rule, kind, **step["values"])
-        fields = {**v, "n1": n - 1, "at": f"{'m2' if n % 2 else 'm'} = {v.get('m')}", "subcase":
-                  trace["subcase"], "premises": [steps.derived[j] for j in steps.premises[-1]]}
-        if "hypotheses" in v:
-            fields["refuted"] = (f"each hypothetical i(c) in {v['hypotheses']}, in steps of 2, "
-                                 "fails the alternating sum at i(c)+1: -1 >= 0"
-                                 if v["hypotheses"] else "hypothesis range below n-1 is empty")
-        out.append((_ODD_RULE.get(rule, rule) if n % 2 else rule,
-                    _TEXT[rule, kind].format_map(fields)))
-    return out

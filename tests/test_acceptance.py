@@ -24,7 +24,6 @@ from indexlab import (
 from indexlab.cli import main
 from indexlab.morse import betti_values, iterate_cutoff
 from indexlab.checker import _CLOSINGS, check_lemma_6_1, check_lemma_6_2, check_lemma_6_3
-from indexlab.prover import render
 
 from conftest import at_minus_one, poincare_series, random_model, sign_of_difference
 
@@ -116,16 +115,22 @@ def test_criterion_6_proof_replay_totality(capsys):
         doc = json.loads(capsys.readouterr().out)
         ok = ok and code == 0
         ok = ok and all(t["verdict"] in ("contradiction", "vacuous") for t in doc["traces"])
-        # the statement of each closing step, as render rebuilds it from the certificate
-        closing = {(t["case"], t["subcase"]): render(n, t)[-1][1] for t in doc["traces"]
-                   if t["steps"]}
+        # the rule, contradiction kind and values of each closing step, read from the certificate
+        closing = {(t["case"], t["subcase"]): (t["steps"][-1]["rule"], t["steps"][-1]["values"])
+                   for t in doc["traces"] if t["steps"]}
+        _, v = closing[("NCG1", "")]
+        ok = ok and v["contradiction_kind"] == "pigeonhole"
+        ok = ok and v["m"] == (n if n % 2 == 0 else (n + 1) // 2)
         if n % 2 == 0:
-            if n >= 4:
-                ok = ok and "n-2 < k" in closing[("NCG2", "p odd")]
-            ok = ok and f"pigeonhole at m = {n}" in closing[("NCG1", "")]
-        else:
-            ok = ok and "p/2 >= 1" in closing[("NCG5", "p even")]
-            ok = ok and f"pigeonhole at m2 = {(n + 1) // 2}" in closing[("NCG1", "")]
+            if n >= 4:  # p - k < ihat < 1 gives n-2 < k, against k <= n-2
+                rule, v = closing[("NCG2", "p odd")]
+                ok = ok and (rule, v["contradiction_kind"]) == ("Eq(6.17)", "rotation-count")
+                ok = ok and (v["k_lower"], v["k_upper"]) == (n - 1, n - 2)
+                ok = ok and Fraction(v["ihat"]) < 1
+        else:  # p is a positive even integer, so p/2 >= 1, against p/2 < 1
+            rule, v = closing[("NCG5", "p even")]
+            ok = ok and (rule, v["contradiction_kind"]) == ("Step2-Subcase5.1", "integrality")
+            ok = ok and Fraction(v["p_half"]) < 1
     elapsed = time.perf_counter() - start
     report(6, f"replay closes every trace for n in [2, 50] ({elapsed:.2f}s)", ok and elapsed < 5.0)
 

@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import os
 import random
@@ -235,8 +236,10 @@ class TestMorseCheck:
                                write_models(tmp_path, [g]), "--horizon", "10"],
                               env=env, capture_output=True, text=True, timeout=15)
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: model #0: iterate cutoff {morse.iterate_cutoff(g, 10)} at "
-                               f"horizon 10 exceeds the limit of {morse.MAX_ITERATES} iterates\n")
+        # the 42-digit cutoff is quoted cut to its first 40 digits, as every long value is
+        cut = f"{morse.iterate_cutoff(g, 10)!s:.40}"
+        assert done.stderr == (f"error: model #0: iterate cutoff {cut} at horizon 10 exceeds the "
+                               f"limit of {morse.MAX_ITERATES} iterates\n")
 
 
 class TestMorseCheckDocument:
@@ -448,11 +451,11 @@ def _evidence(key, x):  # the failure the L6.2 step cites, at n = 6 step 2, with
 
 
 def _schema_5(n):
-    """The certificate for n with each vacuous trace's reason put back, as schema 5 held it."""
+    """The certificate for n with a reason in each vacuous trace's detail, as schema 5 held it."""
     doc = json.loads(prover.certificate_json(n))
     for t in doc["traces"]:
         if t["verdict"] == "vacuous":
-            t["detail"] = prover.vacuity(n, t["case"])
+            t["detail"] = "no census reaches the shape"
     return {**doc, "schema": 5}
 
 
@@ -1220,7 +1223,16 @@ def test_fuzzed_runs_exit_cleanly(tmp_path_factory, data):
 REFUSAL_BOUND = 400  # characters in the one stderr line of a refusal, its newline left out
 MILLION = 10**6
 _ROT = {"n": 2, "p": 0, "dec": {"blocks": [{"type": "rot", "rho": RHO.serialize()}]}}
-PROBES = {  # model files spoiled by one long value, each of which a refusal once quoted whole
+
+
+def _rot_in(D):
+    """The rotation block of sqrt(D) - isqrt(D), which lies in Q(sqrt(D)) for non-square D."""
+    return {"type": "rot", "rho": ExactReal(-math.isqrt(D), 1, 1, D).serialize()}
+
+
+# model files spoiled by one long value, each of which a refusal once quoted whole: a model
+# that every command refuses, or (the command, the list of models that it alone refuses)
+PROBES = {
     "model-list": lambda: [0] * 200_000,
     "p": lambda: {**_ROT, "p": "9" * MILLION},
     "rho": lambda: {**_ROT, "dec": {"blocks": [
@@ -1229,6 +1241,16 @@ PROBES = {  # model files spoiled by one long value, each of which a refusal onc
     "case": lambda: {**_ROT, "case": "N" * MILLION},
     "d": lambda: {"n": 2, "p": 0, "dec": {"blocks": [{"type": "hyp", "d": "9" * MILLION}]}},
     "blocks-dict": lambda: {**_ROT, "dec": {"blocks": {str(i): i for i in range(100_000)}}},
+    # whole integers of up to 4,300 digits, the most a JSON number converts to
+    "p -10**4200": lambda: {"n": 2, "p": -10**4200, "dec": {"blocks": [{"type": "hyp", "d": 2}]}},
+    "NCG1 p -10**4200": lambda: {**_ROT, "p": -10**4200},
+    "n 10**4200 + 1": lambda: {**_ROT, "n": 10**4200 + 1},
+    "rho fields": lambda: {"n": 3, "p": 0, "dec": {"blocks": [_rot_in(10**3999),
+                                                              _rot_in(3 * 10**3999)]}},
+    "model fields": ("identity", lambda: [{**_ROT, "dec": {"blocks": [_rot_in(D)]}}
+                                          for D in (10**1999, 3 * 10**1999)]),
+    "iterate cutoff": ("morse-check", lambda: [{**_ROT, "dec": {"blocks": [
+        {"type": "rot", "rho": ExactReal(-1, 1, 10**2000, 2).serialize()}]}}]),
 }
 
 
@@ -1252,11 +1274,16 @@ def assert_clean(code, out, err):
         assert err == ""
 
 
-@pytest.mark.parametrize("command", sorted(MODEL_FLAG))
-@pytest.mark.parametrize("name", list(PROBES))
+@pytest.mark.parametrize("name,command", [
+    (name, command) for name, probe in PROBES.items()
+    for command in ((probe[0],) if type(probe) is tuple else sorted(MODEL_FLAG))])
 def test_a_long_value_is_refused_in_one_short_line(tmp_path, name, command):
     # each line was as long as the value it quotes, up to 1,577,839 characters
-    code, out, err = run_document(json.dumps(PROBES[name]()), command, tmp_path / "model.json")
+    probe = PROBES[name]
+    # run_document lists the text in brackets for morse-check and identity
+    text = (", ".join(map(json.dumps, probe[1]())) if type(probe) is tuple else
+            json.dumps(probe()))
+    code, out, err = run_document(text, command, tmp_path / "model.json")
     assert code == 2
     assert_clean(code, out, err)
 

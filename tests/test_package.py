@@ -98,12 +98,14 @@ def test_the_checker_names_no_case_enum():
     assert "Case" not in names
 
 
-def test_the_checker_holds_no_prose_and_one_rule_name_per_step():
-    # statements and the odd-n equation numbers are presentation, rendered in prover
-    names = {getattr(node, attr, None) for node in nodes(CHECKER)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_holds_prose_or_a_second_rule_name(path):
+    # a step holds values under its even-n rule name; no command reads prose rebuilt from
+    # them, or the odd-n equation numbers, which README's table gives
+    names = {getattr(node, attr, None) for node in nodes(path)
              for attr in ("id", "attr", "name", "asname", "arg")}
-    assert names.isdisjoint({"_ODD_RULE", "_rule", "render", "statement"})
-    assert "statement" not in {node.value for node in nodes(CHECKER)
+    assert names.isdisjoint({"_ODD_RULE", "_TEXT", "_rule", "render", "vacuity", "statement"})
+    assert "statement" not in {node.value for node in nodes(path)
                                if isinstance(node, ast.Constant)}
 
 
