@@ -1,18 +1,13 @@
 """Index iteration for the five completely non-degenerate normal-form shapes.
 
-Each model pairs a symplectic normal-form decomposition with a free integer
+Each model pairs the census of a symplectic normal form, its rotation numbers
+and its counts r of N blocks and h of hyperbolic blocks, with a free integer
 parameter p; the case tag and all iterated Morse indices follow exactly, and
 the nullity of every iterate is 0 (complete non-degeneracy).
 """
 
-from fractions import Fraction
-
 from indexlab import (
     GeodesicModel,
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    Rot,
     analytic_period,
     critical_type,
     index_of_iterate,
@@ -24,11 +19,11 @@ rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
 rho2 = ExactReal(-4, 3, 2, 2)  # (3*sqrt(2) - 4)/2, same field as rho
 
 MODELS = [
-    ("all rotations (NCG1)", GeodesicModel(4, NormalFormDecomposition([Rot(rho), Rot(rho), Rot(rho2)]), 0)),
-    ("even rotation count (NCG2)", GeodesicModel(4, NormalFormDecomposition([Rot(rho), Rot(rho2), Hyp(Fraction(2))]), 3)),
-    ("odd rotation count (NCG3)", GeodesicModel(5, NormalFormDecomposition([Rot(rho), Rot(rho), Rot(rho2), Hyp(Fraction(-2))]), 4)),
-    ("single rotation (NCG4)", GeodesicModel(3, NormalFormDecomposition([Rot(rho), Hyp(Fraction(3))]), 2)),
-    ("no invariant-form-positive rotation (NCG5)", GeodesicModel(4, NormalFormDecomposition([Hyp(Fraction(2)), NBlock(rho)]), 2)),
+    ("all rotations (NCG1)", GeodesicModel(4, 0, [rho, rho, rho2])),
+    ("even rotation count (NCG2)", GeodesicModel(4, 3, [rho, rho2], h=1)),
+    ("odd rotation count (NCG3)", GeodesicModel(5, 4, [rho, rho, rho2], h=1)),
+    ("single rotation (NCG4)", GeodesicModel(3, 2, [rho], h=1)),
+    ("no invariant-form-positive rotation (NCG5)", GeodesicModel(4, 2, r=1, h=1)),
 ]
 
 for label, g in MODELS:

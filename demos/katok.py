@@ -15,8 +15,6 @@ geodesic c_d the Morse inequalities fail first at q = i(c_d).
 
 from indexlab import (
     GeodesicModel,
-    NormalFormDecomposition,
-    Rot,
     check_morse_inequalities,
     euler_limit,
     mean_index_identity_lhs,
@@ -36,8 +34,8 @@ def katok_set(n: int) -> list[GeodesicModel]:
             den = ALPHA * (sigma * l_j) + 1
             xs = [(ALPHA * (tau * l_i) + 1) / den for l_i in weights if l_i != l_j
                   for tau in (1, -1)] + ([ExactReal(1) / den] if n % 2 == 0 else [])
-            models.append(GeodesicModel(n, NormalFormDecomposition(
-                [Rot(x + (-x.floor())) for x in xs]), sum(x.floor() for x in xs)))
+            models.append(GeodesicModel(n, sum(x.floor() for x in xs),
+                                        [x + (-x.floor()) for x in xs]))
     return models
 
 

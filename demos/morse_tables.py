@@ -7,8 +7,6 @@ matches the Betti table degree by degree and satisfies the exact identity.
 
 from indexlab import (
     GeodesicModel,
-    NormalFormDecomposition,
-    Rot,
     check_morse_inequalities,
     euler_limit,
     mean_index,
@@ -24,15 +22,15 @@ print("Betti numbers of the loop-space pair (n = 2):", betti_values(2, HORIZON))
 print("averaged Euler value: P^m(-1)/m ->", euler_limit(2))
 
 # one geodesic alone: the table under-fills and over-fills at once
-solo = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 1, 2))]), 0)
+solo = GeodesicModel(2, 0, [ExactReal(-1, 1, 1, 2)])
 M = morse_numbers([solo], HORIZON)
 print("\nsolo geodesic Morse table:", list(M.values))
 for q, kind, lhs, rhs in check_morse_inequalities(M, betti_values(2, HORIZON), HORIZON):
     print(f"  violation: q={q} {kind}: {lhs} >= {rhs} fails")
 
 # a two-geodesic configuration with 1/(2 rho1) + 1/(2 (1 + rho2)) = 1
-g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)
-g2 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)
+g1 = GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)])
+g2 = GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])
 pair = [g1, g2]
 M2 = morse_numbers(pair, HORIZON)
 print("\npair Morse table:        ", list(M2.values))

@@ -2,17 +2,15 @@
 
 The library has six layers: the trusted certificate checker (`checker`),
 which imports nothing from the package; exact quadratic-field arithmetic
-(`exact`), symplectic normal-form blocks (`symplectic`), case classification
-and index iteration (`iteration`), Betti/Morse bookkeeping (`morse`), and
-the mechanical single-geodesic case-analysis replayer (`prover`).
+(`exact`), the model-file reader of normal-form blocks (`symplectic`), case
+classification and index iteration (`iteration`), Betti/Morse bookkeeping
+(`morse`), and the mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
 from .exact import ExactReal, FieldMismatchError, floor_scaled
-from .symplectic import Hyp, NBlock, NormalFormDecomposition, Rot
 from .iteration import (
     GeodesicModel,
     analytic_period,
-    classify,
     critical_type,
     index_of_iterate,
     mean_index,
@@ -34,12 +32,7 @@ __all__ = [
     "ExactReal",
     "FieldMismatchError",
     "floor_scaled",
-    "Rot",
-    "NBlock",
-    "Hyp",
-    "NormalFormDecomposition",
     "GeodesicModel",
-    "classify",
     "index_of_iterate",
     "mean_index",
     "analytic_period",

@@ -164,7 +164,7 @@ def _floor_sum_family(t, p, rho):
     # are monotone in m, so holding at the last iterate m1 they hold for every m <= m1
     m1 = p["iterates"][-1]
     if floor_sum_range(m1, rho["terms"], m1 * rho["value"]) != range(m1):
-        raise TraceError(f"the floor-sum range at m = {m1!r:.40} is not [0, m-1]")
+        raise TraceError(f"the floor-sum range at m = {quote(m1)} is not [0, m-1]")
     return {"iterates": [2, m1], "terms": rho["terms"]}
 
 
@@ -288,6 +288,17 @@ def case_of(k: int, h: int) -> str:
     return "NCG3" if k % 2 else "NCG2"
 
 
+def quote(value, conv=repr) -> str:
+    """conv(value) cut to 40 characters, as a refusal quotes it; an int longer than that is
+    quoted as its first 30 digits, "…" and its count of digits, so it never reads as smaller."""
+    if type(value) is not int or -10**39 < value < 10**40:
+        return f"{conv(value):.40}"
+    digits, power = 39, 10**39  # |value| >= 10**39 has more than 39 digits
+    while power <= abs(value):
+        digits, power = digits + 1, power * 10
+    return f"{'-' * (value < 0)}{abs(value) // 10 ** (digits - 30)}…({digits} digits)"
+
+
 # the least n at which a census k + 2r + h = n-1 has each shape: at r = 0, k = 1 (NCG1),
 # k = 2, h = 1 (NCG2), k = 3, h = 1 (NCG3), k = h = 1 (NCG4), h = 1 (NCG5).  One more
 # hyperbolic block, or rotation for NCG1 (h = 0), keeps the shape at every larger n
@@ -315,7 +326,7 @@ class _Steps:
     def __init__(self, n: int, case: str, subcase: str = ""):
         if case not in _LEAST or subcase not in _subcases(n, case):
             raise TraceError(f"{case!s:.40} {subcase!r:.40} is no case and subcase replay derives "
-                             f"at n = {n!r:.40}")
+                             f"at n = {quote(n)}")
         self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
         self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
 
@@ -327,7 +338,7 @@ class _Steps:
         row, (n, case, _) = _TABLE.get((rule, kind)), self.scope
         if row is None or kind and kind not in _CLOSINGS[case] or n < _LEAST[case]:
             raise TraceError(f"{case} has no step {rule!r:.40} of closing {kind!r:.40} "
-                             f"at n = {n!r:.40}")
+                             f"at n = {quote(n)}")
         if self.kind:
             raise TraceError(f"a step after the {self.kind} closing")
         if kind is None and self.steps and _ORDER[rule] <= _ORDER[self.steps[-1]["rule"]]:
@@ -379,7 +390,7 @@ def verify_trace(n: int, trace: dict) -> bool:
     in lowest terms, and the verdict and detail that closing the steps gives.
     """
     if type(n) is not int or n < 2:
-        raise TraceError(f"n must be an integer >= 2, not {n!r:.40}")
+        raise TraceError(f"n must be an integer >= 2, not {quote(n)}")
     if fault := _frame_fault(trace, _TRACE_TYPES):
         raise TraceError(f"not a trace: keys case, subcase, steps, verdict, detail; got {fault}")
     built = _Steps(n, trace["case"], trace["subcase"])
@@ -425,7 +436,7 @@ def verify_certificate(doc: dict) -> bool:
     by verify_trace, and each (case, subcase) that replay derives at n once, in replay order."""
     fault = _frame_fault(doc, _CERTIFICATE_TYPES)
     if fault or doc["schema"] != CERTIFICATE_SCHEMA or doc["n"] < 2:
-        fault = fault or f"schema = {doc['schema']!r:.40}, n = {doc['n']!r:.40}"
+        fault = fault or f"schema = {quote(doc['schema'])}, n = {quote(doc['n'])}"
         raise TraceError(f"not a certificate: schema {CERTIFICATE_SCHEMA}, integer n >= 2, "
                          f"traces; got {fault}")
     n = doc["n"]

@@ -33,7 +33,7 @@ def _emit(json_path: str | None, pieces: Iterable[str]) -> None:
                 fh.writelines(pieces)
                 fh.write("\n")
         except OSError as exc:
-            raise ValueError(f"cannot write {json_path}: {exc}") from exc
+            raise ValueError(f"cannot write {json_path:.150}: {exc!s:.200}") from exc
     else:
         sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
@@ -62,7 +62,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path:.150}: {exc!s:.200}") from exc
 
 
 def _parse_model(obj, label: str) -> iteration.GeodesicModel:
@@ -77,7 +77,7 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
     payload = _load_json(path)
     entries = payload.get("models") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected a non-empty list of models")
+        raise ValueError(f"{path:.150}: expected a non-empty list of models")
     models = [_parse_model(obj, f"model #{idx}") for idx, obj in enumerate(entries)]
     for idx, g in enumerate(models):
         if g.n != models[0].n:
@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
     try:
         checker.verify_certificate(doc)
     except checker.TraceError as exc:  # a ValueError, which main would call an input error
-        sys.stderr.write(" ".join(f"{args.certificate}: {exc}".splitlines()) + "\n")
+        sys.stderr.write(" ".join(f"{args.certificate:.150}: {exc}".splitlines()) + "\n")
         return 1
     _emit(None, (_dumps({"n": doc["n"], "schema": doc["schema"],
                          "steps": sum(len(t["steps"]) for t in doc["traces"]),

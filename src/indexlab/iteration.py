@@ -1,59 +1,61 @@
 """Case classification and index iteration for completely non-degenerate maps.
 
-A geodesic model is a normal-form decomposition of total dimension 2(n-1)
-together with the free integer parameter p of its homotopy class.  One formula
-in i(c) and the rotation numbers gives the Morse index of every iterate of all
-five case shapes; the nullity vanishes identically (bumpy hypothesis).
+A geodesic model is the census of a normal form of dimension 2(n-1), its k rotation
+numbers and its counts r of N and h of hyperbolic blocks, with the free integer parameter p
+of its homotopy class.  One formula in i(c) and the rotation numbers gives the Morse index
+of every iterate of all five case shapes; the nullity vanishes (bumpy hypothesis).
 """
 
 from __future__ import annotations
 
-from .checker import case_of
+from collections.abc import Iterable
+
+from .checker import case_of, quote
 from .exact import ExactReal, floor_scaled, same_field
-from .symplectic import Hyp, NormalFormDecomposition, Rot, decomposition_from_json
+from .symplectic import check_rho, decomposition_from_json
 
 
 class ModelInvariantError(ValueError):
     """Model data violates its case shape or parameter constraints."""
 
 
-def classify(n: int, dec: NormalFormDecomposition) -> str:
-    """The case tag "NCG1" to "NCG5" of the non-N block census: `checker.case_of` of its k
-    rotations and h hyperbolic blocks, for a decomposition of dimension 2(n-1)."""
-    dim = sum(b.dim for b in dec.blocks)
-    if dim != 2 * (n - 1):
-        raise ModelInvariantError(f"decomposition has dimension {dim}, expected "
-                                  f"{2 * (n - 1)!s:.40}")
-    return case_of(sum(isinstance(b, Rot) for b in dec.blocks),
-                   sum(isinstance(b, Hyp) for b in dec.blocks))
-
-
 class GeodesicModel:
-    """One hypothetical prime closed geodesic: blocks + homotopy parameter p.
+    """One hypothetical prime closed geodesic: the census of its normal form, and p.
 
-    Every case shape iterates by Bott's formula over its k rotation numbers rho_j,
+    The census is the rotation numbers rho_j of the k rotation blocks, in block order, and
+    the counts r of N blocks and h of hyperbolic blocks, of dimension 2k + 4r + 2h = 2(n-1)
+    and case `checker.case_of(k, h)`.  Every case shape iterates by Bott's formula,
     i(c^m) = (i(c) - k)*m + 2*sum floor(m*rho_j) + k, with i(c) = 2p + k for NCG1
     (where k = n - 2r - 1) and i(c) = p otherwise; slope = i(c) - k, const = k.
     Valid when i(c) >= 0, which is p >= 0 outside NCG1.  Instances are immutable,
-    and equal and hashed by (n, dec, p).
+    and equal, hashed, pickled and shown by (n, p, rotation_numbers, r, h).
     """
 
-    __slots__ = ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last")
+    __slots__ = ("n", "p", "rotation_numbers", "r", "h", "case", "slope", "const", "_last",
+                 "_census")
 
-    def __init__(self, n: int, dec: NormalFormDecomposition, p: int):
+    def __init__(self, n: int, p: int, rotation_numbers: Iterable[ExactReal] = (), r: int = 0,
+                 h: int = 0):
+        rhos = tuple(rotation_numbers)
+        for rho in rhos:
+            check_rho(rho, "R-block")
         if n < 2:
             raise ModelInvariantError("sphere dimension n must be >= 2")
-        case = classify(n, dec)
-        rhos = tuple(b.rho for b in dec.blocks if isinstance(b, Rot))
-        k = len(rhos)
+        if r < 0 or h < 0:
+            raise ModelInvariantError(f"r and h must be >= 0, got r = {quote(r)} and "
+                                      f"h = {quote(h)}")
+        if (dim := 2 * len(rhos) + 4 * r + 2 * h) != 2 * (n - 1):
+            raise ModelInvariantError(f"decomposition has dimension {quote(dim)}, expected "
+                                      f"{quote(2 * (n - 1))}")
+        k, case = len(rhos), case_of(len(rhos), h)
         i_c = 2 * p + k if case == "NCG1" else p
         if i_c < 0:
             raise ModelInvariantError(
-                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {i_c!s:.40}"
-                if case == "NCG1" else f"{case} requires p >= 0, got {p!s:.40}")
-        for name, value in (("n", n), ("dec", dec), ("p", p), ("case", case),
-                            ("rotation_numbers", rhos), ("slope", i_c - k), ("const", k),
-                            ("_last", [(0, None)])):
+                f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {quote(i_c, str)}"
+                if case == "NCG1" else f"{case} requires p >= 0, got {quote(p, str)}")
+        for name, value in (("n", n), ("p", p), ("rotation_numbers", rhos), ("r", r), ("h", h),
+                            ("case", case), ("slope", i_c - k), ("const", k),
+                            ("_last", [(0, None)]), ("_census", (n, p, rhos, r, h))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -62,17 +64,18 @@ class GeodesicModel:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.dec, self.p) == (other.n, other.dec, other.p)
+        return self._census == other._census
 
     def __hash__(self):
-        return hash((self.n, self.dec, self.p))
+        return hash(self._census)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, not the blocked __setattr__
-        return (GeodesicModel, (self.n, self.dec, self.p))
+        return (GeodesicModel, self._census)
 
     def __repr__(self):
-        return f"GeodesicModel(n={self.n!r}, dec={self.dec!r}, p={self.p!r}, case={self.case!r})"
+        return "GeodesicModel(n={!r}, p={!r}, rotation_numbers={!r}, r={!r}, h={!r})".format(
+            *self._census)
 
     @property
     def initial_index(self) -> int:
@@ -138,23 +141,24 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
 def _int_field(obj: dict, key: str) -> int:
     value = obj.get(key)
     if type(value) is not int:  # bool, float and str are refused, never truncated
-        raise ModelInvariantError(f"{key} must be an integer, got {value!r:.40}")
+        raise ModelInvariantError(f"{key} must be an integer, got {quote(value)}")
     return value
 
 
 def model_from_json(obj: dict) -> GeodesicModel:
     if type(obj) is not dict:
-        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {obj!r:.40}")
-    g = GeodesicModel(n=_int_field(obj, "n"), dec=decomposition_from_json(obj.get("dec")),
-                      p=_int_field(obj, "p"))
+        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {quote(obj)}")
+    n, census = _int_field(obj, "n"), decomposition_from_json(obj.get("dec"))
+    g = GeodesicModel(n, _int_field(obj, "p"), *census)
     declared = obj.get("case")
     if declared is not None and declared != g.case:
-        raise ModelInvariantError(f"declared case {declared!s:.40} does not match classified case "
-                                  f"{g.case}")
+        raise ModelInvariantError(f"declared case {quote(declared, str)} does not match "
+                                  f"classified case {g.case}")
     # mean_index sums the rotation numbers, so they must share one field
-    rots = [(i, b.rho.D) for i, b in enumerate(g.dec.blocks) if isinstance(b, Rot)]
-    for i, D in rots:
-        if not same_field(D, rots[0][1]):
-            raise ModelInvariantError(f"dec.blocks[{rots[0][0]}].rho and dec.blocks[{i}].rho "
-                                      f"lie in Q(sqrt({rots[0][1]!s:.40})) and Q(sqrt({D!s:.40}))")
+    rhos = g.rotation_numbers
+    for j, rho in enumerate(rhos):
+        if not same_field(rho.D, rhos[0].D):
+            at = [i for i, b in enumerate(obj["dec"]["blocks"]) if b["type"] == "rot"]
+            raise ModelInvariantError(f"dec.blocks[{at[0]}].rho and dec.blocks[{at[j]}].rho lie in "
+                                      f"Q(sqrt({quote(rhos[0].D)})) and Q(sqrt({quote(rho.D)}))")
     return g

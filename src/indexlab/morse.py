@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, islice, repeat
 
-from .checker import alternating_betti_sum, betti, euler_limit  # the kernel's closed forms
+from .checker import alternating_betti_sum, betti, euler_limit, quote  # the kernel's closed forms
 from .exact import ExactReal, FieldMismatchError, same_field
 from .iteration import (
     GeodesicModel,
@@ -81,7 +81,7 @@ def morse_numbers(models: list[GeodesicModel], horizon: int) -> MorseTable:
     cutoffs = [iterate_cutoff(g, horizon) for g in models]
     for idx, cut in enumerate(cutoffs):
         if cut > MAX_ITERATES:
-            raise ValueError(f"model #{idx}: iterate cutoff {cut!s:.40} at horizon {horizon} "
+            raise ValueError(f"model #{idx}: iterate cutoff {quote(cut)} at horizon {horizon} "
                              f"exceeds the limit of {MAX_ITERATES} iterates")
     for g, cut in zip(models, cutoffs):
         for m in range(1, cut + 1):
@@ -142,5 +142,5 @@ def mean_index_identity_lhs(models: list[GeodesicModel]) -> ExactReal:
     for idx, D in fields:
         if not same_field(fields[0][1], D):
             raise FieldMismatchError(f"model #{fields[0][0]} and model #{idx} lie in "
-                                     f"Q(sqrt({fields[0][1]!s:.40})) and Q(sqrt({D!s:.40}))")
+                                     f"Q(sqrt({quote(fields[0][1])})) and Q(sqrt({quote(D)}))")
     return sum(terms, ExactReal(0))

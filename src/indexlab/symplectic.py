@@ -1,21 +1,18 @@
-"""Symplectic normal-form blocks and their ordered diamond sum.
+"""Symplectic normal-form blocks, read from a model file down to their census.
 
-A linearized return map is represented by its factored normal form only:
-an ordered list of rotation blocks R(theta), twisted 4-dimensional blocks
-N(alpha, B), and hyperbolic blocks H(d).  The big matrix is never
-materialized -- every downstream formula consumes block data.
-
-Rotation angles are stored normalized as rho = theta/(2*pi), an ExactReal
-in (0, 1) \\ {1/2} that must be irrational.
+A model file gives the normal form of a linearized return map as an ordered list of rotation
+blocks R(theta), twisted 4-dimensional blocks N(alpha, B) and hyperbolic blocks H(d).  The
+reader checks every field of every block and keeps the census: the rotation numbers
+rho = theta/(2*pi) of the R blocks in block order, each an irrational ExactReal in (0, 1),
+and the counts r of N blocks and h of H blocks.  By Bott's formula and Long's splitting
+numbers, N and H blocks add nothing to the index of any iterate.
 """
-
 from __future__ import annotations
 
 import re
-from collections import namedtuple
-from collections.abc import Iterable
 from fractions import Fraction
 
+from .checker import quote
 from .exact import ExactReal
 
 
@@ -23,65 +20,11 @@ class BlockInvariantError(ValueError):
     """A block violates its defining constraints."""
 
 
-def _check_rho(rho: ExactReal, what: str) -> None:
+def check_rho(rho: ExactReal, what: str) -> None:
     if not rho.is_irrational:
         raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho!s:.40}")
     if rho.floor() != 0:  # rho is irrational, so it is never 0 or 1
         raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho!s:.40}")
-
-
-class Rot(namedtuple("Rot", "rho")):
-    """Rotation block R(theta); rho = theta/(2*pi).  Symplectic dimension 2."""
-
-    __slots__ = ()
-    dim = 2
-
-    def __new__(cls, rho: ExactReal):
-        _check_rho(rho, "R-block")
-        return super().__new__(cls, rho)
-
-
-class NBlock(namedtuple("NBlock", "rho B")):
-    """Twisted block N(alpha, B); rho = alpha/(2*pi).  Symplectic dimension 4.
-
-    B is an arbitrary rational 2x2 matrix; it does not influence the index
-    iteration and is checked when a block is built, then never read.
-    """
-
-    __slots__ = ()
-    dim = 4
-
-    def __new__(cls, rho: ExactReal, B=((0, 0), (0, 0))):
-        _check_rho(rho, "N-block")
-        B = tuple(tuple(Fraction(x) for x in row) for row in B)
-        if len(B) != 2 or any(len(row) != 2 for row in B):
-            raise BlockInvariantError("B must be a 2x2 matrix")
-        return super().__new__(cls, rho, B)
-
-
-class Hyp(namedtuple("Hyp", "d")):
-    """Hyperbolic block H(d) = diag(d, 1/d), d not in {0, +1, -1}.  Dimension 2."""
-
-    __slots__ = ()
-    dim = 2
-
-    def __new__(cls, d: Fraction):
-        d = Fraction(d)
-        if d in (0, 1, -1):
-            raise BlockInvariantError(f"hyperbolic parameter must avoid {{0, 1, -1}}, got {d}")
-        return super().__new__(cls, d)
-
-
-Block = Rot | NBlock | Hyp
-
-
-class NormalFormDecomposition(namedtuple("NormalFormDecomposition", "blocks")):
-    """Ordered diamond-sum of normal-form blocks."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocks: Iterable[Block] = ()):
-        return super().__new__(cls, tuple(blocks))
 
 
 # -- JSON input ------------------------------------------------------------
@@ -99,7 +42,7 @@ def _exact_number(value, name: str) -> Fraction:
             return Fraction(int(m[1]), int(m[2] or 1))
     except ValueError:  # more digits than int() converts
         pass
-    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {value!r:.40}")
+    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {quote(value)}")
 
 
 def _exact_real(value, path: str) -> ExactReal:
@@ -108,37 +51,45 @@ def _exact_real(value, path: str) -> ExactReal:
             return ExactReal.parse(value)
     except ValueError:  # no literal of the form, or more digits than int() converts
         pass
-    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {value!r:.40}')
+    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {quote(value)}')
 
 
-def block_from_json(obj: dict, path: str) -> Block:
-    """The block of a JSON object; each error names the path of its field and its value."""
+def block_from_json(obj: dict, path: str) -> tuple[str, ExactReal | None]:
+    """The type of a JSON block and its rotation number, None for a hyp block.  Every field is
+    checked, B of an N block before rho and its entries after; each error names the path of
+    its field and its value."""
     if type(obj) is not dict:
-        raise BlockInvariantError(f'{path} must be an object with a "type", got {obj!r:.40}')
+        raise BlockInvariantError(f'{path} must be an object with a "type", got {quote(obj)}')
     kind = obj.get("type")
-    if kind == "rot":
-        field, block, args = "rho", Rot, [_exact_real(obj.get("rho"), f"{path}.rho")]
-    elif kind == "hyp":
-        field, block, args = "d", Hyp, [_exact_number(obj.get("d"), f"{path}.d")]
-    elif kind == "n":
+    if kind == "hyp":
+        if (d := _exact_number(obj.get("d"), f"{path}.d")) in (0, 1, -1):
+            raise BlockInvariantError(f"{path}.d = {quote(obj['d'])}: hyperbolic parameter must "
+                                      f"avoid {{0, 1, -1}}, got {d}")
+        return kind, None
+    if kind == "n":
         B = obj.get("B", [[0, 0], [0, 0]])
         if type(B) is not list or len(B) != 2 or any(type(r) is not list or len(r) != 2 for r in B):
-            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {B!r:.40}")
-        field, block, args = "rho", NBlock, [_exact_real(obj.get("rho"), f"{path}.rho"), [
-            [_exact_number(x, f"{path}.B[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(B)]]
-    else:
-        raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {kind!r:.40}")
+            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {quote(B)}")
+    elif kind != "rot":
+        raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {quote(kind)}")
+    rho = _exact_real(obj.get("rho"), f"{path}.rho")
+    if kind == "n":
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            _exact_number(B[i][j], f"{path}.B[{i}][{j}]")
     try:
-        return block(*args)
+        check_rho(rho, "R-block" if kind == "rot" else "N-block")
     except BlockInvariantError as e:  # a value of the right type that the block refuses
-        raise BlockInvariantError(f"{path}.{field} = {obj[field]!r:.40}: {e}") from None
+        raise BlockInvariantError(f"{path}.rho = {quote(obj['rho'])}: {e}") from None
+    return kind, rho
 
 
-def decomposition_from_json(obj: dict) -> NormalFormDecomposition:
+def decomposition_from_json(obj: dict) -> tuple[tuple[ExactReal, ...], int, int]:
+    """The census of a JSON decomposition, each block checked in order: the rotation numbers
+    of its rot blocks in block order, then its counts r of N blocks and h of hyp blocks."""
     if type(obj) is not dict:
-        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {obj!r:.40}')
+        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {quote(obj)}')
     if type(blocks := obj.get("blocks")) is not list:
-        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {blocks!r:.40}")
-    return NormalFormDecomposition(block_from_json(b, f"dec.blocks[{i}]")
-                                   for i, b in enumerate(blocks))
+        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {quote(blocks)}")
+    read = [block_from_json(b, f"dec.blocks[{i}]") for i, b in enumerate(blocks)]
+    return (tuple(rho for kind, rho in read if kind == "rot"),
+            sum(kind == "n" for kind, _ in read), sum(kind == "hyp" for kind, _ in read))

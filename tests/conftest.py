@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import strategies as st
 
-from indexlab import GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot, checker
+from indexlab import GeodesicModel, checker
 from indexlab.exact import ExactReal
 
 NONSQUARE_D = [2, 3, 5, 6, 7, 10, 11, 13, 17, 19]
@@ -39,27 +39,18 @@ def random_rho(rng: random.Random, D: int) -> ExactReal:
     return x + (-x.floor())
 
 
-def _ratio(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def decomposition_json(dec: NormalFormDecomposition) -> dict:
-    """The model-file object of a decomposition: each block's type and data, in order."""
-    blocks = []
-    for b in dec.blocks:
-        if isinstance(b, Hyp):
-            blocks.append({"type": "hyp", "d": _ratio(b.d)})
-        elif isinstance(b, Rot):
-            blocks.append({"type": "rot", "rho": b.rho.serialize()})
-        else:
-            blocks.append({"type": "n", "rho": b.rho.serialize(),
-                           "B": [[_ratio(x) for x in row] for row in b.B]})
-    return {"blocks": blocks}
+# the rho of every N block that model_json writes: no output reads an N block's data
+N_RHO = "(-1+1*sqrt(2))/1"
 
 
 def model_json(g: GeodesicModel) -> dict:
-    """The model-file object that `iterate` and `morse-check` read back as g."""
-    return {"n": g.n, "p": g.p, "case": g.case, "dec": decomposition_json(g.dec)}
+    """The model-file object that `iterate` and `morse-check` read back as g: its rotation
+    blocks in order, then r N blocks with one fixed rho and no B, then h hyp blocks with d = 2,
+    as no output reads those values."""
+    blocks = ([{"type": "rot", "rho": rho.serialize()} for rho in g.rotation_numbers]
+              + [{"type": "n", "rho": N_RHO} for _ in range(g.r)]
+              + [{"type": "hyp", "d": 2} for _ in range(g.h)])
+    return {"n": g.n, "p": g.p, "case": g.case, "dec": {"blocks": blocks}}
 
 
 def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:
@@ -68,14 +59,9 @@ def random_model(rng: random.Random, n: int | None = None) -> GeodesicModel:
         n = rng.randint(2, 8)
     D = rng.choice(NONSQUARE_D)
     r = rng.randint(0, (n - 1) // 2)
-    slots = n - 1 - 2 * r
-    blocks = [NBlock(random_rho(rng, D)) for _ in range(r)]
-    n_rot = rng.randint(0, slots)
-    blocks += [Rot(random_rho(rng, D)) for _ in range(n_rot)]
-    blocks += [Hyp(Fraction(rng.choice([2, 3, -2, 5]), rng.choice([1, 7]))) for _ in range(slots - n_rot)]
-    rng.shuffle(blocks)
-    p = rng.randint(0, 4)
-    return GeodesicModel(n, NormalFormDecomposition(blocks), p)
+    k = rng.randint(0, n - 1 - 2 * r)
+    rhos = [random_rho(rng, D) for _ in range(k)]
+    return GeodesicModel(n, rng.randint(0, 4), rhos, r, n - 1 - 2 * r - k)
 
 
 def katok_models(n: int, alpha: ExactReal, weights: list[int]) -> list[GeodesicModel]:
@@ -94,8 +80,8 @@ def katok_models(n: int, alpha: ExactReal, weights: list[int]) -> list[GeodesicM
             den = alpha * (sigma * l_j) + 1
             xs = [(alpha * (tau * l_i) + 1) / den for i, l_i in enumerate(weights) if i != j
                   for tau in (1, -1)] + ([ExactReal(1) / den] if n % 2 == 0 else [])
-            models.append(GeodesicModel(n, NormalFormDecomposition(
-                [Rot(x + (-x.floor())) for x in xs]), sum(x.floor() for x in xs)))
+            models.append(GeodesicModel(n, sum(x.floor() for x in xs),
+                                        [x + (-x.floor()) for x in xs]))
     return models
 
 
@@ -107,7 +93,7 @@ SQRT2_RHOS = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), SMALL_RHO, ExactRe
 
 @st.composite
 def shaped_models(draw):
-    """A model of any case shape, with k rotations, h hyperbolic and r N blocks."""
+    """A model of any case shape, with k rotations, h hyperbolic and r N blocks: its census."""
     shape = draw(st.sampled_from(SHAPES))
     if shape == "NCG1":
         k, h = draw(st.integers(1, 3)), 0
@@ -117,9 +103,8 @@ def shaped_models(draw):
         h = draw(st.integers(0 if shape == "NCG5" else 1, 2))
     r = draw(st.integers(0 if k + h else 1, 1))
     p = draw(st.integers(-(k // 2) if shape == "NCG1" else 0, 3))  # NCG1: i(c) = 2p + k >= 0
-    blocks = ([Rot(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(k)] + [Hyp(Fraction(2))] * h
-              + [NBlock(draw(st.sampled_from(SQRT2_RHOS))) for _ in range(r)])
-    g = GeodesicModel(1 + k + h + 2 * r, NormalFormDecomposition(draw(st.permutations(blocks))), p)
+    rhos = [draw(st.sampled_from(SQRT2_RHOS)) for _ in range(k)]
+    g = GeodesicModel(1 + k + h + 2 * r, p, rhos, r, h)
     assert g.case == shape
     return g
 
@@ -142,8 +127,7 @@ def ref_floor(a: int, b: int, c: int, D: int) -> int:
 
 
 def ref_case(g) -> str:
-    k = sum(isinstance(b, Rot) for b in g.dec.blocks)
-    h = sum(isinstance(b, Hyp) for b in g.dec.blocks)
+    k, h = len(g.rotation_numbers), g.h
     if h == 0:
         return "NCG1" if k else "NCG5"
     return {0: "NCG5", 1: "NCG4"}.get(k, "NCG2" if k % 2 == 0 else "NCG3")
@@ -151,8 +135,7 @@ def ref_case(g) -> str:
 
 def ref_index(g, m: int) -> int:
     """i(c^m) by the case formulas of Long's iteration theory, spelled out."""
-    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
-    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
+    rhos, r = g.rotation_numbers, g.r
     k, n, p = len(rhos), g.n, g.p
     floors = sum(ref_floor(m * x.a, m * x.b, x.c, x.D) for x in rhos)
     case = ref_case(g)
@@ -187,9 +170,8 @@ def bott_index(g, m: int) -> int:
     i(c) is the paper's per-case statement, 2p + n - 2r - 1 for NCG1 and p otherwise.
     No floor, no slope or const and no ExactReal arithmetic.
     """
-    r = sum(isinstance(b, NBlock) for b in g.dec.blocks)
-    index = m * (2 * g.p + g.n - 2 * r - 1 if ref_case(g) == "NCG1" else g.p)
-    for x in (b.rho for b in g.dec.blocks if isinstance(b, Rot)):
+    index = m * (2 * g.p + g.n - 2 * g.r - 1 if ref_case(g) == "NCG1" else g.p)
+    for x in g.rotation_numbers:
         for j in range(1, m):  # j/m > 1 - rho, then j/m > rho, each times m*c
             index += exceeds(j * x.c - m * x.c + m * x.a, -m * x.b, x.D)
             index -= exceeds(j * x.c - m * x.a, m * x.b, x.D)

@@ -6,14 +6,13 @@ import json
 import math
 import operator
 import os
-import random
+import re
 import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -22,8 +21,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import indexlab
-from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
-                      checker, cli, iteration, morse, prover)
+from indexlab import ExactReal, GeodesicModel, checker, cli, iteration, morse, prover
 from indexlab.cli import main
 from indexlab.morse import MorseTable, betti_values, check_morse_inequalities
 
@@ -60,7 +58,7 @@ def write_models(tmp_path, models, name="models.json"):
 
 @pytest.fixture
 def ncg1_model(tmp_path):
-    g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+    g = GeodesicModel(2, 0, [RHO])
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_json(g)))
     return str(path)
@@ -179,8 +177,8 @@ class TestMorseCheck:
         # two-geodesic configuration whose Morse table equals the Betti table: with
         # 1/ihat_1 + 1/ihat_2 = 1 the iterates' degrees are complementary Beatty
         # sequences (Rayleigh's theorem), so M_q = b_q at every degree, not only at the first
-        g1 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0)
-        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)
+        g1 = GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)])
+        g2 = GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])
         path = write_models(tmp_path, [g1, g2])
         for horizon, b in ((9, [0, 1, 0, 2, 0, 2, 0, 2, 0, 2]), (20000, betti_values(2, 20000))):
             code, out, _ = run(capsys, "morse-check", "--models", path, "--horizon", str(horizon))
@@ -191,7 +189,7 @@ class TestMorseCheck:
 
     def test_violating_set_exits_one(self, capsys, tmp_path):
         # i(c^m) = 2m misses every odd degree, so M_1 = 0 < b_1 = 1 for n = 2
-        g = GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 2)
+        g = GeodesicModel(2, 2, h=1)
         path = write_models(tmp_path, [g])
         code, out, _ = run(capsys, "morse-check", "--models", path, "--horizon", "5")
         assert code == 1
@@ -199,7 +197,7 @@ class TestMorseCheck:
         assert {"q": 1, "kind": "pointwise", "lhs": 0, "rhs": 1} in violations
 
     def test_zero_mean_index_is_input_error(self, capsys, tmp_path):
-        g = GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 0)
+        g = GeodesicModel(2, 0, h=1)
         path = write_models(tmp_path, [g])
         code, _, err = run(capsys, "morse-check", "--models", path)
         assert code == 2
@@ -212,7 +210,7 @@ class TestMorseCheck:
         # lists M and b, about 24 bytes per degree.  With the whole json.dumps text of M
         # and b it was about 96; with an object and a row string per failure, about 192.
         horizon = 20000
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         path = write_models(tmp_path, [g])
         M = morse.morse_numbers([g], horizon)
         assert len(check_morse_inequalities(M, betti_values(2, horizon), horizon)) == 10000
@@ -230,16 +228,18 @@ class TestMorseCheck:
     def test_a_tiny_mean_index_is_refused_at_once(self, tmp_path):
         # rho = (1 + sqrt(2))/10**41 asks for 2.3e41 iterates at H = 10: refused before
         # any enumeration, where the loop ran until it was killed
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 10**41, 2))]), 0)
+        g = GeodesicModel(2, 0, [ExactReal(1, 1, 10**41, 2)])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-m", "indexlab.cli", "morse-check", "--models",
                                write_models(tmp_path, [g]), "--horizon", "10"],
                               env=env, capture_output=True, text=True, timeout=15)
         assert (done.returncode, done.stdout) == (2, "")
-        # the 42-digit cutoff is quoted cut to its first 40 digits, as every long value is
-        cut = f"{morse.iterate_cutoff(g, 10)!s:.40}"
-        assert done.stderr == (f"error: model #0: iterate cutoff {cut} at horizon 10 exceeds the "
-                               f"limit of {morse.MAX_ITERATES} iterates\n")
+        # the 42-digit cutoff is quoted as its first 30 digits and its count of digits, as
+        # every integer of more than 40 characters is: cut to 40, it read as a smaller number
+        cut = str(morse.iterate_cutoff(g, 10))
+        assert len(cut) == 42
+        assert done.stderr == (f"error: model #0: iterate cutoff {cut[:30]}…(42 digits) at "
+                               f"horizon 10 exceeds the limit of {morse.MAX_ITERATES} iterates\n")
 
 
 class TestMorseCheckDocument:
@@ -265,8 +265,8 @@ class TestMorseCheckDocument:
         expected = json.dumps({"horizon": horizon, "M": values, "b": b, "violations": rows},
                               sort_keys=True, separators=(",", ":")) + "\n"
         directory = tmp_path_factory.getbasetemp()
-        models = write_models(directory, [GeodesicModel(n, NormalFormDecomposition(
-            [Rot(RHO)] * (n - 1)), 0)], f"models-{n}.json")
+        models = write_models(directory, [GeodesicModel(n, 0, [RHO] * (n - 1))],
+                              f"models-{n}.json")
         argv = ["morse-check", "--models", models, "--horizon", str(horizon)]
         out_path, out, code = directory / "morse-check.json", io.StringIO(), int(bool(violations))
         with mock.patch.object(morse, "morse_numbers", lambda ms, h: MorseTable(tuple(values))):
@@ -282,11 +282,9 @@ class TestIterateDocument:
 
     @settings(max_examples=300, deadline=None)
     @given(g=shaped_models(), K=st.integers(0, 60))
-    @example(g=GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0), K=0)  # "rows":[]
-    @example(g=GeodesicModel(4, NormalFormDecomposition(  # NCG2, i(c^2) = -2
-        [Rot(SMALL_RHO), Hyp(Fraction(2)), Rot(SMALL_RHO)]), 0), K=12)
-    @example(g=GeodesicModel(5, NormalFormDecomposition(  # NCG3, i(c^2) = -3
-        [Rot(SMALL_RHO)] * 3 + [Hyp(Fraction(2))]), 0), K=12)
+    @example(g=GeodesicModel(2, 0, [RHO]), K=0)  # "rows":[]
+    @example(g=GeodesicModel(4, 0, [SMALL_RHO] * 2, h=1), K=12)  # NCG2, i(c^2) = -2
+    @example(g=GeodesicModel(5, 0, [SMALL_RHO] * 3, h=1), K=12)  # NCG3, i(c^2) = -3
     def test_bytes_equal_the_dict_dumps(self, tmp_path_factory, g, K):
         i_1 = iteration.index_of_iterate(g, 1)
         rows = []
@@ -319,7 +317,7 @@ class TestIterateDocument:
     @pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["json", "csv"])
     def test_a_mixed_field_model_is_an_input_error(self, capsys, tmp_path, extra):
         # the mean index sqrt(2) - 1 + (sqrt(5) - 1)/4 lies in no one quadratic field
-        g = GeodesicModel(3, NormalFormDecomposition([Rot(RHO), Rot(ExactReal(-1, 1, 4, 5))]), 0)
+        g = GeodesicModel(3, 0, [RHO, ExactReal(-1, 1, 4, 5)])
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(model_json(g)))
         code, out, err = run(capsys, "iterate", "--model", str(path), "--mmax", "5", *extra)
@@ -331,10 +329,10 @@ class TestIterateDocument:
 class TestIdentity:
     def test_holding_identity(self, capsys, tmp_path):
         rhos = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), ExactReal(7, -4, 8, 2)]
-        one = [GeodesicModel(4, NormalFormDecomposition([Rot(r) for r in rhos]), 0)]
+        one = [GeodesicModel(4, 0, rhos)]
         # the complementary Beatty pair of TestMorseCheck: lhs = euler_limit(2) = -1
-        pair = [GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0),
-                GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)]
+        pair = [GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)]),
+                GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])]
         for models in (one, pair):
             path = write_models(tmp_path, models)
             code, out, _ = run(capsys, "identity", "--models", path)
@@ -344,7 +342,7 @@ class TestIdentity:
             assert doc["lhs"] == doc["rhs"]
 
     def test_failing_identity(self, capsys, tmp_path):
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         path = write_models(tmp_path, [g])
         code, out, _ = run(capsys, "identity", "--models", path)
         assert code == 1
@@ -356,15 +354,15 @@ class TestIdentity:
         assert code == 2
 
     def test_mixed_dimensions_rejected(self, capsys, tmp_path):
-        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
-        g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
+        g2 = GeodesicModel(2, 0, [RHO])
+        g3 = GeodesicModel(3, 2, h=2)
         path = write_models(tmp_path, [g2, g3])
         code, _, err = run(capsys, "identity", "--models", path)
         assert code == 2
         assert err == "error: model #1: n = 3, but model #0 has n = 2\n"
 
     def test_zero_mean_index_is_input_error(self, capsys, tmp_path):
-        g = GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 0)
+        g = GeodesicModel(2, 0, h=1)
         path = write_models(tmp_path, [g])
         code, _, err = run(capsys, "identity", "--models", path)
         assert code == 2
@@ -675,7 +673,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("command", ["iterate", "betti", "morse-check", "identity", "prove",
                                          "verify"])
     def test_closed_before_any_output(self, tmp_path, ncg1_model, command):
-        models = write_models(tmp_path, [GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)])
+        models = write_models(tmp_path, [GeodesicModel(2, 0, [RHO])])
         cert = tmp_path / "cert.json"
         cert.write_text(prover.certificate_json(3))
         argv = {"iterate": ["--model", ncg1_model], "betti": ["--n", "3"],
@@ -701,7 +699,7 @@ class TestFullStdout:
     @pytest.mark.parametrize("command", ["iterate", "betti", "morse-check", "identity", "prove",
                                          "verify"])
     def test_every_command(self, tmp_path, ncg1_model, command):
-        models = write_models(tmp_path, [GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)])
+        models = write_models(tmp_path, [GeodesicModel(2, 0, [RHO])])
         cert = tmp_path / "cert.json"
         cert.write_text(prover.certificate_json(3))
         argv = {"iterate": ["--model", ncg1_model], "betti": ["--n", "3"],
@@ -748,15 +746,15 @@ class TestInputFaults:
         self.check_fault(capsys, ["morse-check", "--models", path], "non-empty")
 
     def test_morse_check_rejects_mixed_dimensions(self, capsys, tmp_path):
-        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
-        g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
+        g2 = GeodesicModel(2, 0, [RHO])
+        g3 = GeodesicModel(3, 2, h=2)
         path = write_models(tmp_path, [g2, g3])
         err = self.check_fault(capsys, ["morse-check", "--models", path], "model #1")
         assert err == "error: model #1: n = 3, but model #0 has n = 2\n"
 
     def test_identity_names_the_first_model_of_another_dimension(self, capsys, tmp_path):
-        g2 = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
-        g3 = GeodesicModel(3, NormalFormDecomposition([Hyp(Fraction(2)), Hyp(Fraction(2))]), 2)
+        g2 = GeodesicModel(2, 0, [RHO])
+        g3 = GeodesicModel(3, 2, h=2)
         path = write_models(tmp_path, [g3, g3, g2, g2])
         err = self.check_fault(capsys, ["identity", "--models", path], "model #2")
         assert err == "error: model #2: n = 2, but model #0 has n = 3\n"
@@ -768,7 +766,7 @@ class TestInputFaults:
         ids=["betti-missing-dir", "prove-into-directory", "morse-check-into-directory"],
     )
     def test_unwritable_json_path(self, capsys, tmp_path, argv):
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         paths = {"MISSING/x": str(tmp_path / "missing" / "x"), "DIR": str(tmp_path)}
         if "MODELS" in argv:
             paths["MODELS"] = write_models(tmp_path, [g])
@@ -783,7 +781,7 @@ class TestInputFaults:
         ids=["mmax", "qmax", "horizon"],
     )
     def test_negative_bound(self, capsys, tmp_path, ncg1_model, argv):
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         files = {"MODEL": ncg1_model, "MODELS": write_models(tmp_path, [g])}
         argv = [files.get(a, a) for a in argv]
         self.check_fault(capsys, argv, f"{argv[-2]} must be >= 0")
@@ -795,7 +793,7 @@ class TestInputFaults:
         ids=["qmax", "horizon"],
     )
     def test_oversized_bound(self, capsys, tmp_path, argv):
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         argv = [write_models(tmp_path, [g]) if a == "MODELS" else a for a in argv]
         self.check_fault(capsys, argv, f"error: {argv[-2]} {argv[-1]} is too large (")
 
@@ -816,7 +814,7 @@ class TestInputFaults:
                                            ("p", True), ("p", 0.0), ("p", "0"), ("p", None)])
     def test_non_integer_model_field(self, capsys, tmp_path, key, value):
         # a float, bool or string is refused, never truncated to an int
-        g = GeodesicModel(2, NormalFormDecomposition([Rot(RHO)]), 0)
+        g = GeodesicModel(2, 0, [RHO])
         path = tmp_path / "model.json"
         path.write_text(json.dumps({**model_json(g), key: value}))
         self.check_fault(capsys, ["iterate", "--model", str(path)], f"{key} must be an integer")
@@ -917,15 +915,16 @@ class TestInputFaults:
     @pytest.mark.parametrize("command", ["iterate", "morse-check", "identity"])
     def test_a_model_in_two_fields_is_refused_by_name(self, capsys, tmp_path, command):
         # the model's number and the paths and fields of its first two disagreeing rotations
-        mixed = GeodesicModel(4, NormalFormDecomposition(
-            [Rot(RHO), Hyp(Fraction(2)), Rot(ExactReal(-1, 1, 1, 3))]), 0)
+        mixed = {"n": 4, "p": 0, "dec": {"blocks": [
+            {"type": "rot", "rho": RHO.serialize()}, {"type": "hyp", "d": 2},
+            {"type": "rot", "rho": ExactReal(-1, 1, 1, 3).serialize()}]}}
         message = "dec.blocks[0].rho and dec.blocks[2].rho lie in Q(sqrt(2)) and Q(sqrt(3))"
         if command == "iterate":
             path, label = tmp_path / "model.json", "model"
-            path.write_text(json.dumps(model_json(mixed)))
+            path.write_text(json.dumps(mixed))
         else:
-            good = GeodesicModel(4, NormalFormDecomposition([Rot(RHO)] * 3), 0)
-            path, label = write_models(tmp_path, [good, mixed]), "model #1"
+            path, label = tmp_path / "models.json", "model #1"
+            path.write_text(json.dumps([model_json(GeodesicModel(4, 0, [RHO] * 3)), mixed]))
         err = self.check_fault(capsys, [command, MODEL_FLAG[command], str(path)], message)
         assert err == f"error: {label}: {message}\n"
 
@@ -936,8 +935,7 @@ class TestInputFaults:
          "model #1 and model #3 lie in Q(sqrt(2)) and Q(sqrt(3))"),
     ], ids=["pair", "after-a-rational-term"])
     def test_identity_names_the_models_of_two_fields(self, capsys, tmp_path, models, message):
-        models = [GeodesicModel(2, NormalFormDecomposition([Rot(rho)]), 0) if rho else
-                  GeodesicModel(2, NormalFormDecomposition([Hyp(Fraction(2))]), 1)
+        models = [GeodesicModel(2, 0, [rho]) if rho else GeodesicModel(2, 1, h=1)
                   for rho in models]
         err = self.check_fault(capsys, ["identity", "--models", write_models(tmp_path, models)],
                                message)
@@ -952,7 +950,7 @@ class TestInputFaults:
         # the irrational parts of A's and B's terms cancel: a running sum that met C after
         # them would have been rational, and the set decided instead of refused
         rhos = {"A": RHO, "B": ExactReal(3, 1, 7, 2), "C": ExactReal(-1, 1, 1, 3)}
-        models = [GeodesicModel(2, NormalFormDecomposition([Rot(rhos[k])]), 0) for k in order]
+        models = [GeodesicModel(2, 0, [rhos[k]]) for k in order]
         err = self.check_fault(capsys, ["identity", "--models", write_models(tmp_path, models)],
                                message)
         assert err == f"error: {message}\n"
@@ -969,8 +967,8 @@ class TestInputFaults:
             rows.append(json.loads(out)["rows"])
         assert rows[0] == rows[1]
         # the Beatty pair of TestIdentity, its second rotation (sqrt(5) - 1)/4 spelled over 20
-        pair = [GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0),
-                GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-2, 1, 8, 20))]), 1)]
+        pair = [GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)]),
+                GeodesicModel(2, 1, [ExactReal(-2, 1, 8, 20)])]
         code, out, err = run(capsys, "identity", "--models", write_models(tmp_path, pair))
         assert (code, err, json.loads(out)["holds"]) == (0, "", True)
 
@@ -1090,9 +1088,14 @@ class TestUsage:
 
 # -- the model-file grammar: every field dropped or retyped is refused by name --
 
-GRAMMAR = [model_json(GeodesicModel(n, NormalFormDecomposition(blocks), p)) for n, blocks, p in [
-    (2, [Rot(RHO)], 0), (3, [NBlock(RHO, [[1, "1/2"], [0, -3]])], 0),
-    (3, [Hyp(Fraction(2)), Hyp(Fraction(-3, 7))], 1)]]
+# a model of each block kind, every field of each block written out
+GRAMMAR = [
+    {"n": 2, "p": 0, "case": "NCG1", "dec": {"blocks": [{"type": "rot", "rho": RHO.serialize()}]}},
+    {"n": 3, "p": 0, "case": "NCG5", "dec": {"blocks": [
+        {"type": "n", "rho": RHO.serialize(), "B": [["1/1", "1/2"], ["0/1", "-3/1"]]}]}},
+    {"n": 3, "p": 1, "case": "NCG5", "dec": {"blocks": [
+        {"type": "hyp", "d": "2/1"}, {"type": "hyp", "d": "-3/7"}]}},
+]
 # the JSON types each field takes, by its key; a list index is a row of B, or an entry
 TAKES = {"n": (int,), "p": (int,), "case": (str, type(None)), "dec": (dict,), "blocks": (list,),
          "type": (str,), "rho": (str,), "d": (int, str), "B": (list,), "row": (list,),
@@ -1141,13 +1144,19 @@ def test_a_dropped_or_retyped_field_is_refused_by_name(tmp_path_factory, data):
 RHOS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(5))/4", "(1+1*sqrt(5))/4",
         "(1+1*sqrt(2))/1", "(1+1*sqrt(2))/0"]
 ODD = [None, True, -1, 0, 1, 3, 2.5, float("inf"), float("nan"), 10**40, "2", "1/0", "x\ny", [], {}]
-VALID = [model_json(GeodesicModel(n, NormalFormDecomposition(b), p)) for n, b, p in [
-    (2, [Rot(RHO)], 0),
-    (3, [Rot(RHO), Hyp(Fraction(2))], 2),
-    (3, [Hyp(Fraction(2)), Hyp(Fraction(-3))], 1),
-    (5, [Rot(RHO), Rot(ExactReal(7, -4, 8, 2)), Hyp(Fraction(2)), Hyp(Fraction(3))], 3),
-    (3, [NBlock(RHO)], 0),
-]]
+_ROT2 = '{"type": "rot", "rho": "(-1+1*sqrt(2))/1"}'
+VALID = [json.loads(text) for text in (
+    '{"n": 2, "p": 0, "case": "NCG1", "dec": {"blocks": [%s]}}' % _ROT2,
+    '{"n": 3, "p": 2, "case": "NCG4", "dec": {"blocks": [%s, ' % _ROT2
+    + '{"type": "hyp", "d": "2/1"}]}}',
+    '{"n": 3, "p": 1, "case": "NCG5", "dec": {"blocks": [{"type": "hyp", "d": "2/1"}, '
+    '{"type": "hyp", "d": "-3/1"}]}}',
+    '{"n": 5, "p": 3, "case": "NCG2", "dec": {"blocks": [%s, ' % _ROT2
+    + '{"type": "rot", "rho": "(7-4*sqrt(2))/8"}, {"type": "hyp", "d": "2/1"}, '
+    '{"type": "hyp", "d": "3/1"}]}}',
+    '{"n": 3, "p": 0, "case": "NCG5", "dec": {"blocks": [{"type": "n", "rho": "(-1+1*sqrt(2))/1", '
+    '"B": [["0/1", "0/1"], ["0/1", "0/1"]]}]}}',
+)]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda kids: st.lists(kids, max_size=3)
@@ -1286,6 +1295,45 @@ def test_a_long_value_is_refused_in_one_short_line(tmp_path, name, command):
     code, out, err = run_document(text, command, tmp_path / "model.json")
     assert code == 2
     assert_clean(code, out, err)
+    # an integer cut to 40 characters read as a smaller number: its refusal names its
+    # first 30 digits and its count of digits
+    assert re.findall(r"[0-9]{30}…\(([0-9]+) digits\)", err) == DIGITS.get(name, [])
+
+
+# the count of digits that the refusal of each probe of a long integer quotes
+DIGITS = {"p -10**4200": ["4201"], "NCG1 p -10**4200": ["4201"], "n 10**4200 + 1": ["4201"],
+          "rho fields": ["4000", "4000"], "model fields": ["2000", "2000"],
+          "iterate cutoff": ["2002"]}
+LONG_PATH = "p" * 100_000  # no file opens at this path: its name is too long
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--model", LONG_PATH], ["morse-check", "--models", LONG_PATH],
+    ["identity", "--models", LONG_PATH], ["verify", LONG_PATH],
+    ["betti", "--n", "2", "--json", LONG_PATH], ["prove", "--n", "2", "--json", LONG_PATH],
+], ids=lambda argv: " ".join(a if a != LONG_PATH else "PATH" for a in argv))
+def test_a_long_path_is_refused_in_one_short_line(capsys, tmp_path, monkeypatch, argv):
+    # the refusal quoted the path twice, itself and in the OSError's text: one line of
+    # 200,054 characters when reading, 200,055 when writing
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert_clean(code, out, err)
+    what = "write" if "--json" in argv else "read"
+    assert code == 2 and err.startswith(f"error: cannot {what} {'p' * 150}: [Errno 36] ")
+
+
+def test_a_long_path_to_a_file_is_quoted_cut_short(capsys, tmp_path, monkeypatch):
+    # a path of under 4,096 characters opens; the two refusals that quote it whole, of a
+    # file with no model and of a certificate that fails, were 3,852 and 3,884 characters
+    monkeypatch.chdir(tmp_path)
+    path = "./" * 1900 + "doc.json"
+    (tmp_path / "doc.json").write_text("[]")
+    assert run(capsys, "identity", "--models", path) == (
+        2, "", f"error: {path[:150]}: expected a non-empty list of models\n")
+    (tmp_path / "doc.json").write_text(json.dumps({"schema": 6, "n": 1, "traces": []}))
+    assert run(capsys, "verify", path) == (
+        1, "", f"{path[:150]}: not a certificate: schema 6, integer n >= 2, traces; got "
+               "schema = 6, n = 1\n")
 
 
 STRETCHED = "\0stretched"  # stands for a million-digit JSON number in the written text
@@ -1312,17 +1360,34 @@ def spoiled(model):
             yield json.dumps(doc).replace(json.dumps(STRETCHED), "9" * MILLION)
 
 
+# a model file of each case shape: N blocks, hyp blocks of several d, blocks in mixed order
+SHAPED = """\
+{"n": 6, "p": 4, "case": "NCG1", "dec": {"blocks": [{"type": "rot", "rho": "(-20+9*sqrt(6))/4"}, \
+{"type": "n", "rho": "(-4+2*sqrt(6))/1", "B": [["0/1", "0/1"], ["0/1", "0/1"]]}, \
+{"type": "n", "rho": "(-12+5*sqrt(6))/3", "B": [["0/1", "0/1"], ["0/1", "0/1"]]}]}}
+{"n": 7, "p": 0, "case": "NCG2", "dec": {"blocks": [{"type": "rot", "rho": "(-2+1*sqrt(5))/1"}, \
+{"type": "rot", "rho": "(0+3*sqrt(5))/8"}, {"type": "hyp", "d": "-2/7"}, \
+{"type": "hyp", "d": "3/7"}, \
+{"type": "n", "rho": "(-10+7*sqrt(5))/10", "B": [["0/1", "0/1"], ["0/1", "0/1"]]}]}}
+{"n": 7, "p": 0, "case": "NCG3", "dec": {"blocks": [{"type": "hyp", "d": "2/7"}, \
+{"type": "rot", "rho": "(-14+4*sqrt(17))/7"}, {"type": "hyp", "d": "5/7"}, \
+{"type": "rot", "rho": "(-20+5*sqrt(17))/4"}, {"type": "hyp", "d": "2/7"}, \
+{"type": "rot", "rho": "(-4+1*sqrt(17))/1"}]}}
+{"n": 7, "p": 2, "case": "NCG4", "dec": {"blocks": [{"type": "hyp", "d": "3/1"}, \
+{"type": "hyp", "d": "3/1"}, {"type": "hyp", "d": "3/1"}, \
+{"type": "rot", "rho": "(-7+2*sqrt(13))/1"}, {"type": "hyp", "d": "2/7"}, \
+{"type": "hyp", "d": "3/7"}]}}
+{"n": 2, "p": 0, "case": "NCG5", "dec": {"blocks": [{"type": "hyp", "d": "3/1"}]}}
+"""
+
+
 def corpus_models():
     """The valid models the corpus spoils: README's example, a Katok-type model, and
-    the first random model of each case shape at a fixed seed."""
-    models = [{"n": 3, "p": 2, "case": "NCG4", "dec": {"blocks": [
+    a model of each case shape."""
+    return [{"n": 3, "p": 2, "case": "NCG4", "dec": {"blocks": [
         {"type": "rot", "rho": "(-1+1*sqrt(2))/1"}, {"type": "hyp", "d": 2}]}},
-        model_json(katok_models(4, ExactReal(-2, 1, 1, 5), [1, 2])[0])]
-    rng, shapes = random.Random(46), {}
-    while len(shapes) < 5:
-        g = random_model(rng)
-        shapes.setdefault(g.case, model_json(g))
-    return models + [shapes[case] for case in sorted(shapes)]
+        model_json(katok_models(4, ExactReal(-2, 1, 1, 5), [1, 2])[0])] + [
+        json.loads(line) for line in SHAPED.splitlines()]
 
 
 def test_every_spoiled_model_exits_cleanly(tmp_path):

@@ -8,12 +8,7 @@ from hypothesis import example, given, settings
 
 from indexlab import (
     GeodesicModel,
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    Rot,
     analytic_period,
-    classify,
     critical_type,
     index_of_iterate,
     mean_index,
@@ -22,40 +17,37 @@ from indexlab.checker import _CLOSINGS, case_of
 from indexlab.cli import _iterate_rows
 from indexlab.exact import ExactReal
 from indexlab.iteration import ModelInvariantError, model_from_json
+from indexlab.symplectic import BlockInvariantError
 
 from conftest import (bott_index, katok_models, model_json, random_model, ref_case, ref_floor,
                       ref_index, shaped_models, sign_of_difference)
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-H2 = Hyp(Fraction(2))
+SMALL = ExactReal(-1, 1, 4, 2)  # (sqrt(2) - 1)/4
 
 
-def dec(*blocks):
-    return NormalFormDecomposition(blocks)
-
-
-class TestClassify:
+class TestCaseShape:
     def test_rotation_only(self):
-        assert classify(2, dec(Rot(RHO))) == "NCG1"
+        assert GeodesicModel(2, 0, [RHO]).case == "NCG1"
 
     def test_two_rotations_one_hyperbolic(self):
-        assert classify(4, dec(Rot(RHO), Rot(RHO), H2)) == "NCG2"
+        assert GeodesicModel(4, 0, [RHO, RHO], h=1).case == "NCG2"
 
     def test_all_hyperbolic(self):
-        assert classify(3, dec(H2, Hyp(Fraction(-2)))) == "NCG5"
+        assert GeodesicModel(3, 0, h=2).case == "NCG5"
 
     def test_three_rotations_one_hyperbolic(self):
-        assert classify(5, dec(Rot(RHO), Rot(RHO), Rot(RHO), H2)) == "NCG3"
+        assert GeodesicModel(5, 0, [RHO] * 3, h=1).case == "NCG3"
 
     def test_single_rotation_with_hyperbolic(self):
-        assert classify(3, dec(Rot(RHO), H2)) == "NCG4"
+        assert GeodesicModel(3, 0, [RHO], h=1).case == "NCG4"
 
     def test_pure_n_blocks(self):
-        assert classify(3, dec(NBlock(RHO))) == "NCG5"
+        assert GeodesicModel(3, 0, r=1).case == "NCG5"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelInvariantError):
-            classify(3, dec(Rot(RHO)))
+            GeodesicModel(3, 0, [RHO])
 
     # Long's normal forms by census: row h, column k = 0..5 rotation blocks.  No
     # hyperbolic block: NCG1 with a rotation, NCG5 without; with one: no rotation
@@ -71,38 +63,37 @@ class TestClassify:
         assert {(k, h): case_of(k, h) for h in range(4) for k in range(6)} == {
             (k, h): case for h, row in self.SHAPES.items() for k, case in enumerate(row)}
 
-    def test_classify_reads_the_census_through_case_of(self):
+    def test_a_model_takes_its_case_from_case_of(self):
         # every census of k rotations, r N-blocks and h hyperbolic blocks at n = 2..6
         for n in range(2, 7):
             for r in range((n - 1) // 2 + 1):
                 for k in range(n - 2 * r):
                     h = n - 1 - 2 * r - k
-                    blocks = [Rot(RHO)] * k + [NBlock(RHO)] * r + [H2] * h
-                    assert classify(n, dec(*blocks)) == self.SHAPES[min(h, 3)][min(k, 5)]
+                    g = GeodesicModel(n, k, [RHO] * k, r, h)
+                    assert g.case == self.SHAPES[min(h, 3)][min(k, 5)]
 
 
 class TestModelInvariants:
     def test_ncg1_negative_initial_index_rejected(self):
         with pytest.raises(ModelInvariantError):
-            GeodesicModel(2, dec(Rot(RHO)), p=-1)
+            GeodesicModel(2, -1, [RHO])
 
     def test_negative_p_rejected_elsewhere(self):
         with pytest.raises(ModelInvariantError):
-            GeodesicModel(3, dec(H2, H2), p=-2)
+            GeodesicModel(3, -2, h=2)
 
     def test_initial_index(self):
-        assert GeodesicModel(2, dec(Rot(RHO)), 0).initial_index == 1
-        assert GeodesicModel(3, dec(H2, H2), 3).initial_index == 3
+        assert GeodesicModel(2, 0, [RHO]).initial_index == 1
+        assert GeodesicModel(3, 3, h=2).initial_index == 3
 
 
 class TestModelValueSemantics:
-    TEXT = ("GeodesicModel(n=4, dec=NormalFormDecomposition(blocks=("
-            "Rot(rho=ExactReal(-1, 1, 1, 2)), Hyp(d=Fraction(2, 1)), "
-            "Rot(rho=ExactReal(-1, 1, 1, 3)))), p=3, case='NCG2')")
+    TEXT = ("GeodesicModel(n=4, p=3, rotation_numbers=(ExactReal(-1, 1, 1, 2), "
+            "ExactReal(-1, 1, 1, 3)), r=0, h=1)")
 
     @staticmethod
     def make():
-        return GeodesicModel(n=4, dec=dec(Rot(RHO), H2, Rot(ExactReal(-1, 1, 1, 3))), p=3)
+        return GeodesicModel(n=4, p=3, rotation_numbers=iter([RHO, ExactReal(-1, 1, 1, 3)]), h=1)
 
     def test_equal_inputs_give_equal_models_that_copy_and_pickle(self):
         g, h = self.make(), self.make()
@@ -114,44 +105,66 @@ class TestModelValueSemantics:
             assert (z.case, z.rotation_numbers, z.slope, z.const) == (
                 g.case, g.rotation_numbers, g.slope, g.const)
 
-    def test_equality_reads_n_dec_and_p(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 1)
-        assert g == GeodesicModel(2, dec(Rot(RHO)), p=1)
-        assert g != GeodesicModel(2, dec(Rot(RHO)), 2)
-        assert g != GeodesicModel(2, dec(Rot(ExactReal(-1, 1, 1, 3))), 1)
-        assert g != GeodesicModel(3, dec(Rot(RHO), Rot(RHO)), 1)
-        assert g != (2, dec(Rot(RHO)), 1) and g != g.dec
+    def test_equality_reads_n_p_and_the_census(self):
+        g = GeodesicModel(2, 1, [RHO])
+        assert g == GeodesicModel(2, p=1, rotation_numbers=(RHO,), r=0, h=0)
+        assert g != GeodesicModel(2, 2, [RHO])
+        assert g != GeodesicModel(2, 1, [ExactReal(-1, 1, 1, 3)])
+        assert g != GeodesicModel(3, 1, [RHO, RHO])
+        assert g != GeodesicModel(4, 1, [RHO], r=1)
+        assert GeodesicModel(3, 1, r=1) != GeodesicModel(3, 1, h=2)
+        # the rotation numbers are a sequence: mean_index keeps the first one's D
+        x, y = ExactReal(-1, 1, 1, 2), ExactReal(-2, 1, 2, 8)  # sqrt(2) - 1 over D = 2 and 8
+        assert x == y and GeodesicModel(3, 0, [x, RHO]) == GeodesicModel(3, 0, [y, RHO])
+        assert GeodesicModel(3, 0, [RHO, SMALL]) != GeodesicModel(3, 0, [SMALL, RHO])
+        assert g != (2, 1, (RHO,), 0, 0) and g != g.rotation_numbers
 
     def test_assignment_raises(self):
         g = self.make()
-        for attr in ("n", "dec", "p", "case", "rotation_numbers", "slope", "const", "_last",
-                     "extra"):
+        for attr in ("n", "p", "rotation_numbers", "r", "h", "case", "slope", "const", "_last",
+                     "_census", "extra"):
             with pytest.raises(AttributeError):
                 setattr(g, attr, 0)
         assert repr(g) == self.TEXT
 
-    @pytest.mark.parametrize("n, blocks, p, message", [
-        (1, (), 0, "sphere dimension n must be >= 2"),
-        (3, (Rot(RHO),), 0, "decomposition has dimension 2, expected 4"),
-        (2, (Rot(RHO),), -1, "NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got -1"),
-        (2, (H2,), -1, "NCG5 requires p >= 0, got -1"),
-        (4, (Rot(RHO), Rot(RHO), H2), -1, "NCG2 requires p >= 0, got -1"),
-        (5, (Rot(RHO), Rot(RHO), Rot(RHO), H2), -2, "NCG3 requires p >= 0, got -2"),
-        (3, (Rot(RHO), H2), -3, "NCG4 requires p >= 0, got -3"),
+    @pytest.mark.parametrize("n, census, p, message", [
+        (1, ((), 0, 0), 0, "sphere dimension n must be >= 2"),
+        (3, ((RHO,), 0, 0), 0, "decomposition has dimension 2, expected 4"),
+        (2, ((RHO,), 0, 0), -1, "NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got -1"),
+        (2, ((), 0, 1), -1, "NCG5 requires p >= 0, got -1"),
+        (4, ((RHO, RHO), 0, 1), -1, "NCG2 requires p >= 0, got -1"),
+        (5, ((RHO,) * 3, 0, 1), -2, "NCG3 requires p >= 0, got -2"),
+        (3, ((RHO,), 0, 1), -3, "NCG4 requires p >= 0, got -3"),
+        (3, ((), -1, 6), 0, "r and h must be >= 0, got r = -1 and h = 6"),
+        (3, ((), 2, -2), 0, "r and h must be >= 0, got r = 2 and h = -2"),
+        (3, ((), 0, 10**50), 0,
+         "decomposition has dimension 200000000000000000000000000000…(51 digits), expected 4"),
     ])
-    def test_each_bad_input_has_its_message(self, n, blocks, p, message):
+    def test_each_bad_input_has_its_message(self, n, census, p, message):
         with pytest.raises(ModelInvariantError) as info:
-            GeodesicModel(n, dec(*blocks), p)
+            GeodesicModel(n, p, *census)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rho, message", [
+        (ExactReal(1, 0, 3), "R-block rotation number must be irrational, got (1+0*sqrt(0))/3"),
+        (ExactReal(1, 1, 1, 2), "R-block rotation number must lie in (0, 1), got (1+1*sqrt(2))/1"),
+        (ExactReal(-3, 1, 1, 2),
+         "R-block rotation number must lie in (0, 1), got (-3+1*sqrt(2))/1"),
+    ])
+    def test_each_rotation_number_is_checked(self, rho, message):
+        # before n and the census: a rotation block was built, and checked, first
+        with pytest.raises(BlockInvariantError) as info:
+            GeodesicModel(1, -5, [RHO, rho], -1)
         assert str(info.value) == message
 
 
 class TestIndexOfIterate:
     def test_ncg5_linear(self):
-        g = GeodesicModel(3, dec(H2, H2), p=2)
+        g = GeodesicModel(3, 2, h=2)
         assert index_of_iterate(g, 3) == 6
 
     def test_ncg1_floor_formula(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), p=0)
+        g = GeodesicModel(2, 0, [RHO])
         assert index_of_iterate(g, 3) == 3  # floor(3(sqrt(2)-1)) = 1
 
     def test_first_iterate_matches_initial_index(self, rng):
@@ -162,7 +175,7 @@ class TestIndexOfIterate:
     def test_ncg1_ncg4_boundary_agreement(self):
         # a single rotation with no hyperbolic blocks classifies as NCG1,
         # and the NCG4 formula evaluates identically there with p' = i(c)
-        g = GeodesicModel(2, dec(Rot(RHO)), p=1)
+        g = GeodesicModel(2, 1, [RHO])
         for m in range(1, 30):
             i_ncg1 = index_of_iterate(g, m)
             p4 = g.initial_index
@@ -180,17 +193,17 @@ class TestIndexOfIterate:
 
 class TestMeanIndex:
     def test_ncg5(self):
-        assert mean_index(GeodesicModel(3, dec(H2, H2), 2)) == ExactReal(2)
+        assert mean_index(GeodesicModel(3, 2, h=2)) == ExactReal(2)
 
     def test_ncg1_value(self):
-        assert mean_index(GeodesicModel(2, dec(Rot(RHO)), 0)) == ExactReal(-2, 2, 1, 2)
+        assert mean_index(GeodesicModel(2, 0, [RHO])) == ExactReal(-2, 2, 1, 2)
 
     def test_ncg4_value(self):
-        g = GeodesicModel(3, dec(Rot(RHO), H2), 1)
+        g = GeodesicModel(3, 1, [RHO], h=1)
         assert mean_index(g) == ExactReal(-2, 2, 1, 2)  # (p-1) + 2 rho
 
     def test_is_the_limit_slope(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 0)
+        g = GeodesicModel(2, 0, [RHO])
         ihat = mean_index(g)
         m = 10 ** 4
         i_m = index_of_iterate(g, m)
@@ -210,21 +223,21 @@ class TestMeanIndex:
 
 class TestAnalyticPeriod:
     @pytest.mark.parametrize(
-        "blocks,n,p,expected",
+        "census,n,p,expected",
         [
-            ((Rot(RHO),), 2, 0, 1),  # NCG1
-            ((Rot(RHO), Rot(RHO), H2), 4, 1, 2),  # NCG2, p odd
-            ((Rot(RHO), Rot(RHO), H2), 4, 2, 1),  # NCG2, p even
-            ((Rot(RHO),) * 3 + (H2,), 5, 2, 2),  # NCG3, p even
-            ((Rot(RHO),) * 3 + (H2,), 5, 1, 1),  # NCG3, p odd
-            ((Rot(RHO), H2), 3, 2, 2),  # NCG4, p even
-            ((Rot(RHO), H2), 3, 1, 1),  # NCG4, p odd
-            ((H2, H2), 3, 2, 1),  # NCG5, p even
-            ((H2, H2), 3, 1, 2),  # NCG5, p odd
+            (((RHO,), 0, 0), 2, 0, 1),  # NCG1
+            (((RHO, RHO), 0, 1), 4, 1, 2),  # NCG2, p odd
+            (((RHO, RHO), 0, 1), 4, 2, 1),  # NCG2, p even
+            (((RHO,) * 3, 0, 1), 5, 2, 2),  # NCG3, p even
+            (((RHO,) * 3, 0, 1), 5, 1, 1),  # NCG3, p odd
+            (((RHO,), 0, 1), 3, 2, 2),  # NCG4, p even
+            (((RHO,), 0, 1), 3, 1, 1),  # NCG4, p odd
+            (((), 0, 2), 3, 2, 1),  # NCG5, p even
+            (((), 0, 2), 3, 1, 2),  # NCG5, p odd
         ],
     )
-    def test_period_table(self, blocks, n, p, expected):
-        assert analytic_period(GeodesicModel(n, dec(*blocks), p)) == expected
+    def test_period_table(self, census, n, p, expected):
+        assert analytic_period(GeodesicModel(n, p, *census)) == expected
 
     def test_periodicity_and_minimality(self, rng):
         for _ in range(60):
@@ -242,11 +255,11 @@ class TestCriticalType:
             assert critical_type(random_model(rng), 1) == (1, 1)
 
     def test_ncg5_odd_p_second_iterate(self):
-        g = GeodesicModel(3, dec(H2, H2), p=1)
+        g = GeodesicModel(3, 1, h=2)
         assert critical_type(g, 2) == (-1, 0)
 
     def test_ncg1_always_positive(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 0)
+        g = GeodesicModel(2, 0, [RHO])
         for m in range(1, 50):
             assert critical_type(g, m) == (1, 1)
 
@@ -256,10 +269,50 @@ class TestJson:
         for _ in range(40):
             g = random_model(rng)
             g2 = model_from_json(model_json(g))
-            assert (g2.n, g2.p, g2.case, g2.dec.blocks) == (g.n, g.p, g.case, g.dec.blocks)
+            assert (g2.n, g2.p, g2.case, g2.rotation_numbers, g2.r, g2.h) == (
+                g.n, g.p, g.case, g.rotation_numbers, g.r, g.h)
+            assert g2 == g and hash(g2) == hash(g)
+
+    def test_files_that_differ_only_in_n_and_hyp_blocks_give_one_model(self):
+        # a hyp block's d, an N block's rho and B, and where those blocks stand among the
+        # rotation blocks: no output reads them, so they are not part of the model
+        r2, r3 = ({"type": "rot", "rho": x} for x in ("(-1+1*sqrt(2))/1", "(7-4*sqrt(2))/8"))
+        files = [[r2, r3, {"type": "hyp", "d": 2}, {"type": "n", "rho": "(-1+1*sqrt(2))/1"}],
+                 [{"type": "hyp", "d": "-3/7"}, r2, {"type": "n", "rho": "(1+1*sqrt(5))/4",
+                                                     "B": [[1, "1/2"], [0, -3]]}, r3],
+                 [r2, {"type": "n", "rho": "(-2+1*sqrt(5))/1", "B": [[0, 0], [0, 5]]}, r3,
+                  {"type": "hyp", "d": 5}]]
+        models = [model_from_json({"n": 6, "p": 3, "dec": {"blocks": b}}) for b in files]
+        want = GeodesicModel(6, 3, [RHO, ExactReal(7, -4, 8, 2)], r=1, h=1)
+        assert all(g == want and hash(g) == hash(want) and repr(g) == repr(want) for g in models)
+        # the rotation numbers keep their order
+        swapped = model_from_json({"n": 6, "p": 3, "dec": {"blocks": [r3, r2] + files[0][2:]}})
+        assert swapped != want and swapped.rotation_numbers == want.rotation_numbers[::-1]
+
+    def test_refusals_come_in_the_reader_order(self):
+        # n, every block, p, the model's checks, the declared case, then the shared field
+        doc = {"n": "x", "p": "x", "case": "NCG5", "dec": {"blocks": [
+            {"type": "rot", "rho": "(-1+1*sqrt(2))/1"}, {"type": "hyp", "d": 1},
+            {"type": "rot", "rho": "(-1+1*sqrt(3))/1"}]}}
+        steps = [("n", 4, "n must be an integer, got 'x'"),
+                 ("d", 2, "dec.blocks[1].d = 1: hyperbolic parameter must avoid {0, 1, -1}, "
+                  "got 1"),
+                 ("p", -1, "p must be an integer, got 'x'"),
+                 ("p", 1, "NCG2 requires p >= 0, got -1"),
+                 ("case", "NCG2", "declared case NCG5 does not match classified case NCG2"),
+                 (None, None, "dec.blocks[0].rho and dec.blocks[2].rho lie in Q(sqrt(2)) and "
+                  "Q(sqrt(3))")]
+        for key, fix, message in steps:
+            with pytest.raises(ValueError) as info:
+                model_from_json(doc)
+            assert str(info.value) == message
+            if key == "d":
+                doc["dec"]["blocks"][1]["d"] = fix
+            elif key:
+                doc[key] = fix
 
     def test_case_mismatch_rejected(self):
-        obj = model_json(GeodesicModel(2, dec(Rot(RHO)), 0))
+        obj = model_json(GeodesicModel(2, 0, [RHO]))
         obj["case"] = "NCG5"
         with pytest.raises(ModelInvariantError):
             model_from_json(obj)
@@ -285,7 +338,7 @@ def ref_period(g) -> int:
 
 def ref_mean_index(g) -> tuple[Fraction, Fraction]:
     """(rational part, sqrt(D) coefficient) of the mean index, per case."""
-    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    rhos = g.rotation_numbers
     k, p = len(rhos), g.p
     slope = {"NCG1": 2 * p, "NCG2": p - k, "NCG3": p - k, "NCG4": p - 1, "NCG5": p}[ref_case(g)]
     return (slope + 2 * sum(Fraction(x.a, x.c) for x in rhos),
@@ -328,7 +381,7 @@ def assert_bott(g, mmax):
     assert analytic_period(g) == (1 if all(even) else 2)
     # each rotation's brackets average rho - (1 - rho) over the circle: the mean index
     # is i(c) + sum (2*rho - 1), here as its rational part and its sqrt(D) coefficient
-    rhos = [b.rho for b in g.dec.blocks if isinstance(b, Rot)]
+    rhos = g.rotation_numbers
     ihat = mean_index(g)
     assert (Fraction(ihat.a, ihat.c), Fraction(ihat.b, ihat.c)) == (
         bott[0] + sum(2 * Fraction(x.a, x.c) - 1 for x in rhos),
@@ -341,7 +394,7 @@ class TestBott:
     @settings(max_examples=150, deadline=None)
     @given(shaped_models())
     # NCG1 with p < 0 and two N blocks: i(c) = 2p + n - 2r - 1 = 0
-    @example(GeodesicModel(7, dec(Rot(RHO), NBlock(RHO), Rot(RHO), NBlock(RHO)), -1))
+    @example(GeodesicModel(7, -1, [RHO, RHO], r=2))
     def test_every_shape(self, g):
         assert_bott(g, 60)
 

@@ -15,7 +15,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indexlab import ExactReal, GeodesicModel, NormalFormDecomposition, Rot
+from indexlab import ExactReal, GeodesicModel
 from indexlab.cli import main
 from indexlab.morse import betti_values
 
@@ -45,8 +45,8 @@ def run(tmp_path, command, models, *extra):
 
 
 def test_the_n_2_set_is_the_beatty_pair():
-    pair = [GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(1, 1, 4, 5))]), 0),
-            GeodesicModel(2, NormalFormDecomposition([Rot(ExactReal(-1, 1, 4, 5))]), 1)]
+    pair = [GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)]),
+            GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])]
     assert katok_models(2, BEATTY_ALPHA, [1]) == pair
 
 

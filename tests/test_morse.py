@@ -13,10 +13,6 @@ from hypothesis import strategies as st
 
 from indexlab import (
     GeodesicModel,
-    Hyp,
-    NBlock,
-    NormalFormDecomposition,
-    Rot,
     betti,
     check_morse_inequalities,
     euler_limit,
@@ -44,10 +40,6 @@ from conftest import (
 )
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-
-
-def dec(*blocks):
-    return NormalFormDecomposition(blocks)
 
 
 class TestBetti:
@@ -97,7 +89,7 @@ class TestPoincareSeries:
 
 class TestMorseNumbers:
     def test_single_ncg1_model(self):
-        g = GeodesicModel(2, dec(Rot(RHO)), 0)
+        g = GeodesicModel(2, 0, [RHO])
         M = morse_numbers([g], 3)
         # i(c^m) = 1, 1, 3, 3, 5, ... so m in {1, 2} land at q = 1
         assert M.values[1] == 2
@@ -108,19 +100,19 @@ class TestMorseNumbers:
         assert M.values == (0,) * 11
 
     def test_single_ncg5_even_p(self):
-        g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 2)
+        g = GeodesicModel(3, 2, h=2)
         M = morse_numbers([g], 6)
         assert M.values == (0, 0, 1, 0, 1, 0, 1)
 
     def test_zero_mean_index_rejected(self):
-        g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 0)
+        g = GeodesicModel(3, 0, h=2)
         with pytest.raises(NonTerminatingSumError):
             morse_numbers([g], 5)
 
     def test_a_cutoff_above_the_limit_is_refused_before_any_enumeration(self, monkeypatch):
         # the limit is inclusive: a cutoff equal to it runs, one above it is refused, and
         # the refusal names the model, its cutoff and the limit before any iterate is made
-        small, large = (GeodesicModel(2, dec(Rot(rho)), 0) for rho in (RHO, ExactReal(1, 1, 100, 2)))
+        small, large = (GeodesicModel(2, 0, [rho]) for rho in (RHO, ExactReal(1, 1, 100, 2)))
         horizon = 9
         cut = iterate_cutoff(large, horizon)  # floor(10 / (2 (1 + sqrt(2))/100)) = 207
         assert iterate_cutoff(small, horizon) < cut
@@ -139,8 +131,8 @@ class TestMorseNumbers:
         # the limit as shipped, not patched: a tiny mean index is refused naming it, and so
         # is rho = 1/N - (sqrt(2) - 1)/10**20 at N = 10**8 + 1, whose cutoff at H = 1 is N
         N = 10**8 + 1
-        tiny = GeodesicModel(2, dec(Rot(ExactReal(1, 1, 10**41, 2))), 0)
-        edge = GeodesicModel(2, dec(Rot(ExactReal(10**20 + N, -N, N * 10**20, 2))), 0)
+        tiny = GeodesicModel(2, 0, [ExactReal(1, 1, 10**41, 2)])
+        edge = GeodesicModel(2, 0, [ExactReal(10**20 + N, -N, N * 10**20, 2)])
         assert iterate_cutoff(edge, 1) == N
         for g in (tiny, edge):
             with pytest.raises(ValueError, match="exceeds the limit of 100000000 iterates$"):
@@ -214,10 +206,7 @@ def _shaped_model(rng: random.Random, n: int, shape: str):
         p = max(0, k - _floor(*_mean_index(0, rhos))) + rng.randint(0, 1)
     else:
         p = rng.randint(-(free // 2) if shape == "NCG1" else 0, 3)  # NCG1: i(c) >= 0
-    blocks = ([Rot(ExactReal(*x)) for x in rhos] + [NBlock(ExactReal(*_rho(rng, D))) for _ in range(r)]
-              + [Hyp(Fraction(2)) for _ in range(free - k)])
-    rng.shuffle(blocks)
-    g = GeodesicModel(n, NormalFormDecomposition(blocks), p)
+    g = GeodesicModel(n, p, [ExactReal(*x) for x in rhos], r, free - k)
     assert g.case == shape
     return g, SHAPES[shape][1](n, r, k, p), rhos
 
@@ -338,7 +327,7 @@ class TestIterateCache:
         # degrees 0..H: the table costs about 16 bytes per degree, where a cache entry
         # per iterate would cost about 140 more
         horizon = 20000
-        g = GeodesicModel(2, dec(Rot(ExactReal(0, 1, 3, 2))), 0)
+        g = GeodesicModel(2, 0, [ExactReal(0, 1, 3, 2)])
         assert iterate_cutoff(g, horizon) > horizon
         tracemalloc.start()
         try:
@@ -419,12 +408,11 @@ def _parity_pure_model(draw, n: int, D: int):
     r = draw(st.integers(0, (n - 1) // 2))
     h = draw(st.sampled_from(range(0, n - 2 * r, 2)))
     k = n - 1 - 2 * r - h
-    blocks = ([Rot(rho()) for _ in range(k)] + [NBlock(rho()) for _ in range(r)]
-              + [Hyp(Fraction(2))] * h)
+    rhos = [rho() for _ in range(k)]
     # NCG1: i(c) = 2p + k >= 0; otherwise i(c) = p >= 0
     p = draw(st.integers(-(k // 2), 3)) if h == 0 < k else k + 2 * draw(st.integers(-1, 2))
     assume(p >= 0 or h == 0 < k)
-    g = GeodesicModel(n, NormalFormDecomposition(draw(st.permutations(blocks))), p)
+    g = GeodesicModel(n, p, rhos, r, h)
     assume(mean_index(g).sign() > 0)
     return g
 
@@ -550,31 +538,31 @@ class TestMeanIndexIdentity:
     def test_single_ncg1_even_n_matches_euler_value(self):
         # three rotations in Q(sqrt(2)) summing to 3/4: mean index 3/2
         rhos = [ExactReal(-1, 1, 1, 2), ExactReal(7, -4, 8, 2), ExactReal(7, -4, 8, 2)]
-        g = GeodesicModel(4, dec(*[Rot(r) for r in rhos]), 0)
+        g = GeodesicModel(4, 0, rhos)
         assert mean_index(g) == ExactReal.from_fraction(Fraction(3, 2))
         lhs = mean_index_identity_lhs([g])
         assert lhs == ExactReal.from_fraction(euler_limit(4))
 
     def test_two_geodesic_configuration_on_the_2_sphere(self):
         # 1/(2*rho1) + 1/(2*(1+rho2)) = 1 exactly in Q(sqrt(5))
-        g1 = GeodesicModel(2, dec(Rot(ExactReal(1, 1, 4, 5))), 0)
-        g2 = GeodesicModel(2, dec(Rot(ExactReal(-1, 1, 4, 5))), 1)
+        g1 = GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)])
+        g2 = GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])
         lhs = mean_index_identity_lhs([g1, g2])
         assert lhs == ExactReal.from_fraction(euler_limit(2))
 
     def test_ncg5_even_p_has_wrong_sign_for_even_n(self):
-        g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 2)
+        g = GeodesicModel(3, 2, h=2)
         lhs = mean_index_identity_lhs([g])
         assert lhs == ExactReal.from_fraction(Fraction(1, 2))  # 1/p, positive
 
     def test_ncg5_odd_p_halves_the_weight(self):
-        g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 3)
+        g = GeodesicModel(3, 3, h=2)
         # N = 2 and the second iterate is invisible: only -1/(N*ihat) remains
         lhs = mean_index_identity_lhs([g])
         assert lhs == ExactReal.from_fraction(Fraction(-1, 6))
 
     def test_nonpositive_mean_index_rejected(self):
-        g = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 0)
+        g = GeodesicModel(3, 0, h=2)
         with pytest.raises(NonTerminatingSumError):
             mean_index_identity_lhs([g])
 
@@ -606,8 +594,8 @@ class TestMeanIndexIdentity:
         for name in ("index_of_iterate", "critical_type"):
             monkeypatch.setattr(morse, name, refused)
         monkeypatch.setattr(iteration, "floor_scaled", refused)
-        g1 = GeodesicModel(2, dec(Rot(ExactReal(1, 1, 4, 5))), 0)
-        g2 = GeodesicModel(2, dec(Rot(ExactReal(-1, 1, 4, 5))), 1)
-        odd = GeodesicModel(3, dec(Hyp(Fraction(2)), Hyp(Fraction(2))), 3)
+        g1 = GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)])
+        g2 = GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])
+        odd = GeodesicModel(3, 3, h=2)
         assert mean_index_identity_lhs([g1, g2]) == ExactReal.from_fraction(euler_limit(2))
         assert mean_index_identity_lhs([odd]) == ExactReal.from_fraction(Fraction(-1, 6))

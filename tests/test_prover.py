@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
-                      replay, verify_certificate, verify_trace)
+from indexlab import ExactReal, GeodesicModel, replay, verify_certificate, verify_trace
 from indexlab import checker, prover
 from indexlab.checker import (
     _CLOSINGS,
@@ -437,12 +436,11 @@ class TestVerifier:
 
 
 def _census_shapes(n):
-    """The shapes GeodesicModel and classify give the censuses of dimension 2(n-1): a model
-    with k rotations, r N-blocks and h hyperbolic blocks has k + 2r + h = n-1."""
+    """The shapes GeodesicModel gives the censuses of dimension 2(n-1): a model with
+    k rotations, r N-blocks and h hyperbolic blocks has k + 2r + h = n-1."""
     rho = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-    return {GeodesicModel(n, NormalFormDecomposition(
-        [Rot(rho)] * k + [NBlock(rho)] * r + [Hyp(Fraction(2))] * (n - 1 - 2 * r - k)),
-        1).case for r in range((n - 1) // 2 + 1) for k in range(n - 2 * r)}
+    return {GeodesicModel(n, 1, [rho] * k, r, n - 1 - 2 * r - k).case
+            for r in range((n - 1) // 2 + 1) for k in range(n - 2 * r)}
 
 
 def _vacuous(case):
@@ -451,7 +449,7 @@ def _vacuous(case):
 
 class TestShapeVacuity:
     def test_the_vacuous_shapes_are_those_no_census_reaches(self):
-        # GeodesicModel accepts every census and classify names its shape: the kernel
+        # GeodesicModel accepts every census and names its shape: the kernel
         # must reach exactly those shapes
         for n in range(2, 41):
             reached = _census_shapes(n)
@@ -1656,3 +1654,38 @@ class TestStepBuilder:
                     checker._Steps(n, case).add(rule, kind)
             [own] = [t for t in replay(n) if t.case == case]
             assert checker._Steps(n, case).close() == own == (case, "", [], "vacuous", "")
+
+    @pytest.mark.parametrize("n", [10**40, -10**39, "3" * 50], ids=["10**40", "-10**39", "50 3s"])
+    def test_a_long_n_is_quoted_cut_short(self, n):
+        # an int of more than 40 characters as its first 30 digits and its count of digits
+        text = ("'" + "3" * 39 if type(n) is str else
+                f"{str(n)[:30 + (n < 0)]}…({41 - (n < 0)} digits)")
+        with pytest.raises(TraceError, match=re.escape(f"at n = {text}") + "$"):
+            checker._Steps(n, "NCG6")
+        if n != 10**40:  # verify_trace takes any int n >= 2
+            with pytest.raises(TraceError, match=re.escape(f"not {text}") + "$"):
+                verify_trace(n, {})
+
+
+@pytest.mark.parametrize("value, conv, text", [
+    (5, repr, "5"), (-5, str, "-5"), (True, repr, "True"), (2.5, str, "2.5"),
+    ("x" * 100, repr, "'" + "x" * 39), ("N" * 100, str, "N" * 40),
+    (10**40 - 1, repr, "9" * 40), (-(10**39 - 1), repr, "-" + "9" * 39),
+    (10**40, repr, "1" + "0" * 29 + "…(41 digits)"),
+    (-10**39, repr, "-1" + "0" * 29 + "…(40 digits)"),
+    # past the 4,300 digits that int() and str() convert by default
+    (10**5000 + 7, repr, "1" + "0" * 29 + "…(5001 digits)"),
+    (-(10**5000 - 1), str, "-" + "9" * 30 + "…(5000 digits)"),
+], ids=["5", "-5 str", "True", "2.5 str", "100 x", "100 N str", "10**40 - 1", "1 - 10**39",
+        "10**40", "-10**39", "10**5000 + 7", "1 - 10**5000 str"])
+def test_quote_cuts_a_value_and_marks_a_cut_integer(value, conv, text):
+    assert checker.quote(value, conv) == text
+
+
+@given(st.integers(-10**120, 10**120) | st.builds(lambda e, d: 10**e + d, st.integers(30, 120),
+                                                  st.integers(-1, 1)))
+def test_quote_counts_the_digits_of_every_integer(value):
+    digits = str(value)
+    want = (digits if len(digits) <= 40 else
+            f"{digits[:30 + (value < 0)]}…({len(digits) - (value < 0)} digits)")
+    assert checker.quote(value) == want

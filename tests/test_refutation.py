@@ -27,8 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indexlab import (ExactReal, GeodesicModel, Hyp, NBlock, NormalFormDecomposition, Rot,
-                      checker, prover)
+from indexlab import ExactReal, GeodesicModel, checker, prover
 from indexlab.cli import main
 from indexlab.iteration import critical_type, index_of_iterate, mean_index
 from indexlab.morse import betti_values, iterate_cutoff
@@ -86,7 +85,7 @@ def test_an_ncg1_model_that_meets_the_identity_fails_by_the_pigeonhole_degree(tm
     assert (steps["Eq(6.7)"]["p"], steps["Eq(6.7)"]["r"]) == (0, 0)
     rhos = rotations(steps["Eq(6.9)"]["value"], steps["Eq(6.9)"]["terms"])
     assert all(rho.is_irrational and rho.floor() == 0 for rho in rhos)
-    g = GeodesicModel(n, NormalFormDecomposition([Rot(rho) for rho in rhos]), 0)
+    g = GeodesicModel(n, 0, rhos)
     assert g.initial_index == steps["Cor6.4"]["i_c"] == n - 1
 
     # i(c^k) = i(c) + 2s with s the floor sum at k: in [0, k-1] at Eq(6.11)'s iterates, and
@@ -118,8 +117,7 @@ def test_an_ncg2_model_that_meets_the_identity_fails_by_the_lemma_6_3_degree(tmp
     # two pairs: even shares moved apart, and sqrt(2) - 1 = (-1 + sqrt(2))/1 with its
     # complement, whose floor at m = 1 is 0, not the -1 of its rational part alone
     for pair in (rotations(total, 2), [SQRT2_M1, SQRT2_M1 * -1 + total]):
-        blocks = [Rot(rho) for rho in pair] + [Hyp(Fraction(2))] * (n - 3)
-        g = GeodesicModel(n, NormalFormDecomposition(blocks), p)
+        g = GeodesicModel(n, p, pair, h=n - 3)
         assert (g.case, g.initial_index) == ("NCG2", p)
 
         # The bound.  Lemma 6.3 refutes each i(c) of its hypotheses, in steps of 2, by its
@@ -170,10 +168,8 @@ def test_a_shape_closed_by_its_pin_has_no_model_that_meets_the_identity(
                 if checker.case_of(k, n - 1 - k - 2 * r) == case]
     k, r, h = data.draw(st.sampled_from(censuses))
     rng, D = data.draw(st.randoms(use_true_random=False)), data.draw(st.sampled_from(NONSQUARE_D))
-    blocks = ([Rot(random_rho(rng, D)) for _ in range(k)] + [NBlock(random_rho(rng, D))] * r
-              + [Hyp(Fraction(data.draw(st.sampled_from([2, 3, -2, 5]))))] * h)
     p = 2 * data.draw(st.integers(0, 3)) + (subcase == "p odd")
-    g = GeodesicModel(n, NormalFormDecomposition(data.draw(st.permutations(blocks))), p)
+    g = GeodesicModel(n, p, [random_rho(rng, D) for _ in range(k)], r, h)
     assert (g.case, g.initial_index) == (case, p)
     assume(mean_index(g).sign() > 0)
     code, doc = run(tmp_path_factory.getbasetemp(), "identity", g)

@@ -1,39 +1,45 @@
-import copy
-import itertools
-import json
-import pickle
+import ast
 import random
 import re
-from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indexlab import ExactReal, Hyp, NBlock, NormalFormDecomposition, Rot
-from indexlab.iteration import ModelInvariantError, classify, model_from_json
+import indexlab
+from indexlab import ExactReal, GeodesicModel, symplectic
+from indexlab.iteration import ModelInvariantError, model_from_json
 from indexlab.symplectic import BlockInvariantError, decomposition_from_json
 
-from conftest import decomposition_json, random_rho
+from conftest import random_rho
 
 RHO = ExactReal(-1, 1, 1, 2)  # sqrt(2) - 1
-RHO2 = ExactReal(-1, 1, 1, 3)  # sqrt(3) - 1
 
 
-def dumps(d: NormalFormDecomposition) -> str:
-    """The canonical JSON text of a decomposition's document."""
-    return json.dumps(decomposition_json(d), sort_keys=True, separators=(",", ":"))
+def rot(rho) -> dict:
+    """A rot block of an ExactReal, or of any other JSON value as written."""
+    return {"type": "rot", "rho": rho.serialize() if isinstance(rho, ExactReal) else rho}
+
+
+def read(*blocks):
+    """The census of a decomposition of these JSON blocks."""
+    return decomposition_from_json({"blocks": list(blocks)})
+
+
+def refusal(*blocks) -> str:
+    with pytest.raises(BlockInvariantError) as info:
+        read(*blocks)
+    return str(info.value)
 
 
 class TestBlockInvariants:
     def test_rational_rotation_rejected(self):
-        with pytest.raises(BlockInvariantError):
-            Rot(ExactReal(1, 0, 3, 0))
+        assert "irrational" in refusal(rot(ExactReal(1, 0, 3, 0)))
 
     def test_rotation_outside_unit_interval_rejected(self):
-        with pytest.raises(BlockInvariantError):
-            Rot(ExactReal(1, 1, 1, 2))  # 1 + sqrt(2) > 1
+        assert "(0, 1)" in refusal(rot(ExactReal(1, 1, 1, 2)))  # 1 + sqrt(2) > 1
 
     @given(st.integers(-60, 60), st.integers(-12, 12),
            st.integers(-40, 40).filter(bool), st.integers(0, 50))
@@ -51,154 +57,128 @@ class TestBlockInvariants:
             needle = None
         else:
             needle = "(0, 1)"
-        if needle is None:
-            Rot(ExactReal(a, b, c, D))
-        else:
-            with pytest.raises(BlockInvariantError, match=re.escape(needle)):
-                Rot(ExactReal(a, b, c, D))
+        x = ExactReal(a, b, c, D)  # as a rot block, an N block and a model's rotation number
+        for check in (lambda: read(rot(x)), lambda: read({"type": "n", "rho": x.serialize()}),
+                      lambda: GeodesicModel(2, 0, [x])):
+            if needle is None:
+                check()
+            else:
+                with pytest.raises(BlockInvariantError, match=re.escape(needle)):
+                    check()
 
     def test_hyperbolic_forbidden_parameters(self):
-        for d in (0, 1, -1):
-            with pytest.raises(BlockInvariantError):
-                Hyp(Fraction(d))
-        Hyp(Fraction(2))
-        Hyp(Fraction(-3, 7))
+        for d in (0, 1, -1, "0", "1", "-1", "-1/1", "7/7"):
+            assert "must avoid {0, 1, -1}" in refusal({"type": "hyp", "d": d})
+        assert read({"type": "hyp", "d": 2}, {"type": "hyp", "d": "-3/7"}) == ((), 0, 2)
 
     def test_nblock_matrix_shape(self):
-        with pytest.raises(BlockInvariantError):
-            NBlock(RHO, ((1, 2, 3),))  # type: ignore[arg-type]
-
-    def test_dimensions(self):
-        assert Rot(RHO).dim == 2
-        assert Hyp(Fraction(2)).dim == 2
-        assert NBlock(RHO).dim == 4
+        assert refusal({"type": "n", "rho": RHO.serialize(), "B": [[1, 2, 3]]}) == (
+            "dec.blocks[0].B must be a 2x2 matrix, got [[1, 2, 3]]")
 
 
-# one value of each block kind and of a decomposition, built twice from equal inputs,
-# with the repr each keeps
-_B = "B=((Fraction(1, 1), Fraction(2, 1)), (Fraction(1, 3), Fraction(0, 1)))"
-_ZERO_B = "B=((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1)))"
-VALUES = {
-    "Rot": (lambda: Rot(RHO), "Rot(rho=ExactReal(-1, 1, 1, 2))"),
-    "NBlock": (lambda: NBlock(RHO, ((1, 2), (Fraction(1, 3), 0))),
-               f"NBlock(rho=ExactReal(-1, 1, 1, 2), {_B})"),
-    "NBlock default B": (lambda: NBlock(rho=RHO2),
-                         f"NBlock(rho=ExactReal(-1, 1, 1, 3), {_ZERO_B})"),
-    "Hyp": (lambda: Hyp(d=-3), "Hyp(d=Fraction(-3, 1))"),
-    "empty sum": (lambda: NormalFormDecomposition(), "NormalFormDecomposition(blocks=())"),
-    "sum": (lambda: NormalFormDecomposition(blocks=iter([Rot(RHO), Hyp("1/2")])),
-            "NormalFormDecomposition(blocks=(Rot(rho=ExactReal(-1, 1, 1, 2)), "
-            "Hyp(d=Fraction(1, 2))))"),
-}
+# each block that a reader refuses for its value, and the refusal: the path and the value,
+# then the reason the block gives
+REFUSALS = [
+    (rot("(1+0*sqrt(0))/3"), "dec.blocks[0].rho = '(1+0*sqrt(0))/3': "
+     "R-block rotation number must be irrational, got (1+0*sqrt(0))/3"),
+    (rot("(1+1*sqrt(2))/1"), "dec.blocks[0].rho = '(1+1*sqrt(2))/1': "
+     "R-block rotation number must lie in (0, 1), got (1+1*sqrt(2))/1"),
+    ({"type": "n", "rho": "(1+0*sqrt(0))/2"}, "dec.blocks[0].rho = '(1+0*sqrt(0))/2': "
+     "N-block rotation number must be irrational, got (1+0*sqrt(0))/2"),
+    ({"type": "n", "rho": "(-3+1*sqrt(2))/1"}, "dec.blocks[0].rho = '(-3+1*sqrt(2))/1': "
+     "N-block rotation number must lie in (0, 1), got (-3+1*sqrt(2))/1"),
+    ({"type": "n", "rho": "(-1+1*sqrt(2))/1", "B": [[1, 2]]},
+     "dec.blocks[0].B must be a 2x2 matrix, got [[1, 2]]"),
+    ({"type": "n", "rho": "(-1+1*sqrt(2))/1", "B": [[1, 2], [3, 4], [5, 6]]},
+     "dec.blocks[0].B must be a 2x2 matrix, got [[1, 2], [3, 4], [5, 6]]"),
+    ({"type": "n", "rho": "(-1+1*sqrt(2))/1", "B": [[1, 2], [3]]},
+     "dec.blocks[0].B must be a 2x2 matrix, got [[1, 2], [3]]"),
+    ({"type": "hyp", "d": 1}, "dec.blocks[0].d = 1: hyperbolic parameter must avoid "
+     "{0, 1, -1}, got 1"),
+    ({"type": "hyp", "d": "-2/2"}, "dec.blocks[0].d = '-2/2': hyperbolic parameter must avoid "
+     "{0, 1, -1}, got -1"),
+    ({"type": "hyp", "d": "0/5"}, "dec.blocks[0].d = '0/5': hyperbolic parameter must avoid "
+     "{0, 1, -1}, got 0"),
+]
 
 
-class TestValueSemantics:
-    @pytest.mark.parametrize("name", VALUES)
-    def test_equal_inputs_give_equal_values_that_copy_and_pickle(self, name):
-        make, text = VALUES[name]
-        x, y = make(), make()
-        assert x is not y and x == y and hash(x) == hash(y) and repr(x) == text
-        for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
-            assert type(z) is type(x) and z == x and hash(z) == hash(x) and repr(z) == text
+class TestRefusals:
+    @pytest.mark.parametrize("block, message", REFUSALS)
+    def test_each_bad_block_has_its_message(self, block, message):
+        assert refusal(block) == message
 
-    @pytest.mark.parametrize("name", VALUES)
-    def test_assignment_raises(self, name):
-        make, text = VALUES[name]
-        x = make()
-        for attr in ("rho", "B", "d", "blocks", "dim", "extra"):
-            with pytest.raises(AttributeError):
-                setattr(x, attr, 0)
-        assert repr(x) == text
+    def test_the_checks_of_an_n_block_take_b_then_rho_then_the_entries(self):
+        bad_rho, bad_entry = "(1+0*sqrt(0))/2", [[0.5, 0], [0, 0]]
+        assert refusal({"type": "n", "rho": "x", "B": [[1]]}).startswith("dec.blocks[0].B ")
+        assert refusal({"type": "n", "rho": "x", "B": bad_entry}).startswith("dec.blocks[0].rho ")
+        assert refusal({"type": "n", "rho": bad_rho, "B": bad_entry}).startswith(
+            "dec.blocks[0].B[0][0] ")
+        # every block in order: the first bad block is named, whatever follows it
+        assert refusal(rot(RHO), {"type": "hyp", "d": 1}, rot("x")).startswith(
+            "dec.blocks[1].d = 1: ")
 
-    def test_a_block_equals_only_a_block_of_its_kind_and_data(self):
-        blocks = [Rot(RHO), Rot(RHO2), NBlock(RHO), NBlock(RHO2), NBlock(RHO, ((1, 0), (0, 1))),
-                  Hyp(2), Hyp(Fraction(-1, 3))]
-        for (i, a), (j, b) in itertools.product(enumerate(blocks), repeat=2):
-            assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
-            assert NormalFormDecomposition([a]) != b
-        assert NBlock(RHO) == NBlock(RHO, [[0, 0], ["0", Fraction(0)]])
-        assert Hyp(2) == Hyp("4/2") == Hyp(Fraction(2)) and hash(Hyp(2)) == hash(Hyp("4/2"))
-
-    @pytest.mark.parametrize("make, message", [
-        (lambda: Rot(ExactReal(1, 0, 3)),
-         "R-block rotation number must be irrational, got (1+0*sqrt(0))/3"),
-        (lambda: Rot(ExactReal(1, 1, 1, 2)),
-         "R-block rotation number must lie in (0, 1), got (1+1*sqrt(2))/1"),
-        (lambda: NBlock(ExactReal(1, 0, 2)),
-         "N-block rotation number must be irrational, got (1+0*sqrt(0))/2"),
-        (lambda: NBlock(ExactReal(-3, 1, 1, 2)),
-         "N-block rotation number must lie in (0, 1), got (-3+1*sqrt(2))/1"),
-        (lambda: NBlock(RHO, ((1, 2),)), "B must be a 2x2 matrix"),
-        (lambda: NBlock(RHO, ((1, 2), (3, 4), (5, 6))), "B must be a 2x2 matrix"),
-        (lambda: NBlock(RHO, ((1, 2), (3,))), "B must be a 2x2 matrix"),
-        (lambda: Hyp(1), "hyperbolic parameter must avoid {0, 1, -1}, got 1"),
-        (lambda: Hyp(Fraction(-2, 2)), "hyperbolic parameter must avoid {0, 1, -1}, got -1"),
-        (lambda: Hyp("0/5"), "hyperbolic parameter must avoid {0, 1, -1}, got 0"),
-    ])
-    def test_each_bad_input_has_its_message(self, make, message):
-        with pytest.raises(BlockInvariantError) as info:
-            make()
-        assert str(info.value) == message
+    def test_a_long_integer_is_quoted_with_its_digit_count(self):
+        assert refusal(rot(10**50)) == ('dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", '
+                                        'got 100000000000000000000000000000…(51 digits)')
+        assert refusal(rot(10**39)).endswith(", got 1" + "0" * 39)  # 40 characters, whole
 
 
 class TestDiamondSum:
     def test_dim_census(self):
         # a rotation and a hyperbolic block add 2 dimensions each, an N block 4: the census
         # k = h = 1, r = 1 has dimension 8 = 2(n - 1) at n = 5 only, and is NCG4 there
-        d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(2)), NBlock(RHO)])
-        assert classify(5, d) == "NCG4"
+        assert GeodesicModel(5, 0, [RHO], r=1, h=1).case == "NCG4"
         for n in (2, 3, 4, 6, 7):
             with pytest.raises(ModelInvariantError) as info:
-                classify(n, d)
+                GeodesicModel(n, 0, [RHO], r=1, h=1)
             assert str(info.value) == f"decomposition has dimension 8, expected {2 * (n - 1)}"
 
 
-def _random_dec(rng: random.Random) -> NormalFormDecomposition:
-    blocks = []
+def _random_blocks(rng: random.Random) -> tuple[list[dict], tuple]:
+    """Random JSON blocks, and the census they read as."""
+    blocks, rhos, r, h = [], [], 0, 0
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice(["rot", "hyp", "n"])
         if kind == "rot":
-            blocks.append(Rot(random_rho(rng, 5)))
+            rhos.append(random_rho(rng, 5))
+            blocks.append(rot(rhos[-1]))
         elif kind == "hyp":
-            blocks.append(Hyp(Fraction(rng.choice([2, -2, 3]))))
+            blocks.append({"type": "hyp", "d": rng.choice([2, -2, "3", "-1/3"])})
+            h += 1
         else:
-            blocks.append(NBlock(random_rho(rng, 5)))
-    return NormalFormDecomposition(blocks)
+            blocks.append({"type": "n", "rho": random_rho(rng, 5).serialize(),
+                           "B": [[rng.randint(-3, 3), "1/2"], [0, "-7/3"]]})
+            r += 1
+    return blocks, (tuple(rhos), r, h)
 
 
 class TestJson:
     def test_round_trip(self, rng):
         for _ in range(30):
-            d = _random_dec(rng)
-            assert decomposition_from_json(decomposition_json(d)).blocks == d.blocks
-
-    def test_deterministic_dump(self):
-        d = NormalFormDecomposition([Rot(RHO), Hyp(Fraction(-3, 7)), NBlock(RHO2)])
-        assert dumps(d) == dumps(decomposition_from_json(decomposition_json(d)))
+            blocks, census = _random_blocks(rng)
+            assert read(*blocks) == census
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             decomposition_from_json({"blocks": [{"type": "spiral"}]})
 
     def test_integers_and_fraction_strings_stay_exact(self):
-        rho = RHO.serialize()
-        d = decomposition_from_json({"blocks": [
-            {"type": "hyp", "d": 2}, {"type": "hyp", "d": "-3/7"},
-            {"type": "n", "rho": rho, "B": [[1, "1/2"], [0, "-3"]]}]})
-        assert dumps(d) == ('{"blocks":[{"d":"2/1","type":"hyp"},{"d":"-3/7","type":"hyp"},'
-                            '{"B":[["1/1","1/2"],["0/1","-3/1"]],"rho":"%s","type":"n"}]}' % rho)
+        # read exactly, never as floats: 1 + 10^-18 is no 1, and -9/9 is -1
+        assert read({"type": "hyp", "d": 2}, {"type": "hyp", "d": "-3/7"},
+                    {"type": "hyp", "d": "1000000000000000001/1000000000000000000"},
+                    {"type": "n", "rho": RHO.serialize(), "B": [[1, "1/2"], [0, "-3"]]}) == (
+            (), 1, 3)
+        assert refusal({"type": "hyp", "d": "-9/9"}).endswith("got -1")
 
     def test_an_n_block_without_b_reads_as_the_zero_matrix(self):
-        # B may be left out of a model file's N-block: the model reads as with B = 0, and
-        # the block as NBlock's own default
+        # B may be left out of a model file's N-block: the model reads as with B = 0
         def model(**b):
-            blocks = [{"type": "rot", "rho": RHO.serialize()},
-                      {"type": "n", "rho": RHO.serialize(), **b}]
+            blocks = [rot(RHO), {"type": "n", "rho": RHO.serialize(), **b}]
             return model_from_json({"n": 4, "p": 1, "dec": {"blocks": blocks}})
 
         without, zero = model(), model(B=[[0, 0], [0, 0]])
         assert without == zero and hash(without) == hash(zero)
-        assert without.dec.blocks[1] == NBlock(RHO)
+        assert without == GeodesicModel(4, 1, [RHO], r=1)
 
     @pytest.mark.parametrize("block", [
         {"type": "hyp", "d": 2.5}, {"type": "hyp", "d": 2.0}, {"type": "hyp", "d": True},
@@ -212,3 +192,17 @@ class TestJson:
         needle = re.escape(f"dec.blocks[0].{field} must be an integer or a fraction")
         with pytest.raises(BlockInvariantError, match=f"^{needle}"):
             decomposition_from_json({"blocks": [block]})
+
+
+REMOVED = ["Rot", "NBlock", "Hyp", "NormalFormDecomposition", "Block", "classify"]
+
+
+def test_the_block_classes_are_gone():
+    # the reader returns the census; the model is its census, so no block value remains
+    tree = ast.parse(Path(symplectic.__file__).read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [
+        "BlockInvariantError"]
+    for name in REMOVED:
+        assert name not in indexlab.__all__
+        assert not any(hasattr(module, name) for module in (indexlab, indexlab.symplectic,
+                                                            indexlab.iteration))
