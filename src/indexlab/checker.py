@@ -288,11 +288,12 @@ def case_of(k: int, h: int) -> str:
     return "NCG3" if k % 2 else "NCG2"
 
 
-def quote(value, conv=repr) -> str:
-    """conv(value) cut to 40 characters, as a refusal quotes it; an int longer than that is
-    quoted as its first 30 digits, "…" and its count of digits, so it never reads as smaller."""
+def quote(value, conv=repr, wide=False) -> str:
+    """conv(value) cut to 40 characters, or 150 for a dict, list, exception or `wide` path, and
+    marked "…"; an int longer than 40 characters as its first 30 digits, "…" and digit count."""
     if type(value) is not int or -10**39 < value < 10**40:
-        return f"{conv(value):.40}"
+        text, width = conv(value), 150 if wide or isinstance(value, (dict, list, Exception)) else 40
+        return text if len(text) <= width else f"{text[:width]}…"
     digits, power = 39, 10**39  # |value| >= 10**39 has more than 39 digits
     while power <= abs(value):
         digits, power = digits + 1, power * 10
@@ -325,8 +326,8 @@ class _Steps:
 
     def __init__(self, n: int, case: str, subcase: str = ""):
         if case not in _LEAST or subcase not in _subcases(n, case):
-            raise TraceError(f"{case!s:.40} {subcase!r:.40} is no case and subcase replay derives "
-                             f"at n = {quote(n)}")
+            raise TraceError(f"{quote(case, str)} {quote(subcase)} is no case and subcase replay "
+                             f"derives at n = {quote(n)}")
         self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
         self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
 
@@ -337,7 +338,7 @@ class _Steps:
         out of order before it, or missing a premise."""
         row, (n, case, _) = _TABLE.get((rule, kind)), self.scope
         if row is None or kind and kind not in _CLOSINGS[case] or n < _LEAST[case]:
-            raise TraceError(f"{case} has no step {rule!r:.40} of closing {kind!r:.40} "
+            raise TraceError(f"{case} has no step {quote(rule)} of closing {quote(kind)} "
                              f"at n = {quote(n)}")
         if self.kind:
             raise TraceError(f"a step after the {self.kind} closing")
@@ -399,21 +400,21 @@ def verify_trace(n: int, trace: dict) -> bool:
             rule = step.get("rule") if type(step) is dict else None
             values = step["values"]
             if not _plain(values):
-                raise TraceError(f"a value in {values!r:.200} is not an int or a string, "
+                raise TraceError(f"a value in {quote(values)} is not an int or a string, "
                                  "or a list or object of them")
             built.add(rule, values.get("contradiction_kind"), **values)
             if step != (want := built.steps[-1]):
-                raise TraceError(f"values {values!s:.170} are not {want['values']!s:.160}, those "
+                raise TraceError(f"values {quote(values)} are not {quote(want['values'])}, those "
                                  "the rule derives" if values != want["values"] else
-                                 f"not {want!s:.220}, the step its rule builds")
+                                 f"not {quote(want)}, the step its rule builds")
         closed = built.close()
     except TraceError as e:  # an open or uncited trace is refused at its last step
-        raise TraceError(f"step {i} ({rule!s:.40}): {e}" if trace["steps"] else str(e)) from None
+        raise TraceError(f"step {i} ({quote(rule, str)}): {e}" if trace["steps"] else e) from None
     except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
             ValueError) as e:
-        raise TraceError(f"step {i} ({rule!s:.40}): malformed values: {e!r:.100}") from e
+        raise TraceError(f"step {i} ({quote(rule, str)}): malformed values: {quote(e)}") from e
     if (closed.verdict, closed.detail) != (trace["verdict"], trace["detail"]):
-        raise TraceError(f"verdict {trace['verdict']!r:.40} and detail {trace['detail']!r:.40} "
+        raise TraceError(f"verdict {quote(trace['verdict'])} and detail {quote(trace['detail'])} "
                          f"are not {closed.verdict!r} and {closed.detail!r}, those its steps close")
     return True
 
@@ -427,7 +428,7 @@ def _frame_fault(doc, types: dict) -> str:
         if key not in doc or type(doc[key]) is not kind:
             return f"{key} of type {type(doc[key]).__name__}" if key in doc else f"no key {key!r}"
     if len(doc) > len(types):  # every declared key is there, so some other key is too
-        return f"an extra key {next(key for key in doc if key not in types)!r:.40}"
+        return f"an extra key {quote(next(key for key in doc if key not in types))}"
     return ""
 
 
@@ -448,7 +449,7 @@ def verify_certificate(doc: dict) -> bool:
     got = [(t["case"], t["subcase"]) for t in doc["traces"]]
     want = [(case, s) for case in _CLOSINGS for s in _subcases(n, case)]
     if got != want:
-        raise TraceError(f"traces {got!s:.150} are not {want}, each once in replay order")
+        raise TraceError(f"traces {quote(got)} are not {want}, each once in replay order")
     return True
 
 
@@ -463,5 +464,6 @@ if __name__ == "__main__":
         with open(sys.argv[1], encoding="utf-8") as fh:
             verify_certificate(json.load(fh))
     except (OSError, RecursionError, ValueError) as e:  # TraceError and bad JSON are ValueErrors
-        sys.exit(f"{sys.argv[1]}: {' '.join(str(e).splitlines())}")
+        why = e if isinstance(e, TraceError) else quote(e, str)  # an OSError repeats the path
+        sys.exit(" ".join(f"{quote(sys.argv[1], str, True)}: {why}".splitlines()))
     print(f"{sys.argv[1]}: verified")

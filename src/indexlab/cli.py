@@ -18,6 +18,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import checker, iteration, morse, prover
+from .checker import quote
 from .exact import ExactReal
 
 
@@ -32,8 +33,8 @@ def _emit(json_path: str | None, pieces: Iterable[str]) -> None:
             with open(json_path, "w") as fh:
                 fh.writelines(pieces)
                 fh.write("\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {json_path:.150}: {exc!s:.200}") from exc
+        except OSError as e:
+            raise ValueError(f"cannot write {quote(json_path, str, True)}: {quote(e, str)}") from e
     else:
         sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
@@ -62,7 +63,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise ValueError(f"cannot read {path:.150}: {exc!s:.200}") from exc
+        raise ValueError(f"cannot read {quote(path, str, True)}: {quote(exc, str)}") from exc
 
 
 def _parse_model(obj, label: str) -> iteration.GeodesicModel:
@@ -77,7 +78,7 @@ def _load_models(path: str) -> list[iteration.GeodesicModel]:
     payload = _load_json(path)
     entries = payload.get("models") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path:.150}: expected a non-empty list of models")
+        raise ValueError(f"{quote(path, str, True)}: expected a non-empty list of models")
     models = [_parse_model(obj, f"model #{idx}") for idx, obj in enumerate(entries)]
     for idx, g in enumerate(models):
         if g.n != models[0].n:
@@ -96,18 +97,39 @@ def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Itera
                else (m, i_m, 0, eps, k0))
 
 
+def _fits(value: int) -> bool:
+    """Whether str() converts the int, which Python refuses past sys.get_int_max_str_digits()."""
+    try:
+        return bool(str(value))
+    except ValueError:
+        return False
+
+
+def _too_long(label: str, g: iteration.GeodesicModel) -> ValueError:
+    return ValueError(f"{label}: p = {quote(g.p)}: the output would hold an integer of more "
+                      f"than {sys.get_int_max_str_digits()} digits")
+
+
 def cmd_iterate(args) -> int:
     g = _parse_model(_load_json(args.model), "model")
+    # no row's index exceeds the bound; where the bound is too long to write, the last row's index,
+    # the largest for a slope >= 0, is checked, so that no row is written before a refusal
+    bound = (abs(g.slope) + 2 * len(g.rotation_numbers)) * args.mmax + g.const
+    if not _fits(bound) and not _fits(iteration.index_of_iterate(g, args.mmax)):
+        raise _too_long("model", g)
     # each row is written as it is made, so memory does not grow with --mmax
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(("m", "i", "nu", "epsilon", "k0"))
         writer.writerows(_iterate_rows(g, args.mmax, False))
     else:
-        _emit(args.json, itertools.chain(
-            ('{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
-                g.case, iteration.mean_index(g).serialize(), iteration.analytic_period(g)),),
-            _joined(_iterate_rows(g, args.mmax, True)), ("]}",)))
+        try:
+            head = '{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
+                g.case, iteration.mean_index(g).serialize(), iteration.analytic_period(g))
+        except ValueError:  # a mean index too long to write
+            raise _too_long("model", g) from None
+        _emit(args.json, itertools.chain((head,), _joined(_iterate_rows(g, args.mmax, True)),
+                                         ("]}",)))
     return 0
 
 
@@ -147,8 +169,12 @@ def cmd_identity(args) -> int:
     lhs = morse.mean_index_identity_lhs(models)
     rhs = ExactReal.from_fraction(morse.euler_limit(n))
     holds = lhs == rhs
-    _emit(args.json, (_dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(),
-                              "holds": holds}),))
+    try:
+        text = _dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(), "holds": holds})
+    except ValueError:  # a sum too long to write: the model of the longest p is named
+        idx = max(range(len(models)), key=lambda i: abs(models[i].p))
+        raise _too_long(f"model #{idx}", models[idx]) from None
+    _emit(args.json, (text,))
     return 0 if holds else 1
 
 
@@ -163,8 +189,8 @@ def cmd_verify(args) -> int:
     doc = _load_json(args.certificate)
     try:
         checker.verify_certificate(doc)
-    except checker.TraceError as exc:  # a ValueError, which main would call an input error
-        sys.stderr.write(" ".join(f"{args.certificate:.150}: {exc}".splitlines()) + "\n")
+    except checker.TraceError as e:  # a ValueError, which main would call an input error
+        sys.stderr.write(" ".join(f"{quote(args.certificate, str, True)}: {e}".splitlines()) + "\n")
         return 1
     _emit(None, (_dumps({"n": doc["n"], "schema": doc["schema"],
                          "steps": sum(len(t["steps"]) for t in doc["traces"]),
@@ -262,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).splitlines()) or type(exc).__name__
         size = next((f for f in ("mmax", "qmax", "horizon") if hasattr(args, f)), None)
         if size and isinstance(exc, (OverflowError, MemoryError)):  # a size too large
-            message = f"--{size} {getattr(args, size)} is too large ({message})"
+            message = f"--{size} {quote(getattr(args, size))} is too large ({message})"
         sys.stderr.write(f"error: {message}\n")
         return 2
 

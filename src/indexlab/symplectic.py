@@ -21,10 +21,9 @@ class BlockInvariantError(ValueError):
 
 
 def check_rho(rho: ExactReal, what: str) -> None:
-    if not rho.is_irrational:
-        raise BlockInvariantError(f"{what} rotation number must be irrational, got {rho!s:.40}")
-    if rho.floor() != 0:  # rho is irrational, so it is never 0 or 1
-        raise BlockInvariantError(f"{what} rotation number must lie in (0, 1), got {rho!s:.40}")
+    if not rho.is_irrational or rho.floor() != 0:  # an irrational rho is never 0 or 1
+        why = "lie in (0, 1)" if rho.is_irrational else "be irrational"
+        raise BlockInvariantError(f"{what} rotation number must {why}, got {quote(rho, str)}")
 
 
 # -- JSON input ------------------------------------------------------------

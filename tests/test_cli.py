@@ -570,6 +570,27 @@ class TestVerify:
             line, end = err[:-1], err[-1:]
             assert end == "\n" and "\n" not in line and len(line) <= 400, err[:500]
 
+    def test_the_checker_file_alone_quotes_a_long_path_cut_short(self, tmp_path):
+        # the path, and the error that repeats it, were quoted whole: one line of 10,036
+        # characters for a 5,000-character path
+        done = self.check_alone(tmp_path, "p" * 5000)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert re.fullmatch(r"p{150}…: \[Errno [0-9]+\] [^\n]{100,149}…\n", done.stderr), done.stderr
+
+    def test_a_value_cut_short_is_marked(self, capsys, tmp_path, monkeypatch):
+        # at n = 10**4000 the Eq(5.5) pin's rhs is a fraction of 8,002 characters: its quote
+        # is cut, and the cut is marked, so that it does not read as a shorter number
+        self.write(tmp_path, OVERSIZED["n 10**4000"]())
+        monkeypatch.chdir(tmp_path)
+        done = self.check_alone(tmp_path, "../cert.json")
+        alone = (done.returncode, done.stdout, done.stderr)
+        for path, (code, out, err) in (("cert.json", run(capsys, "verify", "cert.json")),
+                                       ("../cert.json", alone)):
+            assert (code, out) == (1, "") and len(err) - 1 <= 400
+            assert re.fullmatch(re.escape(f"{path}: trace 0: step 0 (Eq(5.5)): values ") +
+                                r"\{.*\} are not \{'N': 1, 'rhs': '-50{100,}…, those the rule "
+                                r"derives\n", err), err
+
     def test_the_failing_step_is_named(self, capsys, tmp_path):
         path = self.write(tmp_path, TAMPERED["identity"]())
         # the NCG2 "p odd" trace is trace 2 of n = 4, after NCG1 and NCG2 "p even"; the
@@ -789,13 +810,17 @@ class TestInputFaults:
     @pytest.mark.parametrize(
         "argv",
         [["betti", "--n", "2", "--qmax", str(10**20)],
-         ["morse-check", "--models", "MODELS", "--horizon", str(10**20)]],
-        ids=["qmax", "horizon"],
+         ["morse-check", "--models", "MODELS", "--horizon", str(10**20)],
+         ["betti", "--n", "2", "--qmax", "9" * 4000]],
+        ids=["qmax", "horizon", "4000-digit qmax"],
     )
     def test_oversized_bound(self, capsys, tmp_path, argv):
         g = GeodesicModel(2, 0, [RHO])
         argv = [write_models(tmp_path, [g]) if a == "MODELS" else a for a in argv]
-        self.check_fault(capsys, argv, f"error: {argv[-2]} {argv[-1]} is too large (")
+        # a bound of more than 40 digits is quoted as its first 30 and its count of digits
+        bound = argv[-1] if len(argv[-1]) <= 40 else f"{argv[-1][:30]}…({len(argv[-1])} digits)"
+        err = self.check_fault(capsys, argv, f"error: {argv[-2]} {bound} is too large (")
+        assert len(err) - 1 <= REFUSAL_BOUND
 
     def test_out_of_memory(self, capsys, monkeypatch):
         def exhausted(n, horizon):  # as a huge list would fail, without allocating it
@@ -878,7 +903,7 @@ class TestInputFaults:
         ({"type": "hyp", "d": "1e10000000"},
          "dec.blocks[0].d must be an integer or a fraction string, got '1e10000000'"),
         ({"type": "rot", "rho": LONG_RHO},
-         f"""dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got {LONG_RHO!r:.40}"""),
+         f"""dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got {repr(LONG_RHO)[:40]}…"""),
         ({"type": "rot", "rho": "(-\u0661+1*sqrt(\u0665))/4"},
          """dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", got '(-\u0661+1*sqrt(\u0665))/4'"""),
     ], ids=["rho-abc", "rho-c-0", "rho-rational", "rho-above-1", "d-1", "d-exponent",
@@ -1319,7 +1344,7 @@ def test_a_long_path_is_refused_in_one_short_line(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, *argv)
     assert_clean(code, out, err)
     what = "write" if "--json" in argv else "read"
-    assert code == 2 and err.startswith(f"error: cannot {what} {'p' * 150}: [Errno 36] ")
+    assert code == 2 and err.startswith(f"error: cannot {what} {'p' * 150}…: [Errno 36] ")
 
 
 def test_a_long_path_to_a_file_is_quoted_cut_short(capsys, tmp_path, monkeypatch):
@@ -1329,11 +1354,63 @@ def test_a_long_path_to_a_file_is_quoted_cut_short(capsys, tmp_path, monkeypatch
     path = "./" * 1900 + "doc.json"
     (tmp_path / "doc.json").write_text("[]")
     assert run(capsys, "identity", "--models", path) == (
-        2, "", f"error: {path[:150]}: expected a non-empty list of models\n")
+        2, "", f"error: {path[:150]}…: expected a non-empty list of models\n")
     (tmp_path / "doc.json").write_text(json.dumps({"schema": 6, "n": 1, "traces": []}))
     assert run(capsys, "verify", path) == (
-        1, "", f"{path[:150]}: not a certificate: schema 6, integer n >= 2, traces; got "
+        1, "", f"{path[:150]}…: not a certificate: schema 6, integer n >= 2, traces; got "
                "schema = 6, n = 1\n")
+
+
+LIMIT = sys.get_int_max_str_digits()  # the most digits str() writes of an int, 4,300 by default
+
+
+# i(c) = 2p + 1 has LIMIT + 1 digits at the first two p, and at the third, the index of
+# iterate 5 and later
+LONG_P = {"10**LIMIT - 1": 10**LIMIT - 1, "5 * 10**(LIMIT - 1)": 5 * 10**(LIMIT - 1),
+          "10**(LIMIT - 1)": 10**(LIMIT - 1)}
+TOO_LONG = [*((name, argv) for name in LONG_P for argv in (
+    ["iterate", "--model"], ["iterate", "--csv", "--model"],
+    ["iterate", "--json", "OUT", "--model"], ["iterate", "--mmax", "10", "--model"],
+    ["identity", "--models"], ["identity", "--json", "OUT", "--models"])),
+    # the one row's index, 10**LIMIT + 1, is at most (|slope| + 2k)*mmax + k = 10**LIMIT + 3
+    ("5 * 10**(LIMIT - 1)", ["iterate", "--csv", "--mmax", "1", "--model"])]
+
+
+@pytest.mark.parametrize("name,argv", TOO_LONG, ids=[f"{name} {' '.join(argv)}"
+                                                     for name, argv in TOO_LONG])
+def test_a_model_too_long_to_write_is_refused_by_name(capsys, tmp_path, monkeypatch, name, argv):
+    # p reads, but the iterates' indices, the mean index or the identity's sum have more digits
+    # than str() writes: the refusal named no model, and iterate could write rows first
+    monkeypatch.chdir(tmp_path)
+    p = LONG_P[name]
+    model = json.dumps({**_ROT, "p": p})
+    Path("model.json").write_text(model if argv[0] == "iterate" else f"[{json.dumps(_ROT)}, {model}]")
+    code, out, err = run(capsys, *argv, "model.json")
+    label = "model" if argv[0] == "iterate" else "model #1"
+    assert (code, out, err) == (2, "", f"error: {label}: p = {str(p)[:30]}…({len(str(p))} "
+                                       f"digits): the output would hold an integer of more than "
+                                       f"{LIMIT} digits\n")
+    assert_clean(code, out, err)
+    assert not Path("OUT").exists()
+
+
+def test_a_model_too_long_to_write_is_checked_by_morse_check(capsys, tmp_path):
+    # morse-check writes only counts, so it checks the same model and finds the inequalities fail
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps([{**_ROT, "p": 10**LIMIT - 1}]))
+    code, out, err = run(capsys, "morse-check", "--models", str(path))
+    assert (code, err) == (1, "") and json.loads(out)["violations"]
+
+
+def test_a_long_p_is_written_while_its_rows_fit(capsys, tmp_path):
+    # with p = 10**(LIMIT - 1) the indices of iterates 1 to 4 have LIMIT digits: all are written
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_ROT, "p": (p := 10**(LIMIT - 1))}))
+    code, out, err = run(capsys, "iterate", "--mmax", "4", "--model", str(path))
+    assert (code, err) == (0, "")
+    # i(c^m) = 2p*m + 2*floor(m*(sqrt(2) - 1)) + 1, the floors 0, 0, 1, 1
+    assert [row["i"] for row in json.loads(out)["rows"]] == [2 * p + 1, 4 * p + 1, 6 * p + 3,
+                                                             8 * p + 3]
 
 
 STRETCHED = "\0stretched"  # stands for a million-digit JSON number in the written text

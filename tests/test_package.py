@@ -112,6 +112,27 @@ def test_no_module_holds_prose_or_a_second_rule_name(path):
 CLI = next(p for p in MODULES if p.name == "cli.py")
 
 
+def precision_cuts(path):
+    """(line, spec) of each f-string format spec of the module that cuts its value to a
+    precision, such as `!r:.40` or `:.150`, outside `checker.quote`."""
+    tree = ast.parse(path.read_text(), str(path))
+    quote = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and path.name == "checker.py" and fn.name == "quote" for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FormattedValue) and node.format_spec and id(node) not in quote:
+            spec = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                           for part in node.format_spec.values)
+            if re.search(r"\.[0-9{]", spec):
+                yield node.lineno, spec
+
+
+def test_only_quote_cuts_a_quoted_value():
+    # one quoting rule: every refusal cuts an outside value with checker.quote, which
+    # marks each cut, at 40 characters or at the one document width
+    cuts = [(path.name, *cut) for path in MODULES for cut in precision_cuts(path)]
+    assert not cuts, f"{len(cuts)} precision cuts outside checker.quote: {cuts}"
+
+
 def test_verify_reaches_nothing_in_prover():
     # cmd_verify, and every function of cli it calls, directly or through another,
     # names checker and never prover: the subcommand runs the kernel alone

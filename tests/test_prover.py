@@ -388,7 +388,8 @@ class TestVerifier:
             for t in _traces(n):
                 for i in range(len(t["steps"])):
                     for text in ("i(c) = n-1", ""):
-                        with pytest.raises(TraceError, match=rf"^step {i} \(.*\): not {{.*}}, "
+                        # the step is quoted whole, or cut and marked
+                        with pytest.raises(TraceError, match=rf"^step {i} \(.*\): not {{.*[}}…], "
                                                              "the step its rule builds$"):
                             verify_trace(n, _replaced(t, i, statement=text))
 
@@ -412,7 +413,7 @@ class TestVerifier:
         for n in range(2, 41):
             for t, old in zip(_traces(n), schema_4(n)["traces"]):
                 for i, (step, kept) in enumerate(zip(t["steps"], old["steps"])):
-                    with pytest.raises(TraceError, match=rf"step {i} \(.*\): not {{.*}}, the "
+                    with pytest.raises(TraceError, match=rf"step {i} \(.*\): not {{.*[}}…], the "
                                                          "step its rule builds$"):
                         verify_trace(n, _replaced(t, i, premises=kept["premises"]))
                     if "relation" in kept["values"]:
@@ -930,8 +931,13 @@ class TestMutations:
             for t in _traces(n):
                 for i in range(len(t["steps"])):
                     for value in (0, "", [], {}):
-                        with pytest.raises(TraceError, match="'note': .* the rule derives"):
-                            verify_trace(n, _tampered(t, i, note=value))
+                        tampered = _tampered(t, i, note=value)
+                        with pytest.raises(TraceError, match="the rule derives$") as refused:
+                            verify_trace(n, tampered)
+                        # the values as given, 'note' among them, or cut and marked
+                        given = repr(tampered["steps"][i]["values"])
+                        quoted = given if len(given) <= 150 else given[:150] + "…"
+                        assert f"values {quoted} are not" in str(refused.value)
 
     def test_values_hold_only_the_keys_of_their_row(self):
         # each step plus any one known key, valued as some step holds it, is rejected
@@ -1658,7 +1664,7 @@ class TestStepBuilder:
     @pytest.mark.parametrize("n", [10**40, -10**39, "3" * 50], ids=["10**40", "-10**39", "50 3s"])
     def test_a_long_n_is_quoted_cut_short(self, n):
         # an int of more than 40 characters as its first 30 digits and its count of digits
-        text = ("'" + "3" * 39 if type(n) is str else
+        text = ("'" + "3" * 39 + "…" if type(n) is str else
                 f"{str(n)[:30 + (n < 0)]}…({41 - (n < 0)} digits)")
         with pytest.raises(TraceError, match=re.escape(f"at n = {text}") + "$"):
             checker._Steps(n, "NCG6")
@@ -1669,17 +1675,31 @@ class TestStepBuilder:
 
 @pytest.mark.parametrize("value, conv, text", [
     (5, repr, "5"), (-5, str, "-5"), (True, repr, "True"), (2.5, str, "2.5"),
-    ("x" * 100, repr, "'" + "x" * 39), ("N" * 100, str, "N" * 40),
+    ("x" * 100, repr, "'" + "x" * 39 + "…"), ("N" * 100, str, "N" * 40 + "…"),
+    ("N" * 40, str, "N" * 40), ("N" * 150, str, "N" * 40 + "…"),
+    # a dict, a list or an exception at 150 characters
+    ({"k": "v" * 200}, repr, "{'k': '" + "v" * 143 + "…"), ([1] * 50, str, str([1] * 50)),
+    ([7] * 60, repr, str([7] * 60)[:150] + "…"), (ValueError("e" * 160), str, "e" * 150 + "…"),
+    (KeyError("k"), repr, "KeyError('k')"),
     (10**40 - 1, repr, "9" * 40), (-(10**39 - 1), repr, "-" + "9" * 39),
     (10**40, repr, "1" + "0" * 29 + "…(41 digits)"),
     (-10**39, repr, "-1" + "0" * 29 + "…(40 digits)"),
     # past the 4,300 digits that int() and str() convert by default
     (10**5000 + 7, repr, "1" + "0" * 29 + "…(5001 digits)"),
     (-(10**5000 - 1), str, "-" + "9" * 30 + "…(5000 digits)"),
-], ids=["5", "-5 str", "True", "2.5 str", "100 x", "100 N str", "10**40 - 1", "1 - 10**39",
+], ids=["5", "-5 str", "True", "2.5 str", "100 x", "100 N str", "40 N str", "150 N str",
+        "dict", "list of 50", "list of 60", "exception str", "exception repr", "10**40 - 1",
+        "1 - 10**39",
         "10**40", "-10**39", "10**5000 + 7", "1 - 10**5000 str"])
 def test_quote_cuts_a_value_and_marks_a_cut_integer(value, conv, text):
     assert checker.quote(value, conv) == text
+
+
+def test_quote_cuts_a_wide_string_at_150_characters():
+    # a path: a string quoted at the document width
+    assert checker.quote("p" * 150, str, wide=True) == "p" * 150
+    assert checker.quote("p" * 151, str, wide=True) == "p" * 150 + "…"
+    assert checker.quote("p" * 151, repr, wide=True) == "'" + "p" * 149 + "…"
 
 
 @given(st.integers(-10**120, 10**120) | st.builds(lambda e, d: 10**e + d, st.integers(30, 120),
