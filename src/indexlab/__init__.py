@@ -7,7 +7,7 @@ classification and index iteration (`iteration`), Betti/Morse bookkeeping
 (`morse`), and the mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
-from .exact import ExactReal, FieldMismatchError, floor_scaled
+from .exact import ExactReal, floor_scaled
 from .iteration import (
     GeodesicModel,
     analytic_period,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactReal",
-    "FieldMismatchError",
     "floor_scaled",
     "GeodesicModel",
     "index_of_iterate",

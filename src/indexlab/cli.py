@@ -97,17 +97,23 @@ def _iterate_rows(g: iteration.GeodesicModel, mmax: int, as_json: bool) -> Itera
                else (m, i_m, 0, eps, k0))
 
 
-def _fits(value: int) -> bool:
-    """Whether str() converts the int, which Python refuses past sys.get_int_max_str_digits()."""
+def _fits(value: int | ExactReal) -> bool:
+    """Whether str() writes the value, which it refuses for an int, or an ExactReal holding one,
+    of more than sys.get_int_max_str_digits() digits."""
     try:
         return bool(str(value))
     except ValueError:
         return False
 
 
-def _too_long(label: str, g: iteration.GeodesicModel) -> ValueError:
-    return ValueError(f"{label}: p = {quote(g.p)}: the output would hold an integer of more "
-                      f"than {sys.get_int_max_str_digits()} digits")
+def _too_long(label: str, g: iteration.GeodesicModel, rest: int | ExactReal,
+              other: str) -> ValueError:
+    """The refusal of an output that would hold an integer too long to write.  It names the
+    model's p where the output's value with p's part taken out, `rest`, fits, and otherwise
+    `other`, the value that outgrows the limit whatever p is."""
+    what = f"{label}: p = {quote(g.p)}" if _fits(rest) else other
+    return ValueError(f"{what}: the output would hold an integer of more than "
+                      f"{sys.get_int_max_str_digits()} digits")
 
 
 def cmd_iterate(args) -> int:
@@ -115,8 +121,8 @@ def cmd_iterate(args) -> int:
     # no row's index exceeds the bound; where the bound is too long to write, the last row's index,
     # the largest for a slope >= 0, is checked, so that no row is written before a refusal
     bound = (abs(g.slope) + 2 * len(g.rotation_numbers)) * args.mmax + g.const
-    if not _fits(bound) and not _fits(iteration.index_of_iterate(g, args.mmax)):
-        raise _too_long("model", g)
+    if not _fits(bound) and not _fits(last := iteration.index_of_iterate(g, args.mmax)):
+        raise _too_long("model", g, last - g.slope * args.mmax, f"--mmax {quote(args.mmax)}")
     # each row is written as it is made, so memory does not grow with --mmax
     if args.csv:
         writer = csv.writer(sys.stdout)
@@ -126,8 +132,9 @@ def cmd_iterate(args) -> int:
         try:
             head = '{"case":"%s","mean_index":"%s","period":%d,"rows":[' % (
                 g.case, iteration.mean_index(g).serialize(), iteration.analytic_period(g))
-        except ValueError:  # a mean index too long to write
-            raise _too_long("model", g) from None
+        except ValueError:  # a mean index too long to write; slope + 2*sum rho without the slope
+            raise _too_long("model", g, iteration.mean_index(g) + -g.slope,
+                            "model: mean index") from None
         _emit(args.json, itertools.chain((head,), _joined(_iterate_rows(g, args.mmax, True)),
                                          ("]}",)))
     return 0
@@ -171,9 +178,12 @@ def cmd_identity(args) -> int:
     holds = lhs == rhs
     try:
         text = _dumps({"n": n, "lhs": lhs.serialize(), "rhs": rhs.serialize(), "holds": holds})
-    except ValueError:  # a sum too long to write: the model of the longest p is named
+    except ValueError:  # a sum too long to write: the model of the longest p is named, unless
+        # the sum of the inverse mean indices without their slopes is too long as well
         idx = max(range(len(models)), key=lambda i: abs(models[i].p))
-        raise _too_long(f"model #{idx}", models[idx]) from None
+        rest = sum((iteration.mean_index(g) + -g.slope).inverse() for g in models
+                   if g.rotation_numbers)
+        raise _too_long(f"model #{idx}", models[idx], rest, "lhs, the sum over the models") from None
     _emit(args.json, (text,))
     return 0 if holds else 1
 
@@ -200,7 +210,7 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {quote(message, str, True)}")
 
 
 @functools.cache

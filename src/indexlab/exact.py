@@ -15,10 +15,6 @@ import re
 from fractions import Fraction
 
 
-class FieldMismatchError(ValueError):
-    """Raised when combining values from distinct quadratic fields."""
-
-
 def _is_perfect_square(n: int) -> bool:
     r = math.isqrt(n)
     return r * r == n
@@ -97,14 +93,14 @@ class ExactReal:
 
     def _join_field(self, other: "ExactReal") -> tuple[int, "ExactReal"]:
         """Common D for self and other, and other spelled over it; or raise
-        FieldMismatchError.  Over self's D1, (a + b*sqrt(D2))/c is
+        ValueError.  Over self's D1, (a + b*sqrt(D2))/c is
         (a*D1 + b*k*sqrt(D1))/(c*D1) with k = sqrt(D1*D2)."""
         if self.b == 0:
             return other.D, other
         if other.b == 0 or other.D == self.D:
             return self.D, other
         if not same_field(self.D, other.D):
-            raise FieldMismatchError(
+            raise ValueError(
                 f"cannot combine sqrt({self.D}) with sqrt({other.D})"
             )
         D = self.D

@@ -15,10 +15,6 @@ from .exact import ExactReal, floor_scaled, same_field
 from .symplectic import check_rho, decomposition_from_json
 
 
-class ModelInvariantError(ValueError):
-    """Model data violates its case shape or parameter constraints."""
-
-
 class GeodesicModel:
     """One hypothetical prime closed geodesic: the census of its normal form, and p.
 
@@ -40,17 +36,17 @@ class GeodesicModel:
         for rho in rhos:
             check_rho(rho, "R-block")
         if n < 2:
-            raise ModelInvariantError("sphere dimension n must be >= 2")
+            raise ValueError("sphere dimension n must be >= 2")
         if r < 0 or h < 0:
-            raise ModelInvariantError(f"r and h must be >= 0, got r = {quote(r)} and "
-                                      f"h = {quote(h)}")
+            raise ValueError(f"r and h must be >= 0, got r = {quote(r)} and "
+                             f"h = {quote(h)}")
         if (dim := 2 * len(rhos) + 4 * r + 2 * h) != 2 * (n - 1):
-            raise ModelInvariantError(f"decomposition has dimension {quote(dim)}, expected "
-                                      f"{quote(2 * (n - 1))}")
+            raise ValueError(f"decomposition has dimension {quote(dim)}, expected "
+                             f"{quote(2 * (n - 1))}")
         k, case = len(rhos), case_of(len(rhos), h)
         i_c = 2 * p + k if case == "NCG1" else p
         if i_c < 0:
-            raise ModelInvariantError(
+            raise ValueError(
                 f"NCG1 requires i(c) = 2p + (n - 2r - 1) >= 0, got {quote(i_c, str)}"
                 if case == "NCG1" else f"{case} requires p >= 0, got {quote(p, str)}")
         for name, value in (("n", n), ("p", p), ("rotation_numbers", rhos), ("r", r), ("h", h),
@@ -141,24 +137,24 @@ def critical_type(g: GeodesicModel, m: int) -> tuple[int, int]:
 def _int_field(obj: dict, key: str) -> int:
     value = obj.get(key)
     if type(value) is not int:  # bool, float and str are refused, never truncated
-        raise ModelInvariantError(f"{key} must be an integer, got {quote(value)}")
+        raise ValueError(f"{key} must be an integer, got {quote(value)}")
     return value
 
 
 def model_from_json(obj: dict) -> GeodesicModel:
     if type(obj) is not dict:
-        raise ModelInvariantError(f"a model must be an object with n, p and dec, got {quote(obj)}")
+        raise ValueError(f"a model must be an object with n, p and dec, got {quote(obj)}")
     n, census = _int_field(obj, "n"), decomposition_from_json(obj.get("dec"))
     g = GeodesicModel(n, _int_field(obj, "p"), *census)
     declared = obj.get("case")
     if declared is not None and declared != g.case:
-        raise ModelInvariantError(f"declared case {quote(declared, str)} does not match "
-                                  f"classified case {g.case}")
+        raise ValueError(f"declared case {quote(declared, str)} does not match "
+                         f"classified case {g.case}")
     # mean_index sums the rotation numbers, so they must share one field
     rhos = g.rotation_numbers
     for j, rho in enumerate(rhos):
         if not same_field(rho.D, rhos[0].D):
             at = [i for i, b in enumerate(obj["dec"]["blocks"]) if b["type"] == "rot"]
-            raise ModelInvariantError(f"dec.blocks[{at[0]}].rho and dec.blocks[{at[j]}].rho lie in "
-                                      f"Q(sqrt({quote(rhos[0].D)})) and Q(sqrt({quote(rho.D)}))")
+            raise ValueError(f"dec.blocks[{at[0]}].rho and dec.blocks[{at[j]}].rho lie in "
+                             f"Q(sqrt({quote(rhos[0].D)})) and Q(sqrt({quote(rho.D)}))")
     return g

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from itertools import chain, islice, repeat
 
 from .checker import alternating_betti_sum, betti, euler_limit, quote  # the kernel's closed forms
-from .exact import ExactReal, FieldMismatchError, same_field
+from .exact import ExactReal, same_field
 from .iteration import (
     GeodesicModel,
     analytic_period,
@@ -21,10 +21,6 @@ from .iteration import (
     index_of_iterate,
     mean_index,
 )
-
-
-class NonTerminatingSumError(ValueError):
-    """A model with non-positive mean index makes the iterate sum infinite."""
 
 
 # -- Betti numbers ---------------------------------------------------------
@@ -54,7 +50,7 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
     """
     ihat = mean_index(g)
     if ihat.sign() <= 0:
-        raise NonTerminatingSumError(
+        raise ValueError(
             "mean index must be positive for a finite Morse sum"
         )
     # the largest m with m * ihat <= horizon + n - 1
@@ -135,12 +131,12 @@ def mean_index_identity_lhs(models: list[GeodesicModel]) -> ExactReal:
     for g in models:
         ihat = mean_index(g)
         if ihat.sign() <= 0:
-            raise NonTerminatingSumError("identity requires positive mean index")
+            raise ValueError("identity requires positive mean index")
         s = -1 if g.initial_index % 2 else 1
         terms.append(ExactReal(s) / (ihat * analytic_period(g)))
     fields = [(idx, term.D) for idx, term in enumerate(terms) if term.is_irrational]
     for idx, D in fields:
         if not same_field(fields[0][1], D):
-            raise FieldMismatchError(f"model #{fields[0][0]} and model #{idx} lie in "
-                                     f"Q(sqrt({quote(fields[0][1])})) and Q(sqrt({quote(D)}))")
+            raise ValueError(f"model #{fields[0][0]} and model #{idx} lie in "
+                             f"Q(sqrt({quote(fields[0][1])})) and Q(sqrt({quote(D)}))")
     return sum(terms, ExactReal(0))

@@ -16,14 +16,10 @@ from .checker import quote
 from .exact import ExactReal
 
 
-class BlockInvariantError(ValueError):
-    """A block violates its defining constraints."""
-
-
 def check_rho(rho: ExactReal, what: str) -> None:
     if not rho.is_irrational or rho.floor() != 0:  # an irrational rho is never 0 or 1
         why = "lie in (0, 1)" if rho.is_irrational else "be irrational"
-        raise BlockInvariantError(f"{what} rotation number must {why}, got {quote(rho, str)}")
+        raise ValueError(f"{what} rotation number must {why}, got {quote(rho, str)}")
 
 
 # -- JSON input ------------------------------------------------------------
@@ -41,7 +37,7 @@ def _exact_number(value, name: str) -> Fraction:
             return Fraction(int(m[1]), int(m[2] or 1))
     except ValueError:  # more digits than int() converts
         pass
-    raise BlockInvariantError(f"{name} must be an integer or a fraction string, got {quote(value)}")
+    raise ValueError(f"{name} must be an integer or a fraction string, got {quote(value)}")
 
 
 def _exact_real(value, path: str) -> ExactReal:
@@ -50,7 +46,7 @@ def _exact_real(value, path: str) -> ExactReal:
             return ExactReal.parse(value)
     except ValueError:  # no literal of the form, or more digits than int() converts
         pass
-    raise BlockInvariantError(f'{path} must be a string "(a+b*sqrt(D))/c", got {quote(value)}')
+    raise ValueError(f'{path} must be a string "(a+b*sqrt(D))/c", got {quote(value)}')
 
 
 def block_from_json(obj: dict, path: str) -> tuple[str, ExactReal | None]:
@@ -58,17 +54,17 @@ def block_from_json(obj: dict, path: str) -> tuple[str, ExactReal | None]:
     checked, B of an N block before rho and its entries after; each error names the path of
     its field and its value."""
     if type(obj) is not dict:
-        raise BlockInvariantError(f'{path} must be an object with a "type", got {quote(obj)}')
+        raise ValueError(f'{path} must be an object with a "type", got {quote(obj)}')
     kind = obj.get("type")
     if kind == "hyp":
         if (d := _exact_number(obj.get("d"), f"{path}.d")) in (0, 1, -1):
-            raise BlockInvariantError(f"{path}.d = {quote(obj['d'])}: hyperbolic parameter must "
-                                      f"avoid {{0, 1, -1}}, got {d}")
+            raise ValueError(f"{path}.d = {quote(obj['d'])}: hyperbolic parameter must "
+                             f"avoid {{0, 1, -1}}, got {d}")
         return kind, None
     if kind == "n":
         B = obj.get("B", [[0, 0], [0, 0]])
         if type(B) is not list or len(B) != 2 or any(type(r) is not list or len(r) != 2 for r in B):
-            raise BlockInvariantError(f"{path}.B must be a 2x2 matrix, got {quote(B)}")
+            raise ValueError(f"{path}.B must be a 2x2 matrix, got {quote(B)}")
     elif kind != "rot":
         raise ValueError(f"{path}.type must be \"rot\", \"n\" or \"hyp\", got {quote(kind)}")
     rho = _exact_real(obj.get("rho"), f"{path}.rho")
@@ -77,8 +73,8 @@ def block_from_json(obj: dict, path: str) -> tuple[str, ExactReal | None]:
             _exact_number(B[i][j], f"{path}.B[{i}][{j}]")
     try:
         check_rho(rho, "R-block" if kind == "rot" else "N-block")
-    except BlockInvariantError as e:  # a value of the right type that the block refuses
-        raise BlockInvariantError(f"{path}.rho = {quote(obj['rho'])}: {e}") from None
+    except ValueError as e:  # a value of the right type that the block refuses
+        raise ValueError(f"{path}.rho = {quote(obj['rho'])}: {e}") from None
     return kind, rho
 
 
@@ -86,9 +82,9 @@ def decomposition_from_json(obj: dict) -> tuple[tuple[ExactReal, ...], int, int]
     """The census of a JSON decomposition, each block checked in order: the rotation numbers
     of its rot blocks in block order, then its counts r of N blocks and h of hyp blocks."""
     if type(obj) is not dict:
-        raise BlockInvariantError(f'dec must be an object {{"blocks": [...]}}, got {quote(obj)}')
+        raise ValueError(f'dec must be an object {{"blocks": [...]}}, got {quote(obj)}')
     if type(blocks := obj.get("blocks")) is not list:
-        raise BlockInvariantError(f"dec.blocks must be a list of blocks, got {quote(blocks)}")
+        raise ValueError(f"dec.blocks must be a list of blocks, got {quote(blocks)}")
     read = [block_from_json(b, f"dec.blocks[{i}]") for i, b in enumerate(blocks)]
     return (tuple(rho for kind, rho in read if kind == "rot"),
             sum(kind == "n" for kind, _ in read), sum(kind == "hyp" for kind, _ in read))

@@ -1361,6 +1361,31 @@ def test_a_long_path_to_a_file_is_quoted_cut_short(capsys, tmp_path, monkeypatch
                "schema = 6, n = 1\n")
 
 
+# argv that argparse itself refuses, each quoting an argument whole: (argv, the parser's prog,
+# its message); the refusal was one line as long as the argument, up to 100,063 characters
+LONG_ARGV = {
+    "--mmax of 10**5 x": (["iterate", "--model", "m", "--mmax", "x" * 100_000], "indexlab iterate",
+                          f"argument --mmax: invalid int value: '{'x' * 100_000}'"),
+    "command of 1000 z": (["z" * 1000], "indexlab", f"argument command: invalid choice: "
+                          f"'{'z' * 1000}' (choose from {COMMANDS})"),
+    "--qmax of 5000 digits": (["betti", "--n", "2", "--qmax", "9" * 5000], "indexlab betti",
+                              f"argument --qmax: invalid int value: '{'9' * 5000}'"),
+    "option of 10**4 characters": (["prove", "--n", "2", "--bogus" + "q" * 9_993], "indexlab prove",
+                                   f"unrecognized arguments: --bogus{'q' * 9_993}"),
+    "zz": (["zz"], "indexlab", f"argument command: invalid choice: 'zz' (choose from {COMMANDS})"),
+}
+
+
+@pytest.mark.parametrize("argv,prog,message", LONG_ARGV.values(), ids=LONG_ARGV)
+def test_a_long_argument_is_refused_in_one_short_line(capsys, argv, prog, message):
+    # argparse's message is quoted as a path is, cut at 150 characters and marked; the
+    # invalid choice of a short command keeps its whole list of the commands
+    code, out, err = run(capsys, *argv)
+    assert_clean(code, out, err)
+    cut = message if len(message) <= 150 else f"{message[:150]}…"
+    assert (code, err) == (2, f"error: {prog}: {cut}\n")
+
+
 LIMIT = sys.get_int_max_str_digits()  # the most digits str() writes of an int, 4,300 by default
 
 
@@ -1373,7 +1398,9 @@ TOO_LONG = [*((name, argv) for name in LONG_P for argv in (
     ["iterate", "--json", "OUT", "--model"], ["iterate", "--mmax", "10", "--model"],
     ["identity", "--models"], ["identity", "--json", "OUT", "--models"])),
     # the one row's index, 10**LIMIT + 1, is at most (|slope| + 2k)*mmax + k = 10**LIMIT + 3
-    ("5 * 10**(LIMIT - 1)", ["iterate", "--csv", "--mmax", "1", "--model"])]
+    ("5 * 10**(LIMIT - 1)", ["iterate", "--csv", "--mmax", "1", "--model"]),
+    # no row, but the mean index 2p + 2*(sqrt(2) - 1) has LIMIT + 1 digits
+    ("10**LIMIT - 1", ["iterate", "--mmax", "0", "--model"])]
 
 
 @pytest.mark.parametrize("name,argv", TOO_LONG, ids=[f"{name} {' '.join(argv)}"
@@ -1411,6 +1438,65 @@ def test_a_long_p_is_written_while_its_rows_fit(capsys, tmp_path):
     # i(c^m) = 2p*m + 2*floor(m*(sqrt(2) - 1)) + 1, the floors 0, 0, 1, 1
     assert [row["i"] for row in json.loads(out)["rows"]] == [2 * p + 1, 4 * p + 1, 6 * p + 3,
                                                              8 * p + 3]
+
+
+# two rotation numbers whose sum has a denominator of about 6,000 digits, so that at any p the
+# mean index of a model of both, and the identity's sum, hold an integer too long to write
+WIDE = {"n": 3, "p": 0, "dec": {"blocks": [
+    {"type": "rot", "rho": f"(1+1*sqrt(2))/{10**3000 + c}"} for c in (1, 3)]}}
+OUTGROWN = [
+    (["iterate", "--model"], "model: mean index"),
+    (["iterate", "--mmax", "0", "--model"], "model: mean index"),
+    (["iterate", "--json", "OUT", "--model"], "model: mean index"),
+    (["identity", "--models"], "lhs, the sum over the models"),
+    (["identity", "--json", "OUT", "--models"], "lhs, the sum over the models"),
+]
+
+
+@pytest.mark.parametrize("argv,what", OUTGROWN, ids=[" ".join(argv) for argv, _ in OUTGROWN])
+def test_a_value_too_long_to_write_whatever_p_is_is_named(capsys, tmp_path, monkeypatch, argv,
+                                                          what):
+    # the refusal named p = 0, which takes no part: the rotation numbers outgrow the limit
+    monkeypatch.chdir(tmp_path)
+    Path("model.json").write_text(json.dumps(WIDE if argv[0] == "iterate" else [WIDE]))
+    code, out, err = run(capsys, *argv, "model.json")
+    assert (code, out, err) == (2, "", f"error: {what}: the output would hold an integer of more "
+                                       f"than {LIMIT} digits\n")
+    assert not Path("OUT").exists()
+
+
+def test_a_model_whose_mean_index_is_too_long_writes_its_rows(capsys, tmp_path):
+    # the CSV table holds no mean index
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(WIDE))
+    assert run(capsys, "iterate", "--csv", "--mmax", "2", "--model", str(path)) == (
+        0, "m,i,nu,epsilon,k0\r\n1,2,0,1,1\r\n2,2,0,1,1\r\n", "")
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["json", "csv"])
+def test_an_mmax_too_long_to_write_the_last_row_is_named(tmp_path, p, csv):
+    # rho = sqrt(3)/2: whatever p is, the index 2p*m + 2*floor(m*rho) + 1 of iterate
+    # m = 9*10**(LIMIT - 1) exceeds 1.5*10**LIMIT, more digits than str() writes
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_ROT, "p": p, "dec": {"blocks": [
+        {"type": "rot", "rho": "(0+1*sqrt(3))/2"}]}}))
+    mmax = 9 * 10**(LIMIT - 1)
+    out, err = _Bounded(), io.StringIO()  # a run that writes rows fails at once, not on memory
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["iterate", *csv, "--mmax", str(mmax), "--model", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", f"error: --mmax {str(mmax)[:30]}…({LIMIT} digits): the output would hold an "
+               f"integer of more than {LIMIT} digits\n")
+
+
+class _Bounded(io.StringIO):
+    """A stdout that refuses to hold more than 10**5 characters."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 10**5:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
 
 
 STRETCHED = "\0stretched"  # stands for a million-digit JSON number in the written text

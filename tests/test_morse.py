@@ -24,7 +24,6 @@ from indexlab import iteration, morse
 from indexlab.exact import ExactReal, floor_scaled
 from indexlab.morse import (
     MorseTable,
-    NonTerminatingSumError,
     alternating_betti_sum,
     betti_values,
     iterate_cutoff,
@@ -106,7 +105,8 @@ class TestMorseNumbers:
 
     def test_zero_mean_index_rejected(self):
         g = GeodesicModel(3, 0, h=2)
-        with pytest.raises(NonTerminatingSumError):
+        message = "mean index must be positive for a finite Morse sum"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             morse_numbers([g], 5)
 
     def test_a_cutoff_above_the_limit_is_refused_before_any_enumeration(self, monkeypatch):
@@ -563,7 +563,7 @@ class TestMeanIndexIdentity:
 
     def test_nonpositive_mean_index_rejected(self):
         g = GeodesicModel(3, 0, h=2)
-        with pytest.raises(NonTerminatingSumError):
+        with pytest.raises(ValueError, match="^identity requires positive mean index$"):
             mean_index_identity_lhs([g])
 
     @staticmethod

@@ -2,6 +2,7 @@
 and no floating point."""
 
 import ast
+import builtins
 import importlib.util
 import os
 import re
@@ -131,6 +132,29 @@ def test_only_quote_cuts_a_quoted_value():
     # marks each cut, at 40 characters or at the one document width
     cuts = [(path.name, *cut) for path in MODULES for cut in precision_cuts(path)]
     assert not cuts, f"{len(cuts)} precision cuts outside checker.quote: {cuts}"
+
+
+def exception_classes():
+    """module.name of each class that the package defines and that derives from an exception,
+    a builtin one or one of the package's, whether by name or by attribute."""
+    bases = {(path.stem, node.name): {getattr(base, "id", getattr(base, "attr", None))
+                                      for base in node.bases}
+             for path in MODULES for node in nodes(path) if isinstance(node, ast.ClassDef)}
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    while more := {name for (_, name), of in bases.items() if of & errors} - errors:
+        errors |= more
+    return sorted(f"{module}.{name}" for (module, name), of in bases.items() if of & errors)
+
+
+def test_the_one_exception_class_is_trace_error():
+    # two exits, two types: a ValueError is an input error (exit 2), and its subclass
+    # TraceError a certificate the kernel refuses, which verify alone tells apart (exit 1)
+    import indexlab
+
+    found = exception_classes()
+    assert found == ["checker.TraceError"], f"{len(found)} exception classes: {found}"
+    assert not hasattr(indexlab, "FieldMismatchError")
 
 
 def test_verify_reaches_nothing_in_prover():
