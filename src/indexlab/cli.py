@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import json
+import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -164,7 +165,7 @@ def cmd_morse_check(args) -> int:
     _emit(args.json, itertools.chain(
         ('{"M":',), _int_list(M.values), (',"b":',), _int_list(b),
         (',"horizon":%d,"violations":[' % args.horizon,),
-        _joined('{"kind":"%s","lhs":%d,"q":%d,"rhs":%d}' % (kind, lhs, q, rhs)
+        _joined(f'{{"kind":"{kind}","lhs":{lhs},"q":{q},"rhs":{rhs}}}'
                 for q, kind, lhs, rhs in rows),
         ("]}",)))
     return 0 if first is None else 1
@@ -208,9 +209,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# argparse's refusals that hold an argument of argv: the text before it, the argument, and what
+# follows it, which names only this parser's own options or commands
+_HOLDS_ARGV = [re.compile(pattern, re.S) for pattern in (
+    r"(.*?: invalid choice: )(.*)( \(choose from .*\))", r"(.*?: invalid \w+ value: )(.*)()",
+    r"(.*?: ignored explicit argument )(.*)()", r"(unrecognized arguments: )(.*)()",
+    r"(ambiguous option: )(.*)( could match .*)")]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ValueError(f"{self.prog}: {quote(message, str, True)}")
+        # the argument is cut by quote, argparse's own words and lists are kept whole
+        for pattern in _HOLDS_ARGV:
+            if parts := pattern.fullmatch(message):
+                message = f"{parts[1]}{quote(parts[2], str)}{parts[3]}"
+                break
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache

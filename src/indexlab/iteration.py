@@ -51,7 +51,7 @@ class GeodesicModel:
                 if case == "NCG1" else f"{case} requires p >= 0, got {quote(p, str)}")
         for name, value in (("n", n), ("p", p), ("rotation_numbers", rhos), ("r", r), ("h", h),
                             ("case", case), ("slope", i_c - k), ("const", k),
-                            ("_last", [(0, None)]), ("_census", (n, p, rhos, r, h))):
+                            ("_last", [(None, None)]), ("_census", (n, p, rhos, r, h))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -84,17 +84,19 @@ def index_of_iterate(g: GeodesicModel, m: int) -> int:
 
     The floors vanish at m = 1, as 0 < rho_j < 1, so i(c^1) = initial_index.
     Each model caches its last result only: every repeated query asks for the
-    iterate just asked for (critical_type(g, m) follows index_of_iterate(g, m)),
-    so one entry serves every hit and memory stays O(1) per model.  The entry,
-    (0, None) before any query, is one (m, result) pair replaced by a single
-    assignment, so a concurrent reader never sees one m with another's result.
+    iterate just asked for (morse_numbers and critical_type ask again for the m
+    they have just asked for), so one entry serves every hit and memory stays O(1)
+    per model.  The entry, (None, None) before any query so that no m matches it,
+    is one (m, result) pair replaced by a single assignment, so a concurrent reader
+    never sees one m with another's result.  A hit is answered before m is checked:
+    only an m >= 1 is ever stored.
     """
-    if m < 1:
-        raise ValueError("iterate m must be positive")
     last = g._last
     cached_m, result = last[0]
     if cached_m == m:
         return result
+    if m < 1:
+        raise ValueError("iterate m must be positive")
     floors = 0
     for rho in g.rotation_numbers:
         floors += floor_scaled(rho, m)

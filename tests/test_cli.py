@@ -1362,28 +1362,59 @@ def test_a_long_path_to_a_file_is_quoted_cut_short(capsys, tmp_path, monkeypatch
 
 
 # argv that argparse itself refuses, each quoting an argument whole: (argv, the parser's prog,
-# its message); the refusal was one line as long as the argument, up to 100,063 characters
+# its message with the argument cut by quote); the refusal was one line as long as the
+# argument, up to 100,063 characters
 LONG_ARGV = {
     "--mmax of 10**5 x": (["iterate", "--model", "m", "--mmax", "x" * 100_000], "indexlab iterate",
-                          f"argument --mmax: invalid int value: '{'x' * 100_000}'"),
+                          f"argument --mmax: invalid int value: '{'x' * 39}…"),
     "command of 1000 z": (["z" * 1000], "indexlab", f"argument command: invalid choice: "
-                          f"'{'z' * 1000}' (choose from {COMMANDS})"),
+                          f"'{'z' * 39}… (choose from {COMMANDS})"),
     "--qmax of 5000 digits": (["betti", "--n", "2", "--qmax", "9" * 5000], "indexlab betti",
-                              f"argument --qmax: invalid int value: '{'9' * 5000}'"),
+                              f"argument --qmax: invalid int value: '{'9' * 39}…"),
     "option of 10**4 characters": (["prove", "--n", "2", "--bogus" + "q" * 9_993], "indexlab prove",
-                                   f"unrecognized arguments: --bogus{'q' * 9_993}"),
+                                   f"unrecognized arguments: --bogus{'q' * 33}…"),
     "zz": (["zz"], "indexlab", f"argument command: invalid choice: 'zz' (choose from {COMMANDS})"),
 }
 
 
 @pytest.mark.parametrize("argv,prog,message", LONG_ARGV.values(), ids=LONG_ARGV)
 def test_a_long_argument_is_refused_in_one_short_line(capsys, argv, prog, message):
-    # argparse's message is quoted as a path is, cut at 150 characters and marked; the
-    # invalid choice of a short command keeps its whole list of the commands
+    # the argument alone is quoted, cut at 40 characters and marked, and argparse's own
+    # words around it are kept
     code, out, err = run(capsys, *argv)
     assert_clean(code, out, err)
-    cut = message if len(message) <= 150 else f"{message[:150]}…"
-    assert (code, err) == (2, f"error: {prog}: {cut}\n")
+    assert (code, err) == (2, f"error: {prog}: {message}\n") and len(err) <= 400
+
+
+# argv that argparse refuses with an argument of argv inside its own words: (argv, the
+# parser's prog, its message with the argument cut by quote)
+ARGV_INSIDE = {
+    "command of 36 z": (["z" * 36], "indexlab", f"argument command: invalid choice: "
+                        f"'{'z' * 36}' (choose from {COMMANDS})"),
+    "command of 40 z": (["z" * 40], "indexlab", f"argument command: invalid choice: "
+                        f"'{'z' * 39}… (choose from {COMMANDS})"),
+    "ambiguous --m=": (["iterate", "--m=" + "x" * 100], "indexlab iterate",
+                       f"ambiguous option: --m={'x' * 36}… could match --model, --mmax"),
+    "--csv=": (["iterate", "--model", "m", "--csv=" + "y" * 100], "indexlab iterate",
+               f"argument --csv: ignored explicit argument '{'y' * 39}…"),
+    "argparse's words in the argument": (
+        ["iterate", "--model", "m", "--mmax", "x: invalid int value: " * 3], "indexlab iterate",
+        "argument --mmax: invalid int value: 'x: invalid int value: x: invalid int va…"),
+    "newlines in the argument": (["prove", "--n", "2", "a\nb" * 1000], "indexlab prove",
+                                 "unrecognized arguments: a" + " ba" * 13 + "…"),
+    "a choice list in the argument": (["z (choose from 'z')" * 3], "indexlab",
+                                      "argument command: invalid choice: \"z (choose from 'z')z "
+                                      f"(choose from 'z')z… (choose from {COMMANDS})"),
+}
+
+
+@pytest.mark.parametrize("argv,prog,message", ARGV_INSIDE.values(), ids=ARGV_INSIDE)
+def test_argparse_keeps_its_own_words_whole_around_a_cut_argument(capsys, argv, prog, message):
+    # the whole message was cut at 150 characters: an unknown command of 36 characters lost
+    # the end of the list of commands, "'verify')", and one of 40 lost "ify')"
+    code, out, err = run(capsys, *argv)
+    assert_clean(code, out, err)
+    assert (code, err) == (2, f"error: {prog}: {message}\n")
 
 
 LIMIT = sys.get_int_max_str_digits()  # the most digits str() writes of an int, 4,300 by default

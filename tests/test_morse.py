@@ -247,13 +247,15 @@ def _draw(rng: random.Random, horizon: int):
 
 class TestMorseTableOracle:
     def test_tables_match_the_isqrt_oracle(self, rng):
-        shapes, negative = Counter(), Counter()  # models and negative indices per shape
+        # models and negative indices per shape, and models per shape and slope parity
+        shapes, negative, parities = Counter(), Counter(), set()
         for _ in range(120):
             horizon = rng.randint(0, 300)
             drawn = _draw(rng, horizon)
             table = [0] * (horizon + 1)
             for g, slope, const, rhos, cut in drawn:
                 shapes[g.case] += 1
+                parities.add((g.case, slope % 2))
                 assert iterate_cutoff(g, horizon) == cut
                 for m in range(1, cut + 4):
                     i = _oracle_index(slope, const, rhos, m)
@@ -264,11 +266,14 @@ class TestMorseTableOracle:
                         table[i] += 1
             assert list(morse_numbers([g for g, *_ in drawn], horizon).values) == table
         assert set(shapes) == set(SHAPES) and negative["NCG2"] + negative["NCG3"] > 0
+        # k0 alternates with an odd slope, which every shape but NCG1 (slope 2p) can have
+        assert parities == {(shape, s) for shape in SHAPES for s in (0, 1)} - {("NCG1", 1)}
 
     def test_morse_numbers_keeps_the_benchmark_call_counts(self, rng, monkeypatch):
         # a traced benchmark run counts, per model, one index_of_iterate call per
-        # iterate up to the cutoff and a second for each in range (critical_type,
-        # answered by the model's one-entry cache), and k floors per iterate
+        # iterate up to the cutoff and a second for each in range (morse_numbers' own
+        # repeated query, answered by the model's one-entry cache), and k floors per
+        # iterate
         for _ in range(40):
             horizon = rng.randint(0, 300)
             drawn = _draw(rng, horizon)
@@ -321,6 +326,16 @@ class TestIterateCache:
                 assert iteration.index_of_iterate(g, m) == _oracle_index(slope, const, rhos, m)
                 assert floors[0] - before == (0 if last[j] == m else len(rhos))
                 last[j] = m
+
+    @pytest.mark.parametrize("m", [0, -1, -10**9])
+    def test_an_iterate_below_one_is_refused_before_and_after_a_query(self, m):
+        # the cache is read before m is checked: its entry before any query, (None, None),
+        # matches no m, and it only ever holds an m >= 1
+        g = GeodesicModel(2, 0, [RHO])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^iterate m must be positive$"):
+                iteration.index_of_iterate(g, m)
+            iteration.index_of_iterate(g, 1)
 
     def test_memory_stays_bounded_per_degree(self):
         # one NCG1 model with mean index 2*sqrt(2)/3 ~ 0.94, so its 21214 iterates fill
@@ -591,9 +606,9 @@ class TestMeanIndexIdentity:
         def refused(*args):
             raise AssertionError("the identity's closed form evaluates no iterate")
 
-        for name in ("index_of_iterate", "critical_type"):
-            monkeypatch.setattr(morse, name, refused)
-        monkeypatch.setattr(iteration, "floor_scaled", refused)
+        for module, name in ((morse, "index_of_iterate"), (iteration, "critical_type"),
+                             (iteration, "floor_scaled")):
+            monkeypatch.setattr(module, name, refused)
         g1 = GeodesicModel(2, 0, [ExactReal(1, 1, 4, 5)])
         g2 = GeodesicModel(2, 1, [ExactReal(-1, 1, 4, 5)])
         odd = GeodesicModel(3, 3, h=2)

@@ -235,14 +235,18 @@ def test_every_equivalent_mutant_names_a_line_of_its_module():
     assert listed and len(listed) == len(set(listed))
 
 
-@pytest.fixture
-def mutants(monkeypatch):
-    """tools/mutants.py's main, run from the repository root as its usage line shows."""
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", SRC.parent / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def mutants(monkeypatch):
+    """tools/mutants.py's main, run from the repository root as its usage line shows."""
     monkeypatch.chdir(SRC.parent)
-    return module.main
+    return load_mutants().main
 
 
 @pytest.mark.parametrize("selection,message", [
@@ -275,6 +279,27 @@ def test_mutants_lists_the_one_site_of_a_name(mutants, capsys):
     assert mutants(["src/indexlab/checker.py", "--list", *selection]) == 0
     out, err = capsys.readouterr()
     assert out.endswith(" 6 -> 7  CERTIFICATE_SCHEMA = 6\n") and out.count("\n") == 1 and err == ""
+
+
+def test_mutants_caps_the_memory_of_a_mutant_and_reports_a_run_that_ends_on_it(
+        tmp_path, monkeypatch, capsys):
+    # one mutant's test run reached 6 GB within two minutes; the test module of this repository
+    # records the limit its process sees and raises the MemoryError a run on the cap ends with
+    repo, limit = tmp_path / "repo", tmp_path / "limit"
+    (repo / "src").mkdir(parents=True)
+    (repo / "tests").mkdir()
+    (repo / "src" / "m.py").write_text("X = 1\n")
+    (repo / "tests" / "test_limit.py").write_text(
+        "import resource\nfrom pathlib import Path\n\n\ndef test_limit():\n"
+        f"    Path({str(limit)!r}).write_text(repr(resource.getrlimit(resource.RLIMIT_AS)))\n"
+        "    raise MemoryError\n")
+    tool = load_mutants()
+    monkeypatch.chdir(repo)
+    assert tool.main(["src/m.py", "tests/test_limit.py", "--workdir", str(tmp_path)]) == 0
+    assert limit.read_text() == repr((tool.MEMORY, tool.MEMORY))
+    out, err = capsys.readouterr()
+    assert (out, err) == ("   0 capped   src/m.py:1 1 -> 2  X = 1\n"
+                          "0 killed, 0 survived, 1 capped of 1\n", "")
 
 
 def test_only_the_step_builder_makes_a_trace():

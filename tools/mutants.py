@@ -15,7 +15,9 @@ site outside 0..N-1 of the N sites selected, is refused with exit 2.
 Each mutant is the module rewritten by `ast.unparse` into a copy of the repository
 under a temporary directory, where `pytest -x` runs the tests with a fixed
 hypothesis seed and an empty example database.  Sites are numbered in the order of
-the module's syntax tree, so a run is deterministic.  Standard library only, and
+the module's syntax tree, so a run is deterministic.  Each run's address space is
+capped at MEMORY bytes; a run that ends on a MemoryError is reported as capped,
+counted apart from the killed and the survived mutants.  Standard library only, and
 not part of the tier-1 suite: a surviving mutant costs a whole test run.
 """
 
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -39,6 +43,12 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.IsNot: "is not", ast.And: "and", ast.Or: "or", ast.Add: "+", ast.Sub: "-"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 TIMEOUT = 900  # seconds per mutant; a mutant that loops forever counts as killed
+# bytes of address space per mutant's test run, which a mutant that allocates without end
+# reaches in seconds; the whole suite passes under half of it (512 MiB)
+MEMORY = 2**30
+# pytest's summary line of a test or a collection that ended on a MemoryError; --tb=no keeps
+# the output read to that summary
+CAPPED = re.compile(r"^(?:FAILED|ERROR) .+? - MemoryError\b", re.M)
 MAIN = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
 
 
@@ -109,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         for i in chosen:
             print(f"{i:4d} {where(i)}")
         return 0
-    survivors = 0
+    counts = dict.fromkeys(("killed", "survived", "capped"), 0)
     with tempfile.TemporaryDirectory(prefix="mutants-", dir=args.workdir) as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(root, copy, ignore=IGNORED)
@@ -118,16 +128,20 @@ def main(argv: list[str] | None = None) -> int:
             (copy / args.module).write_text(mutant(source, args.names, i))
             shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
             try:
-                failed = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                     "--hypothesis-seed=0", *args.tests], cwd=copy, env=env,
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                    timeout=TIMEOUT).returncode != 0
+                done = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-p",
+                     "no:cacheprovider", "--hypothesis-seed=0", *args.tests], cwd=copy, env=env,
+                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT,
+                    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)))
+                outcome = ("survived" if done.returncode == 0 else
+                           "capped" if CAPPED.search(done.stdout) else "killed")
             except subprocess.TimeoutExpired:
-                failed = True
-            survivors += not failed
-            print(f"{i:4d} {'killed' if failed else 'SURVIVED':8s} {where(i)}", flush=True)
-    print(f"{len(chosen) - survivors} killed, {survivors} survived of {len(chosen)}")
+                outcome = "killed"
+            counts[outcome] += 1
+            label = outcome.upper() if outcome == "survived" else outcome
+            print(f"{i:4d} {label:8s} {where(i)}", flush=True)
+    print(f"{counts['killed']} killed, {counts['survived']} survived, {counts['capped']} capped "
+          f"of {len(chosen)}")
     return 0
 
 
