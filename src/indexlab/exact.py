@@ -14,6 +14,8 @@ import math
 import re
 from fractions import Fraction
 
+from .checker import quote
+
 
 def _is_perfect_square(n: int) -> bool:
     r = math.isqrt(n)
@@ -69,8 +71,10 @@ class ExactReal:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "D", D)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("ExactReal is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, not the blocked __setattr__
@@ -197,7 +201,7 @@ class ExactReal:
     def parse(cls, text: str) -> "ExactReal":
         m = cls._PATTERN.match(text.strip().replace(" ", ""))
         if m is None:
-            raise ValueError(f"not an exact-real literal: {text!r}")
+            raise ValueError(f"not an exact-real literal: {quote(text)}")
         a, b, D, c = (int(m.group(i)) for i in (1, 2, 3, 4))
         return cls(a, b, c, D)
 

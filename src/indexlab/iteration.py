@@ -54,8 +54,10 @@ class GeodesicModel:
                             ("_last", [(None, None)]), ("_census", (n, p, rhos, r, h))):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("GeodesicModel is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

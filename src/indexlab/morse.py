@@ -56,8 +56,8 @@ def iterate_cutoff(g: GeodesicModel, horizon: int) -> int:
     return (ExactReal(horizon + g.n - 1) / ihat).floor()
 
 
-# The most iterates morse_numbers enumerates for one model: two to three
-# minutes at the 1.1-1.8 us an iterate of a model with one to three rotation
+# The most iterates morse_numbers enumerates for one model: one to two
+# minutes at the 0.6-1.2 us an iterate of a model with one to three rotation
 # blocks took (2-core x86_64, Python 3.11.7).  A tiny mean index can ask for
 # 10^41 iterates, which would never finish.
 MAX_ITERATES = 10**8

@@ -245,3 +245,40 @@ def test_parse_rejects_garbage():
 
 def test_division_by_rational():
     assert SQRT2_M1 / 2 == ExactReal(-1, 1, 2, 2)
+
+
+def test_parse_quotes_a_long_input_cut():
+    with pytest.raises(ValueError, match="^not an exact-real literal: 'xxx") as info:
+        ExactReal.parse("x" * 10**6)
+    assert len(str(info.value)) <= 400
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("change", [lambda x, attr: setattr(x, attr, 0), delattr],
+                             ids=["assign", "delete"])
+    def test_assignment_and_deletion_raise(self, change):
+        x = ExactReal(-1, 1, 1, 2)
+        for attr in ("a", "b", "c", "D", "extra"):
+            with pytest.raises(AttributeError, match="^ExactReal is immutable$"):
+                change(x, attr)
+        assert str(x) == "(-1+1*sqrt(2))/1" and x == SQRT2_M1
+
+    @pytest.mark.parametrize("other", [0.5, "x"])
+    def test_a_float_or_a_string_is_no_operand(self, other):
+        # each operator returns NotImplemented, so Python raises TypeError both ways round
+        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(TypeError):
+                op(ExactReal(1), other)
+            with pytest.raises(TypeError):
+                op(other, ExactReal(1))
+
+    def test_an_exact_value_never_equals_a_float(self):
+        assert not ExactReal(1) == 1.0 and not 1.0 == ExactReal(1)
+        assert ExactReal(1) != 1.0 and 1.0 != ExactReal(1)
+        assert ExactReal(1) == 1 and ExactReal(1, c=2) == Fraction(1, 2)
+
+    def test_zero_has_no_inverse(self):
+        for divide in (lambda: ExactReal(0).inverse(), lambda: ExactReal(1) / 0,
+                       lambda: SQRT2_M1 / ExactReal(0)):
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                divide()

@@ -124,9 +124,18 @@ class TestModelValueSemantics:
         g = self.make()
         for attr in ("n", "p", "rotation_numbers", "r", "h", "case", "slope", "const", "_last",
                      "_census", "extra"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match="^GeodesicModel is immutable$"):
                 setattr(g, attr, 0)
         assert repr(g) == self.TEXT
+
+    def test_deletion_raises(self):
+        g = self.make()
+        for attr in ("n", "p", "rotation_numbers", "r", "h", "case", "slope", "const", "_last",
+                     "_census", "extra"):
+            with pytest.raises(AttributeError, match="^GeodesicModel is immutable$"):
+                delattr(g, attr)
+        assert repr(g) == self.TEXT and g == self.make()
+        assert index_of_iterate(g, 3) == index_of_iterate(self.make(), 3)
 
     @pytest.mark.parametrize("n, census, p, message", [
         (1, ((), 0, 0), 0, "sphere dimension n must be >= 2"),

@@ -316,3 +316,17 @@ def test_only_the_step_builder_makes_a_trace():
                  if isinstance(node, ast.Call) and "Trace" in ast.unparse(node.func).split(".")]
     assert [(name, line) for name, line, inside in made if not inside] == []
     assert any(inside for *_, inside in made)
+
+
+def test_ci_runs_the_tier_1_command_and_the_smoke_steps():
+    # the workflow's tier-1 step runs ROADMAP's command verbatim, and its smoke job needs only
+    # the standard library: no pip step, the demos, prove, verify and the checker alone
+    root = SRC.parent
+    [command] = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    tier_1, smoke = workflow.split("\n  smoke:\n")
+    assert f"      - run: {command}\n" in tier_1
+    assert "pip" not in smoke
+    for step in ("demos/*.py", "prove --n 12 > cert.json", "verify cert.json",
+                 "python -I src/indexlab/checker.py cert.json"):
+        assert step in smoke

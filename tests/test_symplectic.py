@@ -118,6 +118,13 @@ class TestRefusals:
         assert refusal(rot(RHO), {"type": "hyp", "d": 1}, rot("x")).startswith(
             "dec.blocks[1].d = 1: ")
 
+    def test_a_rho_of_another_type_is_refused_before_it_is_parsed(self):
+        # bytes, a list or a number: never handed to ExactReal.parse, whose strip a bytes value
+        # would pass on to a TypeError
+        for value in (b"x", b"(-1+1*sqrt(2))/1", ["x"], 1, None):
+            assert refusal(rot(value)) == ('dec.blocks[0].rho must be a string '
+                                           f'"(a+b*sqrt(D))/c", got {value!r}')
+
     def test_a_long_integer_is_quoted_with_its_digit_count(self):
         assert refusal(rot(10**50)) == ('dec.blocks[0].rho must be a string "(a+b*sqrt(D))/c", '
                                         'got 100000000000000000000000000000…(51 digits)')
@@ -207,3 +214,16 @@ def test_the_block_classes_are_gone():
         assert name not in indexlab.__all__
         assert not any(hasattr(module, name) for module in (indexlab, indexlab.symplectic,
                                                             indexlab.iteration))
+
+
+def test_the_reader_reads_every_block_in_one_loop_and_builds_no_fraction():
+    # decomposition_from_json checks each block inside its own loop, with no reader per block,
+    # and checks a number as its integer pair (a, b) without building a Fraction
+    tree = ast.parse(Path(symplectic.__file__).read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)] == [
+        "check_rho", "_exact_number", "decomposition_from_json"]
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) and "fractions" in
+                   {getattr(node, "module", None), *(alias.name for alias in node.names)}
+                   for node in ast.walk(tree))
+    assert symplectic._exact_number("-6/4", "x") == (-6, 4)
+    assert symplectic._exact_number(7, "x") == (7, 1)
