@@ -329,15 +329,15 @@ class _Steps:
             raise TraceError(f"{quote(case, str)} {quote(subcase)} is no case and subcase replay "
                              f"derives at n = {quote(n)}")
         self.scope, self.steps, self.derived, self.premises = _Scope(n, case, subcase), [], [], []
-        self.latest, self.kind = {}, None  # the latest step of each rule; the closing's kind
+        # the latest step of each rule; the closing's kind; whether no census at n has the shape
+        self.latest, self.kind, self.vacuous = {}, None, n < _LEAST[case]
 
     def add(self, rule: str, kind: str | None = None, **chosen) -> dict:
         """Append the step of this rule and contradiction kind; return the values its row derives
-        from the values it chooses and its premises, per slot the latest earlier step of its
-        rules.  Refused: any step of a shape no census at n reaches, a step after the closing,
-        out of order before it, or missing a premise."""
+        from its chosen values and its premises, per slot the latest earlier step of its rules.
+        Refused: a step of a vacuous trace, after the closing, out of order, or missing a premise."""
         row, (n, case, _) = _TABLE.get((rule, kind)), self.scope
-        if row is None or kind and kind not in _CLOSINGS[case] or n < _LEAST[case]:
+        if row is None or kind and kind not in _CLOSINGS[case] or self.vacuous:
             raise TraceError(f"{case} has no step {quote(rule)} of closing {quote(kind)} "
                              f"at n = {quote(n)}")
         if self.kind:
@@ -371,7 +371,7 @@ class _Steps:
     def close(self) -> Trace:
         """The closed trace: vacuous, with no step, for a shape that no census at n reaches;
         else a contradiction, once every earlier step is a premise of a later one."""
-        if self.scope.n < _LEAST[self.scope.case]:
+        if self.vacuous:
             return Trace(self.scope.case, "", [], "vacuous", "")
         if not self.kind:
             raise TraceError("the trace is open: none of its steps closes a contradiction")

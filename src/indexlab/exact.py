@@ -28,19 +28,6 @@ def same_field(D1: int, D2: int) -> bool:
     return _is_perfect_square(D1 * D2)
 
 
-def _floor(a: int, b: int, c: int, D: int) -> int:
-    """floor((a + b*sqrt(D))/c) for c > 0 and, when b != 0, non-square D.
-
-    b*sqrt(D) is then irrational, so its floor is isqrt(b^2 D) for b > 0 and
-    -isqrt(b^2 D) - 1 for b < 0; with N that integer and 0 < f < 1 its
-    fractional part, floor((a + N + f)/c) = (a + N) // c exactly.
-    """
-    if b == 0:
-        return a // c
-    t = math.isqrt(b * b * D)
-    return (a + (t if b > 0 else -t - 1)) // c
-
-
 class ExactReal:
     """(a + b*sqrt(D))/c in canonical form.
 
@@ -185,8 +172,14 @@ class ExactReal:
     # -- certified floor ---------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor.  Never ambiguous: irrational values miss the grid."""
-        return _floor(self.a, self.b, self.c, self.D)
+        """Exact floor.  Never ambiguous: irrational values miss the grid.  With c > 0 and
+        b*sqrt(D) irrational, its floor N is isqrt(b^2 D) or -isqrt(b^2 D) - 1 by b's sign,
+        and floor((a + N + f)/c) = (a + N) // c for its fractional part 0 < f < 1."""
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            return a // c
+        t = math.isqrt(b * b * self.D)
+        return (a + (t if b > 0 else -t - 1)) // c
 
     # -- serialization: "(a+b*sqrt(D))/c" ---------------------------------
 
@@ -216,8 +209,8 @@ def floor_scaled(x: ExactReal, m: int) -> int:
     """floor(m * x), exact.  For irrational x, m*x is never an integer."""
     if m <= 0:
         raise ValueError("m must be positive")
-    # _floor inlined, as this is the hottest call of every iteration; ExactReal.floor keeps
-    # _floor, so the range checks and cutoffs never count as floor_scaled calls
+    # ExactReal.floor of m * x inlined, as this is the hottest call of every iteration; the
+    # range checks and cutoffs call ExactReal.floor, so they never count as floor_scaled calls
     b = x.b * m
     if b == 0:
         return x.a * m // x.c

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 # the benchmark traces verify_trace and floor_sum_range as prover.*, so both are bound here
-from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, _LEAST, Trace, _Steps, _subcases,
+from .checker import (CERTIFICATE_SCHEMA, _CLOSINGS, Trace, _Steps, _subcases,
                       floor_sum_range, verify_trace)
 
 
@@ -36,7 +36,7 @@ def _corollary_6_4(steps: _Steps) -> None:
 def _replay(n: int, case: str, subcase: str) -> Trace:
     """The trace of (case, subcase) at n: vacuous where no census at n has the shape."""
     steps = _Steps(n, case, subcase)
-    if n < _LEAST[case]:
+    if steps.vacuous:
         return steps.close()
     if steps.add("Eq(5.5)")["value"] <= 0:
         steps.add("L6.1")

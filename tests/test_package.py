@@ -302,6 +302,32 @@ def test_mutants_caps_the_memory_of_a_mutant_and_reports_a_run_that_ends_on_it(
                           "0 killed, 0 survived, 1 capped of 1\n", "")
 
 
+def test_mutants_spares_the_test_that_reads_the_mutated_line(tmp_path, monkeypatch, capsys):
+    # that test finds each listed equivalent mutant's line in its module, so it fails on every
+    # mutant of a listed line: here it always fails, and the mutant must still survive
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "tests").mkdir()
+    # a pytest table makes the copy's root the rootdir, so node ids read as in this repository
+    (repo / "pyproject.toml").write_text("[tool.pytest.ini_options]\n")
+    (repo / "src" / "m.py").write_text("X = 1\n")
+    tool = load_mutants()
+    path, name = tool.SELF_READING.split("::")
+    (repo / path).write_text(f"def {name}():\n    assert False\n\n\ndef test_passes():\n    pass\n")
+    monkeypatch.chdir(repo)
+    assert tool.main(["src/m.py", path, "--workdir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("   0 SURVIVED src/m.py:1 1 -> 2  X = 1\n"
+                          "0 killed, 1 survived, 0 capped of 1\n", "")
+
+
+def test_only_the_checker_names_the_least_n_of_each_shape():
+    # the kernel decides vacuity once, in _Steps, and the replay reads the builder's answer
+    named = [path.name for path in MODULES if "_LEAST" in {
+        getattr(node, attr, None) for node in nodes(path) for attr in ("id", "attr", "name")}]
+    assert named == ["checker.py"]
+
+
 def test_only_the_step_builder_makes_a_trace():
     # every trace, vacuous ones too, is closed by checker._Steps.close: a Trace made
     # anywhere else in the package would pass by the builder's refusals
@@ -330,3 +356,8 @@ def test_ci_runs_the_tier_1_command_and_the_smoke_steps():
     for step in ("demos/*.py", "prove --n 12 > cert.json", "verify cert.json",
                  "python -I src/indexlab/checker.py cert.json"):
         assert step in smoke
+    # n = 2, 3 and 4, whose certificates hold the vacuous traces of NCG2 to NCG4
+    for n in (2, 3, 4):
+        for step in (f"prove --n {n} > cert{n}.json", f"verify cert{n}.json",
+                     f"python -I src/indexlab/checker.py cert{n}.json"):
+            assert step in smoke

@@ -465,6 +465,12 @@ class TestShapeVacuity:
         assert case in _census_shapes(least)
         assert least == 2 or case not in _census_shapes(least - 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10**9])
+    def test_the_builder_decides_vacuity_for_each_scope_replay_derives(self, n):
+        for case in _CLOSINGS:
+            for subcase in checker._subcases(n, case):
+                assert checker._Steps(n, case, subcase).vacuous == (n < _LEAST[case])
+
     @pytest.mark.parametrize("n", [5, 6, 10**9, 10**9 + 1])
     def test_every_shape_is_reached_from_n_5(self, n):
         assert {c for c in _LEAST if n >= _LEAST[c]} == _CLOSINGS.keys()

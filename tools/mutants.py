@@ -14,9 +14,10 @@ site outside 0..N-1 of the N sites selected, is refused with exit 2.
 
 Each mutant is the module rewritten by `ast.unparse` into a copy of the repository
 under a temporary directory, where `pytest -x` runs the tests with a fixed
-hypothesis seed and an empty example database.  Sites are numbered in the order of
-the module's syntax tree, so a run is deterministic.  Each run's address space is
-capped at MEMORY bytes; a run that ends on a MemoryError is reported as capped,
+hypothesis seed and an empty example database, less the test SELF_READING, which
+reads the mutated line itself.  Sites are numbered in the order of the module's
+syntax tree, so a run is deterministic.  Each run's address space is capped at
+MEMORY bytes; a run that ends on a MemoryError is reported as capped,
 counted apart from the killed and the survived mutants.  Standard library only, and
 not part of the tier-1 suite: a surviving mutant costs a whole test run.
 """
@@ -46,6 +47,9 @@ TIMEOUT = 900  # seconds per mutant; a mutant that loops forever counts as kille
 # bytes of address space per mutant's test run, which a mutant that allocates without end
 # reaches in seconds; the whole suite passes under half of it (512 MiB)
 MEMORY = 2**30
+# the test that reads each listed equivalent mutant's line in its module: a mutant of a listed
+# line changes that line, so this test would kill every equivalent mutant
+SELF_READING = "tests/test_package.py::test_every_equivalent_mutant_names_a_line_of_its_module"
 # pytest's summary line of a test or a collection that ended on a MemoryError; --tb=no keeps
 # the output read to that summary
 CAPPED = re.compile(r"^(?:FAILED|ERROR) .+? - MemoryError\b", re.M)
@@ -130,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 done = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-p",
-                     "no:cacheprovider", "--hypothesis-seed=0", *args.tests], cwd=copy, env=env,
+                     "no:cacheprovider", "--hypothesis-seed=0", "--deselect", SELF_READING,
+                     *args.tests], cwd=copy, env=env,
                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT,
                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)))
                 outcome = ("survived" if done.returncode == 0 else
