@@ -15,13 +15,12 @@ geodesic c_d the Morse inequalities fail first at q = i(c_d).
 
 from indexlab import (
     GeodesicModel,
-    check_morse_inequalities,
     euler_limit,
     mean_index_identity_lhs,
     morse_numbers,
 )
 from indexlab.exact import ExactReal
-from indexlab.morse import betti_values
+from indexlab.morse import betti_values, inequality_failures
 
 ALPHA = ExactReal(-2, 1, 1, 5)  # sqrt(5) - 2
 
@@ -47,8 +46,8 @@ for n in range(2, 9):
     H = 2 * max(first) + 2 * (n - 1)
     b = betti_values(n, H)
     M = morse_numbers(models, H)
-    assert list(M.values) == b and not check_morse_inequalities(M, b, H)
-    drops = [check_morse_inequalities(morse_numbers(models[:d] + models[d + 1:], H), b, H)[0][0]
+    assert list(M.values) == b and next(inequality_failures(M, b, H), None) is None
+    drops = [next(inequality_failures(morse_numbers(models[:d] + models[d + 1:], H), b, H))[0]
              for d in range(len(models))]
     assert drops == first
     print(f"{n:2d}  {len(models):9d}  {str(euler_limit(n)):>9s}  {H:3d}  yes    "

@@ -7,7 +7,7 @@ classification and index iteration (`iteration`), Betti/Morse bookkeeping
 (`morse`), and the mechanical single-geodesic case-analysis replayer (`prover`).
 """
 
-from .exact import ExactReal, floor_scaled
+from .exact import ExactReal
 from .iteration import (
     GeodesicModel,
     analytic_period,
@@ -16,9 +16,7 @@ from .iteration import (
     mean_index,
 )
 from .morse import (
-    MorseTable,
     betti,
-    check_morse_inequalities,
     euler_limit,
     mean_index_identity_lhs,
     morse_numbers,
@@ -30,16 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactReal",
-    "floor_scaled",
     "GeodesicModel",
     "index_of_iterate",
     "mean_index",
     "analytic_period",
     "critical_type",
-    "MorseTable",
     "betti",
     "morse_numbers",
-    "check_morse_inequalities",
     "euler_limit",
     "mean_index_identity_lhs",
     "replay",

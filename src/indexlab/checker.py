@@ -277,17 +277,6 @@ def _plain(value) -> bool:
     return True
 
 
-def case_of(k: int, h: int) -> str:
-    """The case shape of k rotation and h hyperbolic blocks (Long's normal forms):
-    h = 0 gives NCG1 if k > 0, else NCG5; otherwise k = 0, 1, even, odd give
-    NCG5, NCG4, NCG2, NCG3 (at k = 1 the NCG1 and NCG4 formulas agree)."""
-    if h == 0:
-        return "NCG1" if k else "NCG5"
-    if k < 2:
-        return "NCG4" if k else "NCG5"
-    return "NCG3" if k % 2 else "NCG2"
-
-
 def quote(value, conv=repr, wide=False) -> str:
     """conv(value) cut to 40 characters, or 150 for a dict, list, exception or `wide` path, and
     marked "…"; an int longer than 40 characters as its first 30 digits, "…" and digit count."""

@@ -61,7 +61,7 @@ def _int_list(values: Sequence[int]) -> Iterator[str]:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"cannot read {quote(path, str, True)}: {quote(exc, str)}") from exc

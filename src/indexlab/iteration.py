@@ -10,9 +10,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .checker import case_of, quote
+from .checker import quote
 from .exact import ExactReal, floor_scaled, same_field
 from .symplectic import check_rho, decomposition_from_json
+
+
+def case_of(k: int, h: int) -> str:
+    """The case shape of k rotation and h hyperbolic blocks (Long's normal forms):
+    h = 0 gives NCG1 if k > 0, else NCG5; otherwise k = 0, 1, even, odd give
+    NCG5, NCG4, NCG2, NCG3 (at k = 1 the NCG1 and NCG4 formulas agree)."""
+    if h == 0:
+        return "NCG1" if k else "NCG5"
+    if k < 2:
+        return "NCG4" if k else "NCG5"
+    return "NCG3" if k % 2 else "NCG2"
 
 
 class GeodesicModel:
@@ -20,7 +31,7 @@ class GeodesicModel:
 
     The census is the rotation numbers rho_j of the k rotation blocks, in block order, and
     the counts r of N blocks and h of hyperbolic blocks, of dimension 2k + 4r + 2h = 2(n-1)
-    and case `checker.case_of(k, h)`.  Every case shape iterates by Bott's formula,
+    and case `case_of(k, h)`.  Every case shape iterates by Bott's formula,
     i(c^m) = (i(c) - k)*m + 2*sum floor(m*rho_j) + k, with i(c) = 2p + k for NCG1
     (where k = n - 2r - 1) and i(c) = p otherwise; slope = i(c) - k, const = k.
     Valid when i(c) >= 0, which is p >= 0 outside NCG1.  Instances are immutable,

@@ -113,9 +113,9 @@ def inequality_failures(
 def check_morse_inequalities(
     M: MorseTable | list[int], b: list[int], horizon: int
 ) -> list[tuple[int, str, int, int]]:
-    """All failures of the Morse inequalities up to the horizon, the (q, kind,
-    lhs, rhs) tuples of inequality_failures in its order; an empty list means
-    consistency."""
+    """All failures of the Morse inequalities up to the horizon, the (q, kind, lhs, rhs) tuples
+    of inequality_failures in its order; an empty list means consistency.  Nothing in the
+    package calls it: it stays while the benchmark's tracer (bench/tracing.py) times it by name."""
     return list(inequality_failures(M, b, horizon))
 
 

@@ -13,7 +13,6 @@ import pytest
 from indexlab import (
     analytic_period,
     betti,
-    check_morse_inequalities,
     critical_type,
     euler_limit,
     index_of_iterate,
@@ -22,7 +21,7 @@ from indexlab import (
     replay,
 )
 from indexlab.cli import main
-from indexlab.morse import betti_values, iterate_cutoff
+from indexlab.morse import betti_values, check_morse_inequalities, iterate_cutoff
 from indexlab.checker import _CLOSINGS, check_lemma_6_1, check_lemma_6_2, check_lemma_6_3
 
 from conftest import at_minus_one, poincare_series, random_model, sign_of_difference

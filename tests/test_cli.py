@@ -734,6 +734,43 @@ class TestFullStdout:
             2, "error: cannot write stdout ([Errno 28] No space left on device)\n")
 
 
+class TestAsciiLocale:
+    """JSON text is UTF-8 (RFC 8259), so an input file is read as UTF-8 whatever the locale:
+    a non-ASCII string in it is refused for what it says, never as an undecodable file."""
+
+    # the C locale with neither coercion nor UTF-8 mode makes ASCII open()'s default; stdio
+    # is UTF-8, so that a refusal writes the é it quotes as the checker run alone does
+    ENV = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONIOENCODING": "utf-8"}
+
+    def run_in_ascii(self, *argv):
+        env = {**os.environ, **self.ENV,
+               "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              encoding="utf-8", timeout=60)
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        return str(path)
+
+    def test_verify_refuses_a_non_ascii_case_as_the_checker_does(self, tmp_path):
+        doc = json.loads(prover.certificate_json(5))
+        doc["traces"][0]["case"] = "NCG1é"
+        path = self.write(tmp_path, doc)
+        done = self.run_in_ascii("-m", "indexlab.cli", "verify", path)
+        alone = self.run_in_ascii("-I", checker.__file__, path)
+        assert (done.returncode, done.stdout, alone.returncode, alone.stdout) == (1, "", 1, "")
+        assert done.stderr == alone.stderr == (
+            f"{path}: trace 0: NCG1é '' is no case and subcase replay derives at n = 5\n")
+
+    def test_iterate_refuses_a_non_ascii_declared_case(self, tmp_path):
+        path = self.write(tmp_path, {**model_json(GeodesicModel(2, 0, [RHO])), "case": "NCG1é"})
+        done = self.run_in_ascii("-m", "indexlab.cli", "iterate", "--model", path)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: model: declared case NCG1é does not match classified case NCG1\n")
+
+
 MODEL_FLAG = {"iterate": "--model", "morse-check": "--models", "identity": "--models"}
 BAD_BLOCK = '{"n": 2, "p": 0, "dec": {"blocks": [1]}}'
 

@@ -14,10 +14,10 @@ from indexlab import (
     index_of_iterate,
     mean_index,
 )
-from indexlab.checker import _CLOSINGS, case_of
+from indexlab.checker import _CLOSINGS
 from indexlab.cli import _iterate_rows
 from indexlab.exact import ExactReal
-from indexlab.iteration import model_from_json
+from indexlab.iteration import case_of, model_from_json
 
 from conftest import (bott_index, katok_models, model_json, random_model, ref_case, ref_floor,
                       ref_index, shaped_models, sign_of_difference)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from indexlab import (
     GeodesicModel,
     betti,
-    check_morse_inequalities,
     euler_limit,
     mean_index,
     mean_index_identity_lhs,
@@ -26,6 +25,7 @@ from indexlab.morse import (
     MorseTable,
     alternating_betti_sum,
     betti_values,
+    check_morse_inequalities,
     iterate_cutoff,
 )
 

@@ -78,6 +78,16 @@ def test_all_names_are_bound():
     exec("from indexlab import *", {})  # raises AttributeError on an unbound name
 
 
+def test_three_names_stay_in_their_modules_but_leave_the_package():
+    import indexlab
+    from indexlab import exact, morse
+
+    assert len(indexlab.__all__) == 13
+    for module, name in ((exact, "floor_scaled"), (morse, "MorseTable"),
+                         (morse, "check_morse_inequalities")):
+        assert hasattr(module, name) and not hasattr(indexlab, name), name
+
+
 def test_sees_every_module():
     assert {p.name for p in MODULES} >= {"exact.py", "symplectic.py", "iteration.py",
                                          "morse.py", "checker.py", "prover.py", "cli.py"}

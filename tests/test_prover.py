@@ -1175,6 +1175,31 @@ class TestCertificate:
         unreached = sorted(name for code, name in functions.items() if code not in ran)
         assert functions and unreached == []
 
+    def test_every_kernel_function_is_reached_by_verify(self):
+        # verifying certificates runs every function, _Steps method and rule derivation that
+        # checker holds but quote, which only a refusal calls: the kernel holds nothing else
+        functions = {f.__code__: name for name, f in vars(checker).items()
+                     if inspect.isfunction(f) and f.__module__ == checker.__name__}
+        functions |= {f.__code__: f"_Steps.{name}" for name, f in vars(checker._Steps).items()
+                      if inspect.isfunction(f)}
+        functions |= {derive.__code__: f"_RULES[{key}]"
+                      for key, (_, _, derive) in checker._RULES.items()}
+        docs = [json.loads(certificate_json(n)) for n in (*range(2, 8), 12, 81)]
+        ran = set()
+
+        def called(frame, event, arg):
+            ran.add(frame.f_code)
+
+        previous = sys.gettrace()
+        sys.settrace(called)
+        try:
+            for doc in docs:
+                assert verify_certificate(doc)
+        finally:
+            sys.settrace(previous)
+        unreached = sorted(name for code, name in functions.items() if code not in ran)
+        assert unreached == ["quote"]
+
     def test_deterministic_json(self):
         assert certificate_json(5) == certificate_json(5)
 

@@ -27,9 +27,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indexlab import ExactReal, GeodesicModel, checker, prover
+from indexlab import ExactReal, GeodesicModel, prover
 from indexlab.cli import main
-from indexlab.iteration import critical_type, index_of_iterate, mean_index
+from indexlab.iteration import case_of, critical_type, index_of_iterate, mean_index
 from indexlab.morse import betti_values, iterate_cutoff
 
 from conftest import NONSQUARE_D, katok_models, model_json, random_rho, ref_index
@@ -165,7 +165,7 @@ def test_a_shape_closed_by_its_pin_has_no_model_that_meets_the_identity(
     # negative, or rational where a single rotation makes ihat irrational, or no integer
     # where ihat = p.  So no model of the shape and parity with a positive ihat meets it
     censuses = [(k, r, n - 1 - k - 2 * r) for k in range(n) for r in range((n - 1 - k) // 2 + 1)
-                if checker.case_of(k, n - 1 - k - 2 * r) == case]
+                if case_of(k, n - 1 - k - 2 * r) == case]
     k, r, h = data.draw(st.sampled_from(censuses))
     rng, D = data.draw(st.randoms(use_true_random=False)), data.draw(st.sampled_from(NONSQUARE_D))
     p = 2 * data.draw(st.integers(0, 3)) + (subcase == "p odd")
